@@ -63,10 +63,6 @@ class IntMatrix:
     def entry(self, i: int, j: int) -> int:
         return self.entries[i * self.cols + j]
 
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.entries[i * self.cols + j]
-
     def row(self, i: int) -> tuple:
         return self.entries[i * self.cols : (i + 1) * self.cols]
 
@@ -272,27 +268,14 @@ def hermite_row_basis(rows: Iterable[Sequence[int]]) -> list:
     each pivot reduced into [0, pivot).  The output depends only on the
     lattice, not on the generating set.
     """
-    work = [list(_as_vec(r)) for r in rows if any(x != 0 for x in r)]
+    work = [_as_vec(r) for r in rows]
     if not work:
         return []
-    by_pivot: dict = {}
-    for vec in work:
-        vec = list(vec)
-        while True:
-            lead = next((k for k, x in enumerate(vec) if x != 0), None)
-            if lead is None:
-                break
-            if lead in by_pivot:
-                by_pivot[lead], vec = _gcd_merge(by_pivot[lead], vec, lead)
-            else:
-                if vec[lead] < 0:
-                    vec = [-x for x in vec]
-                by_pivot[lead] = vec
-                break
-    pivots = sorted(by_pivot)
-    basis = [by_pivot[p] for p in pivots]
-    for i in range(len(basis) - 1, -1, -1):
-        p = pivots[i]
+    basis = hermite_row_basis_augmented(work, len(work[0]))
+    # first to last: reducing above pivot i only touches columns from p_i on,
+    # so pivots already reduced stay reduced
+    for i in range(len(basis)):
+        p = next(k for k, x in enumerate(basis[i]) if x != 0)
         for j in range(i):
             q = basis[j][p] // basis[i][p]
             if q:
@@ -436,10 +419,6 @@ def lattice_rank(rows: Sequence[Sequence[int]]) -> int:
     return len(hermite_row_basis(rows))
 
 
-def lattices_equal(rows_a: Sequence[Sequence[int]], rows_b: Sequence[Sequence[int]]) -> bool:
-    return hermite_row_basis(rows_a) == hermite_row_basis(rows_b)
-
-
 def cokernel_invariants(relation_rows: Sequence[Sequence[int]], n: int) -> tuple:
     """Invariant factors of Z^n modulo the row lattice of ``relation_rows``.
 
@@ -579,7 +558,7 @@ def is_n_divisible(group: FgAbelianGroup, n: int) -> bool:
     stacked = list(group.relations.to_rows())
     for i in range(g):
         stacked.append([n if j == i else 0 for j in range(g)])
-    return all(d == 1 for d in _snf_diagonal(stacked, g)) or g == 0
+    return cokernel_invariants(stacked, g) == ()
 
 
 def is_uniquely_n_divisible(group: FgAbelianGroup, n: int) -> bool:
@@ -591,11 +570,6 @@ def is_uniquely_n_divisible(group: FgAbelianGroup, n: int) -> bool:
     n_id = IntMatrix(g, g, tuple(n if i == j else 0 for i in range(g) for j in range(g)))
     pre = preimage_lattice_rows(n_id, group.relation_lattice)
     return pre == group.relation_lattice
-
-
-def _snf_diagonal(rows: Sequence[Sequence[int]], n: int) -> list:
-    s, _, _ = smith_normal_form(IntMatrix.from_rows(rows, cols=n))
-    return [d for d in s.diagonal() if d != 0]
 
 
 @dataclass(frozen=True)
@@ -630,7 +604,7 @@ class LocalizedGroupDescriptor:
 
 def localize(group: FgAbelianGroup, p: int) -> LocalizedGroupDescriptor:
     """Descriptor of G tensor Z[1/p]: p-torsion dies, the rest survives."""
-    if not _is_prime(p):
+    if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     torsion = []
     for d in group.torsion_factors:
@@ -641,7 +615,7 @@ def localize(group: FgAbelianGroup, p: int) -> LocalizedGroupDescriptor:
     return LocalizedGroupDescriptor(p, group.free_rank, tuple(torsion))
 
 
-def _is_prime(n: int) -> bool:
+def is_prime(n: int) -> bool:
     if n < 2:
         return False
     if n < 4:

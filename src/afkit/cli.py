@@ -519,7 +519,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact staged-algebra toolkit: groups, limits, diagrams, invariants.",
     )
     parser.add_argument("--format", choices=["json", "text"], default="text")
-    parser.add_argument("--jobs", type=int, default=1, help="reserved; execution is single-threaded")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("group", help="canonical form and divisibility of a presented group")

@@ -22,6 +22,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 from .abelian import (
     IntMatrix,
+    _bezout,
     hermite_row_basis,
     kernel_basis,
     preimage_lattice_rows,
@@ -564,7 +565,7 @@ def _gcd_combination(values: Sequence[int]) -> list:
             g = abs(v)
             coeffs[i] = sign
             continue
-        x, y = _bezout_pair(g, abs(v))
+        x, y = _bezout(g, abs(v))
         coeffs = [x * c for c in coeffs]
         coeffs[i] += y * sign
         g = gcd(g, v)
@@ -572,15 +573,6 @@ def _gcd_combination(values: Sequence[int]) -> list:
         raise ValueError("all first coordinates vanish")
     assert sum(c * v for c, v in zip(coeffs, values)) == g
     return coeffs
-
-
-def _bezout_pair(a: int, b: int):
-    x0, x1, y0, y1 = 1, 0, 0, 1
-    while b:
-        q, a, b = a // b, b, a % b
-        x0, x1 = x1, x0 - q * x1
-        y0, y1 = y1, y0 - q * y1
-    return x0, y0
 
 
 def verify_shen_certificate(
@@ -686,54 +678,7 @@ def ehs_realize(
     the next incidence matrix.  The produced theta maps satisfy
     theta_n(i) = sum_j m_n(i, j) theta_{n+1}(j) exactly at every level.
     """
-    enum = iter(positive_enumerator)
-    unit = D.unit
-    thetas = [(unit,)]
-    levels = [DiagramLevel(1, (1,), None)]
-    coverage = []
-    for n in range(depth):
-        x = next(enum, None)
-        from_enum = x is not None
-        if x is None:
-            x = unit
-        if D.is_positive(x, search_bound) is not True:
-            raise ValueError("enumerated element is not positive")
-        theta_prime = list(thetas[n]) + [x]
-        cert = shen_solve(D, theta_prime, search_bound)
-        l_n = len(thetas[n])
-        m_rows = [[cert.g.entry(i, j) for j in range(cert.size)] for i in range(l_n)]
-        keep = [j for j in range(cert.size) if any(r[j] for r in m_rows)
-                or cert.g.entry(l_n, j)]
-        if not keep:
-            keep = list(range(cert.size))
-        if any(all(r[j] == 0 for r in m_rows) for j in keep):
-            raise RealizationError(
-                f"level {n}: appended element needs a vertex no current element reaches; "
-                "choose a finer enumerator or raise depth"
-            )
-        m_n = IntMatrix.from_rows([[r[j] for j in keep] for r in m_rows], cols=len(keep))
-        new_thetas = tuple(cert.phi[j] for j in keep)
-        w_prev = levels[n].weights
-        w_next = tuple(
-            sum(w_prev[i] * m_n.entry(i, j) for i in range(l_n)) for j in range(len(keep))
-        )
-        levels[n] = DiagramLevel(levels[n].size, levels[n].weights, m_n)
-        levels.append(DiagramLevel(len(keep), w_next, None))
-        thetas.append(new_thetas)
-        literal = any(
-            limit_equal(D.system, x, t, search_bound) is True for t in new_thetas
-        )
-        coverage.append(
-            CoverageRecord(
-                level=n,
-                element=x,
-                expression=tuple(cert.g.entry(l_n, j) for j in keep),
-                appears_literally=literal,
-                from_enumerator=from_enum,
-            )
-        )
-    diagram = BratteliDiagram(tuple(levels))
-    return RealizationResult(diagram, tuple(thetas), tuple(coverage))
+    return _realize(D, None, positive_enumerator, depth, search_bound)
 
 
 def ehs_realize_with_endo(
@@ -753,6 +698,15 @@ def ehs_realize_with_endo(
     the second certificate's columns inherit all relations among the first
     certificate's positives.
     """
+    return _realize(D, phi, positive_enumerator, depth, search_bound)
+
+
+def _realize(D, phi, positive_enumerator, depth, search_bound) -> RealizationResult:
+    """The EHS recursion; with ``phi`` None no images or q_n are produced.
+
+    Rows of the level's coefficient matrix follow (theta; phi(theta); x),
+    so the appended element x is always the last row.
+    """
     enum = iter(positive_enumerator)
     unit = D.unit
     thetas = [(unit,)]
@@ -763,35 +717,36 @@ def ehs_realize_with_endo(
         cur = thetas[n]
         l_n = len(cur)
         images = []
-        for t in cur:
-            ft = phi.apply(D.system, t)
-            if D.is_positive(ft, search_bound) is not True:
-                raise EndomorphismNotPositive(
-                    f"endomorphism-not-positive: image of a level-{n} element left the cone"
-                )
-            images.append(ft)
+        if phi is not None:
+            for t in cur:
+                ft = phi.apply(D.system, t)
+                if D.is_positive(ft, search_bound) is not True:
+                    raise EndomorphismNotPositive(
+                        f"endomorphism-not-positive: image of a level-{n} element left the cone"
+                    )
+                images.append(ft)
         x = next(enum, None)
         from_enum = x is not None
         if x is None:
             x = unit
         theta_prime = list(cur) + images + [x]
-        cert1 = shen_solve(D, theta_prime, search_bound)
-        cert2 = shen_solve(D, list(cert1.phi), search_bound)
-        combined = cert1.g @ cert2.g  # rows follow theta_prime
-        keep = [j for j in range(cert2.size) if any(combined.entry(i, j) for i in range(combined.rows))]
+        cert = shen_solve(D, theta_prime, search_bound)
+        combined = cert.g
+        if phi is not None:
+            cert = shen_solve(D, list(cert.phi), search_bound)
+            combined = combined @ cert.g
+        keep = [j for j in range(cert.size) if any(combined.entry(i, j) for i in range(combined.rows))]
         if not keep:
-            keep = list(range(cert2.size))
+            keep = list(range(cert.size))
         if any(all(combined.entry(i, j) == 0 for i in range(l_n)) for j in keep):
             raise RealizationError(
-                f"level {n}: a produced vertex is unreachable from the current elements"
+                f"level {n}: a produced vertex is unreachable from the current elements; "
+                "choose a finer enumerator or raise depth"
             )
         m_n = IntMatrix.from_rows(
             [[combined.entry(i, j) for j in keep] for i in range(l_n)], cols=len(keep)
         )
-        q_n = IntMatrix.from_rows(
-            [[combined.entry(l_n + i, j) for j in keep] for i in range(l_n)], cols=len(keep)
-        )
-        new_thetas = tuple(cert2.phi[j] for j in keep)
+        new_thetas = tuple(cert.phi[j] for j in keep)
         w_prev = levels[n].weights
         w_next = tuple(
             sum(w_prev[i] * m_n.entry(i, j) for i in range(l_n)) for j in range(len(keep))
@@ -799,19 +754,25 @@ def ehs_realize_with_endo(
         levels[n] = DiagramLevel(levels[n].size, levels[n].weights, m_n)
         levels.append(DiagramLevel(len(keep), w_next, None))
         thetas.append(new_thetas)
-        q_list.append(q_n)
-        _check_level_identities(D, cur, images, new_thetas, m_n, q_n, search_bound)
+        if phi is not None:
+            q_n = IntMatrix.from_rows(
+                [[combined.entry(l_n + i, j) for j in keep] for i in range(l_n)], cols=len(keep)
+            )
+            q_list.append(q_n)
+            _check_level_identities(D, cur, images, new_thetas, m_n, q_n, search_bound)
         literal = any(limit_equal(D.system, x, t, search_bound) is True for t in new_thetas)
         coverage.append(
             CoverageRecord(
                 level=n,
                 element=x,
-                expression=tuple(combined.entry(2 * l_n, j) for j in keep),
+                expression=tuple(combined.entry(len(theta_prime) - 1, j) for j in keep),
                 appears_literally=literal,
                 from_enumerator=from_enum,
             )
         )
     diagram = BratteliDiagram(tuple(levels))
+    if phi is None:
+        return RealizationResult(diagram, tuple(thetas), tuple(coverage))
     endo = DiagramEndomorphism(tuple(q_list))
     if not validate_endomorphism(diagram, endo):
         raise RealizationError("produced multiplicities fail the intertwining identity")

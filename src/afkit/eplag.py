@@ -20,22 +20,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Dict, Optional, Sequence
 
-from .abelian import solve_row_combination
-
-
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
+from .abelian import is_prime, solve_row_combination
 
 
 def primes_avoiding(excluded: Sequence[int]):

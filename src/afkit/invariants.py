@@ -22,6 +22,7 @@ from .abelian import (
     cokernel_invariants,
     hermite_row_basis,
     image_lattice_rows,
+    is_prime,
     is_uniquely_n_divisible,
     localize,
     preimage_lattice_rows,
@@ -35,7 +36,7 @@ from .dimension import (
     validate_diagram,
     validate_endomorphism,
 )
-from .eplag import EplagGroup, divisibility_fingerprint, is_prime
+from .eplag import EplagGroup, divisibility_fingerprint
 from .limits import LimitElement, LimitEndomorphism, StagedSystem, saturate_preimages
 from .rordam import RordamPair, VerifyReport, rordam_pair, rordam_verify
 
@@ -190,7 +191,8 @@ def assemble_pipeline_system(pair: RordamPair) -> tuple:
     two = IntMatrix.from_rows([[2]])
     one = IntMatrix.from_rows([[1]])
     connect = _block_diag(two, beta)
-    system = StagedSystem.stationary(connect)
+    # diag([2], beta) is injective exactly when beta is
+    system = StagedSystem.stationary(connect, injective=pair.system.injective_flag)
     rank = 1 + pair.rank
     unit = LimitElement(0, tuple(1 if i == 0 else 0 for i in range(rank)))
     ordered = OrderedStagedSystem(

@@ -151,10 +151,40 @@ def test_kernel_basis():
 # --- Hermite / lattices ----------------------------------------------------
 
 
-def test_hermite_canonical():
+def test_hermite_small_example():
     b1 = hermite_row_basis([[2, 0], [0, 3]])
     b2 = hermite_row_basis([[2, 3], [2, 0], [4, 3]])
     assert b1 == b2
+
+
+@st.composite
+def lattice_and_regenerated(draw):
+    """Generators of a random lattice, and the same lattice from other generators.
+
+    The second set comes from the first by unimodular row operations (adding
+    a multiple of one row to another, negating a row), then a shuffle.
+    """
+    n = draw(st.integers(3, 6))
+    gens = draw(st.lists(st.lists(st.integers(-9, 9), min_size=n, max_size=n),
+                         min_size=1, max_size=n + 1))
+    mixed = [list(r) for r in gens]
+    k = len(mixed)
+    ops = draw(st.lists(st.tuples(st.integers(0, k - 1), st.integers(0, k - 1),
+                                  st.integers(-3, 3)), max_size=3 * k))
+    for i, j, c in ops:
+        if i == j:
+            mixed[i] = [-x for x in mixed[i]]
+        else:
+            mixed[i] = [a + c * b for a, b in zip(mixed[i], mixed[j])]
+    draw(st.randoms()).shuffle(mixed)
+    return gens, mixed
+
+
+@settings(max_examples=150, deadline=None)
+@given(lattice_and_regenerated())
+def test_hermite_canonical(case):
+    gens, mixed = case
+    assert hermite_row_basis(mixed) == hermite_row_basis(gens)
 
 
 def test_lattice_membership_and_solve():
@@ -202,6 +232,10 @@ def test_divisibility_examples():
     assert not is_n_divisible(FgAbelianGroup.free(1), 2)
     assert is_uniquely_n_divisible(FgAbelianGroup.cyclic(3), 2)
     assert not is_n_divisible(FgAbelianGroup.cyclic(2), 2)
+    # a dense presentation of Z/39
+    assert is_uniquely_n_divisible(
+        FgAbelianGroup.from_relation_rows(3, [[0, 12, 1], [-3, 7, 3], [0, -1, 1]]), 2
+    )
 
 
 def brute_force_divisible(factors, n):

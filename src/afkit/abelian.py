@@ -354,7 +354,7 @@ def solve_row_combination(gens: Sequence[Sequence[int]], target: Sequence[int]):
         head = b[:ncols]
         p = next((k for k, x in enumerate(head) if x != 0), None)
         if p is None:
-            continue
+            break  # zero-head rows come last
         if vec[p] % head[p] != 0:
             return None
         q = vec[p] // head[p]
@@ -369,15 +369,20 @@ def solve_row_combination(gens: Sequence[Sequence[int]], target: Sequence[int]):
 def hermite_row_basis_augmented(rows: Sequence[Sequence[int]], ncols: int) -> list:
     """Hermite elimination on the first ``ncols`` columns, carrying the rest.
 
-    Rows whose head (first ``ncols`` entries) reduces to zero are dropped;
-    the surviving rows have distinct head pivots, sorted.
+    Returns the rows with distinct head pivots, sorted, followed by the rows
+    whose head (first ``ncols`` entries) reduced to zero but whose carried
+    block did not; rows that reduce to zero entirely are dropped.  The
+    zero-head rows span the part of the row lattice whose head vanishes.
     """
     by_pivot: dict = {}
+    zero_head = []
     for vec in rows:
         vec = list(vec)
         while True:
             lead = next((k for k in range(ncols) if vec[k] != 0), None)
             if lead is None:
+                if any(vec[ncols:]):
+                    zero_head.append(vec)
                 break
             if lead in by_pivot:
                 by_pivot[lead], vec = _gcd_merge(by_pivot[lead], vec, lead)
@@ -386,15 +391,12 @@ def hermite_row_basis_augmented(rows: Sequence[Sequence[int]], ncols: int) -> li
                     vec = [-x for x in vec]
                 by_pivot[lead] = vec
                 break
-    return [by_pivot[p] for p in sorted(by_pivot)]
+    return [by_pivot[p] for p in sorted(by_pivot)] + zero_head
 
 
 def kernel_basis(m: IntMatrix) -> list:
-    """Basis vectors v with m.apply(v) == 0."""
-    s, _, v = smith_normal_form(m)
-    diag = s.diagonal()
-    rank = sum(1 for d in diag if d != 0)
-    return [v.col(j) for j in range(rank, m.cols)]
+    """Hermite basis of the vectors v with m.apply(v) == 0."""
+    return preimage_lattice_rows(m, [])
 
 
 def image_lattice_rows(m: IntMatrix) -> list:
@@ -403,20 +405,20 @@ def image_lattice_rows(m: IntMatrix) -> list:
 
 
 def preimage_lattice_rows(m: IntMatrix, lattice_rows: Sequence[Sequence[int]]) -> list:
-    """Hermite basis of {v : m.apply(v) in the given row lattice}."""
+    """Hermite basis of {v : m.apply(v) in the given row lattice}.
+
+    The rows (m e_j | e_j) and (l | 0) span {(m v + l, v)}; eliminating on
+    the first ``m.rows`` columns leaves zero-head rows whose tails span the
+    v with m v in the lattice (Cohen, Alg. 2.4.10, relative to a lattice).
+    """
+    n = m.cols
     lat = [list(_as_vec(r)) for r in lattice_rows]
-    k = len(lat)
-    # solve m v - L^T c = 0 and project onto v
-    combined_rows = []
-    for i in range(m.rows):
-        combined_rows.append(list(m.row(i)) + [-lat[t][i] for t in range(k)])
-    combined = IntMatrix.from_rows(combined_rows, cols=m.cols + k)
-    ker = kernel_basis(combined)
-    return hermite_row_basis([kv[: m.cols] for kv in ker])
-
-
-def lattice_rank(rows: Sequence[Sequence[int]]) -> int:
-    return len(hermite_row_basis(rows))
+    if any(len(r) != m.rows for r in lat):
+        raise DimensionMismatch(f"lattice rows must have length {m.rows}")
+    rows = [list(m.col(j)) + [1 if k == j else 0 for k in range(n)] for j in range(n)]
+    rows += [r + [0] * n for r in lat]
+    reduced = hermite_row_basis_augmented(rows, m.rows)
+    return hermite_row_basis([r[m.rows:] for r in reduced if not any(r[: m.rows])])
 
 
 def cokernel_invariants(relation_rows: Sequence[Sequence[int]], n: int) -> tuple:

@@ -24,7 +24,6 @@ from .abelian import (
     IntMatrix,
     _bezout,
     hermite_row_basis,
-    kernel_basis,
     preimage_lattice_rows,
     row_lattice_coefficients,
 )
@@ -71,7 +70,6 @@ class OrderedStagedSystem:
     system: StagedSystem
     cone: str
     unit: LimitElement
-    is_dimension_group: bool = False
 
     def __post_init__(self):
         if self.cone not in (SIMPLICIAL, STRICT_FIRST):
@@ -243,7 +241,7 @@ def diagram_to_system(d: BratteliDiagram) -> OrderedStagedSystem:
     tail = [t.transpose() for t in d.tail]
     system = StagedSystem.from_matrices(prefix, tail)
     unit = LimitElement(0, d.weights(0))
-    return OrderedStagedSystem(system=system, cone=SIMPLICIAL, unit=unit, is_dimension_group=True)
+    return OrderedStagedSystem(system=system, cone=SIMPLICIAL, unit=unit)
 
 
 def telescope(d: BratteliDiagram, cut_points: Sequence[int]) -> BratteliDiagram:
@@ -387,9 +385,7 @@ def relation_lattice_rows(D: OrderedStagedSystem, theta: Sequence[LimitElement])
     m = len(vecs[0])
     mat = IntMatrix.from_rows([[vecs[i][r] for i in range(len(vecs))] for r in range(m)],
                               cols=len(vecs))
-    if D.system.injective_flag:
-        return hermite_row_basis(kernel_basis(mat))
-    death = death_lattice_rows(D.system, s)
+    death = [] if D.system.injective_flag else death_lattice_rows(D.system, s)
     return preimage_lattice_rows(mat, death)
 
 

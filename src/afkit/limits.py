@@ -18,8 +18,6 @@ from .abelian import (
     IntMatrix,
     hermite_row_basis,
     image_lattice_rows,
-    kernel_basis,
-    lattice_rank,
     preimage_lattice_rows,
 )
 
@@ -34,12 +32,14 @@ class StagedSystem:
 
     ``connect(n)`` maps stage n to stage n+1 and has shape
     l(n+1) x l(n).  When ``tail`` is empty the system is finite: stages
-    beyond the prefix are undefined.
+    beyond the prefix are undefined.  An ``injective_flag`` of None is
+    replaced by whether every connecting map has full column rank; a True
+    flag is checked against the maps.
     """
 
     prefix: tuple
     tail: tuple
-    injective_flag: bool = False
+    injective_flag: Optional[bool] = False
 
     def __post_init__(self):
         mats = list(self.prefix) + list(self.tail)
@@ -53,17 +53,17 @@ class StagedSystem:
             first_tail = self.tail[0]
             if first_tail.cols != last.rows:
                 raise ValueError("tail does not cycle: shape mismatch at wrap")
-        if self.injective_flag:
-            for m in mats:
-                if lattice_rank(image_lattice_rows(m)) != m.cols:
-                    raise ValueError("injective_flag set but a connecting map drops rank")
+        if self.injective_flag is not False:
+            full_rank = all(len(image_lattice_rows(m)) == m.cols for m in mats)
+            if self.injective_flag is None:
+                object.__setattr__(self, "injective_flag", bool(mats) and full_rank)
+            elif not full_rank:
+                raise ValueError("injective_flag set but a connecting map drops rank")
 
     @classmethod
     def stationary(cls, matrix: IntMatrix, injective: Optional[bool] = None) -> "StagedSystem":
         if matrix.rows != matrix.cols:
             raise ValueError("stationary system needs a square connecting matrix")
-        if injective is None:
-            injective = lattice_rank(image_lattice_rows(matrix)) == matrix.cols
         return cls(prefix=(), tail=(matrix,), injective_flag=injective)
 
     @classmethod
@@ -73,11 +73,6 @@ class StagedSystem:
         tail: Sequence[IntMatrix] = (),
         injective: Optional[bool] = None,
     ) -> "StagedSystem":
-        mats = list(prefix) + list(tail)
-        if injective is None:
-            injective = bool(mats) and all(
-                lattice_rank(image_lattice_rows(m)) == m.cols for m in mats
-            )
         return cls(prefix=tuple(prefix), tail=tuple(tail), injective_flag=injective)
 
     @property
@@ -275,22 +270,19 @@ def death_lattice_rows(sys: StagedSystem, stage: int) -> list:
     """Basis of the stage-``stage`` vectors whose limit class is zero.
 
     A vector dies when some forward composite annihilates it.  Past the
-    prefix the composites are powers of the one-period block B, and the
-    increasing chain ker(B) <= ker(B^2) <= ... stabilizes as soon as two
-    consecutive members agree, so the computation always terminates.
+    prefix the composites are powers of the one-period block B, so at an
+    aligned stage the answer is the union of the chain
+    ker(B) <= ker(B^2) <= ...; saturating the zero lattice under preimages
+    of B walks that chain (ker(B^(k+1)) is the preimage of ker(B^k)) without
+    forming powers of B, and stops when two consecutive members agree.
+    Earlier stages take the preimage under the composite up to the aligned
+    stage.
     """
     if not sys.tail:
         raise ValueError("death analysis needs an infinite (tail) system")
     align = _aligned_stage(sys, stage)
     block = sys.composite(align, align + len(sys.tail))
-    death_aligned: list = []
-    power = IntMatrix.identity(block.cols)
-    while True:
-        power = block @ power
-        nxt = hermite_row_basis(kernel_basis(power))
-        if nxt == death_aligned:
-            break
-        death_aligned = nxt
+    death_aligned = saturate_preimages(block, [])
     if align == stage:
         return death_aligned
     return preimage_lattice_rows(sys.composite(stage, align), death_aligned)

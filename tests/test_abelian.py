@@ -10,10 +10,12 @@ from itertools import combinations, product
 from math import gcd, prod
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from afkit.abelian import (
+    DimensionMismatch,
     FgAbelianGroup,
     IntMatrix,
     LocalizedGroupDescriptor,
@@ -24,6 +26,7 @@ from afkit.abelian import (
     is_uniquely_n_divisible,
     kernel_basis,
     localize,
+    preimage_lattice_rows,
     quotient_by,
     row_lattice_contains,
     smith_normal_form,
@@ -146,6 +149,47 @@ def test_kernel_basis():
     ker = kernel_basis(m)
     assert len(ker) == 1
     assert m.apply(ker[0]) == (0, 0)
+
+
+@st.composite
+def dense_map_and_lattice(draw):
+    """A dense m (up to 6x8, entries in +-9), a lattice L of up to 4 rows in
+    its target, and an integer v with m v in L built over Q by sympy."""
+    r, c = draw(st.integers(1, 6)), draw(st.integers(1, 8))
+    entry = st.integers(-9, 9)
+    rows = draw(st.lists(st.lists(entry, min_size=c, max_size=c), min_size=r, max_size=r))
+    lat = draw(st.lists(st.lists(entry, min_size=r, max_size=r), max_size=4))
+    coeffs = [draw(st.integers(-3, 3)) for _ in lat]
+    target = [sum(k * l[i] for k, l in zip(coeffs, lat)) for i in range(r)]
+    mat = sympy.Matrix(rows)
+    try:
+        sol, params = mat.gauss_jordan_solve(sympy.Matrix(target))
+    except ValueError:  # target outside the column space: use a kernel vector
+        sol, params = mat.gauss_jordan_solve(sympy.zeros(r, 1))
+    sol = sol.subs({t: draw(st.integers(-3, 3)) for t in params})
+    scale = sympy.ilcm(1, *[x.q for x in sol])
+    return rows, lat, tuple(int(x * scale) for x in sol)
+
+
+@settings(max_examples=100)
+@given(dense_map_and_lattice())
+def test_preimage_and_kernel_dense(case):
+    rows, lat, v = case
+    m = IntMatrix.from_rows(rows)
+    lat_basis = hermite_row_basis(lat)
+    pre = preimage_lattice_rows(m, lat)
+    assert all(row_lattice_contains(lat_basis, m.apply(u)) for u in pre)
+    assert row_lattice_contains(lat_basis, m.apply(v))
+    assert row_lattice_contains(pre, v)
+    assert len(kernel_basis(m)) == m.cols - sympy.Matrix(rows).rank()
+
+
+def test_preimage_rejects_wrong_length_lattice_rows():
+    m = IntMatrix.from_rows([[1, 0], [0, 2]])
+    with pytest.raises(DimensionMismatch):
+        preimage_lattice_rows(m, [[1, 0, 0]])
+    with pytest.raises(DimensionMismatch):
+        preimage_lattice_rows(m, [[1]])
 
 
 # --- Hermite / lattices ----------------------------------------------------

@@ -42,12 +42,12 @@ def fibonacci_diagram():
 
 def integers_system():
     sys = StagedSystem.stationary(IntMatrix.from_rows([[1]]))
-    return OrderedStagedSystem(system=sys, cone="simplicial", unit=LimitElement(0, (1,)), is_dimension_group=True)
+    return OrderedStagedSystem(system=sys, cone="simplicial", unit=LimitElement(0, (1,)))
 
 
 def plane_system():
     sys = StagedSystem.stationary(IntMatrix.identity(2))
-    return OrderedStagedSystem(system=sys, cone="simplicial", unit=LimitElement(0, (1, 1)), is_dimension_group=True)
+    return OrderedStagedSystem(system=sys, cone="simplicial", unit=LimitElement(0, (1, 1)))
 
 
 # --- diagrams ----------------------------------------------------------------

@@ -171,6 +171,17 @@ def test_death_lattice():
     rows = death_lattice_rows(sys, 0)
     assert rows == [(0, 1)]
     assert death_lattice_rows(doubling(), 0) == []
+    # nilpotent block: ker B is Z(1, 0), ker B^2 is everything
+    nilpotent = StagedSystem.stationary(IntMatrix.from_rows([[0, 1], [0, 0]]))
+    assert death_lattice_rows(nilpotent, 0) == [(1, 0), (0, 1)]
+    # stage 0 lies before the aligned stage 1: preimage of stage 1's death
+    # lattice Z(0, 1) under (x, y) -> (x + y, y)
+    prefixed = StagedSystem.from_matrices(
+        [IntMatrix.from_rows([[1, 1], [0, 1]])], [IntMatrix.from_rows([[1, 0], [0, 0]])]
+    )
+    assert death_lattice_rows(prefixed, 1) == [(0, 1)]
+    assert death_lattice_rows(prefixed, 0) == [(1, -1)]
+    assert is_zero_class(prefixed, LimitElement(0, (1, -1)), 2) is True
 
 
 def test_saturate_preimages():

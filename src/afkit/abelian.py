@@ -158,102 +158,43 @@ def smith_normal_form(m: IntMatrix) -> tuple:
     """Diagonalize ``m`` as U @ m @ V = S.
 
     U and V are unimodular; the diagonal of S is nonnegative and each entry
-    divides the next.  Pivots are chosen by minimal absolute value with full
-    row/column reduction, which keeps coefficients small at the scales this
-    library targets.
+    divides the next.  Reduced Hermite passes of :func:`hermite_row_basis_augmented`
+    alternate over the rows of ``[A | U]`` and of ``[A^T | V^T]`` until A is
+    diagonal (Kannan-Bachem; Cohen, Alg. 2.4.14).  The carried blocks are
+    unimodular, so no row is ever dropped.  A 2x2 step per pair of diagonal
+    entries then turns (a, b) into (gcd, lcm).
 
     Returns (S, U, V).
     """
     r, c = m.rows, m.cols
-    a = m.to_rows()
-    u = IntMatrix.identity(r).to_rows()
-    v = IntMatrix.identity(c).to_rows()
-
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
-
-    def add_row(src, dst, q):
-        # row dst += q * row src
-        arow = a[src]
-        drow = a[dst]
-        for k in range(c):
-            drow[k] += q * arow[k]
-        urow = u[src]
-        durow = u[dst]
-        for k in range(r):
-            durow[k] += q * urow[k]
-
-    def add_col(src, dst, q):
-        for row in a:
-            row[dst] += q * row[src]
-        for row in v:
-            row[dst] += q * row[src]
-
-    def negate_row(i):
-        a[i] = [-x for x in a[i]]
-        u[i] = [-x for x in u[i]]
-
-    t = 0
-    while t < min(r, c):
-        # locate a minimal-absolute-value pivot in the trailing block
-        pivot = None
-        best = None
-        for i in range(t, r):
-            for j in range(t, c):
-                x = a[i][j]
-                if x != 0 and (best is None or abs(x) < best):
-                    best = abs(x)
-                    pivot = (i, j)
-        if pivot is None:
-            break
-        swap_rows(t, pivot[0])
-        swap_cols(t, pivot[1])
-
-        dirty = True
-        while dirty:
-            dirty = False
-            for i in range(t + 1, r):
-                if a[i][t] != 0:
-                    q = a[i][t] // a[t][t]
-                    add_row(t, i, -q)
-                    if a[i][t] != 0:
-                        # remainder is strictly smaller: promote it to pivot
-                        swap_rows(t, i)
-                        dirty = True
-            for j in range(t + 1, c):
-                if a[t][j] != 0:
-                    q = a[t][j] // a[t][t]
-                    add_col(t, j, -q)
-                    if a[t][j] != 0:
-                        swap_cols(t, j)
-                        dirty = True
-        # pivot must divide every remaining entry before we advance,
-        # which is what forces the divisibility chain globally
-        p = a[t][t]
-        fixed = False
-        for i in range(t + 1, r):
-            if fixed:
-                break
-            for j in range(t + 1, c):
-                if a[i][j] % p != 0:
-                    add_row(i, t, 1)
-                    fixed = True
-                    break
-        if fixed:
-            continue
-        if p < 0:
-            negate_row(t)
-        t += 1
-
+    a, u = _hermite_pass(m.to_rows(), IntMatrix.identity(r).to_rows(), c)
+    vt = IntMatrix.identity(c).to_rows()
+    # _gcd_merge keeps a pivot row whose pivot divides the column, so each
+    # column pass and row pass either shrinks the top-left pivot or leaves its
+    # row and column clear for good; by induction on the size the loop ends
+    while any(x for i, row in enumerate(a) for j, x in enumerate(row) if i != j):
+        at, vt = _hermite_pass([list(col) for col in zip(*a)], vt, r)
+        a, u = _hermite_pass([list(col) for col in zip(*at)], u, c)
+    diag = [a[i][i] for i in range(min(r, c)) if a[i][i]]
+    for i in range(len(diag)):
+        for j in range(i + 1, len(diag)):
+            da, db = diag[i], diag[j]
+            if db % da:
+                g = gcd(da, db)
+                x, y = _bezout(da, db)
+                u[i], u[j] = _combine(u[i], u[j], x, y, -db // g, da // g)
+                vt[i], vt[j] = _combine(vt[i], vt[j], 1, 1, -y * db // g, x * da // g)
+                diag[i], diag[j] = g, da // g * db
+    for i, d in enumerate(diag):
+        a[i][i] = d
     s = IntMatrix.from_rows(a, cols=c)
-    return s, IntMatrix.from_rows(u, cols=r), IntMatrix.from_rows(v, cols=c)
+    return s, IntMatrix.from_rows(u, cols=r), IntMatrix.from_rows(list(zip(*vt)), cols=c)
+
+
+def _hermite_pass(a: list, carry: list, ncols: int) -> tuple:
+    """Reduced Hermite form of ``a`` by row operations, applied to ``carry`` too."""
+    rows = hermite_row_basis_augmented([x + t for x, t in zip(a, carry)], ncols)
+    return [row[:ncols] for row in rows], [row[ncols:] for row in rows]
 
 
 # ---------------------------------------------------------------------------
@@ -271,29 +212,33 @@ def hermite_row_basis(rows: Iterable[Sequence[int]]) -> list:
     work = [_as_vec(r) for r in rows]
     if not work:
         return []
-    basis = hermite_row_basis_augmented(work, len(work[0]))
-    # first to last: reducing above pivot i only touches columns from p_i on,
-    # so pivots already reduced stay reduced
-    for i in range(len(basis)):
-        p = next(k for k, x in enumerate(basis[i]) if x != 0)
-        for j in range(i):
-            q = basis[j][p] // basis[i][p]
-            if q:
-                basis[j] = [bj - q * bi for bj, bi in zip(basis[j], basis[i])]
-    return [tuple(b) for b in basis]
+    return [tuple(b) for b in hermite_row_basis_augmented(work, len(work[0]))]
 
 
 def _gcd_merge(base: list, vec: list, col: int) -> tuple:
     """Unimodular 2-row combination: pivot row gains gcd at ``col``, the
-    other row gains a zero there.  Both rows must vanish left of ``col``."""
+    other row gains a zero there.  Both rows must vanish left of ``col``.
+    A pivot that already divides ``vec[col]`` keeps its row unchanged."""
+    if vec[col] % base[col] == 0:
+        return base, _reduce_at(vec, base, col)
     g = gcd(base[col], vec[col])
     x, y = _bezout(base[col], vec[col])
-    bp, vp = base[col] // g, vec[col] // g
-    merged = [x * b + y * v for b, v in zip(base, vec)]
-    cleared = [-vp * b + bp * v for b, v in zip(base, vec)]
+    merged, cleared = _combine(base, vec, x, y, -vec[col] // g, base[col] // g)
     if merged[col] < 0:
         merged = [-t for t in merged]
     return merged, cleared
+
+
+def _combine(p: list, q: list, a: int, b: int, c: int, d: int) -> tuple:
+    """The rows a*p + b*q and c*p + d*q."""
+    return [a * s + b * t for s, t in zip(p, q)], [c * s + d * t for s, t in zip(p, q)]
+
+
+def _reduce_at(vec: list, pivot_row: list, p: int) -> list:
+    """``vec`` minus the multiple of ``pivot_row`` that brings ``vec[p]`` into
+    [0, pivot_row[p])."""
+    q = vec[p] // pivot_row[p]
+    return [v - q * b for v, b in zip(vec, pivot_row)]
 
 
 def _bezout(a: int, b: int) -> tuple:
@@ -367,12 +312,16 @@ def solve_row_combination(gens: Sequence[Sequence[int]], target: Sequence[int]):
 
 
 def hermite_row_basis_augmented(rows: Sequence[Sequence[int]], ncols: int) -> list:
-    """Hermite elimination on the first ``ncols`` columns, carrying the rest.
+    """Reduced Hermite elimination on the first ``ncols`` columns, carrying the rest.
 
-    Returns the rows with distinct head pivots, sorted, followed by the rows
-    whose head (first ``ncols`` entries) reduced to zero but whose carried
-    block did not; rows that reduce to zero entirely are dropped.  The
-    zero-head rows span the part of the row lattice whose head vanishes.
+    Returns the rows with distinct head pivots, sorted and reduced as in
+    :func:`hermite_row_basis` (the carried block goes along with every row
+    operation), followed by the rows whose head (first ``ncols`` entries)
+    reduced to zero but whose carried block did not; rows that reduce to
+    zero entirely are dropped.  The zero-head rows span the part of the row
+    lattice whose head vanishes.  Every remainder is reduced at the pivots
+    already found right after it is formed, which keeps entries small on
+    dense input.
     """
     by_pivot: dict = {}
     zero_head = []
@@ -384,14 +333,28 @@ def hermite_row_basis_augmented(rows: Sequence[Sequence[int]], ncols: int) -> li
                 if any(vec[ncols:]):
                     zero_head.append(vec)
                 break
-            if lead in by_pivot:
-                by_pivot[lead], vec = _gcd_merge(by_pivot[lead], vec, lead)
-            else:
+            if lead not in by_pivot:
                 if vec[lead] < 0:
                     vec = [-x for x in vec]
                 by_pivot[lead] = vec
                 break
-    return [by_pivot[p] for p in sorted(by_pivot)] + zero_head
+            by_pivot[lead], vec = _gcd_merge(by_pivot[lead], vec, lead)
+            for p in sorted(by_pivot):
+                if p > lead and not 0 <= vec[p] < by_pivot[p][p]:
+                    vec = _reduce_at(vec, by_pivot[p], p)
+    pivots = sorted(by_pivot)
+    basis = [by_pivot[p] for p in pivots]
+    # first to last: reducing above pivot i only touches columns from p_i on,
+    # so pivots already reduced stay reduced; each subtraction touches only
+    # the support of row i, which is small for the staged systems' sparse rows
+    for i, p in enumerate(pivots):
+        support = [(k, x) for k, x in enumerate(basis[i]) if x]
+        for row in basis[:i]:
+            q = row[p] // basis[i][p]
+            if q:
+                for k, x in support:
+                    row[k] -= q * x
+    return basis + zero_head
 
 
 def kernel_basis(m: IntMatrix) -> list:

@@ -715,7 +715,7 @@ def _realize(D, phi, positive_enumerator, depth, search_bound) -> RealizationRes
         images = []
         if phi is not None:
             for t in cur:
-                ft = phi.apply(D.system, t)
+                ft = phi.apply(t)
                 if D.is_positive(ft, search_bound) is not True:
                     raise EndomorphismNotPositive(
                         f"endomorphism-not-positive: image of a level-{n} element left the cone"

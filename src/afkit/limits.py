@@ -145,7 +145,7 @@ class LimitEndomorphism:
             raise ValueError(f"endomorphism has no matrix at stage {stage}")
         return self.matrices[stage]
 
-    def apply(self, sys: StagedSystem, e: LimitElement) -> LimitElement:
+    def apply(self, e: LimitElement) -> LimitElement:
         m = self.matrix_at(e.stage)
         out = m.apply(e.vector)
         return LimitElement(e.stage + 1 if self.cross_stage else e.stage, out)

@@ -1,8 +1,9 @@
 """Tests for exact abelian group arithmetic.
 
-The Smith form is checked against an independent gcd-of-minors oracle, and
-divisibility decisions against brute-force enumeration of small finite
-groups.
+The Smith form is checked against an independent gcd-of-minors oracle on
+small inputs and against sympy and its own (S, U, V) certificate on dense
+ones, and divisibility decisions against brute-force enumeration of small
+finite groups.
 """
 
 import random
@@ -13,6 +14,7 @@ import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy.matrices.normalforms import invariant_factors
 
 from afkit.abelian import (
     DimensionMismatch,
@@ -22,6 +24,7 @@ from afkit.abelian import (
     cokernel_invariants,
     determinant,
     hermite_row_basis,
+    hermite_row_basis_augmented,
     is_n_divisible,
     is_uniquely_n_divisible,
     kernel_basis,
@@ -144,6 +147,80 @@ def test_snf_property(r, c, data):
     check_snf(IntMatrix.from_rows(rows))
 
 
+def check_snf_certificate(mat: IntMatrix):
+    """U @ m @ V == S with U, V unimodular and S diagonal with a nonnegative
+    divisibility chain: together these prove S is the Smith form of m."""
+    s, u, v = smith_normal_form(mat)
+    assert (u @ mat @ v).entries == s.entries
+    assert abs(determinant(u)) == 1
+    assert abs(determinant(v)) == 1
+    assert all(s.entry(i, j) == 0 for i in range(s.rows) for j in range(s.cols) if i != j)
+    diag = s.diagonal()
+    assert all(d >= 0 for d in diag)
+    for a, b in zip(diag, diag[1:]):
+        assert b % a == 0 if a else b == 0
+
+
+def unimodular(rng: random.Random, n: int, steps: int) -> list:
+    """A random n x n unimodular matrix: row additions and swaps applied to I."""
+    u = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(steps):
+        i, j = rng.sample(range(n), 2) if n > 1 else (0, 0)
+        if i == j:
+            u[i] = [-x for x in u[i]]
+        elif rng.random() < 0.2:
+            u[i], u[j] = u[j], u[i]
+        else:
+            c = rng.choice((-2, -1, 1, 2))
+            u[i] = [a + c * b for a, b in zip(u[i], u[j])]
+    return u
+
+
+def presentation(rng: random.Random, r: int, c: int, diag: list) -> list:
+    """U @ D @ V for random unimodular U, V and the r x c diagonal D."""
+    d = IntMatrix.from_rows([[diag[i] if i == j and i < len(diag) else 0 for j in range(c)]
+                             for i in range(r)])
+    u = IntMatrix.from_rows(unimodular(rng, r, 3 * r))
+    v = IntMatrix.from_rows(unimodular(rng, c, 3 * c))
+    return (u @ d @ v).to_rows()
+
+
+@st.composite
+def dense_matrices(draw):
+    """Dense matrices up to 12x12: entries in +-9, or U diag(d) V with some d = 0."""
+    r, c = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    if draw(st.booleans()):
+        entry = st.integers(-9, 9)
+        return draw(st.lists(st.lists(entry, min_size=c, max_size=c), min_size=r, max_size=r))
+    diag = draw(st.lists(st.sampled_from((0, 0, 1, 2, 3, 6, 12)),
+                         min_size=min(r, c), max_size=min(r, c)))
+    return presentation(draw(st.randoms(use_true_random=False)), r, c, diag)
+
+
+@settings(max_examples=100, deadline=None)
+@given(dense_matrices())
+def test_snf_dense_against_sympy(rows):
+    c = len(rows[0])
+    check_snf_certificate(IntMatrix.from_rows(rows))
+    want = [int(d) for d in invariant_factors(sympy.Matrix(rows)) if d != 0]
+    assert cokernel_invariants(rows, c) == tuple(d for d in want if d > 1) + (0,) * (c - len(want))
+
+
+def test_snf_dense_25x25():
+    rng = random.Random(25)
+    rows = [[rng.randint(-9, 9) for _ in range(25)] for _ in range(25)]
+    check_snf_certificate(IntMatrix.from_rows(rows))
+
+
+def test_dense_presentation_of_z663():
+    rows = presentation(random.Random(663), 10, 10, [663] + [1] * 9)
+    assert sum(x != 0 for row in rows for x in row) > 50
+    g = FgAbelianGroup.from_relation_rows(10, rows)
+    assert g.invariant_factors == (663,)
+    assert is_n_divisible(g, 2)
+    assert is_uniquely_n_divisible(g, 2)
+
+
 def test_kernel_basis():
     m = IntMatrix.from_rows([[1, 0], [0, 0]])
     ker = kernel_basis(m)
@@ -229,6 +306,23 @@ def lattice_and_regenerated(draw):
 def test_hermite_canonical(case):
     gens, mixed = case
     assert hermite_row_basis(mixed) == hermite_row_basis(gens)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 8), st.integers(1, 8), st.data())
+def test_hermite_augmented_contract(r, c, data):
+    rows = [[data.draw(st.integers(-9, 9)) for _ in range(c)] for _ in range(r)]
+    carried = [row + [int(i == k) for k in range(r)] for i, row in enumerate(rows)]
+    out = hermite_row_basis_augmented(carried, c)
+    heads = [tuple(row[:c]) for row in out]
+    tails = IntMatrix.from_rows([row[c:] for row in out], cols=r)
+    basis = hermite_row_basis(rows)
+    assert heads[:len(basis)] == basis
+    assert all(not any(h) for h in heads[len(basis):])
+    # the tails form one unimodular transform taking the input to the output,
+    # so no row is dropped and the zero-head tails are a left-kernel basis
+    assert tails.rows == r and abs(determinant(tails)) == 1
+    assert (tails @ IntMatrix.from_rows(rows)).to_rows() == [list(h) for h in heads]
 
 
 def test_lattice_membership_and_solve():

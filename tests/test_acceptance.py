@@ -153,7 +153,7 @@ def test_criterion_3_shen_certificates():
         pair = rordam_pair(FgAbelianGroup.cyclic(2), width=6)
         D, endo = assemble_pipeline_system(pair)
         unit = D.unit
-        theta = [unit, endo.apply(D.system, unit), LimitElement(1, D.unit_at(1).vector)]
+        theta = [unit, endo.apply(unit), LimitElement(1, D.unit_at(1).vector)]
         cert = shen_solve(D, theta, 24)
         assert verify_shen_certificate(D, theta, cert)
 
@@ -250,7 +250,7 @@ def test_criterion_5_endomorphism_realization():
                 stage = max(t.stage for t in nxt)
                 vecs = [push(D.system, t, stage).vector for t in nxt]
                 for i, t in enumerate(result.thetas[n]):
-                    image = phi.apply(D.system, t)
+                    image = phi.apply(t)
                     combo = [0] * len(vecs[0])
                     for j in range(q_n.cols):
                         c = q_n.entry(i, j)

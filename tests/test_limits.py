@@ -197,7 +197,7 @@ def test_endomorphism_same_stage():
     sys = StagedSystem.stationary(IntMatrix.from_rows([[1]]))
     tripler = LimitEndomorphism.stationary(IntMatrix.from_rows([[3]]))
     assert tripler.check_commuting(sys, 4)
-    out = tripler.apply(sys, LimitElement(2, (5,)))
+    out = tripler.apply(LimitElement(2, (5,)))
     assert out == LimitElement(2, (15,))
 
 
@@ -206,7 +206,7 @@ def test_endomorphism_cross_stage():
     # halving: same vector, one stage later
     halver = LimitEndomorphism.stationary(IntMatrix.identity(1), cross_stage=True)
     assert halver.check_commuting(sys, 4)
-    out = halver.apply(sys, LimitElement(0, (1,)))
+    out = halver.apply(LimitElement(0, (1,)))
     assert out == LimitElement(1, (1,))
     # twice the halved class is the original unit class
     doubled = LimitElement(out.stage, tuple(2 * x for x in out.vector))

@@ -67,59 +67,43 @@ class IntMatrix:
         return self.entries[i * self.cols : (i + 1) * self.cols]
 
     def col(self, j: int) -> tuple:
-        return tuple(self.entries[i * self.cols + j] for i in range(self.rows))
+        return self.entries[j :: self.cols]
 
     def to_rows(self) -> list:
         return [list(self.row(i)) for i in range(self.rows)]
 
     def transpose(self) -> "IntMatrix":
-        return IntMatrix(
-            self.cols,
-            self.rows,
-            tuple(self.entry(i, j) for j in range(self.cols) for i in range(self.rows)),
-        )
+        return IntMatrix(self.cols, self.rows, tuple(x for j in range(self.cols) for x in self.col(j)))
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
+        """Row-wise product: row i of the result sums c * other.row(k) over the
+        nonzero entries c = self[i, k], so the cost follows the nonzeros."""
         if self.cols != other.rows:
             raise DimensionMismatch(f"{self.rows}x{self.cols} @ {other.rows}x{other.cols}")
+        right = [[(j, x) for j, x in enumerate(other.row(k)) if x] for k in range(other.rows)]
         out = []
         for i in range(self.rows):
-            ri = self.row(i)
-            for j in range(other.cols):
-                out.append(sum(ri[k] * other.entry(k, j) for k in range(self.cols)))
+            acc = [0] * other.cols
+            for c, terms in zip(self.row(i), right):
+                if c:
+                    for j, x in terms:
+                        acc[j] += c * x
+            out += acc
         return IntMatrix(self.rows, other.cols, tuple(out))
-
-    def __add__(self, other: "IntMatrix") -> "IntMatrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise DimensionMismatch("shape mismatch in +")
-        return IntMatrix(self.rows, self.cols, tuple(a + b for a, b in zip(self.entries, other.entries)))
 
     def __sub__(self, other: "IntMatrix") -> "IntMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise DimensionMismatch("shape mismatch in -")
         return IntMatrix(self.rows, self.cols, tuple(a - b for a, b in zip(self.entries, other.entries)))
 
-    def __neg__(self) -> "IntMatrix":
-        return IntMatrix(self.rows, self.cols, tuple(-a for a in self.entries))
-
     def apply(self, vec: Sequence[int]) -> tuple:
         """Matrix times column vector."""
         if len(vec) != self.cols:
             raise DimensionMismatch(f"vector length {len(vec)} != {self.cols} columns")
-        return tuple(sum(self.entry(i, k) * vec[k] for k in range(self.cols)) for i in range(self.rows))
-
-    def stack(self, other: "IntMatrix") -> "IntMatrix":
-        """Vertical concatenation."""
-        if other.rows and self.cols != other.cols and self.rows:
-            raise DimensionMismatch("column count mismatch in stack")
-        cols = self.cols if self.rows else other.cols
-        return IntMatrix(self.rows + other.rows, cols, self.entries + other.entries)
-
-    def is_zero(self) -> bool:
-        return all(a == 0 for a in self.entries)
+        return tuple(sum(c * x for c, x in zip(self.row(i), vec) if c) for i in range(self.rows))
 
     def diagonal(self) -> list:
-        return [self.entry(i, i) for i in range(min(self.rows, self.cols))]
+        return list(self.entries[:: self.cols + 1][: min(self.rows, self.cols)])
 
 
 def determinant(m: IntMatrix) -> int:

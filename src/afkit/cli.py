@@ -110,20 +110,21 @@ def group_to_json(g: FgAbelianGroup) -> dict:
 
 def system_from_json(data: dict, where: str = "system") -> StagedSystem:
     kind = _require(data, "kind", where)
-    mats = [IntMatrix.from_rows(m) for m in _require(data, "matrices", where)]
+    matrices = _require(data, "matrices", where)
     injective = data.get("injective")
     try:
+        mats = [IntMatrix.from_rows(m) for m in matrices]
         if kind == "stationary":
             if len(mats) != 1:
-                raise InputError(f"{where}: stationary systems take exactly one matrix")
+                raise InputError("stationary systems take exactly one matrix")
             return StagedSystem.stationary(mats[0], injective=injective)
         if kind == "prefix+tail":
             period = int(data.get("period", 1))
             if not (1 <= period <= len(mats)):
-                raise InputError(f"{where}: period must be between 1 and the matrix count")
+                raise InputError("period must be between 1 and the matrix count")
             return StagedSystem.from_matrices(mats[:-period], mats[-period:], injective=injective)
-        raise InputError(f"{where}: unknown kind {kind!r}")
-    except ValueError as e:
+        raise InputError(f"unknown kind {kind!r}")
+    except (TypeError, ValueError) as e:
         raise InputError(f"{where}: {e}")
 
 
@@ -301,7 +302,12 @@ def cmd_rordam(args) -> int:
 
 
 def cmd_diagram(args) -> int:
-    d = diagram_from_json_dict(_load_json(args.diagram))
+    try:
+        d = diagram_from_json_dict(_load_json(args.diagram))
+    except KeyError as e:
+        raise InputError(f"{args.diagram}: missing field {e}")
+    except (TypeError, ValueError) as e:
+        raise InputError(f"{args.diagram}: {e}")
     if args.action == "validate":
         violations = validate_diagram(d)
         _emit({"valid": not violations, "violations": violations}, args.format)
@@ -379,10 +385,12 @@ def cmd_ehs(args) -> int:
         kind = _require(data, "kind", args.endo)
         if kind not in ("same_stage", "cross_stage"):
             raise InputError(f"{args.endo}: kind must be same_stage or cross_stage")
-        endo = LimitEndomorphism.stationary(
-            IntMatrix.from_rows(_require(data, "matrix", args.endo)),
-            cross_stage=(kind == "cross_stage"),
-        )
+        rows = _require(data, "matrix", args.endo)
+        try:
+            matrix = IntMatrix.from_rows(rows)
+        except ValueError as e:
+            raise InputError(f"{args.endo}: {e}")
+        endo = LimitEndomorphism.stationary(matrix, cross_stage=(kind == "cross_stage"))
     try:
         if endo is None:
             result = ehs_realize(D, enumerator, args.depth, search_bound=args.bound)

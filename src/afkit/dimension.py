@@ -17,12 +17,10 @@ variant factors twice per level so that the produced multiplicity pair
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .abelian import (
     IntMatrix,
-    _bezout,
     hermite_row_basis,
     preimage_lattice_rows,
     row_lattice_coefficients,
@@ -138,10 +136,6 @@ class BratteliDiagram:
     tail: tuple = ()
 
     @classmethod
-    def build(cls, levels: Sequence[DiagramLevel], tail: Sequence[IntMatrix] = ()) -> "BratteliDiagram":
-        return cls(tuple(levels), tuple(tail))
-
-    @classmethod
     def single_vertex(cls, multiplicity: int, stored_levels: int = 2) -> "BratteliDiagram":
         """Stationary one-vertex diagram with the given arrow multiplicity."""
         m = IntMatrix.from_rows([[multiplicity]])
@@ -186,26 +180,27 @@ def validate_diagram(d: BratteliDiagram) -> list:
         if any(w <= 0 for w in lev.weights):
             violations.append(f"condition 3 at level {n}: weights must be strictly positive")
     for n in range(len(d.levels) - 1):
-        inc = d.levels[n].incidence
-        nxt = d.levels[n + 1]
+        cur, nxt = d.levels[n], d.levels[n + 1]
+        inc = cur.incidence
         if inc is None:
             violations.append(f"condition 4 at level {n}: missing incidence matrix")
             continue
-        if inc.rows != d.levels[n].size or inc.cols != nxt.size:
+        if inc.rows != cur.size or inc.cols != nxt.size:
             violations.append(
                 f"condition 4 at level {n}: incidence is {inc.rows}x{inc.cols}, "
-                f"expected {d.levels[n].size}x{nxt.size}"
+                f"expected {cur.size}x{nxt.size}"
             )
             continue
         if any(x < 0 for x in inc.entries):
             violations.append(f"condition 4 at level {n}: negative multiplicity")
-        if len(nxt.weights) != nxt.size:
+        # a weight list that failed condition 3 has no path count to compare
+        if len(cur.weights) != cur.size or len(nxt.weights) != nxt.size:
             continue
-        for j in range(nxt.size):
-            s = sum(d.levels[n].weights[i] * inc.entry(i, j) for i in range(inc.rows))
-            if s != nxt.weights[j]:
+        paths = inc.transpose().apply(cur.weights)
+        for j, (w, s) in enumerate(zip(nxt.weights, paths)):
+            if s != w:
                 violations.append(f"condition 5 at level {n + 1}: weight of vertex {j} is "
-                                  f"{nxt.weights[j]}, path count gives {s}")
+                                  f"{w}, path count gives {s}")
                 break
     for t in d.tail:
         if any(x < 0 for x in t.entries):
@@ -324,10 +319,6 @@ class DiagramEndomorphism:
 
     q: tuple
 
-    @property
-    def num_levels(self) -> int:
-        return len(self.q)
-
     def matrix(self, n: int) -> IntMatrix:
         return self.q[n]
 
@@ -381,10 +372,7 @@ def relation_lattice_rows(D: OrderedStagedSystem, theta: Sequence[LimitElement])
     if not theta:
         return []
     s = max(t.stage for t in theta)
-    vecs = [push(D.system, t, s).vector for t in theta]
-    m = len(vecs[0])
-    mat = IntMatrix.from_rows([[vecs[i][r] for i in range(len(vecs))] for r in range(m)],
-                              cols=len(vecs))
+    mat = IntMatrix.from_rows([push(D.system, t, s).vector for t in theta]).transpose()
     death = [] if D.system.injective_flag else death_lattice_rows(D.system, s)
     return preimage_lattice_rows(mat, death)
 
@@ -458,60 +446,35 @@ def _shen_strict_first(D, theta, search_bound) -> ShenCertificate:
         n = D.stage_rank(s)
         phi = (LimitElement(s, tuple(1 if k == 0 else 0 for k in range(n))),)
         return ShenCertificate(1, phi, IntMatrix.zeros(len(theta), 1))
-    span = hermite_row_basis(nz)
-    rho = len(span)
-    coords = []
-    for v in vecs:
-        c = row_lattice_coefficients(span, v)
-        assert c is not None
-        coords.append(c)
-    # adapt the basis to the first-coordinate functional: one basis vector
-    # carries the gcd of the first coordinates, the rest lie in {t = 0}
-    t_parts = [b[0] for b in span]
-    combo = _gcd_combination(t_parts)
-    tau = sum(c * t for c, t in zip(combo, t_parts))
-    assert tau > 0
-    head = tuple(sum(c * b[k] for c, b in zip(combo, span)) for k in range(len(span[0])))
-    flat = []
-    for b in span:
-        q = b[0] // tau
-        flat.append(tuple(x - q * h for x, h in zip(b, head)))
-    zero_t = hermite_row_basis(flat)
-    assert len(zero_t) == rho - 1
-    basis = [head] + list(zero_t)
-    abar = []
-    for v, old in zip(vecs, coords):
-        if not any(v):
-            abar.append([0] * rho)
-            continue
-        a0 = v[0] // tau
-        rest = tuple(x - a0 * h for x, h in zip(v, head))
-        tailc = row_lattice_coefficients(zero_t, rest)
-        assert tailc is not None
-        abar.append([a0] + list(tailc))
+    # echelon: only basis[0] can have a nonzero first coordinate, so it alone
+    # carries the first-coordinate functional and the rest lie in {t = 0}
+    basis = hermite_row_basis(nz)
+    rho = len(basis)
+    tau = basis[0][0]
+    if tau == 0:
+        raise ValueError("all first coordinates vanish")
+    abar = [row_lattice_coefficients(basis, v) for v in vecs]
     margin = max((abs(a[j]) for a in abar for j in range(1, rho)), default=0)
     m_coef = margin + 1
     # push until the unit chunk count covers 2 * m * (rho - 1) + 1 atoms
     needed = 2 * m_coef * (rho - 1) + 1
     stage = s
     tau_k = tau
-    pushed = [list(b) for b in basis]
+    pushed = basis
     for _ in range(search_bound + 1):
         if tau_k >= needed:
             break
         scale = _strict_scale(D, stage)
         step = sys.connect(stage)
-        pushed = [list(step.apply(b)) for b in pushed]
+        pushed = [step.apply(b) for b in pushed]
         stage += 1
         tau_k *= scale
-        if scale == 1 and tau_k < needed:
-            continue
     if tau_k < needed:
         raise ShenDepthExceeded(
             f"shen-depth-exceeded: unit chunk never covered {needed} atoms within bound"
         )
     rank = D.stage_rank(stage)
-    y = [tuple(b[1:]) for b in pushed]  # h-parts; y[0] belongs to the head
+    y = [b[1:] for b in pushed]  # h-parts; y[0] belongs to the head
     f_count = tau_k - 2 * m_coef * (rho - 1)
     w_tail = tuple(
         y[0][k] - m_coef * sum(y[j][k] for j in range(1, rho)) for k in range(rank - 1)
@@ -541,34 +504,10 @@ def _shen_strict_first(D, theta, search_bound) -> ShenCertificate:
     if not order:
         order = [atoms[-1]]
     phi = tuple(LimitElement(stage, atom) for atom in order)
-    g = IntMatrix.from_rows(
-        [[merged[atom][i] for atom in order] for i in range(len(theta))], cols=len(order)
-    )
+    g = IntMatrix.from_rows([merged[atom] for atom in order]).transpose()
     if any(x < 0 for x in g.entries):
         raise ShenDepthExceeded("shen-depth-exceeded: internal coefficient went negative")
     return ShenCertificate(len(order), phi, g)
-
-
-def _gcd_combination(values: Sequence[int]) -> list:
-    """Integer coefficients c with sum c_i v_i = gcd(values) > 0."""
-    coeffs = [0] * len(values)
-    g = 0
-    for i, v in enumerate(values):
-        if v == 0:
-            continue
-        sign = 1 if v > 0 else -1
-        if g == 0:
-            g = abs(v)
-            coeffs[i] = sign
-            continue
-        x, y = _bezout(g, abs(v))
-        coeffs = [x * c for c in coeffs]
-        coeffs[i] += y * sign
-        g = gcd(g, v)
-    if g == 0:
-        raise ValueError("all first coordinates vanish")
-    assert sum(c * v for c, v in zip(coeffs, values)) == g
-    return coeffs
 
 
 def verify_shen_certificate(
@@ -583,30 +522,22 @@ def verify_shen_certificate(
     (2) every integer relation among the theta is inherited by g's columns.
     Exact; does not reuse any state from the solver.
     """
-    if any(x < 0 for x in cert.g.entries):
+    if cert.g.rows != len(theta) or any(x < 0 for x in cert.g.entries):
         return False
     for p in cert.phi:
         if D.is_positive(p, depth) is not True:
             return False
     stage = max([p.stage for p in cert.phi] + [t.stage for t in theta], default=0)
-    phi_vecs = [push(D.system, p, stage).vector for p in cert.phi]
+    phi_mat = IntMatrix.from_rows(
+        [push(D.system, p, stage).vector for p in cert.phi], cols=D.stage_rank(stage)
+    )
+    combos = cert.g @ phi_mat
     for i, t in enumerate(theta):
-        target = push(D.system, t, stage).vector
-        rank = len(target)
-        combo = [0] * rank
-        for j in range(cert.size):
-            c = cert.g.entry(i, j)
-            if c:
-                for k in range(rank):
-                    combo[k] += c * phi_vecs[j][k]
-        same = limit_equal(D.system, LimitElement(stage, tuple(combo)), LimitElement(stage, target), depth)
+        same = limit_equal(D.system, LimitElement(stage, combos.row(i)), push(D.system, t, stage), depth)
         if same is not True:
             return False
-    for k in relation_lattice_rows(D, theta):
-        for j in range(cert.size):
-            if sum(k[i] * cert.g.entry(i, j) for i in range(len(theta))) != 0:
-                return False
-    return True
+    relations = IntMatrix.from_rows(relation_lattice_rows(D, theta), cols=len(theta))
+    return not any((relations @ cert.g).entries)
 
 
 # ---------------------------------------------------------------------------
@@ -731,29 +662,22 @@ def _realize(D, phi, positive_enumerator, depth, search_bound) -> RealizationRes
         if phi is not None:
             cert = shen_solve(D, list(cert.phi), search_bound)
             combined = combined @ cert.g
-        keep = [j for j in range(cert.size) if any(combined.entry(i, j) for i in range(combined.rows))]
-        if not keep:
-            keep = list(range(cert.size))
-        if any(all(combined.entry(i, j) == 0 for i in range(l_n)) for j in keep):
+        columns = combined.transpose()
+        keep = [j for j in range(cert.size) if any(columns.row(j))] or list(range(cert.size))
+        if any(not any(columns.row(j)[:l_n]) for j in keep):
             raise RealizationError(
                 f"level {n}: a produced vertex is unreachable from the current elements; "
                 "choose a finer enumerator or raise depth"
             )
-        m_n = IntMatrix.from_rows(
-            [[combined.entry(i, j) for j in keep] for i in range(l_n)], cols=len(keep)
-        )
+        picked = [[row[j] for j in keep] for row in combined.to_rows()]
+        m_n = IntMatrix.from_rows(picked[:l_n], cols=len(keep))
         new_thetas = tuple(cert.phi[j] for j in keep)
-        w_prev = levels[n].weights
-        w_next = tuple(
-            sum(w_prev[i] * m_n.entry(i, j) for i in range(l_n)) for j in range(len(keep))
-        )
+        w_next = m_n.transpose().apply(levels[n].weights)
         levels[n] = DiagramLevel(levels[n].size, levels[n].weights, m_n)
         levels.append(DiagramLevel(len(keep), w_next, None))
         thetas.append(new_thetas)
         if phi is not None:
-            q_n = IntMatrix.from_rows(
-                [[combined.entry(l_n + i, j) for j in keep] for i in range(l_n)], cols=len(keep)
-            )
+            q_n = IntMatrix.from_rows(picked[l_n : 2 * l_n], cols=len(keep))
             q_list.append(q_n)
             _check_level_identities(D, cur, images, new_thetas, m_n, q_n, search_bound)
         literal = any(limit_equal(D.system, x, t, search_bound) is True for t in new_thetas)
@@ -761,7 +685,7 @@ def _realize(D, phi, positive_enumerator, depth, search_bound) -> RealizationRes
             CoverageRecord(
                 level=n,
                 element=x,
-                expression=tuple(combined.entry(len(theta_prime) - 1, j) for j in keep),
+                expression=tuple(picked[-1]),
                 appears_literally=literal,
                 from_enumerator=from_enum,
             )
@@ -778,16 +702,8 @@ def _realize(D, phi, positive_enumerator, depth, search_bound) -> RealizationRes
 def _check_level_identities(D, cur, images, new_thetas, m_n, q_n, bound):
     """Exact postconditions: theta and phi(theta) both factor as claimed."""
     stage = max(t.stage for t in new_thetas)
-    vecs = [push(D.system, t, stage).vector for t in new_thetas]
-    rank = len(vecs[0]) if vecs else 0
-    for i, t in enumerate(cur):
-        for mat, source in ((m_n, t), (q_n, images[i])):
-            combo = [0] * rank
-            for j in range(mat.cols):
-                c = mat.entry(i, j)
-                if c:
-                    for k in range(rank):
-                        combo[k] += c * vecs[j][k]
-            ok = limit_equal(D.system, LimitElement(stage, tuple(combo)), source, bound)
-            if ok is not True:
+    vecs = IntMatrix.from_rows([push(D.system, t, stage).vector for t in new_thetas])
+    for mat, sources in ((m_n, cur), (q_n, images)):
+        for combo, source in zip((mat @ vecs).to_rows(), sources):
+            if limit_equal(D.system, LimitElement(stage, combo), source, bound) is not True:
                 raise RealizationError("level identity failed exact verification")

@@ -117,9 +117,6 @@ class LimitElement:
     def __post_init__(self):
         object.__setattr__(self, "vector", tuple(int(x) for x in self.vector))
 
-    def is_zero_vector(self) -> bool:
-        return all(x == 0 for x in self.vector)
-
 
 @dataclass(frozen=True)
 class LimitEndomorphism:

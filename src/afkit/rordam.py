@@ -99,9 +99,7 @@ def rordam_pair(group: FgAbelianGroup, width: int) -> RordamPair:
             cols[idx(n, m)][idx(n, m + 1)] = 1
         # m = width-1: wrap back to the first shifted slot, negated
         cols[idx(n, width - 1)][idx(n, 1)] = -1
-    delta = IntMatrix.from_rows(
-        [[cols[j][i] for j in range(rank)] for i in range(rank)], cols=rank
-    )
+    delta = IntMatrix.from_rows(cols).transpose()
     beta = IntMatrix.identity(rank) - delta
     system = StagedSystem.stationary(beta)
     return RordamPair(group=group, width=width, system=system, delta_matrix=delta)

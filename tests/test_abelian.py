@@ -147,6 +147,39 @@ def test_snf_property(r, c, data):
     check_snf(IntMatrix.from_rows(rows))
 
 
+@st.composite
+def product_operands(draw):
+    """a (r x k), b (k x c) and a length-k vector, each side 0 to 6: small
+    dense entries, large dense entries, or mostly zeros."""
+    r, k, c = draw(st.integers(0, 6)), draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    entry = draw(st.sampled_from((
+        st.integers(-9, 9),
+        st.integers(-(2**70), 2**70),
+        st.sampled_from((0,) * 9 + (1, -1, 7)),
+    )))
+    a, b, vec = (tuple(draw(entry) for _ in range(size)) for size in (r * k, k * c, k))
+    return IntMatrix(r, k, a), IntMatrix(k, c, b), vec
+
+
+@settings(max_examples=200)
+@given(product_operands())
+def test_product_against_sympy(operands):
+    a, b, vec = operands
+    sa, sb = sympy.Matrix(a.rows, a.cols, a.entries), sympy.Matrix(b.rows, b.cols, b.entries)
+    ab = a @ b
+    assert (ab.rows, ab.cols) == (a.rows, b.cols)
+    assert list(ab.entries) == list(sa * sb)
+    assert list(a.apply(vec)) == list(sa * sympy.Matrix(a.cols, 1, vec))
+    at = a.transpose()
+    assert (at.rows, at.cols) == (a.cols, a.rows)
+    assert list(at.entries) == list(sa.T)
+    assert a.diagonal() == [sa[i, i] for i in range(min(a.rows, a.cols))]
+    with pytest.raises(DimensionMismatch):
+        a @ IntMatrix.zeros(a.cols + 1, b.cols)
+    with pytest.raises(DimensionMismatch):
+        a.apply(vec + (0,))
+
+
 def check_snf_certificate(mat: IntMatrix):
     """U @ m @ V == S with U, V unimodular and S diagonal with a nonnegative
     divisibility chain: together these prove S is the Smith form of m."""

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from afkit.cli import main
 
 
@@ -143,6 +145,48 @@ def test_diagram_telescope_roundtrip(tmp_path, capsys):
     path2 = write(tmp_path, "d2.json", emitted)
     code2, out2, _ = run(capsys, ["--format", "json", "diagram", "validate", path2])
     assert code2 == 0 and json.loads(out2)["valid"]
+
+
+RAGGED_SYSTEM = {"kind": "stationary", "matrices": [[[1, 0], [0]]], "cone": "simplicial", "unit": [1, 1]}
+MALFORMED_DIAGRAMS = {
+    "no-levels": ({"tail": []}, "levels"),
+    "no-size": ({"levels": [{"w": [1]}]}, "'l'"),
+    "ragged": ({"levels": [{"l": 1, "w": [1], "m": [[1, 1], [1]]}, {"l": 2, "w": [1, 1]}]}, "ragged"),
+}
+
+
+@pytest.mark.parametrize(
+    "argv, data, field",
+    [
+        pytest.param(["diagram", action], data, field, id=f"diagram-{action}-{name}")
+        for action in ("validate", "k0", "dot", "telescope")
+        for name, (data, field) in MALFORMED_DIAGRAMS.items()
+    ]
+    + [
+        pytest.param(["limits"], RAGGED_SYSTEM, "ragged", id="limits-ragged"),
+        pytest.param(["ehs", "--system"], RAGGED_SYSTEM, "ragged", id="ehs-ragged"),
+    ],
+)
+def test_malformed_input_exits_2(tmp_path, capsys, argv, data, field):
+    path = write(tmp_path, "in.json", data)
+    code, _, err = run(capsys, argv + [path])
+    assert code == 2
+    assert err.startswith("error: ") and field in err
+
+
+def test_ehs_ragged_endo_exits_2(tmp_path, capsys):
+    system = write(tmp_path, "s.json", {"kind": "stationary", "matrices": [[[1]]], "unit": [1]})
+    endo = write(tmp_path, "e.json", {"kind": "same_stage", "matrix": [[1, 0], [0]]})
+    code, _, err = run(capsys, ["ehs", "--system", system, "--endo", endo])
+    assert code == 2
+    assert err.startswith("error: ") and "ragged" in err
+
+
+def test_system_error_names_the_file_once(tmp_path, capsys):
+    path = write(tmp_path, "s.json", {"kind": "stationary", "matrices": [[[1]], [[2]]]})
+    code, _, err = run(capsys, ["limits", path])
+    assert code == 2
+    assert err == f"error: {path}: stationary systems take exactly one matrix\n"
 
 
 def test_ehs_simplicial(tmp_path, capsys):

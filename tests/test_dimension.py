@@ -1,13 +1,16 @@
 """Tests for diagrams, the Shen solver, and EHS realization."""
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from afkit.abelian import IntMatrix
+from afkit.abelian import IntMatrix, determinant
 from afkit.dimension import (
     BratteliDiagram,
     DiagramEndomorphism,
     DiagramLevel,
     OrderedStagedSystem,
+    ShenDepthExceeded,
     basis_atom_enumerator,
     constant_unit_enumerator,
     diagram_from_json_dict,
@@ -73,6 +76,16 @@ def test_validate_bad_root():
 
 def test_validate_fibonacci():
     assert validate_diagram(fibonacci_diagram()) == []
+
+
+def test_validate_short_weights_before_an_incidence():
+    # level 1 lists one weight for two vertices and has an incidence out of it
+    d = diagram_from_json_dict({"levels": [
+        {"l": 1, "w": [1], "m": [[1, 1]]},
+        {"l": 2, "w": [1], "m": [[1], [1]]},
+        {"l": 1, "w": [2]},
+    ]})
+    assert validate_diagram(d) == ["condition 3 at level 1: weight list length != vertex count"]
 
 
 def test_multimatrix_dims():
@@ -276,6 +289,35 @@ def test_shen_strict_cone_with_relations():
         LimitElement(0, (2, 0)),  # the sum: one relation among the three
     ]
     cert = shen_solve(D, theta, 16)
+    assert verify_shen_certificate(D, theta, cert)
+
+
+@st.composite
+def strict_cone_case(draw):
+    """Injective stationary system with row 0 = (c, 0, ..., 0) under the strict
+    cone, and positive elements: first coordinate > 0 or zero, stages 0-2."""
+    n, c = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    rest = [[draw(st.integers(-3, 3)) for _ in range(n)] for _ in range(n - 1)]
+    mat = IntMatrix.from_rows([[c] + [0] * (n - 1)] + rest)
+    assume(determinant(mat) != 0)
+    sys = StagedSystem.stationary(mat, injective=True)
+    D = OrderedStagedSystem(system=sys, cone="strict_first", unit=LimitElement(0, (1,) + (0,) * (n - 1)))
+    positive = st.one_of(
+        st.just((0,) * n),
+        st.tuples(st.integers(1, 6), *[st.integers(-6, 6)] * (n - 1)),
+    )
+    theta = draw(st.lists(st.builds(LimitElement, st.integers(0, 2), positive), max_size=5))
+    return D, theta
+
+
+@settings(max_examples=200, deadline=None)
+@given(strict_cone_case(), st.integers(0, 8))
+def test_shen_strict_cone_property(case, bound):
+    D, theta = case
+    try:
+        cert = shen_solve(D, theta, bound)
+    except ShenDepthExceeded:
+        return
     assert verify_shen_certificate(D, theta, cert)
 
 

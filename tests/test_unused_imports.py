@@ -1,0 +1,37 @@
+"""No module of the package imports a name it never uses.
+
+``__init__.py`` re-exports the public names, so it is the one exception;
+``from __future__`` imports are compiler directives, not names.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "afkit"
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+
+
+def unused_imports(source: str) -> list:
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported[name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(f"line {line}: {name}" for name, line in imported.items() if name not in used)
+
+
+def test_checker_sees_an_unused_import():
+    assert unused_imports("from math import gcd, prod\nprint(prod([2]))\n") == ["line 1: gcd"]
+    assert unused_imports("from __future__ import annotations\n") == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    assert unused_imports(path.read_text()) == []

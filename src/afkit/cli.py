@@ -18,6 +18,7 @@ from .abelian import (
     IntMatrix,
     LocalizedGroupDescriptor,
     is_n_divisible,
+    is_prime,
     is_uniquely_n_divisible,
 )
 from .dimension import (
@@ -87,6 +88,17 @@ def _load_json(path: str):
         raise InputError(f"{path}: file not found")
     except json.JSONDecodeError as e:
         raise InputError(f"{path}: line {e.lineno} column {e.colno}: {e.msg}")
+
+
+def _int_list(flag: str, text: str, what: str = "integers", ok=lambda n: True) -> list:
+    """Comma-separated integers, each passing ``ok``; InputError otherwise."""
+    try:
+        values = [int(x) for x in text.split(",") if x]
+        if all(ok(v) for v in values):
+            return values
+    except ValueError:
+        pass
+    raise InputError(f"{flag}: expected comma-separated {what}")
 
 
 def _require(data: dict, key: str, where: str):
@@ -177,7 +189,10 @@ def qvector_from_json(data: dict, where: str = "target") -> dict:
     out = {}
     try:
         for v, val in data.items():
-            out[v] = Fraction(val) if not isinstance(val, str) else Fraction(val)
+            if isinstance(val, bool):
+                raise ValueError(f"{v}: expected a number or a fraction string, got {val}")
+            # str(0.2) is "0.2": the decimal the JSON spells, not the nearest binary float
+            out[v] = Fraction(str(val))
     except (ValueError, ZeroDivisionError) as e:
         raise InputError(f"{where}: {e}")
     return out
@@ -243,7 +258,7 @@ def _default_lines(report, prefix=""):
 
 def cmd_group(args) -> int:
     g = group_from_json(_load_json(args.group), args.group)
-    divisors = [int(d) for d in args.divisors.split(",") if d]
+    divisors = _int_list("--divisors", args.divisors, "integers of at least 2", lambda n: n >= 2)
     report = {
         "invariant_factors": list(g.invariant_factors),
         "description": g.describe(),
@@ -277,7 +292,12 @@ def cmd_schreier(args) -> int:
         images = json.loads(args.images)
     except json.JSONDecodeError as e:
         raise InputError(f"--images: {e.msg}")
-    oracle = kernel_oracle(target, images)
+    try:
+        oracle = kernel_oracle(target, images)
+    except (TypeError, ValueError) as e:
+        raise InputError(f"--images: {e}")
+    if args.gen_bound > oracle.ambient_rank:
+        raise InputError(f"--gen-bound: at most the number of images ({oracle.ambient_rank})")
     gens = schreier_generators(oracle, args.word_bound, args.gen_bound)
     _emit({"count": len(gens), "generators": [str(g) for g in gens]}, args.format)
     return EXIT_OK
@@ -289,12 +309,12 @@ def cmd_rordam(args) -> int:
         pair = rordam_pair(g, args.width)
     except WidthError as e:
         raise InputError(str(e))
-    report = rordam_verify(pair, g, args.depth)
+    report = rordam_verify(pair, g)
     _emit(
         {
             "pass": report.passed,
             "expected_invariant_factors": list(report.expected),
-            "found_per_depth": [list(f) for f in report.found_per_depth],
+            "found": list(report.found),
         },
         args.format,
     )
@@ -337,10 +357,7 @@ def cmd_diagram(args) -> int:
             sys.stdout.write(text)
         return EXIT_OK
     if args.action == "telescope":
-        try:
-            cuts = [int(c) for c in args.cuts.split(",")]
-        except ValueError:
-            raise InputError("--cuts: expected comma-separated integers")
+        cuts = _int_list("--cuts", args.cuts)
         try:
             out = telescope(d, cuts)
         except ValueError as e:
@@ -411,12 +428,14 @@ def cmd_eplag(args) -> int:
         if not args.tree:
             raise InputError("eplag tree: --tree is required")
         tree = _load_json(args.tree)
-        P = [int(p) for p in args.p.split(",") if p]
+        P = _int_list("--p", args.p, "primes", is_prime)
         group = tree_to_eplag(tree, P)
         print(json.dumps(eplag_to_json(group), sort_keys=True, indent=2))
         return EXIT_OK
     if not args.graph:
         raise InputError(f"eplag {args.action}: --graph is required")
+    if args.bound < 1:
+        raise InputError("--bound: must be at least 1")
     group = eplag_from_json(_load_json(args.graph), args.graph)
     if args.action == "member":
         if not args.target:
@@ -442,6 +461,10 @@ def cmd_eplag(args) -> int:
 
 
 def cmd_pipeline(args) -> int:
+    if args.depth < 2:
+        raise InputError("--depth: must be at least 2")
+    if not is_prime(args.prime):
+        raise InputError(f"--prime: {args.prime} is not prime")
     g = group_from_json(_load_json(args.group), args.group)
     try:
         report = pipeline(g, args.prime, args.depth, width=args.width)
@@ -459,7 +482,7 @@ def cmd_pipeline(args) -> int:
             "rordam": {
                 "pass": report.rordam.passed,
                 "expected": list(report.rordam.expected),
-                "found_per_depth": [list(f) for f in report.rordam.found_per_depth],
+                "found": list(report.rordam.found),
             },
             "realization": {
                 "pass": report.realization_valid,
@@ -490,6 +513,8 @@ def cmd_pipeline(args) -> int:
 
 
 def cmd_invariant(args) -> int:
+    if args.prime is not None and not is_prime(args.prime):
+        raise InputError(f"--prime: {args.prime} is not prime")
     g = group_from_json(_load_json(args.group), args.group)
     inv = group_to_invariant(g)
     report = {
@@ -549,7 +574,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("rordam", help="build and verify the staged pair for a group")
     p.add_argument("--group", required=True)
     p.add_argument("--width", type=int, default=6)
-    p.add_argument("--depth", type=int, default=4)
     p.set_defaults(func=cmd_rordam)
 
     p = sub.add_parser("diagram", help="validate, summarize, render, or telescope a diagram")

@@ -91,6 +91,17 @@ class OrderedStagedSystem:
                 return False
             return is_zero_class(self.system, e, bound)
         # simplicial: nonnegative now or after finitely many pushes
+        pos = self._pushes_nonnegative(e, bound)
+        if pos is not False:
+            return pos
+        # -e eventually nonnegative: e is in the cone only as the zero class
+        if not self._pushes_nonnegative(LimitElement(e.stage, tuple(-x for x in e.vector)), bound):
+            return None
+        return is_zero_class(self.system, e, bound)
+
+    def _pushes_nonnegative(self, e: LimitElement, bound: int):
+        """True when e is coordinatewise nonnegative now or within ``bound``
+        pushes, None when the stages run out first, False otherwise."""
         cur = e
         for _ in range(bound + 1):
             if all(x >= 0 for x in cur.vector):
@@ -99,21 +110,7 @@ class OrderedStagedSystem:
                 cur = push(self.system, cur, cur.stage + 1)
             except ValueError:
                 return None
-        neg = LimitElement(e.stage, tuple(-x for x in e.vector))
-        cur = neg
-        for _ in range(bound + 1):
-            if all(x >= 0 for x in cur.vector):
-                z = is_zero_class(self.system, e, bound)
-                if z is True:
-                    return True
-                if z is False:
-                    return False
-                return None
-            try:
-                cur = push(self.system, cur, cur.stage + 1)
-            except ValueError:
-                return None
-        return None
+        return False
 
 
 # ---------------------------------------------------------------------------
@@ -366,15 +363,14 @@ def relation_lattice_rows(D: OrderedStagedSystem, theta: Sequence[LimitElement])
     """Basis of {k : sum_i k_i theta_i = 0 in the limit}.
 
     At a common stage the relation lattice is the kernel of the column
-    matrix of representatives; for non-injective systems the kernel is
-    taken relative to the vectors that eventually die.
+    matrix of representatives, taken relative to the vectors that
+    eventually die.
     """
     if not theta:
         return []
     s = max(t.stage for t in theta)
     mat = IntMatrix.from_rows([push(D.system, t, s).vector for t in theta]).transpose()
-    death = [] if D.system.injective_flag else death_lattice_rows(D.system, s)
-    return preimage_lattice_rows(mat, death)
+    return preimage_lattice_rows(mat, death_lattice_rows(D.system, s))
 
 
 def shen_solve(D: OrderedStagedSystem, theta: Sequence[LimitElement], search_bound: int) -> ShenCertificate:

@@ -19,9 +19,7 @@ from .abelian import (
     FgAbelianGroup,
     IntMatrix,
     LocalizedGroupDescriptor,
-    cokernel_invariants,
     hermite_row_basis,
-    image_lattice_rows,
     is_prime,
     is_uniquely_n_divisible,
     localize,
@@ -36,7 +34,7 @@ from .dimension import (
     validate_diagram,
 )
 from .eplag import EplagGroup, divisibility_fingerprint
-from .limits import LimitElement, LimitEndomorphism, StagedSystem, saturate_preimages
+from .limits import LimitElement, LimitEndomorphism, StagedSystem, death_lattice_rows, saturated_cokernel
 from .rordam import RordamPair, VerifyReport, rordam_pair, rordam_verify
 
 K0Descriptor = Union[FgAbelianGroup, LocalizedGroupDescriptor, EplagGroup]
@@ -215,37 +213,23 @@ class PvReport:
         return self.passed
 
 
-def pv_check(
-    D: OrderedStagedSystem,
-    beta: LimitEndomorphism,
-    group: FgAbelianGroup,
-    depth: int,
-) -> PvReport:
+def pv_check(D: OrderedStagedSystem, beta: LimitEndomorphism, group: FgAbelianGroup) -> PvReport:
     """Cokernel and kernel of (id - beta) on the staged group, vs (G, 0).
 
     On stage representatives the map is phi - psi (a stage-raising matrix
     when the endomorphism is).  The image is closed under later-stage
     identification (preimage saturation along the connecting matrix), the
-    kernel counted relative to vectors that die anyway.  For a stationary
-    system the saturated answers are depth-stable by construction, so
-    ``depth`` is only checked to be at least 1.
+    kernel counted relative to vectors that die anyway.  The system is
+    stationary and both saturations run to a fixpoint, so the answers are
+    the same at every stage.
     """
-    if depth < 1:
-        raise ValueError("depth must be at least 1")
     sys = D.system
     if not sys.is_stationary:
         raise ValueError("the truncated check supports stationary systems")
     phi = sys.connect(0)
-    psi = beta.matrix_at(0)
-    if beta.cross_stage:
-        m = phi - psi
-    else:
-        m = IntMatrix.identity(phi.rows) - psi
-    rank = phi.cols
-    image = image_lattice_rows(m)
-    closed = saturate_preimages(phi, image)
-    coker = cokernel_invariants(closed, rank)
-    death = saturate_preimages(phi, [])
+    m = (phi if beta.cross_stage else IntMatrix.identity(phi.rows)) - beta.matrix
+    coker = saturated_cokernel(phi, m)
+    death = death_lattice_rows(sys, 0)
     kernel_classes = hermite_row_basis(
         list(preimage_lattice_rows(m, death)) + list(death)
     )
@@ -306,7 +290,7 @@ def pipeline(
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     pair = rordam_pair(group, width)
-    rordam_report = rordam_verify(pair, group, depth)
+    rordam_report = rordam_verify(pair, group)
     ordered, endo = assemble_pipeline_system(pair)
     realization = None
     realization_valid = True
@@ -316,7 +300,7 @@ def pipeline(
         )
         # ehs_realize_with_endo raises when the intertwining identity fails
         realization_valid = validate_diagram(realization.diagram) == []
-    pv = pv_check(ordered, endo, group, depth)
+    pv = pv_check(ordered, endo, group)
     inv = group_to_invariant(group)
     return PipelineReport(
         group=group,

@@ -16,6 +16,7 @@ from typing import Optional, Sequence
 from .abelian import (
     FgAbelianGroup,
     IntMatrix,
+    cokernel_invariants,
     hermite_row_basis,
     image_lattice_rows,
     preimage_lattice_rows,
@@ -120,44 +121,29 @@ class LimitElement:
 
 @dataclass(frozen=True)
 class LimitEndomorphism:
-    """Endomorphism of a staged limit, given by per-stage matrices.
+    """Endomorphism of a staged limit, given by one matrix used at every stage.
 
     ``cross_stage`` maps send stage n to stage n+1; same-stage maps send
-    stage n to itself.  A stationary matrix may be given once and reused at
-    every stage.
+    stage n to itself.
     """
 
-    cross_stage: bool
-    matrices: tuple = ()
-    stationary_matrix: Optional[IntMatrix] = None
+    matrix: IntMatrix
+    cross_stage: bool = False
 
     @classmethod
     def stationary(cls, matrix: IntMatrix, cross_stage: bool = False) -> "LimitEndomorphism":
-        return cls(cross_stage=cross_stage, stationary_matrix=matrix)
-
-    def matrix_at(self, stage: int) -> IntMatrix:
-        if self.stationary_matrix is not None:
-            return self.stationary_matrix
-        if stage >= len(self.matrices):
-            raise ValueError(f"endomorphism has no matrix at stage {stage}")
-        return self.matrices[stage]
+        return cls(matrix, cross_stage)
 
     def apply(self, e: LimitElement) -> LimitElement:
-        m = self.matrix_at(e.stage)
-        out = m.apply(e.vector)
+        out = self.matrix.apply(e.vector)
         return LimitElement(e.stage + 1 if self.cross_stage else e.stage, out)
 
     def check_commuting(self, sys: StagedSystem, depth: int) -> bool:
         """Verify the intertwining squares against the system up to depth."""
         for n in range(depth):
             phi_n = sys.connect(n)
-            if self.cross_stage:
-                lhs = self.matrix_at(n + 1) @ phi_n
-                rhs = sys.connect(n + 1) @ self.matrix_at(n)
-            else:
-                lhs = self.matrix_at(n + 1) @ phi_n
-                rhs = phi_n @ self.matrix_at(n)
-            if lhs.entries != rhs.entries:
+            target = sys.connect(n + 1) if self.cross_stage else phi_n
+            if (self.matrix @ phi_n).entries != (target @ self.matrix).entries:
                 return False
         return True
 
@@ -235,11 +221,9 @@ def build_limit_group(sys: StagedSystem, depth: int) -> FgAbelianGroup:
     if block.rows != block.cols:
         raise ValueError("tail composite is not square")
     n = block.cols
-    current = hermite_row_basis([tuple(1 if i == j else 0 for j in range(n)) for i in range(n)])
-    power = IntMatrix.identity(n)
+    current = hermite_row_basis(IntMatrix.identity(n).to_rows())
     for _ in range(depth + 1):
-        power = block @ power
-        nxt = image_lattice_rows(power)
+        nxt = hermite_row_basis([block.apply(r) for r in current])
         if nxt == current:
             return FgAbelianGroup.free(len(current))
         current = nxt
@@ -254,15 +238,6 @@ def build_limit_group(sys: StagedSystem, depth: int) -> FgAbelianGroup:
 # ---------------------------------------------------------------------------
 
 
-def _aligned_stage(sys: StagedSystem, stage: int) -> int:
-    """Smallest tail-period-aligned stage >= ``stage``."""
-    start = len(sys.prefix)
-    if stage <= start:
-        return start
-    period = len(sys.tail)
-    return stage + (-(stage - start)) % period
-
-
 def death_lattice_rows(sys: StagedSystem, stage: int) -> list:
     """Basis of the stage-``stage`` vectors whose limit class is zero.
 
@@ -273,11 +248,15 @@ def death_lattice_rows(sys: StagedSystem, stage: int) -> list:
     of B walks that chain (ker(B^(k+1)) is the preimage of ker(B^k)) without
     forming powers of B, and stops when two consecutive members agree.
     Earlier stages take the preimage under the composite up to the aligned
-    stage.
+    stage.  In an injective system nothing dies.
     """
+    if sys.injective_flag:
+        return []
     if not sys.tail:
         raise ValueError("death analysis needs an infinite (tail) system")
-    align = _aligned_stage(sys, stage)
+    # the first stage at or after ``stage`` where a tail period starts
+    align = max(stage, len(sys.prefix))
+    align += (len(sys.prefix) - align) % len(sys.tail)
     block = sys.composite(align, align + len(sys.tail))
     death_aligned = saturate_preimages(block, [])
     if align == stage:
@@ -306,3 +285,9 @@ def saturate_preimages(step: IntMatrix, lattice_rows: Sequence[Sequence[int]]) -
         guard += 1
         if guard > 10000:
             raise RuntimeError("preimage saturation failed to stabilize")
+
+
+def saturated_cokernel(step: IntMatrix, m: IntMatrix) -> tuple:
+    """Invariant factors of stage vectors modulo those that some power of
+    the connecting map ``step`` sends into the image of ``m``."""
+    return cokernel_invariants(saturate_preimages(step, image_lattice_rows(m)), step.cols)

@@ -116,12 +116,11 @@ def test_criterion_2_rordam():
         FgAbelianGroup.cyclic(6),
         FgAbelianGroup.from_relation_rows(2, [[0, 2]]),
     ]
-    with criterion(2, "staged pair verifies H/(id-alpha)H = G at depths 3 and 4", seconds=10.0):
+    with criterion(2, "staged pair verifies H/(id-alpha)H = G", seconds=10.0):
         for g in groups:
             pair = rordam_pair(g, width=6)
-            for depth in (3, 4):
-                report = rordam_verify(pair, g, depth)
-                assert report.passed, (g.describe(), depth, report)
+            report = rordam_verify(pair, g)
+            assert report.passed, (g.describe(), report)
 
 
 # --- criterion 3: Shen certificates -------------------------------------------

@@ -91,8 +91,7 @@ def test_schreier(tmp_path, capsys):
 
 def test_rordam_pass_and_fail(tmp_path, capsys):
     g = write(tmp_path, "g.json", Z2)
-    code, out, _ = run(capsys, ["--format", "json", "rordam", "--group", g,
-                                "--width", "6", "--depth", "4"])
+    code, out, _ = run(capsys, ["--format", "json", "rordam", "--group", g, "--width", "6"])
     assert code == 0
     assert json.loads(out)["pass"] is True
 
@@ -287,3 +286,57 @@ def test_invariant_with_compare(tmp_path, capsys):
     assert report["d_2_absorbing"] is True
     assert report["comparison"]["kp_isomorphic"] is True
     assert report["comparison"]["equivalences"]["automorphisms_conjugate"] is True
+
+
+def readme_graph(tmp_path, capsys):
+    """The labelled graph of README's eplag example: a two-vertex tree, P = [5]."""
+    tree = write(tmp_path, "t.json", {"children": [{"children": []}]})
+    code, out, _ = run(capsys, ["eplag", "tree", "--tree", tree, "--p", "5"])
+    assert code == 0
+    return write(tmp_path, "graph.json", json.loads(out))
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["pipeline", "--group", "{z2}", "--prime", "3", "--depth", "1"], "--depth"),
+        (["pipeline", "--group", "{z2}", "--prime", "4"], "--prime"),
+        (["invariant", "{z2}", "--prime", "4"], "--prime"),
+        (["group", "{z2}", "--divisors", "1"], "--divisors"),
+        (["group", "{z2}", "--divisors", "x"], "--divisors"),
+        (["schreier", "--target", "{z2}", "--images", "[[1,2]]"], "--images"),
+        (["schreier", "--target", "{z2}", "--images", "[[1]]"], "--gen-bound"),
+        (["eplag", "tree", "--tree", "{tree}", "--p", "4"], "--p"),
+        (["eplag", "fingerprint", "--graph", "{graph}", "--bound", "0"], "--bound"),
+        (["eplag", "member", "--graph", "{graph}", "--target", "{target}", "--bound", "0"], "--bound"),
+    ],
+    ids=lambda v: " ".join(v) if isinstance(v, list) else None,
+)
+def test_bad_flag_value_exits_2(tmp_path, capsys, argv, flag):
+    paths = {
+        "z2": write(tmp_path, "z2.json", Z2),
+        "graph": readme_graph(tmp_path, capsys),
+        "tree": str(tmp_path / "t.json"),
+        "target": write(tmp_path, "x.json", {"r": "1/5"}),
+    }
+    code, _, err = run(capsys, [a.format(**paths) for a in argv])
+    assert code == 2
+    assert err.startswith(f"error: {flag}:")
+
+
+@pytest.mark.parametrize("value", ["1/5", 0.2])
+def test_eplag_member_reads_json_numbers_as_decimals(tmp_path, capsys, value):
+    graph = readme_graph(tmp_path, capsys)
+    target = write(tmp_path, "x.json", {"r": value})
+    code, out, _ = run(capsys, ["--format", "json", "eplag", "member",
+                                "--graph", graph, "--target", target])
+    assert code == 0
+    assert json.loads(out)["status"] == "member"
+
+
+def test_eplag_member_rejects_boolean_target(tmp_path, capsys):
+    graph = readme_graph(tmp_path, capsys)
+    target = write(tmp_path, "x.json", {"r": True})
+    code, _, err = run(capsys, ["eplag", "member", "--graph", graph, "--target", target])
+    assert code == 2
+    assert err.startswith(f"error: {target}:")

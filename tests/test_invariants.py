@@ -1,6 +1,10 @@
 """Tests for invariant bookkeeping, the truncated six-term check, and the pipeline."""
 
 import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from sympy.matrices.normalforms import invariant_factors
 
 from afkit.abelian import FgAbelianGroup, IntMatrix, LocalizedGroupDescriptor
 from afkit.dimension import OrderedStagedSystem
@@ -19,7 +23,7 @@ from afkit.invariants import (
     pv_check,
 )
 from afkit.limits import LimitElement, LimitEndomorphism, StagedSystem
-from afkit.rordam import rordam_pair
+from afkit.rordam import rordam_pair, rordam_verify
 
 Z = FgAbelianGroup.free(1)
 Z2 = FgAbelianGroup.cyclic(2)
@@ -114,7 +118,7 @@ def test_pv_check_halving_on_dyadics():
     sys = StagedSystem.stationary(IntMatrix.from_rows([[2]]))
     D = OrderedStagedSystem(system=sys, cone="strict_first", unit=LimitElement(0, (1,)))
     halver = LimitEndomorphism.stationary(IntMatrix.identity(1), cross_stage=True)
-    report = pv_check(D, halver, TRIVIAL, depth=3)
+    report = pv_check(D, halver, TRIVIAL)
     assert report.passed
     assert report.cokernel_factors == ()
     assert report.kernel_rank == 0
@@ -123,7 +127,7 @@ def test_pv_check_halving_on_dyadics():
 def test_pv_check_pipeline_system_z2():
     pair = rordam_pair(Z2, width=6)
     D, endo = assemble_pipeline_system(pair)
-    report = pv_check(D, endo, Z2, depth=3)
+    report = pv_check(D, endo, Z2)
     assert report.passed
     assert report.cokernel_factors == (2,)
 
@@ -131,11 +135,38 @@ def test_pv_check_pipeline_system_z2():
 def test_pv_check_perturbed_fails():
     pair = rordam_pair(Z2, width=4)
     D, endo = assemble_pipeline_system(pair)
-    base = endo.matrix_at(0).to_rows()
+    base = endo.matrix.to_rows()
     base[1][1] += 1
     broken = LimitEndomorphism.stationary(IntMatrix.from_rows(base), cross_stage=True)
-    report = pv_check(D, broken, Z2, depth=3)
+    report = pv_check(D, broken, Z2)
     assert not report.passed
+
+
+@st.composite
+def finite_presentations(draw):
+    """U @ diag(d) with U upper bidiagonal and unimodular, and a width."""
+    g = draw(st.integers(1, 3))
+    d = draw(st.lists(st.integers(2, 15), min_size=g, max_size=g))
+    rows = [[0] * g for _ in range(g)]
+    for i in range(g):
+        rows[i][i] = draw(st.sampled_from((1, -1))) * d[i]
+        if i + 1 < g:
+            rows[i][i + 1] = draw(st.integers(-3, 3)) * d[i + 1]
+    return rows, draw(st.integers(4, 8))
+
+
+@settings(max_examples=60, deadline=None)
+@given(finite_presentations())
+def test_truncated_checks_match_sympy(case):
+    rows, width = case
+    want = tuple(int(x) for x in invariant_factors(sympy.Matrix(rows)) if x != 1)
+    group = FgAbelianGroup.from_relation_rows(len(rows), rows)
+    pair = rordam_pair(group, width)
+    assert rordam_verify(pair, group).found == want
+    D, endo = assemble_pipeline_system(pair)
+    report = pv_check(D, endo, group)
+    assert report.cokernel_factors == want
+    assert report.kernel_rank == 0
 
 
 @pytest.mark.parametrize("group,prime", [(TRIVIAL, 3), (Z2, 3), (Z3, 2)])

@@ -1,8 +1,10 @@
 """Tests for staged systems and direct-limit arithmetic."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from afkit.abelian import IntMatrix
+from afkit.abelian import IntMatrix, hermite_row_basis, image_lattice_rows
 from afkit.limits import (
     LimitElement,
     LimitEndomorphism,
@@ -182,6 +184,12 @@ def test_death_lattice():
     assert death_lattice_rows(prefixed, 1) == [(0, 1)]
     assert death_lattice_rows(prefixed, 0) == [(1, -1)]
     assert is_zero_class(prefixed, LimitElement(0, (1, -1)), 2) is True
+    # injectivity worked out from the maps: nothing dies, as saturation finds
+    injective = StagedSystem.from_matrices(
+        [IntMatrix.from_rows([[1, 1], [0, 2]])], [IntMatrix.from_rows([[2, 1], [1, 1]])], injective=None
+    )
+    assert injective.injective_flag is True
+    assert death_lattice_rows(injective, 0) == [] == saturate_preimages(injective.connect(1), [])
 
 
 def test_saturate_preimages():
@@ -211,3 +219,40 @@ def test_endomorphism_cross_stage():
     # twice the halved class is the original unit class
     doubled = LimitElement(out.stage, tuple(2 * x for x in out.vector))
     assert limit_equal(sys, doubled, LimitElement(0, (1,)), 2) is True
+
+
+def limit_rank_by_powers(sys, depth):
+    """Reference for build_limit_group: image lattices of explicit powers
+    of the tail block; None when they still shrink after ``depth`` periods."""
+    start = len(sys.prefix)
+    block = sys.composite(start, start + len(sys.tail))
+    current = hermite_row_basis(IntMatrix.identity(block.cols).to_rows())
+    power = IntMatrix.identity(block.cols)
+    for _ in range(depth + 1):
+        power = block @ power
+        nxt = image_lattice_rows(power)
+        if nxt == current:
+            return len(current)
+        current = nxt
+    return None
+
+
+@st.composite
+def small_systems(draw):
+    n = draw(st.integers(1, 3))
+    square = st.lists(st.lists(st.integers(-2, 2), min_size=n, max_size=n), min_size=n, max_size=n)
+    tail = [IntMatrix.from_rows(draw(square)) for _ in range(draw(st.integers(1, 2)))]
+    prefix = [IntMatrix.from_rows(draw(square)) for _ in range(draw(st.integers(0, 1)))]
+    return StagedSystem.from_matrices(prefix, tail), draw(st.integers(0, 5))
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_systems())
+def test_build_limit_group_matches_powers(case):
+    sys, depth = case
+    try:
+        got = build_limit_group(sys, depth).invariant_factors
+    except NotFinitelyGeneratedError:
+        got = None
+    want = limit_rank_by_powers(sys, depth)
+    assert got == (None if want is None else (0,) * want)

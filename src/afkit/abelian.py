@@ -21,9 +21,13 @@ class DimensionMismatch(ValueError):
     """Raised when a vector or matrix has the wrong shape for an operation."""
 
 
-def _as_vec(v) -> tuple:
-    vec = tuple(int(x) for x in v)
-    return vec
+def require_ints(values: Iterable, what: str) -> tuple:
+    """``values`` as a tuple; ValueError unless each one is an int and not a bool."""
+    values = tuple(values)
+    if not {int}.issuperset(map(type, values)):  # bool is a subclass of int, not int
+        bad = next(x for x in values if type(x) is not int)
+        raise ValueError(f"{what} must be integers, got {bad!r}")
+    return values
 
 
 @dataclass(frozen=True)
@@ -49,7 +53,7 @@ class IntMatrix:
                 raise DimensionMismatch("ragged rows")
         else:
             ncols = 0 if cols is None else cols
-        flat = tuple(int(x) for row in data for x in row)
+        flat = require_ints((x for row in data for x in row), "matrix entries")
         return cls(len(data), ncols, flat)
 
     @classmethod
@@ -193,7 +197,7 @@ def hermite_row_basis(rows: Iterable[Sequence[int]]) -> list:
     each pivot reduced into [0, pivot).  The output depends only on the
     lattice, not on the generating set.
     """
-    work = [_as_vec(r) for r in rows]
+    work = list(rows)
     if not work:
         return []
     return [tuple(b) for b in hermite_row_basis_augmented(work, len(work[0]))]
@@ -245,7 +249,7 @@ def row_lattice_coefficients(basis: Sequence[Sequence[int]], vec: Sequence[int])
     The basis must be in Hermite row form (as produced by
     :func:`hermite_row_basis`).
     """
-    vec = list(_as_vec(vec))
+    vec = list(vec)
     coeffs = []
     for b in basis:
         p = next((k for k, x in enumerate(b) if x != 0), None)
@@ -269,29 +273,20 @@ def solve_row_combination(gens: Sequence[Sequence[int]], target: Sequence[int]):
     Works for arbitrary generating rows (not necessarily a basis) by
     tracking the transform onto the Hermite basis.
     """
-    gens = [list(_as_vec(g)) for g in gens]
     if not gens:
         return [] if all(x == 0 for x in target) else None
     n = len(gens)
     ncols = len(gens[0])
     # augment each generator with a transform block to track combinations
-    aug = [gens[i] + [1 if k == i else 0 for k in range(n)] for i in range(n)]
-    basis = hermite_row_basis_augmented(aug, ncols)
-    vec = list(_as_vec(target))
-    combo = [0] * n
-    for b in basis:
-        head = b[:ncols]
-        p = next((k for k, x in enumerate(head) if x != 0), None)
-        if p is None:
-            break  # zero-head rows come last
-        if vec[p] % head[p] != 0:
-            return None
-        q = vec[p] // head[p]
-        if q:
-            vec = [v - q * hb for v, hb in zip(vec, head)]
-            combo = [c + q * tb for c, tb in zip(combo, b[ncols:])]
-    if any(x != 0 for x in vec):
+    aug = [list(g) + [1 if k == i else 0 for k in range(n)] for i, g in enumerate(gens)]
+    basis = [b for b in hermite_row_basis_augmented(aug, ncols) if any(b[:ncols])]
+    coeffs = row_lattice_coefficients([b[:ncols] for b in basis], target)
+    if coeffs is None:
         return None
+    combo = [0] * n
+    for q, b in zip(coeffs, basis):
+        if q:
+            combo = [c + q * t for c, t in zip(combo, b[ncols:])]
     return combo
 
 
@@ -359,7 +354,7 @@ def preimage_lattice_rows(m: IntMatrix, lattice_rows: Sequence[Sequence[int]]) -
     v with m v in the lattice (Cohen, Alg. 2.4.10, relative to a lattice).
     """
     n = m.cols
-    lat = [list(_as_vec(r)) for r in lattice_rows]
+    lat = [list(r) for r in lattice_rows]
     if any(len(r) != m.rows for r in lat):
         raise DimensionMismatch(f"lattice rows must have length {m.rows}")
     rows = [list(m.col(j)) + [1 if k == j else 0 for k in range(n)] for j in range(n)]
@@ -373,8 +368,7 @@ def cokernel_invariants(relation_rows: Sequence[Sequence[int]], n: int) -> tuple
 
     Same canonical form as :attr:`FgAbelianGroup.invariant_factors`.
     """
-    rows = [list(_as_vec(r)) for r in relation_rows]
-    mat = IntMatrix.from_rows(rows, cols=n)
+    mat = IntMatrix.from_rows(relation_rows, cols=n)
     s, _, _ = smith_normal_form(mat)
     diag = [d for d in s.diagonal() if d != 0]
     torsion = tuple(d for d in diag if d > 1)
@@ -419,7 +413,6 @@ class FgAbelianGroup:
 
     @classmethod
     def from_invariant_factors(cls, factors: Sequence[int]) -> "FgAbelianGroup":
-        factors = [int(d) for d in factors]
         n = len(factors)
         rows = []
         for i, d in enumerate(factors):
@@ -490,7 +483,7 @@ def quotient_by(group: FgAbelianGroup, subgens: Sequence[Sequence[int]]) -> FgAb
             raise DimensionMismatch(
                 f"subgroup generator length {len(v)} != {group.num_generators}"
             )
-    stacked = list(group.relations.to_rows()) + [list(_as_vec(v)) for v in subgens]
+    stacked = group.relations.to_rows() + list(subgens)
     factors = cokernel_invariants(stacked, group.num_generators)
     return FgAbelianGroup.from_invariant_factors(factors)
 

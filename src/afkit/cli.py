@@ -20,6 +20,7 @@ from .abelian import (
     is_n_divisible,
     is_prime,
     is_uniquely_n_divisible,
+    require_ints,
 )
 from .dimension import (
     OrderedStagedSystem,
@@ -101,8 +102,14 @@ def _int_list(flag: str, text: str, what: str = "integers", ok=lambda n: True) -
     raise InputError(f"{flag}: expected comma-separated {what}")
 
 
+def _object(data, where: str) -> dict:
+    if not isinstance(data, dict):
+        raise InputError(f"{where}: expected a JSON object")
+    return data
+
+
 def _require(data: dict, key: str, where: str):
-    if key not in data:
+    if key not in _object(data, where):
         raise InputError(f"{where}: missing field {key!r}")
     return data[key]
 
@@ -111,7 +118,8 @@ def group_from_json(data: dict, where: str = "group") -> FgAbelianGroup:
     gens = _require(data, "generators", where)
     rels = data.get("relations", [])
     try:
-        return FgAbelianGroup.from_relation_rows(int(gens), rels)
+        (n,) = require_ints([gens], "generators")
+        return FgAbelianGroup.from_relation_rows(n, rels)
     except (TypeError, ValueError) as e:
         raise InputError(f"{where}: {e}")
 
@@ -131,7 +139,7 @@ def system_from_json(data: dict, where: str = "system") -> StagedSystem:
                 raise InputError("stationary systems take exactly one matrix")
             return StagedSystem.stationary(mats[0], injective=injective)
         if kind == "prefix+tail":
-            period = int(data.get("period", 1))
+            (period,) = require_ints([data.get("period", 1)], "period")
             if not (1 <= period <= len(mats)):
                 raise InputError("period must be between 1 and the matrix count")
             return StagedSystem.from_matrices(mats[:-period], mats[-period:], injective=injective)
@@ -147,30 +155,26 @@ def ordered_system_from_json(data: dict, where: str = "system") -> OrderedStaged
     if unit is None:
         raise InputError(f"{where}: ordered systems need a stage-0 'unit' vector")
     try:
-        return OrderedStagedSystem(
-            system=sys_, cone=cone, unit=LimitElement(0, tuple(int(x) for x in unit))
-        )
-    except ValueError as e:
+        return OrderedStagedSystem(system=sys_, cone=cone, unit=LimitElement(0, unit))
+    except (TypeError, ValueError) as e:
         raise InputError(f"{where}: {e}")
 
 
 def eplag_from_json(data: dict, where: str = "graph") -> EplagGroup:
-    vertices = _require(data, "vertices", where)
-    labels = {}
-    names = []
-    for name, label in sorted(vertices.items()):
-        names.append(name)
-        labels[name] = int(label)
+    vertices = _object(_require(data, "vertices", where), f"{where}.vertices")
+    names = sorted(vertices)
+    labels = {name: vertices[name] for name in names}
     edges = []
     for e in data.get("edges", []):
         ends = _require(e, "ends", f"{where}.edges")
         key = frozenset(ends)
         edges.append(key)
-        labels[key] = int(_require(e, "label", f"{where}.edges"))
-    P = tuple(int(p) for p in data.get("P", []))
+        labels[key] = _require(e, "label", f"{where}.edges")
     try:
+        require_ints(labels.values(), "labels")
+        P = require_ints(data.get("P", []), "P")
         return EplagGroup(PrimeLabeledGraph(tuple(names), tuple(edges), labels, P))
-    except ValueError as e:
+    except (TypeError, ValueError) as e:
         raise InputError(f"{where}: {e}")
 
 
@@ -186,6 +190,7 @@ def eplag_to_json(group: EplagGroup) -> dict:
 
 
 def qvector_from_json(data: dict, where: str = "target") -> dict:
+    _object(data, where)
     out = {}
     try:
         for v, val in data.items():
@@ -405,7 +410,7 @@ def cmd_ehs(args) -> int:
         rows = _require(data, "matrix", args.endo)
         try:
             matrix = IntMatrix.from_rows(rows)
-        except ValueError as e:
+        except (TypeError, ValueError) as e:
             raise InputError(f"{args.endo}: {e}")
         endo = LimitEndomorphism.stationary(matrix, cross_stage=(kind == "cross_stage"))
     try:
@@ -486,7 +491,7 @@ def cmd_pipeline(args) -> int:
             },
             "realization": {
                 "pass": report.realization_valid,
-                "levels": report.realization.diagram.num_levels if report.realization else 0,
+                "levels": report.realization.diagram.num_levels,
             },
             "pv": {
                 "pass": report.pv.passed,
@@ -502,10 +507,10 @@ def cmd_pipeline(args) -> int:
         "crossed_product_invariant": invariant_to_json(report.crossed_product),
         "all_passed": report.all_passed,
     }
-    if args.emit_diagram and report.realization:
+    if args.emit_diagram:
         with open(args.emit_diagram, "w") as f:
             json.dump(diagram_to_json_dict(report.realization.diagram), f, sort_keys=True, indent=2)
-    if args.dot and report.realization:
+    if args.dot:
         with open(args.dot, "w") as f:
             f.write(diagram_to_dot(report.realization.diagram))
     _emit(out, args.format)

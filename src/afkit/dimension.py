@@ -23,6 +23,7 @@ from .abelian import (
     IntMatrix,
     hermite_row_basis,
     preimage_lattice_rows,
+    require_ints,
     row_lattice_coefficients,
 )
 from .limits import (
@@ -295,8 +296,8 @@ def diagram_from_json_dict(data: dict) -> BratteliDiagram:
     levels = []
     raw = data["levels"]
     for idx, entry in enumerate(raw):
-        size = int(entry["l"])
-        weights = tuple(int(x) for x in entry["w"])
+        (size,) = require_ints([entry["l"]], "level size")
+        weights = require_ints(entry["w"], "weights")
         inc = None
         if "m" in entry and entry["m"] is not None:
             inc = IntMatrix.from_rows(entry["m"])
@@ -506,11 +507,13 @@ def _shen_strict_first(D, theta, search_bound) -> ShenCertificate:
     return ShenCertificate(len(order), phi, g)
 
 
+CERTIFICATE_CHECK_DEPTH = 6  # stages pushed to decide positivity and equality
+
+
 def verify_shen_certificate(
     D: OrderedStagedSystem,
     theta: Sequence[LimitElement],
     cert: ShenCertificate,
-    depth: int = 6,
 ) -> bool:
     """Independent re-check of both certificate conditions.
 
@@ -521,7 +524,7 @@ def verify_shen_certificate(
     if cert.g.rows != len(theta) or any(x < 0 for x in cert.g.entries):
         return False
     for p in cert.phi:
-        if D.is_positive(p, depth) is not True:
+        if D.is_positive(p, CERTIFICATE_CHECK_DEPTH) is not True:
             return False
     stage = max([p.stage for p in cert.phi] + [t.stage for t in theta], default=0)
     phi_mat = IntMatrix.from_rows(
@@ -529,7 +532,9 @@ def verify_shen_certificate(
     )
     combos = cert.g @ phi_mat
     for i, t in enumerate(theta):
-        same = limit_equal(D.system, LimitElement(stage, combos.row(i)), push(D.system, t, stage), depth)
+        same = limit_equal(
+            D.system, LimitElement(stage, combos.row(i)), push(D.system, t, stage), CERTIFICATE_CHECK_DEPTH
+        )
         if same is not True:
             return False
     relations = IntMatrix.from_rows(relation_lattice_rows(D, theta), cols=len(theta))
@@ -541,9 +546,9 @@ def verify_shen_certificate(
 # ---------------------------------------------------------------------------
 
 
-def basis_atom_enumerator(D: OrderedStagedSystem, start_stage: int = 1) -> Iterator[LimitElement]:
-    """Basis classes of successive stages (simplicial systems)."""
-    s = start_stage
+def basis_atom_enumerator(D: OrderedStagedSystem) -> Iterator[LimitElement]:
+    """Basis classes of successive stages from stage 1 on (simplicial systems)."""
+    s = 1
     while True:
         n = D.stage_rank(s)
         for t in range(n):
@@ -551,9 +556,9 @@ def basis_atom_enumerator(D: OrderedStagedSystem, start_stage: int = 1) -> Itera
         s += 1
 
 
-def unit_atom_enumerator(D: OrderedStagedSystem, start_stage: int = 1) -> Iterator[LimitElement]:
-    """Small positive chunks (1, 0, ...) at successive stages (strict cones)."""
-    s = start_stage
+def unit_atom_enumerator(D: OrderedStagedSystem) -> Iterator[LimitElement]:
+    """Small positive chunks (1, 0, ...) at successive stages from stage 1 on (strict cones)."""
+    s = 1
     while True:
         n = D.stage_rank(s)
         yield LimitElement(s, tuple(1 if k == 0 else 0 for k in range(n)))

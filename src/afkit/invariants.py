@@ -39,6 +39,11 @@ from .rordam import RordamPair, VerifyReport, rordam_pair, rordam_verify
 
 K0Descriptor = Union[FgAbelianGroup, LocalizedGroupDescriptor, EplagGroup]
 
+# the divisibility fingerprints kp_isomorphic compares: primes up to 20,
+# denominators with exponent sum up to 3
+FINGERPRINT_PRIME_BOUND = 20
+FINGERPRINT_EXP_BOUND = 3
+
 
 class UndecidableUnitClass(ValueError):
     """The unit class has no zero test for this descriptor."""
@@ -108,12 +113,7 @@ def crossed_product_invariant(inv: KirchbergInvariant, p: int) -> KirchbergInvar
     return KirchbergInvariant(k0=localize(inv.k0, p), unit_class=None)
 
 
-def kp_isomorphic(
-    a: KirchbergInvariant,
-    b: KirchbergInvariant,
-    fingerprint_prime_bound: int = 20,
-    fingerprint_exp_bound: int = 3,
-) -> Optional[bool]:
+def kp_isomorphic(a: KirchbergInvariant, b: KirchbergInvariant) -> Optional[bool]:
     """Three-valued comparison of invariants.
 
     Finitely generated / localized descriptors are decided exactly.  Graph
@@ -126,8 +126,8 @@ def kp_isomorphic(
     ka, kb = a.k0, b.k0
     if isinstance(ka, EplagGroup) or isinstance(kb, EplagGroup):
         if isinstance(ka, EplagGroup) and isinstance(kb, EplagGroup):
-            fa = divisibility_fingerprint(ka, fingerprint_prime_bound, fingerprint_exp_bound)
-            fb = divisibility_fingerprint(kb, fingerprint_prime_bound, fingerprint_exp_bound)
+            fa = divisibility_fingerprint(ka, FINGERPRINT_PRIME_BOUND, FINGERPRINT_EXP_BOUND)
+            fb = divisibility_fingerprint(kb, FINGERPRINT_PRIME_BOUND, FINGERPRINT_EXP_BOUND)
             if fa != fb:
                 return False
             return None
@@ -256,7 +256,7 @@ class PipelineReport:
     width: int
     depth: int
     rordam: VerifyReport
-    realization: Optional[RealizationResult]
+    realization: RealizationResult
     realization_valid: bool
     pv: PvReport
     invariant: KirchbergInvariant
@@ -274,16 +274,15 @@ def pipeline(
     p: int,
     depth: int,
     width: int = 6,
-    realize: bool = True,
 ) -> PipelineReport:
     """Full chain from a group presentation to its verified invariant.
 
     Builds the staged pair for G, assembles D = Z[1/2] (+) H with the
     strict cone and unit (1, 0), realizes (D, beta) as a diagram with
-    multiplicities when ``realize`` is set, runs the truncated cokernel and
-    kernel computation against (G, 0), and reports the final invariant
-    with both absorption predicates.  Verification failures are reported,
-    not raised; certificate-search exhaustion propagates.
+    multiplicities, runs the truncated cokernel and kernel computation
+    against (G, 0), and reports the final invariant with both absorption
+    predicates.  Verification failures are reported, not raised;
+    certificate-search exhaustion propagates.
     """
     if depth < 2:
         raise ValueError("depth must be at least 2")
@@ -292,14 +291,9 @@ def pipeline(
     pair = rordam_pair(group, width)
     rordam_report = rordam_verify(pair, group)
     ordered, endo = assemble_pipeline_system(pair)
-    realization = None
-    realization_valid = True
-    if realize:
-        realization = ehs_realize_with_endo(
-            ordered, endo, unit_atom_enumerator(ordered), depth
-        )
-        # ehs_realize_with_endo raises when the intertwining identity fails
-        realization_valid = validate_diagram(realization.diagram) == []
+    realization = ehs_realize_with_endo(ordered, endo, unit_atom_enumerator(ordered), depth)
+    # ehs_realize_with_endo raises when the intertwining identity fails
+    realization_valid = validate_diagram(realization.diagram) == []
     pv = pv_check(ordered, endo, group)
     inv = group_to_invariant(group)
     return PipelineReport(

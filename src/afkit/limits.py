@@ -20,6 +20,7 @@ from .abelian import (
     hermite_row_basis,
     image_lattice_rows,
     preimage_lattice_rows,
+    require_ints,
 )
 
 
@@ -116,7 +117,7 @@ class LimitElement:
     vector: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "vector", tuple(int(x) for x in self.vector))
+        object.__setattr__(self, "vector", require_ints(self.vector, "limit vector entries"))
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ import re
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional, Sequence
 
-from .abelian import FgAbelianGroup
+from .abelian import FgAbelianGroup, require_ints
 
 
 @dataclass(frozen=True)
@@ -137,7 +137,7 @@ def kernel_oracle(target: FgAbelianGroup, images: Sequence[Sequence[int]]) -> Su
     Images are coordinate vectors in the target's generators, so membership
     is an exact lattice test.
     """
-    images = [tuple(int(x) for x in v) for v in images]
+    images = [require_ints(v, "image entries") for v in images]
     for v in images:
         if len(v) != target.num_generators:
             raise ValueError("image vector length mismatch")
@@ -196,34 +196,32 @@ def coset_representative(h: SubgroupOracle, a: FreeWord, gen_bound: int) -> Free
 def schreier_generators(h: SubgroupOracle, word_bound: int, gen_bound: int) -> list:
     """Free generators of the subgroup, within enumeration bounds.
 
-    Enumerates representatives phi(a) for all words a of length at most
-    word_bound, then emits phi(a) x_n phi(phi(a) x_n)^-1 for each generator
-    index n < gen_bound, skipping pairs where phi(a) x_n is itself a
-    representative.  Every output is checked against the oracle.
+    Walks the Schreier transversal breadth first: r x_n^(+-1), one letter
+    longer than a representative r and at most word_bound long, is a
+    representative when it is its own coset representative (prefixes of
+    representatives are representatives).  Emits r x_n phi(r x_n)^-1 for each
+    representative r and n < gen_bound where r x_n is not a representative.
+    Every output is checked against the oracle.
     """
-    rep_cache: dict = {}
-
-    def rep(w: FreeWord) -> FreeWord:
-        r = rep_cache.get(w)
-        if r is None:
-            r = coset_representative(h, w, gen_bound)
-            rep_cache[w] = r
-        return r
-
     out = []
-    seen = set()
-    for a in shortlex_words(gen_bound, word_bound):
-        r = rep(a)
-        for n in range(gen_bound):
-            t = r * FreeWord.generator(n)
-            if rep(t) == t:
-                continue
-            g = t * rep(t).inverse()
-            if g.is_identity() or g in seen:
-                continue
-            if g not in h:
-                raise AssertionError(f"emitted generator {g} failed the membership oracle")
-            seen.add(g)
-            out.append(g)
+    level = [FreeWord.identity()]
+    for length in range(max(word_bound, 0) + 1):
+        longer = []
+        for r in level:
+            for n in range(gen_bound):
+                # at the bound only x_n is tried, for the emission
+                for exp in (1, -1) if length < word_bound else (1,):
+                    w = r * FreeWord.generator(n, exp)
+                    if w.length() < length:
+                        continue  # a prefix of r, hence a representative
+                    b = coset_representative(h, w, gen_bound)
+                    if b == w:
+                        longer.append(w)
+                    elif exp == 1:
+                        g = w * b.inverse()
+                        if g not in h:
+                            raise AssertionError(f"emitted generator {g} failed the membership oracle")
+                        out.append(g)
+        level = longer
     out.sort(key=FreeWord.shortlex_key)
     return out

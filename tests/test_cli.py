@@ -164,10 +164,16 @@ MALFORMED_DIAGRAMS = {
     + [
         pytest.param(["limits"], RAGGED_SYSTEM, "ragged", id="limits-ragged"),
         pytest.param(["ehs", "--system"], RAGGED_SYSTEM, "ragged", id="ehs-ragged"),
+        pytest.param(["eplag", "fingerprint", "--graph"], {"vertices": ["r"]}, "JSON object",
+                     id="eplag-vertices-list"),
+        pytest.param(["eplag", "member", "--graph", "{graph}", "--target"], [1], "JSON object",
+                     id="eplag-target-list"),
     ],
 )
 def test_malformed_input_exits_2(tmp_path, capsys, argv, data, field):
     path = write(tmp_path, "in.json", data)
+    if "{graph}" in argv:
+        argv = [a.format(graph=readme_graph(tmp_path, capsys)) for a in argv]
     code, _, err = run(capsys, argv + [path])
     assert code == 2
     assert err.startswith("error: ") and field in err
@@ -340,3 +346,50 @@ def test_eplag_member_rejects_boolean_target(tmp_path, capsys):
     code, _, err = run(capsys, ["eplag", "member", "--graph", graph, "--target", target])
     assert code == 2
     assert err.startswith(f"error: {target}:")
+
+
+SIMPLICIAL_ONE = {"kind": "stationary", "matrices": [[[1]]], "unit": [1]}
+
+
+@pytest.mark.parametrize(
+    "argv, files",
+    [
+        pytest.param(["group", "{a}"], {"a": {"generators": 1, "relations": [[2.5]]}},
+                     id="group-float-relation"),
+        pytest.param(["group", "{a}"], {"a": {"generators": 2, "relations": [[True, 0]]}},
+                     id="group-bool-relation"),
+        pytest.param(["group", "{a}"], {"a": {"generators": 1.5}}, id="group-float-generators"),
+        pytest.param(["schreier", "--target", "{a}", "--images", "[[1.5],[true]]"], {"a": Z2},
+                     id="schreier-images"),
+        pytest.param(["limits", "{a}"], {"a": {"kind": "stationary", "matrices": [[[2.7]]]}},
+                     id="limits-matrix"),
+        pytest.param(["limits", "{a}"],
+                     {"a": {"kind": "prefix+tail", "matrices": [[[2]]], "period": 1.5}},
+                     id="limits-period"),
+        pytest.param(["ehs", "--system", "{a}"], {"a": dict(SIMPLICIAL_ONE, unit=[1.5])},
+                     id="ehs-unit"),
+        pytest.param(["ehs", "--system", "{a}", "--endo", "{b}"],
+                     {"a": SIMPLICIAL_ONE, "b": {"kind": "same_stage", "matrix": [[1.9]]}},
+                     id="ehs-endo"),
+        pytest.param(["eplag", "fingerprint", "--graph", "{a}"], {"a": {"vertices": {"r": 5.9}}},
+                     id="eplag-float-label"),
+        pytest.param(["eplag", "fingerprint", "--graph", "{a}"], {"a": {"vertices": {"r": "x"}}},
+                     id="eplag-string-label"),
+        pytest.param(["eplag", "fingerprint", "--graph", "{a}"],
+                     {"a": {"vertices": {"r": 3}, "P": [2.5]}}, id="eplag-P"),
+        pytest.param(["eplag", "fingerprint", "--graph", "{a}"],
+                     {"a": {"vertices": {"r": 3, "s": 3},
+                            "edges": [{"ends": ["r", "s"], "label": 7.5}]}},
+                     id="eplag-edge-label"),
+        pytest.param(["diagram", "validate", "{a}"], {"a": {"levels": [{"l": 1.5, "w": [1]}]}},
+                     id="diagram-size"),
+        pytest.param(["diagram", "validate", "{a}"], {"a": {"levels": [{"l": 1, "w": [1.5]}]}},
+                     id="diagram-weight"),
+    ],
+)
+def test_non_integer_json_number_exits_2(tmp_path, capsys, argv, files):
+    # a float, a bool or a string where an integer belongs is rejected, not truncated
+    paths = {name: write(tmp_path, f"{name}.json", data) for name, data in files.items()}
+    code, _, err = run(capsys, [a.format(**paths) for a in argv])
+    assert code == 2
+    assert err.startswith("error: ") and "integers" in err

@@ -189,7 +189,7 @@ def test_pipeline_invariant_content():
 
 def test_pipeline_pv_implies_rordam():
     for g in (TRIVIAL, Z2, Z3):
-        report = pipeline(g, 2 if g is not Z2 else 3, depth=3, realize=False)
+        report = pipeline(g, 2 if g is not Z2 else 3, depth=3)
         if report.pv.passed:
             assert report.rordam.passed
 

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from afkit.abelian import FgAbelianGroup
 from afkit.schreier import (
     FreeWord,
+    SubgroupOracle,
     coset_representative,
     kernel_oracle,
     schreier_generators,
@@ -115,3 +116,80 @@ def test_nielsen_schreier_count(r, m):
     assert len(gens) == m * (r - 1) + 1
     for g in gens:
         assert g in h
+
+
+def per_word_schreier_generators(h, word_bound, gen_bound):
+    """Reference: the coset representative of every word up to the bound."""
+    rep_cache = {}
+
+    def rep(w):
+        if w not in rep_cache:
+            rep_cache[w] = coset_representative(h, w, gen_bound)
+        return rep_cache[w]
+
+    out = []
+    seen = set()
+    for a in shortlex_words(gen_bound, word_bound):
+        r = rep(a)
+        for n in range(gen_bound):
+            t = r * FreeWord.generator(n)
+            if rep(t) == t:
+                continue
+            g = t * rep(t).inverse()
+            if g.is_identity() or g in seen:
+                continue
+            assert g in h
+            seen.add(g)
+            out.append(g)
+    out.sort(key=FreeWord.shortlex_key)
+    return out
+
+
+@st.composite
+def subgroup_cases(draw):
+    """Kernels of F_r -> Z/m, Z or Z + Z/m, plus trivial and whole subgroups."""
+    r = draw(st.integers(1, 3))
+    kind = draw(st.sampled_from(["Z/m", "Z", "Z+Z/m", "trivial", "whole"]))
+    if kind == "trivial":
+        h = trivial_subgroup_oracle(r)
+    elif kind == "whole":
+        h = whole_group_oracle(r)
+    else:
+        m = draw(st.integers(2, 6))
+        target = {
+            "Z/m": FgAbelianGroup.cyclic(m),
+            "Z": FgAbelianGroup.free(1),
+            "Z+Z/m": FgAbelianGroup.from_invariant_factors([m, 0]),
+        }[kind]
+        entry = st.integers(-3, 3)
+        images = draw(st.lists(st.lists(entry, min_size=target.num_generators,
+                                        max_size=target.num_generators),
+                               min_size=r, max_size=r))
+        h = kernel_oracle(target, images)
+    gen_bound = draw(st.integers(0, r))
+    # every word is its own representative in the trivial subgroup, so keep its walk short
+    word_bound = draw(st.integers(0, 2 if kind == "trivial" and gen_bound == 3 else 4))
+    return h, word_bound, gen_bound
+
+
+@settings(max_examples=80, deadline=None)
+@given(subgroup_cases())
+def test_transversal_walk_matches_per_word_reference(case):
+    h, word_bound, gen_bound = case
+    assert schreier_generators(h, word_bound, gen_bound) == per_word_schreier_generators(
+        h, word_bound, gen_bound
+    )
+
+
+def test_transversal_walk_oracle_calls():
+    # F_2 -> Z/6, x0 -> 1, x1 -> 2: six cosets, 6 * (2 - 1) + 1 = 7 generators
+    kernel = kernel_oracle(FgAbelianGroup.cyclic(6), [[1], [2]])
+    calls = []
+
+    def member(word):
+        calls.append(word)
+        return kernel.membership(word)
+
+    gens = schreier_generators(SubgroupOracle(member, 2), word_bound=7, gen_bound=2)
+    assert len(gens) == 7
+    assert len(calls) <= 200

@@ -267,27 +267,35 @@ def row_lattice_coefficients(basis: Sequence[Sequence[int]], vec: Sequence[int])
     return coeffs
 
 
-def solve_row_combination(gens: Sequence[Sequence[int]], target: Sequence[int]):
-    """Integer x with x @ gens == target, or None.
+class RowCombinationSolver:
+    """Integer x with x @ gens == target, for many targets against one set of rows.
 
-    Works for arbitrary generating rows (not necessarily a basis) by
-    tracking the transform onto the Hermite basis.
+    The rows need not be a basis.  One Hermite elimination, carrying an
+    identity block, records each basis row as a combination of ``gens``;
+    each target is then a triangular solve over the basis.
     """
-    if not gens:
-        return [] if all(x == 0 for x in target) else None
-    n = len(gens)
-    ncols = len(gens[0])
-    # augment each generator with a transform block to track combinations
-    aug = [list(g) + [1 if k == i else 0 for k in range(n)] for i, g in enumerate(gens)]
-    basis = [b for b in hermite_row_basis_augmented(aug, ncols) if any(b[:ncols])]
-    coeffs = row_lattice_coefficients([b[:ncols] for b in basis], target)
-    if coeffs is None:
-        return None
-    combo = [0] * n
-    for q, b in zip(coeffs, basis):
-        if q:
-            combo = [c + q * t for c, t in zip(combo, b[ncols:])]
-    return combo
+
+    def __init__(self, gens: Sequence[Sequence[int]], ncols: int):
+        self.size = len(gens)
+        aug = [list(g) + [1 if k == i else 0 for k in range(self.size)] for i, g in enumerate(gens)]
+        basis = [b for b in hermite_row_basis_augmented(aug, ncols) if any(b[:ncols])]
+        self.basis = [b[:ncols] for b in basis]
+        self.transforms = [b[ncols:] for b in basis]
+
+    def solve(self, target: Sequence[int]):
+        coeffs = row_lattice_coefficients(self.basis, target)
+        if coeffs is None:
+            return None
+        combo = [0] * self.size
+        for q, t in zip(coeffs, self.transforms):
+            if q:
+                combo = [c + q * x for c, x in zip(combo, t)]
+        return combo
+
+
+def solve_row_combination(gens: Sequence[Sequence[int]], target: Sequence[int]):
+    """Integer x with x @ gens == target, or None."""
+    return RowCombinationSolver(gens, len(target)).solve(target)
 
 
 def hermite_row_basis_augmented(rows: Sequence[Sequence[int]], ncols: int) -> list:

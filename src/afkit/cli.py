@@ -40,6 +40,7 @@ from .dimension import (
 )
 from .eplag import (
     EplagGroup,
+    EplagLattice,
     PrimeLabeledGraph,
     divisibility_fingerprint,
     is_P_divisible_sample,
@@ -178,6 +179,15 @@ def eplag_from_json(data: dict, where: str = "graph") -> EplagGroup:
         raise InputError(f"{where}: {e}")
 
 
+def tree_from_json(data, where: str = "tree") -> dict:
+    children = _object(data, where).get("children", [])
+    if not isinstance(children, list):
+        raise InputError(f"{where}.children: expected a list")
+    for i, child in enumerate(children):
+        tree_from_json(child, f"{where}.children[{i}]")
+    return data
+
+
 def eplag_to_json(group: EplagGroup) -> dict:
     g = group.graph
     return {
@@ -301,6 +311,9 @@ def cmd_schreier(args) -> int:
         oracle = kernel_oracle(target, images)
     except (TypeError, ValueError) as e:
         raise InputError(f"--images: {e}")
+    for flag, bound in (("--word-bound", args.word_bound), ("--gen-bound", args.gen_bound)):
+        if bound < 0:
+            raise InputError(f"{flag}: must be at least 0")
     if args.gen_bound > oracle.ambient_rank:
         raise InputError(f"--gen-bound: at most the number of images ({oracle.ambient_rank})")
     gens = schreier_generators(oracle, args.word_bound, args.gen_bound)
@@ -432,7 +445,7 @@ def cmd_eplag(args) -> int:
     if args.action == "tree":
         if not args.tree:
             raise InputError("eplag tree: --tree is required")
-        tree = _load_json(args.tree)
+        tree = tree_from_json(_load_json(args.tree), args.tree)
         P = _int_list("--p", args.p, "primes", is_prime)
         group = tree_to_eplag(tree, P)
         print(json.dumps(eplag_to_json(group), sort_keys=True, indent=2))
@@ -453,11 +466,11 @@ def cmd_eplag(args) -> int:
         _emit(report, args.format)
         return EXIT_OK
     if args.action == "fingerprint":
-        fp = divisibility_fingerprint(group, args.prime_bound, args.bound)
+        lattice = EplagLattice(group, args.bound)
         _emit(
             {
-                "fingerprint": [list(s) for s in fp],
-                "p_divisible_sample": is_P_divisible_sample(group, args.bound),
+                "fingerprint": [list(s) for s in divisibility_fingerprint(lattice, args.prime_bound)],
+                "p_divisible_sample": is_P_divisible_sample(lattice),
             },
             args.format,
         )

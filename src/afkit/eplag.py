@@ -7,9 +7,11 @@ products of P-primes times powers of the vertex label, together with edge
 sums divided by products of P-primes times the edge label (exponent one,
 as the construction prescribes for edges).
 
-Membership is an exact lattice computation: instantiate all generators up
-to an exponent bound, clear denominators, and solve over the integer row
-lattice.  The group is the increasing union over bounds, so a negative
+Membership is an exact lattice computation: eliminate once per bound,
+then solve per target.  All generators up to an exponent bound are
+instantiated, scaled by their common denominator and put through one
+Hermite elimination; each target is then one triangular solve over that
+basis.  The group is the increasing union over bounds, so a negative
 answer is only valid at its bound.
 """
 
@@ -20,7 +22,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Dict, Optional, Sequence
 
-from .abelian import is_prime, solve_row_combination
+from .abelian import RowCombinationSolver, is_prime
 
 
 def primes_avoiding(excluded: Sequence[int]):
@@ -143,36 +145,52 @@ class MembershipResult:
         return self.status == "member"
 
 
-def membership(
-    group: EplagGroup,
-    x: Dict,
-    exp_bound: int,
-    generators: Optional[list] = None,
-) -> MembershipResult:
+class EplagLattice:
+    """The bounded generators of a group, eliminated once.
+
+    Every generator up to ``exp_bound`` is scaled by the common denominator
+    S into an integer row, and the rows go through one Hermite elimination
+    that records each basis row as a combination of generators.  The
+    lattice lies in (1/S)Z^V, so a target with a non-integer coordinate
+    after scaling by S is a nonmember outright; any other target is one
+    triangular solve.  ``generators`` replaces the scheme's bounded family,
+    for instance to break the scheme on purpose.
+    """
+
+    def __init__(self, group: EplagGroup, exp_bound: int, generators: Optional[list] = None):
+        gens = group.generators(exp_bound) if generators is None else generators
+        self.group = group
+        self.bound = exp_bound
+        self.names = [name for name, _ in gens]
+        self.scale = lcm(*(f.denominator for _, vec in gens for f in vec.values()))
+        vertices = group.graph.vertices
+        rows = [[int(vec.get(v, 0) * self.scale) for v in vertices] for _, vec in gens]
+        self.solver = RowCombinationSolver(rows, len(vertices))
+
+    def membership(self, x: Dict) -> MembershipResult:
+        """Exact membership at the bound, with an integer certificate."""
+        x = q_vector(x)
+        vertices = self.group.graph.vertices
+        for k in x:
+            if k not in vertices:
+                raise ValueError(f"target touches unknown vertex {k!r}")
+        scaled = [x.get(v, 0) * self.scale for v in vertices]
+        combo = None
+        if all(f.denominator == 1 for f in scaled):
+            combo = self.solver.solve([int(f) for f in scaled])
+        if combo is None:
+            return MembershipResult("nonmember_at_bound", self.bound)
+        return MembershipResult("member", self.bound, {n: c for n, c in zip(self.names, combo) if c})
+
+
+def membership(group: EplagGroup, x: Dict, exp_bound: int) -> MembershipResult:
     """Exact bounded membership with an integer certificate.
 
-    Scales every bounded generator and the target by the common denominator
-    and solves the integer lattice problem.  Membership is monotone in the
-    bound; a nonmember verdict only means "not with these exponents".
+    Membership is monotone in the bound; a nonmember verdict only means
+    "not with these exponents".  For many targets, build one
+    :class:`EplagLattice` and query it.
     """
-    x = q_vector(x)
-    gens = group.generators(exp_bound) if generators is None else generators
-    support = list(group.graph.vertices)
-    for k in x:
-        if k not in group.graph.vertices:
-            raise ValueError(f"target touches unknown vertex {k!r}")
-    denoms = [f.denominator for _, vec in gens for f in vec.values()]
-    denoms += [f.denominator for f in x.values()]
-    scale = lcm(*denoms) if denoms else 1
-    rows = []
-    for _, vec in gens:
-        rows.append([int(vec.get(v, 0) * scale) for v in support])
-    target = [int(x.get(v, 0) * scale) for v in support]
-    combo = solve_row_combination(rows, target)
-    if combo is None:
-        return MembershipResult("nonmember_at_bound", exp_bound)
-    cert = {gens[i][0]: c for i, c in enumerate(combo) if c}
-    return MembershipResult("member", exp_bound, cert)
+    return EplagLattice(group, exp_bound).membership(x)
 
 
 def verify_certificate(group: EplagGroup, x: Dict, result: MembershipResult, exp_bound: int) -> bool:
@@ -245,53 +263,39 @@ def chain_tree(depth: int) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def divisibility_fingerprint(group: EplagGroup, prime_bound: int, exp_bound: int) -> tuple:
+def divisibility_fingerprint(lattice: EplagLattice, prime_bound: int) -> tuple:
     """Multiset of per-vertex divisor-prime sets; invariant under relabeling.
 
-    A prime r counts for a vertex v when v/r^k is a bounded member for
-    every k up to the exponent bound.  Vertex names are forgotten in the
-    result, so isomorphic graphs fingerprint identically.
+    A prime r counts for a vertex v when v/r^k is a member of the lattice
+    for every k up to its bound K.  Since v/r^k = r^(K-k) * v/r^K, the one
+    query at k = K decides.  Vertex names are forgotten in the result, so
+    isomorphic graphs fingerprint identically.
     """
     primes = [p for p in range(2, prime_bound + 1) if is_prime(p)]
-    sets = []
-    for v in group.graph.vertices:
-        divisors = []
-        for r in primes:
-            ok = True
-            for k in range(1, exp_bound + 1):
-                res = membership(group, {v: Fraction(1, r**k)}, exp_bound)
-                if not res.is_member:
-                    ok = False
-                    break
-            if ok:
-                divisors.append(r)
-        sets.append(tuple(divisors))
-    return tuple(sorted(sets))
+    K = lattice.bound
+    return tuple(sorted(
+        tuple(r for r in primes if lattice.membership({v: Fraction(1, r**K)}).is_member)
+        for v in lattice.group.graph.vertices
+    ))
 
 
-def is_P_divisible_sample(group: EplagGroup, exp_bound: int, generators: Optional[list] = None) -> bool:
+def is_P_divisible_sample(lattice: EplagLattice) -> bool:
     """Sampled necessary condition for P-divisibility.
 
     Divides every vertex generator and every edge-sum generator by each
-    p^k with p in P and k up to the bound, and requires membership of the
-    result.  True by construction for scheme-generated groups; a custom
-    ``generators`` list can deliberately break the scheme.
+    p^k with p in P and k up to the lattice's bound K, and requires
+    membership of the result; as in the fingerprint, k = K decides.  True
+    by construction for scheme-generated groups; a lattice built from
+    custom generators can deliberately break the scheme.
     """
-    P = group.divisibility_set
-    if not P:
-        return True
-    graph = group.graph
-    targets = []
-    for v in graph.vertices:
-        targets.append({v: Fraction(1)})
+    graph = lattice.group.graph
+    targets = [{v: Fraction(1)} for v in graph.vertices]
     for e in graph.edges:
-        a, b = sorted(e)
         fe = graph.edge_label(e)
-        targets.append({a: Fraction(1, fe), b: Fraction(1, fe)})
-    for t in targets:
-        for p in P:
-            for k in range(1, exp_bound + 1):
-                divided = {v: f / p**k for v, f in t.items()}
-                if not membership(group, divided, exp_bound, generators=generators).is_member:
-                    return False
-    return True
+        targets.append({v: Fraction(1, fe) for v in e})
+    K = lattice.bound
+    return all(
+        lattice.membership({v: f / p**K for v, f in t.items()}).is_member
+        for t in targets
+        for p in graph.divisibility_set
+    )

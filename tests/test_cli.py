@@ -168,6 +168,11 @@ MALFORMED_DIAGRAMS = {
                      id="eplag-vertices-list"),
         pytest.param(["eplag", "member", "--graph", "{graph}", "--target"], [1], "JSON object",
                      id="eplag-target-list"),
+        pytest.param(["eplag", "tree", "--p", "5", "--tree"], [1], "JSON object", id="eplag-tree-list"),
+        pytest.param(["eplag", "tree", "--p", "5", "--tree"], {"children": [1]},
+                     "children[0]: expected a JSON object", id="eplag-tree-child-number"),
+        pytest.param(["eplag", "tree", "--p", "5", "--tree"], {"children": [{"children": {}}]},
+                     "children[0].children: expected a list", id="eplag-tree-children-object"),
     ],
 )
 def test_malformed_input_exits_2(tmp_path, capsys, argv, data, field):
@@ -312,6 +317,8 @@ def readme_graph(tmp_path, capsys):
         (["group", "{z2}", "--divisors", "x"], "--divisors"),
         (["schreier", "--target", "{z2}", "--images", "[[1,2]]"], "--images"),
         (["schreier", "--target", "{z2}", "--images", "[[1]]"], "--gen-bound"),
+        (["schreier", "--target", "{z2}", "--images", "[[1],[1]]", "--word-bound", "-1"], "--word-bound"),
+        (["schreier", "--target", "{z2}", "--images", "[[1],[1]]", "--gen-bound", "-1"], "--gen-bound"),
         (["eplag", "tree", "--tree", "{tree}", "--p", "4"], "--p"),
         (["eplag", "fingerprint", "--graph", "{graph}", "--bound", "0"], "--bound"),
         (["eplag", "member", "--graph", "{graph}", "--target", "{target}", "--bound", "0"], "--bound"),

@@ -7,6 +7,8 @@ import pytest
 
 from afkit.eplag import (
     EplagGroup,
+    EplagLattice,
+    MembershipResult,
     PrimeLabeledGraph,
     chain_tree,
     divisibility_fingerprint,
@@ -115,54 +117,63 @@ def test_tree_two_level_chain_labels():
 
 def test_fingerprint_single_vertex():
     G = single_vertex_group(label=3, P=(5,))
-    fp = divisibility_fingerprint(G, prime_bound=12, exp_bound=4)
+    fp = divisibility_fingerprint(EplagLattice(G, 4), 12)
     assert fp == ((3, 5),)
 
 
 def test_fingerprint_forgets_names():
     G = edge_group()
-    fp1 = divisibility_fingerprint(G, 12, 3)
+    fp1 = divisibility_fingerprint(EplagLattice(G, 3), 12)
     relabeled = EplagGroup(G.graph.relabel_vertices({"v": "a", "w": "b"}))
-    fp2 = divisibility_fingerprint(relabeled, 12, 3)
+    fp2 = divisibility_fingerprint(EplagLattice(relabeled, 3), 12)
     assert fp1 == fp2
 
 
 def test_fingerprint_invariant_under_random_relabelings():
     G = tree_to_eplag(chain_tree(1), [])
-    base = divisibility_fingerprint(G, 12, 3)
+    base = divisibility_fingerprint(EplagLattice(G, 3), 12)
     rng = random.Random(0)
     names = list(G.graph.vertices)
     for _ in range(8):
         shuffled = names[:]
         rng.shuffle(shuffled)
         mapping = dict(zip(names, shuffled))
-        fp = divisibility_fingerprint(EplagGroup(G.graph.relabel_vertices(mapping)), 12, 3)
+        fp = divisibility_fingerprint(EplagLattice(EplagGroup(G.graph.relabel_vertices(mapping)), 3), 12)
         assert fp == base
 
 
 def test_fingerprint_separates_chain_depths():
     g1 = tree_to_eplag(chain_tree(1), [])
     g2 = tree_to_eplag(chain_tree(2), [])
-    fp1 = divisibility_fingerprint(g1, 20, 4)
-    fp2 = divisibility_fingerprint(g2, 20, 4)
+    fp1 = divisibility_fingerprint(EplagLattice(g1, 4), 20)
+    fp2 = divisibility_fingerprint(EplagLattice(g2, 4), 20)
     assert fp1 != fp2
 
 
 def test_p_divisible_sample_true_by_construction():
     G = tree_to_eplag(chain_tree(1), [3])
-    assert is_P_divisible_sample(G, exp_bound=3)
+    assert is_P_divisible_sample(EplagLattice(G, 3))
 
 
 def test_p_divisible_vacuous_for_empty_P():
     G = tree_to_eplag(chain_tree(1), [])
-    assert is_P_divisible_sample(G, exp_bound=3)
+    assert is_P_divisible_sample(EplagLattice(G, 3))
 
 
 def test_p_divisible_sample_detects_broken_scheme():
+    # drop every generator whose denominator involves 5, with 5 first and last in P
+    for P in ((5,), (2, 5)):
+        G = single_vertex_group(label=3, P=P)
+        gens = [(n, v) for n, v in G.generators(3) if all(f.denominator % 5 for f in v.values())]
+        assert not is_P_divisible_sample(EplagLattice(G, 3, generators=gens))
+
+
+def test_fingerprint_needs_every_exponent_up_to_the_bound():
     G = single_vertex_group(label=3, P=(5,))
-    # drop every generator whose denominator involves 5
-    gens = [(n, v) for n, v in G.generators(3) if all(f.denominator % 5 for f in v.values())]
-    assert not is_P_divisible_sample(G, exp_bound=3, generators=gens)
+    # v/3 and v/5 are members, v/9 and v/25 are not
+    gens = [(n, v) for n, v in G.generators(2) if v["v"].denominator in (1, 3, 5)]
+    assert divisibility_fingerprint(EplagLattice(G, 1, generators=gens), 20) == ((3, 5),)
+    assert divisibility_fingerprint(EplagLattice(G, 2, generators=gens), 20) == ((),)
 
 
 def test_certificates_reverify():
@@ -181,3 +192,62 @@ def test_certificates_reverify():
 def test_q_vector_normalizes():
     v = q_vector({"a": Fraction(2, 4), "b": 0})
     assert v == {"a": Fraction(1, 2)}
+
+
+# Fingerprints and sample flags at prime bound 20, exponent bound 2, as
+# computed by the per-query membership solve that the shared lattice replaced.
+BRANCHING = {"children": [{"children": [{"children": []}, {"children": []}]}, {"children": []}]}
+PINNED = {
+    "chain2": (chain_tree(2), (), ((3,), (7,), (13,))),
+    "chain2-P3": (chain_tree(2), (3,), ((3, 5), (3, 11), (3, 17))),
+    "chain2-P2.7": (chain_tree(2), (2, 7), ((2, 5, 7), (2, 7, 13), (2, 7, 19))),
+    "chain4": (chain_tree(4), (), ((), (3,), (7,), (13,), (19,))),
+    "chain4-P3": (chain_tree(4), (3,), ((3,), (3,), (3, 5), (3, 11), (3, 17))),
+    "chain4-P2.7": (chain_tree(4), (2, 7), ((2, 5, 7), (2, 7), (2, 7), (2, 7, 13), (2, 7, 19))),
+    "chain8": (chain_tree(8), (), ((), (), (), (), (), (3,), (7,), (13,), (19,))),
+    "chain8-P3": (chain_tree(8), (3,), ((3,),) * 6 + ((3, 5), (3, 11), (3, 17))),
+    "chain8-P2.7": (chain_tree(8), (2, 7), ((2, 5, 7),) + ((2, 7),) * 6 + ((2, 7, 13), (2, 7, 19))),
+    "branching-P3": (BRANCHING, (3,), ((3, 5), (3, 11), (3, 11), (3, 17), (3, 17))),
+}
+
+
+@pytest.mark.parametrize("tree, P, expected", list(PINNED.values()), ids=list(PINNED))
+def test_fingerprint_and_sample_pinned(tree, P, expected):
+    lattice = EplagLattice(tree_to_eplag(tree, P), 2)
+    assert divisibility_fingerprint(lattice, 20) == expected
+    assert is_P_divisible_sample(lattice) is True
+
+
+def test_lattice_rejects_target_outside_scaled_grid():
+    G = single_vertex_group(label=3, P=(5,))
+    lattice = EplagLattice(G, 2)
+    x = {"v": Fraction(1, 2)}
+    assert (x["v"] * lattice.scale).denominator != 1
+    assert lattice.membership(x) == MembershipResult("nonmember_at_bound", 2)
+
+
+def lattice_targets(G):
+    graph = G.graph
+    out = [{v: Fraction(1, r**k)} for v in graph.vertices for r in (2, 3, 5, 7, 11, 13) for k in (1, 2, 3)]
+    out += [{v: Fraction(1, graph.edge_label(e)) for v in e} for e in graph.edges]
+    a, b = graph.vertices[:2]
+    out.append({a: Fraction(2, graph.vertex_label(a)), b: Fraction(-5, 3 * graph.vertex_label(b))})
+    return out
+
+
+@pytest.mark.parametrize(
+    "tree, P", [(chain_tree(2), (3,)), (BRANCHING, (2,))], ids=["chain2-P3", "branching-P2"]
+)
+def test_lattice_agrees_with_one_shot_membership(tree, P):
+    G = tree_to_eplag(tree, P)
+    targets = lattice_targets(G)
+    members = 0
+    for bound in (1, 2, 3):
+        lattice = EplagLattice(G, bound)
+        for t in targets:
+            res = lattice.membership(t)
+            assert res == membership(G, t, bound)
+            if res.is_member:
+                members += 1
+                assert verify_certificate(G, t, res, bound)
+    assert 0 < members < 3 * len(targets)

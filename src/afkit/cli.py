@@ -1,14 +1,15 @@
 """Command-line front end: JSON in, reports and DOT out.
 
 Exit codes: 0 all checks passed, 1 a verification failed, 2 malformed
-input, 3 a bounded search or stabilization depth was exceeded.  Output is
-deterministic: JSON with sorted keys, DOT stable-sorted by level and
-vertex index.
+input, 3 a bounded search was exceeded or the limit is proved not finitely
+generated.  Output is deterministic: JSON with sorted keys, DOT
+stable-sorted by level and vertex index.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -23,6 +24,7 @@ from .abelian import (
     require_ints,
 )
 from .dimension import (
+    EndomorphismNotPositive,
     OrderedStagedSystem,
     RealizationError,
     ShenDepthExceeded,
@@ -132,18 +134,17 @@ def group_to_json(g: FgAbelianGroup) -> dict:
 def system_from_json(data: dict, where: str = "system") -> StagedSystem:
     kind = _require(data, "kind", where)
     matrices = _require(data, "matrices", where)
-    injective = data.get("injective")
     try:
         mats = [IntMatrix.from_rows(m) for m in matrices]
         if kind == "stationary":
             if len(mats) != 1:
                 raise InputError("stationary systems take exactly one matrix")
-            return StagedSystem.stationary(mats[0], injective=injective)
+            return StagedSystem.stationary(mats[0])
         if kind == "prefix+tail":
             (period,) = require_ints([data.get("period", 1)], "period")
             if not (1 <= period <= len(mats)):
                 raise InputError("period must be between 1 and the matrix count")
-            return StagedSystem.from_matrices(mats[:-period], mats[-period:], injective=injective)
+            return StagedSystem.from_matrices(mats[:-period], mats[-period:])
         raise InputError(f"unknown kind {kind!r}")
     except (TypeError, ValueError) as e:
         raise InputError(f"{where}: {e}")
@@ -292,7 +293,7 @@ def cmd_group(args) -> int:
 def cmd_limits(args) -> int:
     sys_ = system_from_json(_load_json(args.system), args.system)
     try:
-        g = build_limit_group(sys_, args.depth)
+        g = build_limit_group(sys_)
     except NotFinitelyGeneratedError as e:
         _emit({"error": str(e)}, args.format)
         return EXIT_DEPTH
@@ -410,7 +411,12 @@ def _realization_report(result) -> dict:
 
 
 def cmd_ehs(args) -> int:
+    for flag, value in (("--depth", args.depth), ("--bound", args.bound)):
+        if value < 0:
+            raise InputError(f"{flag}: must be at least 0")
     D = ordered_system_from_json(_load_json(args.system), args.system)
+    if D.is_positive(D.unit, args.bound) is False:
+        raise InputError(f"{args.system}: unit: not in the positive cone")
     enumerator = (
         basis_atom_enumerator(D) if D.cone == "simplicial" else unit_atom_enumerator(D)
     )
@@ -434,7 +440,7 @@ def cmd_ehs(args) -> int:
     except ShenDepthExceeded as e:
         _emit({"error": str(e)}, args.format)
         return EXIT_DEPTH
-    except RealizationError as e:
+    except (RealizationError, EndomorphismNotPositive) as e:
         _emit({"error": str(e)}, args.format)
         return EXIT_VERIFY_FAIL
     _emit(_realization_report(result), args.format)
@@ -579,7 +585,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("limits", help="finitely generated limit of a staged system")
     p.add_argument("system")
-    p.add_argument("--depth", type=int, default=8)
     p.set_defaults(func=cmd_limits)
 
     p = sub.add_parser("schreier", help="free generators of a kernel subgroup")
@@ -636,9 +641,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser = functools.cache(build_parser)  # built on the first call, then shared
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except InputError as e:

@@ -75,6 +75,9 @@ class OrderedStagedSystem:
             raise ValueError(f"unknown cone descriptor {self.cone!r}")
         if self.unit.stage != 0:
             raise ValueError("order unit must be a stage-0 element")
+        rank = self.system.stage_rank(0)
+        if len(self.unit.vector) != rank:
+            raise ValueError(f"order unit needs {rank} entries, one per stage-0 coordinate")
 
     def unit_at(self, stage: int) -> LimitElement:
         return push(self.system, self.unit, stage)
@@ -83,14 +86,14 @@ class OrderedStagedSystem:
         return self.system.stage_rank(n)
 
     def is_positive(self, e: LimitElement, bound: int):
-        """Three-valued cone membership for a limit class."""
+        """Cone membership: exact for the strict cone, None if ``bound`` simplicial pushes do not decide."""
         if self.cone == STRICT_FIRST:
             t = e.vector[0] if e.vector else 0
             if t > 0:
                 return True
             if t < 0:
                 return False
-            return is_zero_class(self.system, e, bound)
+            return is_zero_class(self.system, e)
         # simplicial: nonnegative now or after finitely many pushes
         pos = self._pushes_nonnegative(e, bound)
         if pos is not False:
@@ -98,7 +101,7 @@ class OrderedStagedSystem:
         # -e eventually nonnegative: e is in the cone only as the zero class
         if not self._pushes_nonnegative(LimitElement(e.stage, tuple(-x for x in e.vector)), bound):
             return None
-        return is_zero_class(self.system, e, bound)
+        return is_zero_class(self.system, e)
 
     def _pushes_nonnegative(self, e: LimitElement, bound: int):
         """True when e is coordinatewise nonnegative now or within ``bound``
@@ -391,7 +394,7 @@ def shen_solve(D: OrderedStagedSystem, theta: Sequence[LimitElement], search_bou
             raise ValueError(f"input element at stage {t.stage} is not in the positive cone")
         if pos is None:
             raise ShenDepthExceeded("shen-depth-exceeded: positivity undecided within bound")
-    if not D.system.injective_flag:
+    if not D.system.injective:
         raise ShenDepthExceeded(
             "shen-depth-exceeded: certificate search requires an injective system"
         )
@@ -507,7 +510,7 @@ def _shen_strict_first(D, theta, search_bound) -> ShenCertificate:
     return ShenCertificate(len(order), phi, g)
 
 
-CERTIFICATE_CHECK_DEPTH = 6  # stages pushed to decide positivity and equality
+CERTIFICATE_CHECK_DEPTH = 6  # stages pushed to decide simplicial positivity
 
 
 def verify_shen_certificate(
@@ -532,10 +535,7 @@ def verify_shen_certificate(
     )
     combos = cert.g @ phi_mat
     for i, t in enumerate(theta):
-        same = limit_equal(
-            D.system, LimitElement(stage, combos.row(i)), push(D.system, t, stage), CERTIFICATE_CHECK_DEPTH
-        )
-        if same is not True:
+        if not limit_equal(D.system, LimitElement(stage, combos.row(i)), push(D.system, t, stage)):
             return False
     relations = IntMatrix.from_rows(relation_lattice_rows(D, theta), cols=len(theta))
     return not any((relations @ cert.g).entries)
@@ -680,8 +680,8 @@ def _realize(D, phi, positive_enumerator, depth, search_bound) -> RealizationRes
         if phi is not None:
             q_n = IntMatrix.from_rows(picked[l_n : 2 * l_n], cols=len(keep))
             q_list.append(q_n)
-            _check_level_identities(D, cur, images, new_thetas, m_n, q_n, search_bound)
-        literal = any(limit_equal(D.system, x, t, search_bound) is True for t in new_thetas)
+            _check_level_identities(D, cur, images, new_thetas, m_n, q_n)
+        literal = any(limit_equal(D.system, x, t) for t in new_thetas)
         coverage.append(
             CoverageRecord(
                 level=n,
@@ -700,11 +700,11 @@ def _realize(D, phi, positive_enumerator, depth, search_bound) -> RealizationRes
     return RealizationResult(diagram, tuple(thetas), tuple(coverage), endomorphism=endo)
 
 
-def _check_level_identities(D, cur, images, new_thetas, m_n, q_n, bound):
+def _check_level_identities(D, cur, images, new_thetas, m_n, q_n):
     """Exact postconditions: theta and phi(theta) both factor as claimed."""
     stage = max(t.stage for t in new_thetas)
     vecs = IntMatrix.from_rows([push(D.system, t, stage).vector for t in new_thetas])
     for mat, sources in ((m_n, cur), (q_n, images)):
         for combo, source in zip((mat @ vecs).to_rows(), sources):
-            if limit_equal(D.system, LimitElement(stage, combo), source, bound) is not True:
+            if not limit_equal(D.system, LimitElement(stage, combo), source):
                 raise RealizationError("level identity failed exact verification")

@@ -188,8 +188,7 @@ def assemble_pipeline_system(pair: RordamPair) -> tuple:
     two = IntMatrix.from_rows([[2]])
     one = IntMatrix.from_rows([[1]])
     connect = _block_diag(two, beta)
-    # diag([2], beta) is injective exactly when beta is
-    system = StagedSystem.stationary(connect, injective=pair.system.injective_flag)
+    system = StagedSystem.stationary(connect)
     rank = 1 + pair.rank
     unit = LimitElement(0, tuple(1 if i == 0 else 0 for i in range(rank)))
     ordered = OrderedStagedSystem(system=system, cone=STRICT_FIRST, unit=unit)

@@ -11,21 +11,25 @@ stationary case as the degenerate form.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from functools import cached_property
+from typing import Sequence
 
 from .abelian import (
+    DimensionMismatch,
     FgAbelianGroup,
     IntMatrix,
     cokernel_invariants,
     hermite_row_basis,
     image_lattice_rows,
+    kernel_basis,
     preimage_lattice_rows,
     require_ints,
+    row_lattice_contains,
 )
 
 
 class NotFinitelyGeneratedError(RuntimeError):
-    """The limit group did not stabilize within the requested depth."""
+    """The limit group is proved not to be finitely generated."""
 
 
 @dataclass(frozen=True)
@@ -33,15 +37,12 @@ class StagedSystem:
     """Free lattices with integer connecting maps, prefix plus cycling tail.
 
     ``connect(n)`` maps stage n to stage n+1 and has shape
-    l(n+1) x l(n).  When ``tail`` is empty the system is finite: stages
-    beyond the prefix are undefined.  An ``injective_flag`` of None is
-    replaced by whether every connecting map has full column rank; a True
-    flag is checked against the maps.
+    l(n+1) x l(n).  When ``tail`` is empty the system is finite: its last
+    stored stage stands for the limit, and stages beyond it are undefined.
     """
 
     prefix: tuple
     tail: tuple
-    injective_flag: Optional[bool] = False
 
     def __post_init__(self):
         mats = list(self.prefix) + list(self.tail)
@@ -50,32 +51,24 @@ class StagedSystem:
                 raise ValueError(
                     f"connecting shapes do not chain: {a.rows}x{a.cols} then {b.rows}x{b.cols}"
                 )
-        if self.tail:
-            last = mats[-1]
-            first_tail = self.tail[0]
-            if first_tail.cols != last.rows:
-                raise ValueError("tail does not cycle: shape mismatch at wrap")
-        if self.injective_flag is not False:
-            full_rank = all(len(image_lattice_rows(m)) == m.cols for m in mats)
-            if self.injective_flag is None:
-                object.__setattr__(self, "injective_flag", bool(mats) and full_rank)
-            elif not full_rank:
-                raise ValueError("injective_flag set but a connecting map drops rank")
+        if self.tail and self.tail[0].cols != mats[-1].rows:
+            raise ValueError("tail does not cycle: shape mismatch at wrap")
+
+    @cached_property
+    def injective(self) -> bool:
+        """Whether every connecting map has full column rank, so no vector dies."""
+        mats = list(self.prefix) + list(self.tail)
+        return bool(mats) and all(len(image_lattice_rows(m)) == m.cols for m in mats)
 
     @classmethod
-    def stationary(cls, matrix: IntMatrix, injective: Optional[bool] = None) -> "StagedSystem":
+    def stationary(cls, matrix: IntMatrix) -> "StagedSystem":
         if matrix.rows != matrix.cols:
             raise ValueError("stationary system needs a square connecting matrix")
-        return cls(prefix=(), tail=(matrix,), injective_flag=injective)
+        return cls(prefix=(), tail=(matrix,))
 
     @classmethod
-    def from_matrices(
-        cls,
-        prefix: Sequence[IntMatrix],
-        tail: Sequence[IntMatrix] = (),
-        injective: Optional[bool] = None,
-    ) -> "StagedSystem":
-        return cls(prefix=tuple(prefix), tail=tuple(tail), injective_flag=injective)
+    def from_matrices(cls, prefix: Sequence[IntMatrix], tail: Sequence[IntMatrix] = ()) -> "StagedSystem":
+        return cls(prefix=tuple(prefix), tail=tuple(tail))
 
     @property
     def is_stationary(self) -> bool:
@@ -139,9 +132,11 @@ class LimitEndomorphism:
         out = self.matrix.apply(e.vector)
         return LimitElement(e.stage + 1 if self.cross_stage else e.stage, out)
 
-    def check_commuting(self, sys: StagedSystem, depth: int) -> bool:
-        """Verify the intertwining squares against the system up to depth."""
-        for n in range(depth):
+    def check_commuting(self, sys: StagedSystem) -> bool:
+        """Verify the intertwining squares at every stage: the prefix and one
+        tail period hold them all, a finite system's end at its last stage."""
+        stages = len(sys.prefix) + len(sys.tail) if sys.tail else len(sys.prefix) - self.cross_stage
+        for n in range(stages):
             phi_n = sys.connect(n)
             target = sys.connect(n + 1) if self.cross_stage else phi_n
             if (self.matrix @ phi_n).entries != (target @ self.matrix).entries:
@@ -159,37 +154,26 @@ def push(sys: StagedSystem, e: LimitElement, to_stage: int) -> LimitElement:
     return LimitElement(to_stage, tuple(vec))
 
 
-def limit_equal(sys: StagedSystem, e1: LimitElement, e2: LimitElement, depth: int):
-    """Three-valued equality of limit classes.
+def limit_equal(sys: StagedSystem, e1: LimitElement, e2: LimitElement) -> bool:
+    """Whether two representatives give the same limit class.
 
-    Representatives are compared at their common stage.  For injective
-    systems a mismatch there is final.  Otherwise later stages may identify
-    them, so we keep pushing, up to ``depth`` extra stages (at least one),
-    and return None when undecided.
+    Both are pushed to their common stage s.  They agree in the limit
+    exactly when their difference dies, that is, lies in the death lattice
+    at stage s; in an injective system only equal vectors agree.
     """
     s = max(e1.stage, e2.stage)
-    a = push(sys, e1, s)
-    b = push(sys, e2, s)
-    if a.vector == b.vector:
-        return True
-    if sys.injective_flag:
-        return False
-    for _ in range(max(1, depth)):
-        s += 1
-        try:
-            a = push(sys, a, s)
-            b = push(sys, b, s)
-        except ValueError:
-            return None  # finite system ran out of stages
-        if a.vector == b.vector:
-            return True
-    return None
+    a = push(sys, e1, s).vector
+    b = push(sys, e2, s).vector
+    if not len(a) == len(b) == sys.stage_rank(s):
+        raise DimensionMismatch(f"stage {s} vectors have {sys.stage_rank(s)} entries")
+    if a == b or sys.injective:
+        return a == b
+    return row_lattice_contains(death_lattice_rows(sys, s), [x - y for x, y in zip(a, b)])
 
 
-def is_zero_class(sys: StagedSystem, e: LimitElement, depth: int):
-    """Three-valued test whether a representative is the zero class."""
-    zero = LimitElement(e.stage, (0,) * len(e.vector))
-    return limit_equal(sys, e, zero, depth)
+def is_zero_class(sys: StagedSystem, e: LimitElement) -> bool:
+    """Whether a representative is the zero class."""
+    return limit_equal(sys, e, LimitElement(e.stage, (0,) * len(e.vector)))
 
 
 def alpha_infinity_apply(sys: StagedSystem, e: LimitElement) -> LimitElement:
@@ -205,33 +189,39 @@ def alpha_infinity_apply(sys: StagedSystem, e: LimitElement) -> LimitElement:
     return LimitElement(0, sys.connect(0).apply(e.vector))
 
 
-def build_limit_group(sys: StagedSystem, depth: int) -> FgAbelianGroup:
-    """The limit group, when it is finitely generated.
+def build_limit_group(sys: StagedSystem) -> FgAbelianGroup:
+    """The limit group; raises :class:`NotFinitelyGeneratedError` when it
+    is not finitely generated.
 
     The limit of free lattices is torsion-free, and it is finitely
-    generated exactly when the chain of image lattices of iterated
-    connecting maps stabilizes; the stable lattice is then the limit.
-    Detection runs over one full tail period at a time, up to ``depth``
-    periods, and raises :class:`NotFinitelyGeneratedError` on exhaustion.
+    generated exactly when the chain of image lattices L_k = B^k Z^n of
+    the n x n tail period block B stabilizes; the stable lattice is then
+    the limit.  The chain decides this within n + 1 steps.  L_(k+1) = B L_k
+    lies in L_k, so the ranks never grow, and they drop at most n times.
+    Once two consecutive ranks agree, L_k and L_(k+1) span the same
+    rational space V and B maps V onto itself, so the ranks agree from
+    then on and [L_j : L_(j+1)] = |det(B on V)| for every j >= k.  Either
+    that index is 1 and L_(k+1) = L_k, or every later step shrinks the
+    lattice by the same index > 1 and the chain never stabilizes.  So the
+    first step that keeps the rank settles the question.
     """
     if not sys.tail:
         raise ValueError("finite systems have no limit to build")
     start = len(sys.prefix)
-    period = len(sys.tail)
-    block = sys.composite(start, start + period)
+    block = sys.composite(start, start + len(sys.tail))
     if block.rows != block.cols:
         raise ValueError("tail composite is not square")
-    n = block.cols
-    current = hermite_row_basis(IntMatrix.identity(n).to_rows())
-    for _ in range(depth + 1):
+    current = hermite_row_basis(IntMatrix.identity(block.cols).to_rows())
+    while True:
         nxt = hermite_row_basis([block.apply(r) for r in current])
         if nxt == current:
             return FgAbelianGroup.free(len(current))
+        if len(nxt) == len(current):
+            raise NotFinitelyGeneratedError(
+                f"the image lattices shrink by a constant index at rank {len(nxt)}; "
+                "the limit is not finitely generated"
+            )
         current = nxt
-    raise NotFinitelyGeneratedError(
-        f"image lattices still shrinking after {depth} periods; "
-        "limit is not finitely generated within depth"
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -249,12 +239,13 @@ def death_lattice_rows(sys: StagedSystem, stage: int) -> list:
     of B walks that chain (ker(B^(k+1)) is the preimage of ker(B^k)) without
     forming powers of B, and stops when two consecutive members agree.
     Earlier stages take the preimage under the composite up to the aligned
-    stage.  In an injective system nothing dies.
+    stage.  In an injective system nothing dies; in a finite system a
+    vector dies when the composite up to the last stored stage kills it.
     """
-    if sys.injective_flag:
+    if sys.injective:
         return []
     if not sys.tail:
-        raise ValueError("death analysis needs an infinite (tail) system")
+        return kernel_basis(sys.composite(stage, len(sys.prefix)))
     # the first stage at or after ``stage`` where a tail period starts
     align = max(stage, len(sys.prefix))
     align += (len(sys.prefix) - align) % len(sys.tail)
@@ -269,9 +260,9 @@ def saturate_preimages(step: IntMatrix, lattice_rows: Sequence[Sequence[int]]) -
     """Close a lattice under iterated preimages of a fixed square map.
 
     Returns the lattice of vectors landing in the input lattice after some
-    number of applications of ``step``.  The chain of preimages is
-    increasing inside the rational saturation of the input, so it
-    stabilizes; one fixed point of the iteration is the answer.
+    number of applications of ``step``.  The iterates form an increasing
+    chain of subgroups of Z^n, which stabilizes because every subgroup of
+    Z^n is finitely generated; its fixed point is the answer.
     """
     if step.rows != step.cols:
         raise ValueError("saturation needs a square step matrix")

@@ -14,7 +14,7 @@ import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from sympy.matrices.normalforms import invariant_factors
+from sympy.matrices.normalforms import hermite_normal_form, invariant_factors
 
 from afkit.abelian import (
     DimensionMismatch,
@@ -339,6 +339,17 @@ def lattice_and_regenerated(draw):
 def test_hermite_canonical(case):
     gens, mixed = case
     assert hermite_row_basis(mixed) == hermite_row_basis(gens)
+
+
+@settings(max_examples=150, deadline=None)
+@given(dense_matrices())
+def test_hermite_dense_against_sympy(rows):
+    # sympy's form is column-style with pivots from the last coordinate up:
+    # on reversed coordinates its nonzero columns, reversed back and taken
+    # last first, are our rows
+    h = hermite_normal_form(sympy.Matrix([r[::-1] for r in rows]).T)
+    cols = [tuple(int(x) for x in h.col(j))[::-1] for j in reversed(range(h.cols))]
+    assert hermite_row_basis(rows) == [c for c in cols if any(c)]
 
 
 @settings(max_examples=100, deadline=None)

@@ -174,7 +174,7 @@ def fibonacci_diagram():
     return BratteliDiagram(levels, (fib,))
 
 
-def theta_recursion_exact(D, result, bound=8):
+def theta_recursion_exact(D, result):
     thetas = result.thetas
     d = result.diagram
     for n in range(len(thetas) - 1):
@@ -187,7 +187,7 @@ def theta_recursion_exact(D, result, bound=8):
                 c = m_n.entry(i, j)
                 for k in range(len(combo)):
                     combo[k] += c * vecs[j][k]
-            if limit_equal(D.system, LimitElement(stage, tuple(combo)), t, bound) is not True:
+            if not limit_equal(D.system, LimitElement(stage, tuple(combo)), t):
                 return False
     return True
 
@@ -213,7 +213,7 @@ def test_criterion_4_ehs_realization():
             all_thetas = [t for level in result.thetas for t in level]
             for x in first_five:
                 assert any(
-                    limit_equal(D.system, x, t, 8) is True for t in all_thetas
+                    limit_equal(D.system, x, t) for t in all_thetas
                 ), "enumerated positive missing from the theta values"
 
 
@@ -255,9 +255,7 @@ def test_criterion_5_endomorphism_realization():
                         c = q_n.entry(i, j)
                         for k in range(len(combo)):
                             combo[k] += c * vecs[j][k]
-                    assert limit_equal(
-                        D.system, LimitElement(stage, tuple(combo)), image, 8
-                    ) is True
+                    assert limit_equal(D.system, LimitElement(stage, tuple(combo)), image)
 
 
 # --- criterion 6: pipeline with the truncated six-term check --------------------

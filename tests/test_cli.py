@@ -65,15 +65,26 @@ def test_group_missing_field(tmp_path, capsys):
 
 def test_limits_fg(tmp_path, capsys):
     path = write(tmp_path, "s.json", {"kind": "stationary", "matrices": [[[1, 0], [0, 0]]]})
-    code, out, _ = run(capsys, ["--format", "json", "limits", path, "--depth", "5"])
+    code, out, _ = run(capsys, ["--format", "json", "limits", path])
     assert code == 0
     assert json.loads(out)["limit_invariant_factors"] == [0]
 
 
 def test_limits_depth_exceeded(tmp_path, capsys):
+    # doubling: the limit Z[1/2] is proved not finitely generated
     path = write(tmp_path, "s.json", {"kind": "stationary", "matrices": [[[2]]]})
-    code, out, _ = run(capsys, ["--format", "json", "limits", path, "--depth", "5"])
+    code, out, _ = run(capsys, ["--format", "json", "limits", path])
     assert code == 3
+    assert "not finitely generated" in json.loads(out)["error"]
+
+
+def test_limits_nilpotent_shift_is_zero(tmp_path, capsys):
+    # the 10 x 10 shift kills everything after ten steps
+    shift = [[1 if j == i + 1 else 0 for j in range(10)] for i in range(10)]
+    path = write(tmp_path, "s.json", {"kind": "stationary", "matrices": [shift]})
+    code, out, _ = run(capsys, ["--format", "json", "limits", path])
+    assert code == 0
+    assert json.loads(out)["limit_invariant_factors"] == []
 
 
 def test_schreier(tmp_path, capsys):
@@ -164,6 +175,9 @@ MALFORMED_DIAGRAMS = {
     + [
         pytest.param(["limits"], RAGGED_SYSTEM, "ragged", id="limits-ragged"),
         pytest.param(["ehs", "--system"], RAGGED_SYSTEM, "ragged", id="ehs-ragged"),
+        pytest.param(["ehs", "--system"],
+                     {"kind": "stationary", "matrices": [[[1, 0], [0, 1]]], "unit": [1]},
+                     "order unit needs 2 entries", id="ehs-unit-length"),
         pytest.param(["eplag", "fingerprint", "--graph"], {"vertices": ["r"]}, "JSON object",
                      id="eplag-vertices-list"),
         pytest.param(["eplag", "member", "--graph", "{graph}", "--target"], [1], "JSON object",
@@ -229,6 +243,32 @@ def test_ehs_with_endo(tmp_path, capsys):
     report = json.loads(out)
     assert "q" in report
     assert report["q"][0] == [[3]]
+
+
+STRICT_DOUBLING = {"kind": "stationary", "matrices": [[[2]]], "cone": "strict_first", "unit": [1]}
+
+
+def test_ehs_ignores_injective_key(tmp_path, capsys):
+    # injectivity is worked out from the matrices; the key is not read
+    path = write(tmp_path, "s.json", dict(STRICT_DOUBLING, injective=False))
+    code, out, _ = run(capsys, ["--format", "json", "ehs", "--system", path, "--depth", "2"])
+    assert code == 0
+    assert len(json.loads(out)["diagram"]["levels"]) == 3
+
+
+def test_ehs_endomorphism_leaving_the_cone_exits_1(tmp_path, capsys):
+    s = write(tmp_path, "s.json", STRICT_DOUBLING)
+    e = write(tmp_path, "e.json", {"kind": "cross_stage", "matrix": [[-1]]})
+    code, out, _ = run(capsys, ["--format", "json", "ehs", "--system", s, "--endo", e])
+    assert code == 1
+    assert "endomorphism-not-positive" in json.loads(out)["error"]
+
+
+def test_ehs_unit_outside_the_cone_exits_2(tmp_path, capsys):
+    path = write(tmp_path, "s.json", dict(STRICT_DOUBLING, unit=[-1]))
+    code, _, err = run(capsys, ["ehs", "--system", path])
+    assert code == 2
+    assert err.startswith(f"error: {path}:") and "positive cone" in err
 
 
 def test_eplag_tree_and_fingerprint(tmp_path, capsys):
@@ -319,6 +359,8 @@ def readme_graph(tmp_path, capsys):
         (["schreier", "--target", "{z2}", "--images", "[[1]]"], "--gen-bound"),
         (["schreier", "--target", "{z2}", "--images", "[[1],[1]]", "--word-bound", "-1"], "--word-bound"),
         (["schreier", "--target", "{z2}", "--images", "[[1],[1]]", "--gen-bound", "-1"], "--gen-bound"),
+        (["ehs", "--system", "{sys}", "--depth", "-1"], "--depth"),
+        (["ehs", "--system", "{sys}", "--bound", "-3"], "--bound"),
         (["eplag", "tree", "--tree", "{tree}", "--p", "4"], "--p"),
         (["eplag", "fingerprint", "--graph", "{graph}", "--bound", "0"], "--bound"),
         (["eplag", "member", "--graph", "{graph}", "--target", "{target}", "--bound", "0"], "--bound"),
@@ -331,6 +373,7 @@ def test_bad_flag_value_exits_2(tmp_path, capsys, argv, flag):
         "graph": readme_graph(tmp_path, capsys),
         "tree": str(tmp_path / "t.json"),
         "target": write(tmp_path, "x.json", {"r": "1/5"}),
+        "sys": write(tmp_path, "s.json", STRICT_DOUBLING),
     }
     code, _, err = run(capsys, [a.format(**paths) for a in argv])
     assert code == 2

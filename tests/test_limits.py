@@ -60,19 +60,22 @@ def test_push_functorial():
 
 def test_limit_equal_same_class():
     sys = doubling()
-    assert limit_equal(sys, LimitElement(0, (1,)), LimitElement(1, (2,)), 3) is True
+    assert limit_equal(sys, LimitElement(0, (1,)), LimitElement(1, (2,))) is True
 
 
 def test_limit_equal_injective_false():
     sys = doubling()
-    assert sys.injective_flag
-    assert limit_equal(sys, LimitElement(0, (1,)), LimitElement(1, (1,)), 3) is False
+    assert sys.injective
+    assert limit_equal(sys, LimitElement(0, (1,)), LimitElement(1, (1,))) is False
 
 
 def test_limit_equal_zero_map_identifies():
     sys = zero_map()
-    assert not sys.injective_flag
-    assert limit_equal(sys, LimitElement(0, (1,)), LimitElement(0, (0,)), 0) is True
+    assert not sys.injective
+    assert limit_equal(sys, LimitElement(0, (1,)), LimitElement(0, (0,))) is True
+    # a vector too long for its stage is refused, not cut to fit
+    with pytest.raises(ValueError):
+        limit_equal(sys, LimitElement(0, (5, 7)), LimitElement(0, (0,)))
 
 
 def test_limit_equal_never_unknown_when_injective():
@@ -80,20 +83,20 @@ def test_limit_equal_never_unknown_when_injective():
     elems = [LimitElement(s, (a, b)) for s in (0, 1) for a in (-1, 0, 2) for b in (0, 1)]
     for a in elems:
         for b in elems:
-            assert limit_equal(sys, a, b, 2) is not None
+            assert limit_equal(sys, a, b) in (True, False)
 
 
 def test_limit_equal_equivalence_on_decided():
     sys = doubling()
     es = [LimitElement(0, (1,)), LimitElement(1, (2,)), LimitElement(2, (4,)), LimitElement(0, (3,))]
     for e in es:
-        assert limit_equal(sys, e, e, 2) is True
+        assert limit_equal(sys, e, e) is True
     for a in es:
         for b in es:
-            assert limit_equal(sys, a, b, 2) == limit_equal(sys, b, a, 2)
+            assert limit_equal(sys, a, b) == limit_equal(sys, b, a)
     # transitivity across the chain of equal classes
-    assert limit_equal(sys, es[0], es[1], 2) and limit_equal(sys, es[1], es[2], 2)
-    assert limit_equal(sys, es[0], es[2], 2) is True
+    assert limit_equal(sys, es[0], es[1]) and limit_equal(sys, es[1], es[2])
+    assert limit_equal(sys, es[0], es[2]) is True
 
 
 def test_alpha_infinity_defining_identity():
@@ -108,7 +111,7 @@ def test_alpha_infinity_roundtrip():
         shifted = alpha_infinity_apply(sys, e)
         # staged inverse: re-express the same vector one stage later
         back = LimitElement(shifted.stage + 1, shifted.vector)
-        assert limit_equal(sys, back, e, 3) is True
+        assert limit_equal(sys, back, e) is True
 
 
 def test_alpha_infinity_needs_stationary():
@@ -118,23 +121,23 @@ def test_alpha_infinity_needs_stationary():
 
 
 def test_build_limit_group_identity():
-    g = build_limit_group(StagedSystem.stationary(IntMatrix.from_rows([[1]])), 3)
+    g = build_limit_group(StagedSystem.stationary(IntMatrix.from_rows([[1]])))
     assert g.invariant_factors == (0,)
 
 
 def test_build_limit_group_projection():
     sys = StagedSystem.stationary(IntMatrix.from_rows([[1, 0], [0, 0]]))
-    g = build_limit_group(sys, 3)
+    g = build_limit_group(sys)
     assert g.invariant_factors == (0,)
 
 
 def test_build_limit_group_doubling_not_fg():
     with pytest.raises(NotFinitelyGeneratedError):
-        build_limit_group(doubling(), 6)
+        build_limit_group(doubling())
 
 
 def test_build_limit_group_fibonacci():
-    g = build_limit_group(fibonacci(), 4)
+    g = build_limit_group(fibonacci())
     assert g.invariant_factors == (0, 0)
 
 
@@ -143,11 +146,6 @@ def test_stage_shapes_chain_checked():
         StagedSystem.from_matrices(
             [IntMatrix.from_rows([[1, 1]]), IntMatrix.from_rows([[1, 1]])], []
         )
-
-
-def test_injective_flag_rejected_for_rank_drop():
-    with pytest.raises(ValueError):
-        StagedSystem(prefix=(), tail=(IntMatrix.from_rows([[0]]),), injective_flag=True)
 
 
 def test_prefix_tail_system():
@@ -163,9 +161,9 @@ def test_prefix_tail_system():
 
 def test_is_zero_class():
     sys = zero_map()
-    assert is_zero_class(sys, LimitElement(0, (7,)), 1) is True
+    assert is_zero_class(sys, LimitElement(0, (7,))) is True
     sys2 = doubling()
-    assert is_zero_class(sys2, LimitElement(0, (1,)), 1) is False
+    assert is_zero_class(sys2, LimitElement(0, (1,))) is False
 
 
 def test_death_lattice():
@@ -183,12 +181,12 @@ def test_death_lattice():
     )
     assert death_lattice_rows(prefixed, 1) == [(0, 1)]
     assert death_lattice_rows(prefixed, 0) == [(1, -1)]
-    assert is_zero_class(prefixed, LimitElement(0, (1, -1)), 2) is True
+    assert is_zero_class(prefixed, LimitElement(0, (1, -1))) is True
     # injectivity worked out from the maps: nothing dies, as saturation finds
     injective = StagedSystem.from_matrices(
-        [IntMatrix.from_rows([[1, 1], [0, 2]])], [IntMatrix.from_rows([[2, 1], [1, 1]])], injective=None
+        [IntMatrix.from_rows([[1, 1], [0, 2]])], [IntMatrix.from_rows([[2, 1], [1, 1]])]
     )
-    assert injective.injective_flag is True
+    assert injective.injective is True
     assert death_lattice_rows(injective, 0) == [] == saturate_preimages(injective.connect(1), [])
 
 
@@ -204,7 +202,7 @@ def test_saturate_preimages():
 def test_endomorphism_same_stage():
     sys = StagedSystem.stationary(IntMatrix.from_rows([[1]]))
     tripler = LimitEndomorphism.stationary(IntMatrix.from_rows([[3]]))
-    assert tripler.check_commuting(sys, 4)
+    assert tripler.check_commuting(sys)
     out = tripler.apply(LimitElement(2, (5,)))
     assert out == LimitElement(2, (15,))
 
@@ -213,12 +211,22 @@ def test_endomorphism_cross_stage():
     sys = doubling()
     # halving: same vector, one stage later
     halver = LimitEndomorphism.stationary(IntMatrix.identity(1), cross_stage=True)
-    assert halver.check_commuting(sys, 4)
+    assert halver.check_commuting(sys)
     out = halver.apply(LimitElement(0, (1,)))
     assert out == LimitElement(1, (1,))
     # twice the halved class is the original unit class
     doubled = LimitElement(out.stage, tuple(2 * x for x in out.vector))
-    assert limit_equal(sys, doubled, LimitElement(0, (1,)), 2) is True
+    assert limit_equal(sys, doubled, LimitElement(0, (1,))) is True
+
+
+def test_check_commuting_covers_every_stage():
+    # the squares agree for five stages, then the tail doubles
+    sys = StagedSystem.from_matrices([IntMatrix.identity(1)] * 5, [IntMatrix.from_rows([[2]])])
+    assert LimitEndomorphism.stationary(IntMatrix.from_rows([[3]])).check_commuting(sys)
+    halver = LimitEndomorphism.stationary(IntMatrix.identity(1), cross_stage=True)
+    assert not halver.check_commuting(sys)
+    # a finite system has squares only up to its last stored stage
+    assert halver.check_commuting(StagedSystem.from_matrices([IntMatrix.identity(1)] * 2))
 
 
 def limit_rank_by_powers(sys, depth):
@@ -237,22 +245,94 @@ def limit_rank_by_powers(sys, depth):
     return None
 
 
+def square_matrix(draw, n, entries=st.integers(-2, 2)):
+    return IntMatrix.from_rows(draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n)))
+
+
 @st.composite
 def small_systems(draw):
     n = draw(st.integers(1, 3))
-    square = st.lists(st.lists(st.integers(-2, 2), min_size=n, max_size=n), min_size=n, max_size=n)
-    tail = [IntMatrix.from_rows(draw(square)) for _ in range(draw(st.integers(1, 2)))]
-    prefix = [IntMatrix.from_rows(draw(square)) for _ in range(draw(st.integers(0, 1)))]
-    return StagedSystem.from_matrices(prefix, tail), draw(st.integers(0, 5))
+    tail = [square_matrix(draw, n) for _ in range(draw(st.integers(1, 2)))]
+    prefix = [square_matrix(draw, n) for _ in range(draw(st.integers(0, 1)))]
+    return StagedSystem.from_matrices(prefix, tail)
 
 
 @settings(max_examples=200, deadline=None)
 @given(small_systems())
-def test_build_limit_group_matches_powers(case):
-    sys, depth = case
+def test_build_limit_group_matches_powers(sys):
+    # the chain decides within n + 1 periods; the reference looks further
     try:
-        got = build_limit_group(sys, depth).invariant_factors
+        got = build_limit_group(sys).invariant_factors
     except NotFinitelyGeneratedError:
         got = None
-    want = limit_rank_by_powers(sys, depth)
+    want = limit_rank_by_powers(sys, sys.tail[0].cols + 5)
     assert got == (None if want is None else (0,) * want)
+
+
+def equal_by_pushing(sys, e1, e2):
+    """Reference for limit_equal: equal vectors at some stage up to a bound
+    past which nothing more dies, or at the last stage of a finite system.
+
+    From stage s, the next aligned stage is fewer than len(prefix) + period
+    pushes away, and there the kernels of the powers of the n x n period
+    block stop growing after n periods."""
+    s = max(e1.stage, e2.stage)
+    if sys.tail:
+        last = s + len(sys.prefix) + (sys.tail[0].cols + 1) * len(sys.tail)
+    else:
+        last = len(sys.prefix)
+    a, b = push(sys, e1, s), push(sys, e2, s)
+    while a.vector != b.vector:
+        if a.stage == last:
+            return False
+        a, b = push(sys, a, a.stage + 1), push(sys, b, b.stage + 1)
+    return True
+
+
+@st.composite
+def systems_with_elements(draw):
+    n = draw(st.integers(1, 3))
+    kind = draw(st.sampled_from(["injective", "any", "finite"]))
+    # mostly zeros, so that vectors die often
+    entries = st.sampled_from([-1, 0, 0, 0, 1, 2])
+    mats = [square_matrix(draw, n, entries) for _ in range(draw(st.integers(1, 4)))]
+    if kind == "injective":
+        # lower triangular with a nonzero diagonal: full rank
+        diagonal = st.sampled_from([-2, -1, 1, 3])
+        mats = [
+            IntMatrix.from_rows(
+                [[m.entry(i, j) if j < i else draw(diagonal) if j == i else 0 for j in range(n)]
+                 for i in range(n)]
+            )
+            for m in mats
+        ]
+    if kind == "finite":
+        sys = StagedSystem.from_matrices(mats)
+    else:
+        period = draw(st.integers(1, min(2, len(mats))))
+        sys = StagedSystem.from_matrices(mats[:-period], mats[-period:])
+    stage = st.integers(0, len(mats) if kind == "finite" else 4)
+    vector = st.lists(st.integers(-3, 3), min_size=n, max_size=n).map(tuple)
+    return sys, LimitElement(draw(stage), draw(vector)), LimitElement(draw(stage), draw(vector))
+
+
+@settings(max_examples=300, deadline=None)
+@given(systems_with_elements())
+def test_limit_equal_matches_pushing(case):
+    sys, e1, e2 = case
+    assert limit_equal(sys, e1, e2) is equal_by_pushing(sys, e1, e2)
+    zero = LimitElement(e1.stage, (0,) * len(e1.vector))
+    assert is_zero_class(sys, e1) is equal_by_pushing(sys, e1, zero)
+
+
+def test_finite_system_death_lattice():
+    # (x, y) -> (x, 0) -> (x + y, y); the last stored stage stands for the limit
+    sys = StagedSystem.from_matrices(
+        [IntMatrix.from_rows([[1, 0], [0, 0]]), IntMatrix.from_rows([[1, 1], [0, 1]])]
+    )
+    assert death_lattice_rows(sys, 0) == [(0, 1)]
+    assert death_lattice_rows(sys, 1) == [] == death_lattice_rows(sys, 2)
+    assert limit_equal(sys, LimitElement(0, (3, 5)), LimitElement(2, (3, 0))) is True
+    assert limit_equal(sys, LimitElement(0, (3, 5)), LimitElement(2, (3, 1))) is False
+    with pytest.raises(ValueError):
+        death_lattice_rows(sys, 3)

@@ -98,7 +98,7 @@ def test_image_of_delta_is_evaluation_kernel():
 def test_beta_injective_for_torsion_groups():
     for name in ("Z2", "Z3", "Z6"):
         pair = rordam_pair(GROUPS[name], width=6)
-        assert pair.system.injective_flag
+        assert pair.system.injective
 
 
 def test_stage_lattices_free():

@@ -79,6 +79,15 @@ class InputError(ValueError):
     """Malformed input file or flag; maps to exit code 2."""
 
 
+# library errors reported as {"error": ...} on stdout, with their exit codes
+REPORTED_ERRORS = {
+    ShenDepthExceeded: EXIT_DEPTH,
+    NotFinitelyGeneratedError: EXIT_DEPTH,
+    RealizationError: EXIT_VERIFY_FAIL,
+    EndomorphismNotPositive: EXIT_VERIFY_FAIL,
+}
+
+
 # ---------------------------------------------------------------------------
 # parsing helpers
 # ---------------------------------------------------------------------------
@@ -240,11 +249,11 @@ def invariant_to_json(inv: KirchbergInvariant) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _emit(report: dict, fmt: str, lines_fn=None):
+def _emit(report: dict, fmt: str):
     if fmt == "json":
         print(json.dumps(report, sort_keys=True, indent=2))
     else:
-        for line in (lines_fn(report) if lines_fn else _default_lines(report)):
+        for line in _default_lines(report):
             print(line)
 
 
@@ -292,11 +301,7 @@ def cmd_group(args) -> int:
 
 def cmd_limits(args) -> int:
     sys_ = system_from_json(_load_json(args.system), args.system)
-    try:
-        g = build_limit_group(sys_)
-    except NotFinitelyGeneratedError as e:
-        _emit({"error": str(e)}, args.format)
-        return EXIT_DEPTH
+    g = build_limit_group(sys_)
     _emit({"limit_invariant_factors": list(g.invariant_factors), "description": g.describe()},
           args.format)
     return EXIT_OK
@@ -324,10 +329,7 @@ def cmd_schreier(args) -> int:
 
 def cmd_rordam(args) -> int:
     g = group_from_json(_load_json(args.group), args.group)
-    try:
-        pair = rordam_pair(g, args.width)
-    except WidthError as e:
-        raise InputError(str(e))
+    pair = rordam_pair(g, args.width)
     report = rordam_verify(pair, g)
     _emit(
         {
@@ -432,17 +434,10 @@ def cmd_ehs(args) -> int:
         except (TypeError, ValueError) as e:
             raise InputError(f"{args.endo}: {e}")
         endo = LimitEndomorphism.stationary(matrix, cross_stage=(kind == "cross_stage"))
-    try:
-        if endo is None:
-            result = ehs_realize(D, enumerator, args.depth, search_bound=args.bound)
-        else:
-            result = ehs_realize_with_endo(D, endo, enumerator, args.depth, search_bound=args.bound)
-    except ShenDepthExceeded as e:
-        _emit({"error": str(e)}, args.format)
-        return EXIT_DEPTH
-    except (RealizationError, EndomorphismNotPositive) as e:
-        _emit({"error": str(e)}, args.format)
-        return EXIT_VERIFY_FAIL
+    if endo is None:
+        result = ehs_realize(D, enumerator, args.depth, search_bound=args.bound)
+    else:
+        result = ehs_realize_with_endo(D, endo, enumerator, args.depth, search_bound=args.bound)
     _emit(_realization_report(result), args.format)
     return EXIT_OK
 
@@ -490,13 +485,7 @@ def cmd_pipeline(args) -> int:
     if not is_prime(args.prime):
         raise InputError(f"--prime: {args.prime} is not prime")
     g = group_from_json(_load_json(args.group), args.group)
-    try:
-        report = pipeline(g, args.prime, args.depth, width=args.width)
-    except WidthError as e:
-        raise InputError(str(e))
-    except ShenDepthExceeded as e:
-        _emit({"error": str(e)}, args.format)
-        return EXIT_DEPTH
+    report = pipeline(g, args.prime, args.depth, width=args.width)
     out = {
         "group": group_to_json(g),
         "prime": args.prime,
@@ -648,12 +637,12 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except InputError as e:
+    except (InputError, WidthError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_PARSE
-    except NotFinitelyGeneratedError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_DEPTH
+    except tuple(REPORTED_ERRORS) as e:
+        _emit({"error": str(e)}, args.format)
+        return next(code for cls, code in REPORTED_ERRORS.items() if isinstance(e, cls))
 
 
 if __name__ == "__main__":

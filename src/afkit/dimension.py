@@ -78,6 +78,14 @@ class OrderedStagedSystem:
         rank = self.system.stage_rank(0)
         if len(self.unit.vector) != rank:
             raise ValueError(f"order unit needs {rank} entries, one per stage-0 coordinate")
+        if self.cone == STRICT_FIRST:
+            # the cone is {t > 0} plus zero, so each map must scale t alone and
+            # positively; column 0 may still feed the other coordinates
+            for m in self.system.prefix + self.system.tail:
+                row0 = m.row(0)
+                if not row0 or row0[0] <= 0 or any(row0[1:]):
+                    raise ValueError("strict_first cone needs every connecting map's row 0 "
+                                     "to be (s, 0, ..., 0) with s > 0")
 
     def unit_at(self, stage: int) -> LimitElement:
         return push(self.system, self.unit, stage)
@@ -430,11 +438,7 @@ def _shen_simplicial(D, theta, search_bound) -> ShenCertificate:
 
 def _strict_scale(D: OrderedStagedSystem, stage: int) -> int:
     """Scaling factor of the distinguished first coordinate at ``stage``."""
-    m = D.system.connect(stage)
-    row0 = m.row(0)
-    if row0[0] <= 0 or any(x != 0 for x in row0[1:]):
-        raise ValueError("strict cone requires the first coordinate to scale positively in isolation")
-    return row0[0]
+    return D.system.connect(stage).entry(0, 0)
 
 
 def _shen_strict_first(D, theta, search_bound) -> ShenCertificate:

@@ -11,18 +11,21 @@ Membership is an exact lattice computation: eliminate once per bound,
 then solve per target.  All generators up to an exponent bound are
 instantiated, scaled by their common denominator and put through one
 Hermite elimination; each target is then one triangular solve over that
-basis.  The group is the increasing union over bounds, so a negative
-answer is only valid at its bound.
+basis.  A yes/no answer reads only that basis; only the one-shot
+:func:`membership` builds an integer certificate.  The group is the
+increasing union over bounds, so a negative answer is only valid at its
+bound.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 from typing import Dict, Optional, Sequence
 
-from .abelian import RowCombinationSolver, is_prime
+from .abelian import hermite_row_basis, is_prime, row_lattice_contains, solve_row_combination
 
 
 def primes_avoiding(excluded: Sequence[int]):
@@ -149,12 +152,11 @@ class EplagLattice:
     """The bounded generators of a group, eliminated once.
 
     Every generator up to ``exp_bound`` is scaled by the common denominator
-    S into an integer row, and the rows go through one Hermite elimination
-    that records each basis row as a combination of generators.  The
-    lattice lies in (1/S)Z^V, so a target with a non-integer coordinate
-    after scaling by S is a nonmember outright; any other target is one
-    triangular solve.  ``generators`` replaces the scheme's bounded family,
-    for instance to break the scheme on purpose.
+    S into an integer row, and the rows are reduced to their Hermite basis
+    on first use.  The lattice lies in (1/S)Z^V, so a target with a
+    non-integer coordinate after scaling by S is a nonmember outright; any
+    other target is one triangular solve.  ``generators`` replaces the
+    scheme's bounded family, for instance to break the scheme on purpose.
     """
 
     def __init__(self, group: EplagGroup, exp_bound: int, generators: Optional[list] = None):
@@ -164,33 +166,43 @@ class EplagLattice:
         self.names = [name for name, _ in gens]
         self.scale = lcm(*(f.denominator for _, vec in gens for f in vec.values()))
         vertices = group.graph.vertices
-        rows = [[int(vec.get(v, 0) * self.scale) for v in vertices] for _, vec in gens]
-        self.solver = RowCombinationSolver(rows, len(vertices))
+        self.rows = [[int(vec.get(v, 0) * self.scale) for v in vertices] for _, vec in gens]
 
-    def membership(self, x: Dict) -> MembershipResult:
-        """Exact membership at the bound, with an integer certificate."""
+    @cached_property
+    def basis(self) -> list:
+        return hermite_row_basis(self.rows)
+
+    def _scaled(self, x: Dict) -> Optional[list]:
+        """S times ``x`` as an integer vector over the vertices, None off the grid."""
         x = q_vector(x)
         vertices = self.group.graph.vertices
         for k in x:
             if k not in vertices:
                 raise ValueError(f"target touches unknown vertex {k!r}")
         scaled = [x.get(v, 0) * self.scale for v in vertices]
-        combo = None
-        if all(f.denominator == 1 for f in scaled):
-            combo = self.solver.solve([int(f) for f in scaled])
-        if combo is None:
-            return MembershipResult("nonmember_at_bound", self.bound)
-        return MembershipResult("member", self.bound, {n: c for n, c in zip(self.names, combo) if c})
+        if any(f.denominator != 1 for f in scaled):
+            return None
+        return [int(f) for f in scaled]
+
+    def contains(self, x: Dict) -> bool:
+        """Exact membership at the bound."""
+        scaled = self._scaled(x)
+        return scaled is not None and row_lattice_contains(self.basis, scaled)
 
 
 def membership(group: EplagGroup, x: Dict, exp_bound: int) -> MembershipResult:
     """Exact bounded membership with an integer certificate.
 
     Membership is monotone in the bound; a nonmember verdict only means
-    "not with these exponents".  For many targets, build one
-    :class:`EplagLattice` and query it.
+    "not with these exponents".  For many yes/no queries, build one
+    :class:`EplagLattice` and ask :meth:`EplagLattice.contains`.
     """
-    return EplagLattice(group, exp_bound).membership(x)
+    lattice = EplagLattice(group, exp_bound)
+    scaled = lattice._scaled(x)
+    combo = None if scaled is None else solve_row_combination(lattice.rows, scaled)
+    if combo is None:
+        return MembershipResult("nonmember_at_bound", exp_bound)
+    return MembershipResult("member", exp_bound, {n: c for n, c in zip(lattice.names, combo) if c})
 
 
 def verify_certificate(group: EplagGroup, x: Dict, result: MembershipResult, exp_bound: int) -> bool:
@@ -274,7 +286,7 @@ def divisibility_fingerprint(lattice: EplagLattice, prime_bound: int) -> tuple:
     primes = [p for p in range(2, prime_bound + 1) if is_prime(p)]
     K = lattice.bound
     return tuple(sorted(
-        tuple(r for r in primes if lattice.membership({v: Fraction(1, r**K)}).is_member)
+        tuple(r for r in primes if lattice.contains({v: Fraction(1, r**K)}))
         for v in lattice.group.graph.vertices
     ))
 
@@ -295,7 +307,7 @@ def is_P_divisible_sample(lattice: EplagLattice) -> bool:
         targets.append({v: Fraction(1, fe) for v in e})
     K = lattice.bound
     return all(
-        lattice.membership({v: f / p**K for v, f in t.items()}).is_member
+        lattice.contains({v: f / p**K for v, f in t.items()})
         for t in targets
         for p in graph.divisibility_set
     )

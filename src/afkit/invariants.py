@@ -220,7 +220,9 @@ def pv_check(D: OrderedStagedSystem, beta: LimitEndomorphism, group: FgAbelianGr
     identification (preimage saturation along the connecting matrix), the
     kernel counted relative to vectors that die anyway.  The system is
     stationary and both saturations run to a fixpoint, so the answers are
-    the same at every stage.
+    the same at every stage.  The cokernel is computed here, not copied
+    from :func:`rordam_verify`'s equal one, so the report checks it
+    independently.
     """
     sys = D.system
     if not sys.is_stationary:

@@ -381,6 +381,39 @@ def test_lattice_membership_and_solve():
     assert solve_row_combination(gens, [1, 1]) is None
 
 
+def sympy_quotient(rows: list, n: int) -> tuple:
+    """Canonical form of Z^n modulo the row lattice of ``rows``, by sympy."""
+    ds = [abs(int(d)) for d in invariant_factors(sympy.Matrix(rows)) if d != 0]
+    return tuple(d for d in ds if d > 1) + (0,) * (n - len(ds))
+
+
+@st.composite
+def gens_and_target(draw):
+    """Dense generators (up to 8x6, entries in +-9) and a target, half of the
+    time an integer combination of the generators."""
+    r, c = draw(st.integers(1, 8)), draw(st.integers(1, 6))
+    entry = st.integers(-9, 9)
+    gens = draw(st.lists(st.lists(entry, min_size=c, max_size=c), min_size=r, max_size=r))
+    if draw(st.booleans()):
+        coeffs = draw(st.lists(st.integers(-5, 5), min_size=r, max_size=r))
+        return gens, [sum(k * g[j] for k, g in zip(coeffs, gens)) for j in range(c)]
+    return gens, draw(st.lists(entry, min_size=c, max_size=c))
+
+
+@settings(max_examples=150, deadline=None)
+@given(gens_and_target())
+def test_solve_row_combination_against_sympy(case):
+    # finitely generated abelian groups are Hopfian: Z^n/<gens, t> is a proper
+    # quotient of Z^n/<gens>, and so has another canonical form, exactly when t
+    # lies outside the lattice of gens
+    gens, target = case
+    n = len(target)
+    combo = solve_row_combination(gens, target)
+    assert (combo is None) == (sympy_quotient(gens + [target], n) != sympy_quotient(gens, n))
+    if combo is not None:
+        assert [sum(k * g[j] for k, g in zip(combo, gens)) for j in range(n)] == target
+
+
 # --- groups ----------------------------------------------------------------
 
 

@@ -178,6 +178,13 @@ MALFORMED_DIAGRAMS = {
         pytest.param(["ehs", "--system"],
                      {"kind": "stationary", "matrices": [[[1, 0], [0, 1]]], "unit": [1]},
                      "order unit needs 2 entries", id="ehs-unit-length"),
+        pytest.param(["ehs", "--system"],
+                     {"kind": "stationary", "matrices": [[[1, 1], [1, 2]]], "cone": "strict_first",
+                      "unit": [1, 0]},
+                     "row 0", id="ehs-strict-row-mixes"),
+        pytest.param(["ehs", "--system"],
+                     {"kind": "stationary", "matrices": [[[-1]]], "cone": "strict_first", "unit": [1]},
+                     "row 0", id="ehs-strict-scale-negative"),
         pytest.param(["eplag", "fingerprint", "--graph"], {"vertices": ["r"]}, "JSON object",
                      id="eplag-vertices-list"),
         pytest.param(["eplag", "member", "--graph", "{graph}", "--target"], [1], "JSON object",

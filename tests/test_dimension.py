@@ -292,6 +292,18 @@ def test_shen_strict_cone_with_relations():
     assert verify_shen_certificate(D, theta, cert)
 
 
+@pytest.mark.parametrize("prefix, tail", [
+    ([[[2, 0], [0, 1]]], [[[2, 1], [0, 1]]]),
+    ([[[0, 0], [1, 1]]], [[[2, 0], [0, 1]]]),
+], ids=["tail-mixes-t", "prefix-kills-t"])
+def test_strict_cone_rejects_maps_that_move_t(prefix, tail):
+    # column 0 may feed the other coordinates: test_shen_strict_cone_property
+    sys = StagedSystem.from_matrices([IntMatrix.from_rows(m) for m in prefix],
+                                     [IntMatrix.from_rows(m) for m in tail])
+    with pytest.raises(ValueError, match="row 0"):
+        OrderedStagedSystem(system=sys, cone="strict_first", unit=LimitElement(0, (1, 0)))
+
+
 @st.composite
 def strict_cone_case(draw):
     """Injective stationary system with row 0 = (c, 0, ..., 0) under the strict

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from afkit import abelian
 from afkit.eplag import (
     EplagGroup,
     EplagLattice,
@@ -223,7 +224,8 @@ def test_lattice_rejects_target_outside_scaled_grid():
     lattice = EplagLattice(G, 2)
     x = {"v": Fraction(1, 2)}
     assert (x["v"] * lattice.scale).denominator != 1
-    assert lattice.membership(x) == MembershipResult("nonmember_at_bound", 2)
+    assert not lattice.contains(x)
+    assert membership(G, x, 2) == MembershipResult("nonmember_at_bound", 2)
 
 
 def lattice_targets(G):
@@ -245,9 +247,19 @@ def test_lattice_agrees_with_one_shot_membership(tree, P):
     for bound in (1, 2, 3):
         lattice = EplagLattice(G, bound)
         for t in targets:
-            res = lattice.membership(t)
-            assert res == membership(G, t, bound)
+            res = membership(G, t, bound)
+            assert lattice.contains(t) == res.is_member
             if res.is_member:
                 members += 1
                 assert verify_certificate(G, t, res, bound)
     assert 0 < members < 3 * len(targets)
+
+
+def test_one_shot_membership_eliminates_once(monkeypatch):
+    calls = []
+    original = abelian.hermite_row_basis_augmented
+    monkeypatch.setattr(abelian, "hermite_row_basis_augmented",
+                        lambda *a: calls.append(1) or original(*a))
+    G = tree_to_eplag(chain_tree(2), [3])
+    assert membership(G, {"r": Fraction(1, 3)}, 2).is_member
+    assert len(calls) == 1

@@ -4,17 +4,18 @@ A group is presented as ``Z^n`` modulo the row lattice of an integer
 relation matrix.  Everything downstream (quotients, divisibility,
 localization, cokernels of staged maps) reduces to Smith or Hermite normal
 form computations over arbitrary-precision integers, so all answers here
-are exact.
+are exact.  One eliminator does all of them on sparse {column: nonzero}
+rows; rows are dense only where they enter and leave the public functions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import gcd
+from itertools import chain
+from math import gcd, prod
+from operator import itemgetter, sub
 from typing import Iterable, Sequence
-
-Vec = tuple
 
 
 class DimensionMismatch(ValueError):
@@ -32,7 +33,7 @@ def require_ints(values: Iterable, what: str) -> tuple:
 
 @dataclass(frozen=True)
 class IntMatrix:
-    """Immutable integer matrix, row-major, arbitrary precision."""
+    """Immutable integer matrix, row-major, arbitrary precision; only from_rows checks entries."""
 
     rows: int
     cols: int
@@ -98,7 +99,7 @@ class IntMatrix:
     def __sub__(self, other: "IntMatrix") -> "IntMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise DimensionMismatch("shape mismatch in -")
-        return IntMatrix(self.rows, self.cols, tuple(a - b for a, b in zip(self.entries, other.entries)))
+        return IntMatrix(self.rows, self.cols, tuple(map(sub, self.entries, other.entries)))
 
     def apply(self, vec: Sequence[int]) -> tuple:
         """Matrix times column vector."""
@@ -146,43 +147,51 @@ def smith_normal_form(m: IntMatrix) -> tuple:
     """Diagonalize ``m`` as U @ m @ V = S.
 
     U and V are unimodular; the diagonal of S is nonnegative and each entry
-    divides the next.  Reduced Hermite passes of :func:`hermite_row_basis_augmented`
-    alternate over the rows of ``[A | U]`` and of ``[A^T | V^T]`` until A is
-    diagonal (Kannan-Bachem; Cohen, Alg. 2.4.14).  The carried blocks are
-    unimodular, so no row is ever dropped.  A 2x2 step per pair of diagonal
-    entries then turns (a, b) into (gcd, lcm).
+    divides the next.  Reduced Hermite passes of the one eliminator alternate
+    over the rows of ``[A | U]`` and of ``[A^T | V^T]`` until A is diagonal
+    (Kannan-Bachem; Cohen, Alg. 2.4.14).  The carried blocks are unimodular,
+    so no row is ever dropped.  A 2x2 step per pair of diagonal entries then
+    turns (a, b) into (gcd, lcm).  Every block stays in sparse rows, with U
+    and V^T carried from column ``k = r + c`` on.
 
     Returns (S, U, V).
     """
-    r, c = m.rows, m.cols
-    a, u = _hermite_pass(m.to_rows(), IntMatrix.identity(r).to_rows(), c)
-    vt = IntMatrix.identity(c).to_rows()
-    # _gcd_merge keeps a pivot row whose pivot divides the column, so each
+    r, c, k = m.rows, m.cols, m.rows + m.cols
+
+    def flip(src: list, dst: list) -> list:  # dst's carried rows under src's transposed head, reduced
+        out = [{j: x for j, x in row.items() if j >= k} for row in dst]
+        for i, row in enumerate(src):
+            for j, x in row.items():
+                if j < k:
+                    out[j][i] = x
+        basis, zero_head = _eliminate(out, k)
+        return basis + zero_head
+
+    # [A | I]: the transpose of A's columns, carrying the identity
+    rows = flip([_sparse(m.col(j)) for j in range(c)], [{k + i: 1} for i in range(r)])
+    cols = [{k + j: 1} for j in range(c)]
+    # the gcd merge keeps a pivot row whose pivot divides the column, so each
     # column pass and row pass either shrinks the top-left pivot or leaves its
     # row and column clear for good; by induction on the size the loop ends
-    while any(x for i, row in enumerate(a) for j, x in enumerate(row) if i != j):
-        at, vt = _hermite_pass([list(col) for col in zip(*a)], vt, r)
-        a, u = _hermite_pass([list(col) for col in zip(*at)], u, c)
-    diag = [a[i][i] for i in range(min(r, c)) if a[i][i]]
+    while any(j != i for i, row in enumerate(rows) for j in row if j < k):
+        cols = flip(rows, cols)
+        rows = flip(cols, rows)
+    diag = [rows[i][i] for i in range(min(r, c)) if i in rows[i]]
     for i in range(len(diag)):
         for j in range(i + 1, len(diag)):
             da, db = diag[i], diag[j]
             if db % da:
                 g = gcd(da, db)
                 x, y = _bezout(da, db)
-                u[i], u[j] = _combine(u[i], u[j], x, y, -db // g, da // g)
-                vt[i], vt[j] = _combine(vt[i], vt[j], 1, 1, -y * db // g, x * da // g)
+                rows[i], rows[j] = _combine(rows[i], rows[j], x, y, -db // g, da // g)
+                cols[i], cols[j] = _combine(cols[i], cols[j], 1, 1, -y * db // g, x * da // g)
                 diag[i], diag[j] = g, da // g * db
-    for i, d in enumerate(diag):
-        a[i][i] = d
-    s = IntMatrix.from_rows(a, cols=c)
-    return s, IntMatrix.from_rows(u, cols=r), IntMatrix.from_rows(list(zip(*vt)), cols=c)
 
+    def columns(rows: list, first: int, width: int) -> IntMatrix:
+        return IntMatrix(len(rows), width, tuple(chain.from_iterable(_dense(row, first + width)[first:] for row in rows)))
 
-def _hermite_pass(a: list, carry: list, ncols: int) -> tuple:
-    """Reduced Hermite form of ``a`` by row operations, applied to ``carry`` too."""
-    rows = hermite_row_basis_augmented([x + t for x, t in zip(a, carry)], ncols)
-    return [row[:ncols] for row in rows], [row[ncols:] for row in rows]
+    s = [{i: d} for i, d in enumerate(diag)] + [{}] * (r - len(diag))
+    return columns(s, 0, c), columns(rows, k, r), columns(cols, k, c).transpose()
 
 
 # ---------------------------------------------------------------------------
@@ -190,43 +199,82 @@ def _hermite_pass(a: list, carry: list, ncols: int) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-def hermite_row_basis(rows: Iterable[Sequence[int]]) -> list:
-    """Canonical basis of the lattice spanned by ``rows``.
+def _sparse(row: Sequence[int]) -> dict:
+    """The nonzero entries of ``row`` as {column: entry}."""
+    return dict(filter(itemgetter(1), enumerate(row)))
 
-    Row-style Hermite form: echelon with positive pivots and entries above
-    each pivot reduced into [0, pivot).  The output depends only on the
-    lattice, not on the generating set.
+
+def _dense(row: dict, width: int) -> list:
+    out = [0] * width
+    for k, x in row.items():
+        out[k] = x
+    return out
+
+
+def _eliminate(rows: Iterable[dict], ncols: int) -> tuple:
+    """Reduced Hermite elimination of {column: nonzero} rows on the columns
+    below ``ncols``; later columns are carried along, and the rows are consumed.
+
+    Each row is gcd-merged into the pivot row at its lead, and the remainder
+    is reduced into [0, pivot) at the later pivots it holds (which keeps
+    entries small on dense input); then each pivot reduces the rows above it.
+    Returns (basis, zero_head): the pivot rows in pivot order, then the rows
+    with a zero head and a nonzero carried part.
     """
-    work = list(rows)
-    if not work:
-        return []
-    return [tuple(b) for b in hermite_row_basis_augmented(work, len(work[0]))]
+    by_pivot: dict = {}
+    zero_head = []
+    for vec in rows:
+        while vec and (lead := min(vec)) < ncols:
+            base = by_pivot.get(lead)
+            if base is None:
+                by_pivot[lead] = vec if vec[lead] > 0 else {k: -x for k, x in vec.items()}
+                break
+            a, b = base[lead], vec[lead]
+            if b % a == 0:  # a pivot that divides the entry keeps its row
+                _add_multiple(vec, base, -(b // a))
+            else:
+                g = gcd(a, b)
+                x, y = _bezout(a, b)
+                merged, vec = _combine(base, vec, x, y, -b // g, a // g)
+                by_pivot[lead] = merged if merged[lead] > 0 else {k: -t for k, t in merged.items()}
+            p = lead
+            while (p := min((k for k in vec if k > p and k in by_pivot), default=None)) is not None:
+                pivot = by_pivot[p][p]
+                if not 0 <= vec[p] < pivot:
+                    _add_multiple(vec, by_pivot[p], -(vec[p] // pivot))
+        else:
+            if vec:
+                zero_head.append(vec)
+    pivots = sorted(by_pivot)
+    basis = [by_pivot[p] for p in pivots]
+    # first to last: reducing above pivot i only touches columns from p_i on,
+    # so pivots already reduced stay reduced
+    for i, p in enumerate(pivots):
+        for row in basis[:i]:
+            q = row.get(p, 0) // basis[i][p]
+            if q:
+                _add_multiple(row, basis[i], -q)
+    return basis, zero_head
 
 
-def _gcd_merge(base: list, vec: list, col: int) -> tuple:
-    """Unimodular 2-row combination: pivot row gains gcd at ``col``, the
-    other row gains a zero there.  Both rows must vanish left of ``col``.
-    A pivot that already divides ``vec[col]`` keeps its row unchanged."""
-    if vec[col] % base[col] == 0:
-        return base, _reduce_at(vec, base, col)
-    g = gcd(base[col], vec[col])
-    x, y = _bezout(base[col], vec[col])
-    merged, cleared = _combine(base, vec, x, y, -vec[col] // g, base[col] // g)
-    if merged[col] < 0:
-        merged = [-t for t in merged]
-    return merged, cleared
+def _add_multiple(vec: dict, row: dict, q: int) -> None:
+    """vec += q * row, in place, dropping entries that cancel."""
+    for k, x in row.items():
+        v = vec.get(k, 0) + q * x
+        if v:
+            vec[k] = v
+        else:
+            del vec[k]
 
 
-def _combine(p: list, q: list, a: int, b: int, c: int, d: int) -> tuple:
-    """The rows a*p + b*q and c*p + d*q."""
-    return [a * s + b * t for s, t in zip(p, q)], [c * s + d * t for s, t in zip(p, q)]
-
-
-def _reduce_at(vec: list, pivot_row: list, p: int) -> list:
-    """``vec`` minus the multiple of ``pivot_row`` that brings ``vec[p]`` into
-    [0, pivot_row[p])."""
-    q = vec[p] // pivot_row[p]
-    return [v - q * b for v, b in zip(vec, pivot_row)]
+def _combine(p: dict, q: dict, a: int, b: int, c: int, d: int) -> tuple:
+    """The sparse rows a*p + b*q and c*p + d*q."""
+    first = {j: a * s for j, s in p.items()} if a else {}
+    second = {j: c * s for j, s in p.items()} if c else {}
+    for row, x in ((first, b), (second, d)):
+        if x:
+            _add_multiple(row, q, x)
+    return first, second
 
 
 def _bezout(a: int, b: int) -> tuple:
@@ -237,6 +285,18 @@ def _bezout(a: int, b: int) -> tuple:
         x0, x1 = x1, x0 - q * x1
         y0, y1 = y1, y0 - q * y1
     return x0, y0
+
+
+def hermite_row_basis(rows: Iterable[Sequence[int]]) -> list:
+    """Canonical basis of the lattice spanned by ``rows``.
+
+    Row-style Hermite form: echelon with positive pivots and entries above
+    each pivot reduced into [0, pivot).  The output depends only on the
+    lattice, not on the generating set.
+    """
+    work = list(rows)
+    width = len(work[0]) if work else 0
+    return [tuple(_dense(b, width)) for b in _eliminate(map(_sparse, work), width)[0]]
 
 
 def row_lattice_contains(basis: Sequence[Sequence[int]], vec: Sequence[int]) -> bool:
@@ -262,9 +322,7 @@ def row_lattice_coefficients(basis: Sequence[Sequence[int]], vec: Sequence[int])
         coeffs.append(q)
         if q:
             vec = [v - q * bb for v, bb in zip(vec, b)]
-    if any(x != 0 for x in vec):
-        return None
-    return coeffs
+    return None if any(vec) else coeffs
 
 
 def solve_row_combination(gens: Sequence[Sequence[int]], target: Sequence[int]):
@@ -280,59 +338,21 @@ def solve_row_combination(gens: Sequence[Sequence[int]], target: Sequence[int]):
     aug = [list(g) + [1 if k == i else 0 for k in range(size)] for i, g in enumerate(gens)]
     basis = [b for b in hermite_row_basis_augmented(aug, ncols) if any(b[:ncols])]
     coeffs = row_lattice_coefficients([b[:ncols] for b in basis], target)
-    if coeffs is None:
-        return None
-    combo = [0] * size
-    for q, b in zip(coeffs, basis):
-        if q:
-            combo = [c + q * x for c, x in zip(combo, b[ncols:])]
-    return combo
+    return None if coeffs is None else [sum(q * b[ncols + i] for q, b in zip(coeffs, basis)) for i in range(size)]
 
 
 def hermite_row_basis_augmented(rows: Sequence[Sequence[int]], ncols: int) -> list:
     """Reduced Hermite elimination on the first ``ncols`` columns, carrying the rest.
 
+    Dense rows in and out, as wide as the input, eliminated as sparse dicts.
     Returns the rows with distinct head pivots, sorted and reduced as in
-    :func:`hermite_row_basis` (the carried block goes along with every row
-    operation), followed by the rows whose head (first ``ncols`` entries)
-    reduced to zero but whose carried block did not; rows that reduce to
-    zero entirely are dropped.  The zero-head rows span the part of the row
-    lattice whose head vanishes.  Every remainder is reduced at the pivots
-    already found right after it is formed, which keeps entries small on
-    dense input.
+    :func:`hermite_row_basis`, then the rows whose head reduced to zero but
+    whose carried block did not, which span the part of the row lattice whose
+    head vanishes.  Zero rows are dropped.
     """
-    by_pivot: dict = {}
-    zero_head = []
-    for vec in rows:
-        vec = list(vec)
-        while True:
-            lead = next((k for k in range(ncols) if vec[k] != 0), None)
-            if lead is None:
-                if any(vec[ncols:]):
-                    zero_head.append(vec)
-                break
-            if lead not in by_pivot:
-                if vec[lead] < 0:
-                    vec = [-x for x in vec]
-                by_pivot[lead] = vec
-                break
-            by_pivot[lead], vec = _gcd_merge(by_pivot[lead], vec, lead)
-            for p in sorted(by_pivot):
-                if p > lead and not 0 <= vec[p] < by_pivot[p][p]:
-                    vec = _reduce_at(vec, by_pivot[p], p)
-    pivots = sorted(by_pivot)
-    basis = [by_pivot[p] for p in pivots]
-    # first to last: reducing above pivot i only touches columns from p_i on,
-    # so pivots already reduced stay reduced; each subtraction touches only
-    # the support of row i, which is small for the staged systems' sparse rows
-    for i, p in enumerate(pivots):
-        support = [(k, x) for k, x in enumerate(basis[i]) if x]
-        for row in basis[:i]:
-            q = row[p] // basis[i][p]
-            if q:
-                for k, x in support:
-                    row[k] -= q * x
-    return basis + zero_head
+    width = len(rows[0]) if rows else 0
+    basis, zero_head = _eliminate(map(_sparse, rows), ncols)
+    return [_dense(row, width) for row in basis + zero_head]
 
 
 def kernel_basis(m: IntMatrix) -> list:
@@ -352,14 +372,13 @@ def preimage_lattice_rows(m: IntMatrix, lattice_rows: Sequence[Sequence[int]]) -
     the first ``m.rows`` columns leaves zero-head rows whose tails span the
     v with m v in the lattice (Cohen, Alg. 2.4.10, relative to a lattice).
     """
-    n = m.cols
-    lat = [list(r) for r in lattice_rows]
-    if any(len(r) != m.rows for r in lat):
-        raise DimensionMismatch(f"lattice rows must have length {m.rows}")
-    rows = [list(m.col(j)) + [1 if k == j else 0 for k in range(n)] for j in range(n)]
-    rows += [r + [0] * n for r in lat]
-    reduced = hermite_row_basis_augmented(rows, m.rows)
-    return hermite_row_basis([r[m.rows:] for r in reduced if not any(r[: m.rows])])
+    h, n = m.rows, m.cols
+    if any(len(r) != h for r in lattice_rows):
+        raise DimensionMismatch(f"lattice rows must have length {h}")
+    rows = [_sparse(m.col(j)) | {h + j: 1} for j in range(n)] + [_sparse(r) for r in lattice_rows]
+    _, tails = _eliminate(rows, h)
+    basis, _ = _eliminate([{k - h: x for k, x in t.items()} for t in tails], n)
+    return [tuple(_dense(b, n)) for b in basis]
 
 
 def cokernel_invariants(relation_rows: Sequence[Sequence[int]], n: int) -> tuple:
@@ -367,12 +386,9 @@ def cokernel_invariants(relation_rows: Sequence[Sequence[int]], n: int) -> tuple
 
     Same canonical form as :attr:`FgAbelianGroup.invariant_factors`.
     """
-    mat = IntMatrix.from_rows(relation_rows, cols=n)
-    s, _, _ = smith_normal_form(mat)
+    s, _, _ = smith_normal_form(IntMatrix(len(relation_rows), n, tuple(chain.from_iterable(relation_rows))))
     diag = [d for d in s.diagonal() if d != 0]
-    torsion = tuple(d for d in diag if d > 1)
-    free = n - len(diag)
-    return torsion + (0,) * free
+    return tuple(d for d in diag if d > 1) + (0,) * (n - len(diag))
 
 
 # ---------------------------------------------------------------------------
@@ -413,10 +429,7 @@ class FgAbelianGroup:
     @classmethod
     def from_invariant_factors(cls, factors: Sequence[int]) -> "FgAbelianGroup":
         n = len(factors)
-        rows = []
-        for i, d in enumerate(factors):
-            if d != 0:
-                rows.append([d if j == i else 0 for j in range(n)])
+        rows = [[d if j == i else 0 for j in range(n)] for i, d in enumerate(factors) if d != 0]
         return cls.from_relation_rows(n, rows)
 
     @classmethod
@@ -449,12 +462,7 @@ class FgAbelianGroup:
 
     def order(self):
         """Group order, or None when infinite."""
-        if not self.is_finite():
-            return None
-        n = 1
-        for d in self.torsion_factors:
-            n *= d
-        return n
+        return prod(self.torsion_factors) if self.is_finite() else None
 
     def is_isomorphic_to(self, other: "FgAbelianGroup") -> bool:
         return self.invariant_factors == other.invariant_factors
@@ -466,9 +474,7 @@ class FgAbelianGroup:
         return row_lattice_contains(self.relation_lattice, vec)
 
     def describe(self) -> str:
-        parts = []
-        for d in self.invariant_factors:
-            parts.append("Z" if d == 0 else f"Z/{d}")
+        parts = ["Z" if d == 0 else f"Z/{d}" for d in self.invariant_factors]
         return " + ".join(parts) if parts else "0"
 
 
@@ -479,9 +485,8 @@ def quotient_by(group: FgAbelianGroup, subgens: Sequence[Sequence[int]]) -> FgAb
     """
     for v in subgens:
         if len(v) != group.num_generators:
-            raise DimensionMismatch(
-                f"subgroup generator length {len(v)} != {group.num_generators}"
-            )
+            raise DimensionMismatch(f"subgroup generator length {len(v)} != {group.num_generators}")
+        require_ints(v, "subgroup generators")
     stacked = group.relations.to_rows() + list(subgens)
     factors = cokernel_invariants(stacked, group.num_generators)
     return FgAbelianGroup.from_invariant_factors(factors)
@@ -496,9 +501,7 @@ def is_n_divisible(group: FgAbelianGroup, n: int) -> bool:
     if n < 2:
         raise ValueError("divisor must be at least 2")
     g = group.num_generators
-    stacked = list(group.relations.to_rows())
-    for i in range(g):
-        stacked.append([n if j == i else 0 for j in range(g)])
+    stacked = group.relations.to_rows() + [[n if j == i else 0 for j in range(g)] for i in range(g)]
     return cokernel_invariants(stacked, g) == ()
 
 
@@ -509,8 +512,7 @@ def is_uniquely_n_divisible(group: FgAbelianGroup, n: int) -> bool:
     # injectivity: {v : n*v lies in the relation lattice} must equal the lattice
     g = group.num_generators
     n_id = IntMatrix(g, g, tuple(n if i == j else 0 for i in range(g) for j in range(g)))
-    pre = preimage_lattice_rows(n_id, group.relation_lattice)
-    return pre == group.relation_lattice
+    return preimage_lattice_rows(n_id, group.relation_lattice) == group.relation_lattice
 
 
 @dataclass(frozen=True)

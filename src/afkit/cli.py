@@ -343,8 +343,9 @@ def cmd_rordam(args) -> int:
 
 
 def cmd_diagram(args) -> int:
+    data = _load_json(args.diagram)
     try:
-        d = diagram_from_json_dict(_load_json(args.diagram))
+        d = diagram_from_json_dict(data)
     except KeyError as e:
         raise InputError(f"{args.diagram}: missing field {e}")
     except (TypeError, ValueError) as e:

@@ -167,12 +167,9 @@ def absorption_equivalences(a: KirchbergInvariant, b: KirchbergInvariant, p: int
 
 
 def _block_diag(a: IntMatrix, b: IntMatrix) -> IntMatrix:
-    rows = []
-    for i in range(a.rows):
-        rows.append(list(a.row(i)) + [0] * b.cols)
-    for i in range(b.rows):
-        rows.append([0] * a.cols + list(b.row(i)))
-    return IntMatrix.from_rows(rows, cols=a.cols + b.cols)
+    top = (x for i in range(a.rows) for x in a.row(i) + (0,) * b.cols)
+    bottom = (x for i in range(b.rows) for x in (0,) * a.cols + b.row(i))
+    return IntMatrix(a.rows + b.rows, a.cols + b.cols, (*top, *bottom))
 
 
 def assemble_pipeline_system(pair: RordamPair) -> tuple:

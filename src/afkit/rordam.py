@@ -82,19 +82,19 @@ def rordam_pair(group: FgAbelianGroup, width: int) -> RordamPair:
         return n * width + m
 
     relation_basis = group.relation_lattice  # Hermite rows, k <= g of them
-    cols = [[0] * rank for _ in range(rank)]  # cols[j] = image of e_j
+    delta = [[0] * rank for _ in range(rank)]  # delta[i][j] = coordinate i of the image of e_j
     for n in range(g):
         # m = 0: kernel data
         if n < len(relation_basis):
             row = relation_basis[n]
             for j in range(g):
-                cols[idx(n, 0)][idx(j, 0)] = row[j]
+                delta[idx(j, 0)][idx(n, 0)] = row[j]
         # 1 <= m <= width-2: shift one slot right
         for m in range(1, width - 1):
-            cols[idx(n, m)][idx(n, m + 1)] = 1
+            delta[idx(n, m + 1)][idx(n, m)] = 1
         # m = width-1: wrap back to the first shifted slot, negated
-        cols[idx(n, width - 1)][idx(n, 1)] = -1
-    delta = IntMatrix.from_rows(cols).transpose()
+        delta[idx(n, 1)][idx(n, width - 1)] = -1
+    delta = IntMatrix(rank, rank, tuple(x for row in delta for x in row))
     beta = IntMatrix.identity(rank) - delta
     system = StagedSystem.stationary(beta)
     return RordamPair(group=group, width=width, system=system, delta_matrix=delta)

@@ -254,6 +254,14 @@ def test_dense_presentation_of_z663():
     assert is_uniquely_n_divisible(g, 2)
 
 
+@pytest.mark.parametrize("bad", [1.0, True, "1"])
+def test_from_rows_rejects_non_integers(bad):
+    with pytest.raises(ValueError, match="integers"):
+        IntMatrix.from_rows([[1, 0], [0, bad]])
+    with pytest.raises(ValueError, match="integers"):
+        quotient_by(FgAbelianGroup.free(2), [(bad, 0)])
+
+
 def test_kernel_basis():
     m = IntMatrix.from_rows([[1, 0], [0, 0]])
     ker = kernel_basis(m)
@@ -341,9 +349,7 @@ def test_hermite_canonical(case):
     assert hermite_row_basis(mixed) == hermite_row_basis(gens)
 
 
-@settings(max_examples=150, deadline=None)
-@given(dense_matrices())
-def test_hermite_dense_against_sympy(rows):
+def check_hermite_against_sympy(rows: list):
     # sympy's form is column-style with pivots from the last coordinate up:
     # on reversed coordinates its nonzero columns, reversed back and taken
     # last first, are our rows
@@ -352,12 +358,17 @@ def test_hermite_dense_against_sympy(rows):
     assert hermite_row_basis(rows) == [c for c in cols if any(c)]
 
 
-@settings(max_examples=100, deadline=None)
-@given(st.integers(1, 8), st.integers(1, 8), st.data())
-def test_hermite_augmented_contract(r, c, data):
-    rows = [[data.draw(st.integers(-9, 9)) for _ in range(c)] for _ in range(r)]
+@settings(max_examples=150, deadline=None)
+@given(dense_matrices())
+def test_hermite_dense_against_sympy(rows):
+    check_hermite_against_sympy(rows)
+
+
+def check_augmented_contract(rows: list):
+    r, c = len(rows), len(rows[0])
     carried = [row + [int(i == k) for k in range(r)] for i, row in enumerate(rows)]
     out = hermite_row_basis_augmented(carried, c)
+    assert all(len(row) == c + r for row in out)
     heads = [tuple(row[:c]) for row in out]
     tails = IntMatrix.from_rows([row[c:] for row in out], cols=r)
     basis = hermite_row_basis(rows)
@@ -367,6 +378,55 @@ def test_hermite_augmented_contract(r, c, data):
     # so no row is dropped and the zero-head tails are a left-kernel basis
     assert tails.rows == r and abs(determinant(tails)) == 1
     assert (tails @ IntMatrix.from_rows(rows)).to_rows() == [list(h) for h in heads]
+    # dense out at the input's full width: with no carried block, and with
+    # all-zero last columns in the carried block
+    assert hermite_row_basis_augmented(rows, c) == [list(b) for b in basis]
+    padded = hermite_row_basis_augmented([row + [0, 0] for row in carried], c)
+    assert padded == [row + [0, 0] for row in out]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 8), st.integers(1, 8), st.data())
+def test_hermite_augmented_contract(r, c, data):
+    check_augmented_contract([[data.draw(st.integers(-9, 9)) for _ in range(c)] for _ in range(r)])
+
+
+@st.composite
+def sparse_matrices(draw, cols=None):
+    """Up to 8x8 matrices that a sparse-row eliminator can get wrong: mostly
+    zeros, some entries of +-2^70, and often all-zero trailing columns."""
+    r, c = draw(st.integers(1, 8)), cols or draw(st.integers(1, 8))
+    entry = draw(st.sampled_from((
+        st.sampled_from((0,) * 9 + (1, -1, 7)),
+        st.sampled_from((0,) * 9 + (1, 2**70, -(2**70))),
+    )))
+    live = draw(st.integers(0, c))
+    return [[draw(entry) for _ in range(live)] + [0] * (c - live) for _ in range(r)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(sparse_matrices())
+def test_sparse_rows_against_references(rows):
+    check_snf_certificate(IntMatrix.from_rows(rows))
+    check_hermite_against_sympy(rows)
+    check_augmented_contract(rows)
+
+
+@settings(max_examples=100, deadline=None)
+@given(sparse_matrices(), st.data())
+def test_sparse_preimage(map_rows, data):
+    # L is a sparse lattice plus m v for a drawn v, so v is in the preimage
+    m = IntMatrix.from_rows(map_rows)
+    v = tuple(data.draw(st.sampled_from((0, 0, 1, -1, 2**70))) for _ in range(m.cols))
+    lat = data.draw(sparse_matrices(cols=m.rows)) + [m.apply(v)]
+    lat_basis = hermite_row_basis(lat)
+    pre = preimage_lattice_rows(m, lat)
+    assert all(len(u) == m.cols for u in pre)
+    assert all(row_lattice_contains(lat_basis, m.apply(u)) for u in pre)
+    assert row_lattice_contains(pre, v)
+    kernel = kernel_basis(m)
+    assert len(kernel) == m.cols - sympy.Matrix(map_rows).rank()
+    assert all(not any(m.apply(u)) for u in kernel)
 
 
 def test_lattice_membership_and_solve():

@@ -220,6 +220,14 @@ def test_system_error_names_the_file_once(tmp_path, capsys):
     assert err == f"error: {path}: stationary systems take exactly one matrix\n"
 
 
+@pytest.mark.parametrize("argv", [["diagram", "validate"], ["group"], ["limits"]])
+def test_missing_file_is_named_once(tmp_path, capsys, argv):
+    path = str(tmp_path / "missing.json")
+    code, _, err = run(capsys, argv + [path])
+    assert code == 2
+    assert err == f"error: {path}: file not found\n"
+
+
 def test_ehs_simplicial(tmp_path, capsys):
     system = {
         "kind": "stationary",

@@ -1,8 +1,12 @@
 """Tests for the staged exact-sequence construction and its verifier."""
 
 import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from afkit.abelian import FgAbelianGroup, IntMatrix, hermite_row_basis
+from afkit.abelian import FgAbelianGroup, IntMatrix, hermite_row_basis, kernel_basis
+from afkit.limits import saturated_cokernel
 from afkit.rordam import WidthError, rordam_pair, rordam_verify
 
 
@@ -106,3 +110,26 @@ def test_stage_lattices_free():
     # connecting maps are endomorphisms of a free lattice; nothing imposes relations
     assert pair.system.stage_rank(0) == pair.rank
     assert pair.system.stage_rank(7) == pair.rank
+
+
+@st.composite
+def staged_presentations(draw):
+    """diag(d) for g <= 3 factors d in 0..15, or U diag(d) with U upper
+    bidiagonal and unimodular: the presentations the pipeline stages."""
+    d = draw(st.lists(st.integers(0, 15), min_size=1, max_size=3))
+    rows = [[x if j == i else 0 for j in range(len(d))] for i, x in enumerate(d)]
+    for i in range(len(d) - 1):
+        c = draw(st.integers(-2, 2))
+        rows[i] = [a + c * b for a, b in zip(rows[i], rows[i + 1])]
+    return FgAbelianGroup.from_relation_rows(len(d), rows)
+
+
+@settings(max_examples=60, deadline=None)
+@given(staged_presentations())
+def test_saturated_cokernel_of_the_staged_pair(group):
+    pair = rordam_pair(group, width=8)
+    beta, delta = pair.beta_matrix, pair.delta_matrix
+    assert saturated_cokernel(beta, delta) == group.invariant_factors
+    kernel = kernel_basis(delta)
+    assert all(not any(delta.apply(v)) for v in kernel)
+    assert len(kernel) == pair.rank - sympy.Matrix(delta.to_rows()).rank()

@@ -1,4 +1,5 @@
-"""No module of the package imports a name it never uses.
+"""No module of the package imports a name it never uses, or defines a
+private helper that nothing in it refers to.
 
 ``__init__.py`` re-exports the public names, so it is the one exception;
 ``from __future__`` imports are compiler directives, not names.
@@ -35,3 +36,27 @@ def test_checker_sees_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def unused_private_definitions(source: str) -> list:
+    """Module-level ``_name`` functions and classes that nothing outside their own body refers to."""
+    tree = ast.parse(source)
+    unused = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name.startswith("_"):
+            inside = {id(n) for n in ast.walk(node)}
+            names = {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(tree)
+                     if isinstance(n, (ast.Name, ast.Attribute)) and id(n) not in inside}
+            if node.name not in names:
+                unused.append(f"line {node.lineno}: {node.name}")
+    return unused
+
+
+def test_checker_sees_an_unused_private_helper():
+    source = "def _dead(n):\n    return _dead(n - 1)\n\ndef _live():\n    pass\n\nclass _Box:\n    pass\n\nx = _live()\n"
+    assert unused_private_definitions(source) == ["line 1: _dead", "line 7: _Box"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_private_helpers(path):
+    assert unused_private_definitions(path.read_text()) == []

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
-from math import gcd, prod
+from math import gcd, isqrt, prod
 from operator import itemgetter, sub
 from typing import Iterable, Sequence
 
@@ -119,21 +119,17 @@ def determinant(m: IntMatrix) -> int:
     if n == 0:
         return 1
     a = m.to_rows()
-    sign = 1
-    prev = 1
+    sign, prev = 1, 1
     for k in range(n - 1):
         if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
+            swap = next((i for i in range(k + 1, n) if a[i][k]), None)
+            if swap is None:
                 return 0
-        for i in range(k + 1, n):
+            a[k], a[swap] = a[swap], a[k]
+            sign = -sign
+        for i in range(k + 1, n):  # column k below the pivot is never read again
             for j in range(k + 1, n):
                 a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
         prev = a[k][k]
     return sign * a[n - 1][n - 1]
 
@@ -217,7 +213,7 @@ def _eliminate(rows: Iterable[dict], ncols: int) -> tuple:
 
     Each row is gcd-merged into the pivot row at its lead, and the remainder
     is reduced into [0, pivot) at the later pivots it holds (which keeps
-    entries small on dense input); then each pivot reduces the rows above it.
+    entries small on dense input); then the pivot rows are reduced likewise.
     Returns (basis, zero_head): the pivot rows in pivot order, then the rows
     with a zero head and a nonzero carried part.
     """
@@ -237,24 +233,26 @@ def _eliminate(rows: Iterable[dict], ncols: int) -> tuple:
                 x, y = _bezout(a, b)
                 merged, vec = _combine(base, vec, x, y, -b // g, a // g)
                 by_pivot[lead] = merged if merged[lead] > 0 else {k: -t for k, t in merged.items()}
-            p = lead
-            while (p := min((k for k in vec if k > p and k in by_pivot), default=None)) is not None:
-                pivot = by_pivot[p][p]
-                if not 0 <= vec[p] < pivot:
-                    _add_multiple(vec, by_pivot[p], -(vec[p] // pivot))
+            _reduce(vec, by_pivot, lead)
         else:
             if vec:
                 zero_head.append(vec)
-    pivots = sorted(by_pivot)
-    basis = [by_pivot[p] for p in pivots]
-    # first to last: reducing above pivot i only touches columns from p_i on,
-    # so pivots already reduced stay reduced
-    for i, p in enumerate(pivots):
-        for row in basis[:i]:
-            q = row.get(p, 0) // basis[i][p]
-            if q:
-                _add_multiple(row, basis[i], -q)
+    basis = [by_pivot[p] for p in sorted(by_pivot)]
+    for row in reversed(basis):  # last to first: each row against rows already reduced
+        _reduce(row, by_pivot, min(row))
     return basis, zero_head
+
+
+def _reduce(vec: dict, by_pivot: dict, p: int) -> None:
+    """Bring vec into [0, pivot) at each pivot after column ``p`` that it holds.
+
+    Left to right: reducing at a pivot only touches the columns after it, so
+    the pivots already passed stay reduced.
+    """
+    while (p := min((k for k in vec if k > p and k in by_pivot), default=None)) is not None:
+        pivot = by_pivot[p][p]
+        if not 0 <= vec[p] < pivot:
+            _add_multiple(vec, by_pivot[p], -(vec[p] // pivot))
 
 
 def _add_multiple(vec: dict, row: dict, q: int) -> None:
@@ -312,11 +310,8 @@ def row_lattice_coefficients(basis: Sequence[Sequence[int]], vec: Sequence[int])
     vec = list(vec)
     coeffs = []
     for b in basis:
-        p = next((k for k, x in enumerate(b) if x != 0), None)
-        if p is None:
-            coeffs.append(0)
-            continue
-        if vec[p] % b[p] != 0:
+        p = next(k for k, x in enumerate(b) if x)
+        if vec[p] % b[p]:
             return None
         q = vec[p] // b[p]
         coeffs.append(q)
@@ -366,29 +361,44 @@ def image_lattice_rows(m: IntMatrix) -> list:
 
 
 def preimage_lattice_rows(m: IntMatrix, lattice_rows: Sequence[Sequence[int]]) -> list:
-    """Hermite basis of {v : m.apply(v) in the given row lattice}.
+    """Hermite basis of {v : m.apply(v) in the given row lattice}."""
+    if any(len(r) != m.rows for r in lattice_rows):
+        raise DimensionMismatch(f"lattice rows must have length {m.rows}")
+    return [tuple(_dense(b, m.cols)) for b in _preimage(m, list(map(_sparse, lattice_rows)))]
 
-    The rows (m e_j | e_j) and (l | 0) span {(m v + l, v)}; eliminating on
+
+def _preimage(m: IntMatrix, lattice: list) -> list:
+    """:func:`preimage_lattice_rows` on {column: entry} rows; ``lattice`` is left as it is.
+
+    The rows (l | 0) and (m e_j | e_j) span {(m v + l, v)}; eliminating on
     the first ``m.rows`` columns leaves zero-head rows whose tails span the
     v with m v in the lattice (Cohen, Alg. 2.4.10, relative to a lattice).
+    The lattice rows go first: a Hermite basis becomes pivots without fill-in.
     """
     h, n = m.rows, m.cols
-    if any(len(r) != h for r in lattice_rows):
-        raise DimensionMismatch(f"lattice rows must have length {h}")
-    rows = [_sparse(m.col(j)) | {h + j: 1} for j in range(n)] + [_sparse(r) for r in lattice_rows]
+    rows = [dict(r) for r in lattice] + [_sparse(m.col(j)) | {h + j: 1} for j in range(n)]
     _, tails = _eliminate(rows, h)
-    basis, _ = _eliminate([{k - h: x for k, x in t.items()} for t in tails], n)
-    return [tuple(_dense(b, n)) for b in basis]
+    return _eliminate([{k - h: x for k, x in t.items()} for t in tails], n)[0]
 
 
 def cokernel_invariants(relation_rows: Sequence[Sequence[int]], n: int) -> tuple:
     """Invariant factors of Z^n modulo the row lattice of ``relation_rows``.
 
-    Same canonical form as :attr:`FgAbelianGroup.invariant_factors`.
+    Same canonical form as :attr:`FgAbelianGroup.invariant_factors`.  The
+    Smith form sees only what the unit pivots of the reduced Hermite basis
+    leave: the entries above a pivot lie in [0, pivot) and those below are
+    0, so a pivot 1 is alone in its column, its row writes that generator in
+    the later ones, and dropping the row with its column presents the same group.
     """
-    s, _, _ = smith_normal_form(IntMatrix(len(relation_rows), n, tuple(chain.from_iterable(relation_rows))))
+    if any(len(r) != n for r in relation_rows):
+        raise DimensionMismatch(f"relation rows must have length {n}")
+    basis, _ = _eliminate(map(_sparse, relation_rows), n)
+    units = {min(row) for row in basis if row[min(row)] == 1}
+    keep = [j for j in range(n) if j not in units]
+    rest = [[row.get(j, 0) for j in keep] for row in basis if min(row) not in units]
+    s, _, _ = smith_normal_form(IntMatrix(len(rest), len(keep), tuple(chain.from_iterable(rest))))
     diag = [d for d in s.diagonal() if d != 0]
-    return tuple(d for d in diag if d > 1) + (0,) * (n - len(diag))
+    return tuple(d for d in diag if d > 1) + (0,) * (len(keep) - len(diag))
 
 
 # ---------------------------------------------------------------------------
@@ -434,9 +444,7 @@ class FgAbelianGroup:
 
     @classmethod
     def cyclic(cls, order: int) -> "FgAbelianGroup":
-        if order == 0:
-            return cls.free(1)
-        return cls.from_relation_rows(1, [[order]])
+        return cls.from_invariant_factors([order])
 
     @cached_property
     def invariant_factors(self) -> tuple:
@@ -483,9 +491,7 @@ def quotient_by(group: FgAbelianGroup, subgens: Sequence[Sequence[int]]) -> FgAb
 
     Returned in canonical invariant-factor presentation.
     """
-    for v in subgens:
-        if len(v) != group.num_generators:
-            raise DimensionMismatch(f"subgroup generator length {len(v)} != {group.num_generators}")
+    for v in subgens:  # cokernel_invariants checks their length
         require_ints(v, "subgroup generators")
     stacked = group.relations.to_rows() + list(subgens)
     factors = cokernel_invariants(stacked, group.num_generators)
@@ -559,15 +565,4 @@ def localize(group: FgAbelianGroup, p: int) -> LocalizedGroupDescriptor:
 
 
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
+    return n > 1 and all(n % d for d in range(2, isqrt(n) + 1))

@@ -17,6 +17,7 @@ variant factors twice per level so that the produced multiplicity pair
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .abelian import (
@@ -395,9 +396,13 @@ def shen_solve(D: OrderedStagedSystem, theta: Sequence[LimitElement], search_bou
     adapted to the first-coordinate functional.  Raises
     :class:`ShenDepthExceeded` when no certificate is found in bounds.
     """
-    theta = list(theta)
+    return _shen_solve(D, list(theta), search_bound, lambda t: D.is_positive(t, search_bound))
+
+
+def _shen_solve(D, theta, search_bound, is_positive) -> ShenCertificate:
+    """:func:`shen_solve` with the positivity verdicts of ``is_positive``."""
     for t in theta:
-        pos = D.is_positive(t, search_bound)
+        pos = is_positive(t)
         if pos is False:
             raise ValueError(f"input element at stage {t.stage} is not in the positive cone")
         if pos is None:
@@ -640,6 +645,7 @@ def _realize(D, phi, positive_enumerator, depth, search_bound) -> RealizationRes
     so the appended element x is always the last row.
     """
     enum = iter(positive_enumerator)
+    is_positive = cache(lambda e: D.is_positive(e, search_bound))  # one verdict per element
     unit = D.unit
     thetas = [(unit,)]
     levels = [DiagramLevel(1, (1,), None)]
@@ -652,7 +658,7 @@ def _realize(D, phi, positive_enumerator, depth, search_bound) -> RealizationRes
         if phi is not None:
             for t in cur:
                 ft = phi.apply(t)
-                if D.is_positive(ft, search_bound) is not True:
+                if is_positive(ft) is False:
                     raise EndomorphismNotPositive(
                         f"endomorphism-not-positive: image of a level-{n} element left the cone"
                     )
@@ -662,10 +668,10 @@ def _realize(D, phi, positive_enumerator, depth, search_bound) -> RealizationRes
         if x is None:
             x = unit
         theta_prime = list(cur) + images + [x]
-        cert = shen_solve(D, theta_prime, search_bound)
+        cert = _shen_solve(D, theta_prime, search_bound, is_positive)
         combined = cert.g
         if phi is not None:
-            cert = shen_solve(D, list(cert.phi), search_bound)
+            cert = _shen_solve(D, list(cert.phi), search_bound, is_positive)
             combined = combined @ cert.g
         columns = combined.transpose()
         keep = [j for j in range(cert.size) if any(columns.row(j))] or list(range(cert.size))

@@ -26,6 +26,7 @@ from .abelian import (
     require_ints,
     row_lattice_contains,
 )
+from .abelian import _dense, _eliminate, _preimage, _sparse  # the sparse-row internals
 
 
 class NotFinitelyGeneratedError(RuntimeError):
@@ -262,21 +263,18 @@ def saturate_preimages(step: IntMatrix, lattice_rows: Sequence[Sequence[int]]) -
     Returns the lattice of vectors landing in the input lattice after some
     number of applications of ``step``.  The iterates form an increasing
     chain of subgroups of Z^n, which stabilizes because every subgroup of
-    Z^n is finitely generated; its fixed point is the answer.
+    Z^n is finitely generated; its fixed point is the answer.  The rounds
+    pass {column: entry} rows; only the answer is made dense.
     """
-    if step.rows != step.cols:
+    n = step.cols
+    if step.rows != n:
         raise ValueError("saturation needs a square step matrix")
-    current = hermite_row_basis(lattice_rows)
-    guard = 0
-    while True:
-        pre = preimage_lattice_rows(step, current)
-        merged = hermite_row_basis(list(current) + list(pre))
-        if merged == current:
-            return current
+    if any(len(r) != n for r in lattice_rows):
+        raise DimensionMismatch(f"lattice rows must have length {n}")
+    current = _eliminate(map(_sparse, lattice_rows), n)[0]
+    while (merged := _eliminate([dict(r) for r in current] + _preimage(step, current), n)[0]) != current:
         current = merged
-        guard += 1
-        if guard > 10000:
-            raise RuntimeError("preimage saturation failed to stabilize")
+    return [tuple(_dense(b, n)) for b in current]
 
 
 def saturated_cokernel(step: IntMatrix, m: IntMatrix) -> tuple:

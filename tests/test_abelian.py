@@ -474,6 +474,53 @@ def test_solve_row_combination_against_sympy(case):
         assert [sum(k * g[j] for k, g in zip(combo, gens)) for j in range(n)] == target
 
 
+@st.composite
+def cokernel_cases(draw):
+    """(rows, n): sparse or dense rows with zero rows mixed in, a unimodular
+    presentation of the trivial group (every pivot a unit), relations that
+    leave every column free, or n = 0."""
+    kind = draw(st.sampled_from(("sparse", "dense", "trivial", "free", "empty")))
+    if kind == "empty":
+        return [[]] * draw(st.integers(0, 2)), 0
+    if kind == "free":
+        n = draw(st.integers(1, 8))
+        return [[0] * n for _ in range(draw(st.integers(0, 3)))], n
+    if kind == "trivial":
+        n = draw(st.integers(1, 8))
+        return unimodular(draw(st.randoms(use_true_random=False)), n, 3 * n), n
+    rows = draw(sparse_matrices() if kind == "sparse" else dense_matrices())
+    n = len(rows[0])
+    for _ in range(draw(st.integers(0, 2))):
+        rows.insert(draw(st.integers(0, len(rows))), [0] * n)
+    return rows, n
+
+
+@settings(max_examples=200, deadline=None)
+@given(cokernel_cases())
+def test_trimmed_cokernel_against_sympy(case):
+    # the unit pivots are dropped before the Smith form, which must not change the group
+    rows, n = case
+    want = sympy_quotient(rows, n) if n and any(map(any, rows)) else (0,) * n
+    assert cokernel_invariants(rows, n) == want
+
+
+def test_cokernel_rejects_ragged_rows():
+    # four entries in all, so they used to be re-chunked into [[2, 0], [0, 3]]
+    with pytest.raises(DimensionMismatch):
+        cokernel_invariants([[2, 0, 0], [3]], 2)
+
+
+@settings(max_examples=100, deadline=None)
+@given(lattice_and_regenerated(), st.data())
+def test_preimage_ignores_the_generating_set(case, data):
+    gens, mixed = case
+    n = len(gens[0])
+    c = data.draw(st.integers(1, 6))
+    m = IntMatrix.from_rows([[data.draw(st.integers(-9, 9)) for _ in range(c)] for _ in range(n)])
+    redundant = mixed + [[a + b for a, b in zip(mixed[0], mixed[-1])], [0] * n]
+    assert preimage_lattice_rows(m, gens) == preimage_lattice_rows(m, redundant)
+
+
 # --- groups ----------------------------------------------------------------
 
 

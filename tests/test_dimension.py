@@ -426,3 +426,13 @@ def test_ehs_endo_rejects_negative_endomorphism():
 
     with pytest.raises(EndomorphismNotPositive):
         ehs_realize_with_endo(D, neg, constant_unit_enumerator(D), depth=2)
+
+
+def test_ehs_endo_undecided_image_exceeds_depth():
+    # phi(unit) = (-5, 1) turns nonnegative after five pushes, and its negative
+    # never does, so two pushes leave its positivity undecided
+    sys = StagedSystem.stationary(IntMatrix.from_rows([[1, 1], [0, 1]]))
+    D = OrderedStagedSystem(system=sys, cone="simplicial", unit=LimitElement(0, (1, 1)))
+    phi = LimitEndomorphism.stationary(IntMatrix.from_rows([[-6, 1], [0, 1]]))
+    with pytest.raises(ShenDepthExceeded, match="undecided"):
+        ehs_realize_with_endo(D, phi, constant_unit_enumerator(D), depth=2, search_bound=2)

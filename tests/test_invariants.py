@@ -1,11 +1,14 @@
 """Tests for invariant bookkeeping, the truncated six-term check, and the pipeline."""
 
+from collections import Counter
+
 import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy.matrices.normalforms import invariant_factors
 
+from afkit import abelian
 from afkit.abelian import FgAbelianGroup, IntMatrix, LocalizedGroupDescriptor
 from afkit.dimension import OrderedStagedSystem
 from afkit.eplag import chain_tree, tree_to_eplag
@@ -177,6 +180,43 @@ def test_pipeline_end_to_end(group, prime):
     assert report.pv.passed
     assert report.o_infty_absorbing
     assert report.dp_absorbing == d_p_absorbing(group, prime)
+
+
+@pytest.mark.parametrize("twisted", [False, True])
+@pytest.mark.parametrize("g", [1, 2, 4])
+def test_pipeline_smith_inputs_stay_g_wide(monkeypatch, g, twisted):
+    # the saturated lattices have rank g * width; the Smith form must see only
+    # what their unit pivots leave, at most one column per generator
+    shapes = []
+    snf = abelian.smith_normal_form
+
+    def recording(m):
+        shapes.append((m.rows, m.cols))
+        return snf(m)
+
+    monkeypatch.setattr(abelian, "smith_normal_form", recording)
+    d = [2, 3, 4, 5][:g]
+    # U @ diag(d) with U upper bidiagonal, +-1 above the diagonal
+    rows = [[d[j] * (j == i or twisted * (j == i + 1) * (-1) ** i) for j in range(g)] for i in range(g)]
+    report = pipeline(FgAbelianGroup.from_relation_rows(g, rows), 3, depth=3, width=16)
+    assert report.all_passed
+    assert shapes and max(c for _, c in shapes) <= g
+
+
+def test_pipeline_checks_each_element_positive_once(monkeypatch):
+    # the realization checks each endomorphism image, and the Shen solves see
+    # the same elements again; one verdict per element serves them all
+    calls = Counter()
+    original = OrderedStagedSystem.is_positive
+
+    def counting(self, e, bound):
+        calls[e] += 1
+        return original(self, e, bound)
+
+    monkeypatch.setattr(OrderedStagedSystem, "is_positive", counting)
+    report = pipeline(FgAbelianGroup.from_invariant_factors([2, 3]), 7, depth=3, width=8)
+    assert report.all_passed
+    assert calls and max(calls.values()) == 1
 
 
 def test_pipeline_invariant_content():

@@ -5,7 +5,8 @@ relation matrix.  Everything downstream (quotients, divisibility,
 localization, cokernels of staged maps) reduces to Smith or Hermite normal
 form computations over arbitrary-precision integers, so all answers here
 are exact.  One eliminator does all of them on sparse {column: nonzero}
-rows; rows are dense only where they enter and leave the public functions.
+rows, and an IntMatrix keeps only its nonzero entries; vectors and row lists
+are dense only where they enter and leave the public functions.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
 from math import gcd, isqrt, prod
-from operator import itemgetter, sub
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 
@@ -33,82 +34,82 @@ def require_ints(values: Iterable, what: str) -> tuple:
 
 @dataclass(frozen=True)
 class IntMatrix:
-    """Immutable integer matrix, row-major, arbitrary precision; only from_rows checks entries."""
+    """Immutable integer matrix, arbitrary precision, kept as its nonzero
+    entries: ``sparse[i]`` holds row i's (column, entry) pairs in column
+    order.  Only from_rows checks entries; the dense views are built on read."""
 
     rows: int
     cols: int
-    entries: tuple
-
-    def __post_init__(self):
-        if len(self.entries) != self.rows * self.cols:
-            raise DimensionMismatch(
-                f"expected {self.rows * self.cols} entries, got {len(self.entries)}"
-            )
+    sparse: tuple
 
     @classmethod
     def from_rows(cls, data: Sequence[Sequence[int]], cols: int | None = None) -> "IntMatrix":
-        data = [list(r) for r in data]
-        if data:
-            ncols = len(data[0])
-            if any(len(r) != ncols for r in data):
-                raise DimensionMismatch("ragged rows")
-        else:
-            ncols = 0 if cols is None else cols
-        flat = require_ints((x for row in data for x in row), "matrix entries")
-        return cls(len(data), ncols, flat)
+        data = [require_ints(row, "matrix entries") for row in data]
+        width = len(data[0]) if cols is None and data else cols or 0
+        if any(len(row) != width for row in data):
+            raise DimensionMismatch("ragged rows" if cols is None else f"rows must have {cols} entries")
+        return cls(len(data), width, tuple(tuple((j, x) for j, x in enumerate(row) if x) for row in data))
+
+    @classmethod
+    def from_sparse(cls, data: Sequence[dict], cols: int) -> "IntMatrix":
+        """From {column: entry} rows that hold no zero entry (not checked)."""
+        return cls(len(data), cols, tuple(tuple(sorted(row.items())) for row in data))
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
-        return cls(n, n, tuple(1 if i == j else 0 for i in range(n) for j in range(n)))
+        return cls(n, n, tuple(((i, 1),) for i in range(n)))
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "IntMatrix":
-        return cls(rows, cols, (0,) * (rows * cols))
+        return cls(rows, cols, ((),) * rows)
+
+    @property
+    def entries(self) -> tuple:  # row-major
+        return tuple(chain.from_iterable(map(self.row, range(self.rows))))
 
     def entry(self, i: int, j: int) -> int:
-        return self.entries[i * self.cols + j]
+        return dict(self.sparse[i]).get(j, 0)
 
     def row(self, i: int) -> tuple:
-        return self.entries[i * self.cols : (i + 1) * self.cols]
+        return tuple(_dense(self.sparse[i], self.cols))
 
     def col(self, j: int) -> tuple:
-        return self.entries[j :: self.cols]
+        return tuple(dict(row).get(j, 0) for row in self.sparse)
 
     def to_rows(self) -> list:
         return [list(self.row(i)) for i in range(self.rows)]
 
     def transpose(self) -> "IntMatrix":
-        return IntMatrix(self.cols, self.rows, tuple(x for j in range(self.cols) for x in self.col(j)))
+        out = [[] for _ in range(self.cols)]
+        for i, row in enumerate(self.sparse):
+            for j, x in row:
+                out[j].append((i, x))
+        return IntMatrix(self.cols, self.rows, tuple(map(tuple, out)))
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
-        """Row-wise product: row i of the result sums c * other.row(k) over the
-        nonzero entries c = self[i, k], so the cost follows the nonzeros."""
+        """Row i of the product sums c * (row k of other) over the nonzeros c = self[i, k]."""
         if self.cols != other.rows:
             raise DimensionMismatch(f"{self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        right = [[(j, x) for j, x in enumerate(other.row(k)) if x] for k in range(other.rows)]
-        out = []
-        for i in range(self.rows):
-            acc = [0] * other.cols
-            for c, terms in zip(self.row(i), right):
-                if c:
-                    for j, x in terms:
-                        acc[j] += c * x
-            out += acc
-        return IntMatrix(self.rows, other.cols, tuple(out))
+        out = [{} for _ in range(self.rows)]
+        for acc, row in zip(out, self.sparse):
+            for k, c in row:
+                _add_multiple(acc, other.sparse[k], c)
+        return IntMatrix.from_sparse(out, other.cols)
 
     def __sub__(self, other: "IntMatrix") -> "IntMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise DimensionMismatch("shape mismatch in -")
-        return IntMatrix(self.rows, self.cols, tuple(map(sub, self.entries, other.entries)))
+        diff = [_add_multiple(dict(a), b, -1) for a, b in zip(self.sparse, other.sparse)]
+        return IntMatrix.from_sparse(diff, self.cols)
 
     def apply(self, vec: Sequence[int]) -> tuple:
         """Matrix times column vector."""
         if len(vec) != self.cols:
             raise DimensionMismatch(f"vector length {len(vec)} != {self.cols} columns")
-        return tuple(sum(c * x for c, x in zip(self.row(i), vec) if c) for i in range(self.rows))
+        return tuple(sum(x * vec[j] for j, x in row) for row in self.sparse)
 
     def diagonal(self) -> list:
-        return list(self.entries[:: self.cols + 1][: min(self.rows, self.cols)])
+        return [self.entry(i, i) for i in range(min(self.rows, self.cols))]
 
 
 def determinant(m: IntMatrix) -> int:
@@ -163,8 +164,11 @@ def smith_normal_form(m: IntMatrix) -> tuple:
         basis, zero_head = _eliminate(out, k)
         return basis + zero_head
 
+    def carried(rows: list, width: int) -> IntMatrix:
+        return IntMatrix.from_sparse([{j - k: x for j, x in row.items() if j >= k} for row in rows], width)
+
     # [A | I]: the transpose of A's columns, carrying the identity
-    rows = flip([_sparse(m.col(j)) for j in range(c)], [{k + i: 1} for i in range(r)])
+    rows = flip(list(map(dict, m.transpose().sparse)), [{k + i: 1} for i in range(r)])
     cols = [{k + j: 1} for j in range(c)]
     # the gcd merge keeps a pivot row whose pivot divides the column, so each
     # column pass and row pass either shrinks the top-left pivot or leaves its
@@ -182,12 +186,8 @@ def smith_normal_form(m: IntMatrix) -> tuple:
                 rows[i], rows[j] = _combine(rows[i], rows[j], x, y, -db // g, da // g)
                 cols[i], cols[j] = _combine(cols[i], cols[j], 1, 1, -y * db // g, x * da // g)
                 diag[i], diag[j] = g, da // g * db
-
-    def columns(rows: list, first: int, width: int) -> IntMatrix:
-        return IntMatrix(len(rows), width, tuple(chain.from_iterable(_dense(row, first + width)[first:] for row in rows)))
-
-    s = [{i: d} for i, d in enumerate(diag)] + [{}] * (r - len(diag))
-    return columns(s, 0, c), columns(rows, k, r), columns(cols, k, c).transpose()
+    s = IntMatrix.from_sparse([{i: d} for i, d in enumerate(diag)] + [{}] * (r - len(diag)), c)
+    return s, carried(rows, r), carried(cols, c).transpose()
 
 
 # ---------------------------------------------------------------------------
@@ -200,9 +200,10 @@ def _sparse(row: Sequence[int]) -> dict:
     return dict(filter(itemgetter(1), enumerate(row)))
 
 
-def _dense(row: dict, width: int) -> list:
+def _dense(terms: Iterable, width: int) -> list:
+    """The (column, entry) pairs ``terms`` as a list of ``width`` entries."""
     out = [0] * width
-    for k, x in row.items():
+    for k, x in terms:
         out[k] = x
     return out
 
@@ -227,7 +228,7 @@ def _eliminate(rows: Iterable[dict], ncols: int) -> tuple:
                 break
             a, b = base[lead], vec[lead]
             if b % a == 0:  # a pivot that divides the entry keeps its row
-                _add_multiple(vec, base, -(b // a))
+                _add_multiple(vec, base.items(), -(b // a))
             else:
                 g = gcd(a, b)
                 x, y = _bezout(a, b)
@@ -252,17 +253,18 @@ def _reduce(vec: dict, by_pivot: dict, p: int) -> None:
     while (p := min((k for k in vec if k > p and k in by_pivot), default=None)) is not None:
         pivot = by_pivot[p][p]
         if not 0 <= vec[p] < pivot:
-            _add_multiple(vec, by_pivot[p], -(vec[p] // pivot))
+            _add_multiple(vec, by_pivot[p].items(), -(vec[p] // pivot))
 
 
-def _add_multiple(vec: dict, row: dict, q: int) -> None:
-    """vec += q * row, in place, dropping entries that cancel."""
-    for k, x in row.items():
+def _add_multiple(vec: dict, terms: Iterable, q: int) -> dict:
+    """vec += q * terms, in place, over (column, entry) pairs, dropping entries that cancel."""
+    for k, x in terms:
         v = vec.get(k, 0) + q * x
         if v:
             vec[k] = v
         else:
             del vec[k]
+    return vec
 
 
 def _combine(p: dict, q: dict, a: int, b: int, c: int, d: int) -> tuple:
@@ -271,7 +273,7 @@ def _combine(p: dict, q: dict, a: int, b: int, c: int, d: int) -> tuple:
     second = {j: c * s for j, s in p.items()} if c else {}
     for row, x in ((first, b), (second, d)):
         if x:
-            _add_multiple(row, q, x)
+            _add_multiple(row, q.items(), x)
     return first, second
 
 
@@ -294,7 +296,7 @@ def hermite_row_basis(rows: Iterable[Sequence[int]]) -> list:
     """
     work = list(rows)
     width = len(work[0]) if work else 0
-    return [tuple(_dense(b, width)) for b in _eliminate(map(_sparse, work), width)[0]]
+    return [tuple(_dense(b.items(), width)) for b in _eliminate(map(_sparse, work), width)[0]]
 
 
 def row_lattice_contains(basis: Sequence[Sequence[int]], vec: Sequence[int]) -> bool:
@@ -347,7 +349,7 @@ def hermite_row_basis_augmented(rows: Sequence[Sequence[int]], ncols: int) -> li
     """
     width = len(rows[0]) if rows else 0
     basis, zero_head = _eliminate(map(_sparse, rows), ncols)
-    return [_dense(row, width) for row in basis + zero_head]
+    return [_dense(row.items(), width) for row in basis + zero_head]
 
 
 def kernel_basis(m: IntMatrix) -> list:
@@ -357,28 +359,50 @@ def kernel_basis(m: IntMatrix) -> list:
 
 def image_lattice_rows(m: IntMatrix) -> list:
     """Hermite basis of the lattice spanned by the columns of ``m``."""
-    return hermite_row_basis([m.col(j) for j in range(m.cols)])
+    return [tuple(_dense(b.items(), m.rows)) for b in _eliminate(map(dict, m.transpose().sparse), m.rows)[0]]
 
 
 def preimage_lattice_rows(m: IntMatrix, lattice_rows: Sequence[Sequence[int]]) -> list:
     """Hermite basis of {v : m.apply(v) in the given row lattice}."""
     if any(len(r) != m.rows for r in lattice_rows):
         raise DimensionMismatch(f"lattice rows must have length {m.rows}")
-    return [tuple(_dense(b, m.cols)) for b in _preimage(m, list(map(_sparse, lattice_rows)))]
+    return [tuple(_dense(b.items(), m.cols)) for b in _preimage(m.transpose(), list(map(_sparse, lattice_rows)))]
 
 
-def _preimage(m: IntMatrix, lattice: list) -> list:
-    """:func:`preimage_lattice_rows` on {column: entry} rows; ``lattice`` is left as it is.
+def _preimage(mt: IntMatrix, lattice: list) -> list:
+    """:func:`preimage_lattice_rows` on {column: entry} rows, for the map m
+    whose transpose is ``mt``; ``lattice`` is left as it is.
 
     The rows (l | 0) and (m e_j | e_j) span {(m v + l, v)}; eliminating on
     the first ``m.rows`` columns leaves zero-head rows whose tails span the
     v with m v in the lattice (Cohen, Alg. 2.4.10, relative to a lattice).
     The lattice rows go first: a Hermite basis becomes pivots without fill-in.
     """
-    h, n = m.rows, m.cols
-    rows = [dict(r) for r in lattice] + [_sparse(m.col(j)) | {h + j: 1} for j in range(n)]
+    h, n = mt.cols, mt.rows
+    rows = [dict(r) for r in lattice] + [dict(col) | {h + j: 1} for j, col in enumerate(mt.sparse)]
     _, tails = _eliminate(rows, h)
     return _eliminate([{k - h: x for k, x in t.items()} for t in tails], n)[0]
+
+
+def saturate_preimages(step: IntMatrix, lattice_rows: Sequence[Sequence[int]]) -> list:
+    """Close a lattice under iterated preimages of a fixed square map.
+
+    Returns the lattice of vectors landing in the input lattice after some
+    number of applications of ``step``.  The iterates form an increasing
+    chain of subgroups of Z^n, which stabilizes because every subgroup of
+    Z^n is finitely generated; its fixed point is the answer.  The rounds
+    pass {column: entry} rows and read the step's columns from one transpose.
+    """
+    n = step.cols
+    if step.rows != n:
+        raise ValueError("saturation needs a square step matrix")
+    if any(len(r) != n for r in lattice_rows):
+        raise DimensionMismatch(f"lattice rows must have length {n}")
+    columns = step.transpose()
+    current = _eliminate(map(_sparse, lattice_rows), n)[0]
+    while (merged := _eliminate([dict(r) for r in current] + _preimage(columns, current), n)[0]) != current:
+        current = merged
+    return [tuple(_dense(b.items(), n)) for b in current]
 
 
 def cokernel_invariants(relation_rows: Sequence[Sequence[int]], n: int) -> tuple:
@@ -394,9 +418,9 @@ def cokernel_invariants(relation_rows: Sequence[Sequence[int]], n: int) -> tuple
         raise DimensionMismatch(f"relation rows must have length {n}")
     basis, _ = _eliminate(map(_sparse, relation_rows), n)
     units = {min(row) for row in basis if row[min(row)] == 1}
-    keep = [j for j in range(n) if j not in units]
-    rest = [[row.get(j, 0) for j in keep] for row in basis if min(row) not in units]
-    s, _, _ = smith_normal_form(IntMatrix(len(rest), len(keep), tuple(chain.from_iterable(rest))))
+    keep = {j: t for t, j in enumerate(sorted(set(range(n)) - units))}  # kept column: its new index
+    rest = [{keep[j]: x for j, x in row.items()} for row in basis if min(row) not in units]
+    s, _, _ = smith_normal_form(IntMatrix.from_sparse(rest, len(keep)))
     diag = [d for d in s.diagonal() if d != 0]
     return tuple(d for d in diag if d > 1) + (0,) * (len(keep) - len(diag))
 
@@ -517,7 +541,7 @@ def is_uniquely_n_divisible(group: FgAbelianGroup, n: int) -> bool:
         return False
     # injectivity: {v : n*v lies in the relation lattice} must equal the lattice
     g = group.num_generators
-    n_id = IntMatrix(g, g, tuple(n if i == j else 0 for i in range(g) for j in range(g)))
+    n_id = IntMatrix.from_sparse([{i: n} for i in range(g)], g)
     return preimage_lattice_rows(n_id, group.relation_lattice) == group.relation_lattice
 
 

@@ -95,12 +95,24 @@ REPORTED_ERRORS = {
 
 def _load_json(path: str):
     try:
-        with open(path) as f:
+        with open(path, encoding="utf-8") as f:
             return json.load(f)
     except FileNotFoundError:
         raise InputError(f"{path}: file not found")
+    except OSError as e:
+        raise InputError(f"{path}: {e.strerror}")
+    except UnicodeDecodeError:
+        raise InputError(f"{path}: not UTF-8 text")
     except json.JSONDecodeError as e:
         raise InputError(f"{path}: line {e.lineno} column {e.colno}: {e.msg}")
+
+
+def _write(flag: str, path: str, text: str) -> None:
+    try:
+        with open(path, "w") as f:
+            f.write(text)
+    except OSError as e:
+        raise InputError(f"{flag}: {path}: {e.strerror}")
 
 
 def _int_list(flag: str, text: str, what: str = "integers", ok=lambda n: True) -> list:
@@ -178,6 +190,8 @@ def eplag_from_json(data: dict, where: str = "graph") -> EplagGroup:
     edges = []
     for e in data.get("edges", []):
         ends = _require(e, "ends", f"{where}.edges")
+        if not (isinstance(ends, list) and all(isinstance(v, str) for v in ends)):
+            raise InputError(f"{where}.edges: ends must be a list of vertex names")
         key = frozenset(ends)
         edges.append(key)
         labels[key] = _require(e, "label", f"{where}.edges")
@@ -373,8 +387,7 @@ def cmd_diagram(args) -> int:
     if args.action == "dot":
         text = diagram_to_dot(d)
         if args.out:
-            with open(args.out, "w") as f:
-                f.write(text)
+            _write("--out", args.out, text)
         else:
             sys.stdout.write(text)
         return EXIT_OK
@@ -517,11 +530,10 @@ def cmd_pipeline(args) -> int:
         "all_passed": report.all_passed,
     }
     if args.emit_diagram:
-        with open(args.emit_diagram, "w") as f:
-            json.dump(diagram_to_json_dict(report.realization.diagram), f, sort_keys=True, indent=2)
+        _write("--emit-diagram", args.emit_diagram,
+               json.dumps(diagram_to_json_dict(report.realization.diagram), sort_keys=True, indent=2))
     if args.dot:
-        with open(args.dot, "w") as f:
-            f.write(diagram_to_dot(report.realization.diagram))
+        _write("--dot", args.dot, diagram_to_dot(report.realization.diagram))
     _emit(out, args.format)
     return EXIT_OK if report.all_passed else EXIT_VERIFY_FAIL
 

@@ -283,9 +283,8 @@ def diagram_to_dot(d: BratteliDiagram) -> str:
         inc = d.levels[n].incidence
         if inc is None:
             continue
-        for i in range(inc.rows):
-            for j in range(inc.cols):
-                mult = inc.entry(i, j)
+        for i, row in enumerate(inc.sparse):
+            for j, mult in row:
                 if mult > 0:
                     lines.append(f'  "L{n}_{i}" -> "L{n + 1}_{j}" [label="{mult}"];')
     lines.append("}")
@@ -340,14 +339,8 @@ def validate_endomorphism(d: BratteliDiagram, endo: DiagramEndomorphism) -> bool
         if q_n.rows != d.level_size(n) or q_n.cols != d.level_size(n + 1):
             raise ValueError(f"q_{n} has shape {q_n.rows}x{q_n.cols}, "
                              f"expected {d.level_size(n)}x{d.level_size(n + 1)}")
-    for n in range(len(endo.q) - 1):
-        if n + 1 >= d.num_levels - 1:
-            break
-        lhs = d.incidence(n) @ endo.q[n + 1]
-        rhs = endo.q[n] @ d.incidence(n + 1)
-        if lhs.entries != rhs.entries:
-            return False
-    return True
+    return all(d.incidence(n) @ endo.q[n + 1] == endo.q[n] @ d.incidence(n + 1)
+               for n in range(min(len(endo.q) - 1, d.num_levels - 2)))
 
 
 # ---------------------------------------------------------------------------
@@ -547,7 +540,7 @@ def verify_shen_certificate(
         if not limit_equal(D.system, LimitElement(stage, combos.row(i)), push(D.system, t, stage)):
             return False
     relations = IntMatrix.from_rows(relation_lattice_rows(D, theta), cols=len(theta))
-    return not any((relations @ cert.g).entries)
+    return not any((relations @ cert.g).sparse)
 
 
 # ---------------------------------------------------------------------------
@@ -673,22 +666,22 @@ def _realize(D, phi, positive_enumerator, depth, search_bound) -> RealizationRes
         if phi is not None:
             cert = _shen_solve(D, list(cert.phi), search_bound, is_positive)
             combined = combined @ cert.g
-        columns = combined.transpose()
-        keep = [j for j in range(cert.size) if any(columns.row(j))] or list(range(cert.size))
-        if any(not any(columns.row(j)[:l_n]) for j in keep):
+        columns = combined.transpose().sparse  # (row, entry) pairs, rows in order
+        keep = [j for j, col in enumerate(columns) if col] or list(range(cert.size))
+        if any(not columns[j] or columns[j][0][0] >= l_n for j in keep):
             raise RealizationError(
                 f"level {n}: a produced vertex is unreachable from the current elements; "
                 "choose a finer enumerator or raise depth"
             )
-        picked = [[row[j] for j in keep] for row in combined.to_rows()]
-        m_n = IntMatrix.from_rows(picked[:l_n], cols=len(keep))
+        picked = IntMatrix(len(keep), combined.rows, tuple(columns[j] for j in keep)).transpose()
+        m_n = IntMatrix(l_n, len(keep), picked.sparse[:l_n])
         new_thetas = tuple(cert.phi[j] for j in keep)
         w_next = m_n.transpose().apply(levels[n].weights)
         levels[n] = DiagramLevel(levels[n].size, levels[n].weights, m_n)
         levels.append(DiagramLevel(len(keep), w_next, None))
         thetas.append(new_thetas)
         if phi is not None:
-            q_n = IntMatrix.from_rows(picked[l_n : 2 * l_n], cols=len(keep))
+            q_n = IntMatrix(l_n, len(keep), picked.sparse[l_n : 2 * l_n])
             q_list.append(q_n)
             _check_level_identities(D, cur, images, new_thetas, m_n, q_n)
         literal = any(limit_equal(D.system, x, t) for t in new_thetas)
@@ -696,7 +689,7 @@ def _realize(D, phi, positive_enumerator, depth, search_bound) -> RealizationRes
             CoverageRecord(
                 level=n,
                 element=x,
-                expression=tuple(picked[-1]),
+                expression=picked.row(picked.rows - 1),
                 appears_literally=literal,
                 from_enumerator=from_enum,
             )

@@ -166,10 +166,10 @@ def absorption_equivalences(a: KirchbergInvariant, b: KirchbergInvariant, p: int
 # ---------------------------------------------------------------------------
 
 
-def _block_diag(a: IntMatrix, b: IntMatrix) -> IntMatrix:
-    top = (x for i in range(a.rows) for x in a.row(i) + (0,) * b.cols)
-    bottom = (x for i in range(b.rows) for x in (0,) * a.cols + b.row(i))
-    return IntMatrix(a.rows + b.rows, a.cols + b.cols, (*top, *bottom))
+def _block_diag(s: int, b: IntMatrix) -> IntMatrix:
+    """diag(s, b): the scalar s on coordinate 0, then b shifted by one."""
+    shifted = (tuple((j + 1, x) for j, x in row) for row in b.sparse)
+    return IntMatrix(1 + b.rows, 1 + b.cols, (((0, s),), *shifted))
 
 
 def assemble_pipeline_system(pair: RordamPair) -> tuple:
@@ -182,14 +182,12 @@ def assemble_pipeline_system(pair: RordamPair) -> tuple:
     twice with a stage bump.  Both are exact staged data.
     """
     beta = pair.beta_matrix
-    two = IntMatrix.from_rows([[2]])
-    one = IntMatrix.from_rows([[1]])
-    connect = _block_diag(two, beta)
+    connect = _block_diag(2, beta)
     system = StagedSystem.stationary(connect)
     rank = 1 + pair.rank
     unit = LimitElement(0, tuple(1 if i == 0 else 0 for i in range(rank)))
     ordered = OrderedStagedSystem(system=system, cone=STRICT_FIRST, unit=unit)
-    endo = LimitEndomorphism.stationary(_block_diag(one, beta @ beta), cross_stage=True)
+    endo = LimitEndomorphism.stationary(_block_diag(1, beta @ beta), cross_stage=True)
     return ordered, endo
 
 

@@ -25,8 +25,8 @@ from .abelian import (
     preimage_lattice_rows,
     require_ints,
     row_lattice_contains,
+    saturate_preimages,
 )
-from .abelian import _dense, _eliminate, _preimage, _sparse  # the sparse-row internals
 
 
 class NotFinitelyGeneratedError(RuntimeError):
@@ -137,12 +137,8 @@ class LimitEndomorphism:
         """Verify the intertwining squares at every stage: the prefix and one
         tail period hold them all, a finite system's end at its last stage."""
         stages = len(sys.prefix) + len(sys.tail) if sys.tail else len(sys.prefix) - self.cross_stage
-        for n in range(stages):
-            phi_n = sys.connect(n)
-            target = sys.connect(n + 1) if self.cross_stage else phi_n
-            if (self.matrix @ phi_n).entries != (target @ self.matrix).entries:
-                return False
-        return True
+        return all(self.matrix @ sys.connect(n) == sys.connect(n + self.cross_stage) @ self.matrix
+                   for n in range(stages))
 
 
 def push(sys: StagedSystem, e: LimitElement, to_stage: int) -> LimitElement:
@@ -255,26 +251,6 @@ def death_lattice_rows(sys: StagedSystem, stage: int) -> list:
     if align == stage:
         return death_aligned
     return preimage_lattice_rows(sys.composite(stage, align), death_aligned)
-
-
-def saturate_preimages(step: IntMatrix, lattice_rows: Sequence[Sequence[int]]) -> list:
-    """Close a lattice under iterated preimages of a fixed square map.
-
-    Returns the lattice of vectors landing in the input lattice after some
-    number of applications of ``step``.  The iterates form an increasing
-    chain of subgroups of Z^n, which stabilizes because every subgroup of
-    Z^n is finitely generated; its fixed point is the answer.  The rounds
-    pass {column: entry} rows; only the answer is made dense.
-    """
-    n = step.cols
-    if step.rows != n:
-        raise ValueError("saturation needs a square step matrix")
-    if any(len(r) != n for r in lattice_rows):
-        raise DimensionMismatch(f"lattice rows must have length {n}")
-    current = _eliminate(map(_sparse, lattice_rows), n)[0]
-    while (merged := _eliminate([dict(r) for r in current] + _preimage(step, current), n)[0]) != current:
-        current = merged
-    return [tuple(_dense(b, n)) for b in current]
 
 
 def saturated_cokernel(step: IntMatrix, m: IntMatrix) -> tuple:

@@ -77,24 +77,16 @@ def rordam_pair(group: FgAbelianGroup, width: int) -> RordamPair:
         raise WidthError(f"width {width} too small to express the kernel generators (need >= 2)")
     g = group.num_generators
     rank = g * width
-
-    def idx(n, m):
-        return n * width + m
-
     relation_basis = group.relation_lattice  # Hermite rows, k <= g of them
-    delta = [[0] * rank for _ in range(rank)]  # delta[i][j] = coordinate i of the image of e_j
-    for n in range(g):
-        # m = 0: kernel data
-        if n < len(relation_basis):
-            row = relation_basis[n]
-            for j in range(g):
-                delta[idx(j, 0)][idx(n, 0)] = row[j]
-        # 1 <= m <= width-2: shift one slot right
-        for m in range(1, width - 1):
-            delta[idx(n, m + 1)][idx(n, m)] = 1
-        # m = width-1: wrap back to the first shifted slot, negated
-        delta[idx(n, 1)][idx(n, width - 1)] = -1
-    delta = IntMatrix(rank, rank, tuple(x for row in delta for x in row))
+
+    def delta_row(n: int, m: int) -> dict:  # coordinate (n, m) of delta's columns
+        if m == 0:  # kernel data: column (k, 0) is the k-th relation basis row
+            return {k * width: row[n] for k, row in enumerate(relation_basis) if row[n]}
+        if m == 1:  # the wrap: column (n, width-1) goes back to -x(n, 1)
+            return {n * width + width - 1: -1}
+        return {n * width + m - 1: 1}  # the shift of column (n, m-1) one slot right
+
+    delta = IntMatrix.from_sparse([delta_row(n, m) for n in range(g) for m in range(width)], rank)
     beta = IntMatrix.identity(rank) - delta
     system = StagedSystem.stationary(beta)
     return RordamPair(group=group, width=width, system=system, delta_matrix=delta)

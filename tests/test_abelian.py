@@ -158,7 +158,8 @@ def product_operands(draw):
         st.sampled_from((0,) * 9 + (1, -1, 7)),
     )))
     a, b, vec = (tuple(draw(entry) for _ in range(size)) for size in (r * k, k * c, k))
-    return IntMatrix(r, k, a), IntMatrix(k, c, b), vec
+    return (IntMatrix.from_rows([a[i * k : (i + 1) * k] for i in range(r)], cols=k),
+            IntMatrix.from_rows([b[i * c : (i + 1) * c] for i in range(k)], cols=c), vec)
 
 
 @settings(max_examples=200)
@@ -178,6 +179,16 @@ def test_product_against_sympy(operands):
         a @ IntMatrix.zeros(a.cols + 1, b.cols)
     with pytest.raises(DimensionMismatch):
         a.apply(vec + (0,))
+    # the dense views and - and == on the stored nonzeros
+    assert a.to_rows() == sa.tolist()
+    assert all(a.entry(i, j) == sa[i, j] for i in range(a.rows) for j in range(a.cols))
+    assert all(list(a.col(j)) == list(sa.col(j)) for j in range(a.cols))
+    negated = IntMatrix.from_rows([[-x for x in row] for row in a.to_rows()], cols=a.cols)
+    assert list((a - negated).entries) == list(2 * sa)
+    assert at.transpose() == a and a - a == IntMatrix.zeros(a.rows, a.cols)
+    assert (a == negated) == (not any(a.entries))
+    with pytest.raises(DimensionMismatch):
+        a - IntMatrix.zeros(a.rows, a.cols + 1)
 
 
 def check_snf_certificate(mat: IntMatrix):
@@ -502,6 +513,15 @@ def test_trimmed_cokernel_against_sympy(case):
     rows, n = case
     want = sympy_quotient(rows, n) if n and any(map(any, rows)) else (0,) * n
     assert cokernel_invariants(rows, n) == want
+
+
+def test_from_rows_rejects_a_disagreeing_width():
+    with pytest.raises(DimensionMismatch):
+        IntMatrix.from_rows([[1, 2]], cols=3)
+    with pytest.raises(DimensionMismatch):
+        FgAbelianGroup.from_relation_rows(2, [[1, 2, 3]])
+    assert IntMatrix.from_rows([[1, 0]], cols=2).to_rows() == [[1, 0]]
+    assert (IntMatrix.from_rows([], cols=3).rows, IntMatrix.from_rows([], cols=3).cols) == (0, 3)
 
 
 def test_cokernel_rejects_ragged_rows():

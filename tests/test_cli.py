@@ -189,6 +189,12 @@ MALFORMED_DIAGRAMS = {
                      id="eplag-vertices-list"),
         pytest.param(["eplag", "member", "--graph", "{graph}", "--target"], [1], "JSON object",
                      id="eplag-target-list"),
+        pytest.param(["eplag", "fingerprint", "--graph"],
+                     {"vertices": {"a": 3, "b": 5}, "edges": [{"ends": 5, "label": 7}]},
+                     "ends must be a list of vertex names", id="eplag-ends-number"),
+        pytest.param(["eplag", "fingerprint", "--graph"],
+                     {"vertices": {"a": 3, "b": 5}, "edges": [{"ends": [["a"], "b"], "label": 7}]},
+                     "ends must be a list of vertex names", id="eplag-ends-nested-list"),
         pytest.param(["eplag", "tree", "--p", "5", "--tree"], [1], "JSON object", id="eplag-tree-list"),
         pytest.param(["eplag", "tree", "--p", "5", "--tree"], {"children": [1]},
                      "children[0]: expected a JSON object", id="eplag-tree-child-number"),
@@ -226,6 +232,33 @@ def test_missing_file_is_named_once(tmp_path, capsys, argv):
     code, _, err = run(capsys, argv + [path])
     assert code == 2
     assert err == f"error: {path}: file not found\n"
+
+
+@pytest.mark.parametrize("argv", [["diagram", "validate"], ["group"], ["limits"]])
+@pytest.mark.parametrize("kind", ["directory", "latin-1"])
+def test_unreadable_file_is_named_once(tmp_path, capsys, argv, kind):
+    path = tmp_path / "in.json"
+    if kind == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes('{"generators": "\u00e9"}'.encode("latin-1"))
+    code, _, err = run(capsys, argv + [str(path)])
+    assert code == 2
+    reason = "Is a directory" if kind == "directory" else "not UTF-8 text"
+    assert err == f"error: {path}: {reason}\n"
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["pipeline", "--group", "{z2}", "--prime", "3", "--depth", "2", "--dot"], "--dot"),
+    (["pipeline", "--group", "{z2}", "--prime", "3", "--depth", "2", "--emit-diagram"], "--emit-diagram"),
+    (["diagram", "dot", "{uhf}", "--out"], "--out"),
+])
+def test_output_in_missing_directory_exits_2(tmp_path, capsys, argv, flag):
+    files = {"z2": write(tmp_path, "z2.json", Z2), "uhf": write(tmp_path, "uhf.json", UHF2)}
+    out = str(tmp_path / "missing" / "out.txt")
+    code, stdout, err = run(capsys, [a.format(**files) for a in argv] + [out])
+    assert code == 2 and stdout == ""
+    assert err == f"error: {flag}: {out}: No such file or directory\n"
 
 
 def test_ehs_simplicial(tmp_path, capsys):

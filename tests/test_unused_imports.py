@@ -1,5 +1,5 @@
-"""No module of the package imports a name it never uses, or defines a
-private helper that nothing in it refers to.
+"""No module of the package imports a name it never uses, imports another
+module's private name, or defines a private helper that nothing in it refers to.
 
 ``__init__.py`` re-exports the public names, so it is the one exception;
 ``from __future__`` imports are compiler directives, not names.
@@ -60,3 +60,22 @@ def test_checker_sees_an_unused_private_helper():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_private_helpers(path):
     assert unused_private_definitions(path.read_text()) == []
+
+
+def private_imports(source: str) -> list:
+    """Underscore names imported from an afkit module (relative or absolute)."""
+    return sorted(f"line {node.lineno}: {alias.name}" for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.ImportFrom)
+                  and (node.level or (node.module or "").split(".")[0] == "afkit")
+                  for alias in node.names if alias.name.startswith("_"))
+
+
+def test_checker_sees_a_private_import():
+    source = "from .abelian import _eliminate, gcd\nfrom afkit.limits import _x\nfrom math import _y\n"
+    assert private_imports(source) == ["line 1: _eliminate", "line 2: _x"]
+    assert private_imports("from __future__ import annotations\n") == []
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_private_imports_across_modules(path):
+    assert private_imports(path.read_text()) == []

@@ -5,8 +5,10 @@ relation matrix.  Everything downstream (quotients, divisibility,
 localization, cokernels of staged maps) reduces to Smith or Hermite normal
 form computations over arbitrary-precision integers, so all answers here
 are exact.  One eliminator does all of them on sparse {column: nonzero}
-rows, and an IntMatrix keeps only its nonzero entries; vectors and row lists
-are dense only where they enter and leave the public functions.
+rows, and an IntMatrix keeps only its nonzero entries.  A lattice is an
+IntMatrix whose rows are its reduced Hermite basis; the lattice functions
+take and return one, so each lattice is eliminated once.  Rows are dense
+only in relation rows, vectors, `apply` and `hermite_row_basis`.
 """
 
 from __future__ import annotations
@@ -352,74 +354,84 @@ def hermite_row_basis_augmented(rows: Sequence[Sequence[int]], ncols: int) -> li
     return [_dense(row.items(), width) for row in basis + zero_head]
 
 
-def kernel_basis(m: IntMatrix) -> list:
-    """Hermite basis of the vectors v with m.apply(v) == 0."""
-    return preimage_lattice_rows(m, [])
+def _lattice(rows: Iterable[dict], n: int) -> IntMatrix:
+    """The reduced Hermite basis of {column: entry} rows of width n, as the rows of an IntMatrix."""
+    return IntMatrix.from_sparse(_eliminate(rows, n)[0], n)
 
 
-def image_lattice_rows(m: IntMatrix) -> list:
-    """Hermite basis of the lattice spanned by the columns of ``m``."""
-    return [tuple(_dense(b.items(), m.rows)) for b in _eliminate(map(dict, m.transpose().sparse), m.rows)[0]]
+def kernel_basis(m: IntMatrix) -> IntMatrix:
+    """Reduced Hermite basis of the vectors v with m.apply(v) == 0."""
+    return preimage_lattice_rows(m, IntMatrix.zeros(0, m.rows))
 
 
-def preimage_lattice_rows(m: IntMatrix, lattice_rows: Sequence[Sequence[int]]) -> list:
-    """Hermite basis of {v : m.apply(v) in the given row lattice}."""
-    if any(len(r) != m.rows for r in lattice_rows):
+def image_lattice_rows(m: IntMatrix) -> IntMatrix:
+    """Reduced Hermite basis of the lattice spanned by the columns of ``m``."""
+    return _lattice(map(dict, m.transpose().sparse), m.rows)
+
+
+def preimage_lattice_rows(m: IntMatrix, lattice: IntMatrix) -> IntMatrix:
+    """Reduced Hermite basis of {v : m.apply(v) in the row lattice of ``lattice``}."""
+    if lattice.cols != m.rows:
         raise DimensionMismatch(f"lattice rows must have length {m.rows}")
-    return [tuple(_dense(b.items(), m.cols)) for b in _preimage(m.transpose(), list(map(_sparse, lattice_rows)))]
+    return _lattice(_preimage_tails(m.transpose(), lattice.sparse), m.cols)
 
 
-def _preimage(mt: IntMatrix, lattice: list) -> list:
-    """:func:`preimage_lattice_rows` on {column: entry} rows, for the map m
-    whose transpose is ``mt``; ``lattice`` is left as it is.
-
-    The rows (l | 0) and (m e_j | e_j) span {(m v + l, v)}; eliminating on
-    the first ``m.rows`` columns leaves zero-head rows whose tails span the
-    v with m v in the lattice (Cohen, Alg. 2.4.10, relative to a lattice).
-    The lattice rows go first: a Hermite basis becomes pivots without fill-in.
-    """
-    h, n = mt.cols, mt.rows
+def _preimage_tails(mt: IntMatrix, lattice: Iterable) -> list:
+    """Unreduced {column: entry} rows spanning {v : m v in the span of the
+    rows ``lattice``}, for the map m whose transpose is ``mt``.  The rows
+    (l | 0) and (m e_j | e_j) span {(m v + l, v)}; eliminating on the first
+    ``m.rows`` columns leaves zero-head rows whose tails span the v with
+    m v in the lattice (Cohen, Alg. 2.4.10, relative to a lattice).  The
+    lattice rows go first: a Hermite basis becomes pivots without fill-in."""
+    h = mt.cols
     rows = [dict(r) for r in lattice] + [dict(col) | {h + j: 1} for j, col in enumerate(mt.sparse)]
-    _, tails = _eliminate(rows, h)
-    return _eliminate([{k - h: x for k, x in t.items()} for t in tails], n)[0]
+    return [{k - h: x for k, x in t.items()} for t in _eliminate(rows, h)[1]]
 
 
-def saturate_preimages(step: IntMatrix, lattice_rows: Sequence[Sequence[int]]) -> list:
+def saturate_preimages(step: IntMatrix, lattice: IntMatrix) -> IntMatrix:
     """Close a lattice under iterated preimages of a fixed square map.
 
-    Returns the lattice of vectors landing in the input lattice after some
-    number of applications of ``step``.  The iterates form an increasing
-    chain of subgroups of Z^n, which stabilizes because every subgroup of
-    Z^n is finitely generated; its fixed point is the answer.  The rounds
-    pass {column: entry} rows and read the step's columns from one transpose.
+    Returns the reduced Hermite basis of the vectors landing in the row
+    lattice of ``lattice`` after some number of applications of ``step``.
+    The iterates form an increasing chain of subgroups of Z^n, which
+    stabilizes because every subgroup of Z^n is finitely generated.  A round
+    eliminates the current rows with the raw preimage rows, once.
     """
     n = step.cols
     if step.rows != n:
         raise ValueError("saturation needs a square step matrix")
-    if any(len(r) != n for r in lattice_rows):
+    if lattice.cols != n:
         raise DimensionMismatch(f"lattice rows must have length {n}")
     columns = step.transpose()
-    current = _eliminate(map(_sparse, lattice_rows), n)[0]
-    while (merged := _eliminate([dict(r) for r in current] + _preimage(columns, current), n)[0]) != current:
+    current = list(map(dict, lattice.sparse))
+    while (merged := _eliminate([dict(r) for r in current] + _preimage_tails(columns, current), n)[0]) != current:
         current = merged
-    return [tuple(_dense(b.items(), n)) for b in current]
+    return IntMatrix.from_sparse(current, n)
+
+
+def saturated_cokernel(step: IntMatrix, m: IntMatrix) -> tuple:
+    """Invariant factors of Z^n modulo the vectors that some power of the
+    square map ``step`` sends into the image of ``m``."""
+    return _hermite_cokernel(saturate_preimages(step, image_lattice_rows(m)))
 
 
 def cokernel_invariants(relation_rows: Sequence[Sequence[int]], n: int) -> tuple:
-    """Invariant factors of Z^n modulo the row lattice of ``relation_rows``.
-
-    Same canonical form as :attr:`FgAbelianGroup.invariant_factors`.  The
-    Smith form sees only what the unit pivots of the reduced Hermite basis
-    leave: the entries above a pivot lie in [0, pivot) and those below are
-    0, so a pivot 1 is alone in its column, its row writes that generator in
-    the later ones, and dropping the row with its column presents the same group.
-    """
+    """Invariant factors of Z^n modulo the row lattice of ``relation_rows``,
+    in the canonical form of :attr:`FgAbelianGroup.invariant_factors`."""
     if any(len(r) != n for r in relation_rows):
         raise DimensionMismatch(f"relation rows must have length {n}")
-    basis, _ = _eliminate(map(_sparse, relation_rows), n)
-    units = {min(row) for row in basis if row[min(row)] == 1}
-    keep = {j: t for t, j in enumerate(sorted(set(range(n)) - units))}  # kept column: its new index
-    rest = [{keep[j]: x for j, x in row.items()} for row in basis if min(row) not in units]
+    return _hermite_cokernel(_lattice(map(_sparse, relation_rows), n))
+
+
+def _hermite_cokernel(basis: IntMatrix) -> tuple:
+    """Invariant factors of Z^n modulo the lattice of the reduced Hermite
+    basis ``basis``.  The Smith form sees only what the unit pivots leave:
+    the entries above a pivot lie in [0, pivot) and those below are 0, so a
+    pivot 1 is alone in its column, its row writes that generator in the
+    later ones, and dropping the row with its column presents the same group."""
+    units = {row[0][0] for row in basis.sparse if row[0][1] == 1}  # a row's first pair is its pivot
+    keep = {j: t for t, j in enumerate(sorted(set(range(basis.cols)) - units))}  # kept column: its new index
+    rest = [{keep[j]: x for j, x in row} for row in basis.sparse if row[0][0] not in units]
     s, _, _ = smith_normal_form(IntMatrix.from_sparse(rest, len(keep)))
     diag = [d for d in s.diagonal() if d != 0]
     return tuple(d for d in diag if d > 1) + (0,) * (len(keep) - len(diag))
@@ -443,6 +455,8 @@ class FgAbelianGroup:
     relations: IntMatrix
 
     def __post_init__(self):
+        if self.num_generators < 0:
+            raise ValueError(f"generators must be a nonnegative count, got {self.num_generators}")
         if self.relations.rows and self.relations.cols != self.num_generators:
             raise DimensionMismatch(
                 f"relations have {self.relations.cols} columns, expected {self.num_generators}"
@@ -515,11 +529,8 @@ def quotient_by(group: FgAbelianGroup, subgens: Sequence[Sequence[int]]) -> FgAb
 
     Returned in canonical invariant-factor presentation.
     """
-    for v in subgens:  # cokernel_invariants checks their length
-        require_ints(v, "subgroup generators")
-    stacked = group.relations.to_rows() + list(subgens)
-    factors = cokernel_invariants(stacked, group.num_generators)
-    return FgAbelianGroup.from_invariant_factors(factors)
+    stacked = group.relations.to_rows() + [require_ints(v, "subgroup generators") for v in subgens]
+    return FgAbelianGroup.from_invariant_factors(cokernel_invariants(stacked, group.num_generators))
 
 
 def is_n_divisible(group: FgAbelianGroup, n: int) -> bool:
@@ -542,7 +553,8 @@ def is_uniquely_n_divisible(group: FgAbelianGroup, n: int) -> bool:
     # injectivity: {v : n*v lies in the relation lattice} must equal the lattice
     g = group.num_generators
     n_id = IntMatrix.from_sparse([{i: n} for i in range(g)], g)
-    return preimage_lattice_rows(n_id, group.relation_lattice) == group.relation_lattice
+    lattice = IntMatrix.from_rows(group.relation_lattice, cols=g)
+    return preimage_lattice_rows(n_id, lattice) == lattice
 
 
 @dataclass(frozen=True)

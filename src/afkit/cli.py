@@ -187,6 +187,8 @@ def eplag_from_json(data: dict, where: str = "graph") -> EplagGroup:
     vertices = _object(_require(data, "vertices", where), f"{where}.vertices")
     names = sorted(vertices)
     labels = {name: vertices[name] for name in names}
+    if not isinstance(data.get("edges", []), list):
+        raise InputError(f"{where}.edges: expected a list")
     edges = []
     for e in data.get("edges", []):
         ends = _require(e, "ends", f"{where}.edges")

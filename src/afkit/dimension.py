@@ -365,17 +365,15 @@ class ShenCertificate:
             raise ValueError("certificate shape mismatch")
 
 
-def relation_lattice_rows(D: OrderedStagedSystem, theta: Sequence[LimitElement]) -> list:
-    """Basis of {k : sum_i k_i theta_i = 0 in the limit}.
+def relation_lattice_rows(D: OrderedStagedSystem, theta: Sequence[LimitElement]) -> IntMatrix:
+    """Reduced Hermite basis of {k : sum_i k_i theta_i = 0 in the limit}.
 
     At a common stage the relation lattice is the kernel of the column
     matrix of representatives, taken relative to the vectors that
     eventually die.
     """
-    if not theta:
-        return []
-    s = max(t.stage for t in theta)
-    mat = IntMatrix.from_rows([push(D.system, t, s).vector for t in theta]).transpose()
+    s = max((t.stage for t in theta), default=0)
+    mat = IntMatrix.from_rows([push(D.system, t, s).vector for t in theta], cols=D.stage_rank(s)).transpose()
     return preimage_lattice_rows(mat, death_lattice_rows(D.system, s))
 
 
@@ -539,8 +537,7 @@ def verify_shen_certificate(
     for i, t in enumerate(theta):
         if not limit_equal(D.system, LimitElement(stage, combos.row(i)), push(D.system, t, stage)):
             return False
-    relations = IntMatrix.from_rows(relation_lattice_rows(D, theta), cols=len(theta))
-    return not any((relations @ cert.g).sparse)
+    return not any((relation_lattice_rows(D, theta) @ cert.g).sparse)
 
 
 # ---------------------------------------------------------------------------

@@ -19,11 +19,12 @@ from .abelian import (
     FgAbelianGroup,
     IntMatrix,
     LocalizedGroupDescriptor,
-    hermite_row_basis,
+    image_lattice_rows,
     is_prime,
     is_uniquely_n_divisible,
     localize,
     preimage_lattice_rows,
+    saturated_cokernel,
 )
 from .dimension import (
     STRICT_FIRST,
@@ -34,7 +35,7 @@ from .dimension import (
     validate_diagram,
 )
 from .eplag import EplagGroup, EplagLattice, divisibility_fingerprint
-from .limits import LimitElement, LimitEndomorphism, StagedSystem, death_lattice_rows, saturated_cokernel
+from .limits import LimitElement, LimitEndomorphism, StagedSystem, death_lattice_rows
 from .rordam import RordamPair, VerifyReport, rordam_pair, rordam_verify
 
 K0Descriptor = Union[FgAbelianGroup, LocalizedGroupDescriptor, EplagGroup]
@@ -226,18 +227,13 @@ def pv_check(D: OrderedStagedSystem, beta: LimitEndomorphism, group: FgAbelianGr
     m = (phi if beta.cross_stage else IntMatrix.identity(phi.rows)) - beta.matrix
     coker = saturated_cokernel(phi, m)
     death = death_lattice_rows(sys, 0)
-    kernel_classes = hermite_row_basis(
-        list(preimage_lattice_rows(m, death)) + list(death)
-    )
-    kernel_rank = len(kernel_classes) - len(death)
+    pre = preimage_lattice_rows(m, death)
+    # the kernel classes (pre + death) / death; the columns of [pre; death]^T span pre + death
+    joint = IntMatrix(pre.rows + death.rows, pre.cols, pre.sparse + death.sparse)
+    kernel_rank = image_lattice_rows(joint.transpose()).rows - death.rows
     expected = group.invariant_factors
-    passed = coker == expected and kernel_rank == 0
-    return PvReport(
-        passed=passed,
-        expected=expected,
-        cokernel_factors=coker,
-        kernel_rank=kernel_rank,
-    )
+    return PvReport(passed=coker == expected and kernel_rank == 0, expected=expected,
+                    cokernel_factors=coker, kernel_rank=kernel_rank)
 
 
 # ---------------------------------------------------------------------------

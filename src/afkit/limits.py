@@ -18,8 +18,6 @@ from .abelian import (
     DimensionMismatch,
     FgAbelianGroup,
     IntMatrix,
-    cokernel_invariants,
-    hermite_row_basis,
     image_lattice_rows,
     kernel_basis,
     preimage_lattice_rows,
@@ -59,7 +57,7 @@ class StagedSystem:
     def injective(self) -> bool:
         """Whether every connecting map has full column rank, so no vector dies."""
         mats = list(self.prefix) + list(self.tail)
-        return bool(mats) and all(len(image_lattice_rows(m)) == m.cols for m in mats)
+        return bool(mats) and all(image_lattice_rows(m).rows == m.cols for m in mats)
 
     @classmethod
     def stationary(cls, matrix: IntMatrix) -> "StagedSystem":
@@ -165,7 +163,7 @@ def limit_equal(sys: StagedSystem, e1: LimitElement, e2: LimitElement) -> bool:
         raise DimensionMismatch(f"stage {s} vectors have {sys.stage_rank(s)} entries")
     if a == b or sys.injective:
         return a == b
-    return row_lattice_contains(death_lattice_rows(sys, s), [x - y for x, y in zip(a, b)])
+    return row_lattice_contains(death_lattice_rows(sys, s).to_rows(), [x - y for x, y in zip(a, b)])
 
 
 def is_zero_class(sys: StagedSystem, e: LimitElement) -> bool:
@@ -208,14 +206,14 @@ def build_limit_group(sys: StagedSystem) -> FgAbelianGroup:
     block = sys.composite(start, start + len(sys.tail))
     if block.rows != block.cols:
         raise ValueError("tail composite is not square")
-    current = hermite_row_basis(IntMatrix.identity(block.cols).to_rows())
+    current = IntMatrix.identity(block.cols)
     while True:
-        nxt = hermite_row_basis([block.apply(r) for r in current])
+        nxt = image_lattice_rows(block @ current.transpose())  # B applied to each basis row
         if nxt == current:
-            return FgAbelianGroup.free(len(current))
-        if len(nxt) == len(current):
+            return FgAbelianGroup.free(current.rows)
+        if nxt.rows == current.rows:
             raise NotFinitelyGeneratedError(
-                f"the image lattices shrink by a constant index at rank {len(nxt)}; "
+                f"the image lattices shrink by a constant index at rank {nxt.rows}; "
                 "the limit is not finitely generated"
             )
         current = nxt
@@ -226,8 +224,8 @@ def build_limit_group(sys: StagedSystem) -> FgAbelianGroup:
 # ---------------------------------------------------------------------------
 
 
-def death_lattice_rows(sys: StagedSystem, stage: int) -> list:
-    """Basis of the stage-``stage`` vectors whose limit class is zero.
+def death_lattice_rows(sys: StagedSystem, stage: int) -> IntMatrix:
+    """Reduced Hermite basis of the stage-``stage`` vectors whose limit class is zero.
 
     A vector dies when some forward composite annihilates it.  Past the
     prefix the composites are powers of the one-period block B, so at an
@@ -240,20 +238,15 @@ def death_lattice_rows(sys: StagedSystem, stage: int) -> list:
     vector dies when the composite up to the last stored stage kills it.
     """
     if sys.injective:
-        return []
+        return IntMatrix.zeros(0, sys.stage_rank(stage))
     if not sys.tail:
         return kernel_basis(sys.composite(stage, len(sys.prefix)))
     # the first stage at or after ``stage`` where a tail period starts
     align = max(stage, len(sys.prefix))
     align += (len(sys.prefix) - align) % len(sys.tail)
     block = sys.composite(align, align + len(sys.tail))
-    death_aligned = saturate_preimages(block, [])
+    death_aligned = saturate_preimages(block, IntMatrix.zeros(0, block.cols))
     if align == stage:
         return death_aligned
     return preimage_lattice_rows(sys.composite(stage, align), death_aligned)
 
-
-def saturated_cokernel(step: IntMatrix, m: IntMatrix) -> tuple:
-    """Invariant factors of stage vectors modulo those that some power of
-    the connecting map ``step`` sends into the image of ``m``."""
-    return cokernel_invariants(saturate_preimages(step, image_lattice_rows(m)), step.cols)

@@ -29,8 +29,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .abelian import FgAbelianGroup, IntMatrix
-from .limits import StagedSystem, saturated_cokernel
+from .abelian import FgAbelianGroup, IntMatrix, saturated_cokernel
+from .limits import StagedSystem
 
 
 class WidthError(ValueError):

@@ -25,6 +25,7 @@ from afkit.abelian import (
     determinant,
     hermite_row_basis,
     hermite_row_basis_augmented,
+    image_lattice_rows,
     is_n_divisible,
     is_uniquely_n_divisible,
     kernel_basis,
@@ -32,9 +33,12 @@ from afkit.abelian import (
     preimage_lattice_rows,
     quotient_by,
     row_lattice_contains,
+    saturate_preimages,
+    saturated_cokernel,
     smith_normal_form,
     solve_row_combination,
 )
+from afkit.limits import StagedSystem, death_lattice_rows
 
 
 # --- independent oracles ---------------------------------------------------
@@ -275,7 +279,7 @@ def test_from_rows_rejects_non_integers(bad):
 
 def test_kernel_basis():
     m = IntMatrix.from_rows([[1, 0], [0, 0]])
-    ker = kernel_basis(m)
+    ker = kernel_basis(m).to_rows()
     assert len(ker) == 1
     assert m.apply(ker[0]) == (0, 0)
 
@@ -306,19 +310,19 @@ def test_preimage_and_kernel_dense(case):
     rows, lat, v = case
     m = IntMatrix.from_rows(rows)
     lat_basis = hermite_row_basis(lat)
-    pre = preimage_lattice_rows(m, lat)
+    pre = preimage_lattice_rows(m, IntMatrix.from_rows(lat, cols=m.rows)).to_rows()
     assert all(row_lattice_contains(lat_basis, m.apply(u)) for u in pre)
     assert row_lattice_contains(lat_basis, m.apply(v))
     assert row_lattice_contains(pre, v)
-    assert len(kernel_basis(m)) == m.cols - sympy.Matrix(rows).rank()
+    assert len(kernel_basis(m).to_rows()) == m.cols - sympy.Matrix(rows).rank()
 
 
 def test_preimage_rejects_wrong_length_lattice_rows():
     m = IntMatrix.from_rows([[1, 0], [0, 2]])
     with pytest.raises(DimensionMismatch):
-        preimage_lattice_rows(m, [[1, 0, 0]])
+        preimage_lattice_rows(m, IntMatrix.from_rows([[1, 0, 0]]))
     with pytest.raises(DimensionMismatch):
-        preimage_lattice_rows(m, [[1]])
+        preimage_lattice_rows(m, IntMatrix.from_rows([[1]]))
 
 
 # --- Hermite / lattices ----------------------------------------------------
@@ -431,11 +435,11 @@ def test_sparse_preimage(map_rows, data):
     v = tuple(data.draw(st.sampled_from((0, 0, 1, -1, 2**70))) for _ in range(m.cols))
     lat = data.draw(sparse_matrices(cols=m.rows)) + [m.apply(v)]
     lat_basis = hermite_row_basis(lat)
-    pre = preimage_lattice_rows(m, lat)
+    pre = preimage_lattice_rows(m, IntMatrix.from_rows(lat, cols=m.rows)).to_rows()
     assert all(len(u) == m.cols for u in pre)
     assert all(row_lattice_contains(lat_basis, m.apply(u)) for u in pre)
     assert row_lattice_contains(pre, v)
-    kernel = kernel_basis(m)
+    kernel = kernel_basis(m).to_rows()
     assert len(kernel) == m.cols - sympy.Matrix(map_rows).rank()
     assert all(not any(m.apply(u)) for u in kernel)
 
@@ -538,7 +542,62 @@ def test_preimage_ignores_the_generating_set(case, data):
     c = data.draw(st.integers(1, 6))
     m = IntMatrix.from_rows([[data.draw(st.integers(-9, 9)) for _ in range(c)] for _ in range(n)])
     redundant = mixed + [[a + b for a, b in zip(mixed[0], mixed[-1])], [0] * n]
-    assert preimage_lattice_rows(m, gens) == preimage_lattice_rows(m, redundant)
+    assert preimage_lattice_rows(m, IntMatrix.from_rows(gens)) == preimage_lattice_rows(m, IntMatrix.from_rows(redundant))
+
+
+@st.composite
+def steps_maps_and_lattices(draw):
+    """A square step on Z^n (n <= 5, mostly zeros, often singular), a map m
+    from Z^c into Z^n, generators of a lattice L in Z^n, and a redundant,
+    shuffled generating set of the same L."""
+    n, c = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    entry = st.sampled_from((0, 0, 0, 1, -1, 2, -2, 3))
+    step = IntMatrix.from_rows(draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n)))
+    m = IntMatrix.from_rows(draw(st.lists(st.lists(entry, min_size=c, max_size=c), min_size=n, max_size=n)))
+    gens = draw(st.lists(st.lists(st.integers(-6, 6), min_size=n, max_size=n), max_size=4))
+    redundant = [list(g) for g in gens] + [[0] * n]
+    if gens:
+        redundant += [[3 * a for a in gens[0]], [a + b for a, b in zip(gens[0], gens[-1])]]
+    draw(st.randoms(use_true_random=False)).shuffle(redundant)
+    return step, m, gens, redundant
+
+
+def check_reduced_hermite(lattice: IntMatrix, width: int):
+    rows = lattice.to_rows()
+    assert lattice.cols == width
+    assert [tuple(r) for r in rows] == hermite_row_basis(rows)
+
+
+@settings(max_examples=150, deadline=None)
+@given(steps_maps_and_lattices())
+def test_lattice_values_are_reduced_hermite_bases(case):
+    # every lattice function hands on its reduced Hermite basis; sympy gives
+    # the ranks, the kernel chain of the step and the saturated cokernel
+    step, m, gens, redundant = case
+    n = step.cols
+    lattice = IntMatrix.from_rows(gens, cols=n)
+    rank_m = sympy.Matrix(m.to_rows()).rank()
+    image, kernel = image_lattice_rows(m), kernel_basis(m)
+    check_reduced_hermite(image, n)
+    check_reduced_hermite(kernel, m.cols)
+    assert (image.rows, kernel.rows) == (rank_m, m.cols - rank_m)
+    check_reduced_hermite(preimage_lattice_rows(m, lattice), m.cols)
+    saturated = saturate_preimages(step, lattice)
+    check_reduced_hermite(saturated, n)
+    # the saturation ignores the generating set it starts from
+    assert saturate_preimages(step, IntMatrix.from_rows(redundant, cols=n)) == saturated
+    assert saturate_preimages(step, IntMatrix.from_rows(hermite_row_basis(gens), cols=n)) == saturated
+    # the vectors that some power of the step kills: ker(step^n), by Fitting
+    death = death_lattice_rows(StagedSystem.stationary(step), 0)
+    check_reduced_hermite(death, n)
+    power = sympy.Matrix(step.to_rows()) ** n
+    assert death.rows == n - power.rank()
+    assert all(not any(power * sympy.Matrix(v)) for v in death.to_rows())
+    # the saturated cokernel drops unit pivots of a basis it did not re-eliminate
+    closed = saturate_preimages(step, image).to_rows()
+    want = cokernel_invariants(closed, n)
+    assert saturated_cokernel(step, m) == want
+    assert want == (sympy_quotient(closed, n) if closed else (0,) * n)
 
 
 # --- groups ----------------------------------------------------------------

@@ -1,12 +1,16 @@
-"""The benchmark's tracer wraps afkit functions by name; each name must exist.
+"""The benchmark's tracer wraps afkit functions by name; each name must exist,
+and its post-hooks must still read what the functions return.
 
-A deleted or renamed function would otherwise only show up when someone runs
-``bench/run.py --trace 1``.
+A deleted or renamed function, or a changed return type, would otherwise
+only show up when someone runs ``bench/run.py --trace 1``.
 """
 
 import importlib
 import importlib.util
+import json
 from pathlib import Path
+
+from afkit.cli import main
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
@@ -30,3 +34,18 @@ def test_every_trace_target_resolves():
         if not found:
             missing.append(f"afkit.{layer}.{attr}")
     assert missing == []
+
+
+def test_traced_pipeline_job_runs(tmp_path, capsys):
+    # the hermite_row_basis post-hook iterates the returned rows
+    tracing = load_tracing()
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps({"generators": 2, "relations": [[2, 0], [0, 3]]}))
+    rec = tracing.Recorder()
+    with tracing.Tracing(rec):
+        code = main(["--format", "json", "pipeline", "--group", str(path), "--prime", "3", "--width", "8"])
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["all_passed"] is True
+    values = tracing.per_layer_metrics(rec, overhead=0.0)
+    assert values["abelian.hermite_row_basis.calls"] > 0
+    assert values["abelian.hermite_row_basis.out_bits_max"] > 0

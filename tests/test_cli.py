@@ -195,6 +195,11 @@ MALFORMED_DIAGRAMS = {
         pytest.param(["eplag", "fingerprint", "--graph"],
                      {"vertices": {"a": 3, "b": 5}, "edges": [{"ends": [["a"], "b"], "label": 7}]},
                      "ends must be a list of vertex names", id="eplag-ends-nested-list"),
+        pytest.param(["eplag", "fingerprint", "--graph"], {"vertices": {"a": 3}, "edges": 5},
+                     "edges: expected a list", id="eplag-edges-number"),
+        pytest.param(["group"], {"generators": -1}, "generators", id="group-negative-generators"),
+        pytest.param(["pipeline", "--prime", "3", "--group"], {"generators": -1}, "generators",
+                     id="pipeline-negative-generators"),
         pytest.param(["eplag", "tree", "--p", "5", "--tree"], [1], "JSON object", id="eplag-tree-list"),
         pytest.param(["eplag", "tree", "--p", "5", "--tree"], {"children": [1]},
                      "children[0]: expected a JSON object", id="eplag-tree-child-number"),

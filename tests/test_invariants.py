@@ -203,6 +203,22 @@ def test_pipeline_smith_inputs_stay_g_wide(monkeypatch, g, twisted):
     assert shapes and max(c for _, c in shapes) <= g
 
 
+def test_pipeline_eliminates_each_lattice_once(monkeypatch):
+    # lattices pass between the pipeline's steps as reduced Hermite bases, so
+    # no step re-eliminates one; re-eliminating them made 32 calls on this job
+    calls = []
+    eliminate = abelian._eliminate
+
+    def counting(rows, ncols):
+        calls.append(ncols)
+        return eliminate(rows, ncols)
+
+    monkeypatch.setattr(abelian, "_eliminate", counting)
+    report = pipeline(FgAbelianGroup.from_relation_rows(1, [[6]]), 3, depth=3, width=16)
+    assert report.all_passed
+    assert len(calls) <= 25
+
+
 def test_pipeline_checks_each_element_positive_once(monkeypatch):
     # the realization checks each endomorphism image, and the Shen solves see
     # the same elements again; one verdict per element serves them all

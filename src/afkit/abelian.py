@@ -6,9 +6,10 @@ localization, cokernels of staged maps) reduces to Smith or Hermite normal
 form computations over arbitrary-precision integers, so all answers here
 are exact.  One eliminator does all of them on sparse {column: nonzero}
 rows, and an IntMatrix keeps only its nonzero entries.  A lattice is an
-IntMatrix whose rows are its reduced Hermite basis; the lattice functions
-take and return one, so each lattice is eliminated once.  Rows are dense
-only in relation rows, vectors, `apply` and `hermite_row_basis`.
+IntMatrix whose rows are its reduced Hermite basis, a row's first pair
+being its pivot; the lattice functions and the membership solves take and
+return one, so each lattice is eliminated once.  Vectors are dense where
+they enter and leave, and `hermite_row_basis` is the dense-tuple view.
 """
 
 from __future__ import annotations
@@ -290,38 +291,38 @@ def _bezout(a: int, b: int) -> tuple:
 
 
 def hermite_row_basis(rows: Iterable[Sequence[int]]) -> list:
-    """Canonical basis of the lattice spanned by ``rows``.
+    """Canonical basis of the lattice spanned by ``rows``, as dense tuples.
 
     Row-style Hermite form: echelon with positive pivots and entries above
     each pivot reduced into [0, pivot).  The output depends only on the
     lattice, not on the generating set.
     """
-    work = list(rows)
-    width = len(work[0]) if work else 0
-    return [tuple(_dense(b.items(), width)) for b in _eliminate(map(_sparse, work), width)[0]]
+    lattice = row_lattice(IntMatrix.from_rows(rows))
+    return [tuple(_dense(row, lattice.cols)) for row in lattice.sparse]
 
 
-def row_lattice_contains(basis: Sequence[Sequence[int]], vec: Sequence[int]) -> bool:
-    return row_lattice_coefficients(basis, vec) is not None
+def row_lattice_contains(lattice: IntMatrix, vec: Sequence[int]) -> bool:
+    return row_lattice_coefficients(lattice, vec) is not None
 
 
-def row_lattice_coefficients(basis: Sequence[Sequence[int]], vec: Sequence[int]):
-    """Coefficients expressing ``vec`` over a Hermite basis, or None.
+def row_lattice_coefficients(lattice: IntMatrix, vec: Sequence[int]):
+    """Coefficients expressing ``vec`` over the rows of ``lattice``, or None.
 
-    The basis must be in Hermite row form (as produced by
-    :func:`hermite_row_basis`).
+    The rows must be a reduced Hermite basis, as every lattice function
+    returns; the walk reads each row's pivot, its first pair.
     """
-    vec = list(vec)
+    if len(vec) != lattice.cols:
+        raise DimensionMismatch(f"vector length {len(vec)} != {lattice.cols} columns")
+    rest = _sparse(vec)
     coeffs = []
-    for b in basis:
-        p = next(k for k, x in enumerate(b) if x)
-        if vec[p] % b[p]:
+    for row in lattice.sparse:
+        q, r = divmod(rest.get(row[0][0], 0), row[0][1])
+        if r:
             return None
-        q = vec[p] // b[p]
         coeffs.append(q)
         if q:
-            vec = [v - q * bb for v, bb in zip(vec, b)]
-    return None if any(vec) else coeffs
+            _add_multiple(rest, row, -q)
+    return None if rest else coeffs
 
 
 def solve_row_combination(gens: Sequence[Sequence[int]], target: Sequence[int]):
@@ -331,12 +332,13 @@ def solve_row_combination(gens: Sequence[Sequence[int]], target: Sequence[int]):
     identity block, records each basis row as a combination of ``gens``;
     the target is then a triangular solve over the basis.  This is the one
     certificate builder: a yes/no question needs only
-    :func:`row_lattice_contains` over a :func:`hermite_row_basis`.
+    :func:`row_lattice_contains` over a lattice.
     """
-    ncols, size = len(target), len(gens)
+    ncols, size = len(target), IntMatrix.from_rows(gens, cols=len(target)).rows  # checked: ints, width
     aug = [list(g) + [1 if k == i else 0 for k in range(size)] for i, g in enumerate(gens)]
     basis = [b for b in hermite_row_basis_augmented(aug, ncols) if any(b[:ncols])]
-    coeffs = row_lattice_coefficients([b[:ncols] for b in basis], target)
+    lattice = IntMatrix.from_sparse([_sparse(b[:ncols]) for b in basis], ncols)
+    coeffs = row_lattice_coefficients(lattice, target)
     return None if coeffs is None else [sum(q * b[ncols + i] for q, b in zip(coeffs, basis)) for i in range(size)]
 
 
@@ -354,26 +356,26 @@ def hermite_row_basis_augmented(rows: Sequence[Sequence[int]], ncols: int) -> li
     return [_dense(row.items(), width) for row in basis + zero_head]
 
 
-def _lattice(rows: Iterable[dict], n: int) -> IntMatrix:
-    """The reduced Hermite basis of {column: entry} rows of width n, as the rows of an IntMatrix."""
-    return IntMatrix.from_sparse(_eliminate(rows, n)[0], n)
-
-
 def kernel_basis(m: IntMatrix) -> IntMatrix:
     """Reduced Hermite basis of the vectors v with m.apply(v) == 0."""
     return preimage_lattice_rows(m, IntMatrix.zeros(0, m.rows))
 
 
+def row_lattice(m: IntMatrix) -> IntMatrix:
+    """Reduced Hermite basis of the lattice spanned by the rows of ``m``."""
+    return IntMatrix.from_sparse(_eliminate(map(dict, m.sparse), m.cols)[0], m.cols)
+
+
 def image_lattice_rows(m: IntMatrix) -> IntMatrix:
     """Reduced Hermite basis of the lattice spanned by the columns of ``m``."""
-    return _lattice(map(dict, m.transpose().sparse), m.rows)
+    return row_lattice(m.transpose())
 
 
 def preimage_lattice_rows(m: IntMatrix, lattice: IntMatrix) -> IntMatrix:
     """Reduced Hermite basis of {v : m.apply(v) in the row lattice of ``lattice``}."""
     if lattice.cols != m.rows:
         raise DimensionMismatch(f"lattice rows must have length {m.rows}")
-    return _lattice(_preimage_tails(m.transpose(), lattice.sparse), m.cols)
+    return IntMatrix.from_sparse(_eliminate(_preimage_tails(m.transpose(), lattice.sparse), m.cols)[0], m.cols)
 
 
 def _preimage_tails(mt: IntMatrix, lattice: Iterable) -> list:
@@ -418,9 +420,7 @@ def saturated_cokernel(step: IntMatrix, m: IntMatrix) -> tuple:
 def cokernel_invariants(relation_rows: Sequence[Sequence[int]], n: int) -> tuple:
     """Invariant factors of Z^n modulo the row lattice of ``relation_rows``,
     in the canonical form of :attr:`FgAbelianGroup.invariant_factors`."""
-    if any(len(r) != n for r in relation_rows):
-        raise DimensionMismatch(f"relation rows must have length {n}")
-    return _hermite_cokernel(_lattice(map(_sparse, relation_rows), n))
+    return _hermite_cokernel(row_lattice(IntMatrix.from_rows(relation_rows, cols=n)))
 
 
 def _hermite_cokernel(basis: IntMatrix) -> tuple:
@@ -457,10 +457,8 @@ class FgAbelianGroup:
     def __post_init__(self):
         if self.num_generators < 0:
             raise ValueError(f"generators must be a nonnegative count, got {self.num_generators}")
-        if self.relations.rows and self.relations.cols != self.num_generators:
-            raise DimensionMismatch(
-                f"relations have {self.relations.cols} columns, expected {self.num_generators}"
-            )
+        if self.relations.cols != self.num_generators:
+            raise DimensionMismatch(f"relations have {self.relations.cols} columns, expected {self.num_generators}")
 
     @classmethod
     def from_relation_rows(cls, num_generators: int, rows: Sequence[Sequence[int]]) -> "FgAbelianGroup":
@@ -486,11 +484,11 @@ class FgAbelianGroup:
 
     @cached_property
     def invariant_factors(self) -> tuple:
-        return cokernel_invariants(self.relations.to_rows(), self.num_generators)
+        return _hermite_cokernel(self.relation_lattice)
 
     @cached_property
-    def relation_lattice(self) -> list:
-        return hermite_row_basis(self.relations.to_rows())
+    def relation_lattice(self) -> IntMatrix:
+        return row_lattice(self.relations)
 
     @property
     def torsion_factors(self) -> tuple:
@@ -536,14 +534,14 @@ def quotient_by(group: FgAbelianGroup, subgens: Sequence[Sequence[int]]) -> FgAb
 def is_n_divisible(group: FgAbelianGroup, n: int) -> bool:
     """Is multiplication by n surjective on the group?
 
-    Decided exactly: G/nG is the cokernel of the relations stacked with n
-    times the identity, and surjectivity means that cokernel is trivial.
+    Decided exactly: G/nG is trivial exactly when the reduced Hermite basis
+    of the relations stacked with n times the identity is the identity.
     """
     if n < 2:
         raise ValueError("divisor must be at least 2")
     g = group.num_generators
-    stacked = group.relations.to_rows() + [[n if j == i else 0 for j in range(g)] for i in range(g)]
-    return cokernel_invariants(stacked, g) == ()
+    stacked = [dict(row) for row in group.relation_lattice.sparse] + [{i: n} for i in range(g)]
+    return _eliminate(stacked, g)[0] == [{i: 1} for i in range(g)]
 
 
 def is_uniquely_n_divisible(group: FgAbelianGroup, n: int) -> bool:
@@ -553,8 +551,7 @@ def is_uniquely_n_divisible(group: FgAbelianGroup, n: int) -> bool:
     # injectivity: {v : n*v lies in the relation lattice} must equal the lattice
     g = group.num_generators
     n_id = IntMatrix.from_sparse([{i: n} for i in range(g)], g)
-    lattice = IntMatrix.from_rows(group.relation_lattice, cols=g)
-    return preimage_lattice_rows(n_id, lattice) == lattice
+    return preimage_lattice_rows(n_id, group.relation_lattice) == group.relation_lattice
 
 
 @dataclass(frozen=True)

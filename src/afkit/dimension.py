@@ -453,7 +453,8 @@ def _shen_strict_first(D, theta, search_bound) -> ShenCertificate:
     tau = basis[0][0]
     if tau == 0:
         raise ValueError("all first coordinates vanish")
-    abar = [row_lattice_coefficients(basis, v) for v in vecs]
+    lattice = IntMatrix.from_rows(basis)
+    abar = [row_lattice_coefficients(lattice, v) for v in vecs]
     margin = max((abs(a[j]) for a in abar for j in range(1, rho)), default=0)
     m_coef = margin + 1
     # push until the unit chunk count covers 2 * m * (rho - 1) + 1 atoms

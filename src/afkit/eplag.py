@@ -25,7 +25,7 @@ from functools import cached_property
 from math import lcm
 from typing import Dict, Optional, Sequence
 
-from .abelian import hermite_row_basis, is_prime, row_lattice_contains, solve_row_combination
+from .abelian import IntMatrix, is_prime, row_lattice, row_lattice_contains, solve_row_combination
 
 
 def primes_avoiding(excluded: Sequence[int]):
@@ -152,7 +152,7 @@ class EplagLattice:
     """The bounded generators of a group, eliminated once.
 
     Every generator up to ``exp_bound`` is scaled by the common denominator
-    S into an integer row, and the rows are reduced to their Hermite basis
+    S into an integer row of ``gens``, whose row lattice ``basis`` is built
     on first use.  The lattice lies in (1/S)Z^V, so a target with a
     non-integer coordinate after scaling by S is a nonmember outright; any
     other target is one triangular solve.  ``generators`` replaces the
@@ -166,11 +166,12 @@ class EplagLattice:
         self.names = [name for name, _ in gens]
         self.scale = lcm(*(f.denominator for _, vec in gens for f in vec.values()))
         vertices = group.graph.vertices
-        self.rows = [[int(vec.get(v, 0) * self.scale) for v in vertices] for _, vec in gens]
+        rows = [{j: int(vec[v] * self.scale) for j, v in enumerate(vertices) if vec.get(v)} for _, vec in gens]
+        self.gens = IntMatrix.from_sparse(rows, len(vertices))
 
     @cached_property
-    def basis(self) -> list:
-        return hermite_row_basis(self.rows)
+    def basis(self) -> IntMatrix:
+        return row_lattice(self.gens)
 
     def _scaled(self, x: Dict) -> Optional[list]:
         """S times ``x`` as an integer vector over the vertices, None off the grid."""
@@ -199,7 +200,7 @@ def membership(group: EplagGroup, x: Dict, exp_bound: int) -> MembershipResult:
     """
     lattice = EplagLattice(group, exp_bound)
     scaled = lattice._scaled(x)
-    combo = None if scaled is None else solve_row_combination(lattice.rows, scaled)
+    combo = None if scaled is None else solve_row_combination(lattice.gens.to_rows(), scaled)
     if combo is None:
         return MembershipResult("nonmember_at_bound", exp_bound)
     return MembershipResult("member", exp_bound, {n: c for n, c in zip(lattice.names, combo) if c})

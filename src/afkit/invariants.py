@@ -19,11 +19,11 @@ from .abelian import (
     FgAbelianGroup,
     IntMatrix,
     LocalizedGroupDescriptor,
-    image_lattice_rows,
     is_prime,
     is_uniquely_n_divisible,
     localize,
     preimage_lattice_rows,
+    row_lattice,
     saturated_cokernel,
 )
 from .dimension import (
@@ -228,9 +228,9 @@ def pv_check(D: OrderedStagedSystem, beta: LimitEndomorphism, group: FgAbelianGr
     coker = saturated_cokernel(phi, m)
     death = death_lattice_rows(sys, 0)
     pre = preimage_lattice_rows(m, death)
-    # the kernel classes (pre + death) / death; the columns of [pre; death]^T span pre + death
+    # the kernel classes (pre + death) / death; the rows of [pre; death] span pre + death
     joint = IntMatrix(pre.rows + death.rows, pre.cols, pre.sparse + death.sparse)
-    kernel_rank = image_lattice_rows(joint.transpose()).rows - death.rows
+    kernel_rank = row_lattice(joint).rows - death.rows
     expected = group.invariant_factors
     return PvReport(passed=coker == expected and kernel_rank == 0, expected=expected,
                     cokernel_factors=coker, kernel_rank=kernel_rank)

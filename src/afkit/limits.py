@@ -22,6 +22,7 @@ from .abelian import (
     kernel_basis,
     preimage_lattice_rows,
     require_ints,
+    row_lattice,
     row_lattice_contains,
     saturate_preimages,
 )
@@ -163,7 +164,7 @@ def limit_equal(sys: StagedSystem, e1: LimitElement, e2: LimitElement) -> bool:
         raise DimensionMismatch(f"stage {s} vectors have {sys.stage_rank(s)} entries")
     if a == b or sys.injective:
         return a == b
-    return row_lattice_contains(death_lattice_rows(sys, s).to_rows(), [x - y for x, y in zip(a, b)])
+    return row_lattice_contains(death_lattice_rows(sys, s), [x - y for x, y in zip(a, b)])
 
 
 def is_zero_class(sys: StagedSystem, e: LimitElement) -> bool:
@@ -208,7 +209,7 @@ def build_limit_group(sys: StagedSystem) -> FgAbelianGroup:
         raise ValueError("tail composite is not square")
     current = IntMatrix.identity(block.cols)
     while True:
-        nxt = image_lattice_rows(block @ current.transpose())  # B applied to each basis row
+        nxt = row_lattice(current @ block.transpose())  # B applied to each basis row
         if nxt == current:
             return FgAbelianGroup.free(current.rows)
         if nxt.rows == current.rows:

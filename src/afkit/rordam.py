@@ -77,11 +77,11 @@ def rordam_pair(group: FgAbelianGroup, width: int) -> RordamPair:
         raise WidthError(f"width {width} too small to express the kernel generators (need >= 2)")
     g = group.num_generators
     rank = g * width
-    relation_basis = group.relation_lattice  # Hermite rows, k <= g of them
+    kernel_data = group.relation_lattice.transpose().sparse  # [n]: the nonzeros (k, x) of the Hermite basis's column n
 
     def delta_row(n: int, m: int) -> dict:  # coordinate (n, m) of delta's columns
         if m == 0:  # kernel data: column (k, 0) is the k-th relation basis row
-            return {k * width: row[n] for k, row in enumerate(relation_basis) if row[n]}
+            return {k * width: x for k, x in kernel_data[n]}
         if m == 1:  # the wrap: column (n, width-1) goes back to -x(n, 1)
             return {n * width + width - 1: -1}
         return {n * width + m - 1: 1}  # the shift of column (n, m-1) one slot right

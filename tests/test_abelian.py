@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy.matrices.normalforms import hermite_normal_form, invariant_factors
 
+from afkit import abelian
 from afkit.abelian import (
     DimensionMismatch,
     FgAbelianGroup,
@@ -32,6 +33,8 @@ from afkit.abelian import (
     localize,
     preimage_lattice_rows,
     quotient_by,
+    row_lattice,
+    row_lattice_coefficients,
     row_lattice_contains,
     saturate_preimages,
     saturated_cokernel,
@@ -309,9 +312,9 @@ def dense_map_and_lattice(draw):
 def test_preimage_and_kernel_dense(case):
     rows, lat, v = case
     m = IntMatrix.from_rows(rows)
-    lat_basis = hermite_row_basis(lat)
-    pre = preimage_lattice_rows(m, IntMatrix.from_rows(lat, cols=m.rows)).to_rows()
-    assert all(row_lattice_contains(lat_basis, m.apply(u)) for u in pre)
+    lat_basis = row_lattice(IntMatrix.from_rows(lat, cols=m.rows))
+    pre = preimage_lattice_rows(m, IntMatrix.from_rows(lat, cols=m.rows))
+    assert all(row_lattice_contains(lat_basis, m.apply(u)) for u in pre.to_rows())
     assert row_lattice_contains(lat_basis, m.apply(v))
     assert row_lattice_contains(pre, v)
     assert len(kernel_basis(m).to_rows()) == m.cols - sympy.Matrix(rows).rank()
@@ -434,10 +437,10 @@ def test_sparse_preimage(map_rows, data):
     m = IntMatrix.from_rows(map_rows)
     v = tuple(data.draw(st.sampled_from((0, 0, 1, -1, 2**70))) for _ in range(m.cols))
     lat = data.draw(sparse_matrices(cols=m.rows)) + [m.apply(v)]
-    lat_basis = hermite_row_basis(lat)
-    pre = preimage_lattice_rows(m, IntMatrix.from_rows(lat, cols=m.rows)).to_rows()
-    assert all(len(u) == m.cols for u in pre)
-    assert all(row_lattice_contains(lat_basis, m.apply(u)) for u in pre)
+    lat_basis = row_lattice(IntMatrix.from_rows(lat, cols=m.rows))
+    pre = preimage_lattice_rows(m, IntMatrix.from_rows(lat, cols=m.rows))
+    assert all(len(u) == m.cols for u in pre.to_rows())
+    assert all(row_lattice_contains(lat_basis, m.apply(u)) for u in pre.to_rows())
     assert row_lattice_contains(pre, v)
     kernel = kernel_basis(m).to_rows()
     assert len(kernel) == m.cols - sympy.Matrix(map_rows).rank()
@@ -446,7 +449,7 @@ def test_sparse_preimage(map_rows, data):
 
 def test_lattice_membership_and_solve():
     gens = [[2, 0], [0, 3]]
-    basis = hermite_row_basis(gens)
+    basis = row_lattice(IntMatrix.from_rows(gens))
     assert row_lattice_contains(basis, [4, 3])
     assert not row_lattice_contains(basis, [1, 0])
     combo = solve_row_combination(gens, [4, 3])
@@ -454,6 +457,62 @@ def test_lattice_membership_and_solve():
     recon = [sum(combo[i] * gens[i][j] for i in range(2)) for j in range(2)]
     assert recon == [4, 3]
     assert solve_row_combination(gens, [1, 1]) is None
+
+
+def test_membership_rejects_wrong_length_vectors():
+    # a vector longer than the lattice's rows used to be read up to the rows' width
+    with pytest.raises(DimensionMismatch):
+        row_lattice_contains(IntMatrix.from_rows([(1, 0)]), [1, 0, 5])
+    with pytest.raises(DimensionMismatch):
+        row_lattice_coefficients(IntMatrix.from_rows([(2, 0)]), [2, 0, 7])
+    with pytest.raises(DimensionMismatch):
+        row_lattice_contains(IntMatrix.from_rows([(1, 0)]), [1])
+
+
+def test_ragged_rows_and_short_targets_are_rejected():
+    with pytest.raises(DimensionMismatch):
+        hermite_row_basis([[1], [0, 5]])
+    with pytest.raises(ValueError, match="integers"):
+        hermite_row_basis([[True, 0], [0, 2]])
+    with pytest.raises(DimensionMismatch):
+        solve_row_combination([[1, 0, 0]], [1, 0])
+
+
+@st.composite
+def lattice_and_vector(draw):
+    """A dense lattice of width n <= 6 and a vector: an integer combination of
+    its generators, plus a small perturbation half of the time."""
+    n, r = draw(st.integers(1, 6)), draw(st.integers(0, 6))
+    entry = st.integers(-9, 9)
+    gens = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=r, max_size=r))
+    coeffs = draw(st.lists(st.integers(-5, 5), min_size=r, max_size=r))
+    vec = [sum(k * g[j] for k, g in zip(coeffs, gens)) for j in range(n)]
+    if draw(st.booleans()):
+        vec = [x + draw(st.integers(-2, 2)) for x in vec]
+    return gens, vec
+
+
+@settings(max_examples=200, deadline=None)
+@given(lattice_and_vector())
+def test_lattice_coefficients_against_sympy(case):
+    # the Hermite rows are independent, so B^T x = vec has at most one
+    # rational solution, and vec is a member exactly when it is integral
+    gens, vec = case
+    lattice = row_lattice(IntMatrix.from_rows(gens, cols=len(vec)))
+    basis = sympy.Matrix(lattice.rows, lattice.cols, list(lattice.entries))
+    if lattice.rows == 0:
+        member = not any(vec)
+    else:
+        try:
+            sol, params = basis.T.gauss_jordan_solve(sympy.Matrix(vec))
+            assert not params
+            member = all(x.is_integer for x in sol)
+        except ValueError:  # vec is outside the rational span
+            member = False
+    coeffs = row_lattice_coefficients(lattice, vec)
+    assert (coeffs is not None) == member == row_lattice_contains(lattice, vec)
+    if coeffs is not None:
+        assert [sum(q * x for q, x in zip(coeffs, lattice.col(j))) for j in range(len(vec))] == vec
 
 
 def sympy_quotient(rows: list, n: int) -> tuple:
@@ -608,6 +667,26 @@ def test_invariant_factors_examples():
     assert FgAbelianGroup.cyclic(6).invariant_factors == (6,)
     assert FgAbelianGroup.from_relation_rows(1, [[1]]).invariant_factors == ()
     assert FgAbelianGroup.from_relation_rows(3, [[0, 2, 0], [0, 0, 3]]).invariant_factors == (6, 0)
+
+
+def test_relation_width_is_checked_without_relations():
+    with pytest.raises(DimensionMismatch):
+        FgAbelianGroup(3, IntMatrix.zeros(0, 2))
+    assert FgAbelianGroup(3, IntMatrix.zeros(0, 3)).invariant_factors == (0, 0, 0)
+
+
+def test_relation_rows_are_eliminated_once(monkeypatch):
+    # the invariant factors are read from the relation lattice, so the
+    # lattice asked for afterwards needs no elimination of its own
+    calls = []
+    eliminate = abelian._eliminate
+    monkeypatch.setattr(abelian, "_eliminate", lambda rows, n: calls.append(n) or eliminate(rows, n))
+    g = FgAbelianGroup.from_relation_rows(3, [[2, 4, 0], [0, 6, 3], [1, 1, 1]])
+    assert g.invariant_factors == (18,)
+    calls.clear()
+    lattice = g.relation_lattice
+    assert calls == []
+    assert lattice == row_lattice(g.relations)
 
 
 def test_quotient_examples():

@@ -31,7 +31,7 @@ from .dimension import (
     validate_endomorphism,
     verify_shen_certificate,
 )
-from .eplag import EplagGroup, EplagLattice, PrimeLabeledGraph, divisibility_fingerprint, is_P_divisible_sample, membership, tree_to_eplag
+from .eplag import EplagGroup, PrimeLabeledGraph, divisibility_fingerprint, is_P_divisible_sample, membership, tree_to_eplag
 from .invariants import (
     KirchbergInvariant,
     crossed_product_invariant,

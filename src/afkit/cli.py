@@ -42,7 +42,6 @@ from .dimension import (
 )
 from .eplag import (
     EplagGroup,
-    EplagLattice,
     PrimeLabeledGraph,
     divisibility_fingerprint,
     is_P_divisible_sample,
@@ -50,6 +49,7 @@ from .eplag import (
     tree_to_eplag,
 )
 from .invariants import (
+    FINGERPRINT_EXP_BOUND,
     KirchbergInvariant,
     absorption_equivalences,
     crossed_product_invariant,
@@ -469,25 +469,32 @@ def cmd_eplag(args) -> int:
         return EXIT_OK
     if not args.graph:
         raise InputError(f"eplag {args.action}: --graph is required")
-    if args.bound < 1:
-        raise InputError("--bound: must be at least 1")
     group = eplag_from_json(_load_json(args.graph), args.graph)
     if args.action == "member":
+        if args.bound is not None:
+            raise InputError("--bound: membership is exact; only fingerprint takes a query exponent")
         if not args.target:
             raise InputError("eplag member: --target is required")
         target = qvector_from_json(_load_json(args.target), args.target)
-        result = membership(group, target, args.bound)
-        report = {"status": result.status, "bound": result.bound}
-        if result.certificate is not None:
-            report["certificate"] = dict(sorted(result.certificate.items()))
+        try:
+            result = membership(group, target)
+        except ValueError as e:
+            raise InputError(f"{args.target}: {e}")
+        report = {"status": result.status}
+        if result.is_member:
+            report |= {"bound": result.bound, "certificate": dict(sorted(result.certificate.items()))}
         _emit(report, args.format)
         return EXIT_OK
     if args.action == "fingerprint":
-        lattice = EplagLattice(group, args.bound)
+        K = FINGERPRINT_EXP_BOUND if args.bound is None else args.bound
+        if K < 1:
+            raise InputError("--bound: must be at least 1")
+        if args.prime_bound < 2:
+            raise InputError("--prime-bound: must be at least 2")
         _emit(
             {
-                "fingerprint": [list(s) for s in divisibility_fingerprint(lattice, args.prime_bound)],
-                "p_divisible_sample": is_P_divisible_sample(lattice),
+                "fingerprint": [list(s) for s in divisibility_fingerprint(group, K, args.prime_bound)],
+                "p_divisible_sample": is_P_divisible_sample(group, K),
             },
             args.format,
         )
@@ -623,7 +630,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", default="", help="comma-separated divisibility primes")
     p.add_argument("--graph")
     p.add_argument("--target")
-    p.add_argument("--bound", type=int, default=3)
+    p.add_argument("--bound", type=int, help="fingerprint: query exponent K (default 3)")
     p.add_argument("--prime-bound", type=int, default=20)
     p.set_defaults(func=cmd_eplag)
 

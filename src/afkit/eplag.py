@@ -7,25 +7,30 @@ products of P-primes times powers of the vertex label, together with edge
 sums divided by products of P-primes times the edge label (exponent one,
 as the construction prescribes for edges).
 
-Membership is an exact lattice computation: eliminate once per bound,
-then solve per target.  All generators up to an exponent bound are
-instantiated, scaled by their common denominator and put through one
-Hermite elimination; each target is then one triangular solve over that
-basis.  A yes/no answer reads only that basis; only the one-shot
-:func:`membership` builds an integer certificate.  The group is the
-increasing union over bounds, so a negative answer is only valid at its
-bound.
+Membership is exact.  A subgroup A of Q^V is the intersection of its
+localizations A_(r) (Fuchs, *Abelian Groups*, 2015, ch. 12), and only
+labels and P-primes divide its denominators.  Partial fractions split a
+target x into an integer vector and r-parts x_r, one per such prime r of
+its denominators (any other prime: a nonmember); x_r is r-integral at
+every other prime, so x is in A exactly when every x_r is.  A_(r) is Q on
+the r-divisible vertices (all of them for r in P, else those labeled r),
+Z_(r) on the rest W, plus the sums (e_u + e_v)/r of the edges labeled r.
+So on W, x_r needs r-valuation >= -1 and r x_r must be an integer
+combination of those edge sums and the r e_w (a lattice containing r Z^W,
+so integer and r-local combinations agree).
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
-from typing import Dict, Optional, Sequence
+from itertools import combinations_with_replacement
+from math import lcm, prod
+from typing import Callable, Dict, Optional, Sequence
 
-from .abelian import IntMatrix, is_prime, row_lattice, row_lattice_contains, solve_row_combination
+from .abelian import is_prime, solve_row_combination
 
 
 def primes_avoiding(excluded: Sequence[int]):
@@ -64,6 +69,11 @@ class PrimeLabeledGraph:
         if used & set(self.divisibility_set):
             raise ValueError("label range must be disjoint from the divisibility set")
 
+    @cached_property
+    def primes(self) -> tuple:
+        """The labels and P, ascending: every prime a generator's denominator can have."""
+        return tuple(sorted({self.labels[k] for k in (*self.vertices, *self.edges)} | set(self.divisibility_set)))
+
     def vertex_label(self, v) -> int:
         return self.labels[v]
 
@@ -83,7 +93,7 @@ class PrimeLabeledGraph:
 
 def q_vector(entries: Dict) -> dict:
     """Finite-support rational vector, fractions normalized."""
-    return {k: Fraction(v) for k, v in entries.items() if Fraction(v) != 0}
+    return {k: f for k, v in entries.items() if (f := Fraction(v))}
 
 
 @dataclass(frozen=True)
@@ -91,10 +101,6 @@ class EplagGroup:
     """The subgroup of Q^(V) generated by the labeled-graph scheme."""
 
     graph: PrimeLabeledGraph
-
-    @property
-    def divisibility_set(self) -> tuple:
-        return self.graph.divisibility_set
 
     def generators(self, exp_bound: int) -> list:
         """Instantiated generators with total exponents at most the bound.
@@ -105,42 +111,27 @@ class EplagGroup:
         """
         if exp_bound < 1:
             raise ValueError("exp_bound must be at least 1")
-        smooth = _smooth_denominators(self.divisibility_set, exp_bound)
-        out = []
-        for v in self.graph.vertices:
-            fv = self.graph.vertex_label(v)
-            for m in range(exp_bound + 1):
-                for d in smooth:
-                    denom = d * fv**m
-                    out.append((f"{v}/({d}*{fv}^{m})", {v: Fraction(1, denom)}))
-        for e in self.graph.edges:
-            fe = self.graph.edge_label(e)
-            a, b = sorted(e)
-            for d in smooth:
-                denom = d * fe
-                out.append(
-                    (f"({a}+{b})/({d}*{fe})", {a: Fraction(1, denom), b: Fraction(1, denom)})
-                )
-        return out
+        g = self.graph
+        smooth = sorted({prod(c) for k in range(exp_bound + 1)
+                         for c in combinations_with_replacement(g.divisibility_set, k)})
+        vertex_gens = [(_vertex_name(v, d, g.labels[v], m), {v: Fraction(1, d * g.labels[v] ** m)})
+                       for v in g.vertices for m in range(exp_bound + 1) for d in smooth]
+        return vertex_gens + [(_edge_name(e, d, g.labels[e]), {v: Fraction(1, d * g.labels[e]) for v in e})
+                              for e in g.edges for d in smooth]
 
 
-def _smooth_denominators(primes: Sequence[int], exp_bound: int) -> list:
-    denoms = {1}
-    frontier = {1}
-    for _ in range(exp_bound):
-        nxt = set()
-        for d in frontier:
-            for p in primes:
-                nxt.add(d * p)
-        denoms |= nxt
-        frontier = nxt
-    return sorted(denoms)
+def _vertex_name(v, d: int, label: int, m: int) -> str:
+    return f"{v}/({d}*{label}^{m})"
+
+
+def _edge_name(e: frozenset, d: int, label: int) -> str:
+    return "({}+{})/({}*{})".format(*sorted(e), d, label)
 
 
 @dataclass(frozen=True)
 class MembershipResult:
-    status: str  # "member" or "nonmember_at_bound"
-    bound: int
+    status: str  # "member" or "nonmember"
+    bound: int = 0  # a member's certificate names generators of group.generators(bound)
     certificate: Optional[dict] = None  # generator name -> integer coefficient
 
     @property
@@ -148,74 +139,69 @@ class MembershipResult:
         return self.status == "member"
 
 
-class EplagLattice:
-    """The bounded generators of a group, eliminated once.
+def membership(group: EplagGroup, x: Dict) -> MembershipResult:
+    """Exact membership with an integer certificate, one local solve per prime.
 
-    Every generator up to ``exp_bound`` is scaled by the common denominator
-    S into an integer row of ``gens``, whose row lattice ``basis`` is built
-    on first use.  The lattice lies in (1/S)Z^V, so a target with a
-    non-integer coordinate after scaling by S is a nonmember outright; any
-    other target is one triangular solve.  ``generators`` replaces the
-    scheme's bounded family, for instance to break the scheme on purpose.
+    The certificate maps generator names to coefficients: the partial-fraction
+    numerators, the edge coefficients of each local solve and the integer
+    remainder.  ``bound`` is the largest exponent it uses (at least 1), so
+    every name is one of ``group.generators(bound)``.
     """
-
-    def __init__(self, group: EplagGroup, exp_bound: int, generators: Optional[list] = None):
-        gens = group.generators(exp_bound) if generators is None else generators
-        self.group = group
-        self.bound = exp_bound
-        self.names = [name for name, _ in gens]
-        self.scale = lcm(*(f.denominator for _, vec in gens for f in vec.values()))
-        vertices = group.graph.vertices
-        rows = [{j: int(vec[v] * self.scale) for j, v in enumerate(vertices) if vec.get(v)} for _, vec in gens]
-        self.gens = IntMatrix.from_sparse(rows, len(vertices))
-
-    @cached_property
-    def basis(self) -> IntMatrix:
-        return row_lattice(self.gens)
-
-    def _scaled(self, x: Dict) -> Optional[list]:
-        """S times ``x`` as an integer vector over the vertices, None off the grid."""
-        x = q_vector(x)
-        vertices = self.group.graph.vertices
-        for k in x:
-            if k not in vertices:
-                raise ValueError(f"target touches unknown vertex {k!r}")
-        scaled = [x.get(v, 0) * self.scale for v in vertices]
-        if any(f.denominator != 1 for f in scaled):
-            return None
-        return [int(f) for f in scaled]
-
-    def contains(self, x: Dict) -> bool:
-        """Exact membership at the bound."""
-        scaled = self._scaled(x)
-        return scaled is not None and row_lattice_contains(self.basis, scaled)
-
-
-def membership(group: EplagGroup, x: Dict, exp_bound: int) -> MembershipResult:
-    """Exact bounded membership with an integer certificate.
-
-    Membership is monotone in the bound; a nonmember verdict only means
-    "not with these exponents".  For many yes/no queries, build one
-    :class:`EplagLattice` and ask :meth:`EplagLattice.contains`.
-    """
-    lattice = EplagLattice(group, exp_bound)
-    scaled = lattice._scaled(x)
-    combo = None if scaled is None else solve_row_combination(lattice.gens.to_rows(), scaled)
-    if combo is None:
-        return MembershipResult("nonmember_at_bound", exp_bound)
-    return MembershipResult("member", exp_bound, {n: c for n, c in zip(lattice.names, combo) if c})
+    graph, labels, P = group.graph, group.graph.labels, group.graph.divisibility_set
+    x = q_vector(x)
+    for v in x:
+        if v not in graph.vertices:
+            raise ValueError(f"target touches unknown vertex {v!r}")
+    denom = left = lcm(*(f.denominator for f in x.values()))
+    parts: dict = {}  # prime r -> (k, {vertex: r-part of its coordinate, over r^k})
+    for r in graph.primes:
+        if left == 1:
+            break
+        k = 0
+        while left % r == 0:
+            left, k = left // r, k + 1
+        if k:
+            q = r**k
+            inv = pow(denom // q, -1, q)  # so f - (f denom inv mod q)/q is r-integral
+            parts[r] = k, {v: part for v, f in x.items()
+                           if (part := Fraction(f.numerator * (denom // f.denominator) * inv % q, q))}
+    if left != 1:
+        return MembershipResult("nonmember")
+    terms: Counter = Counter()  # generator name -> coefficient
+    for r, (k, part) in parts.items():
+        off = {} if r in P else {w: f for w, f in part.items() if labels[w] != r}
+        if any(f.denominator != r for f in off.values()):  # off the r-divisible vertices, valuation -1
+            return MembershipResult("nonmember")
+        divisible = {v for v in graph.vertices if r in P or labels[v] == r}
+        edges = [e for e in graph.edges if labels[e] == r and not e <= divisible] if off else []
+        cols = [w for w in graph.vertices if w in off or w not in divisible and any(w in e for e in edges)]
+        combo = solve_row_combination(
+            [[int(w in e) for w in cols] for e in edges] + [[r * (w == c) for c in cols] for w in cols],
+            [int(off.get(w, 0) * r) for w in cols]) if off else []
+        if combo is None:
+            return MembershipResult("nonmember")
+        names = [_edge_name(e, 1, r) for e in edges] + [_vertex_name(w, 1, labels[w], 0) for w in cols]
+        terms.update(dict(zip(names, combo)))  # Counter.update adds
+        for v in graph.vertices:  # the r-divisible vertices take the rest, over r^k
+            if v in divisible and (z := part.get(v, 0) - sum(Fraction(c, r) for e, c in zip(edges, combo) if v in e)):
+                terms[_vertex_name(v, r**k, labels[v], 0) if r in P else _vertex_name(v, 1, r, k)] += int(z * r**k)
+    for v, f in x.items():  # the integer remainder
+        terms[_vertex_name(v, 1, labels[v], 0)] += int(f - sum(part.get(v, 0) for _, part in parts.values()))
+    bound = max([1] + [k for k, _ in parts.values()])
+    return MembershipResult("member", bound, {name: c for name, c in terms.items() if c})
 
 
-def verify_certificate(group: EplagGroup, x: Dict, result: MembershipResult, exp_bound: int) -> bool:
-    """Re-add the certificate combination and compare with the target."""
+def verify_certificate(group: EplagGroup, x: Dict, result: MembershipResult) -> bool:
+    """Re-add the certificate's generators of ``group.generators(result.bound)`` and compare with the target."""
     if not result.is_member:
         return False
-    gens = dict(group.generators(exp_bound))
+    gens = dict(group.generators(result.bound))
+    if not gens.keys() >= result.certificate.keys():
+        return False
     total: dict = {}
-    for name, coeff in (result.certificate or {}).items():
-        vec = gens[name]
-        for v, f in vec.items():
-            total[v] = total.get(v, Fraction(0)) + coeff * f
+    for name, coeff in result.certificate.items():
+        for v, f in gens[name].items():
+            total[v] = total.get(v, 0) + coeff * f
     return q_vector(total) == q_vector(x)
 
 
@@ -276,39 +262,42 @@ def chain_tree(depth: int) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def divisibility_fingerprint(lattice: EplagLattice, prime_bound: int) -> tuple:
+def divisibility_fingerprint(group: EplagGroup, exp_bound: int, prime_bound: int,
+                             contains: Optional[Callable[[Dict], bool]] = None) -> tuple:
     """Multiset of per-vertex divisor-prime sets; invariant under relabeling.
 
-    A prime r counts for a vertex v when v/r^k is a member of the lattice
-    for every k up to its bound K.  Since v/r^k = r^(K-k) * v/r^K, the one
-    query at k = K decides.  Vertex names are forgotten in the result, so
-    isomorphic graphs fingerprint identically.
+    A prime r counts for a vertex v when v/r^k is a member for every k up
+    to the query exponent K = ``exp_bound``.  Since v/r^k = r^(K-k) * v/r^K,
+    the one query at k = K decides.  Only the labels and P, up to
+    ``prime_bound``, are queried: no other prime divides a denominator of
+    the group.  ``contains`` answers membership, exactly by default.
+    Vertex names are forgotten in the result, so isomorphic graphs
+    fingerprint identically.
     """
-    primes = [p for p in range(2, prime_bound + 1) if is_prime(p)]
-    K = lattice.bound
+    contains = contains or (lambda x: membership(group, x).is_member)
+    primes = [r for r in group.graph.primes if r <= prime_bound]
     return tuple(sorted(
-        tuple(r for r in primes if lattice.contains({v: Fraction(1, r**K)}))
-        for v in lattice.group.graph.vertices
+        tuple(r for r in primes if contains({v: Fraction(1, r**exp_bound)}))
+        for v in group.graph.vertices
     ))
 
 
-def is_P_divisible_sample(lattice: EplagLattice) -> bool:
+def is_P_divisible_sample(group: EplagGroup, exp_bound: int,
+                          contains: Optional[Callable[[Dict], bool]] = None) -> bool:
     """Sampled necessary condition for P-divisibility.
 
     Divides every vertex generator and every edge-sum generator by each
-    p^k with p in P and k up to the lattice's bound K, and requires
-    membership of the result; as in the fingerprint, k = K decides.  True
-    by construction for scheme-generated groups; a lattice built from
-    custom generators can deliberately break the scheme.
+    p^k with p in P and k up to the query exponent K = ``exp_bound``, and
+    requires membership of the result; as in the fingerprint, k = K
+    decides.  True by construction for the exact oracle, the default; an
+    oracle for other generators can deliberately break the scheme.
     """
-    graph = lattice.group.graph
+    contains = contains or (lambda x: membership(group, x).is_member)
+    graph = group.graph
     targets = [{v: Fraction(1)} for v in graph.vertices]
-    for e in graph.edges:
-        fe = graph.edge_label(e)
-        targets.append({v: Fraction(1, fe) for v in e})
-    K = lattice.bound
+    targets += [{v: Fraction(1, graph.labels[e]) for v in e} for e in graph.edges]
     return all(
-        lattice.contains({v: f / p**K for v, f in t.items()})
+        contains({v: f / p**exp_bound for v, f in t.items()})
         for t in targets
         for p in graph.divisibility_set
     )

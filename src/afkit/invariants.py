@@ -34,7 +34,7 @@ from .dimension import (
     unit_atom_enumerator,
     validate_diagram,
 )
-from .eplag import EplagGroup, EplagLattice, divisibility_fingerprint
+from .eplag import EplagGroup, divisibility_fingerprint
 from .limits import LimitElement, LimitEndomorphism, StagedSystem, death_lattice_rows
 from .rordam import RordamPair, VerifyReport, rordam_pair, rordam_verify
 
@@ -127,8 +127,8 @@ def kp_isomorphic(a: KirchbergInvariant, b: KirchbergInvariant) -> Optional[bool
     ka, kb = a.k0, b.k0
     if isinstance(ka, EplagGroup) or isinstance(kb, EplagGroup):
         if isinstance(ka, EplagGroup) and isinstance(kb, EplagGroup):
-            fa = divisibility_fingerprint(EplagLattice(ka, FINGERPRINT_EXP_BOUND), FINGERPRINT_PRIME_BOUND)
-            fb = divisibility_fingerprint(EplagLattice(kb, FINGERPRINT_EXP_BOUND), FINGERPRINT_PRIME_BOUND)
+            fa = divisibility_fingerprint(ka, FINGERPRINT_EXP_BOUND, FINGERPRINT_PRIME_BOUND)
+            fb = divisibility_fingerprint(kb, FINGERPRINT_EXP_BOUND, FINGERPRINT_PRIME_BOUND)
             if fa != fb:
                 return False
             return None

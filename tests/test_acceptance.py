@@ -32,7 +32,7 @@ from afkit.dimension import (
     validate_endomorphism,
     verify_shen_certificate,
 )
-from afkit.eplag import EplagLattice, chain_tree, divisibility_fingerprint, is_P_divisible_sample, tree_to_eplag
+from afkit.eplag import chain_tree, divisibility_fingerprint, is_P_divisible_sample, tree_to_eplag
 from afkit.invariants import (
     assemble_pipeline_system,
     crossed_product_invariant,
@@ -287,9 +287,9 @@ def test_criterion_7_eplag():
                    seconds=30.0):
         for P in ([3], [2, 7]):
             G = tree_to_eplag(chain_tree(1), P)
-            assert is_P_divisible_sample(EplagLattice(G, 5))
+            assert is_P_divisible_sample(G, 5)
         G = tree_to_eplag(chain_tree(1), [])
-        base = divisibility_fingerprint(EplagLattice(G, 4), 20)
+        base = divisibility_fingerprint(G, 4, 20)
         rng = random.Random(7)
         names = list(G.graph.vertices)
         for _ in range(20):
@@ -299,9 +299,9 @@ def test_criterion_7_eplag():
             relabeled = G.graph.relabel_vertices(mapping)
             from afkit.eplag import EplagGroup
 
-            assert divisibility_fingerprint(EplagLattice(EplagGroup(relabeled), 4), 20) == base
+            assert divisibility_fingerprint(EplagGroup(relabeled), 4, 20) == base
         deep = tree_to_eplag(chain_tree(2), [])
-        assert divisibility_fingerprint(EplagLattice(deep, 4), 20) != base
+        assert divisibility_fingerprint(deep, 4, 20) != base
 
 
 # --- criterion 8: Schreier generators --------------------------------------------

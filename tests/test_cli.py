@@ -189,6 +189,8 @@ MALFORMED_DIAGRAMS = {
                      id="eplag-vertices-list"),
         pytest.param(["eplag", "member", "--graph", "{graph}", "--target"], [1], "JSON object",
                      id="eplag-target-list"),
+        pytest.param(["eplag", "member", "--graph", "{graph}", "--target"], {"zz": "1/3"},
+                     "unknown vertex 'zz'", id="eplag-target-unknown-vertex"),
         pytest.param(["eplag", "fingerprint", "--graph"],
                      {"vertices": {"a": 3, "b": 5}, "edges": [{"ends": 5, "label": 7}]},
                      "ends must be a list of vertex names", id="eplag-ends-number"),
@@ -347,7 +349,7 @@ def test_eplag_member(tmp_path, capsys):
     g = write(tmp_path, "g.json", graph)
     t = write(tmp_path, "x.json", {"v": "1/15"})
     code, out, _ = run(capsys, ["--format", "json", "eplag", "member",
-                                "--graph", g, "--target", t, "--bound", "2"])
+                                "--graph", g, "--target", t])
     assert code == 0
     report = json.loads(out)
     assert report["status"] == "member"
@@ -416,6 +418,7 @@ def readme_graph(tmp_path, capsys):
         (["ehs", "--system", "{sys}", "--bound", "-3"], "--bound"),
         (["eplag", "tree", "--tree", "{tree}", "--p", "4"], "--p"),
         (["eplag", "fingerprint", "--graph", "{graph}", "--bound", "0"], "--bound"),
+        (["eplag", "fingerprint", "--graph", "{graph}", "--prime-bound", "1"], "--prime-bound"),
         (["eplag", "member", "--graph", "{graph}", "--target", "{target}", "--bound", "0"], "--bound"),
     ],
     ids=lambda v: " ".join(v) if isinstance(v, list) else None,

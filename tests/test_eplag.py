@@ -1,14 +1,18 @@
-"""Tests for prime-labeled-graph groups and bounded membership."""
+"""Tests for prime-labeled-graph groups and exact membership."""
 
+import itertools
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from afkit import abelian
+from afkit import abelian, eplag
+from afkit.abelian import IntMatrix, row_lattice, row_lattice_contains
 from afkit.eplag import (
     EplagGroup,
-    EplagLattice,
     MembershipResult,
     PrimeLabeledGraph,
     chain_tree,
@@ -33,6 +37,31 @@ def edge_group():
     return EplagGroup(g)
 
 
+def reference_oracle(G, gens):
+    """Membership in the row lattice of ``gens``, scaled to integers by their common denominator."""
+    vertices = G.graph.vertices
+    scale = lcm(*(f.denominator for _, vec in gens for f in vec.values()))
+    basis = row_lattice(IntMatrix.from_rows([[int(vec.get(v, 0) * scale) for v in vertices] for _, vec in gens]))
+
+    def contains(x):
+        scaled = [Fraction(x.get(v, 0)) * scale for v in vertices]
+        return all(f.denominator == 1 for f in scaled) and row_lattice_contains(basis, [int(f) for f in scaled])
+
+    return contains
+
+
+def largest_valuation(x, primes) -> int:
+    """The largest exponent of any of ``primes`` in a denominator of ``x``."""
+    out = 0
+    for f in x.values():
+        for r in primes:
+            d, k = Fraction(f).denominator, 0
+            while d % r == 0:
+                d, k = d // r, k + 1
+            out = max(out, k)
+    return out
+
+
 def test_prime_stream_avoids():
     stream = primes_avoiding([3, 5])
     first = [next(stream) for _ in range(5)]
@@ -48,51 +77,52 @@ def test_label_disjointness_enforced():
 
 def test_membership_literal_generator():
     G = single_vertex_group()
-    res = membership(G, {"v": Fraction(1, 15)}, exp_bound=2)
+    res = membership(G, {"v": Fraction(1, 15)})
     assert res.is_member
-    assert verify_certificate(G, {"v": Fraction(1, 15)}, res, exp_bound=2)
+    assert verify_certificate(G, {"v": Fraction(1, 15)}, res)
 
 
 def test_membership_wrong_prime():
     G = single_vertex_group()
-    for bound in (1, 2, 3, 4):
-        res = membership(G, {"v": Fraction(1, 2)}, exp_bound=bound)
-        assert res.status == "nonmember_at_bound"
-        assert res.bound == bound
+    for k in (1, 2, 3, 4):
+        assert membership(G, {"v": Fraction(1, 2**k)}) == MembershipResult("nonmember")
 
 
 def test_membership_edge_sum():
     G = edge_group()
-    res = membership(G, {"v": Fraction(1, 7), "w": Fraction(1, 7)}, exp_bound=4)
+    res = membership(G, {"v": Fraction(1, 7), "w": Fraction(1, 7)})
     assert res.is_member
-    res2 = membership(G, {"v": Fraction(1, 7)}, exp_bound=4)
-    assert res2.status == "nonmember_at_bound"
+    assert res.certificate == {"(v+w)/(1*7)": 1}
+    res2 = membership(G, {"v": Fraction(1, 7)})
+    assert res2.status == "nonmember"
 
 
 def test_membership_monotone_in_bound():
+    # the bounded generator lattices increase to the group; exact membership
+    # answers for their union and names the first bound that suffices
     G = single_vertex_group()
     x = {"v": Fraction(1, 45)}  # 45 = 3^2 * 5
-    low = membership(G, x, exp_bound=1)
-    high = membership(G, x, exp_bound=2)
-    higher = membership(G, x, exp_bound=4)
-    assert not low.is_member
-    assert high.is_member and higher.is_member
+    assert [reference_oracle(G, G.generators(k))(x) for k in (1, 2, 4)] == [False, True, True]
+    res = membership(G, x)
+    assert res.is_member and res.bound == 2
+    assert verify_certificate(G, x, res)
 
 
 def test_membership_mixed_denominator():
     # 1/6 = combination of 1/2 and 1/3 powers, even though 6 is no label power
     g = PrimeLabeledGraph(("v",), (), {"v": 3}, (2,))
     G = EplagGroup(g)
-    res = membership(G, {"v": Fraction(1, 6)}, exp_bound=2)
+    res = membership(G, {"v": Fraction(1, 6)})
     assert res.is_member
-    assert verify_certificate(G, {"v": Fraction(1, 6)}, res, exp_bound=2)
+    assert verify_certificate(G, {"v": Fraction(1, 6)}, res)
 
 
 def test_generators_pass_their_own_membership():
     G = edge_group()
     for name, vec in G.generators(2):
-        res = membership(G, vec, exp_bound=2)
-        assert res.is_member, name
+        res = membership(G, vec)
+        assert res.is_member and res.bound <= 2, name
+        assert verify_certificate(G, vec, res), name
 
 
 def test_tree_single_root():
@@ -101,7 +131,7 @@ def test_tree_single_root():
     assert graph.vertices == ("r",)
     # vertex stream takes odd positions of (2, 3, 7, 11, ...) avoiding P={5}
     assert graph.vertex_label("r") == 3
-    res = membership(G, {"r": Fraction(1, 3 * 5)}, exp_bound=2)
+    res = membership(G, {"r": Fraction(1, 3 * 5)})
     assert res.is_member
 
 
@@ -118,47 +148,47 @@ def test_tree_two_level_chain_labels():
 
 def test_fingerprint_single_vertex():
     G = single_vertex_group(label=3, P=(5,))
-    fp = divisibility_fingerprint(EplagLattice(G, 4), 12)
+    fp = divisibility_fingerprint(G, 4, 12)
     assert fp == ((3, 5),)
 
 
 def test_fingerprint_forgets_names():
     G = edge_group()
-    fp1 = divisibility_fingerprint(EplagLattice(G, 3), 12)
+    fp1 = divisibility_fingerprint(G, 3, 12)
     relabeled = EplagGroup(G.graph.relabel_vertices({"v": "a", "w": "b"}))
-    fp2 = divisibility_fingerprint(EplagLattice(relabeled, 3), 12)
+    fp2 = divisibility_fingerprint(relabeled, 3, 12)
     assert fp1 == fp2
 
 
 def test_fingerprint_invariant_under_random_relabelings():
     G = tree_to_eplag(chain_tree(1), [])
-    base = divisibility_fingerprint(EplagLattice(G, 3), 12)
+    base = divisibility_fingerprint(G, 3, 12)
     rng = random.Random(0)
     names = list(G.graph.vertices)
     for _ in range(8):
         shuffled = names[:]
         rng.shuffle(shuffled)
         mapping = dict(zip(names, shuffled))
-        fp = divisibility_fingerprint(EplagLattice(EplagGroup(G.graph.relabel_vertices(mapping)), 3), 12)
+        fp = divisibility_fingerprint(EplagGroup(G.graph.relabel_vertices(mapping)), 3, 12)
         assert fp == base
 
 
 def test_fingerprint_separates_chain_depths():
     g1 = tree_to_eplag(chain_tree(1), [])
     g2 = tree_to_eplag(chain_tree(2), [])
-    fp1 = divisibility_fingerprint(EplagLattice(g1, 4), 20)
-    fp2 = divisibility_fingerprint(EplagLattice(g2, 4), 20)
+    fp1 = divisibility_fingerprint(g1, 4, 20)
+    fp2 = divisibility_fingerprint(g2, 4, 20)
     assert fp1 != fp2
 
 
 def test_p_divisible_sample_true_by_construction():
     G = tree_to_eplag(chain_tree(1), [3])
-    assert is_P_divisible_sample(EplagLattice(G, 3))
+    assert is_P_divisible_sample(G, 3)
 
 
 def test_p_divisible_vacuous_for_empty_P():
     G = tree_to_eplag(chain_tree(1), [])
-    assert is_P_divisible_sample(EplagLattice(G, 3))
+    assert is_P_divisible_sample(G, 3)
 
 
 def test_p_divisible_sample_detects_broken_scheme():
@@ -166,15 +196,16 @@ def test_p_divisible_sample_detects_broken_scheme():
     for P in ((5,), (2, 5)):
         G = single_vertex_group(label=3, P=P)
         gens = [(n, v) for n, v in G.generators(3) if all(f.denominator % 5 for f in v.values())]
-        assert not is_P_divisible_sample(EplagLattice(G, 3, generators=gens))
+        assert not is_P_divisible_sample(G, 3, reference_oracle(G, gens))
 
 
 def test_fingerprint_needs_every_exponent_up_to_the_bound():
     G = single_vertex_group(label=3, P=(5,))
     # v/3 and v/5 are members, v/9 and v/25 are not
     gens = [(n, v) for n, v in G.generators(2) if v["v"].denominator in (1, 3, 5)]
-    assert divisibility_fingerprint(EplagLattice(G, 1, generators=gens), 20) == ((3, 5),)
-    assert divisibility_fingerprint(EplagLattice(G, 2, generators=gens), 20) == ((),)
+    contains = reference_oracle(G, gens)
+    assert divisibility_fingerprint(G, 1, 20, contains) == ((3, 5),)
+    assert divisibility_fingerprint(G, 2, 20, contains) == ((),)
 
 
 def test_certificates_reverify():
@@ -185,9 +216,19 @@ def test_certificates_reverify():
         {"r.0": Fraction(1, graph.vertex_label("r.0"))},
     ]
     for t in targets:
-        res = membership(G, t, exp_bound=3)
+        res = membership(G, t)
         assert res.is_member
-        assert verify_certificate(G, t, res, exp_bound=3)
+        assert verify_certificate(G, t, res)
+
+
+def test_certificate_coefficients_stay_small():
+    # partial fractions: 1/(2 f) = 1/2 + c/f + an integer, with 0 <= c < f = 5
+    G = tree_to_eplag(chain_tree(2), [2])
+    x = {"r": Fraction(1, 2 * G.graph.vertex_label("r"))}
+    res = membership(G, x)
+    assert verify_certificate(G, x, res)
+    assert len(res.certificate) <= 3
+    assert all(abs(c) < 5 for c in res.certificate.values())
 
 
 def test_q_vector_normalizes():
@@ -195,8 +236,8 @@ def test_q_vector_normalizes():
     assert v == {"a": Fraction(1, 2)}
 
 
-# Fingerprints and sample flags at prime bound 20, exponent bound 2, as
-# computed by the per-query membership solve that the shared lattice replaced.
+# Fingerprints and sample flags at prime bound 20, query exponent 2, as
+# computed by the bounded generator lattices that exact membership replaced.
 BRANCHING = {"children": [{"children": [{"children": []}, {"children": []}]}, {"children": []}]}
 PINNED = {
     "chain2": (chain_tree(2), (), ((3,), (7,), (13,))),
@@ -214,18 +255,18 @@ PINNED = {
 
 @pytest.mark.parametrize("tree, P, expected", list(PINNED.values()), ids=list(PINNED))
 def test_fingerprint_and_sample_pinned(tree, P, expected):
-    lattice = EplagLattice(tree_to_eplag(tree, P), 2)
-    assert divisibility_fingerprint(lattice, 20) == expected
-    assert is_P_divisible_sample(lattice) is True
+    G = tree_to_eplag(tree, P)
+    assert divisibility_fingerprint(G, 2, 20) == expected
+    assert is_P_divisible_sample(G, 2) is True
 
 
-def test_lattice_rejects_target_outside_scaled_grid():
+def test_foreign_denominator_prime_is_a_nonmember_without_a_solve(monkeypatch):
+    monkeypatch.setattr(eplag, "solve_row_combination", None)
     G = single_vertex_group(label=3, P=(5,))
-    lattice = EplagLattice(G, 2)
-    x = {"v": Fraction(1, 2)}
-    assert (x["v"] * lattice.scale).denominator != 1
-    assert not lattice.contains(x)
-    assert membership(G, x, 2) == MembershipResult("nonmember_at_bound", 2)
+    assert membership(G, {"v": Fraction(1, 2)}) == MembershipResult("nonmember")
+    assert membership(G, {"v": Fraction(1, 3 * 5 * 2)}) == MembershipResult("nonmember")
+    with pytest.raises(ValueError, match="unknown vertex"):
+        membership(G, {"zz": Fraction(1, 3)})
 
 
 def lattice_targets(G):
@@ -242,24 +283,107 @@ def lattice_targets(G):
 )
 def test_lattice_agrees_with_one_shot_membership(tree, P):
     G = tree_to_eplag(tree, P)
-    targets = lattice_targets(G)
+    references = {k: reference_oracle(G, G.generators(k)) for k in (1, 2, 3, 4, 5)}
     members = 0
-    for bound in (1, 2, 3):
-        lattice = EplagLattice(G, bound)
-        for t in targets:
-            res = membership(G, t, bound)
-            assert lattice.contains(t) == res.is_member
-            if res.is_member:
-                members += 1
-                assert verify_certificate(G, t, res, bound)
-    assert 0 < members < 3 * len(targets)
+    for t in lattice_targets(G):
+        K = max(1, largest_valuation(t, G.graph.primes))
+        res = membership(G, t)
+        assert references[K](t) == res.is_member == references[K + 2](t)
+        if res.is_member:
+            members += 1
+            assert verify_certificate(G, t, res)
+    assert 0 < members < len(lattice_targets(G))
 
 
 def test_one_shot_membership_eliminates_once(monkeypatch):
+    # one elimination per prime whose local solve has coordinates off the
+    # vertices it labels; none for primes in P
     calls = []
     original = abelian.hermite_row_basis_augmented
     monkeypatch.setattr(abelian, "hermite_row_basis_augmented",
                         lambda *a: calls.append(1) or original(*a))
     G = tree_to_eplag(chain_tree(2), [3])
-    assert membership(G, {"r": Fraction(1, 3)}, 2).is_member
+    graph = G.graph
+    e0, e1 = (graph.edge_label(e) for e in graph.edges)
+    assert membership(G, {"r": Fraction(1, 3)}).is_member
+    assert len(calls) == 0
+    assert membership(G, {"r": Fraction(1, e0), "r.0": Fraction(1, e0)}).is_member
     assert len(calls) == 1
+    x = {"r": Fraction(1, e0), "r.0": Fraction(1, e0) + Fraction(1, e1), "r.0.0": Fraction(1, e1)}
+    assert membership(G, x).is_member
+    assert len(calls) == 3
+
+
+# ---------------------------------------------------------------------------
+# Exact membership against a bounded reference
+# ---------------------------------------------------------------------------
+
+
+FOREIGN = 17  # never a label, never in P
+
+
+@st.composite
+def graphs_with_targets(draw):
+    """Graphs of 1-6 vertices whose labels come from three primes, so edge
+    labels often equal vertex labels, with targets that are sums of
+    generator-shaped terms and, sometimes, a stray term (valuations <= 4)."""
+    P = draw(st.sampled_from([(), (3,), (2, 7)]))
+    pool = [p for p in (2, 3, 5, 7, 11) if p not in P][:3]
+    names = [f"v{i}" for i in range(draw(st.integers(1, 6)))]
+    pairs = [frozenset(p) for p in itertools.combinations(names, 2)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=6)) if pairs else []
+    labels = {k: draw(st.sampled_from(pool)) for k in names + edges}
+    G = EplagGroup(PrimeLabeledGraph(tuple(names), tuple(edges), labels, P))
+    exps = st.integers(0, 4)
+
+    def term():
+        d = 1
+        for p in P:
+            d *= p ** draw(exps)
+        kind = draw(st.sampled_from(["vertex", "edge", "stray"] if edges else ["vertex", "stray"]))
+        if kind == "vertex":
+            v = draw(st.sampled_from(names))
+            return (v,), d * labels[v] ** draw(exps)
+        if kind == "edge":
+            e = draw(st.sampled_from(edges))
+            return tuple(e), d * labels[e]
+        return (draw(st.sampled_from(names)),), draw(st.sampled_from(pool + [FOREIGN])) ** draw(st.integers(1, 4))
+
+    targets = []
+    for _ in range(draw(st.integers(1, 3))):
+        x: dict = {}
+        for _ in range(draw(st.integers(1, 4))):
+            support, denom = term()
+            c = draw(st.integers(-3, 3))
+            for v in support:
+                x[v] = x.get(v, 0) + Fraction(c, denom)
+        targets.append(q_vector(x))
+    return G, targets
+
+
+@settings(max_examples=150, deadline=None)
+@given(graphs_with_targets())
+def test_exact_membership_matches_bounded_reference(case):
+    G, targets = case
+    primes = G.graph.primes + (FOREIGN,)
+    references = {}
+    for x in targets:
+        K = max(1, largest_valuation(x, primes))
+        for k in (K, K + 2):
+            if k not in references:
+                references[k] = reference_oracle(G, G.generators(k))
+        res = membership(G, x)
+        assert references[K](x) == res.is_member == references[K + 2](x)
+        if res.is_member:
+            assert res.bound <= K
+            assert verify_certificate(G, x, res)
+
+
+def test_membership_does_not_grow_with_P():
+    # the P-primes leave a target without them untouched: one local step
+    e = frozenset({"a", "b"})
+    G = EplagGroup(PrimeLabeledGraph(("a", "b"), (e,), {"a": 3, "b": 11, e: 13}, (2, 5, 7)))
+    x = {"a": Fraction(1, 3)}
+    res = membership(G, x)
+    assert res == MembershipResult("member", 1, {"a/(1*3^1)": 1})
+    assert verify_certificate(G, x, res)

@@ -534,24 +534,24 @@ def quotient_by(group: FgAbelianGroup, subgens: Sequence[Sequence[int]]) -> FgAb
 def is_n_divisible(group: FgAbelianGroup, n: int) -> bool:
     """Is multiplication by n surjective on the group?
 
-    Decided exactly: G/nG is trivial exactly when the reduced Hermite basis
-    of the relations stacked with n times the identity is the identity.
+    With G = Z^f + Z/d_1 + ... + Z/d_k in invariant factors, G/nG is
+    (Z/n)^f + Z/gcd(d_1, n) + ... + Z/gcd(d_k, n).  It is trivial exactly when
+    f = 0 and every d_i is prime to n, which is gcd(d, n) == 1 for every
+    factor d, as gcd(0, n) = n >= 2.
     """
     if n < 2:
         raise ValueError("divisor must be at least 2")
-    g = group.num_generators
-    stacked = [dict(row) for row in group.relation_lattice.sparse] + [{i: n} for i in range(g)]
-    return _eliminate(stacked, g)[0] == [{i: 1} for i in range(g)]
+    return all(gcd(d, n) == 1 for d in group.invariant_factors)
 
 
 def is_uniquely_n_divisible(group: FgAbelianGroup, n: int) -> bool:
-    """Is multiplication by n bijective on the group?"""
-    if not is_n_divisible(group, n):
-        return False
-    # injectivity: {v : n*v lies in the relation lattice} must equal the lattice
-    g = group.num_generators
-    n_id = IntMatrix.from_sparse([{i: n} for i in range(g)], g)
-    return preimage_lattice_rows(n_id, group.relation_lattice) == group.relation_lattice
+    """Is multiplication by n bijective on the group?
+
+    The same as n-divisible for a finitely generated group: an n-divisible
+    one has no free part, so it is finite, and a surjective self-map of a
+    finite set is injective.
+    """
+    return is_n_divisible(group, n)
 
 
 @dataclass(frozen=True)

@@ -41,6 +41,8 @@ from .dimension import (
     validate_diagram,
 )
 from .eplag import (
+    FINGERPRINT_EXP_BOUND,
+    FINGERPRINT_PRIME_BOUND,
     EplagGroup,
     PrimeLabeledGraph,
     divisibility_fingerprint,
@@ -49,7 +51,6 @@ from .eplag import (
     tree_to_eplag,
 )
 from .invariants import (
-    FINGERPRINT_EXP_BOUND,
     KirchbergInvariant,
     absorption_equivalences,
     crossed_product_invariant,
@@ -284,11 +285,9 @@ def _default_lines(report, prefix=""):
             else:
                 lines.append(f"{prefix}{k}: {v}")
     elif isinstance(report, list):
+        # one line per item, so the items of a list of lists stay apart
         for v in report:
-            if isinstance(v, (dict, list)):
-                lines.extend(_default_lines(v, prefix + "  "))
-            else:
-                lines.append(f"{prefix}- {v}")
+            lines.append(f"{prefix}- {json.dumps(v, sort_keys=True) if isinstance(v, (dict, list)) else v}")
     return lines
 
 
@@ -630,8 +629,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", default="", help="comma-separated divisibility primes")
     p.add_argument("--graph")
     p.add_argument("--target")
-    p.add_argument("--bound", type=int, help="fingerprint: query exponent K (default 3)")
-    p.add_argument("--prime-bound", type=int, default=20)
+    p.add_argument("--bound", type=int, help=f"fingerprint: query exponent K (default {FINGERPRINT_EXP_BOUND})")
+    p.add_argument("--prime-bound", type=int, default=FINGERPRINT_PRIME_BOUND)
     p.set_defaults(func=cmd_eplag)
 
     p = sub.add_parser("pipeline", help="full invariant pipeline for a presented group")

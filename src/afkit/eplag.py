@@ -262,6 +262,12 @@ def chain_tree(depth: int) -> dict:
 # ---------------------------------------------------------------------------
 
 
+# the divisibility fingerprints kp_isomorphic compares and the CLI defaults
+# to: primes up to 20, query exponent 3
+FINGERPRINT_PRIME_BOUND = 20
+FINGERPRINT_EXP_BOUND = 3
+
+
 def divisibility_fingerprint(group: EplagGroup, exp_bound: int, prime_bound: int,
                              contains: Optional[Callable[[Dict], bool]] = None) -> tuple:
     """Multiset of per-vertex divisor-prime sets; invariant under relabeling.

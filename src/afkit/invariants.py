@@ -34,16 +34,11 @@ from .dimension import (
     unit_atom_enumerator,
     validate_diagram,
 )
-from .eplag import EplagGroup, divisibility_fingerprint
+from .eplag import FINGERPRINT_EXP_BOUND, FINGERPRINT_PRIME_BOUND, EplagGroup, divisibility_fingerprint
 from .limits import LimitElement, LimitEndomorphism, StagedSystem, death_lattice_rows
 from .rordam import RordamPair, VerifyReport, rordam_pair, rordam_verify
 
 K0Descriptor = Union[FgAbelianGroup, LocalizedGroupDescriptor, EplagGroup]
-
-# the divisibility fingerprints kp_isomorphic compares: primes up to 20,
-# denominators with exponent sum up to 3
-FINGERPRINT_PRIME_BOUND = 20
-FINGERPRINT_EXP_BOUND = 3
 
 
 class UndecidableUnitClass(ValueError):

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import groupby
 from typing import Callable, Iterator, Optional, Sequence
 
 from .abelian import FgAbelianGroup, require_ints
@@ -20,19 +21,19 @@ from .abelian import FgAbelianGroup, require_ints
 
 @dataclass(frozen=True)
 class FreeWord:
-    """Reduced word: syllables (generator index, nonzero exponent)."""
+    """Reduced word: unit letters (generator, sign), sign 0 for x_g, 1 for x_g^-1.
+
+    Tuple order on letters is the shortlex letter order, so the letter tuple
+    itself is the lexicographic part of the shortlex key.
+    """
 
     letters: tuple = ()
 
     def __post_init__(self):
-        for gen, exp in self.letters:
-            if exp == 0:
-                raise ValueError("zero exponent in word")
-            if gen < 0:
-                raise ValueError("negative generator index")
-        for (g1, _), (g2, _) in zip(self.letters, self.letters[1:]):
-            if g1 == g2:
-                raise ValueError("adjacent syllables share a generator; word not reduced")
+        if any(gen < 0 or sign not in (0, 1) for gen, sign in self.letters):
+            raise ValueError("a letter needs a generator index >= 0 and a sign 0 or 1")
+        if any(a == (g, 1 - s) for a, (g, s) in zip(self.letters, self.letters[1:])):
+            raise ValueError("letter next to its inverse; word not reduced")
 
     @classmethod
     def identity(cls) -> "FreeWord":
@@ -40,63 +41,52 @@ class FreeWord:
 
     @classmethod
     def generator(cls, n: int, exp: int = 1) -> "FreeWord":
-        if exp == 0:
-            return cls(())
-        return cls(((n, exp),))
+        return cls.from_syllables([(n, exp)])
 
     @classmethod
     def from_syllables(cls, syllables) -> "FreeWord":
-        out = []
+        """Free reduction of the product of powers x_gen^exp."""
+        word = cls()
         for gen, exp in syllables:
-            if exp == 0:
-                continue
-            if out and out[-1][0] == gen:
-                merged = out[-1][1] + exp
-                out.pop()
-                if merged:
-                    out.append((gen, merged))
-            else:
-                out.append((gen, exp))
-        return cls(tuple(out))
+            word = word * cls(((gen, 0 if exp > 0 else 1),) * abs(exp))
+        return word
 
     def __mul__(self, other: "FreeWord") -> "FreeWord":
-        return FreeWord.from_syllables(list(self.letters) + list(other.letters))
+        a, b = self.letters, other.letters
+        k = 0
+        while k < min(len(a), len(b)) and a[-1 - k] == (b[k][0], 1 - b[k][1]):
+            k += 1
+        return FreeWord(a[: len(a) - k] + b[k:])
 
     def inverse(self) -> "FreeWord":
-        return FreeWord(tuple((g, -e) for g, e in reversed(self.letters)))
+        return FreeWord(tuple((g, 1 - s) for g, s in reversed(self.letters)))
 
     def is_identity(self) -> bool:
         return not self.letters
 
     def length(self) -> int:
-        return sum(abs(e) for _, e in self.letters)
-
-    def letter_sequence(self) -> list:
-        """Unit letters as (generator, sign) pairs, sign in {0: +, 1: -}."""
-        seq = []
-        for g, e in self.letters:
-            s = 0 if e > 0 else 1
-            seq.extend([(g, s)] * abs(e))
-        return seq
+        return len(self.letters)
 
     def shortlex_key(self):
-        return (self.length(), self.letter_sequence())
+        return (len(self.letters), self.letters)
 
     def exponent_vector(self, rank: int) -> tuple:
         """Image under abelianization onto Z^rank."""
         out = [0] * rank
-        for g, e in self.letters:
+        for g, s in self.letters:
             if g >= rank:
                 raise ValueError(f"generator x{g} outside ambient rank {rank}")
-            out[g] += e
+            out[g] += 1 - 2 * s
         return tuple(out)
 
     def __str__(self) -> str:
         if not self.letters:
             return "e"
-        return ".".join(
-            f"x{g}" if e == 1 else f"x{g}^{e}" for g, e in self.letters
-        )
+        parts = []
+        for (g, s), run in groupby(self.letters):
+            e = len(list(run)) * (1 - 2 * s)
+            parts.append(f"x{g}" if e == 1 else f"x{g}^{e}")
+        return ".".join(parts)
 
     @classmethod
     def parse(cls, text: str) -> "FreeWord":
@@ -158,23 +148,12 @@ def kernel_oracle(target: FgAbelianGroup, images: Sequence[Sequence[int]]) -> Su
 def shortlex_words(gen_bound: int, max_length: int) -> Iterator[FreeWord]:
     """All reduced words over generators < gen_bound, in shortlex order."""
     alphabet = [(g, s) for g in range(gen_bound) for s in (0, 1)]
-    # letter order is (generator, sign), already how `alphabet` sorts
+    frontier = [()]
     yield FreeWord.identity()
-    frontier = [[]]
     for _ in range(max_length):
-        nxt = []
-        for seq in frontier:
-            for g, s in alphabet:
-                if seq and seq[-1][0] == g and seq[-1][1] != s:
-                    continue  # would cancel
-                nxt.append(seq + [(g, s)])
-        for seq in nxt:
-            yield _word_from_letter_seq(seq)
-        frontier = nxt
-
-
-def _word_from_letter_seq(seq) -> FreeWord:
-    return FreeWord.from_syllables([(g, 1 if s == 0 else -1) for g, s in seq])
+        frontier = [seq + (x,) for seq in frontier for x in alphabet
+                    if seq[-1:] != ((x[0], 1 - x[1]),)]
+        yield from map(FreeWord, frontier)
 
 
 def coset_representative(h: SubgroupOracle, a: FreeWord, gen_bound: int) -> FreeWord:
@@ -196,32 +175,38 @@ def coset_representative(h: SubgroupOracle, a: FreeWord, gen_bound: int) -> Free
 def schreier_generators(h: SubgroupOracle, word_bound: int, gen_bound: int) -> list:
     """Free generators of the subgroup, within enumeration bounds.
 
-    Walks the Schreier transversal breadth first: r x_n^(+-1), one letter
-    longer than a representative r and at most word_bound long, is a
-    representative when it is its own coset representative (prefixes of
-    representatives are representatives).  Emits r x_n phi(r x_n)^-1 for each
-    representative r and n < gen_bound where r x_n is not a representative.
-    Every output is checked against the oracle.
+    Walks the shortlex Schreier transversal breadth first, extending each
+    representative r of at most word_bound letters by every letter.  The
+    candidate w = r x_n^(+-1) is a new representative exactly when no
+    representative b found so far has w b^-1 in the subgroup; otherwise
+    that b is phi(w), and w phi(w)^-1 is emitted for sign +1.  Proof (Sims,
+    Computation with Finitely Presented Groups, 1994): minimal
+    representatives are prefix-closed, since u' < u in Hu makes u'x < ux in
+    Hux; so every representative is a candidate, and candidates arrive in
+    shortlex order.  When w comes up, every representative below it is on
+    the list, phi(w) among them unless it is w.  Bound-length extensions
+    try both signs too, so an x_n^-1 representative is on the list before a
+    later candidate of its coset.  Every output is checked against the oracle.
     """
+    alphabet = [(n, s) for n in range(gen_bound) for s in (0, 1)]
     out = []
+    inverses = [FreeWord.identity()]  # b^-1 for each representative b found so far
     level = [FreeWord.identity()]
-    for length in range(max(word_bound, 0) + 1):
+    for _ in range(max(word_bound, 0) + 1):
         longer = []
         for r in level:
-            for n in range(gen_bound):
-                # at the bound only x_n is tried, for the emission
-                for exp in (1, -1) if length < word_bound else (1,):
-                    w = r * FreeWord.generator(n, exp)
-                    if w.length() < length:
-                        continue  # a prefix of r, hence a representative
-                    b = coset_representative(h, w, gen_bound)
-                    if b == w:
-                        longer.append(w)
-                    elif exp == 1:
-                        g = w * b.inverse()
-                        if g not in h:
-                            raise AssertionError(f"emitted generator {g} failed the membership oracle")
-                        out.append(g)
+            for n, sign in alphabet:
+                if r.letters[-1:] == ((n, 1 - sign),):
+                    continue  # cancels to a prefix of r, a representative
+                w = FreeWord(r.letters + ((n, sign),))
+                g = next((g for g in (w * b_inv for b_inv in inverses) if g in h), None)
+                if g is None:
+                    longer.append(w)
+                    inverses.append(w.inverse())
+                elif sign == 0:
+                    if g not in h:
+                        raise AssertionError(f"emitted generator {g} failed the membership oracle")
+                    out.append(g)
         level = longer
     out.sort(key=FreeWord.shortlex_key)
     return out

@@ -340,6 +340,17 @@ def test_eplag_tree_and_fingerprint(tmp_path, capsys):
     assert len(report["fingerprint"]) == 2
 
 
+def test_eplag_fingerprint_text_format_keeps_inner_lists_apart(tmp_path, capsys):
+    # README's graph: the tree with one child, P = {5}
+    graph = {"P": [5], "edges": [{"ends": ["r", "r.0"], "label": 2}], "vertices": {"r": 3, "r.0": 11}}
+    gpath = write(tmp_path, "g.json", graph)
+    code, out, _ = run(capsys, ["eplag", "fingerprint", "--graph", gpath])
+    assert code == 0
+    assert out.splitlines() == ["fingerprint:", "  - [3, 5]", "  - [5, 11]", "p_divisible_sample: True"]
+    code, out, _ = run(capsys, ["--format", "json", "eplag", "fingerprint", "--graph", gpath])
+    assert json.loads(out)["fingerprint"] == [[3, 5], [5, 11]]
+
+
 def test_eplag_member(tmp_path, capsys):
     graph = {
         "vertices": {"v": 3},

@@ -40,6 +40,19 @@ def test_word_parse_roundtrip():
         assert str(FreeWord.parse(text)) == ("e" if text == "e" else text)
 
 
+@pytest.mark.parametrize("letters", [((-1, 0),), ((0, 2),), ((0, -1),), ((1, 0), (1, 1)), ((0, 1), (0, 0))])
+def test_word_rejects_bad_letters(letters):
+    with pytest.raises(ValueError):
+        FreeWord(letters)
+
+
+def test_word_stores_unit_letters_in_shortlex_order():
+    w = FreeWord.parse("x1^-2.x0")
+    assert w.letters == ((1, 1), (1, 1), (0, 0))
+    assert w.length() == 3
+    assert w.shortlex_key() == (3, w.letters)
+
+
 syllable = st.tuples(st.integers(0, 2), st.integers(-3, 3).filter(bool))
 
 
@@ -193,3 +206,26 @@ def test_transversal_walk_oracle_calls():
     gens = schreier_generators(SubgroupOracle(member, 2), word_bound=7, gen_bound=2)
     assert len(gens) == 7
     assert len(calls) <= 200
+
+
+def test_transversal_walk_records_inverse_representatives_at_the_bound():
+    # x0^-1 is the representative of x1's coset (both map to 2 in Z/3); it is
+    # one letter long, past word bound 0, and must still be found first
+    h = kernel_oracle(FgAbelianGroup.cyclic(3), [[1], [2]])
+    assert [str(g) for g in schreier_generators(h, word_bound=0, gen_bound=2)] == ["x1.x0"]
+
+
+def test_transversal_walk_oracle_calls_quadratic_in_index():
+    # F_2 -> Z/8 + Z/8 onto: index 64, 64 * (2 - 1) + 1 = 65 generators, and
+    # each of the 2 * r * index candidates is tested against at most index
+    # representatives
+    kernel = kernel_oracle(FgAbelianGroup.from_invariant_factors([8, 8]), [[1, 0], [0, 1]])
+    calls = []
+
+    def member(word):
+        calls.append(word)
+        return kernel.membership(word)
+
+    gens = schreier_generators(SubgroupOracle(member, 2), word_bound=8, gen_bound=2)
+    assert len(gens) == 65
+    assert len(calls) <= 2 * 2 * 64 ** 2

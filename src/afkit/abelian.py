@@ -412,9 +412,57 @@ def saturate_preimages(step: IntMatrix, lattice: IntMatrix) -> IntMatrix:
 
 
 def saturated_cokernel(step: IntMatrix, m: IntMatrix) -> tuple:
-    """Invariant factors of Z^n modulo the vectors that some power of the
-    square map ``step`` sends into the image of ``m``."""
-    return _hermite_cokernel(saturate_preimages(step, image_lattice_rows(m)))
+    """Invariant factors of Z^n modulo the smallest preimage-closed lattice
+    (one holding every v with ``step`` v in it) that contains L = im ``m``.
+
+    In general that lattice is :func:`saturate_preimages` of L, worked in
+    Z^n.  When ``step`` maps L into itself (checked: every basis row's image
+    lies in L, or cheaper, a square ``m`` commutes with ``step``), the chain
+    L in step^-1(L) in step^-2(L) ... is increasing, so its union is
+    already a group: the v that some power of ``step`` sends into L.  That
+    union is the preimage of the union of the kernels of the powers of the
+    map that ``step`` induces on Z^n/L, so the saturation runs in the
+    quotient.  In L's reduced Hermite basis a unit pivot's column has
+    exactly one nonzero (entries above a pivot lie in [0, pivot), those
+    below are 0), so the non-unit rows vanish at the unit pivots and span
+    the part R of L on the other, kept, columns.  Reducing a vector at the
+    unit pivots, by its entry there times that unit row, and keeping the
+    other columns maps Z^n onto Z^kept with the unit rows as kernel and L
+    onto R, so Z^kept/R is Z^n/L.  The induced map is ``step``'s kept
+    columns reduced likewise.  The pipeline's pairs keep at most 2g of
+    their g * width columns.
+    """
+    lattice = image_lattice_rows(m)
+    n = step.cols
+    if not (step.rows == n == lattice.cols and _maps_into(step, m, lattice)):
+        return _hermite_cokernel(saturate_preimages(step, lattice))
+    units, keep, relations = _split_unit_pivots(lattice)
+    columns = step.transpose().sparse
+    induced = []  # column t of the induced map: step's kept column, reduced at the unit pivots
+    for j in keep:
+        col = dict(columns[j])
+        for p in [p for p in col if p in units]:  # a unit row is zero at the other unit pivots
+            _add_multiple(col, units[p], -col[p])
+        induced.append({keep[k]: x for k, x in col.items()})
+    quotient_step = IntMatrix.from_sparse(induced, len(keep)).transpose()
+    return _hermite_cokernel(saturate_preimages(quotient_step, IntMatrix.from_sparse(relations, len(keep))))
+
+
+def _maps_into(step: IntMatrix, m: IntMatrix, lattice: IntMatrix) -> bool:
+    """Does ``step`` map ``lattice``, the image of ``m``, into itself?"""
+    if m.rows == m.cols and step @ m == m @ step:  # then step m Z^n = m step Z^n lies in m Z^n
+        return True
+    images = lattice @ step.transpose()  # row i: step applied to basis row i
+    return all(row_lattice_contains(lattice, _dense(row, lattice.cols)) for row in images.sparse)
+
+
+def _split_unit_pivots(basis: IntMatrix) -> tuple:
+    """(units, keep, rest) for a reduced Hermite basis: the rows with pivot 1
+    by pivot column, the other columns as {column: new index}, and the other
+    rows on those columns (they are 0 at every unit pivot)."""
+    units = {row[0][0]: row for row in basis.sparse if row[0][1] == 1}  # a row's first pair is its pivot
+    keep = {j: t for t, j in enumerate(j for j in range(basis.cols) if j not in units)}
+    return units, keep, [{keep[j]: x for j, x in row} for row in basis.sparse if row[0][0] not in units]
 
 
 def cokernel_invariants(relation_rows: Sequence[Sequence[int]], n: int) -> tuple:
@@ -429,9 +477,7 @@ def _hermite_cokernel(basis: IntMatrix) -> tuple:
     the entries above a pivot lie in [0, pivot) and those below are 0, so a
     pivot 1 is alone in its column, its row writes that generator in the
     later ones, and dropping the row with its column presents the same group."""
-    units = {row[0][0] for row in basis.sparse if row[0][1] == 1}  # a row's first pair is its pivot
-    keep = {j: t for t, j in enumerate(sorted(set(range(basis.cols)) - units))}  # kept column: its new index
-    rest = [{keep[j]: x for j, x in row} for row in basis.sparse if row[0][0] not in units]
+    _, keep, rest = _split_unit_pivots(basis)
     s, _, _ = smith_normal_form(IntMatrix.from_sparse(rest, len(keep)))
     diag = [d for d in s.diagonal() if d != 0]
     return tuple(d for d in diag if d > 1) + (0,) * (len(keep) - len(diag))

@@ -659,6 +659,54 @@ def test_lattice_values_are_reduced_hermite_bases(case):
     assert want == (sympy_quotient(closed, n) if closed else (0,) * n)
 
 
+@st.composite
+def step_invariant_pairs(draw):
+    """A square step on Z^n (n <= 6, mostly zeros, often singular) and a map
+    m whose image the step maps into itself: p(step) q(step) U [I | C] for
+    p = a + b step + c step^2, q that or I, U unimodular and C integer, so m
+    is square or wide and often rank deficient."""
+    n = draw(st.integers(1, 6))
+    entry = st.sampled_from((0, 0, 0, 1, -1, 2, -2, 3))
+    step = sympy.Matrix(draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n)))
+    eye = sympy.eye(n)
+
+    def poly():
+        a, b, c = (draw(st.integers(-3, 3)) for _ in range(3))
+        return a * eye + b * step + c * step**2
+
+    u = sympy.eye(n)
+    for i, j, q in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.sampled_from((-1, 1))),
+                                 max_size=2 * n)):
+        if i != j:
+            u[i, :] = u[i, :] + q * u[j, :]
+    extra = draw(st.integers(0, 2))
+    wide = sympy.Matrix(draw(st.lists(st.lists(st.integers(-3, 3), min_size=extra, max_size=extra),
+                                      min_size=n, max_size=n))) if extra else sympy.zeros(n, 0)
+    m = poly() * (poly() if draw(st.booleans()) else eye) * u * eye.row_join(wide)
+    as_ints = lambda a: IntMatrix.from_rows([[int(x) for x in row] for row in a.tolist()], cols=a.cols)
+    return as_ints(step), as_ints(m)
+
+
+@settings(max_examples=200, deadline=None)
+@given(step_invariant_pairs())
+def test_saturated_cokernel_of_step_invariant_images(case):
+    # the saturation runs in Z^n / im m, on the columns the unit pivots leave,
+    # and agrees with saturating im m in Z^n and with sympy
+    step, m = case
+    n = step.cols
+    image = image_lattice_rows(m)
+    assert all(row_lattice_contains(image, step.apply(v)) for v in image.to_rows())
+    widths = []
+    saturate = abelian.saturate_preimages
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(abelian, "saturate_preimages", lambda s, lattice: widths.append(s.cols) or saturate(s, lattice))
+        found = saturated_cokernel(step, m)
+    assert widths == [n - sum(row[0][1] == 1 for row in image.sparse)]
+    closed = saturate_preimages(step, image).to_rows()
+    assert found == cokernel_invariants(closed, n)
+    assert found == (sympy_quotient(closed, n) if closed else (0,) * n)
+
+
 # --- groups ----------------------------------------------------------------
 
 

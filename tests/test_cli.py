@@ -1,6 +1,10 @@
 """CLI tests: exit codes, JSON round trips, deterministic output."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -447,6 +451,15 @@ def test_bad_flag_value_exits_2(tmp_path, capsys, argv, flag):
     assert err.startswith(f"error: {flag}:")
 
 
+def test_eplag_fingerprint_past_the_digit_limit_exits_2(tmp_path, capsys):
+    # the P-part generator 1/5^10000 of a certificate has no decimal name
+    # Python will write; the command says so in one line instead of a traceback
+    graph = readme_graph(tmp_path, capsys)
+    code, out, err = run(capsys, ["eplag", "fingerprint", "--graph", graph, "--bound", "10000"])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: --bound: 10000 is too large") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("value", ["1/5", 0.2])
 def test_eplag_member_reads_json_numbers_as_decimals(tmp_path, capsys, value):
     graph = readme_graph(tmp_path, capsys)
@@ -510,3 +523,12 @@ def test_non_integer_json_number_exits_2(tmp_path, capsys, argv, files):
     code, _, err = run(capsys, [a.format(**paths) for a in argv])
     assert code == 2
     assert err.startswith("error: ") and "integers" in err
+
+
+def test_python_dash_m_runs_the_cli(tmp_path, capsys):
+    g = write(tmp_path, "g.json", Z6)
+    code, out, _ = run(capsys, ["--format", "json", "group", g])
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run([sys.executable, "-m", "afkit", "--format", "json", "group", g], capture_output=True,
+                          text=True, env=os.environ | {"PYTHONPATH": str(src)}, timeout=60)
+    assert (done.returncode, done.stdout) == (code, out)

@@ -185,8 +185,9 @@ def test_pipeline_end_to_end(group, prime):
 @pytest.mark.parametrize("twisted", [False, True])
 @pytest.mark.parametrize("g", [1, 2, 4])
 def test_pipeline_smith_inputs_stay_g_wide(monkeypatch, g, twisted):
-    # the saturated lattices have rank g * width; the Smith form must see only
-    # what their unit pivots leave, at most one column per generator
+    # the staged pairs have rank g * width; the Smith form must see only what
+    # the unit pivots of the saturated lattices leave, at most one column per
+    # generator
     shapes = []
     snf = abelian.smith_normal_form
 
@@ -201,6 +202,26 @@ def test_pipeline_smith_inputs_stay_g_wide(monkeypatch, g, twisted):
     report = pipeline(FgAbelianGroup.from_relation_rows(g, rows), 3, depth=3, width=16)
     assert report.all_passed
     assert shapes and max(c for _, c in shapes) <= g
+
+
+@pytest.mark.parametrize("twisted", [False, True])
+def test_pipeline_saturates_in_the_quotient(monkeypatch, twisted):
+    # rordam_verify and pv_check saturate in Z^n / im m, on the columns the
+    # image's unit pivots leave, not on all g * width = 128 (129) columns
+    g = 8
+    widths = []
+    saturate = abelian.saturate_preimages
+
+    def recording(step, lattice):
+        widths.append(step.cols)
+        return saturate(step, lattice)
+
+    monkeypatch.setattr(abelian, "saturate_preimages", recording)
+    d = [2, 3, 4, 5, 6, 7, 9, 12]
+    rows = [[d[j] * (j == i or twisted * (j == i + 1) * (-1) ** i) for j in range(g)] for i in range(g)]
+    report = pipeline(FgAbelianGroup.from_relation_rows(g, rows), 3, depth=3, width=16)
+    assert report.all_passed
+    assert len(widths) == 2 and max(widths) <= 2 * g
 
 
 def test_pipeline_eliminates_each_lattice_once(monkeypatch):

@@ -412,40 +412,42 @@ def saturate_preimages(step: IntMatrix, lattice: IntMatrix) -> IntMatrix:
 
 
 def saturated_cokernel(step: IntMatrix, m: IntMatrix) -> tuple:
-    """Invariant factors of Z^n modulo the smallest preimage-closed lattice
-    (one holding every v with ``step`` v in it) that contains L = im ``m``.
+    """(K, coordinates): K is Z^n modulo the smallest preimage-closed lattice
+    (one holding every v with ``step`` v in it) that contains L = im ``m``,
+    and ``coordinates`` sends a vector of Z^n to its class's coordinates.
 
-    In general that lattice is :func:`saturate_preimages` of L, worked in
-    Z^n.  When ``step`` maps L into itself (checked: every basis row's image
-    lies in L, or cheaper, a square ``m`` commutes with ``step``), the chain
-    L in step^-1(L) in step^-2(L) ... is increasing, so its union is
-    already a group: the v that some power of ``step`` sends into L.  That
-    union is the preimage of the union of the kernels of the powers of the
-    map that ``step`` induces on Z^n/L, so the saturation runs in the
-    quotient.  In L's reduced Hermite basis a unit pivot's column has
+    In general that lattice is :func:`saturate_preimages` of L, worked and
+    presented in Z^n.  When ``step`` maps L into itself (checked: every
+    basis row's image lies in L, or cheaper, a square ``m`` commutes with
+    ``step``), the chain L in step^-1(L) in step^-2(L) ... is increasing, so
+    its union is already a group: the v that some power of ``step`` sends
+    into L.  That union is the preimage of the union of the kernels of the
+    powers of the map that ``step`` induces on Z^n/L, so the saturation runs
+    in the quotient.  In L's reduced Hermite basis a unit pivot's column has
     exactly one nonzero (entries above a pivot lie in [0, pivot), those
     below are 0), so the non-unit rows vanish at the unit pivots and span
     the part R of L on the other, kept, columns.  Reducing a vector at the
     unit pivots, by its entry there times that unit row, and keeping the
     other columns maps Z^n onto Z^kept with the unit rows as kernel and L
-    onto R, so Z^kept/R is Z^n/L.  The induced map is ``step``'s kept
-    columns reduced likewise.  The pipeline's pairs keep at most 2g of
-    their g * width columns.
+    onto R, so Z^kept/R is Z^n/L.  That reduction gives the coordinates, and
+    on ``step``'s kept columns the induced map; K is presented on the kept
+    columns.  The pipeline's pairs keep at most 2g of their g * width columns.
     """
     lattice = image_lattice_rows(m)
     n = step.cols
     if not (step.rows == n == lattice.cols and _maps_into(step, m, lattice)):
-        return _hermite_cokernel(saturate_preimages(step, lattice))
+        return FgAbelianGroup.from_lattice(saturate_preimages(step, lattice)), tuple
     units, keep, relations = _split_unit_pivots(lattice)
+
+    def reduced(vec: dict) -> dict:  # vec reduced at the unit pivots, on the kept columns
+        for p in [p for p in vec if p in units]:  # a unit row is zero at the other unit pivots
+            _add_multiple(vec, units[p], -vec[p])
+        return {keep[k]: x for k, x in vec.items()}
+
     columns = step.transpose().sparse
-    induced = []  # column t of the induced map: step's kept column, reduced at the unit pivots
-    for j in keep:
-        col = dict(columns[j])
-        for p in [p for p in col if p in units]:  # a unit row is zero at the other unit pivots
-            _add_multiple(col, units[p], -col[p])
-        induced.append({keep[k]: x for k, x in col.items()})
-    quotient_step = IntMatrix.from_sparse(induced, len(keep)).transpose()
-    return _hermite_cokernel(saturate_preimages(quotient_step, IntMatrix.from_sparse(relations, len(keep))))
+    induced = IntMatrix.from_sparse([reduced(dict(columns[j])) for j in keep], len(keep)).transpose()
+    group = FgAbelianGroup.from_lattice(saturate_preimages(induced, IntMatrix.from_sparse(relations, len(keep))))
+    return group, lambda vec: tuple(_dense(reduced(_sparse(vec)).items(), len(keep)))
 
 
 def _maps_into(step: IntMatrix, m: IntMatrix, lattice: IntMatrix) -> bool:
@@ -468,19 +470,7 @@ def _split_unit_pivots(basis: IntMatrix) -> tuple:
 def cokernel_invariants(relation_rows: Sequence[Sequence[int]], n: int) -> tuple:
     """Invariant factors of Z^n modulo the row lattice of ``relation_rows``,
     in the canonical form of :attr:`FgAbelianGroup.invariant_factors`."""
-    return _hermite_cokernel(row_lattice(IntMatrix.from_rows(relation_rows, cols=n)))
-
-
-def _hermite_cokernel(basis: IntMatrix) -> tuple:
-    """Invariant factors of Z^n modulo the lattice of the reduced Hermite
-    basis ``basis``.  The Smith form sees only what the unit pivots leave:
-    the entries above a pivot lie in [0, pivot) and those below are 0, so a
-    pivot 1 is alone in its column, its row writes that generator in the
-    later ones, and dropping the row with its column presents the same group."""
-    _, keep, rest = _split_unit_pivots(basis)
-    s, _, _ = smith_normal_form(IntMatrix.from_sparse(rest, len(keep)))
-    diag = [d for d in s.diagonal() if d != 0]
-    return tuple(d for d in diag if d > 1) + (0,) * (len(keep) - len(diag))
+    return FgAbelianGroup.from_relation_rows(n, relation_rows).invariant_factors
 
 
 # ---------------------------------------------------------------------------
@@ -528,9 +518,24 @@ class FgAbelianGroup:
     def cyclic(cls, order: int) -> "FgAbelianGroup":
         return cls.from_invariant_factors([order])
 
+    @classmethod
+    def from_lattice(cls, basis: IntMatrix) -> "FgAbelianGroup":
+        """Z^n modulo a reduced Hermite basis, taken as the relation lattice as it is."""
+        group = cls(basis.cols, basis)
+        object.__setattr__(group, "relation_lattice", basis)
+        return group
+
     @cached_property
     def invariant_factors(self) -> tuple:
-        return _hermite_cokernel(self.relation_lattice)
+        """The Smith form sees only what the unit pivots of the relation
+        lattice leave: the entries above a pivot lie in [0, pivot) and those
+        below are 0, so a pivot 1 is alone in its column, its row writes that
+        generator in the later ones, and dropping the row with its column
+        presents the same group."""
+        _, keep, rest = _split_unit_pivots(self.relation_lattice)
+        s, _, _ = smith_normal_form(IntMatrix.from_sparse(rest, len(keep)))
+        diag = [d for d in s.diagonal() if d != 0]
+        return tuple(d for d in diag if d > 1) + (0,) * (len(keep) - len(diag))
 
     @cached_property
     def relation_lattice(self) -> IntMatrix:

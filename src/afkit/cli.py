@@ -255,7 +255,7 @@ def invariant_to_json(inv: KirchbergInvariant) -> dict:
         k0_data = {"type": "eplag", "vertices": len(k0.graph.vertices)}
     return {
         "k0": k0_data,
-        "unit": "0" if inv.unit_is_zero() else list(inv.unit_class),
+        "unit": inv.shown_unit(),
         "k1": list(inv.k1.invariant_factors),
         "description": inv.describe(),
     }
@@ -510,6 +510,7 @@ def cmd_pipeline(args) -> int:
         raise InputError(f"--prime: {args.prime} is not prime")
     g = group_from_json(_load_json(args.group), args.group)
     report = pipeline(g, args.prime, args.depth, width=args.width)
+    inv = report.pv.invariant  # every invariant value below is read from the PV stage
     out = {
         "group": group_to_json(g),
         "prime": args.prime,
@@ -527,16 +528,17 @@ def cmd_pipeline(args) -> int:
             },
             "pv": {
                 "pass": report.pv.passed,
-                "cokernel_invariant_factors": list(report.pv.cokernel_factors),
-                "kernel_rank": report.pv.kernel_rank,
+                "cokernel_invariant_factors": list(inv.k0.invariant_factors),
+                "kernel_rank": inv.k1.free_rank,
             },
         },
-        "invariant": invariant_to_json(report.invariant),
+        "invariant": invariant_to_json(inv),
         "absorption": {
-            "o_infty_standard": report.o_infty_absorbing,
-            f"d_{args.prime}": report.dp_absorbing,
+            "o_infty_standard": o_infty_st_absorbing(inv),
+            f"d_{args.prime}": d_p_absorbing(inv.k0, args.prime),
         },
-        "crossed_product_invariant": invariant_to_json(report.crossed_product),
+        "crossed_product_invariant":  # the localization table covers K1 = 0 only
+            invariant_to_json(crossed_product_invariant(inv, args.prime)) if inv.k1.is_trivial() else None,
         "all_passed": report.all_passed,
     }
     if args.emit_diagram:

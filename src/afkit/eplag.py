@@ -158,8 +158,11 @@ def membership(group: EplagGroup, x: Dict) -> MembershipResult:
         if left == 1:
             break
         k = 0
-        while left % r == 0:
-            left, k = left // r, k + 1
+        while left % r == 0:  # strip the largest r^(2^j) that divides: O(log k) rounds, not k divisions
+            power, j = r, 1
+            while left % (power * power) == 0:
+                power, j = power * power, 2 * j
+            left, k = left // power, k + j
         if k:
             q = r**k
             inv = pow(denom // q, -1, q)  # so f - (f denom inv mod q)/q is r-integral

@@ -5,9 +5,9 @@ K1 descriptor).  The pipeline sends a finitely generated abelian group G
 through the staged exact-sequence construction, assembles the ordered
 group D = Z[1/2] (+) H with the strict-first-coordinate cone and the
 halving/shift endomorphism, realizes (D, beta) as a Bratteli diagram with
-multiplicity data, and confirms by a truncated six-term computation that
-the crossed-product invariant is (G, 0, 0): cokernel of id - beta equal to
-G, kernel trivial.
+multiplicity data, and reads the invariant off a truncated six-term
+computation: K0 = coker(id - beta), [1] the class of D's unit there and K1
+= ker(id - beta), which must come out as (G, 0, 0).
 """
 
 from __future__ import annotations
@@ -49,38 +49,40 @@ class UndecidableUnitClass(ValueError):
 class KirchbergInvariant:
     """(K0, [unit], K1) with comparison and absorption predicates.
 
-    ``unit_class`` is a coordinate vector for finitely generated K0 and
-    None for "the zero element by construction"; K1 is a group descriptor,
-    trivial throughout this pipeline.
+    ``unit_class`` is the unit's coordinate vector on the generators of a
+    finitely generated K0, and () (or zeros) for the zero class of the
+    other descriptors.  K1 is a finitely generated group.
     """
 
     k0: K0Descriptor
-    unit_class: Optional[tuple] = None
+    unit_class: tuple
     k1: FgAbelianGroup = field(default_factory=FgAbelianGroup.trivial)
 
     def unit_is_zero(self) -> bool:
-        if self.unit_class is None:
-            return True
         if isinstance(self.k0, FgAbelianGroup):
             return self.k0.element_is_zero(self.unit_class)
-        if all(x == 0 for x in self.unit_class):
+        if not any(self.unit_class):
             return True
         raise UndecidableUnitClass(
             "undecidable unit class: descriptor has no zero test for nonzero data"
         )
+
+    def shown_unit(self) -> str | list:
+        """"0" exactly when :meth:`unit_is_zero` holds, else the coordinates (also when it is undecidable)."""
+        zero = not any(self.unit_class) or isinstance(self.k0, FgAbelianGroup) and self.unit_is_zero()
+        return "0" if zero else list(self.unit_class)
 
     def describe(self) -> str:
         if isinstance(self.k0, EplagGroup):
             k0_text = f"eplag({len(self.k0.graph.vertices)} vertices)"
         else:
             k0_text = self.k0.describe()
-        unit = "0" if self.unit_class is None or all(x == 0 for x in self.unit_class) else str(list(self.unit_class))
-        return f"({k0_text}, {unit}, {self.k1.describe()})"
+        return f"({k0_text}, {self.shown_unit()}, {self.k1.describe()})"
 
 
 def group_to_invariant(g: K0Descriptor) -> KirchbergInvariant:
-    """The pipeline invariant (G, 0, 0)."""
-    return KirchbergInvariant(k0=g, unit_class=None, k1=FgAbelianGroup.trivial())
+    """(G, 0, 0), the unit class given by zero coordinates."""
+    return KirchbergInvariant(k0=g, unit_class=(0,) * g.num_generators if isinstance(g, FgAbelianGroup) else ())
 
 
 def o_infty_st_absorbing(inv: KirchbergInvariant) -> bool:
@@ -100,13 +102,12 @@ def crossed_product_invariant(inv: KirchbergInvariant, p: int) -> KirchbergInvar
 
     On finitely generated K0 the Kunneth computation is localization at p;
     torsion prime to p survives, p-torsion dies, free parts turn into
-    Z[1/p] summands.
+    Z[1/p] summands.  The table covers K1 = 0 only.  A nonzero unit class
+    keeps its coordinates, which the localized descriptor cannot test.
     """
-    if not isinstance(inv.k0, FgAbelianGroup):
-        raise ValueError("crossed-product transform needs finitely generated K0")
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    return KirchbergInvariant(k0=localize(inv.k0, p), unit_class=None)
+    if not isinstance(inv.k0, FgAbelianGroup) or not inv.k1.is_trivial():
+        raise ValueError("crossed-product transform needs finitely generated K0 and K1 = 0")
+    return KirchbergInvariant(k0=localize(inv.k0, p), unit_class=() if inv.unit_is_zero() else inv.unit_class)
 
 
 def kp_isomorphic(a: KirchbergInvariant, b: KirchbergInvariant) -> Optional[bool]:
@@ -116,9 +117,8 @@ def kp_isomorphic(a: KirchbergInvariant, b: KirchbergInvariant) -> Optional[bool
     groups are compared by divisibility fingerprints: distinct fingerprints
     refute isomorphism, equal ones stay unknown.
     """
-    if not a.k1.is_trivial() or not b.k1.is_trivial():
-        if a.k1.invariant_factors != b.k1.invariant_factors:
-            return False
+    if a.k1.invariant_factors != b.k1.invariant_factors:
+        return False
     ka, kb = a.k0, b.k0
     if isinstance(ka, EplagGroup) or isinstance(kb, EplagGroup):
         if isinstance(ka, EplagGroup) and isinstance(kb, EplagGroup):
@@ -128,13 +128,8 @@ def kp_isomorphic(a: KirchbergInvariant, b: KirchbergInvariant) -> Optional[bool
                 return False
             return None
         return None
-    if isinstance(ka, FgAbelianGroup) and isinstance(kb, FgAbelianGroup):
-        groups_iso = ka.is_isomorphic_to(kb)
-    else:
-        first = ka if isinstance(ka, LocalizedGroupDescriptor) else kb
-        other = kb if first is ka else ka
-        groups_iso = first.is_isomorphic_to(other)
-    if not groups_iso:
+    # a localized descriptor compares with both kinds, a finitely generated one only with its own
+    if not (kb.is_isomorphic_to(ka) if isinstance(kb, LocalizedGroupDescriptor) else ka.is_isomorphic_to(kb)):
         return False
     if a.unit_is_zero() and b.unit_is_zero():
         return True
@@ -196,8 +191,7 @@ def assemble_pipeline_system(pair: RordamPair) -> tuple:
 class PvReport:
     passed: bool
     expected: tuple
-    cokernel_factors: tuple
-    kernel_rank: int
+    invariant: KirchbergInvariant
 
     def __bool__(self) -> bool:
         return self.passed
@@ -213,22 +207,23 @@ def pv_check(D: OrderedStagedSystem, beta: LimitEndomorphism, group: FgAbelianGr
     stationary and both saturations run to a fixpoint, so the answers are
     the same at every stage.  The cokernel is computed here, not copied
     from :func:`rordam_verify`'s equal one, so the report checks it
-    independently.
+    independently.  The report's invariant is read from them: K0 the
+    cokernel, [1] the class of D's unit in it, K1 free of the kernel's rank.
     """
     sys = D.system
     if not sys.is_stationary:
         raise ValueError("the truncated check supports stationary systems")
     phi = sys.connect(0)
     m = (phi if beta.cross_stage else IntMatrix.identity(phi.rows)) - beta.matrix
-    coker = saturated_cokernel(phi, m)
+    k0, coordinates = saturated_cokernel(phi, m)
     death = death_lattice_rows(sys, 0)
     pre = preimage_lattice_rows(m, death)
     # the kernel classes (pre + death) / death; the rows of [pre; death] span pre + death
     joint = IntMatrix(pre.rows + death.rows, pre.cols, pre.sparse + death.sparse)
     kernel_rank = row_lattice(joint).rows - death.rows
+    invariant = KirchbergInvariant(k0, coordinates(D.unit.vector), FgAbelianGroup.free(kernel_rank))
     expected = group.invariant_factors
-    return PvReport(passed=coker == expected and kernel_rank == 0, expected=expected,
-                    cokernel_factors=coker, kernel_rank=kernel_rank)
+    return PvReport(k0.invariant_factors == expected and kernel_rank == 0, expected, invariant)
 
 
 # ---------------------------------------------------------------------------
@@ -246,10 +241,6 @@ class PipelineReport:
     realization: RealizationResult
     realization_valid: bool
     pv: PvReport
-    invariant: KirchbergInvariant
-    o_infty_absorbing: bool
-    dp_absorbing: bool
-    crossed_product: KirchbergInvariant
 
     @property
     def all_passed(self) -> bool:
@@ -266,9 +257,9 @@ def pipeline(
 
     Builds the staged pair for G, assembles D = Z[1/2] (+) H with the
     strict cone and unit (1, 0), realizes (D, beta) as a diagram with
-    multiplicities, runs the truncated cokernel and kernel computation
-    against (G, 0), and reports the final invariant with both absorption
-    predicates.  Verification failures are reported, not raised;
+    multiplicities, and runs the truncated cokernel and kernel computation
+    against (G, 0); the final invariant is the one that computation reads
+    off, ``pv.invariant``.  Verification failures are reported, not raised;
     certificate-search exhaustion propagates.
     """
     if depth < 2:
@@ -281,8 +272,6 @@ def pipeline(
     realization = ehs_realize_with_endo(ordered, endo, unit_atom_enumerator(ordered), depth)
     # ehs_realize_with_endo raises when the intertwining identity fails
     realization_valid = validate_diagram(realization.diagram) == []
-    pv = pv_check(ordered, endo, group)
-    inv = group_to_invariant(group)
     return PipelineReport(
         group=group,
         prime=p,
@@ -291,9 +280,5 @@ def pipeline(
         rordam=rordam_report,
         realization=realization,
         realization_valid=realization_valid,
-        pv=pv,
-        invariant=inv,
-        o_infty_absorbing=o_infty_st_absorbing(inv),
-        dp_absorbing=d_p_absorbing(group, p),
-        crossed_product=crossed_product_invariant(inv, p),
+        pv=pv_check(ordered, endo, group),
     )

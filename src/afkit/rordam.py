@@ -113,5 +113,5 @@ def rordam_verify(pair: RordamPair, group: FgAbelianGroup) -> VerifyReport:
     a value, not an exception.
     """
     expected = group.invariant_factors
-    found = saturated_cokernel(pair.beta_matrix, pair.delta_matrix)
+    found = saturated_cokernel(pair.beta_matrix, pair.delta_matrix)[0].invariant_factors
     return VerifyReport(passed=found == expected, expected=expected, found=found)

@@ -655,7 +655,7 @@ def test_lattice_values_are_reduced_hermite_bases(case):
     # the saturated cokernel drops unit pivots of a basis it did not re-eliminate
     closed = saturate_preimages(step, image).to_rows()
     want = cokernel_invariants(closed, n)
-    assert saturated_cokernel(step, m) == want
+    assert saturated_cokernel(step, m)[0].invariant_factors == want
     assert want == (sympy_quotient(closed, n) if closed else (0,) * n)
 
 
@@ -700,11 +700,32 @@ def test_saturated_cokernel_of_step_invariant_images(case):
     saturate = abelian.saturate_preimages
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(abelian, "saturate_preimages", lambda s, lattice: widths.append(s.cols) or saturate(s, lattice))
-        found = saturated_cokernel(step, m)
+        found = saturated_cokernel(step, m)[0].invariant_factors
     assert widths == [n - sum(row[0][1] == 1 for row in image.sparse)]
     closed = saturate_preimages(step, image).to_rows()
     assert found == cokernel_invariants(closed, n)
     assert found == (sympy_quotient(closed, n) if closed else (0,) * n)
+
+
+@settings(max_examples=150, deadline=None)
+@given(step_invariant_pairs(), st.data())
+def test_saturated_cokernel_coordinates_present_the_quotient(case, data):
+    # K's relation lattice is the saturated lattice's reduced Hermite basis on
+    # K's coordinates, and the coordinate map is onto K, additive, and sends v
+    # to 0 exactly when v lies in the saturated lattice
+    step, m = case
+    n = step.cols
+    group, coordinates = saturated_cokernel(step, m)
+    check_reduced_hermite(group.relation_lattice, group.num_generators)
+    closed = saturate_preimages(step, image_lattice_rows(m))
+    units = [coordinates([int(i == j) for i in range(n)]) for j in range(n)]
+    assert cokernel_invariants(units + group.relation_lattice.to_rows(), group.num_generators) == ()
+    vector = st.lists(st.integers(-5, 5), min_size=n, max_size=n)
+    u, v = data.draw(vector), data.draw(vector)
+    total = [a + b for a, b in zip(u, v)]
+    for w in [u, v, total] + closed.to_rows():
+        assert group.element_is_zero(coordinates(w)) == row_lattice_contains(closed, w)
+    assert group.element_is_zero([a + b - c for a, b, c in zip(coordinates(u), coordinates(v), coordinates(total))])
 
 
 # --- groups ----------------------------------------------------------------

@@ -36,6 +36,7 @@ from afkit.eplag import chain_tree, divisibility_fingerprint, is_P_divisible_sam
 from afkit.invariants import (
     assemble_pipeline_system,
     crossed_product_invariant,
+    d_p_absorbing,
     group_to_invariant,
     o_infty_st_absorbing,
     pipeline,
@@ -273,10 +274,10 @@ def test_criterion_6_pipeline():
             assert report.rordam.passed
             assert report.realization_valid
             assert report.pv.passed
-            assert report.pv.cokernel_factors == g.invariant_factors
-            assert report.pv.kernel_rank == 0
-            assert o_infty_st_absorbing(report.invariant)
-            assert report.dp_absorbing == is_uniquely_n_divisible(g, p)
+            assert report.pv.invariant.k0.invariant_factors == g.invariant_factors
+            assert report.pv.invariant.k1.free_rank == 0
+            assert o_infty_st_absorbing(report.pv.invariant)
+            assert d_p_absorbing(report.pv.invariant.k0, p) == is_uniquely_n_divisible(g, p)
 
 
 # --- criterion 7: labeled-graph groups ------------------------------------------

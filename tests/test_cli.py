@@ -4,11 +4,15 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
+from afkit import cli, invariants
+from afkit.abelian import FgAbelianGroup
 from afkit.cli import main
+from afkit.invariants import KirchbergInvariant
 
 
 def write(tmp_path, name, data):
@@ -394,6 +398,47 @@ def test_pipeline_deterministic(tmp_path, capsys):
     code2, out2, _ = run(capsys, argv)
     assert code1 == code2 == 0
     assert out1 == out2
+
+
+@pytest.mark.parametrize("rows,description", [([[0]], "(Z, 0, Z)"), ([[6, 0], [0, 0]], "(Z/6 + Z, 0, Z)")])
+def test_pipeline_with_a_free_part_reports_its_kernel(tmp_path, capsys, rows, description):
+    g = write(tmp_path, "g.json", {"generators": len(rows), "relations": rows})
+    code, out, _ = run(capsys, ["--format", "json", "pipeline", "--group", g, "--prime", "3", "--depth", "3"])
+    assert code == 1
+    report = json.loads(out)
+    assert report["stages"]["pv"]["kernel_rank"] == 1
+    assert report["invariant"]["k1"] == [0]
+    assert report["invariant"]["description"] == description
+    assert report["crossed_product_invariant"] is None
+    assert report["all_passed"] is False
+
+
+def test_pipeline_json_does_not_read_the_input_group(tmp_path, capsys, monkeypatch):
+    # swap the report's group after the stages ran: no computed value moves
+    g = write(tmp_path, "z6.json", Z6)
+    argv = ["--format", "json", "pipeline", "--group", g, "--prime", "3", "--depth", "3"]
+    _, honest, _ = run(capsys, argv)
+    real = cli.pipeline
+    monkeypatch.setattr(cli, "pipeline", lambda *a, **kw: replace(real(*a, **kw), group=FgAbelianGroup.free(2)))
+    code, swapped, _ = run(capsys, argv)
+    assert code == 0
+    assert swapped == honest
+
+
+def test_pipeline_json_reads_the_pv_stage(tmp_path, capsys, monkeypatch):
+    # the reported invariant, absorption flags and crossed product are the PV
+    # stage's, even where they disagree with the input group
+    g = write(tmp_path, "z6.json", Z6)
+    real = invariants.pv_check
+    found = KirchbergInvariant(FgAbelianGroup.cyclic(5), (1,))
+    monkeypatch.setattr(invariants, "pv_check", lambda *a: replace(real(*a), invariant=found))
+    code, out, _ = run(capsys, ["--format", "json", "pipeline", "--group", g, "--prime", "5", "--depth", "3"])
+    report = json.loads(out)
+    assert code == 0
+    assert report["stages"]["pv"]["cokernel_invariant_factors"] == [5]
+    assert report["invariant"]["description"] == "(Z/5, [1], 0)"
+    assert report["absorption"] == {"o_infty_standard": False, "d_5": False}
+    assert report["crossed_product_invariant"]["description"] == "(0, [1], 0)"
 
 
 def test_invariant_with_compare(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Tests for prime-labeled-graph groups and exact membership."""
 
 import itertools
+import time
 import random
 from fractions import Fraction
 from math import lcm
@@ -387,3 +388,33 @@ def test_membership_does_not_grow_with_P():
     res = membership(G, x)
     assert res == MembershipResult("member", 1, {"a/(1*3^1)": 1})
     assert verify_certificate(G, x, res)
+
+
+def test_membership_at_a_large_exponent_matches_a_verified_small_one():
+    # the r-valuation strips r^(2^j) largest first, so k = 100000 costs a few
+    # dozen big divisions, not one per power; each answer matches the k = 3
+    # one, which verify_certificate re-adds, with the exponent renamed
+    # (verify_certificate itself enumerates generators(bound), too many here)
+    G = tree_to_eplag({"children": [{"children": []}]}, [5])  # README's graph: r, r.0 labeled 3, 11
+    half = Fraction(1, 2)  # the edge's label is 2
+    targets = [  # one large exponent each: the partial-fraction inverse is another cost
+        lambda k: {"r": Fraction(1, 3**k)},
+        lambda k: {"r.0": Fraction(1, 3**k)},
+        lambda k: {"r": Fraction(1, 3**k) + Fraction(2, 5), "r.0": Fraction(1, 11)},
+        lambda k: {"r": Fraction(1, 3) + half, "r.0": Fraction(1, 11**k) + half},
+        lambda k: {"r": Fraction(1, 3**k) + half},
+    ]
+    big = 100000
+    elapsed = 0.0
+    for target in targets:
+        small = membership(G, target(3))
+        assert verify_certificate(G, target(3), small) is small.is_member
+        start = time.perf_counter()
+        found = membership(G, target(big))
+        elapsed += time.perf_counter() - start
+        assert found.status == small.status
+        if small.is_member:
+            assert found.bound == big and small.bound == 3
+            assert found.certificate == {name.replace("^3)", f"^{big})"): c for name, c in small.certificate.items()}
+    assert [membership(G, t(3)).status for t in targets] == ["member", "nonmember", "member", "member", "nonmember"]
+    assert elapsed < 5.0  # one division per power took over 4 s per target

@@ -10,6 +10,7 @@ from sympy.matrices.normalforms import invariant_factors
 
 from afkit import abelian
 from afkit.abelian import FgAbelianGroup, IntMatrix, LocalizedGroupDescriptor
+from afkit.cli import invariant_to_json
 from afkit.dimension import OrderedStagedSystem
 from afkit.eplag import chain_tree, tree_to_eplag
 from afkit.invariants import (
@@ -123,8 +124,8 @@ def test_pv_check_halving_on_dyadics():
     halver = LimitEndomorphism.stationary(IntMatrix.identity(1), cross_stage=True)
     report = pv_check(D, halver, TRIVIAL)
     assert report.passed
-    assert report.cokernel_factors == ()
-    assert report.kernel_rank == 0
+    assert report.invariant.k0.invariant_factors == ()
+    assert report.invariant.k1.free_rank == 0
 
 
 def test_pv_check_pipeline_system_z2():
@@ -132,7 +133,7 @@ def test_pv_check_pipeline_system_z2():
     D, endo = assemble_pipeline_system(pair)
     report = pv_check(D, endo, Z2)
     assert report.passed
-    assert report.cokernel_factors == (2,)
+    assert report.invariant.k0.invariant_factors == (2,)
 
 
 def test_pv_check_perturbed_fails():
@@ -168,8 +169,8 @@ def test_truncated_checks_match_sympy(case):
     assert rordam_verify(pair, group).found == want
     D, endo = assemble_pipeline_system(pair)
     report = pv_check(D, endo, group)
-    assert report.cokernel_factors == want
-    assert report.kernel_rank == 0
+    assert report.invariant.k0.invariant_factors == want
+    assert report.invariant.k1.free_rank == 0
 
 
 @pytest.mark.parametrize("group,prime", [(TRIVIAL, 3), (Z2, 3), (Z3, 2)])
@@ -178,8 +179,8 @@ def test_pipeline_end_to_end(group, prime):
     assert report.rordam.passed
     assert report.realization_valid
     assert report.pv.passed
-    assert report.o_infty_absorbing
-    assert report.dp_absorbing == d_p_absorbing(group, prime)
+    assert o_infty_st_absorbing(report.pv.invariant)
+    assert d_p_absorbing(report.pv.invariant.k0, prime) == d_p_absorbing(group, prime)
 
 
 @pytest.mark.parametrize("twisted", [False, True])
@@ -259,9 +260,9 @@ def test_pipeline_checks_each_element_positive_once(monkeypatch):
 
 def test_pipeline_invariant_content():
     report = pipeline(Z3, 2, depth=3)
-    assert report.invariant.k0.invariant_factors == (3,)
-    assert report.dp_absorbing is True
-    cp = report.crossed_product
+    assert report.pv.invariant.k0.invariant_factors == (3,)
+    assert d_p_absorbing(report.pv.invariant.k0, 2) is True
+    cp = crossed_product_invariant(report.pv.invariant, 2)
     assert (cp.k0.free_rank, cp.k0.torsion) == (0, (3,))
 
 
@@ -292,3 +293,55 @@ def test_crossed_product_fixes_uniquely_divisible():
         assert d_p_absorbing(g, 2)
         out = crossed_product_invariant(group_to_invariant(g), 2)
         assert out.k0.is_isomorphic_to(g)
+
+
+def test_describe_prints_zero_exactly_when_the_unit_is_zero():
+    # (3,) is zero in Z/3: describe() agrees with unit_is_zero() and the JSON "unit"
+    zero = KirchbergInvariant(k0=Z3, unit_class=(3,))
+    assert zero.unit_is_zero()
+    assert zero.describe() == "(Z/3, 0, 0)"
+    assert invariant_to_json(zero)["unit"] == "0"
+    one = KirchbergInvariant(k0=Z3, unit_class=(4,))
+    assert not one.unit_is_zero()
+    assert one.describe() == "(Z/3, [4], 0)"
+    # no zero test for nonzero data: the coordinates, not an exception
+    localized = LocalizedGroupDescriptor(2, 1, ())
+    assert KirchbergInvariant(k0=localized, unit_class=(1,)).describe() == "(Z[1/2], [1], 0)"
+    assert KirchbergInvariant(k0=localized, unit_class=()).describe() == "(Z[1/2], 0, 0)"
+
+
+@pytest.mark.parametrize("rows,k0", [([[0]], "Z"), ([[6, 0], [0, 0]], "Z/6 + Z")])
+def test_pipeline_reports_the_pv_kernel_as_k1(rows, k0):
+    # no stationary pair of finite rank kills the kernel on a free part; the
+    # reported invariant shows it instead of echoing (G, 0, 0)
+    report = pipeline(FgAbelianGroup.from_relation_rows(len(rows), rows), 3, depth=3)
+    inv = report.pv.invariant
+    assert not report.pv.passed and not report.all_passed
+    assert inv.k1.invariant_factors == (0,)
+    assert inv.unit_is_zero()
+    assert inv.describe() == f"({k0}, 0, Z)"
+    with pytest.raises(ValueError, match="K1 = 0"):
+        crossed_product_invariant(inv, 3)
+
+
+@settings(max_examples=30, deadline=None)
+@given(finite_presentations())
+def test_pipeline_invariant_is_the_group_on_torsion_presentations(case):
+    rows, width = case
+    group = FgAbelianGroup.from_relation_rows(len(rows), rows)
+    report = pipeline(group, 3, depth=3, width=width)
+    assert report.all_passed
+    assert kp_isomorphic(report.pv.invariant, group_to_invariant(group)) is True
+    assert report.pv.invariant.unit_is_zero()
+
+
+def test_pv_unit_class_is_read_in_the_cokernel():
+    # a pair whose cokernel holds the unit's class: D = Z with the unit 1 and
+    # beta = 3, so coker(id - beta) = Z/2 and [1] is its generator
+    D = OrderedStagedSystem(system=StagedSystem.stationary(IntMatrix.identity(1)), cone="simplicial",
+                            unit=LimitElement(0, (1,)))
+    report = pv_check(D, LimitEndomorphism.stationary(IntMatrix.from_rows([[3]])), Z2)
+    assert report.passed
+    assert report.invariant.k0.invariant_factors == (2,)
+    assert not report.invariant.unit_is_zero()
+    assert not o_infty_st_absorbing(report.invariant)

@@ -325,6 +325,32 @@ def row_lattice_coefficients(lattice: IntMatrix, vec: Sequence[int]):
     return None if rest else coeffs
 
 
+def row_lattice_remainder(lattice: IntMatrix, vec: Sequence[int]) -> tuple:
+    """The canonical representative of ``vec`` modulo the row lattice, as
+    sorted (column, nonzero entry) pairs; () exactly for the lattice's members.
+
+    The walk of :func:`row_lattice_coefficients` over the reduced Hermite
+    rows b_1, ..., b_k, with pivots at columns p_1 < ... < p_k and entries
+    d_i > 0 there, but taking the floor quotient at each pivot: the
+    remainder rho(v) = v - sum q_i b_i lies in v + L and has its entry at
+    each p_i in [0, d_i), since b_i vanishes before p_i and the later rows
+    vanish at p_i.  It is unique per coset.  If v - v' lies in L, so does
+    rho(v) - rho(v') = sum c_i b_i; were some c_i nonzero, the first one
+    would make the difference at p_i equal to c_i d_i (the earlier rows
+    have c = 0, the later ones vanish there), but two entries in [0, d_i)
+    differ by less than d_i.  So rho(v) = rho(v'), and conversely equal
+    remainders put v and v' in one coset.
+    """
+    if len(vec) != lattice.cols:
+        raise DimensionMismatch(f"vector length {len(vec)} != {lattice.cols} columns")
+    rest = _sparse(vec)
+    for row in lattice.sparse:
+        q = rest.get(row[0][0], 0) // row[0][1]
+        if q:
+            _add_multiple(rest, row, -q)
+    return tuple(sorted(rest.items()))
+
+
 def solve_row_combination(gens: Sequence[Sequence[int]], target: Sequence[int]):
     """Integer x with x @ gens == target, or None.
 
@@ -412,9 +438,11 @@ def saturate_preimages(step: IntMatrix, lattice: IntMatrix) -> IntMatrix:
 
 
 def saturated_cokernel(step: IntMatrix, m: IntMatrix) -> tuple:
-    """(K, coordinates): K is Z^n modulo the smallest preimage-closed lattice
-    (one holding every v with ``step`` v in it) that contains L = im ``m``,
-    and ``coordinates`` sends a vector of Z^n to its class's coordinates.
+    """(K, coordinates, rank L): K is Z^n modulo the smallest preimage-closed
+    lattice (one holding every v with ``step`` v in it) that contains
+    L = im ``m``, ``coordinates`` sends a vector of Z^n to its class's
+    coordinates, and rank L, the rank of ``m``, comes from the one
+    elimination of L that both need.
 
     In general that lattice is :func:`saturate_preimages` of L, worked and
     presented in Z^n.  When ``step`` maps L into itself (checked: every
@@ -436,7 +464,7 @@ def saturated_cokernel(step: IntMatrix, m: IntMatrix) -> tuple:
     lattice = image_lattice_rows(m)
     n = step.cols
     if not (step.rows == n == lattice.cols and _maps_into(step, m, lattice)):
-        return FgAbelianGroup.from_lattice(saturate_preimages(step, lattice)), tuple
+        return FgAbelianGroup.from_lattice(saturate_preimages(step, lattice)), tuple, lattice.rows
     units, keep, relations = _split_unit_pivots(lattice)
 
     def reduced(vec: dict) -> dict:  # vec reduced at the unit pivots, on the kept columns
@@ -447,7 +475,7 @@ def saturated_cokernel(step: IntMatrix, m: IntMatrix) -> tuple:
     columns = step.transpose().sparse
     induced = IntMatrix.from_sparse([reduced(dict(columns[j])) for j in keep], len(keep)).transpose()
     group = FgAbelianGroup.from_lattice(saturate_preimages(induced, IntMatrix.from_sparse(relations, len(keep))))
-    return group, lambda vec: tuple(_dense(reduced(_sparse(vec)).items(), len(keep)))
+    return group, lambda vec: tuple(_dense(reduced(_sparse(vec)).items(), len(keep))), lattice.rows
 
 
 def _maps_into(step: IntMatrix, m: IntMatrix, lattice: IntMatrix) -> bool:

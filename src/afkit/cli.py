@@ -509,7 +509,7 @@ def cmd_pipeline(args) -> int:
     if not is_prime(args.prime):
         raise InputError(f"--prime: {args.prime} is not prime")
     g = group_from_json(_load_json(args.group), args.group)
-    report = pipeline(g, args.prime, args.depth, width=args.width)
+    report = pipeline(g, args.depth, width=args.width)
     inv = report.pv.invariant  # every invariant value below is read from the PV stage
     out = {
         "group": group_to_json(g),

@@ -22,6 +22,7 @@ so integer and r-local combinations agree).
 
 from __future__ import annotations
 
+import re
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -157,17 +158,13 @@ def membership(group: EplagGroup, x: Dict) -> MembershipResult:
     for r in graph.primes:
         if left == 1:
             break
-        k = 0
-        while left % r == 0:  # strip the largest r^(2^j) that divides: O(log k) rounds, not k divisions
-            power, j = r, 1
-            while left % (power * power) == 0:
-                power, j = power * power, 2 * j
-            left, k = left // power, k + j
-        if k:
-            q = r**k
-            inv = pow(denom // q, -1, q)  # so f - (f denom inv mod q)/q is r-integral
-            parts[r] = k, {v: part for v, f in x.items()
-                           if (part := Fraction(f.numerator * (denom // f.denominator) * inv % q, q))}
+        if left % r:
+            continue
+        left, k = _strip(left, r)
+        q = r**k
+        inv = pow(denom // q, -1, q)  # so f - (f denom inv mod q)/q is r-integral
+        parts[r] = k, {v: part for v, f in x.items()
+                       if (part := Fraction(f.numerator * (denom // f.denominator) * inv % q, q))}
     if left != 1:
         return MembershipResult("nonmember")
     terms: Counter = Counter()  # generator name -> coefficient
@@ -194,16 +191,74 @@ def membership(group: EplagGroup, x: Dict) -> MembershipResult:
     return MembershipResult("member", bound, {name: c for name, c in terms.items() if c})
 
 
+def _strip(n: int, r: int) -> tuple:
+    """(n / r^k, k) for the largest k with r^k dividing n > 0.
+
+    Strips the largest r^(2^j) that divides, repeatedly: O(log k) rounds of
+    big divisions, not k of them.
+    """
+    k = 0
+    while n % r == 0:
+        power, j = r, 1
+        while n % (power * power) == 0:
+            power, j = power * power, 2 * j
+        n, k = n // power, k + j
+    return n, k
+
+
+_VERTEX_NAME = re.compile(r"(.*)/\((\d+)\*\d+\^(\d+)\)", re.S)  # head, d, m of _vertex_name
+_EDGE_NAME = re.compile(r"(.*)/\((\d+)\*\d+\)", re.S)  # head, d of _edge_name
+
+
 def verify_certificate(group: EplagGroup, x: Dict, result: MembershipResult) -> bool:
-    """Re-add the certificate's generators of ``group.generators(result.bound)`` and compare with the target."""
+    """Re-add the certificate's generators and compare with the target.
+
+    Every name must be one of ``group.generators(result.bound)``, but only
+    the named generators are built.  A name's vertex or edge, d and m are
+    read back from its text and the name is rebuilt from them; it counts
+    when the rebuilt name is the same string, d is a product of P-primes
+    with exponent sum at most the bound and m is at most the bound.
+    """
     if not result.is_member:
         return False
-    gens = dict(group.generators(result.bound))
-    if not gens.keys() >= result.certificate.keys():
-        return False
+    if result.bound < 1:
+        raise ValueError("exp_bound must be at least 1")
+    g = group.graph
+    vertices = {f"{v}": v for v in g.vertices}
+    edges = {"({}+{})".format(*sorted(e)): e for e in g.edges}
+
+    def smooth(d: int) -> bool:
+        exponents = 0
+        for p in g.divisibility_set:
+            d, k = _strip(d, p)
+            exponents += k
+        return d == 1 and exponents <= result.bound
+
+    def generator(name: str) -> Optional[dict]:
+        vertex, edge = _VERTEX_NAME.fullmatch(name), _EDGE_NAME.fullmatch(name)
+        if not (found := vertex or edge):
+            return None
+        try:
+            numbers = [int(t) for t in found.groups()[1:]]  # d, then a vertex's m
+        except ValueError:  # past Python's int-string digit limit, which generators() cannot write either
+            return None
+        if not ((d := numbers[0]) and smooth(d)):
+            return None
+        if vertex and found[1] in vertices:
+            v, m = vertices[found[1]], numbers[1]
+            if _vertex_name(v, d, g.labels[v], m) == name and m <= result.bound:
+                return {v: Fraction(1, d * g.labels[v] ** m)}
+        elif edge and found[1] in edges:
+            e = edges[found[1]]
+            if _edge_name(e, d, g.labels[e]) == name:
+                return {v: Fraction(1, d * g.labels[e]) for v in e}
+        return None
+
     total: dict = {}
     for name, coeff in result.certificate.items():
-        for v, f in gens[name].items():
+        if (vec := generator(name)) is None:
+            return False
+        for v, f in vec.items():
             total[v] = total.get(v, 0) + coeff * f
     return q_vector(total) == q_vector(x)
 

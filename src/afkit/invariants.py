@@ -209,18 +209,26 @@ def pv_check(D: OrderedStagedSystem, beta: LimitEndomorphism, group: FgAbelianGr
     from :func:`rordam_verify`'s equal one, so the report checks it
     independently.  The report's invariant is read from them: K0 the
     cokernel, [1] the class of D's unit in it, K1 free of the kernel's rank.
+    When the connecting map is injective nothing dies, so the kernel is
+    ker m itself, and by rank-nullity its rank is m.cols - rank(im m), with
+    rank(im m) read off the image lattice the cokernel already eliminated.
+    Otherwise the kernel classes are (pre + death) / death for pre the
+    preimage under m of the death lattice.
     """
     sys = D.system
     if not sys.is_stationary:
         raise ValueError("the truncated check supports stationary systems")
     phi = sys.connect(0)
     m = (phi if beta.cross_stage else IntMatrix.identity(phi.rows)) - beta.matrix
-    k0, coordinates = saturated_cokernel(phi, m)
-    death = death_lattice_rows(sys, 0)
-    pre = preimage_lattice_rows(m, death)
-    # the kernel classes (pre + death) / death; the rows of [pre; death] span pre + death
-    joint = IntMatrix(pre.rows + death.rows, pre.cols, pre.sparse + death.sparse)
-    kernel_rank = row_lattice(joint).rows - death.rows
+    k0, coordinates, image_rank = saturated_cokernel(phi, m)
+    if sys.injective:
+        kernel_rank = m.cols - image_rank
+    else:
+        death = death_lattice_rows(sys, 0)
+        pre = preimage_lattice_rows(m, death)
+        # the rows of [pre; death] span pre + death
+        joint = IntMatrix(pre.rows + death.rows, pre.cols, pre.sparse + death.sparse)
+        kernel_rank = row_lattice(joint).rows - death.rows
     invariant = KirchbergInvariant(k0, coordinates(D.unit.vector), FgAbelianGroup.free(kernel_rank))
     expected = group.invariant_factors
     return PvReport(k0.invariant_factors == expected and kernel_rank == 0, expected, invariant)
@@ -234,7 +242,6 @@ def pv_check(D: OrderedStagedSystem, beta: LimitEndomorphism, group: FgAbelianGr
 @dataclass(frozen=True)
 class PipelineReport:
     group: FgAbelianGroup
-    prime: int
     width: int
     depth: int
     rordam: VerifyReport
@@ -247,12 +254,7 @@ class PipelineReport:
         return bool(self.rordam) and self.realization_valid and bool(self.pv)
 
 
-def pipeline(
-    group: FgAbelianGroup,
-    p: int,
-    depth: int,
-    width: int = 6,
-) -> PipelineReport:
+def pipeline(group: FgAbelianGroup, depth: int, width: int = 6) -> PipelineReport:
     """Full chain from a group presentation to its verified invariant.
 
     Builds the staged pair for G, assembles D = Z[1/2] (+) H with the
@@ -264,8 +266,6 @@ def pipeline(
     """
     if depth < 2:
         raise ValueError("depth must be at least 2")
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
     pair = rordam_pair(group, width)
     rordam_report = rordam_verify(pair, group)
     ordered, endo = assemble_pipeline_system(pair)
@@ -274,7 +274,6 @@ def pipeline(
     realization_valid = validate_diagram(realization.diagram) == []
     return PipelineReport(
         group=group,
-        prime=p,
         width=width,
         depth=depth,
         rordam=rordam_report,

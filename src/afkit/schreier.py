@@ -14,9 +14,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from itertools import groupby
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Hashable, Iterator, Optional, Sequence
 
-from .abelian import FgAbelianGroup, require_ints
+from .abelian import FgAbelianGroup, require_ints, row_lattice_remainder
 
 
 @dataclass(frozen=True)
@@ -104,45 +104,54 @@ class FreeWord:
 
 @dataclass(frozen=True)
 class SubgroupOracle:
-    """Membership test for a subgroup of the free group."""
+    """Membership test for a subgroup of the free group.
+
+    ``key``, when given, sends a word to a hashable value that is equal for
+    two words exactly when they lie in one right coset Hw; the Schreier walk
+    then finds a coset with one lookup instead of a scan of membership tests.
+    """
 
     membership: Callable[[FreeWord], bool]
     ambient_rank: Optional[int] = None
+    key: Optional[Callable[[FreeWord], Hashable]] = None
 
     def __contains__(self, word: FreeWord) -> bool:
         return self.membership(word)
 
 
 def whole_group_oracle(rank: Optional[int] = None) -> SubgroupOracle:
-    return SubgroupOracle(lambda w: True, rank)
+    return SubgroupOracle(lambda w: True, rank, lambda w: ())
 
 
 def trivial_subgroup_oracle(rank: Optional[int] = None) -> SubgroupOracle:
-    return SubgroupOracle(lambda w: w.is_identity(), rank)
+    return SubgroupOracle(lambda w: w.is_identity(), rank, lambda w: w.letters)
 
 
 def kernel_oracle(target: FgAbelianGroup, images: Sequence[Sequence[int]]) -> SubgroupOracle:
     """Kernel of the map sending generator x_i to the i-th listed element.
 
-    Images are coordinate vectors in the target's generators, so membership
-    is an exact lattice test.
+    Images are coordinate vectors in the target's generators.  A word's key
+    is its image reduced modulo the target's relation lattice, which is
+    unique per element of the target (:func:`row_lattice_remainder`), so
+    two words share a coset of the kernel exactly when their keys agree,
+    and a word is a member exactly when its key is the identity's.
     """
     images = [require_ints(v, "image entries") for v in images]
     for v in images:
         if len(v) != target.num_generators:
             raise ValueError("image vector length mismatch")
-    rank = len(images)
+    rank, lattice = len(images), target.relation_lattice
 
-    def member(word: FreeWord) -> bool:
-        exps = word.exponent_vector(rank)
+    def key(word: FreeWord) -> tuple:
         total = [0] * target.num_generators
-        for e, img in zip(exps, images):
+        for e, img in zip(word.exponent_vector(rank), images):
             if e:
                 for k in range(target.num_generators):
                     total[k] += e * img[k]
-        return target.element_is_zero(total)
+        return row_lattice_remainder(lattice, total)
 
-    return SubgroupOracle(member, rank)
+    identity_key = key(FreeWord.identity())
+    return SubgroupOracle(lambda w: key(w) == identity_key, rank, key)
 
 
 def shortlex_words(gen_bound: int, max_length: int) -> Iterator[FreeWord]:
@@ -177,21 +186,39 @@ def schreier_generators(h: SubgroupOracle, word_bound: int, gen_bound: int) -> l
 
     Walks the shortlex Schreier transversal breadth first, extending each
     representative r of at most word_bound letters by every letter.  The
-    candidate w = r x_n^(+-1) is a new representative exactly when no
-    representative b found so far has w b^-1 in the subgroup; otherwise
-    that b is phi(w), and w phi(w)^-1 is emitted for sign +1.  Proof (Sims,
-    Computation with Finitely Presented Groups, 1994): minimal
-    representatives are prefix-closed, since u' < u in Hu makes u'x < ux in
-    Hux; so every representative is a candidate, and candidates arrive in
-    shortlex order.  When w comes up, every representative below it is on
-    the list, phi(w) among them unless it is w.  Bound-length extensions
-    try both signs too, so an x_n^-1 representative is on the list before a
-    later candidate of its coset.  Every output is checked against the oracle.
+    candidate w = r x_n^(+-1) is a new representative exactly when its coset
+    has none yet; otherwise that representative is phi(w), and w phi(w)^-1
+    is emitted for sign +1.  Proof (Sims, Computation with Finitely
+    Presented Groups, 1994): minimal representatives are prefix-closed,
+    since u' < u in Hu makes u'x < ux in Hux; so every representative is a
+    candidate, and candidates arrive in shortlex order.  When w comes up,
+    every representative below it is on the list, phi(w) among them unless
+    it is w.  Bound-length extensions try both signs too, so an x_n^-1
+    representative is on the list before a later candidate of its coset.
+    The coset is looked up by the oracle's key, or else found by testing
+    w b^-1 against every representative b so far.  Every output is checked
+    against the oracle.
     """
     alphabet = [(n, s) for n in range(gen_bound) for s in (0, 1)]
+    identity = FreeWord.identity()
+    by_key = {h.key(identity): identity} if h.key is not None else None  # coset key -> b^-1
+    inverses = [identity]  # b^-1 for each representative b so far, when there is no key
+
+    def known_coset(w: FreeWord) -> Optional[FreeWord]:
+        """w phi(w)^-1 when w's coset has a representative; else None, and w becomes one."""
+        if by_key is not None:
+            k = h.key(w)
+            if k in by_key:
+                return w * by_key[k]
+            by_key[k] = w.inverse()
+            return None
+        g = next((g for g in (w * b_inv for b_inv in inverses) if g in h), None)
+        if g is None:
+            inverses.append(w.inverse())
+        return g
+
     out = []
-    inverses = [FreeWord.identity()]  # b^-1 for each representative b found so far
-    level = [FreeWord.identity()]
+    level = [identity]
     for _ in range(max(word_bound, 0) + 1):
         longer = []
         for r in level:
@@ -199,10 +226,9 @@ def schreier_generators(h: SubgroupOracle, word_bound: int, gen_bound: int) -> l
                 if r.letters[-1:] == ((n, 1 - sign),):
                     continue  # cancels to a prefix of r, a representative
                 w = FreeWord(r.letters + ((n, sign),))
-                g = next((g for g in (w * b_inv for b_inv in inverses) if g in h), None)
+                g = known_coset(w)
                 if g is None:
                     longer.append(w)
-                    inverses.append(w.inverse())
                 elif sign == 0:
                     if g not in h:
                         raise AssertionError(f"emitted generator {g} failed the membership oracle")

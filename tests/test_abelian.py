@@ -36,6 +36,7 @@ from afkit.abelian import (
     row_lattice,
     row_lattice_coefficients,
     row_lattice_contains,
+    row_lattice_remainder,
     saturate_preimages,
     saturated_cokernel,
     smith_normal_form,
@@ -467,6 +468,8 @@ def test_membership_rejects_wrong_length_vectors():
         row_lattice_coefficients(IntMatrix.from_rows([(2, 0)]), [2, 0, 7])
     with pytest.raises(DimensionMismatch):
         row_lattice_contains(IntMatrix.from_rows([(1, 0)]), [1])
+    with pytest.raises(DimensionMismatch):
+        row_lattice_remainder(IntMatrix.from_rows([(2, 0)]), [1])
 
 
 def test_ragged_rows_and_short_targets_are_rejected():
@@ -513,6 +516,26 @@ def test_lattice_coefficients_against_sympy(case):
     assert (coeffs is not None) == member == row_lattice_contains(lattice, vec)
     if coeffs is not None:
         assert [sum(q * x for q, x in zip(coeffs, lattice.col(j))) for j in range(len(vec))] == vec
+
+
+@settings(max_examples=200, deadline=None)
+@given(lattice_and_vector(), st.data())
+def test_lattice_remainder_is_unique_per_coset(case, data):
+    # the remainder lies in vec + L with entries in [0, pivot) at the pivots,
+    # and two vectors share it exactly when their difference lies in L
+    gens, vec = case
+    n = len(vec)
+    lattice = row_lattice(IntMatrix.from_rows(gens, cols=n))
+    rest = row_lattice_remainder(lattice, vec)
+    dense = [dict(rest).get(j, 0) for j in range(n)]
+    assert rest == tuple(sorted(rest)) and all(x for _, x in rest)
+    assert row_lattice_contains(lattice, [a - b for a, b in zip(vec, dense)])
+    assert all(0 <= dense[row[0][0]] < row[0][1] for row in lattice.sparse)
+    assert (rest == ()) == row_lattice_contains(lattice, vec)
+    coeffs = data.draw(st.lists(st.integers(-5, 5), min_size=len(gens), max_size=len(gens)))
+    shift = data.draw(st.sampled_from([0, 1]))
+    other = [x + sum(k * g[j] for k, g in zip(coeffs, gens)) + shift * (j == 0) for j, x in enumerate(vec)]
+    assert (row_lattice_remainder(lattice, other) == rest) == row_lattice_contains(lattice, [shift] + [0] * (n - 1))
 
 
 def sympy_quotient(rows: list, n: int) -> tuple:
@@ -712,10 +735,12 @@ def test_saturated_cokernel_of_step_invariant_images(case):
 def test_saturated_cokernel_coordinates_present_the_quotient(case, data):
     # K's relation lattice is the saturated lattice's reduced Hermite basis on
     # K's coordinates, and the coordinate map is onto K, additive, and sends v
-    # to 0 exactly when v lies in the saturated lattice
+    # to 0 exactly when v lies in the saturated lattice; the rank that comes
+    # with them is the rank of m
     step, m = case
     n = step.cols
-    group, coordinates = saturated_cokernel(step, m)
+    group, coordinates, image_rank = saturated_cokernel(step, m)
+    assert image_rank == sympy.Matrix(m.rows, m.cols, m.entries).rank()
     check_reduced_hermite(group.relation_lattice, group.num_generators)
     closed = saturate_preimages(step, image_lattice_rows(m))
     units = [coordinates([int(i == j) for i in range(n)]) for j in range(n)]

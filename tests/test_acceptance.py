@@ -270,7 +270,7 @@ def test_criterion_6_pipeline():
     ]
     for g, p in cases:
         with criterion(6, f"pipeline({g.describe()}, p={p}): pv + absorption", seconds=60.0):
-            report = pipeline(g, p, depth=3)
+            report = pipeline(g, depth=3)
             assert report.rordam.passed
             assert report.realization_valid
             assert report.pv.passed

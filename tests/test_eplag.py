@@ -390,20 +390,22 @@ def test_membership_does_not_grow_with_P():
     assert verify_certificate(G, x, res)
 
 
+README_GRAPH = tree_to_eplag({"children": [{"children": []}]}, [5])  # r, r.0 labeled 3, 11; the edge 2
+README_TARGETS = [  # one large exponent each: the partial-fraction inverse is another cost
+    lambda k: {"r": Fraction(1, 3**k)},
+    lambda k: {"r.0": Fraction(1, 3**k)},
+    lambda k: {"r": Fraction(1, 3**k) + Fraction(2, 5), "r.0": Fraction(1, 11)},
+    lambda k: {"r": Fraction(1, 3) + Fraction(1, 2), "r.0": Fraction(1, 11**k) + Fraction(1, 2)},
+    lambda k: {"r": Fraction(1, 3**k) + Fraction(1, 2)},
+    lambda k: {"r": Fraction(1, 5**k) + Fraction(1, 3)},
+]
+
+
 def test_membership_at_a_large_exponent_matches_a_verified_small_one():
     # the r-valuation strips r^(2^j) largest first, so k = 100000 costs a few
     # dozen big divisions, not one per power; each answer matches the k = 3
     # one, which verify_certificate re-adds, with the exponent renamed
-    # (verify_certificate itself enumerates generators(bound), too many here)
-    G = tree_to_eplag({"children": [{"children": []}]}, [5])  # README's graph: r, r.0 labeled 3, 11
-    half = Fraction(1, 2)  # the edge's label is 2
-    targets = [  # one large exponent each: the partial-fraction inverse is another cost
-        lambda k: {"r": Fraction(1, 3**k)},
-        lambda k: {"r.0": Fraction(1, 3**k)},
-        lambda k: {"r": Fraction(1, 3**k) + Fraction(2, 5), "r.0": Fraction(1, 11)},
-        lambda k: {"r": Fraction(1, 3) + half, "r.0": Fraction(1, 11**k) + half},
-        lambda k: {"r": Fraction(1, 3**k) + half},
-    ]
+    G, targets = README_GRAPH, README_TARGETS[:5]
     big = 100000
     elapsed = 0.0
     for target in targets:
@@ -418,3 +420,47 @@ def test_membership_at_a_large_exponent_matches_a_verified_small_one():
             assert found.certificate == {name.replace("^3)", f"^{big})"): c for name, c in small.certificate.items()}
     assert [membership(G, t(3)).status for t in targets] == ["member", "nonmember", "member", "member", "nonmember"]
     assert elapsed < 5.0  # one division per power took over 4 s per target
+
+
+def test_certificates_reverify_at_large_bounds():
+    # verify_certificate builds only the generators a certificate names: all
+    # |V| (bound + 1)^2 of generators(bound) took 32 s at bound 1000, and at
+    # 100000 they do not fit in memory
+    G = README_GRAPH
+    start = time.perf_counter()
+    for k, targets in ((1000, README_TARGETS), (100000, README_TARGETS[:5])):
+        for target in targets:
+            res = membership(G, target(k))
+            assert verify_certificate(G, target(k), res) is res.is_member
+            if res.is_member:
+                assert res.bound == k
+    assert time.perf_counter() - start < 10.0
+    # at bound 1000, the names one step past it are not generators(1000)
+    x = README_TARGETS[0](1000)
+    res = membership(G, x)
+    for name, ok in [("r/(1*3^1000)", True), ("r/(1*3^1001)", False),
+                     (f"r/({5**1000}*3^0)", True), (f"r/({5**1001}*3^0)", False),
+                     (f"(r+r.0)/({5**1000}*2)", True), (f"(r+r.0)/({5**1001}*2)", False)]:
+        assert verify_certificate(G, x, MembershipResult("member", 1000, {name: 0, **res.certificate})) is ok, name
+
+
+def test_verify_certificate_accepts_exactly_the_names_of_generators():
+    # a name with coefficient 0 leaves the sum alone, so the certificate
+    # verifies exactly when every name is one of generators(bound)
+    e = frozenset({"v", "w"})
+    G = EplagGroup(PrimeLabeledGraph(("v", "w", "u"), (e,), {"v": 3, "w": 11, "u": 13, e: 7}, (2, 5)))
+    bound = 2
+    names = set(dict(G.generators(bound)))
+    x = {"v": Fraction(1, 3)}
+    res = membership(G, x)
+    candidates = set(dict(G.generators(bound + 1)))
+    for name in names:  # near misses of every real name
+        candidates |= {name.replace("(", "(0", 1), name.replace("/(", "/(0"), name.replace("^", "^0"),
+                       name.replace("*", "*1"), name.replace("v", "u"), name.replace("3^", "13^"),
+                       name + " ", " " + name, name.replace("1*", "3*"), name.replace("1*", "0*")}
+    candidates |= {"(w+v)/(1*7)", "(v+u)/(1*7)", "z/(1*3^0)", "v/(20*3^0)", "v/(1*3^-1)", "v", "",
+                   "(v+w)/(1*7^1)", "v/(1*3)", "v/(1*3^0)\n", "v/(1*3^" + "0" * 5000 + ")"}
+    assert names < candidates
+    for name in sorted(candidates):
+        accepted = verify_certificate(G, x, MembershipResult("member", bound, {name: 0, **res.certificate}))
+        assert accepted is (name in names), name

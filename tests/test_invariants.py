@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy.matrices.normalforms import invariant_factors
 
-from afkit import abelian
+from afkit import abelian, invariants
 from afkit.abelian import FgAbelianGroup, IntMatrix, LocalizedGroupDescriptor
 from afkit.cli import invariant_to_json
 from afkit.dimension import OrderedStagedSystem
@@ -175,7 +175,7 @@ def test_truncated_checks_match_sympy(case):
 
 @pytest.mark.parametrize("group,prime", [(TRIVIAL, 3), (Z2, 3), (Z3, 2)])
 def test_pipeline_end_to_end(group, prime):
-    report = pipeline(group, prime, depth=3)
+    report = pipeline(group, depth=3)
     assert report.rordam.passed
     assert report.realization_valid
     assert report.pv.passed
@@ -200,7 +200,7 @@ def test_pipeline_smith_inputs_stay_g_wide(monkeypatch, g, twisted):
     d = [2, 3, 4, 5][:g]
     # U @ diag(d) with U upper bidiagonal, +-1 above the diagonal
     rows = [[d[j] * (j == i or twisted * (j == i + 1) * (-1) ** i) for j in range(g)] for i in range(g)]
-    report = pipeline(FgAbelianGroup.from_relation_rows(g, rows), 3, depth=3, width=16)
+    report = pipeline(FgAbelianGroup.from_relation_rows(g, rows), depth=3, width=16)
     assert report.all_passed
     assert shapes and max(c for _, c in shapes) <= g
 
@@ -220,7 +220,7 @@ def test_pipeline_saturates_in_the_quotient(monkeypatch, twisted):
     monkeypatch.setattr(abelian, "saturate_preimages", recording)
     d = [2, 3, 4, 5, 6, 7, 9, 12]
     rows = [[d[j] * (j == i or twisted * (j == i + 1) * (-1) ** i) for j in range(g)] for i in range(g)]
-    report = pipeline(FgAbelianGroup.from_relation_rows(g, rows), 3, depth=3, width=16)
+    report = pipeline(FgAbelianGroup.from_relation_rows(g, rows), depth=3, width=16)
     assert report.all_passed
     assert len(widths) == 2 and max(widths) <= 2 * g
 
@@ -237,7 +237,7 @@ def test_pipeline_eliminates_each_lattice_once(monkeypatch):
         return eliminate(rows, ncols)
 
     monkeypatch.setattr(abelian, "_eliminate", counting)
-    report = pipeline(FgAbelianGroup.from_relation_rows(1, [[6]]), 3, depth=3, width=16)
+    report = pipeline(FgAbelianGroup.from_relation_rows(1, [[6]]), depth=3, width=16)
     assert report.all_passed
     assert len(calls) <= 23
 
@@ -253,13 +253,13 @@ def test_pipeline_checks_each_element_positive_once(monkeypatch):
         return original(self, e, bound)
 
     monkeypatch.setattr(OrderedStagedSystem, "is_positive", counting)
-    report = pipeline(FgAbelianGroup.from_invariant_factors([2, 3]), 7, depth=3, width=8)
+    report = pipeline(FgAbelianGroup.from_invariant_factors([2, 3]), depth=3, width=8)
     assert report.all_passed
     assert calls and max(calls.values()) == 1
 
 
 def test_pipeline_invariant_content():
-    report = pipeline(Z3, 2, depth=3)
+    report = pipeline(Z3, depth=3)
     assert report.pv.invariant.k0.invariant_factors == (3,)
     assert d_p_absorbing(report.pv.invariant.k0, 2) is True
     cp = crossed_product_invariant(report.pv.invariant, 2)
@@ -268,16 +268,14 @@ def test_pipeline_invariant_content():
 
 def test_pipeline_pv_implies_rordam():
     for g in (TRIVIAL, Z2, Z3):
-        report = pipeline(g, 2 if g is not Z2 else 3, depth=3)
+        report = pipeline(g, depth=3)
         if report.pv.passed:
             assert report.rordam.passed
 
 
 def test_pipeline_depth_validation():
     with pytest.raises(ValueError):
-        pipeline(Z2, 3, depth=1)
-    with pytest.raises(ValueError):
-        pipeline(Z2, 4, depth=3)
+        pipeline(Z2, depth=1)
 
 
 def test_constructed_invariants_always_absorb():
@@ -314,7 +312,7 @@ def test_describe_prints_zero_exactly_when_the_unit_is_zero():
 def test_pipeline_reports_the_pv_kernel_as_k1(rows, k0):
     # no stationary pair of finite rank kills the kernel on a free part; the
     # reported invariant shows it instead of echoing (G, 0, 0)
-    report = pipeline(FgAbelianGroup.from_relation_rows(len(rows), rows), 3, depth=3)
+    report = pipeline(FgAbelianGroup.from_relation_rows(len(rows), rows), depth=3)
     inv = report.pv.invariant
     assert not report.pv.passed and not report.all_passed
     assert inv.k1.invariant_factors == (0,)
@@ -329,7 +327,7 @@ def test_pipeline_reports_the_pv_kernel_as_k1(rows, k0):
 def test_pipeline_invariant_is_the_group_on_torsion_presentations(case):
     rows, width = case
     group = FgAbelianGroup.from_relation_rows(len(rows), rows)
-    report = pipeline(group, 3, depth=3, width=width)
+    report = pipeline(group, depth=3, width=width)
     assert report.all_passed
     assert kp_isomorphic(report.pv.invariant, group_to_invariant(group)) is True
     assert report.pv.invariant.unit_is_zero()
@@ -345,3 +343,52 @@ def test_pv_unit_class_is_read_in_the_cokernel():
     assert report.invariant.k0.invariant_factors == (2,)
     assert not report.invariant.unit_is_zero()
     assert not o_infty_st_absorbing(report.invariant)
+
+
+def counting_preimages(monkeypatch) -> list:
+    calls = []
+    preimage = invariants.preimage_lattice_rows
+
+    def counting(m, lattice):
+        calls.append(m.cols)
+        return preimage(m, lattice)
+
+    monkeypatch.setattr(invariants, "preimage_lattice_rows", counting)
+    return calls
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_pv_kernel_rank_by_rank_nullity_matches_the_preimage_path(data):
+    # injective stationary systems: no vector dies, so the kernel rank is
+    # m.cols - rank(im m), read without a preimage elimination; m = A B has
+    # rank at most the inner size k, so kernels of every rank come up
+    n = data.draw(st.integers(1, 4))
+    k = data.draw(st.integers(0, n))
+    rows = lambda r, c: st.lists(st.lists(st.integers(-3, 3), min_size=c, max_size=c), min_size=r, max_size=r)
+    phi = IntMatrix.from_rows(data.draw(rows(n, n).filter(lambda r: sympy.Matrix(r).det() != 0)))
+    a, b = data.draw(rows(n, k)), data.draw(rows(k, n))
+    m = IntMatrix.from_rows([[sum(a[i][t] * b[t][j] for t in range(k)) for j in range(n)] for i in range(n)])
+    cross_stage = data.draw(st.booleans())
+    beta = LimitEndomorphism.stationary((phi if cross_stage else IntMatrix.identity(n)) - m, cross_stage)
+    D = OrderedStagedSystem(system=StagedSystem.stationary(phi), cone="simplicial",
+                            unit=LimitElement(0, (1,) + (0,) * (n - 1)))
+    assert D.system.injective
+    preimage_path = abelian.preimage_lattice_rows(m, IntMatrix.zeros(0, n)).rows
+    with pytest.MonkeyPatch.context() as patch:
+        calls = counting_preimages(patch)
+        kernel_rank = pv_check(D, beta, Z2).invariant.k1.free_rank
+    assert kernel_rank == preimage_path == n - sympy.Matrix(m.to_rows()).rank()
+    assert calls == []
+
+
+def test_pv_kernel_of_a_non_injective_system_takes_the_preimage_path(monkeypatch):
+    # phi = diag(1, 0) kills e2 and m = id - beta = 0: the kernel classes are
+    # Z^2 / <e2>, of rank 1, where rank-nullity on m would say 2
+    calls = counting_preimages(monkeypatch)
+    D = OrderedStagedSystem(system=StagedSystem.stationary(IntMatrix.from_rows([[1, 0], [0, 0]])),
+                            cone="simplicial", unit=LimitElement(0, (1, 0)))
+    assert not D.system.injective
+    report = pv_check(D, LimitEndomorphism.stationary(IntMatrix.identity(2)), TRIVIAL)
+    assert report.invariant.k1.free_rank == 1
+    assert calls == [2]

@@ -229,3 +229,45 @@ def test_transversal_walk_oracle_calls_quadratic_in_index():
     gens = schreier_generators(SubgroupOracle(member, 2), word_bound=8, gen_bound=2)
     assert len(gens) == 65
     assert len(calls) <= 2 * 2 * 64 ** 2
+
+
+@st.composite
+def kernel_cases(draw):
+    """Kernels of F_r -> Z^g / <rows>: rows need not be diagonal, and fewer
+    rows than generators leave a free part."""
+    g = draw(st.integers(1, 3))
+    entry = st.integers(-4, 4)
+    rows = draw(st.lists(st.lists(entry, min_size=g, max_size=g), max_size=g))
+    r = draw(st.integers(1, 2))
+    images = draw(st.lists(st.lists(entry, min_size=g, max_size=g), min_size=r, max_size=r))
+    return kernel_oracle(FgAbelianGroup.from_relation_rows(g, rows), images), draw(st.integers(0, 3)), r
+
+
+@settings(max_examples=80, deadline=None)
+@given(kernel_cases())
+def test_keyed_walk_matches_the_scan(case):
+    # the same membership without a key takes the scan over the transversal
+    h, word_bound, gen_bound = case
+    scan = SubgroupOracle(h.membership, h.ambient_rank)
+    assert schreier_generators(h, word_bound, gen_bound) == schreier_generators(scan, word_bound, gen_bound)
+
+
+def test_keyed_walk_calls_the_oracle_once_per_generator():
+    # F_2 -> Z/8 + Z/8 onto, as above: the scan made up to 2 * 2 * 64^2 calls;
+    # the key finds each coset, and only the emitted generators are checked
+    kernel = kernel_oracle(FgAbelianGroup.from_invariant_factors([8, 8]), [[1, 0], [0, 1]])
+    calls = []
+
+    def member(word):
+        calls.append(word)
+        return kernel.membership(word)
+
+    gens = schreier_generators(SubgroupOracle(member, 2, kernel.key), word_bound=8, gen_bound=2)
+    assert len(gens) == 65
+    assert len(calls) <= len(gens)
+
+
+def test_keyed_walk_reaches_index_ten_thousand():
+    # F_2 -> Z/100 + Z/100 onto: index 10^4, 10^4 * (2 - 1) + 1 generators
+    kernel = kernel_oracle(FgAbelianGroup.from_invariant_factors([100, 100]), [[1, 0], [0, 1]])
+    assert len(schreier_generators(kernel, word_bound=100, gen_bound=2)) == 10001

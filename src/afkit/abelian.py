@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from heapq import heapify, heappop, heappush
 from itertools import chain
 from math import gcd, isqrt, prod
 from operator import itemgetter
@@ -51,7 +52,7 @@ class IntMatrix:
         width = len(data[0]) if cols is None and data else cols or 0
         if any(len(row) != width for row in data):
             raise DimensionMismatch("ragged rows" if cols is None else f"rows must have {cols} entries")
-        return cls(len(data), width, tuple(tuple((j, x) for j, x in enumerate(row) if x) for row in data))
+        return cls(len(data), width, tuple(tuple(filter(itemgetter(1), enumerate(row))) for row in data))
 
     @classmethod
     def from_sparse(cls, data: Sequence[dict], cols: int) -> "IntMatrix":
@@ -105,11 +106,20 @@ class IntMatrix:
         diff = [_add_multiple(dict(a), b, -1) for a, b in zip(self.sparse, other.sparse)]
         return IntMatrix.from_sparse(diff, self.cols)
 
+    @cached_property
+    def _columns(self) -> tuple:
+        """The transpose's ``sparse``: column j's (row, entry) pairs, built on the first apply."""
+        return self.transpose().sparse
+
     def apply(self, vec: Sequence[int]) -> tuple:
-        """Matrix times column vector."""
+        """Matrix times column vector, summed over the vector's nonzeros only."""
         if len(vec) != self.cols:
             raise DimensionMismatch(f"vector length {len(vec)} != {self.cols} columns")
-        return tuple(sum(x * vec[j] for j, x in row) for row in self.sparse)
+        out = [0] * self.rows
+        for j, v in filter(itemgetter(1), enumerate(vec)):
+            for i, x in self._columns[j]:
+                out[i] += x * v
+        return tuple(out)
 
     def diagonal(self) -> list:
         return [self.entry(i, i) for i in range(min(self.rows, self.cols))]
@@ -251,12 +261,19 @@ def _reduce(vec: dict, by_pivot: dict, p: int) -> None:
     """Bring vec into [0, pivot) at each pivot after column ``p`` that it holds.
 
     Left to right: reducing at a pivot only touches the columns after it, so
-    the pivots already passed stay reduced.
+    the pivots already passed stay reduced.  A heap holds the pivot columns
+    vec may hold past p; a subtraction adds the pivot row's later pivots,
+    and a column popped twice or cancelled meanwhile is skipped.
     """
-    while (p := min((k for k in vec if k > p and k in by_pivot), default=None)) is not None:
-        pivot = by_pivot[p][p]
-        if not 0 <= vec[p] < pivot:
-            _add_multiple(vec, by_pivot[p].items(), -(vec[p] // pivot))
+    heap = [k for k in vec if k > p and k in by_pivot]
+    heapify(heap)
+    while heap:
+        if (q := heappop(heap)) > p and q in vec:
+            p, row = q, by_pivot[q]
+            if not 0 <= vec[p] < row[p]:
+                _add_multiple(vec, row.items(), -(vec[p] // row[p]))
+                for k in row.keys() & by_pivot.keys():  # p itself is skipped when popped
+                    heappush(heap, k)
 
 
 def _add_multiple(vec: dict, terms: Iterable, q: int) -> dict:

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
+from operator import itemgetter
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .abelian import (
@@ -83,8 +84,10 @@ class OrderedStagedSystem:
             # the cone is {t > 0} plus zero, so each map must scale t alone and
             # positively; column 0 may still feed the other coordinates
             for m in self.system.prefix + self.system.tail:
+                if not (m.rows and m.cols):
+                    raise ValueError("strict_first cone needs every stage rank to be at least 1")
                 row0 = m.row(0)
-                if not row0 or row0[0] <= 0 or any(row0[1:]):
+                if row0[0] <= 0 or any(row0[1:]):
                     raise ValueError("strict_first cone needs every connecting map's row 0 "
                                      "to be (s, 0, ..., 0) with s > 0")
 
@@ -477,15 +480,16 @@ def _shen_strict_first(D, theta, search_bound) -> ShenCertificate:
     rank = D.stage_rank(stage)
     y = [b[1:] for b in pushed]  # h-parts; y[0] belongs to the head
     f_count = tau_k - 2 * m_coef * (rho - 1)
-    w_tail = tuple(
-        y[0][k] - m_coef * sum(y[j][k] for j in range(1, rho)) for k in range(rank - 1)
-    )
+    w_tail = list(y[0])
+    for j in range(1, rho):
+        for k, v in filter(itemgetter(1), enumerate(y[j])):
+            w_tail[k] -= m_coef * v
     atoms = []
     columns = []
     for j in range(1, rho):
         atoms.append((1,) + y[j])
         columns.append([m_coef * a[0] + a[j] for a in abar])
-    atoms.append((1,) + w_tail)
+    atoms.append((1, *w_tail))
     columns.append([a[0] for a in abar])
     u_col = [
         sum(m_coef * a[0] - a[j] for j in range(1, rho)) + (f_count - 1) * a[0] for a in abar
@@ -547,7 +551,11 @@ def verify_shen_certificate(
 
 
 def basis_atom_enumerator(D: OrderedStagedSystem) -> Iterator[LimitElement]:
-    """Basis classes of successive stages from stage 1 on (simplicial systems)."""
+    """Basis classes of successive stages from stage 1 on (simplicial systems);
+    none when stages 1 to prefix + one tail period, and so all later ones, have rank 0."""
+    period = len(D.system.prefix) + len(D.system.tail)
+    if not any(map(D.stage_rank, range(1, period + 1))):
+        return
     s = 1
     while True:
         n = D.stage_rank(s)
@@ -634,9 +642,33 @@ def _realize(D, phi, positive_enumerator, depth, search_bound) -> RealizationRes
 
     Rows of the level's coefficient matrix follow (theta; phi(theta); x),
     so the appended element x is always the last row.
+
+    On a stationary system each Shen certificate is solved once per input
+    list up to a uniform stage shift d.  Nothing the solver reads depends on
+    the stage there: ``connect(n)`` is the one matrix, so ``push`` by k
+    stages, ``stage_rank``, ``_strict_scale`` and injectivity are the same
+    everywhere, the simplicial positivity verdict pushes the same vectors,
+    and the strict one reads the first coordinate and the death lattice, the
+    one matrix's saturation at every stage.  So for both cones the shifted
+    inputs get the same g and phi shifted by d, which is how a stored
+    certificate is reused.  Every check after a solve (the images'
+    positivity, the level and intertwining identities) still runs per level.
     """
     enum = iter(positive_enumerator)
     is_positive = cache(lambda e: D.is_positive(e, search_bound))  # one verdict per element
+    certificates = {}  # stationary D: inputs, stages from the smallest -> (that stage, certificate)
+
+    def solve(theta: list) -> ShenCertificate:
+        if not D.system.is_stationary:
+            return _shen_solve(D, theta, search_bound, is_positive)
+        base = min((t.stage for t in theta), default=0)
+        key = tuple((t.stage - base, t.vector) for t in theta)
+        if key not in certificates:
+            certificates[key] = base, _shen_solve(D, theta, search_bound, is_positive)
+        stored, cert = certificates[key]
+        return ShenCertificate(cert.size, tuple(LimitElement(p.stage + base - stored, p.vector)
+                                                for p in cert.phi), cert.g)
+
     unit = D.unit
     thetas = [(unit,)]
     levels = [DiagramLevel(1, (1,), None)]
@@ -659,10 +691,10 @@ def _realize(D, phi, positive_enumerator, depth, search_bound) -> RealizationRes
         if x is None:
             x = unit
         theta_prime = list(cur) + images + [x]
-        cert = _shen_solve(D, theta_prime, search_bound, is_positive)
+        cert = solve(theta_prime)
         combined = cert.g
         if phi is not None:
-            cert = _shen_solve(D, list(cert.phi), search_bound, is_positive)
+            cert = solve(list(cert.phi))
             combined = combined @ cert.g
         columns = combined.transpose().sparse  # (row, entry) pairs, rows in order
         keep = [j for j, col in enumerate(columns) if col] or list(range(cert.size))
@@ -703,7 +735,7 @@ def _realize(D, phi, positive_enumerator, depth, search_bound) -> RealizationRes
 
 def _check_level_identities(D, cur, images, new_thetas, m_n, q_n):
     """Exact postconditions: theta and phi(theta) both factor as claimed."""
-    stage = max(t.stage for t in new_thetas)
+    stage = max((t.stage for t in new_thetas), default=0)
     vecs = IntMatrix.from_rows([push(D.system, t, stage).vector for t in new_thetas])
     for mat, sources in ((m_n, cur), (q_n, images)):
         for combo, source in zip((mat @ vecs).to_rows(), sources):

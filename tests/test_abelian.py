@@ -431,6 +431,68 @@ def test_sparse_rows_against_references(rows):
     check_augmented_contract(rows)
 
 
+@st.composite
+def wide_sparse_rows(draw):
+    """4 to 12 rows of 2 to 4 nonzeros in 30 to 60 columns, the pipeline's
+    shape: leads crowd the first columns, so rows merge there and their
+    remainders pick up later pivots while they are reduced."""
+    c = draw(st.integers(30, 60))
+    entry = st.sampled_from((1, -1, 2, 3, -5, 7, 2**70))
+    rows = []
+    for _ in range(draw(st.integers(4, 12))):
+        lead = draw(st.integers(0, 7))
+        rest = draw(st.lists(st.integers(lead + 1, c - 1), min_size=1, max_size=3, unique=True))
+        row = [0] * c
+        for j in [lead] + rest:
+            row[j] = draw(entry)
+        rows.append(row)
+    return rows
+
+
+@settings(max_examples=60, deadline=None)
+@given(wide_sparse_rows())
+def test_wide_sparse_rows_against_sympy(rows):
+    check_hermite_against_sympy(rows)
+
+
+def reduce_by_rescan(vec, by_pivot, p):
+    """Reference for abelian._reduce: rescan the whole row for its next pivot."""
+    while (p := min((k for k in vec if k > p and k in by_pivot), default=None)) is not None:
+        pivot = by_pivot[p][p]
+        if not 0 <= vec[p] < pivot:
+            abelian._add_multiple(vec, by_pivot[p].items(), -(vec[p] // pivot))
+
+
+@settings(max_examples=60, deadline=None)
+@given(wide_sparse_rows())
+def test_reduction_matches_the_rescan_reference(rows):
+    # the reduced basis is canonical whatever the order; the carried identity
+    # block records each row's combination, which is where an order change shows
+    c = len(rows[0])
+
+    def eliminate():
+        return abelian._eliminate([abelian._sparse(row) | {c + i: 1} for i, row in enumerate(rows)], c)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(abelian, "_reduce", reduce_by_rescan)
+        reference = eliminate()
+    assert eliminate() == reference
+
+
+@settings(max_examples=200)
+@given(st.integers(0, 6), st.integers(0, 6), st.data())
+def test_apply_on_mostly_zero_vectors(r, k, data):
+    # 0 x k and k x 0 included; each matrix applied twice, to reuse its cached columns
+    entries = st.sampled_from((0,) * 6 + (1, -1, 7, 2**70))
+    m = IntMatrix.from_rows([[data.draw(entries) for _ in range(k)] for _ in range(r)], cols=k)
+    for _ in range(2):
+        vec = tuple(data.draw(entries) for _ in range(k))
+        assert m.apply(vec) == tuple(sum(x * v for x, v in zip(row, vec)) for row in m.to_rows())
+    assert m.apply((0,) * k) == (0,) * r
+    with pytest.raises(DimensionMismatch):
+        m.apply((0,) * (k + 1))
+
+
 @settings(max_examples=100, deadline=None)
 @given(sparse_matrices(), st.data())
 def test_sparse_preimage(map_rows, data):

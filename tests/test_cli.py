@@ -308,6 +308,29 @@ def test_ehs_with_endo(tmp_path, capsys):
     assert report["q"][0] == [[3]]
 
 
+RANK_ZERO = {"kind": "stationary", "matrices": [[]], "cone": "simplicial", "unit": []}
+
+
+@pytest.mark.parametrize("endo", [None, {"kind": "cross_stage", "matrix": []}])
+def test_ehs_rank_zero_simplicial_ends(tmp_path, capsys, endo):
+    # every stage is Z^0: the enumerator has no atom to give, and each level after the root is empty
+    argv = ["--format", "json", "ehs", "--system", write(tmp_path, "s.json", RANK_ZERO), "--depth", "2"]
+    if endo is not None:
+        argv += ["--endo", write(tmp_path, "e.json", endo)]
+    code, out, _ = run(capsys, argv)
+    assert code == 0
+    report = json.loads(out)
+    assert [level["l"] for level in report["diagram"]["levels"]] == [1, 0, 0]
+    assert not any(rec["from_enumerator"] for rec in report["coverage"])
+
+
+def test_ehs_rank_zero_strict_first_exits_2(tmp_path, capsys):
+    path = write(tmp_path, "s.json", dict(RANK_ZERO, cone="strict_first"))
+    code, out, err = run(capsys, ["--format", "json", "ehs", "--system", path])
+    assert code == 2 and out == ""
+    assert err == f"error: {path}: strict_first cone needs every stage rank to be at least 1\n"
+
+
 STRICT_DOUBLING = {"kind": "stationary", "matrices": [[[2]]], "cone": "strict_first", "unit": [1]}
 
 

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from afkit.abelian import IntMatrix, determinant
+from afkit import dimension
+from afkit.abelian import FgAbelianGroup, IntMatrix, determinant
 from afkit.dimension import (
     BratteliDiagram,
     DiagramEndomorphism,
@@ -22,11 +23,14 @@ from afkit.dimension import (
     multimatrix_dims,
     shen_solve,
     telescope,
+    unit_atom_enumerator,
     validate_diagram,
     validate_endomorphism,
     verify_shen_certificate,
 )
+from afkit.invariants import assemble_pipeline_system
 from afkit.limits import LimitElement, LimitEndomorphism, StagedSystem, limit_equal, push
+from afkit.rordam import rordam_pair
 
 
 def uhf2_diagram(levels=4):
@@ -436,3 +440,88 @@ def test_ehs_endo_undecided_image_exceeds_depth():
     phi = LimitEndomorphism.stationary(IntMatrix.from_rows([[-6, 1], [0, 1]]))
     with pytest.raises(ShenDepthExceeded, match="undecided"):
         ehs_realize_with_endo(D, phi, constant_unit_enumerator(D), depth=2, search_bound=2)
+
+
+# --- Shen certificates reused up to stage shift ----------------------------------
+
+
+def readme_ehs_case():
+    D = integers_system()
+    return D, LimitEndomorphism.stationary(IntMatrix.from_rows([[3]])), basis_atom_enumerator
+
+
+def strict_2x2_case():
+    sys = StagedSystem.stationary(IntMatrix.from_rows([[2, 0], [1, -1]]))
+    D = OrderedStagedSystem(system=sys, cone="strict_first", unit=LimitElement(0, (1, 0)))
+    return D, LimitEndomorphism.stationary(IntMatrix.identity(2), cross_stage=True), unit_atom_enumerator
+
+
+def pipeline_case(relations, width):
+    pair = rordam_pair(FgAbelianGroup.from_relation_rows(len(relations), relations), width)
+    D, endo = assemble_pipeline_system(pair)
+    return D, endo, unit_atom_enumerator
+
+
+REUSE_CASES = {
+    "readme-ehs": readme_ehs_case,
+    "strict-2x2": strict_2x2_case,
+    "pipeline-g1-w4": lambda: pipeline_case([[6]], 4),
+    "pipeline-g2-w8": lambda: pipeline_case([[4, 0], [0, 15]], 8),
+    "pipeline-g3-w6": lambda: pipeline_case([[2, 1, 0], [0, 3, 1], [0, 0, 5]], 6),
+}
+
+
+def as_prefix_form(D, depth):
+    """The same maps written as a prefix of ``depth`` copies and a one-map tail: not stationary."""
+    (m,) = D.system.tail
+    sys = StagedSystem.from_matrices(prefix=(m,) * depth, tail=(m,))
+    assert not sys.is_stationary
+    return OrderedStagedSystem(system=sys, cone=D.cone, unit=D.unit)
+
+
+@pytest.fixture
+def shen_calls(monkeypatch):
+    calls = []
+    solve = dimension._shen_solve
+
+    def counted(*args):
+        calls.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(dimension, "_shen_solve", counted)
+    return calls
+
+
+@pytest.mark.parametrize("with_endo", [False, True], ids=["plain", "endo"])
+@pytest.mark.parametrize("name", sorted(REUSE_CASES))
+def test_reused_certificates_match_the_prefix_form(name, with_endo, shen_calls):
+    depth = 4
+    D, endo, enumerator = REUSE_CASES[name]()
+    results = []
+    for system in (D, as_prefix_form(D, depth)):
+        shen_calls.clear()
+        if with_endo:
+            result = ehs_realize_with_endo(system, endo, enumerator(system), depth)
+        else:
+            result = ehs_realize(system, enumerator(system), depth)
+        results.append((result, len(shen_calls)))
+    (stationary, reused_calls), (prefix, prefix_calls) = results
+    assert stationary.thetas == prefix.thetas
+    assert stationary.diagram.levels == prefix.diagram.levels
+    assert stationary.endomorphism == prefix.endomorphism
+    assert stationary.coverage == prefix.coverage
+    # the strict 2x2 system's levels differ, so nothing repeats there; the others solve one level
+    per_level = 2 if with_endo else 1
+    assert prefix_calls == per_level * depth
+    assert reused_calls == (prefix_calls if name == "strict-2x2" else per_level)
+
+
+@pytest.mark.parametrize("depth", [2, 3, 5])
+def test_pipeline_realization_solves_one_level(depth, shen_calls):
+    D, endo, enumerator = pipeline_case([[3, 0], [0, 4]], 8)
+    ehs_realize_with_endo(D, endo, enumerator(D), depth)
+    assert len(shen_calls) == 2
+    shen_calls.clear()
+    prefix = as_prefix_form(D, depth)
+    ehs_realize_with_endo(prefix, endo, enumerator(prefix), depth)
+    assert len(shen_calls) == 2 * depth

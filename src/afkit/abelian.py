@@ -88,7 +88,9 @@ class IntMatrix:
         for i, row in enumerate(self.sparse):
             for j, x in row:
                 out[j].append((i, x))
-        return IntMatrix(self.cols, self.rows, tuple(map(tuple, out)))
+        result = IntMatrix(self.cols, self.rows, tuple(map(tuple, out)))
+        object.__setattr__(result, "_columns", self.sparse)  # the transpose's columns are these rows
+        return result
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         """Row i of the product sums c * (row k of other) over the nonzeros c = self[i, k]."""

@@ -18,6 +18,14 @@ Z_(r) on the rest W, plus the sums (e_u + e_v)/r of the edges labeled r.
 So on W, x_r needs r-valuation >= -1 and r x_r must be an integer
 combination of those edge sums and the r e_w (a lattice containing r Z^W,
 so integer and r-local combinations agree).
+
+:func:`membership` and :meth:`EplagGroup.contains` share one front end:
+the partial fractions and the valuation test, against a per-prime record
+of the r-divisible vertices, the edges labeled r and W, which the group
+builds on first use and keeps.  ``membership`` then writes a certificate
+with one small solve per prime; ``contains``, which the fingerprint and
+the P-divisibility sample ask, only tests r x_r against the record's
+Hermite basis of that lattice on W, also built once.
 """
 
 from __future__ import annotations
@@ -26,12 +34,12 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property, partial
 from itertools import combinations_with_replacement
 from math import lcm, prod
 from typing import Callable, Dict, Optional, Sequence
 
-from .abelian import is_prime, solve_row_combination
+from .abelian import IntMatrix, is_prime, row_lattice, row_lattice_contains, solve_row_combination
 
 
 def primes_avoiding(excluded: Sequence[int]):
@@ -120,6 +128,47 @@ class EplagGroup:
         return vertex_gens + [(_edge_name(e, d, g.labels[e]), {v: Fraction(1, d * g.labels[e]) for v in e})
                               for e in g.edges for d in smooth]
 
+    def contains(self, x: Dict) -> bool:
+        """Is ``x`` a member?  :func:`membership`'s answer, without a certificate.
+
+        Past the shared front end, which splits x and checks the r-parts'
+        valuations, r times each r-part, written on all of W, must lie in
+        L_r, the edge sums restricted to W plus r Z^W.  ``membership``
+        solves on fewer columns: the target's support and the ends in W of
+        the edges labeled r.  Each other column w of W has target 0, and its
+        only generator is r e_w, so a solution on W restricted to those
+        columns is one there, and one there extends by 0 to W: both decide
+        the same question.
+        """
+        _, parts = _local_parts(self, x)
+        return parts is not None and all(
+            not t or row_lattice_contains(local.lattice, [t.get(w, 0) for w in local.columns])
+            for _, _, local, t in parts.values())
+
+    @cached_property
+    def _local(self) -> Callable[[int], "_Local"]:
+        """Prime r -> the _Local at r, built the first time a query reaches r and kept."""
+        return cache(partial(_Local, self.graph))
+
+
+class _Local:
+    """A_(r) at one prime r: Q on the r-divisible vertices, Z_(r) on the
+    others, W (the columns), plus the sums (e_u + e_v)/r of the edges
+    labeled r with an end in W; all three in graph order."""
+
+    def __init__(self, graph: PrimeLabeledGraph, r: int):
+        self.r = r
+        self.divisible = tuple(v for v in graph.vertices if r in graph.divisibility_set or graph.labels[v] == r)
+        self.columns = {w: i for i, w in enumerate(v for v in graph.vertices if v not in self.divisible)}
+        self.edges = tuple(e for e in graph.edges if graph.labels[e] == r and any(w in self.columns for w in e))
+
+    @cached_property
+    def lattice(self) -> IntMatrix:
+        """Reduced Hermite basis of L_r = <edge sums on W> + r Z^W."""
+        rows = [{self.columns[w]: 1 for w in e if w in self.columns} for e in self.edges]
+        return row_lattice(IntMatrix.from_sparse(rows + [{i: self.r} for i in self.columns.values()],
+                                                 len(self.columns)))
+
 
 def _vertex_name(v, d: int, label: int, m: int) -> str:
     return f"{v}/({d}*{label}^{m})"
@@ -140,54 +189,70 @@ class MembershipResult:
         return self.status == "member"
 
 
-def membership(group: EplagGroup, x: Dict) -> MembershipResult:
-    """Exact membership with an integer certificate, one local solve per prime.
+def _local_parts(group: EplagGroup, x: Dict) -> tuple:
+    """(x normalized, its r-parts), the front end of every membership test.
 
-    The certificate maps generator names to coefficients: the partial-fraction
-    numerators, the edge coefficients of each local solve and the integer
-    remainder.  ``bound`` is the largest exponent it uses (at least 1), so
-    every name is one of ``group.generators(bound)``.
+    The r-parts map each prime r of the denominators to (k, part, local, t):
+    x's r-part at v is part[v] / r^k with 0 < part[v] < r^k, ``local`` is
+    the group's record at r, and t is r times the r-part on W, which needs
+    r-valuation >= -1 there.  They are None for a nonmember found here: a
+    denominator with a prime outside the labels and P, or a lower valuation.
     """
-    graph, labels, P = group.graph, group.graph.labels, group.graph.divisibility_set
+    graph = group.graph
     x = q_vector(x)
     for v in x:
         if v not in graph.vertices:
             raise ValueError(f"target touches unknown vertex {v!r}")
     denom = left = lcm(*(f.denominator for f in x.values()))
-    parts: dict = {}  # prime r -> (k, {vertex: r-part of its coordinate, over r^k})
+    parts: dict = {}
     for r in graph.primes:
         if left == 1:
             break
         if left % r:
             continue
         left, k = _strip(left, r)
-        q = r**k
+        q, scale, local = r**k, r ** (k - 1), group._local(r)
         inv = pow(denom // q, -1, q)  # so f - (f denom inv mod q)/q is r-integral
-        parts[r] = k, {v: part for v, f in x.items()
-                       if (part := Fraction(f.numerator * (denom // f.denominator) * inv % q, q))}
-    if left != 1:
+        part = {v: n for v, f in x.items() if (n := f.numerator * (denom // f.denominator) * inv % q)}
+        on_w = {w: n for w, n in part.items() if w in local.columns}
+        if any(n % scale for n in on_w.values()):  # off the r-divisible vertices, valuation below -1
+            return x, None
+        parts[r] = k, part, local, {w: n // scale for w, n in on_w.items()}
+    return x, parts if left == 1 else None
+
+
+def membership(group: EplagGroup, x: Dict) -> MembershipResult:
+    """Exact membership with an integer certificate, one local solve per prime.
+
+    The certificate maps generator names to coefficients: the partial-fraction
+    numerators, the edge coefficients of each local solve and the integer
+    remainder.  ``bound`` is the largest exponent it uses (at least 1), so
+    every name is one of ``group.generators(bound)``.  A yes/no question
+    needs only :meth:`EplagGroup.contains`.
+    """
+    labels, P = group.graph.labels, group.graph.divisibility_set
+    x, parts = _local_parts(group, x)
+    if parts is None:
         return MembershipResult("nonmember")
     terms: Counter = Counter()  # generator name -> coefficient
-    for r, (k, part) in parts.items():
-        off = {} if r in P else {w: f for w, f in part.items() if labels[w] != r}
-        if any(f.denominator != r for f in off.values()):  # off the r-divisible vertices, valuation -1
-            return MembershipResult("nonmember")
-        divisible = {v for v in graph.vertices if r in P or labels[v] == r}
-        edges = [e for e in graph.edges if labels[e] == r and not e <= divisible] if off else []
-        cols = [w for w in graph.vertices if w in off or w not in divisible and any(w in e for e in edges)]
+    for r, (k, part, local, t) in parts.items():
+        edges = local.edges if t else ()
+        cols = [w for w in local.columns if w in t or any(w in e for e in edges)]
         combo = solve_row_combination(
             [[int(w in e) for w in cols] for e in edges] + [[r * (w == c) for c in cols] for w in cols],
-            [int(off.get(w, 0) * r) for w in cols]) if off else []
+            [t.get(w, 0) for w in cols]) if t else []
         if combo is None:
             return MembershipResult("nonmember")
         names = [_edge_name(e, 1, r) for e in edges] + [_vertex_name(w, 1, labels[w], 0) for w in cols]
         terms.update(dict(zip(names, combo)))  # Counter.update adds
-        for v in graph.vertices:  # the r-divisible vertices take the rest, over r^k
-            if v in divisible and (z := part.get(v, 0) - sum(Fraction(c, r) for e, c in zip(edges, combo) if v in e)):
-                terms[_vertex_name(v, r**k, labels[v], 0) if r in P else _vertex_name(v, 1, r, k)] += int(z * r**k)
+        scale = r ** (k - 1)
+        for v in local.divisible:  # the r-divisible vertices take the rest, over r^k
+            if z := part.get(v, 0) - scale * sum(c for e, c in zip(edges, combo) if v in e):
+                terms[_vertex_name(v, r**k, labels[v], 0) if r in P else _vertex_name(v, 1, r, k)] += z
     for v, f in x.items():  # the integer remainder
-        terms[_vertex_name(v, 1, labels[v], 0)] += int(f - sum(part.get(v, 0) for _, part in parts.values()))
-    bound = max([1] + [k for k, _ in parts.values()])
+        terms[_vertex_name(v, 1, labels[v], 0)] += int(f - sum(Fraction(part.get(v, 0), r**k)
+                                                               for r, (k, part, _, _) in parts.items()))
+    bound = max([1] + [k for k, *_ in parts.values()])
     return MembershipResult("member", bound, {name: c for name, c in terms.items() if c})
 
 
@@ -334,11 +399,12 @@ def divisibility_fingerprint(group: EplagGroup, exp_bound: int, prime_bound: int
     to the query exponent K = ``exp_bound``.  Since v/r^k = r^(K-k) * v/r^K,
     the one query at k = K decides.  Only the labels and P, up to
     ``prime_bound``, are queried: no other prime divides a denominator of
-    the group.  ``contains`` answers membership, exactly by default.
+    the group.  ``contains`` answers membership, by default exactly and
+    without certificates (:meth:`EplagGroup.contains`), so any K >= 1 answers.
     Vertex names are forgotten in the result, so isomorphic graphs
     fingerprint identically.
     """
-    contains = contains or (lambda x: membership(group, x).is_member)
+    contains = contains or group.contains
     primes = [r for r in group.graph.primes if r <= prime_bound]
     return tuple(sorted(
         tuple(r for r in primes if contains({v: Fraction(1, r**exp_bound)}))
@@ -353,10 +419,11 @@ def is_P_divisible_sample(group: EplagGroup, exp_bound: int,
     Divides every vertex generator and every edge-sum generator by each
     p^k with p in P and k up to the query exponent K = ``exp_bound``, and
     requires membership of the result; as in the fingerprint, k = K
-    decides.  True by construction for the exact oracle, the default; an
-    oracle for other generators can deliberately break the scheme.
+    decides.  True by construction for the exact oracle, the default
+    (:meth:`EplagGroup.contains`); an oracle for other generators can
+    deliberately break the scheme.
     """
-    contains = contains or (lambda x: membership(group, x).is_member)
+    contains = contains or group.contains
     graph = group.graph
     targets = [{v: Fraction(1)} for v in graph.vertices]
     targets += [{v: Fraction(1, graph.labels[e]) for v in e} for e in graph.edges]

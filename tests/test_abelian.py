@@ -491,6 +491,12 @@ def test_apply_on_mostly_zero_vectors(r, k, data):
     assert m.apply((0,) * k) == (0,) * r
     with pytest.raises(DimensionMismatch):
         m.apply((0,) * (k + 1))
+    # a transpose's columns are the rows it came from: its apply transposes nothing
+    t = m.transpose()
+    vec = tuple(data.draw(entries) for _ in range(r))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(IntMatrix, "transpose", None)
+        assert t.apply(vec) == tuple(sum(x * v for x, v in zip(m.col(j), vec)) for j in range(k))
 
 
 @settings(max_examples=100, deadline=None)

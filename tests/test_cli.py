@@ -519,13 +519,15 @@ def test_bad_flag_value_exits_2(tmp_path, capsys, argv, flag):
     assert err.startswith(f"error: {flag}:")
 
 
-def test_eplag_fingerprint_past_the_digit_limit_exits_2(tmp_path, capsys):
-    # the P-part generator 1/5^10000 of a certificate has no decimal name
-    # Python will write; the command says so in one line instead of a traceback
+def test_eplag_fingerprint_past_the_digit_limit_answers(tmp_path, capsys):
+    # a certificate at K = 10000 would name the P-part generator 1/5^10000,
+    # which has more decimal digits than Python writes; the fingerprint asks
+    # yes/no questions only, so it answers, and as it does at K = 3
     graph = readme_graph(tmp_path, capsys)
-    code, out, err = run(capsys, ["eplag", "fingerprint", "--graph", graph, "--bound", "10000"])
-    assert (code, out) == (2, "")
-    assert err.startswith("error: --bound: 10000 is too large") and err.count("\n") == 1
+    argv = ["--format", "json", "eplag", "fingerprint", "--graph", graph, "--bound"]
+    small = run(capsys, argv + ["3"])
+    assert small[0] == 0 and json.loads(small[1]) == {"fingerprint": [[3, 5], [5, 11]], "p_divisible_sample": True}
+    assert run(capsys, argv + ["10000"]) == small
 
 
 @pytest.mark.parametrize("value", ["1/5", 0.2])

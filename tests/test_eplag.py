@@ -25,6 +25,7 @@ from afkit.eplag import (
     tree_to_eplag,
     verify_certificate,
 )
+from afkit.invariants import KirchbergInvariant, kp_isomorphic
 
 
 def single_vertex_group(label=3, P=(5,)):
@@ -378,6 +379,64 @@ def test_exact_membership_matches_bounded_reference(case):
         if res.is_member:
             assert res.bound <= K
             assert verify_certificate(G, x, res)
+
+
+@settings(max_examples=300, deadline=None)
+@given(graphs_with_targets(), st.data())
+def test_contains_matches_membership(case, data):
+    # contains tests against the lattice on all of W, membership solves on
+    # fewer columns and writes a certificate: the two answers must agree.
+    # Beside the generator-shaped targets: edge sums at valuation -2, every
+    # vertex over one prime at once, combinations of all the edges of one
+    # label (where r e_w cancels what the edges pile up on w), and a stray
+    # prime outside the graph
+    G, targets = case
+    graph, draw = G.graph, data.draw
+    names = list(graph.vertices)
+    coeff = st.integers(-3, 3)
+    for e in graph.edges:
+        targets.append({v: Fraction(draw(coeff), graph.labels[e] ** 2) for v in e})
+    for r in graph.primes:
+        targets.append(q_vector({v: Fraction(draw(coeff), r ** draw(st.integers(1, 2))) for v in names}))
+        x: dict = {}
+        for e in graph.edges:
+            if graph.labels[e] == r:
+                c = draw(coeff)
+                x |= {v: x.get(v, 0) + Fraction(c, r) for v in e}
+        targets.append(q_vector(x))
+    targets.append(q_vector({**targets[0], names[0]: targets[0].get(names[0], 0) + Fraction(1, FOREIGN)}))
+    for x in targets:
+        res = membership(G, x)
+        assert G.contains(x) is res.is_member, x
+        if res.is_member:
+            assert verify_certificate(G, x, res)
+
+
+def test_yes_no_queries_write_no_certificate_and_build_each_lattice_once(monkeypatch):
+    groups = [tree_to_eplag(chain_tree(8), P) for P in ((3,), ())]
+    groups.append(EplagGroup(groups[0].graph.relabel_vertices({v: f"x{v}" for v in groups[0].graph.vertices})))
+
+    def answers(G, contains=None):
+        # at K = 1 queries off the divisible vertices reach the lattices; at K = 3 the valuation decides
+        return [divisibility_fingerprint(G, K, 60, contains) for K in (1, 3)] + [is_P_divisible_sample(G, 1, contains)]
+
+    expected = [answers(G, lambda x, G=G: membership(G, x).is_member) for G in groups]
+
+    def refuse(*args):
+        raise AssertionError("a yes/no query wrote a certificate")
+
+    for module, name in ((eplag, "membership"), (eplag, "solve_row_combination"), (abelian, "solve_row_combination")):
+        monkeypatch.setattr(module, name, refuse)
+    built = []
+    monkeypatch.setattr(eplag, "row_lattice", lambda m, original=eplag.row_lattice: built.append(m) or original(m))
+    for G, want in zip(groups, expected):
+        assert answers(G) == want == answers(G)
+        assert 0 < len(built) <= len(G.graph.primes)  # at most one lattice per prime of this group
+        built.clear()
+    invariants = [KirchbergInvariant(G, ()) for G in groups]
+    assert kp_isomorphic(invariants[0], invariants[1]) is False
+    assert kp_isomorphic(invariants[0], invariants[2]) is None
+    assert built == []  # every lattice the comparison needs was built above
 
 
 def test_membership_does_not_grow_with_P():

@@ -13,7 +13,6 @@ from .abelian import (
     is_n_divisible,
     is_uniquely_n_divisible,
     localize,
-    quotient_by,
     smith_normal_form,
 )
 from .dimension import (
@@ -24,7 +23,6 @@ from .dimension import (
     diagram_to_system,
     ehs_realize,
     ehs_realize_with_endo,
-    multimatrix_dims,
     shen_solve,
     telescope,
     validate_diagram,
@@ -46,7 +44,6 @@ from .limits import (
     LimitElement,
     LimitEndomorphism,
     StagedSystem,
-    alpha_infinity_apply,
     build_limit_group,
     limit_equal,
     push,

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from heapq import heapify, heappop, heappush
 from itertools import chain
-from math import gcd, isqrt, prod
+from math import gcd, isqrt
 from operator import itemgetter
 from typing import Iterable, Sequence
 
@@ -76,9 +76,6 @@ class IntMatrix:
 
     def row(self, i: int) -> tuple:
         return tuple(_dense(self.sparse[i], self.cols))
-
-    def col(self, j: int) -> tuple:
-        return tuple(dict(row).get(j, 0) for row in self.sparse)
 
     def to_rows(self) -> list:
         return [list(self.row(i)) for i in range(self.rows)]
@@ -599,13 +596,6 @@ class FgAbelianGroup:
     def is_trivial(self) -> bool:
         return not self.invariant_factors
 
-    def is_finite(self) -> bool:
-        return self.free_rank == 0
-
-    def order(self):
-        """Group order, or None when infinite."""
-        return prod(self.torsion_factors) if self.is_finite() else None
-
     def is_isomorphic_to(self, other: "FgAbelianGroup") -> bool:
         return self.invariant_factors == other.invariant_factors
 
@@ -618,15 +608,6 @@ class FgAbelianGroup:
     def describe(self) -> str:
         parts = ["Z" if d == 0 else f"Z/{d}" for d in self.invariant_factors]
         return " + ".join(parts) if parts else "0"
-
-
-def quotient_by(group: FgAbelianGroup, subgens: Sequence[Sequence[int]]) -> FgAbelianGroup:
-    """Quotient of ``group`` by the subgroup its ``subgens`` generate.
-
-    Returned in canonical invariant-factor presentation.
-    """
-    stacked = group.relations.to_rows() + [require_ints(v, "subgroup generators") for v in subgens]
-    return FgAbelianGroup.from_invariant_factors(cokernel_invariants(stacked, group.num_generators))
 
 
 def is_n_divisible(group: FgAbelianGroup, n: int) -> bool:

@@ -35,7 +35,6 @@ from .dimension import (
     diagram_to_system,
     ehs_realize,
     ehs_realize_with_endo,
-    multimatrix_dims,
     telescope,
     unit_atom_enumerator,
     validate_diagram,
@@ -166,7 +165,7 @@ def system_from_json(data: dict, where: str = "system") -> StagedSystem:
             (period,) = require_ints([data.get("period", 1)], "period")
             if not (1 <= period <= len(mats)):
                 raise InputError("period must be between 1 and the matrix count")
-            return StagedSystem.from_matrices(mats[:-period], mats[-period:])
+            return StagedSystem(tuple(mats[:-period]), tuple(mats[-period:]))
         raise InputError(f"unknown kind {kind!r}")
     except (TypeError, ValueError) as e:
         raise InputError(f"{where}: {e}")
@@ -377,7 +376,7 @@ def cmd_diagram(args) -> int:
         D = diagram_to_system(d)
         report = {
             "levels": [
-                {"rank": d.level_size(n), "multimatrix_dims": list(multimatrix_dims(d, n))}
+                {"rank": d.level_size(n), "multimatrix_dims": list(d.weights(n))}
                 for n in range(d.num_levels)
             ],
             "cone": D.cone,
@@ -448,7 +447,7 @@ def cmd_ehs(args) -> int:
             matrix = IntMatrix.from_rows(rows)
         except (TypeError, ValueError) as e:
             raise InputError(f"{args.endo}: {e}")
-        endo = LimitEndomorphism.stationary(matrix, cross_stage=(kind == "cross_stage"))
+        endo = LimitEndomorphism(matrix, cross_stage=(kind == "cross_stage"))
     if endo is None:
         result = ehs_realize(D, enumerator, args.depth, search_bound=args.bound)
     else:

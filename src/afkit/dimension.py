@@ -91,9 +91,6 @@ class OrderedStagedSystem:
                     raise ValueError("strict_first cone needs every connecting map's row 0 "
                                      "to be (s, 0, ..., 0) with s > 0")
 
-    def unit_at(self, stage: int) -> LimitElement:
-        return push(self.system, self.unit, stage)
-
     def stage_rank(self, n: int) -> int:
         return self.system.stage_rank(n)
 
@@ -229,13 +226,6 @@ def validate_diagram(d: BratteliDiagram) -> list:
     return violations
 
 
-def multimatrix_dims(d: BratteliDiagram, n: int) -> tuple:
-    """Matrix-block sizes of the level-n finite-dimensional algebra."""
-    if not (0 <= n < d.num_levels):
-        raise IndexError(f"level {n} outside stored range 0..{d.num_levels - 1}")
-    return d.weights(n)
-
-
 def diagram_to_system(d: BratteliDiagram) -> OrderedStagedSystem:
     """Staged ordered system of a valid diagram.
 
@@ -247,7 +237,7 @@ def diagram_to_system(d: BratteliDiagram) -> OrderedStagedSystem:
         raise ValueError("invalid diagram: " + "; ".join(violations))
     prefix = [d.incidence(n).transpose() for n in range(d.num_levels - 1)]
     tail = [t.transpose() for t in d.tail]
-    system = StagedSystem.from_matrices(prefix, tail)
+    system = StagedSystem(tuple(prefix), tuple(tail))
     unit = LimitElement(0, d.weights(0))
     return OrderedStagedSystem(system=system, cone=SIMPLICIAL, unit=unit)
 
@@ -330,9 +320,6 @@ class DiagramEndomorphism:
     """Per-level multiplicity matrices q_n of shape l(n) x l(n+1)."""
 
     q: tuple
-
-    def matrix(self, n: int) -> IntMatrix:
-        return self.q[n]
 
 
 def validate_endomorphism(d: BratteliDiagram, endo: DiagramEndomorphism) -> bool:

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property, partial
 from itertools import combinations_with_replacement
-from math import lcm, prod
+from math import prod
 from typing import Callable, Dict, Optional, Sequence
 
 from .abelian import IntMatrix, is_prime, row_lattice, row_lattice_contains, solve_row_combination
@@ -83,12 +83,6 @@ class PrimeLabeledGraph:
         """The labels and P, ascending: every prime a generator's denominator can have."""
         return tuple(sorted({self.labels[k] for k in (*self.vertices, *self.edges)} | set(self.divisibility_set)))
 
-    def vertex_label(self, v) -> int:
-        return self.labels[v]
-
-    def edge_label(self, e: frozenset) -> int:
-        return self.labels[e]
-
     def relabel_vertices(self, mapping: dict) -> "PrimeLabeledGraph":
         verts = tuple(mapping[v] for v in self.vertices)
         edges = tuple(frozenset(mapping[v] for v in e) for e in self.edges)
@@ -102,7 +96,7 @@ class PrimeLabeledGraph:
 
 def q_vector(entries: Dict) -> dict:
     """Finite-support rational vector, fractions normalized."""
-    return {k: f for k, v in entries.items() if (f := Fraction(v))}
+    return {k: f for k, v in entries.items() if (f := v if isinstance(v, Fraction) else Fraction(v))}
 
 
 @dataclass(frozen=True)
@@ -197,28 +191,35 @@ def _local_parts(group: EplagGroup, x: Dict) -> tuple:
     the group's record at r, and t is r times the r-part on W, which needs
     r-valuation >= -1 there.  They are None for a nonmember found here: a
     denominator with a prime outside the labels and P, or a lower valuation.
+    An entry a / (r^j c) with c prime to r has r-part (a c^-1 mod r^j) / r^j,
+    so each prime's work is on its own power and cofactor of each
+    denominator, never on the lcm of all of them.
     """
     graph = group.graph
     x = q_vector(x)
     for v in x:
         if v not in graph.vertices:
             raise ValueError(f"target touches unknown vertex {v!r}")
-    denom = left = lcm(*(f.denominator for f in x.values()))
-    parts: dict = {}
-    for r in graph.primes:
-        if left == 1:
-            break
-        if left % r:
-            continue
-        left, k = _strip(left, r)
-        q, scale, local = r**k, r ** (k - 1), group._local(r)
-        inv = pow(denom // q, -1, q)  # so f - (f denom inv mod q)/q is r-integral
-        part = {v: n for v, f in x.items() if (n := f.numerator * (denom // f.denominator) * inv % q)}
-        on_w = {w: n for w, n in part.items() if w in local.columns}
-        if any(n % scale for n in on_w.values()):  # off the r-divisible vertices, valuation below -1
+    digits: dict = {}  # r -> {v: (j, a c^-1 mod r^j)}
+    for v, f in x.items():
+        d = f.denominator
+        for r in graph.primes:
+            if d == 1:
+                break
+            if d % r == 0:
+                d, j = _strip(d, r)
+                q = r**j
+                digits.setdefault(r, {})[v] = j, f.numerator * pow(f.denominator // q, -1, q) % q
+        if d != 1:
             return x, None
-        parts[r] = k, part, local, {w: n // scale for w, n in on_w.items()}
-    return x, parts if left == 1 else None
+    parts: dict = {}
+    for r in sorted(digits):
+        local, k = group._local(r), max(j for j, _ in digits[r].values())
+        if any(j > 1 for v, (j, _) in digits[r].items() if v in local.columns):  # valuation below -1 on W
+            return x, None
+        parts[r] = (k, {v: n * r ** (k - j) for v, (j, n) in digits[r].items()}, local,
+                    {w: n for w, (_, n) in digits[r].items() if w in local.columns})
+    return x, parts
 
 
 def membership(group: EplagGroup, x: Dict) -> MembershipResult:

@@ -178,7 +178,7 @@ def assemble_pipeline_system(pair: RordamPair) -> tuple:
     rank = 1 + pair.rank
     unit = LimitElement(0, tuple(1 if i == 0 else 0 for i in range(rank)))
     ordered = OrderedStagedSystem(system=system, cone=STRICT_FIRST, unit=unit)
-    endo = LimitEndomorphism.stationary(_block_diag(1, beta @ beta), cross_stage=True)
+    endo = LimitEndomorphism(_block_diag(1, beta @ beta), cross_stage=True)
     return ordered, endo
 
 
@@ -190,7 +190,6 @@ def assemble_pipeline_system(pair: RordamPair) -> tuple:
 @dataclass(frozen=True)
 class PvReport:
     passed: bool
-    expected: tuple
     invariant: KirchbergInvariant
 
     def __bool__(self) -> bool:
@@ -230,8 +229,7 @@ def pv_check(D: OrderedStagedSystem, beta: LimitEndomorphism, group: FgAbelianGr
         joint = IntMatrix(pre.rows + death.rows, pre.cols, pre.sparse + death.sparse)
         kernel_rank = row_lattice(joint).rows - death.rows
     invariant = KirchbergInvariant(k0, coordinates(D.unit.vector), FgAbelianGroup.free(kernel_rank))
-    expected = group.invariant_factors
-    return PvReport(k0.invariant_factors == expected and kernel_rank == 0, expected, invariant)
+    return PvReport(k0.invariant_factors == group.invariant_factors and kernel_rank == 0, invariant)
 
 
 # ---------------------------------------------------------------------------
@@ -241,9 +239,6 @@ def pv_check(D: OrderedStagedSystem, beta: LimitEndomorphism, group: FgAbelianGr
 
 @dataclass(frozen=True)
 class PipelineReport:
-    group: FgAbelianGroup
-    width: int
-    depth: int
     rordam: VerifyReport
     realization: RealizationResult
     realization_valid: bool
@@ -273,9 +268,6 @@ def pipeline(group: FgAbelianGroup, depth: int, width: int = 6) -> PipelineRepor
     # ehs_realize_with_endo raises when the intertwining identity fails
     realization_valid = validate_diagram(realization.diagram) == []
     return PipelineReport(
-        group=group,
-        width=width,
-        depth=depth,
         rordam=rordam_report,
         realization=realization,
         realization_valid=realization_valid,

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
 
 from .abelian import (
     DimensionMismatch,
@@ -65,10 +64,6 @@ class StagedSystem:
         if matrix.rows != matrix.cols:
             raise ValueError("stationary system needs a square connecting matrix")
         return cls(prefix=(), tail=(matrix,))
-
-    @classmethod
-    def from_matrices(cls, prefix: Sequence[IntMatrix], tail: Sequence[IntMatrix] = ()) -> "StagedSystem":
-        return cls(prefix=tuple(prefix), tail=tuple(tail))
 
     @property
     def is_stationary(self) -> bool:
@@ -124,10 +119,6 @@ class LimitEndomorphism:
     matrix: IntMatrix
     cross_stage: bool = False
 
-    @classmethod
-    def stationary(cls, matrix: IntMatrix, cross_stage: bool = False) -> "LimitEndomorphism":
-        return cls(matrix, cross_stage)
-
     def apply(self, e: LimitElement) -> LimitElement:
         out = self.matrix.apply(e.vector)
         return LimitElement(e.stage + 1 if self.cross_stage else e.stage, out)
@@ -170,19 +161,6 @@ def limit_equal(sys: StagedSystem, e1: LimitElement, e2: LimitElement) -> bool:
 def is_zero_class(sys: StagedSystem, e: LimitElement) -> bool:
     """Whether a representative is the zero class."""
     return limit_equal(sys, e, LimitElement(e.stage, (0,) * len(e.vector)))
-
-
-def alpha_infinity_apply(sys: StagedSystem, e: LimitElement) -> LimitElement:
-    """The shift automorphism of a stationary system.
-
-    Sends the class represented at stage n+1 to the same vector at stage n;
-    stage-0 representatives are first re-expressed one stage later.
-    """
-    if not sys.is_stationary:
-        raise ValueError("the shift automorphism needs a stationary system")
-    if e.stage >= 1:
-        return LimitElement(e.stage - 1, e.vector)
-    return LimitElement(0, sys.connect(0).apply(e.vector))
 
 
 def build_limit_group(sys: StagedSystem) -> FgAbelianGroup:

@@ -39,7 +39,7 @@ class WidthError(ValueError):
 
 @dataclass(frozen=True)
 class RordamPair:
-    """Staged system with beta = id - delta and its coordinate bookkeeping."""
+    """Staged system with beta = id - delta; coordinate x(n, m) is index n * width + m."""
 
     group: FgAbelianGroup
     width: int
@@ -50,25 +50,9 @@ class RordamPair:
     def rank(self) -> int:
         return self.group.num_generators * self.width
 
-    def coord_index(self, n: int, m: int) -> int:
-        if not (0 <= n < self.group.num_generators and 0 <= m < self.width):
-            raise IndexError(f"coordinate ({n},{m}) outside {self.group.num_generators}x{self.width}")
-        return n * self.width + m
-
-    def index_coord(self, i: int) -> tuple:
-        if not (0 <= i < self.rank):
-            raise IndexError(f"index {i} outside rank {self.rank}")
-        return divmod(i, self.width)
-
     @property
     def beta_matrix(self) -> IntMatrix:
         return self.system.connect(0)
-
-    def evaluation_vector(self, i: int) -> tuple:
-        """Image of the i-th coordinate under x(n,m) -> g_n * [m == 0]."""
-        n, m = self.index_coord(i)
-        g = self.group.num_generators
-        return tuple((1 if (m == 0 and k == n) else 0) for k in range(g))
 
 
 def rordam_pair(group: FgAbelianGroup, width: int) -> RordamPair:

@@ -36,14 +36,6 @@ class FreeWord:
             raise ValueError("letter next to its inverse; word not reduced")
 
     @classmethod
-    def identity(cls) -> "FreeWord":
-        return cls(())
-
-    @classmethod
-    def generator(cls, n: int, exp: int = 1) -> "FreeWord":
-        return cls.from_syllables([(n, exp)])
-
-    @classmethod
     def from_syllables(cls, syllables) -> "FreeWord":
         """Free reduction of the product of powers x_gen^exp."""
         word = cls()
@@ -60,9 +52,6 @@ class FreeWord:
 
     def inverse(self) -> "FreeWord":
         return FreeWord(tuple((g, 1 - s) for g, s in reversed(self.letters)))
-
-    def is_identity(self) -> bool:
-        return not self.letters
 
     def length(self) -> int:
         return len(self.letters)
@@ -92,7 +81,7 @@ class FreeWord:
     def parse(cls, text: str) -> "FreeWord":
         text = text.strip()
         if text in ("", "e", "1"):
-            return cls.identity()
+            return cls()
         sylls = []
         for part in text.split("."):
             m = re.fullmatch(r"x(\d+)(?:\^(-?\d+))?", part.strip())
@@ -119,14 +108,6 @@ class SubgroupOracle:
         return self.membership(word)
 
 
-def whole_group_oracle(rank: Optional[int] = None) -> SubgroupOracle:
-    return SubgroupOracle(lambda w: True, rank, lambda w: ())
-
-
-def trivial_subgroup_oracle(rank: Optional[int] = None) -> SubgroupOracle:
-    return SubgroupOracle(lambda w: w.is_identity(), rank, lambda w: w.letters)
-
-
 def kernel_oracle(target: FgAbelianGroup, images: Sequence[Sequence[int]]) -> SubgroupOracle:
     """Kernel of the map sending generator x_i to the i-th listed element.
 
@@ -150,7 +131,7 @@ def kernel_oracle(target: FgAbelianGroup, images: Sequence[Sequence[int]]) -> Su
                     total[k] += e * img[k]
         return row_lattice_remainder(lattice, total)
 
-    identity_key = key(FreeWord.identity())
+    identity_key = key(FreeWord())
     return SubgroupOracle(lambda w: key(w) == identity_key, rank, key)
 
 
@@ -158,7 +139,7 @@ def shortlex_words(gen_bound: int, max_length: int) -> Iterator[FreeWord]:
     """All reduced words over generators < gen_bound, in shortlex order."""
     alphabet = [(g, s) for g in range(gen_bound) for s in (0, 1)]
     frontier = [()]
-    yield FreeWord.identity()
+    yield FreeWord()
     for _ in range(max_length):
         frontier = [seq + (x,) for seq in frontier for x in alphabet
                     if seq[-1:] != ((x[0], 1 - x[1]),)]
@@ -200,7 +181,7 @@ def schreier_generators(h: SubgroupOracle, word_bound: int, gen_bound: int) -> l
     against the oracle.
     """
     alphabet = [(n, s) for n in range(gen_bound) for s in (0, 1)]
-    identity = FreeWord.identity()
+    identity = FreeWord()
     by_key = {h.key(identity): identity} if h.key is not None else None  # coset key -> b^-1
     inverses = [identity]  # b^-1 for each representative b so far, when there is no key
 

@@ -153,7 +153,7 @@ def test_criterion_3_shen_certificates():
         pair = rordam_pair(FgAbelianGroup.cyclic(2), width=6)
         D, endo = assemble_pipeline_system(pair)
         unit = D.unit
-        theta = [unit, endo.apply(unit), LimitElement(1, D.unit_at(1).vector)]
+        theta = [unit, endo.apply(unit), LimitElement(1, push(D.system, D.unit, 1).vector)]
         cert = shen_solve(D, theta, 24)
         assert verify_shen_certificate(D, theta, cert)
 
@@ -228,8 +228,8 @@ def test_criterion_5_endomorphism_realization():
             cone="simplicial",
             unit=LimitElement(0, (1,)),
         )
-        tripler = LimitEndomorphism.stationary(IntMatrix.from_rows([[3]]))
-        ident = LimitEndomorphism.stationary(IntMatrix.identity(1))
+        tripler = LimitEndomorphism(IntMatrix.from_rows([[3]]))
+        ident = LimitEndomorphism(IntMatrix.identity(1))
         pair = rordam_pair(FgAbelianGroup.cyclic(2), width=6)
         pipe_D, pipe_endo = assemble_pipeline_system(pair)
         from afkit.dimension import unit_atom_enumerator
@@ -245,7 +245,7 @@ def test_criterion_5_endomorphism_realization():
             assert validate_endomorphism(result.diagram, result.endomorphism)
             # exact image identity: phi(theta_n(i)) = sum_j q_n(i,j) theta_{n+1}(j)
             for n in range(3):
-                q_n = result.endomorphism.matrix(n)
+                q_n = result.endomorphism.q[n]
                 nxt = result.thetas[n + 1]
                 stage = max(t.stage for t in nxt)
                 vecs = [push(D.system, t, stage).vector for t in nxt]

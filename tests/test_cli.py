@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from afkit import cli, invariants
+from afkit import invariants
 from afkit.abelian import FgAbelianGroup
 from afkit.cli import main
 from afkit.invariants import KirchbergInvariant
@@ -434,18 +434,6 @@ def test_pipeline_with_a_free_part_reports_its_kernel(tmp_path, capsys, rows, de
     assert report["invariant"]["description"] == description
     assert report["crossed_product_invariant"] is None
     assert report["all_passed"] is False
-
-
-def test_pipeline_json_does_not_read_the_input_group(tmp_path, capsys, monkeypatch):
-    # swap the report's group after the stages ran: no computed value moves
-    g = write(tmp_path, "z6.json", Z6)
-    argv = ["--format", "json", "pipeline", "--group", g, "--prime", "3", "--depth", "3"]
-    _, honest, _ = run(capsys, argv)
-    real = cli.pipeline
-    monkeypatch.setattr(cli, "pipeline", lambda *a, **kw: replace(real(*a, **kw), group=FgAbelianGroup.free(2)))
-    code, swapped, _ = run(capsys, argv)
-    assert code == 0
-    assert swapped == honest
 
 
 def test_pipeline_json_reads_the_pv_stage(tmp_path, capsys, monkeypatch):

@@ -20,7 +20,6 @@ from afkit.dimension import (
     diagram_to_system,
     ehs_realize,
     ehs_realize_with_endo,
-    multimatrix_dims,
     shen_solve,
     telescope,
     unit_atom_enumerator,
@@ -94,19 +93,19 @@ def test_validate_short_weights_before_an_incidence():
 
 def test_multimatrix_dims():
     d = uhf2_diagram()
-    assert multimatrix_dims(d, 3) == (8,)
-    assert multimatrix_dims(d, 0) == (1,)
+    assert d.weights(3) == (8,)
+    assert d.weights(0) == (1,)
     fib = fibonacci_diagram()
-    assert multimatrix_dims(fib, 2) == (2, 1)
+    assert fib.weights(2) == (2, 1)
     with pytest.raises(IndexError):
-        multimatrix_dims(d, 99)
+        d.weights(99)
 
 
 def test_diagram_to_system_uhf():
     D = diagram_to_system(uhf2_diagram())
     assert D.system.is_stationary is False  # prefix + tail realization
     assert D.unit == LimitElement(0, (1,))
-    assert D.unit_at(3).vector == (8,)
+    assert push(D.system, D.unit, 3).vector == (8,)
     e = push(D.system, LimitElement(0, (1,)), 2)
     assert e.vector == (4,)
 
@@ -117,7 +116,7 @@ def test_diagram_to_system_trivial():
         (IntMatrix.from_rows([[1]]),),
     )
     D = diagram_to_system(d)
-    assert D.unit_at(5).vector == (1,)
+    assert push(D.system, D.unit, 5).vector == (1,)
 
 
 def test_diagram_to_system_transposes():
@@ -302,8 +301,7 @@ def test_shen_strict_cone_with_relations():
 ], ids=["tail-mixes-t", "prefix-kills-t"])
 def test_strict_cone_rejects_maps_that_move_t(prefix, tail):
     # column 0 may feed the other coordinates: test_shen_strict_cone_property
-    sys = StagedSystem.from_matrices([IntMatrix.from_rows(m) for m in prefix],
-                                     [IntMatrix.from_rows(m) for m in tail])
+    sys = StagedSystem(tuple(map(IntMatrix.from_rows, prefix)), tuple(map(IntMatrix.from_rows, tail)))
     with pytest.raises(ValueError, match="row 0"):
         OrderedStagedSystem(system=sys, cone="strict_first", unit=LimitElement(0, (1, 0)))
 
@@ -401,12 +399,12 @@ def test_ehs_depth_zero():
 
 def test_ehs_realize_with_endo_tripler():
     D = integers_system()
-    tripler = LimitEndomorphism.stationary(IntMatrix.from_rows([[3]]))
+    tripler = LimitEndomorphism(IntMatrix.from_rows([[3]]))
     result = ehs_realize_with_endo(D, tripler, constant_unit_enumerator(D), depth=3)
     assert validate_diagram(result.diagram) == []
     assert validate_endomorphism(result.diagram, result.endomorphism)
     # q rows encode multiplication by 3
-    q0 = result.endomorphism.matrix(0)
+    q0 = result.endomorphism.q[0]
     stage = max(t.stage for t in result.thetas[1])
     vec = [push(D.system, t, stage).vector for t in result.thetas[1]]
     total = sum(q0.entry(0, j) * vec[j][0] for j in range(q0.cols))
@@ -416,16 +414,16 @@ def test_ehs_realize_with_endo_tripler():
 
 def test_ehs_realize_with_endo_identity():
     D = integers_system()
-    ident = LimitEndomorphism.stationary(IntMatrix.identity(1))
+    ident = LimitEndomorphism(IntMatrix.identity(1))
     result = ehs_realize_with_endo(D, ident, constant_unit_enumerator(D), depth=3)
     assert validate_endomorphism(result.diagram, result.endomorphism)
     for n in range(3):
-        assert result.endomorphism.matrix(n).entries == result.diagram.incidence(n).entries
+        assert result.endomorphism.q[n].entries == result.diagram.incidence(n).entries
 
 
 def test_ehs_endo_rejects_negative_endomorphism():
     D = integers_system()
-    neg = LimitEndomorphism.stationary(IntMatrix.from_rows([[-1]]))
+    neg = LimitEndomorphism(IntMatrix.from_rows([[-1]]))
     from afkit.dimension import EndomorphismNotPositive
 
     with pytest.raises(EndomorphismNotPositive):
@@ -437,7 +435,7 @@ def test_ehs_endo_undecided_image_exceeds_depth():
     # never does, so two pushes leave its positivity undecided
     sys = StagedSystem.stationary(IntMatrix.from_rows([[1, 1], [0, 1]]))
     D = OrderedStagedSystem(system=sys, cone="simplicial", unit=LimitElement(0, (1, 1)))
-    phi = LimitEndomorphism.stationary(IntMatrix.from_rows([[-6, 1], [0, 1]]))
+    phi = LimitEndomorphism(IntMatrix.from_rows([[-6, 1], [0, 1]]))
     with pytest.raises(ShenDepthExceeded, match="undecided"):
         ehs_realize_with_endo(D, phi, constant_unit_enumerator(D), depth=2, search_bound=2)
 
@@ -447,13 +445,13 @@ def test_ehs_endo_undecided_image_exceeds_depth():
 
 def readme_ehs_case():
     D = integers_system()
-    return D, LimitEndomorphism.stationary(IntMatrix.from_rows([[3]])), basis_atom_enumerator
+    return D, LimitEndomorphism(IntMatrix.from_rows([[3]])), basis_atom_enumerator
 
 
 def strict_2x2_case():
     sys = StagedSystem.stationary(IntMatrix.from_rows([[2, 0], [1, -1]]))
     D = OrderedStagedSystem(system=sys, cone="strict_first", unit=LimitElement(0, (1, 0)))
-    return D, LimitEndomorphism.stationary(IntMatrix.identity(2), cross_stage=True), unit_atom_enumerator
+    return D, LimitEndomorphism(IntMatrix.identity(2), cross_stage=True), unit_atom_enumerator
 
 
 def pipeline_case(relations, width):
@@ -474,7 +472,7 @@ REUSE_CASES = {
 def as_prefix_form(D, depth):
     """The same maps written as a prefix of ``depth`` copies and a one-map tail: not stationary."""
     (m,) = D.system.tail
-    sys = StagedSystem.from_matrices(prefix=(m,) * depth, tail=(m,))
+    sys = StagedSystem(prefix=(m,) * depth, tail=(m,))
     assert not sys.is_stationary
     return OrderedStagedSystem(system=sys, cone=D.cone, unit=D.unit)
 

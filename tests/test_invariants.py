@@ -76,9 +76,7 @@ def test_crossed_product_table():
 
 def test_kp_isomorphic_basic():
     a = group_to_invariant(Z6)
-    from afkit.abelian import quotient_by
-
-    b = group_to_invariant(quotient_by(FgAbelianGroup.free(2), [(2, 0), (0, 3)]))
+    b = group_to_invariant(FgAbelianGroup.from_relation_rows(2, [(2, 0), (0, 3)]))
     assert kp_isomorphic(a, b) is True
     assert kp_isomorphic(group_to_invariant(Z3), group_to_invariant(FgAbelianGroup.cyclic(5))) is False
 
@@ -121,7 +119,7 @@ def test_pv_check_halving_on_dyadics():
     # D = Z[1/2] staged by doubling; beta halves: cokernel and kernel trivial
     sys = StagedSystem.stationary(IntMatrix.from_rows([[2]]))
     D = OrderedStagedSystem(system=sys, cone="strict_first", unit=LimitElement(0, (1,)))
-    halver = LimitEndomorphism.stationary(IntMatrix.identity(1), cross_stage=True)
+    halver = LimitEndomorphism(IntMatrix.identity(1), cross_stage=True)
     report = pv_check(D, halver, TRIVIAL)
     assert report.passed
     assert report.invariant.k0.invariant_factors == ()
@@ -141,7 +139,7 @@ def test_pv_check_perturbed_fails():
     D, endo = assemble_pipeline_system(pair)
     base = endo.matrix.to_rows()
     base[1][1] += 1
-    broken = LimitEndomorphism.stationary(IntMatrix.from_rows(base), cross_stage=True)
+    broken = LimitEndomorphism(IntMatrix.from_rows(base), cross_stage=True)
     report = pv_check(D, broken, Z2)
     assert not report.passed
 
@@ -338,7 +336,7 @@ def test_pv_unit_class_is_read_in_the_cokernel():
     # beta = 3, so coker(id - beta) = Z/2 and [1] is its generator
     D = OrderedStagedSystem(system=StagedSystem.stationary(IntMatrix.identity(1)), cone="simplicial",
                             unit=LimitElement(0, (1,)))
-    report = pv_check(D, LimitEndomorphism.stationary(IntMatrix.from_rows([[3]])), Z2)
+    report = pv_check(D, LimitEndomorphism(IntMatrix.from_rows([[3]])), Z2)
     assert report.passed
     assert report.invariant.k0.invariant_factors == (2,)
     assert not report.invariant.unit_is_zero()
@@ -370,7 +368,7 @@ def test_pv_kernel_rank_by_rank_nullity_matches_the_preimage_path(data):
     a, b = data.draw(rows(n, k)), data.draw(rows(k, n))
     m = IntMatrix.from_rows([[sum(a[i][t] * b[t][j] for t in range(k)) for j in range(n)] for i in range(n)])
     cross_stage = data.draw(st.booleans())
-    beta = LimitEndomorphism.stationary((phi if cross_stage else IntMatrix.identity(n)) - m, cross_stage)
+    beta = LimitEndomorphism((phi if cross_stage else IntMatrix.identity(n)) - m, cross_stage)
     D = OrderedStagedSystem(system=StagedSystem.stationary(phi), cone="simplicial",
                             unit=LimitElement(0, (1,) + (0,) * (n - 1)))
     assert D.system.injective
@@ -389,6 +387,6 @@ def test_pv_kernel_of_a_non_injective_system_takes_the_preimage_path(monkeypatch
     D = OrderedStagedSystem(system=StagedSystem.stationary(IntMatrix.from_rows([[1, 0], [0, 0]])),
                             cone="simplicial", unit=LimitElement(0, (1, 0)))
     assert not D.system.injective
-    report = pv_check(D, LimitEndomorphism.stationary(IntMatrix.identity(2)), TRIVIAL)
+    report = pv_check(D, LimitEndomorphism(IntMatrix.identity(2)), TRIVIAL)
     assert report.invariant.k1.free_rank == 1
     assert calls == [2]

@@ -52,21 +52,32 @@ def test_beta_is_identity_minus_delta():
     assert (IntMatrix.identity(rank) - pair.delta_matrix).entries == pair.beta_matrix.entries
 
 
+def coord_index(pair, n: int, m: int) -> int:
+    assert 0 <= n < pair.group.num_generators and 0 <= m < pair.width
+    return n * pair.width + m
+
+
+def evaluation_vector(pair, i: int) -> tuple:
+    """Image of the i-th coordinate under x(n,m) -> g_n * [m == 0]."""
+    n, m = divmod(i, pair.width)
+    return tuple(int(m == 0 and k == n) for k in range(pair.group.num_generators))
+
+
 def test_delta_column_structure():
     g = FgAbelianGroup.from_relation_rows(2, [[0, 2]])
     pair = rordam_pair(g, width=5)
     delta = pair.delta_matrix
     for n in range(2):
         for m in range(1, pair.width):
-            col = delta.col(pair.coord_index(n, m))
+            col = delta.transpose().row(coord_index(pair, n, m))
             nonzero = [(i, x) for i, x in enumerate(col) if x]
             assert len(nonzero) == 1
             i, x = nonzero[0]
             assert abs(x) == 1
             if m < pair.width - 1:
-                assert i == pair.coord_index(n, m + 1) and x == 1
+                assert i == coord_index(pair, n, m + 1) and x == 1
             else:
-                assert i == pair.coord_index(n, 1) and x == -1
+                assert i == coord_index(pair, n, 1) and x == -1
 
 
 def test_kernel_columns_lie_in_kernel():
@@ -74,12 +85,12 @@ def test_kernel_columns_lie_in_kernel():
     pair = rordam_pair(g, width=5)
     delta = pair.delta_matrix
     for n in range(2):
-        col = delta.col(pair.coord_index(n, 0))
+        col = delta.transpose().row(coord_index(pair, n, 0))
         # evaluate the column under x(n,m) -> g_n [m=0] and test zero in G
         total = [0] * g.num_generators
         for i, coeff in enumerate(col):
             if coeff:
-                ev = pair.evaluation_vector(i)
+                ev = evaluation_vector(pair, i)
                 for k in range(g.num_generators):
                     total[k] += coeff * ev[k]
         assert g.element_is_zero(total)
@@ -90,7 +101,7 @@ def test_image_of_delta_is_evaluation_kernel():
     g = FgAbelianGroup.cyclic(4)
     pair = rordam_pair(g, width=4)
     delta = pair.delta_matrix
-    image = hermite_row_basis([delta.col(j) for j in range(pair.rank)])
+    image = hermite_row_basis(delta.transpose().to_rows())
     expected = hermite_row_basis(
         [[4 if i == 0 else 0 for i in range(pair.rank)]]
         + [[1 if i == j else 0 for i in range(pair.rank)] for j in range(1, pair.width)]

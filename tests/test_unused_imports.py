@@ -1,11 +1,14 @@
 """No module of the package imports a name it never uses, imports another
-module's private name, or defines a private helper that nothing in it refers to.
+module's private name, or defines a private helper that nothing in it refers to;
+and every public function, class and method has a caller in the package, a
+verifier's job, or a place on the short ``KEPT`` list.
 
 ``__init__.py`` re-exports the public names, so it is the one exception;
 ``from __future__`` imports are compiler directives, not names.
 """
 
 import ast
+import importlib.util
 from pathlib import Path
 
 import pytest
@@ -79,3 +82,81 @@ def test_checker_sees_a_private_import():
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_no_private_imports_across_modules(path):
     assert private_imports(path.read_text()) == []
+
+
+TRACING = PACKAGE.parents[1] / "bench" / "tracing.py"
+
+# Public names that nothing in the package calls and that stay anyway.
+KEPT = (
+    ("determinant", "verifier: the tests check that normal-form transforms are unimodular"),
+    ("verify_certificate", "verifier: re-adds a membership certificate's generators"),
+    ("verify_shen_certificate", "verifier: re-checks a Shen certificate against its system"),
+    ("LimitEndomorphism.check_commuting", "verifier: the intertwining squares at every stage"),
+    ("constant_unit_enumerator", "acceptance helper: the acceptance tests realize with it"),
+    ("BratteliDiagram.single_vertex", "acceptance helper: the one-vertex diagrams of the acceptance tests"),
+    ("FgAbelianGroup.cyclic", "input builder for Z/n, used throughout the tests"),
+    ("FreeWord.parse", "input builder for words, used throughout the tests"),
+    ("chain_tree", "input builder for path trees, used throughout the tests"),
+    ("PrimeLabeledGraph.relabel_vertices", "input builder for isomorphic copies of a graph"),
+)
+
+
+def public_definitions(tree: ast.Module):
+    """(qualified name, node) of the public module-level functions and
+    classes and of the public methods of those classes."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            yield node.name, node
+            for item in node.body if isinstance(node, ast.ClassDef) else ():
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                    yield f"{node.name}.{item.name}", item
+
+
+def uncalled_public_names(sources) -> list:
+    """Public names that nothing outside their own body reads.
+
+    A function or class is read where a name or an attribute spells it, a
+    method where an attribute access spells it.
+    """
+    trees = [ast.parse(source) for source in sources]
+    names: dict = {}
+    attributes: dict = {}
+    for tree in trees:
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Name):
+                names.setdefault(n.id, set()).add(id(n))
+            elif isinstance(n, ast.Attribute):
+                attributes.setdefault(n.attr, set()).add(id(n))
+    uncalled = []
+    for tree in trees:
+        for qualified, node in public_definitions(tree):
+            name = qualified.rpartition(".")[2]
+            readers = attributes.get(name, set()) | (set() if "." in qualified else names.get(name, set()))
+            if not readers - {id(n) for n in ast.walk(node)}:
+                uncalled.append(qualified)
+    return sorted(uncalled)
+
+
+def test_checker_sees_an_uncalled_public_name():
+    source = ("def dead():\n    return dead()\n\ndef live():\n    pass\n\n"
+              "class Box:\n    def used(self):\n        return self.inner()\n\n"
+              "    def inner(self):\n        pass\n\n    def lonely(self):\n        return self.lonely()\n\n"
+              "    def _private(self):\n        pass\n\n    def __len__(self):\n        return 0\n\n"
+              "live().used()\n")
+    assert uncalled_public_names([source]) == ["Box", "Box.lonely", "dead"]
+    assert uncalled_public_names(["def f():\n    pass\n", "from m import f\nf()\n"]) == []
+
+
+def trace_targets() -> set:
+    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return {attr for _, attr, _ in module.TARGETS}
+
+
+def test_every_public_name_has_a_caller():
+    # the benchmark's tracer wraps its targets by name, so they stay while it does
+    uncalled = uncalled_public_names(path.read_text() for path in MODULES)
+    kept = {name for name, _ in KEPT}
+    assert [name for name in uncalled if name not in kept | trace_targets()] == []
+    assert sorted(kept - set(uncalled)) == []  # a kept name that gained a caller leaves KEPT

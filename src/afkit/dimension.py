@@ -104,25 +104,20 @@ class OrderedStagedSystem:
                 return False
             return is_zero_class(self.system, e)
         # simplicial: nonnegative now or after finitely many pushes
-        pos = self._pushes_nonnegative(e, bound)
-        if pos is not False:
-            return pos
+        if self._pushes_nonnegative(e, bound):
+            return True
         # -e eventually nonnegative: e is in the cone only as the zero class
         if not self._pushes_nonnegative(LimitElement(e.stage, tuple(-x for x in e.vector)), bound):
             return None
         return is_zero_class(self.system, e)
 
-    def _pushes_nonnegative(self, e: LimitElement, bound: int):
-        """True when e is coordinatewise nonnegative now or within ``bound``
-        pushes, None when the stages run out first, False otherwise."""
+    def _pushes_nonnegative(self, e: LimitElement, bound: int) -> bool:
+        """Whether e is coordinatewise nonnegative now or within ``bound`` pushes."""
         cur = e
         for _ in range(bound + 1):
             if all(x >= 0 for x in cur.vector):
                 return True
-            try:
-                cur = push(self.system, cur, cur.stage + 1)
-            except ValueError:
-                return None
+            cur = push(self.system, cur, cur.stage + 1)
         return False
 
 
@@ -230,20 +225,25 @@ def diagram_to_system(d: BratteliDiagram) -> OrderedStagedSystem:
     """Staged ordered system of a valid diagram.
 
     Connecting maps are the transposed incidences (so they act on column
-    vectors); stage units are the weight vectors.
+    vectors); stage units are the weight vectors.  A diagram without a tail
+    ends in the identity on its last level.
     """
     violations = validate_diagram(d)
     if violations:
         raise ValueError("invalid diagram: " + "; ".join(violations))
     prefix = [d.incidence(n).transpose() for n in range(d.num_levels - 1)]
-    tail = [t.transpose() for t in d.tail]
+    tail = [t.transpose() for t in d.tail] or [IntMatrix.identity(d.levels[-1].size)]
     system = StagedSystem(tuple(prefix), tuple(tail))
     unit = LimitElement(0, d.weights(0))
     return OrderedStagedSystem(system=system, cone=SIMPLICIAL, unit=unit)
 
 
 def telescope(d: BratteliDiagram, cut_points: Sequence[int]) -> BratteliDiagram:
-    """Contract the diagram to the listed levels, multiplying incidences."""
+    """Contract the diagram to the listed levels, multiplying incidences.
+
+    The tail is kept when the last cut is the last stored level; an earlier
+    last cut gives a truncation without a tail.
+    """
     cuts = list(cut_points)
     if not cuts or cuts[0] != 0:
         raise ValueError("cut points must start at 0")
@@ -261,7 +261,7 @@ def telescope(d: BratteliDiagram, cut_points: Sequence[int]) -> BratteliDiagram:
         else:
             inc = None
         new_levels.append(DiagramLevel(lev.size, lev.weights, inc))
-    return BratteliDiagram(tuple(new_levels))
+    return BratteliDiagram(tuple(new_levels), d.tail if cuts[-1] == d.num_levels - 1 else ())
 
 
 def diagram_to_dot(d: BratteliDiagram) -> str:
@@ -403,10 +403,7 @@ def _shen_simplicial(D, theta, search_bound) -> ShenCertificate:
     s = max(t.stage for t in theta)
     for attempt in range(search_bound + 1):
         stage = s + attempt
-        try:
-            vecs = [push(D.system, t, stage).vector for t in theta]
-        except ValueError:
-            break
+        vecs = [push(D.system, t, stage).vector for t in theta]
         if all(x >= 0 for v in vecs for x in v):
             n = D.stage_rank(stage)
             used = [t for t in range(n) if any(v[t] for v in vecs)]
@@ -630,26 +627,28 @@ def _realize(D, phi, positive_enumerator, depth, search_bound) -> RealizationRes
     Rows of the level's coefficient matrix follow (theta; phi(theta); x),
     so the appended element x is always the last row.
 
-    On a stationary system each Shen certificate is solved once per input
-    list up to a uniform stage shift d.  Nothing the solver reads depends on
-    the stage there: ``connect(n)`` is the one matrix, so ``push`` by k
-    stages, ``stage_rank``, ``_strict_scale`` and injectivity are the same
-    everywhere, the simplicial positivity verdict pushes the same vectors,
-    and the strict one reads the first coordinate and the death lattice, the
-    one matrix's saturation at every stage.  So for both cones the shifted
-    inputs get the same g and phi shifted by d, which is how a stored
-    certificate is reused.  Every check after a solve (the images'
-    positivity, the level and intertwining identities) still runs per level.
+    Each Shen certificate is solved once per input list up to a stage shift
+    d past the prefix by a multiple of the period.  Nothing the solver reads
+    changes under such a shift: ``connect(n)`` past the prefix depends only
+    on n modulo the period, so ``push`` by k stages, ``stage_rank``,
+    ``_strict_scale`` and injectivity are the same, the simplicial
+    positivity verdict pushes the same vectors, and the strict one reads the
+    first coordinate and the death lattice, which past the prefix depends
+    only on the stage's phase too.  So for both cones the shifted inputs get
+    the same g and phi shifted by d, which is how a stored certificate is
+    reused; a stationary system has one phase, so every shift reuses.
+    Every check after a solve (the images' positivity, the level and
+    intertwining identities) still runs per level.
     """
     enum = iter(positive_enumerator)
     is_positive = cache(lambda e: D.is_positive(e, search_bound))  # one verdict per element
-    certificates = {}  # stationary D: inputs, stages from the smallest -> (that stage, certificate)
+    certificates = {}  # (phase of the smallest stage, inputs staged from it) -> (that stage, certificate)
+    P, T = len(D.system.prefix), len(D.system.tail)
 
     def solve(theta: list) -> ShenCertificate:
-        if not D.system.is_stationary:
-            return _shen_solve(D, theta, search_bound, is_positive)
         base = min((t.stage for t in theta), default=0)
-        key = tuple((t.stage - base, t.vector) for t in theta)
+        phase = base if base < P else P + (base - P) % T
+        key = phase, tuple((t.stage - base, t.vector) for t in theta)
         if key not in certificates:
             certificates[key] = base, _shen_solve(D, theta, search_bound, is_positive)
         stored, cert = certificates[key]

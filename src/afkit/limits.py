@@ -3,9 +3,10 @@
 A staged system is a sequence of lattices Z^{l(0)} -> Z^{l(1)} -> ... with
 integer connecting matrices acting on column vectors.  Limit elements are
 (stage, vector) pairs; two of them are equal when they agree after pushing
-to a common (possibly later) stage.  Systems are realized as a finite
-prefix of matrices followed by a repeating tail, with the single-matrix
-stationary case as the degenerate form.
+to a common (possibly later) stage.  Every system is a finite prefix of
+matrices followed by a repeating tail, its period: the single-matrix
+stationary system has no prefix, and a finite system ends in the identity
+on its last stage.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from .abelian import (
     FgAbelianGroup,
     IntMatrix,
     image_lattice_rows,
-    kernel_basis,
     preimage_lattice_rows,
     require_ints,
     row_lattice,
@@ -36,28 +36,30 @@ class StagedSystem:
     """Free lattices with integer connecting maps, prefix plus cycling tail.
 
     ``connect(n)`` maps stage n to stage n+1 and has shape
-    l(n+1) x l(n).  When ``tail`` is empty the system is finite: its last
-    stored stage stands for the limit, and stages beyond it are undefined.
+    l(n+1) x l(n).  The tail, the period, is never empty: a finite system
+    ends in the identity on its last stored stage, which thus stands for
+    the limit.
     """
 
     prefix: tuple
     tail: tuple
 
     def __post_init__(self):
+        if not self.tail:
+            raise ValueError("empty tail: end a finite system with the identity on its last stage")
         mats = list(self.prefix) + list(self.tail)
         for a, b in zip(mats, mats[1:]):
             if b.cols != a.rows:
                 raise ValueError(
                     f"connecting shapes do not chain: {a.rows}x{a.cols} then {b.rows}x{b.cols}"
                 )
-        if self.tail and self.tail[0].cols != mats[-1].rows:
+        if self.tail[0].cols != mats[-1].rows:
             raise ValueError("tail does not cycle: shape mismatch at wrap")
 
     @cached_property
     def injective(self) -> bool:
         """Whether every connecting map has full column rank, so no vector dies."""
-        mats = list(self.prefix) + list(self.tail)
-        return bool(mats) and all(image_lattice_rows(m).rows == m.cols for m in mats)
+        return all(image_lattice_rows(m).rows == m.cols for m in self.prefix + self.tail)
 
     @classmethod
     def stationary(cls, matrix: IntMatrix) -> "StagedSystem":
@@ -74,17 +76,9 @@ class StagedSystem:
             raise ValueError("negative stage")
         if n < len(self.prefix):
             return self.prefix[n]
-        if not self.tail:
-            raise ValueError(f"stage {n} beyond the final stored stage")
         return self.tail[(n - len(self.prefix)) % len(self.tail)]
 
     def stage_rank(self, n: int) -> int:
-        if n < len(self.prefix):
-            return self.prefix[n].cols
-        if not self.tail:
-            if n == len(self.prefix) and self.prefix:
-                return self.prefix[-1].rows
-            raise ValueError(f"stage {n} beyond the final stored stage")
         return self.connect(n).cols
 
     def composite(self, start: int, stop: int) -> IntMatrix:
@@ -125,10 +119,9 @@ class LimitEndomorphism:
 
     def check_commuting(self, sys: StagedSystem) -> bool:
         """Verify the intertwining squares at every stage: the prefix and one
-        tail period hold them all, a finite system's end at its last stage."""
-        stages = len(sys.prefix) + len(sys.tail) if sys.tail else len(sys.prefix) - self.cross_stage
+        tail period hold them all."""
         return all(self.matrix @ sys.connect(n) == sys.connect(n + self.cross_stage) @ self.matrix
-                   for n in range(stages))
+                   for n in range(len(sys.prefix) + len(sys.tail)))
 
 
 def push(sys: StagedSystem, e: LimitElement, to_stage: int) -> LimitElement:
@@ -177,10 +170,9 @@ def build_limit_group(sys: StagedSystem) -> FgAbelianGroup:
     then on and [L_j : L_(j+1)] = |det(B on V)| for every j >= k.  Either
     that index is 1 and L_(k+1) = L_k, or every later step shrinks the
     lattice by the same index > 1 and the chain never stabilizes.  So the
-    first step that keeps the rank settles the question.
+    first step that keeps the rank settles the question.  A finite system's
+    identity tail keeps Z^n, so its limit is its last stage.
     """
-    if not sys.tail:
-        raise ValueError("finite systems have no limit to build")
     start = len(sys.prefix)
     block = sys.composite(start, start + len(sys.tail))
     if block.rows != block.cols:
@@ -213,13 +205,10 @@ def death_lattice_rows(sys: StagedSystem, stage: int) -> IntMatrix:
     of B walks that chain (ker(B^(k+1)) is the preimage of ker(B^k)) without
     forming powers of B, and stops when two consecutive members agree.
     Earlier stages take the preimage under the composite up to the aligned
-    stage.  In an injective system nothing dies; in a finite system a
-    vector dies when the composite up to the last stored stage kills it.
+    stage.  In an injective system nothing dies.
     """
     if sys.injective:
         return IntMatrix.zeros(0, sys.stage_rank(stage))
-    if not sys.tail:
-        return kernel_basis(sys.composite(stage, len(sys.prefix)))
     # the first stage at or after ``stage`` where a tail period starts
     align = max(stage, len(sys.prefix))
     align += (len(sys.prefix) - align) % len(sys.tail)

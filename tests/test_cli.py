@@ -144,6 +144,14 @@ def test_diagram_k0(tmp_path, capsys):
     assert report["levels"][2]["multimatrix_dims"] == [4]
 
 
+def test_diagram_k0_one_level(tmp_path, capsys):
+    # a valid diagram of one level: its limit is that level's Z
+    path = write(tmp_path, "d.json", {"levels": [{"l": 1, "w": [1]}]})
+    code, out, _ = run(capsys, ["--format", "json", "diagram", "k0", path])
+    assert code == 0
+    assert json.loads(out) == {"levels": [{"rank": 1, "multimatrix_dims": [1]}], "cone": "simplicial", "unit": [1]}
+
+
 def test_diagram_dot_deterministic(tmp_path, capsys):
     path = write(tmp_path, "d.json", UHF2)
     code1, out1, _ = run(capsys, ["diagram", "dot", path])
@@ -159,6 +167,7 @@ def test_diagram_telescope_roundtrip(tmp_path, capsys):
     assert code == 0
     emitted = json.loads(out)
     assert emitted["levels"][0]["m"] == [[4]]
+    assert emitted["tail"] == [[[2]]]  # cut at the last level, the tail stays
     # emitted JSON re-parses and revalidates
     path2 = write(tmp_path, "d2.json", emitted)
     code2, out2, _ = run(capsys, ["--format", "json", "diagram", "validate", path2])

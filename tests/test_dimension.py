@@ -28,7 +28,15 @@ from afkit.dimension import (
     verify_shen_certificate,
 )
 from afkit.invariants import assemble_pipeline_system
-from afkit.limits import LimitElement, LimitEndomorphism, StagedSystem, limit_equal, push
+from afkit.limits import (
+    LimitElement,
+    LimitEndomorphism,
+    NotFinitelyGeneratedError,
+    StagedSystem,
+    build_limit_group,
+    limit_equal,
+    push,
+)
 from afkit.rordam import rordam_pair
 
 
@@ -131,6 +139,31 @@ def test_diagram_to_system_transposes():
     assert D.system.connect(0).apply((1,)) == (1, 2)
 
 
+def fibonacci_prefix_system():
+    """The Fibonacci diagram's stored levels without its tail."""
+    return diagram_to_system(BratteliDiagram(fibonacci_diagram().levels))
+
+
+def test_tailless_diagram_limit_is_its_last_level():
+    D = fibonacci_prefix_system()
+    assert D.system.tail == (IntMatrix.identity(2),)
+    assert build_limit_group(D.system).invariant_factors == (0, 0)
+
+
+def test_tailless_diagram_realizes_past_its_last_level():
+    D = fibonacci_prefix_system()
+    result = ehs_realize(D, basis_atom_enumerator(D), depth=5)
+    assert validate_diagram(result.diagram) == []
+    assert recursion_identity_holds(D, result)
+
+
+def test_tailless_diagram_checks_the_square_at_its_last_level():
+    # halving needs M A_last = M there, and A_last doubles
+    doubling = diagram_to_system(BratteliDiagram(
+        (DiagramLevel(1, (1,), IntMatrix.from_rows([[2]])), DiagramLevel(1, (2,), None))))
+    assert not LimitEndomorphism(IntMatrix.identity(1), cross_stage=True).check_commuting(doubling.system)
+
+
 def test_telescope_identity_cuts():
     d = uhf2_diagram()
     t = telescope(d, [0, 1, 2, 3])
@@ -173,6 +206,13 @@ def test_telescope_preserves_limit_classes():
     e_orig = push(D.system, LimitElement(0, (3,)), 4)
     e_tel = push(T.system, LimitElement(0, (3,)), 2)
     assert e_orig.vector == e_tel.vector
+    # cut at the last level, the tail stays, and with it the limit Z[1/2]
+    assert t.tail == d.tail
+    for system in (D.system, T.system):
+        with pytest.raises(NotFinitelyGeneratedError):
+            build_limit_group(system)
+    # an earlier last cut truncates
+    assert telescope(d, [0, 2]).tail == ()
 
 
 def test_diagram_json_roundtrip():
@@ -460,19 +500,37 @@ def pipeline_case(relations, width):
     return D, endo, unit_atom_enumerator
 
 
+def period_two_simplicial_case():
+    sys = StagedSystem((), (IntMatrix.from_rows([[2]]), IntMatrix.from_rows([[3]])))
+    D = OrderedStagedSystem(system=sys, cone="simplicial", unit=LimitElement(0, (1,)))
+    return D, LimitEndomorphism(IntMatrix.from_rows([[3]])), basis_atom_enumerator
+
+
+def period_two_strict_case():
+    sys = StagedSystem((), (IntMatrix.from_rows([[2, 0], [1, -1]]), IntMatrix.from_rows([[3, 0], [0, 1]])))
+    D = OrderedStagedSystem(system=sys, cone="strict_first", unit=LimitElement(0, (1, 0)))
+    return D, LimitEndomorphism(IntMatrix.from_rows([[2, 0], [0, 2]])), unit_atom_enumerator
+
+
+# case -> (builder, levels solved of 4): the stationary cases solve one level,
+# the simplicial period-2 case one per phase, and the strict 2x2 and period-2
+# systems' levels differ, so nothing repeats there
 REUSE_CASES = {
-    "readme-ehs": readme_ehs_case,
-    "strict-2x2": strict_2x2_case,
-    "pipeline-g1-w4": lambda: pipeline_case([[6]], 4),
-    "pipeline-g2-w8": lambda: pipeline_case([[4, 0], [0, 15]], 8),
-    "pipeline-g3-w6": lambda: pipeline_case([[2, 1, 0], [0, 3, 1], [0, 0, 5]], 6),
+    "readme-ehs": (readme_ehs_case, 1),
+    "strict-2x2": (strict_2x2_case, 4),
+    "pipeline-g1-w4": (lambda: pipeline_case([[6]], 4), 1),
+    "pipeline-g2-w8": (lambda: pipeline_case([[4, 0], [0, 15]], 8), 1),
+    "pipeline-g3-w6": (lambda: pipeline_case([[2, 1, 0], [0, 3, 1], [0, 0, 5]], 6), 1),
+    "period2-simplicial": (period_two_simplicial_case, 2),
+    "period2-strict": (period_two_strict_case, 4),
 }
 
 
 def as_prefix_form(D, depth):
-    """The same maps written as a prefix of ``depth`` copies and a one-map tail: not stationary."""
-    (m,) = D.system.tail
-    sys = StagedSystem(prefix=(m,) * depth, tail=(m,))
+    """The same maps with ``depth`` periods unrolled into the prefix, so no
+    realization of ``depth`` levels reaches a repeated phase."""
+    P, T = len(D.system.prefix), len(D.system.tail)
+    sys = StagedSystem(prefix=tuple(map(D.system.connect, range(P + T * depth))), tail=D.system.tail)
     assert not sys.is_stationary
     return OrderedStagedSystem(system=sys, cone=D.cone, unit=D.unit)
 
@@ -494,7 +552,8 @@ def shen_calls(monkeypatch):
 @pytest.mark.parametrize("name", sorted(REUSE_CASES))
 def test_reused_certificates_match_the_prefix_form(name, with_endo, shen_calls):
     depth = 4
-    D, endo, enumerator = REUSE_CASES[name]()
+    build, solved_levels = REUSE_CASES[name]
+    D, endo, enumerator = build()
     results = []
     for system in (D, as_prefix_form(D, depth)):
         shen_calls.clear()
@@ -503,15 +562,14 @@ def test_reused_certificates_match_the_prefix_form(name, with_endo, shen_calls):
         else:
             result = ehs_realize(system, enumerator(system), depth)
         results.append((result, len(shen_calls)))
-    (stationary, reused_calls), (prefix, prefix_calls) = results
-    assert stationary.thetas == prefix.thetas
-    assert stationary.diagram.levels == prefix.diagram.levels
-    assert stationary.endomorphism == prefix.endomorphism
-    assert stationary.coverage == prefix.coverage
-    # the strict 2x2 system's levels differ, so nothing repeats there; the others solve one level
+    (periodic, reused_calls), (prefix, prefix_calls) = results
+    assert periodic.thetas == prefix.thetas
+    assert periodic.diagram.levels == prefix.diagram.levels
+    assert periodic.endomorphism == prefix.endomorphism
+    assert periodic.coverage == prefix.coverage
     per_level = 2 if with_endo else 1
     assert prefix_calls == per_level * depth
-    assert reused_calls == (prefix_calls if name == "strict-2x2" else per_level)
+    assert reused_calls == per_level * solved_levels
 
 
 @pytest.mark.parametrize("depth", [2, 3, 5])

@@ -331,6 +331,18 @@ def test_pipeline_invariant_is_the_group_on_torsion_presentations(case):
     assert report.pv.invariant.unit_is_zero()
 
 
+@settings(max_examples=40, deadline=None)
+@given(finite_presentations())
+def test_pipeline_answers_do_not_depend_on_the_width(case):
+    # im(delta) = N at every width >= 2, so the width sets only the rank g * width
+    rows, _ = case
+    group = FgAbelianGroup.from_relation_rows(len(rows), rows)
+    reports = [pipeline(group, 3, width) for width in range(2, 9)]
+    assert all(report.all_passed for report in reports)
+    answers = [(report.rordam.found, invariant_to_json(report.pv.invariant)) for report in reports]
+    assert answers == answers[:1] * len(answers)
+
+
 def test_pv_unit_class_is_read_in_the_cokernel():
     # a pair whose cokernel holds the unit's class: D = Z with the unit 1 and
     # beta = 3, so coker(id - beta) = Z/2 and [1] is its generator

@@ -120,8 +120,17 @@ def test_build_limit_group_fibonacci():
 
 
 def test_stage_shapes_chain_checked():
-    with pytest.raises(ValueError):
-        StagedSystem((IntMatrix.from_rows([[1, 1]]), IntMatrix.from_rows([[1, 1]])), ())
+    with pytest.raises(ValueError, match="do not chain"):
+        StagedSystem((IntMatrix.from_rows([[1, 1]]), IntMatrix.from_rows([[1, 1]])), (IntMatrix.identity(1),))
+
+
+def test_every_system_has_a_period():
+    with pytest.raises(ValueError, match="identity"):
+        StagedSystem((IntMatrix.from_rows([[2]]),), ())
+    # a finite system ends in the identity, so its limit is its last stage
+    finite = StagedSystem((IntMatrix.from_rows([[1], [2]]),), (IntMatrix.identity(2),))
+    assert finite.stage_rank(1) == finite.stage_rank(9) == 2
+    assert build_limit_group(finite).invariant_factors == (0, 0)
 
 
 def test_prefix_tail_system():
@@ -198,8 +207,8 @@ def test_check_commuting_covers_every_stage():
     assert LimitEndomorphism(IntMatrix.from_rows([[3]])).check_commuting(sys)
     halver = LimitEndomorphism(IntMatrix.identity(1), cross_stage=True)
     assert not halver.check_commuting(sys)
-    # a finite system has squares only up to its last stored stage
-    assert halver.check_commuting(StagedSystem((IntMatrix.identity(1),) * 2, ()))
+    # a finite system's squares run on through its identity tail
+    assert halver.check_commuting(StagedSystem((IntMatrix.identity(1),) * 2, (IntMatrix.identity(1),)))
 
 
 def limit_rank_by_powers(sys, depth):
@@ -244,16 +253,13 @@ def test_build_limit_group_matches_powers(sys):
 
 def equal_by_pushing(sys, e1, e2):
     """Reference for limit_equal: equal vectors at some stage up to a bound
-    past which nothing more dies, or at the last stage of a finite system.
+    past which nothing more dies.
 
     From stage s, the next aligned stage is fewer than len(prefix) + period
     pushes away, and there the kernels of the powers of the n x n period
     block stop growing after n periods."""
     s = max(e1.stage, e2.stage)
-    if sys.tail:
-        last = s + len(sys.prefix) + (sys.tail[0].cols + 1) * len(sys.tail)
-    else:
-        last = len(sys.prefix)
+    last = s + len(sys.prefix) + (sys.tail[0].cols + 1) * len(sys.tail)
     a, b = push(sys, e1, s), push(sys, e2, s)
     while a.vector != b.vector:
         if a.stage == last:
@@ -280,7 +286,7 @@ def systems_with_elements(draw):
             for m in mats
         ]
     if kind == "finite":
-        sys = StagedSystem(tuple(mats), ())
+        sys = StagedSystem(tuple(mats), (IntMatrix.identity(n),))
     else:
         period = draw(st.integers(1, min(2, len(mats))))
         sys = StagedSystem(tuple(mats[:-period]), tuple(mats[-period:]))
@@ -300,10 +306,10 @@ def test_limit_equal_matches_pushing(case):
 
 def test_finite_system_death_lattice():
     # (x, y) -> (x, 0) -> (x + y, y); the last stored stage stands for the limit
-    sys = StagedSystem((IntMatrix.from_rows([[1, 0], [0, 0]]), IntMatrix.from_rows([[1, 1], [0, 1]])), ())
+    sys = StagedSystem((IntMatrix.from_rows([[1, 0], [0, 0]]), IntMatrix.from_rows([[1, 1], [0, 1]])),
+                       (IntMatrix.identity(2),))
     assert death_lattice_rows(sys, 0).to_rows() == [[0, 1]]
     assert death_lattice_rows(sys, 1).to_rows() == [] == death_lattice_rows(sys, 2).to_rows()
     assert limit_equal(sys, LimitElement(0, (3, 5)), LimitElement(2, (3, 0))) is True
     assert limit_equal(sys, LimitElement(0, (3, 5)), LimitElement(2, (3, 1))) is False
-    with pytest.raises(ValueError):
-        death_lattice_rows(sys, 3)
+    assert death_lattice_rows(sys, 3).to_rows() == []

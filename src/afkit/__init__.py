@@ -11,7 +11,6 @@ from .abelian import (
     IntMatrix,
     LocalizedGroupDescriptor,
     is_n_divisible,
-    is_uniquely_n_divisible,
     localize,
     smith_normal_form,
 )

@@ -611,26 +611,19 @@ class FgAbelianGroup:
 
 
 def is_n_divisible(group: FgAbelianGroup, n: int) -> bool:
-    """Is multiplication by n surjective on the group?
+    """Is multiplication by n surjective, and so bijective, on the group?
 
     With G = Z^f + Z/d_1 + ... + Z/d_k in invariant factors, G/nG is
     (Z/n)^f + Z/gcd(d_1, n) + ... + Z/gcd(d_k, n).  It is trivial exactly when
     f = 0 and every d_i is prime to n, which is gcd(d, n) == 1 for every
-    factor d, as gcd(0, n) = n >= 2.
+    factor d, as gcd(0, n) = n >= 2.  Divisibility and unique divisibility
+    agree on a finitely generated group: an n-divisible one has no free
+    part, so it is finite, and a surjective self-map of a finite set is
+    injective.
     """
     if n < 2:
         raise ValueError("divisor must be at least 2")
     return all(gcd(d, n) == 1 for d in group.invariant_factors)
-
-
-def is_uniquely_n_divisible(group: FgAbelianGroup, n: int) -> bool:
-    """Is multiplication by n bijective on the group?
-
-    The same as n-divisible for a finitely generated group: an n-divisible
-    one has no free part, so it is finite, and a surjective self-map of a
-    finite set is injective.
-    """
-    return is_n_divisible(group, n)
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,6 @@ from .abelian import (
     LocalizedGroupDescriptor,
     is_n_divisible,
     is_prime,
-    is_uniquely_n_divisible,
     require_ints,
 )
 from .dimension import (
@@ -302,10 +301,8 @@ def cmd_group(args) -> int:
         "invariant_factors": list(g.invariant_factors),
         "description": g.describe(),
         "divisibility": {
-            str(n): {
-                "divisible": is_n_divisible(g, n),
-                "uniquely_divisible": is_uniquely_n_divisible(g, n),
-            }
+            # one predicate: on a finitely generated group divisible means uniquely divisible
+            str(n): dict.fromkeys(("divisible", "uniquely_divisible"), is_n_divisible(g, n))
             for n in divisors
         },
     }
@@ -348,7 +345,7 @@ def cmd_rordam(args) -> int:
     _emit(
         {
             "pass": report.passed,
-            "expected_invariant_factors": list(report.expected),
+            "expected_invariant_factors": list(g.invariant_factors),
             "found": list(report.found),
         },
         args.format,
@@ -364,15 +361,12 @@ def cmd_diagram(args) -> int:
         raise InputError(f"{args.diagram}: missing field {e}")
     except (TypeError, ValueError) as e:
         raise InputError(f"{args.diagram}: {e}")
-    if args.action == "validate":
-        violations = validate_diagram(d)
+    violations = validate_diagram(d)
+    # every action but validate works on valid diagrams only
+    if args.action == "validate" or violations:
         _emit({"valid": not violations, "violations": violations}, args.format)
         return EXIT_OK if not violations else EXIT_VERIFY_FAIL
     if args.action == "k0":
-        violations = validate_diagram(d)
-        if violations:
-            _emit({"valid": False, "violations": violations}, args.format)
-            return EXIT_VERIFY_FAIL
         D = diagram_to_system(d)
         report = {
             "levels": [
@@ -391,15 +385,13 @@ def cmd_diagram(args) -> int:
         else:
             sys.stdout.write(text)
         return EXIT_OK
-    if args.action == "telescope":
-        cuts = _int_list("--cuts", args.cuts)
-        try:
-            out = telescope(d, cuts)
-        except ValueError as e:
-            raise InputError(str(e))
-        print(json.dumps(diagram_to_json_dict(out), sort_keys=True, indent=2))
-        return EXIT_OK
-    raise InputError(f"unknown diagram action {args.action!r}")
+    cuts = _int_list("--cuts", args.cuts)  # telescope
+    try:
+        out = telescope(d, cuts)
+    except ValueError as e:
+        raise InputError(str(e))
+    print(json.dumps(diagram_to_json_dict(out), sort_keys=True, indent=2))
+    return EXIT_OK
 
 
 def _realization_report(result) -> dict:
@@ -483,19 +475,17 @@ def cmd_eplag(args) -> int:
             report |= {"bound": result.bound, "certificate": dict(sorted(result.certificate.items()))}
         _emit(report, args.format)
         return EXIT_OK
-    if args.action == "fingerprint":
-        K = FINGERPRINT_EXP_BOUND if args.bound is None else args.bound
-        if K < 1:
-            raise InputError("--bound: must be at least 1")
-        if args.prime_bound < 2:
-            raise InputError("--prime-bound: must be at least 2")
-        report = {
-            "fingerprint": [list(s) for s in divisibility_fingerprint(group, K, args.prime_bound)],
-            "p_divisible_sample": is_P_divisible_sample(group, K),
-        }
-        _emit(report, args.format)
-        return EXIT_OK
-    raise InputError(f"unknown eplag action {args.action!r}")
+    K = FINGERPRINT_EXP_BOUND if args.bound is None else args.bound  # fingerprint
+    if K < 1:
+        raise InputError("--bound: must be at least 1")
+    if args.prime_bound < 2:
+        raise InputError("--prime-bound: must be at least 2")
+    report = {
+        "fingerprint": [list(s) for s in divisibility_fingerprint(group, K, args.prime_bound)],
+        "p_divisible_sample": is_P_divisible_sample(group, K),
+    }
+    _emit(report, args.format)
+    return EXIT_OK
 
 
 def cmd_pipeline(args) -> int:
@@ -514,7 +504,7 @@ def cmd_pipeline(args) -> int:
         "stages": {
             "rordam": {
                 "pass": report.rordam.passed,
-                "expected": list(report.rordam.expected),
+                "expected": list(g.invariant_factors),
                 "found": list(report.rordam.found),
             },
             "realization": {

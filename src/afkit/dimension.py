@@ -176,7 +176,7 @@ def validate_diagram(d: BratteliDiagram) -> list:
         return ["empty diagram"]
     if d.levels[0].size != 1:
         violations.append("condition 1: level 0 must have exactly one vertex")
-    if d.levels[0].weights != (1,) and d.levels[0].weights[:1] != (1,):
+    if d.levels[0].weights[:1] != (1,):
         violations.append("condition 2: the root weight must be 1")
     for n, lev in enumerate(d.levels):
         if len(lev.weights) != lev.size:

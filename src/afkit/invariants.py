@@ -19,8 +19,8 @@ from .abelian import (
     FgAbelianGroup,
     IntMatrix,
     LocalizedGroupDescriptor,
+    is_n_divisible,
     is_prime,
-    is_uniquely_n_divisible,
     localize,
     preimage_lattice_rows,
     row_lattice,
@@ -41,36 +41,30 @@ from .rordam import RordamPair, VerifyReport, rordam_pair, rordam_verify
 K0Descriptor = Union[FgAbelianGroup, LocalizedGroupDescriptor, EplagGroup]
 
 
-class UndecidableUnitClass(ValueError):
-    """The unit class has no zero test for this descriptor."""
-
-
 @dataclass(frozen=True)
 class KirchbergInvariant:
     """(K0, [unit], K1) with comparison and absorption predicates.
 
     ``unit_class`` is the unit's coordinate vector on the generators of a
     finitely generated K0, and () (or zeros) for the zero class of the
-    other descriptors.  K1 is a finitely generated group.
+    other descriptors.  K1 is a finitely generated group.  The unit-class
+    test, O-infinity absorption and :func:`kp_isomorphic` answer True, False
+    or None (unknown); none raises when the answer is unknown.
     """
 
     k0: K0Descriptor
     unit_class: tuple
     k1: FgAbelianGroup = field(default_factory=FgAbelianGroup.trivial)
 
-    def unit_is_zero(self) -> bool:
+    def unit_is_zero(self) -> Optional[bool]:
+        """Exact on a finitely generated K0; else True for zero coordinates and None (unknown) otherwise."""
         if isinstance(self.k0, FgAbelianGroup):
             return self.k0.element_is_zero(self.unit_class)
-        if not any(self.unit_class):
-            return True
-        raise UndecidableUnitClass(
-            "undecidable unit class: descriptor has no zero test for nonzero data"
-        )
+        return True if not any(self.unit_class) else None
 
     def shown_unit(self) -> str | list:
-        """"0" exactly when :meth:`unit_is_zero` holds, else the coordinates (also when it is undecidable)."""
-        zero = not any(self.unit_class) or isinstance(self.k0, FgAbelianGroup) and self.unit_is_zero()
-        return "0" if zero else list(self.unit_class)
+        """"0" exactly when :meth:`unit_is_zero` holds, else the coordinates (also when it is unknown)."""
+        return "0" if self.unit_is_zero() else list(self.unit_class)
 
     def describe(self) -> str:
         if isinstance(self.k0, EplagGroup):
@@ -85,16 +79,24 @@ def group_to_invariant(g: K0Descriptor) -> KirchbergInvariant:
     return KirchbergInvariant(k0=g, unit_class=(0,) * g.num_generators if isinstance(g, FgAbelianGroup) else ())
 
 
-def o_infty_st_absorbing(inv: KirchbergInvariant) -> bool:
-    """Unit class zero is exactly standard-infinite-Cuntz absorption."""
+def o_infty_st_absorbing(inv: KirchbergInvariant) -> Optional[bool]:
+    """Unit class zero is exactly standard-infinite-Cuntz absorption.
+
+    True, False, or None when the unit class has no zero test (a nonzero
+    class on a descriptor that is not finitely generated).
+    """
     return inv.unit_is_zero()
 
 
 def d_p_absorbing(g: FgAbelianGroup, p: int) -> bool:
-    """Absorption of the p-typed tensor factor: unique p-divisibility of K0."""
+    """Absorption of the p-typed tensor factor: unique p-divisibility of K0.
+
+    On a finitely generated K0 unique p-divisibility is p-divisibility (see
+    :func:`is_n_divisible`), so the one predicate answers it.
+    """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    return is_uniquely_n_divisible(g, p)
+    return is_n_divisible(g, p)
 
 
 def crossed_product_invariant(inv: KirchbergInvariant, p: int) -> KirchbergInvariant:
@@ -113,9 +115,10 @@ def crossed_product_invariant(inv: KirchbergInvariant, p: int) -> KirchbergInvar
 def kp_isomorphic(a: KirchbergInvariant, b: KirchbergInvariant) -> Optional[bool]:
     """Three-valued comparison of invariants.
 
-    Finitely generated / localized descriptors are decided exactly.  Graph
-    groups are compared by divisibility fingerprints: distinct fingerprints
-    refute isomorphism, equal ones stay unknown.
+    Finitely generated / localized K0 descriptors are compared exactly, and
+    isomorphic ones give True when both unit classes are zero, None (unknown)
+    otherwise.  Graph groups are compared by divisibility fingerprints:
+    distinct fingerprints refute isomorphism, equal ones stay unknown.
     """
     if a.k1.invariant_factors != b.k1.invariant_factors:
         return False

@@ -28,7 +28,6 @@ from afkit.abelian import (
     hermite_row_basis_augmented,
     image_lattice_rows,
     is_n_divisible,
-    is_uniquely_n_divisible,
     kernel_basis,
     localize,
     preimage_lattice_rows,
@@ -269,7 +268,6 @@ def test_dense_presentation_of_z663():
     g = FgAbelianGroup.from_relation_rows(10, rows)
     assert g.invariant_factors == (663,)
     assert is_n_divisible(g, 2)
-    assert is_uniquely_n_divisible(g, 2)
 
 
 @pytest.mark.parametrize("bad", [1.0, True, "1"])
@@ -870,10 +868,10 @@ def test_quotient_dimension_mismatch():
 
 def test_divisibility_examples():
     assert not is_n_divisible(FgAbelianGroup.free(1), 2)
-    assert is_uniquely_n_divisible(FgAbelianGroup.cyclic(3), 2)
+    assert is_n_divisible(FgAbelianGroup.cyclic(3), 2)
     assert not is_n_divisible(FgAbelianGroup.cyclic(2), 2)
     # a dense presentation of Z/39
-    assert is_uniquely_n_divisible(
+    assert is_n_divisible(
         FgAbelianGroup.from_relation_rows(3, [[0, 12, 1], [-3, 7, 3], [0, -1, 1]]), 2
     )
 
@@ -896,18 +894,7 @@ def test_divisibility_matches_brute_force(factors):
     for n in range(2, 13):
         surj, inj = brute_force_divisible(factors, n)
         assert is_n_divisible(g, n) == surj
-        assert is_uniquely_n_divisible(g, n) == (surj and inj)
-
-
-def test_uniquely_divisible_implies_divisible():
-    groups = [
-        FgAbelianGroup.from_invariant_factors(f)
-        for f in [(), (3,), (2, 0), (0,), (15,), (2, 4)]
-    ]
-    for g in groups:
-        for n in (2, 3, 5, 12):
-            if is_uniquely_n_divisible(g, n):
-                assert is_n_divisible(g, n)
+        assert is_n_divisible(g, n) == (surj and inj)
 
 
 def test_localize_examples():

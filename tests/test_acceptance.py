@@ -15,7 +15,7 @@ from afkit.abelian import (
     FgAbelianGroup,
     IntMatrix,
     determinant,
-    is_uniquely_n_divisible,
+    is_n_divisible,
     smith_normal_form,
 )
 from afkit.dimension import (
@@ -277,7 +277,7 @@ def test_criterion_6_pipeline():
             assert report.pv.invariant.k0.invariant_factors == g.invariant_factors
             assert report.pv.invariant.k1.free_rank == 0
             assert o_infty_st_absorbing(report.pv.invariant)
-            assert d_p_absorbing(report.pv.invariant.k0, p) == is_uniquely_n_divisible(g, p)
+            assert d_p_absorbing(report.pv.invariant.k0, p) == is_n_divisible(g, p)
 
 
 # --- criterion 7: labeled-graph groups ------------------------------------------

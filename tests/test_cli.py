@@ -95,6 +95,28 @@ def test_limits_nilpotent_shift_is_zero(tmp_path, capsys):
     assert json.loads(out)["limit_invariant_factors"] == []
 
 
+def test_limits_prefix_and_tail(tmp_path, capsys):
+    # doubling once, then the identity: the limit is Z
+    path = write(tmp_path, "s.json", {"kind": "prefix+tail", "matrices": [[[2]], [[1]]], "period": 1})
+    code, out, _ = run(capsys, ["--format", "json", "limits", path])
+    assert code == 0
+    assert json.loads(out)["limit_invariant_factors"] == [0]
+
+
+@pytest.mark.parametrize("data, message", [
+    pytest.param({"kind": "prefix+tail", "matrices": [[[2]], [[1]]], "period": 3},
+                 "period must be between 1 and the matrix count", id="period-too-long"),
+    pytest.param({"kind": "prefix+tail", "matrices": [[[2]], [[1]]], "period": 0},
+                 "period must be between 1 and the matrix count", id="period-zero"),
+    pytest.param({"kind": "cyclic", "matrices": [[[1]]]}, "unknown kind 'cyclic'", id="unknown-kind"),
+])
+def test_limits_bad_system_exits_2(tmp_path, capsys, data, message):
+    path = write(tmp_path, "s.json", data)
+    code, _, err = run(capsys, ["limits", path])
+    assert code == 2
+    assert message in err
+
+
 def test_schreier(tmp_path, capsys):
     path = write(tmp_path, "t.json", Z2)
     code, out, _ = run(
@@ -172,6 +194,25 @@ def test_diagram_telescope_roundtrip(tmp_path, capsys):
     path2 = write(tmp_path, "d2.json", emitted)
     code2, out2, _ = run(capsys, ["--format", "json", "diagram", "validate", path2])
     assert code2 == 0 and json.loads(out2)["valid"]
+
+
+INVALID_DIAGRAM = {"levels": [{"l": 1, "w": [1], "m": [[2]]}, {"l": 1, "w": [5], "m": [[-3]]}, {"l": 1, "w": [7]}]}
+INVALID_DIAGRAM_VIOLATIONS = [
+    "condition 5 at level 1: weight of vertex 0 is 5, path count gives 2",
+    "condition 4 at level 1: negative multiplicity",
+    "condition 5 at level 2: weight of vertex 0 is 7, path count gives -15",
+]
+
+
+@pytest.mark.parametrize("action", ["validate", "k0", "dot", "telescope"])
+def test_diagram_actions_report_an_invalid_diagram(tmp_path, capsys, action):
+    # only validate exists to describe an invalid diagram; the rest refuse it with the same report
+    path = write(tmp_path, "d.json", INVALID_DIAGRAM)
+    dot = tmp_path / "d.dot"
+    code, out, _ = run(capsys, ["--format", "json", "diagram", action, path, "--cuts", "0,2", "--out", str(dot)])
+    assert code == 1
+    assert json.loads(out) == {"valid": False, "violations": INVALID_DIAGRAM_VIOLATIONS}
+    assert not dot.exists()
 
 
 RAGGED_SYSTEM = {"kind": "stationary", "matrices": [[[1, 0], [0]]], "cone": "simplicial", "unit": [1, 1]}

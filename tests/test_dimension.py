@@ -99,6 +99,32 @@ def test_validate_short_weights_before_an_incidence():
     assert validate_diagram(d) == ["condition 3 at level 1: weight list length != vertex count"]
 
 
+ROOT = {"l": 1, "w": [1]}
+
+
+@pytest.mark.parametrize("data, message", [
+    pytest.param({"levels": []}, "empty diagram", id="empty"),
+    pytest.param({"levels": [{"l": 1, "w": [2]}]}, "condition 2: the root weight must be 1", id="root-weight"),
+    pytest.param({"levels": [dict(ROOT, m=[[1, 0]]), {"l": 2, "w": [1, 0]}]},
+                 "condition 3 at level 1: weights must be strictly positive", id="nonpositive-weight"),
+    pytest.param({"levels": [ROOT, ROOT]}, "condition 4 at level 0: missing incidence matrix",
+                 id="missing-incidence"),
+    pytest.param({"levels": [dict(ROOT, m=[[1, 1]]), ROOT]},
+                 "condition 4 at level 0: incidence is 1x2, expected 1x1", id="incidence-shape"),
+    # the -1 arrow keeps the path count equal to the weight, so only its sign is wrong
+    pytest.param({"levels": [dict(ROOT, m=[[1, 1]]), {"l": 2, "w": [1, 1], "m": [[2], [-1]]}, ROOT]},
+                 "condition 4 at level 1: negative multiplicity", id="negative-multiplicity"),
+    pytest.param({"levels": [ROOT], "tail": [[[-1]]]}, "condition 4 in tail: negative multiplicity",
+                 id="tail-negative"),
+    pytest.param({"levels": [ROOT], "tail": [[[1, 1], [1, 1]]]},
+                 "tail incidence does not attach to the last stored level", id="tail-attach"),
+    pytest.param({"levels": [ROOT], "tail": [[[1, 1]], [[1]]]}, "tail incidences do not chain",
+                 id="tail-chain"),
+])
+def test_validate_reports_each_violation(data, message):
+    assert validate_diagram(diagram_from_json_dict(data)) == [message]
+
+
 def test_multimatrix_dims():
     d = uhf2_diagram()
     assert d.weights(3) == (8,)

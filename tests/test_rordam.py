@@ -33,7 +33,6 @@ def test_verification_fails_on_wrong_group():
     pair = rordam_pair(FgAbelianGroup.cyclic(2), width=6)
     report = rordam_verify(pair, FgAbelianGroup.cyclic(3))
     assert not report.passed
-    assert report.expected == (3,)
     assert report.found == (2,)
 
 

@@ -112,26 +112,61 @@ def public_definitions(tree: ast.Module):
                     yield f"{node.name}.{item.name}", item
 
 
+def receiver_classes(tree: ast.Module, classes: set) -> dict:
+    """id of each attribute read ``r.name`` -> the class ``r`` is known to be:
+    C where ``r`` is a ``self`` parameter inside C's body or a parameter
+    annotated C, for C one of ``classes``."""
+    known = {}
+
+    def visit(node, env: dict, owner):
+        if isinstance(node, ast.ClassDef):
+            owner = node.name
+        elif isinstance(node, (ast.FunctionDef, ast.Lambda)):
+            env = dict(env)
+            for arg in node.args.posonlyargs + node.args.args + node.args.kwonlyargs:
+                ann = arg.annotation  # C or "C"
+                cls = ann.id if isinstance(ann, ast.Name) else getattr(ann, "value", None)
+                cls = owner if arg.arg == "self" else cls
+                env[arg.arg] = cls if cls in classes else None
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and env.get(node.value.id):
+            known[id(node)] = env[node.value.id]
+        for child in ast.iter_child_nodes(node):
+            visit(child, env, owner)
+
+    visit(tree, {}, None)
+    return known
+
+
 def uncalled_public_names(sources) -> list:
     """Public names that nothing outside their own body reads.
 
     A function or class is read where a name or an attribute spells it, a
-    method where an attribute access spells it.
+    method of C where an attribute access spells it on a receiver that is C
+    or of no known class (see :func:`receiver_classes`).  No class of the
+    package subclasses another, so a read on a C can reach only C's methods.
     """
     trees = [ast.parse(source) for source in sources]
+    classes = {n.name: n for tree in trees for n in tree.body if isinstance(n, ast.ClassDef)}
+    subclasses = [c.name for c in classes.values() for base in c.bases if getattr(base, "id", None) in classes]
+    assert not subclasses, f"{subclasses}: a read on the base can reach a subclass's methods"
     names: dict = {}
-    attributes: dict = {}
+    attributes: dict = {}  # attribute name -> {id(node): receiver class or None}
     for tree in trees:
+        typed = receiver_classes(tree, set(classes))
         for n in ast.walk(tree):
             if isinstance(n, ast.Name):
                 names.setdefault(n.id, set()).add(id(n))
             elif isinstance(n, ast.Attribute):
-                attributes.setdefault(n.attr, set()).add(id(n))
+                attributes.setdefault(n.attr, {})[id(n)] = typed.get(id(n))
     uncalled = []
     for tree in trees:
         for qualified, node in public_definitions(tree):
-            name = qualified.rpartition(".")[2]
-            readers = attributes.get(name, set()) | (set() if "." in qualified else names.get(name, set()))
+            owner, _, name = qualified.rpartition(".")
+            reads = attributes.get(name, {})
+            if owner:  # a method: reads on a receiver that is its class or of no known class
+                readers = {r for r, cls in reads.items() if cls in (None, owner)}
+            else:
+                readers = set(reads) | names.get(name, set())
             if not readers - {id(n) for n in ast.walk(node)}:
                 uncalled.append(qualified)
     return sorted(uncalled)
@@ -144,6 +179,12 @@ def test_checker_sees_an_uncalled_public_name():
               "    def _private(self):\n        pass\n\n    def __len__(self):\n        return 0\n\n"
               "live().used()\n")
     assert uncalled_public_names([source]) == ["Box", "Box.lonely", "dead"]
+    # b.matrix and c.matrix read B's field, which leaves A.matrix uncalled; an untyped read would call it
+    source = ("class A:\n    def matrix(self):\n        pass\n\n"
+              "class B:\n    matrix: int\n\n"
+              "def use(b: B, c: 'B'):\n    return b.matrix, c.matrix\n\nuse(B(), B()), A()\n")
+    assert uncalled_public_names([source]) == ["A.matrix"]
+    assert uncalled_public_names([source + "\ndef f(c):\n    return c.matrix\n\nf(1)\n"]) == []
     assert uncalled_public_names(["def f():\n    pass\n", "from m import f\nf()\n"]) == []
 
 

@@ -454,16 +454,15 @@ def saturate_preimages(step: IntMatrix, lattice: IntMatrix) -> IntMatrix:
 
 
 def saturated_cokernel(step: IntMatrix, m: IntMatrix) -> tuple:
-    """(K, coordinates, rank L): K is Z^n modulo the smallest preimage-closed
-    lattice (one holding every v with ``step`` v in it) that contains
-    L = im ``m``, ``coordinates`` sends a vector of Z^n to its class's
-    coordinates, and rank L, the rank of ``m``, comes from the one
-    elimination of L that both need.
+    """(K, coordinates, rank L) for square ``step`` and ``m`` that commute:
+    K is Z^n modulo the smallest preimage-closed lattice (one holding every
+    v with ``step`` v in it) that contains L = im ``m``, ``coordinates``
+    sends a vector of Z^n to its class's coordinates, and rank L, the rank
+    of ``m``, comes from the one elimination of L that both need.  Any other
+    pair raises ValueError.
 
-    In general that lattice is :func:`saturate_preimages` of L, worked and
-    presented in Z^n.  When ``step`` maps L into itself (checked: every
-    basis row's image lies in L, or cheaper, a square ``m`` commutes with
-    ``step``), the chain L in step^-1(L) in step^-2(L) ... is increasing, so
+    ``step`` maps L into itself, since step m Z^n = m step Z^n lies in
+    m Z^n, so the chain L in step^-1(L) in step^-2(L) ... is increasing and
     its union is already a group: the v that some power of ``step`` sends
     into L.  That union is the preimage of the union of the kernels of the
     powers of the map that ``step`` induces on Z^n/L, so the saturation runs
@@ -477,10 +476,10 @@ def saturated_cokernel(step: IntMatrix, m: IntMatrix) -> tuple:
     on ``step``'s kept columns the induced map; K is presented on the kept
     columns.  The pipeline's pairs keep at most 2g of their g * width columns.
     """
-    lattice = image_lattice_rows(m)
     n = step.cols
-    if not (step.rows == n == lattice.cols and _maps_into(step, m, lattice)):
-        return FgAbelianGroup.from_lattice(saturate_preimages(step, lattice)), tuple, lattice.rows
+    if not (step.rows == n == m.rows == m.cols and step @ m == m @ step):
+        raise ValueError("the saturated cokernel needs square step and m that commute")
+    lattice = image_lattice_rows(m)
     units, keep, relations = _split_unit_pivots(lattice)
 
     def reduced(vec: dict) -> dict:  # vec reduced at the unit pivots, on the kept columns
@@ -492,14 +491,6 @@ def saturated_cokernel(step: IntMatrix, m: IntMatrix) -> tuple:
     induced = IntMatrix.from_sparse([reduced(dict(columns[j])) for j in keep], len(keep)).transpose()
     group = FgAbelianGroup.from_lattice(saturate_preimages(induced, IntMatrix.from_sparse(relations, len(keep))))
     return group, lambda vec: tuple(_dense(reduced(_sparse(vec)).items(), len(keep))), lattice.rows
-
-
-def _maps_into(step: IntMatrix, m: IntMatrix, lattice: IntMatrix) -> bool:
-    """Does ``step`` map ``lattice``, the image of ``m``, into itself?"""
-    if m.rows == m.cols and step @ m == m @ step:  # then step m Z^n = m step Z^n lies in m Z^n
-        return True
-    images = lattice @ step.transpose()  # row i: step applied to basis row i
-    return all(row_lattice_contains(lattice, _dense(row, lattice.cols)) for row in images.sparse)
 
 
 def _split_unit_pivots(basis: IntMatrix) -> tuple:

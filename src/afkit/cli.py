@@ -333,8 +333,8 @@ def cmd_schreier(args) -> int:
             raise InputError(f"{flag}: must be at least 0")
     if args.gen_bound > oracle.ambient_rank:
         raise InputError(f"--gen-bound: at most the number of images ({oracle.ambient_rank})")
-    gens = schreier_generators(oracle, args.word_bound, args.gen_bound)
-    _emit({"count": len(gens), "generators": [str(g) for g in gens]}, args.format)
+    gens, bound_reached = schreier_generators(oracle, args.word_bound, args.gen_bound)
+    _emit({"count": len(gens), "generators": [str(g) for g in gens], "bound_reached": bound_reached}, args.format)
     return EXIT_OK
 
 

@@ -22,8 +22,6 @@ from .abelian import (
     is_n_divisible,
     is_prime,
     localize,
-    preimage_lattice_rows,
-    row_lattice,
     saturated_cokernel,
 )
 from .dimension import (
@@ -35,7 +33,7 @@ from .dimension import (
     validate_diagram,
 )
 from .eplag import FINGERPRINT_EXP_BOUND, FINGERPRINT_PRIME_BOUND, EplagGroup, divisibility_fingerprint
-from .limits import LimitElement, LimitEndomorphism, StagedSystem, death_lattice_rows
+from .limits import LimitElement, LimitEndomorphism, StagedSystem
 from .rordam import RordamPair, VerifyReport, rordam_pair, rordam_verify
 
 K0Descriptor = Union[FgAbelianGroup, LocalizedGroupDescriptor, EplagGroup]
@@ -115,10 +113,13 @@ def crossed_product_invariant(inv: KirchbergInvariant, p: int) -> KirchbergInvar
 def kp_isomorphic(a: KirchbergInvariant, b: KirchbergInvariant) -> Optional[bool]:
     """Three-valued comparison of invariants.
 
-    Finitely generated / localized K0 descriptors are compared exactly, and
-    isomorphic ones give True when both unit classes are zero, None (unknown)
-    otherwise.  Graph groups are compared by divisibility fingerprints:
-    distinct fingerprints refute isomorphism, equal ones stay unknown.
+    Finitely generated / localized K0 descriptors are compared exactly.
+    Isomorphic ones give True when both unit classes are zero and False
+    when one is zero and the other is exactly nonzero, since every
+    automorphism fixes 0; two nonzero classes, or a class whose zero test
+    is unknown, give None (unknown).  Graph groups are compared by
+    divisibility fingerprints: distinct fingerprints refute isomorphism,
+    equal ones stay unknown.
     """
     if a.k1.invariant_factors != b.k1.invariant_factors:
         return False
@@ -134,9 +135,10 @@ def kp_isomorphic(a: KirchbergInvariant, b: KirchbergInvariant) -> Optional[bool
     # a localized descriptor compares with both kinds, a finitely generated one only with its own
     if not (kb.is_isomorphic_to(ka) if isinstance(kb, LocalizedGroupDescriptor) else ka.is_isomorphic_to(kb)):
         return False
-    if a.unit_is_zero() and b.unit_is_zero():
+    zero = {a.unit_is_zero(), b.unit_is_zero()}
+    if zero == {True}:
         return True
-    return None
+    return False if zero == {True, False} else None
 
 
 def absorption_equivalences(a: KirchbergInvariant, b: KirchbergInvariant, p: int) -> dict:
@@ -178,8 +180,7 @@ def assemble_pipeline_system(pair: RordamPair) -> tuple:
     beta = pair.beta_matrix
     connect = _block_diag(2, beta)
     system = StagedSystem.stationary(connect)
-    rank = 1 + pair.rank
-    unit = LimitElement(0, tuple(1 if i == 0 else 0 for i in range(rank)))
+    unit = LimitElement(0, (1,) + (0,) * beta.cols)
     ordered = OrderedStagedSystem(system=system, cone=STRICT_FIRST, unit=unit)
     endo = LimitEndomorphism(_block_diag(1, beta @ beta), cross_stage=True)
     return ordered, endo
@@ -202,35 +203,28 @@ class PvReport:
 def pv_check(D: OrderedStagedSystem, beta: LimitEndomorphism, group: FgAbelianGroup) -> PvReport:
     """Cokernel and kernel of (id - beta) on the staged group, vs (G, 0).
 
-    On stage representatives the map is phi - psi (a stage-raising matrix
-    when the endomorphism is).  The image is closed under later-stage
-    identification (preimage saturation along the connecting matrix), the
-    kernel counted relative to vectors that die anyway.  The system is
-    stationary and both saturations run to a fixpoint, so the answers are
-    the same at every stage.  The cokernel is computed here, not copied
-    from :func:`rordam_verify`'s equal one, so the report checks it
-    independently.  The report's invariant is read from them: K0 the
-    cokernel, [1] the class of D's unit in it, K1 free of the kernel's rank.
-    When the connecting map is injective nothing dies, so the kernel is
-    ker m itself, and by rank-nullity its rank is m.cols - rank(im m), with
-    rank(im m) read off the image lattice the cokernel already eliminated.
-    Otherwise the kernel classes are (pre + death) / death for pre the
-    preimage under m of the death lattice.
+    The system must be stationary and injective, and the endomorphism must
+    commute with its connecting map; any other input raises ValueError.  On
+    stage representatives the map is phi - psi (a stage-raising matrix when
+    the endomorphism is).  The image is closed under later-stage
+    identification (preimage saturation along the connecting matrix, which
+    runs to a fixpoint), so the answers are the same at every stage.  The
+    cokernel is computed here, not copied from :func:`rordam_verify`'s
+    equal one, so the report checks it independently.  The report's
+    invariant is read from them: K0 the cokernel, [1] the class of D's unit
+    in it, K1 free of the kernel's rank.  In an injective system nothing
+    dies, so the kernel is ker m itself, and by rank-nullity its rank is
+    m.cols - rank(im m), with rank(im m) read off the image lattice the
+    cokernel already eliminated.  The pipeline's realization has already
+    refused a system that is not injective.
     """
     sys = D.system
-    if not sys.is_stationary:
-        raise ValueError("the truncated check supports stationary systems")
+    if not (sys.is_stationary and sys.injective):
+        raise ValueError("the truncated check supports injective stationary systems")
     phi = sys.connect(0)
     m = (phi if beta.cross_stage else IntMatrix.identity(phi.rows)) - beta.matrix
     k0, coordinates, image_rank = saturated_cokernel(phi, m)
-    if sys.injective:
-        kernel_rank = m.cols - image_rank
-    else:
-        death = death_lattice_rows(sys, 0)
-        pre = preimage_lattice_rows(m, death)
-        # the rows of [pre; death] span pre + death
-        joint = IntMatrix(pre.rows + death.rows, pre.cols, pre.sparse + death.sparse)
-        kernel_rank = row_lattice(joint).rows - death.rows
+    kernel_rank = m.cols - image_rank
     invariant = KirchbergInvariant(k0, coordinates(D.unit.vector), FgAbelianGroup.free(kernel_rank))
     return PvReport(k0.invariant_factors == group.invariant_factors and kernel_rank == 0, invariant)
 

@@ -46,14 +46,8 @@ class WidthError(ValueError):
 class RordamPair:
     """Stationary pair beta = id - delta; coordinate x(n, m) is index n * width + m."""
 
-    group: FgAbelianGroup
-    width: int
     beta_matrix: IntMatrix
     delta_matrix: IntMatrix
-
-    @property
-    def rank(self) -> int:
-        return self.group.num_generators * self.width
 
 
 def rordam_pair(group: FgAbelianGroup, width: int) -> RordamPair:
@@ -73,7 +67,7 @@ def rordam_pair(group: FgAbelianGroup, width: int) -> RordamPair:
 
     delta = IntMatrix.from_sparse([delta_row(n, m) for n in range(g) for m in range(width)], rank)
     beta = IntMatrix.identity(rank) - delta
-    return RordamPair(group=group, width=width, beta_matrix=beta, delta_matrix=delta)
+    return RordamPair(beta_matrix=beta, delta_matrix=delta)
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,6 @@
 """Free-group words, minimal coset representatives, Schreier generators.
 
-Subgroups are given by a membership oracle, typically the kernel of a
+Subgroups are given by a coset key, typically for the kernel of a
 homomorphism into a finitely generated abelian group, where the word
 problem is decidable.  Coset representatives are shortlex-minimal: words
 are ordered by letter length, then letter by letter with x0 < x0^-1 < x1 <
@@ -13,8 +13,9 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import groupby
-from typing import Callable, Hashable, Iterator, Optional, Sequence
+from typing import Callable, Hashable, Iterator, Sequence
 
 from .abelian import FgAbelianGroup, require_ints, row_lattice_remainder
 
@@ -93,19 +94,21 @@ class FreeWord:
 
 @dataclass(frozen=True)
 class SubgroupOracle:
-    """Membership test for a subgroup of the free group.
+    """A subgroup H of the free group on ``ambient_rank`` generators, given
+    by ``key``: a map to hashable values that agree on two words exactly
+    when they lie in one right coset Hw.  So a word is a member exactly when
+    its key is the identity's, and the Schreier walk finds a coset with one
+    lookup."""
 
-    ``key``, when given, sends a word to a hashable value that is equal for
-    two words exactly when they lie in one right coset Hw; the Schreier walk
-    then finds a coset with one lookup instead of a scan of membership tests.
-    """
+    key: Callable[[FreeWord], Hashable]
+    ambient_rank: int
 
-    membership: Callable[[FreeWord], bool]
-    ambient_rank: Optional[int] = None
-    key: Optional[Callable[[FreeWord], Hashable]] = None
+    @cached_property
+    def identity_key(self) -> Hashable:
+        return self.key(FreeWord())
 
     def __contains__(self, word: FreeWord) -> bool:
-        return self.membership(word)
+        return self.key(word) == self.identity_key
 
 
 def kernel_oracle(target: FgAbelianGroup, images: Sequence[Sequence[int]]) -> SubgroupOracle:
@@ -114,8 +117,7 @@ def kernel_oracle(target: FgAbelianGroup, images: Sequence[Sequence[int]]) -> Su
     Images are coordinate vectors in the target's generators.  A word's key
     is its image reduced modulo the target's relation lattice, which is
     unique per element of the target (:func:`row_lattice_remainder`), so
-    two words share a coset of the kernel exactly when their keys agree,
-    and a word is a member exactly when its key is the identity's.
+    two words share a coset of the kernel exactly when their keys agree.
     """
     images = [require_ints(v, "image entries") for v in images]
     for v in images:
@@ -131,8 +133,7 @@ def kernel_oracle(target: FgAbelianGroup, images: Sequence[Sequence[int]]) -> Su
                     total[k] += e * img[k]
         return row_lattice_remainder(lattice, total)
 
-    identity_key = key(FreeWord())
-    return SubgroupOracle(lambda w: key(w) == identity_key, rank, key)
+    return SubgroupOracle(key, rank)
 
 
 def shortlex_words(gen_bound: int, max_length: int) -> Iterator[FreeWord]:
@@ -162,8 +163,9 @@ def coset_representative(h: SubgroupOracle, a: FreeWord, gen_bound: int) -> Free
     return a
 
 
-def schreier_generators(h: SubgroupOracle, word_bound: int, gen_bound: int) -> list:
-    """Free generators of the subgroup, within enumeration bounds.
+def schreier_generators(h: SubgroupOracle, word_bound: int, gen_bound: int) -> tuple:
+    """(generators, bound_reached): free generators of the subgroup, within
+    enumeration bounds, and whether the bound cut the walk short.
 
     Walks the shortlex Schreier transversal breadth first, extending each
     representative r of at most word_bound letters by every letter.  The
@@ -176,27 +178,14 @@ def schreier_generators(h: SubgroupOracle, word_bound: int, gen_bound: int) -> l
     every representative below it is on the list, phi(w) among them unless
     it is w.  Bound-length extensions try both signs too, so an x_n^-1
     representative is on the list before a later candidate of its coset.
-    The coset is looked up by the oracle's key, or else found by testing
-    w b^-1 against every representative b so far.  Every output is checked
-    against the oracle.
+    The coset is looked up by the oracle's key.  ``bound_reached`` is true
+    exactly when the last level still produced new representatives; when it
+    is false every extension of every representative was tried, so the
+    generators are all of them.  Every output is checked against the oracle.
     """
     alphabet = [(n, s) for n in range(gen_bound) for s in (0, 1)]
     identity = FreeWord()
-    by_key = {h.key(identity): identity} if h.key is not None else None  # coset key -> b^-1
-    inverses = [identity]  # b^-1 for each representative b so far, when there is no key
-
-    def known_coset(w: FreeWord) -> Optional[FreeWord]:
-        """w phi(w)^-1 when w's coset has a representative; else None, and w becomes one."""
-        if by_key is not None:
-            k = h.key(w)
-            if k in by_key:
-                return w * by_key[k]
-            by_key[k] = w.inverse()
-            return None
-        g = next((g for g in (w * b_inv for b_inv in inverses) if g in h), None)
-        if g is None:
-            inverses.append(w.inverse())
-        return g
+    by_key = {h.identity_key: identity}  # coset key -> b^-1 for its representative b
 
     out = []
     level = [identity]
@@ -207,13 +196,15 @@ def schreier_generators(h: SubgroupOracle, word_bound: int, gen_bound: int) -> l
                 if r.letters[-1:] == ((n, 1 - sign),):
                     continue  # cancels to a prefix of r, a representative
                 w = FreeWord(r.letters + ((n, sign),))
-                g = known_coset(w)
-                if g is None:
+                k = h.key(w)
+                if k not in by_key:
+                    by_key[k] = w.inverse()
                     longer.append(w)
                 elif sign == 0:
+                    g = w * by_key[k]
                     if g not in h:
                         raise AssertionError(f"emitted generator {g} failed the membership oracle")
                     out.append(g)
         level = longer
     out.sort(key=FreeWord.shortlex_key)
-    return out
+    return out, bool(level)

@@ -692,21 +692,33 @@ def test_preimage_ignores_the_generating_set(case, data):
     assert preimage_lattice_rows(m, IntMatrix.from_rows(gens)) == preimage_lattice_rows(m, IntMatrix.from_rows(redundant))
 
 
+def as_int_matrix(a: sympy.Matrix) -> IntMatrix:
+    return IntMatrix.from_rows([[int(x) for x in row] for row in a.tolist()], cols=a.cols)
+
+
+def step_polynomial(draw, step: sympy.Matrix) -> sympy.Matrix:
+    """a + b step + c step^2 for drawn a, b, c: a map that commutes with step."""
+    a, b, c = (draw(st.integers(-3, 3)) for _ in range(3))
+    return a * sympy.eye(step.rows) + b * step + c * step**2
+
+
 @st.composite
 def steps_maps_and_lattices(draw):
     """A square step on Z^n (n <= 5, mostly zeros, often singular), a map m
-    from Z^c into Z^n, generators of a lattice L in Z^n, and a redundant,
-    shuffled generating set of the same L."""
+    from Z^c into Z^n, generators of a lattice L in Z^n, a redundant,
+    shuffled generating set of the same L, and a map that commutes with the
+    step."""
     n, c = draw(st.integers(1, 5)), draw(st.integers(1, 5))
     entry = st.sampled_from((0, 0, 0, 1, -1, 2, -2, 3))
     step = IntMatrix.from_rows(draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n)))
     m = IntMatrix.from_rows(draw(st.lists(st.lists(entry, min_size=c, max_size=c), min_size=n, max_size=n)))
+    commuting = as_int_matrix(step_polynomial(draw, sympy.Matrix(step.to_rows())))
     gens = draw(st.lists(st.lists(st.integers(-6, 6), min_size=n, max_size=n), max_size=4))
     redundant = [list(g) for g in gens] + [[0] * n]
     if gens:
         redundant += [[3 * a for a in gens[0]], [a + b for a, b in zip(gens[0], gens[-1])]]
     draw(st.randoms(use_true_random=False)).shuffle(redundant)
-    return step, m, gens, redundant
+    return step, m, gens, redundant, commuting
 
 
 def check_reduced_hermite(lattice: IntMatrix, width: int):
@@ -720,7 +732,7 @@ def check_reduced_hermite(lattice: IntMatrix, width: int):
 def test_lattice_values_are_reduced_hermite_bases(case):
     # every lattice function hands on its reduced Hermite basis; sympy gives
     # the ranks, the kernel chain of the step and the saturated cokernel
-    step, m, gens, redundant = case
+    step, m, gens, redundant, commuting = case
     n = step.cols
     lattice = IntMatrix.from_rows(gens, cols=n)
     rank_m = sympy.Matrix(m.to_rows()).rank()
@@ -741,38 +753,32 @@ def test_lattice_values_are_reduced_hermite_bases(case):
     assert death.rows == n - power.rank()
     assert all(not any(power * sympy.Matrix(v)) for v in death.to_rows())
     # the saturated cokernel drops unit pivots of a basis it did not re-eliminate
-    closed = saturate_preimages(step, image).to_rows()
+    closed = saturate_preimages(step, image_lattice_rows(commuting)).to_rows()
     want = cokernel_invariants(closed, n)
-    assert saturated_cokernel(step, m)[0].invariant_factors == want
+    assert saturated_cokernel(step, commuting)[0].invariant_factors == want
     assert want == (sympy_quotient(closed, n) if closed else (0,) * n)
 
 
 @st.composite
 def step_invariant_pairs(draw):
     """A square step on Z^n (n <= 6, mostly zeros, often singular) and a map
-    m whose image the step maps into itself: p(step) q(step) U [I | C] for
-    p = a + b step + c step^2, q that or I, U unimodular and C integer, so m
-    is square or wide and often rank deficient."""
+    m that commutes with it, so the step maps im m into itself: p(step)
+    q(step) for p = a + b step + c step^2 and q that or I, often rank
+    deficient."""
     n = draw(st.integers(1, 6))
     entry = st.sampled_from((0, 0, 0, 1, -1, 2, -2, 3))
     step = sympy.Matrix(draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n)))
-    eye = sympy.eye(n)
+    m = step_polynomial(draw, step) * (step_polynomial(draw, step) if draw(st.booleans()) else sympy.eye(n))
+    return as_int_matrix(step), as_int_matrix(m)
 
-    def poly():
-        a, b, c = (draw(st.integers(-3, 3)) for _ in range(3))
-        return a * eye + b * step + c * step**2
 
-    u = sympy.eye(n)
-    for i, j, q in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.sampled_from((-1, 1))),
-                                 max_size=2 * n)):
-        if i != j:
-            u[i, :] = u[i, :] + q * u[j, :]
-    extra = draw(st.integers(0, 2))
-    wide = sympy.Matrix(draw(st.lists(st.lists(st.integers(-3, 3), min_size=extra, max_size=extra),
-                                      min_size=n, max_size=n))) if extra else sympy.zeros(n, 0)
-    m = poly() * (poly() if draw(st.booleans()) else eye) * u * eye.row_join(wide)
-    as_ints = lambda a: IntMatrix.from_rows([[int(x) for x in row] for row in a.tolist()], cols=a.cols)
-    return as_ints(step), as_ints(m)
+def test_saturated_cokernel_needs_square_maps_that_commute():
+    # step maps im m = <e1> into itself in both cases, but m is not square,
+    # or does not commute with step
+    step = IntMatrix.from_rows([[1, 1], [0, 1]])
+    for m in ([[1], [0]], [[1, 0], [0, 0]]):
+        with pytest.raises(ValueError):
+            saturated_cokernel(step, IntMatrix.from_rows(m))
 
 
 @settings(max_examples=200, deadline=None)

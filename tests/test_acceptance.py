@@ -313,7 +313,7 @@ def test_criterion_8_schreier():
         for r in (1, 2):
             for m in (2, 3):
                 oracle = kernel_oracle(FgAbelianGroup.cyclic(m), [[1]] * r)
-                gens = schreier_generators(oracle, word_bound=m + 1, gen_bound=r)
+                gens, _ = schreier_generators(oracle, word_bound=m + 1, gen_bound=r)
                 assert len(gens) == m * (r - 1) + 1
                 assert all(g in oracle for g in gens)
 

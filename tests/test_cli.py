@@ -128,6 +128,7 @@ def test_schreier(tmp_path, capsys):
     report = json.loads(out)
     assert report["count"] == 3
     assert set(report["generators"]) == {"x0^2", "x0.x1", "x1.x0^-1"}
+    assert report["bound_reached"] is False
 
 
 def test_rordam_pass_and_fail(tmp_path, capsys):

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy.matrices.normalforms import invariant_factors
 
-from afkit import abelian, invariants
+from afkit import abelian
 from afkit.abelian import FgAbelianGroup, IntMatrix, LocalizedGroupDescriptor
 from afkit.cli import invariant_to_json
 from afkit.dimension import OrderedStagedSystem
@@ -116,6 +116,13 @@ def test_kp_localized_vs_localized():
 
 def test_kp_k1_mismatch():
     assert kp_isomorphic(KirchbergInvariant(Z3, (0,), Z), group_to_invariant(Z3)) is False
+
+
+def test_kp_zero_and_nonzero_unit_classes_differ():
+    # no automorphism sends the zero class to a nonzero one
+    assert kp_isomorphic(KirchbergInvariant(Z, (0,)), KirchbergInvariant(Z, (1,))) is False
+    assert kp_isomorphic(KirchbergInvariant(Z3, (0,)), KirchbergInvariant(Z3, (1,))) is False
+    assert kp_isomorphic(KirchbergInvariant(Z3, (0,)), KirchbergInvariant(Z3, (3,))) is True
 
 
 def test_unknown_unit_class_gives_unknown_answers():
@@ -376,50 +383,38 @@ def test_pv_unit_class_is_read_in_the_cokernel():
     assert not o_infty_st_absorbing(report.invariant)
 
 
-def counting_preimages(monkeypatch) -> list:
-    calls = []
-    preimage = invariants.preimage_lattice_rows
-
-    def counting(m, lattice):
-        calls.append(m.cols)
-        return preimage(m, lattice)
-
-    monkeypatch.setattr(invariants, "preimage_lattice_rows", counting)
-    return calls
-
-
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_pv_kernel_rank_by_rank_nullity_matches_the_preimage_path(data):
     # injective stationary systems: no vector dies, so the kernel rank is
-    # m.cols - rank(im m), read without a preimage elimination; m = A B has
-    # rank at most the inner size k, so kernels of every rank come up
+    # m.cols - rank(im m), the rank of the preimage of 0; m = A B has rank
+    # at most the inner size k, so kernels of every rank come up, and
+    # phi = a + b m + c m^2 commutes with m
     n = data.draw(st.integers(1, 4))
     k = data.draw(st.integers(0, n))
     rows = lambda r, c: st.lists(st.lists(st.integers(-3, 3), min_size=c, max_size=c), min_size=r, max_size=r)
-    phi = IntMatrix.from_rows(data.draw(rows(n, n).filter(lambda r: sympy.Matrix(r).det() != 0)))
     a, b = data.draw(rows(n, k)), data.draw(rows(k, n))
-    m = IntMatrix.from_rows([[sum(a[i][t] * b[t][j] for t in range(k)) for j in range(n)] for i in range(n)])
+    product = sympy.Matrix(n, k, sum(a, [])) * sympy.Matrix(k, n, sum(b, []))
+    coeffs = st.tuples(*[st.integers(-3, 3)] * 3)
+    poly = data.draw(coeffs.map(lambda c: c[0] * sympy.eye(n) + c[1] * product + c[2] * product**2)
+                     .filter(lambda p: p.det() != 0))
+    as_ints = lambda x: IntMatrix.from_rows([[int(e) for e in row] for row in x.tolist()], cols=n)
+    m, phi = as_ints(product), as_ints(poly)
     cross_stage = data.draw(st.booleans())
     beta = LimitEndomorphism((phi if cross_stage else IntMatrix.identity(n)) - m, cross_stage)
     D = OrderedStagedSystem(system=StagedSystem.stationary(phi), cone="simplicial",
                             unit=LimitElement(0, (1,) + (0,) * (n - 1)))
     assert D.system.injective
     preimage_path = abelian.preimage_lattice_rows(m, IntMatrix.zeros(0, n)).rows
-    with pytest.MonkeyPatch.context() as patch:
-        calls = counting_preimages(patch)
-        kernel_rank = pv_check(D, beta, Z2).invariant.k1.free_rank
+    kernel_rank = pv_check(D, beta, Z2).invariant.k1.free_rank
     assert kernel_rank == preimage_path == n - sympy.Matrix(m.to_rows()).rank()
-    assert calls == []
 
 
-def test_pv_kernel_of_a_non_injective_system_takes_the_preimage_path(monkeypatch):
-    # phi = diag(1, 0) kills e2 and m = id - beta = 0: the kernel classes are
-    # Z^2 / <e2>, of rank 1, where rank-nullity on m would say 2
-    calls = counting_preimages(monkeypatch)
+def test_pv_check_rejects_a_non_injective_system():
+    # phi = diag(1, 0) kills e2: some kernel classes die, and rank-nullity
+    # on m = id - beta = 0 would count them
     D = OrderedStagedSystem(system=StagedSystem.stationary(IntMatrix.from_rows([[1, 0], [0, 0]])),
                             cone="simplicial", unit=LimitElement(0, (1, 0)))
     assert not D.system.injective
-    report = pv_check(D, LimitEndomorphism(IntMatrix.identity(2)), TRIVIAL)
-    assert report.invariant.k1.free_rank == 1
-    assert calls == [2]
+    with pytest.raises(ValueError):
+        pv_check(D, LimitEndomorphism(IntMatrix.identity(2)), TRIVIAL)

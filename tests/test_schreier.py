@@ -20,11 +20,11 @@ from afkit.schreier import (
 
 
 def whole_group_oracle(rank: int) -> SubgroupOracle:
-    return SubgroupOracle(lambda w: True, rank, lambda w: ())
+    return SubgroupOracle(lambda w: (), rank)
 
 
 def trivial_subgroup_oracle(rank: int) -> SubgroupOracle:
-    return SubgroupOracle(lambda w: not w.letters, rank, lambda w: w.letters)
+    return SubgroupOracle(lambda w: w.letters, rank)
 
 
 def test_word_reduction():
@@ -112,18 +112,18 @@ def test_coset_representative_idempotent():
 
 def test_schreier_generators_mod2():
     h = kernel_oracle(FgAbelianGroup.cyclic(2), [[1], [1]])
-    gens = schreier_generators(h, word_bound=3, gen_bound=2)
+    gens, _ = schreier_generators(h, word_bound=3, gen_bound=2)
     assert {str(g) for g in gens} == {"x0^2", "x0.x1", "x1.x0^-1"}
 
 
 def test_schreier_generators_whole_group():
-    gens = schreier_generators(whole_group_oracle(2), word_bound=2, gen_bound=2)
+    gens, _ = schreier_generators(whole_group_oracle(2), word_bound=2, gen_bound=2)
     assert {str(g) for g in gens} == {"x0", "x1"}
 
 
 def test_schreier_generators_f1_mod2():
     h = kernel_oracle(FgAbelianGroup.cyclic(2), [[1]])
-    gens = schreier_generators(h, word_bound=3, gen_bound=1)
+    gens, _ = schreier_generators(h, word_bound=3, gen_bound=1)
     assert [str(g) for g in gens] == ["x0^2"]
 
 
@@ -131,7 +131,7 @@ def test_schreier_generators_f1_mod2():
 def test_nielsen_schreier_count(r, m):
     # kernel of F_r -> Z_m sending every generator to 1
     h = kernel_oracle(FgAbelianGroup.cyclic(m), [[1]] * r)
-    gens = schreier_generators(h, word_bound=m + 1, gen_bound=r)
+    gens, _ = schreier_generators(h, word_bound=m + 1, gen_bound=r)
     assert len(gens) == m * (r - 1) + 1
     for g in gens:
         assert g in h
@@ -191,52 +191,6 @@ def subgroup_cases(draw):
     return h, word_bound, gen_bound
 
 
-@settings(max_examples=80, deadline=None)
-@given(subgroup_cases())
-def test_transversal_walk_matches_per_word_reference(case):
-    h, word_bound, gen_bound = case
-    assert schreier_generators(h, word_bound, gen_bound) == per_word_schreier_generators(
-        h, word_bound, gen_bound
-    )
-
-
-def test_transversal_walk_oracle_calls():
-    # F_2 -> Z/6, x0 -> 1, x1 -> 2: six cosets, 6 * (2 - 1) + 1 = 7 generators
-    kernel = kernel_oracle(FgAbelianGroup.cyclic(6), [[1], [2]])
-    calls = []
-
-    def member(word):
-        calls.append(word)
-        return kernel.membership(word)
-
-    gens = schreier_generators(SubgroupOracle(member, 2), word_bound=7, gen_bound=2)
-    assert len(gens) == 7
-    assert len(calls) <= 200
-
-
-def test_transversal_walk_records_inverse_representatives_at_the_bound():
-    # x0^-1 is the representative of x1's coset (both map to 2 in Z/3); it is
-    # one letter long, past word bound 0, and must still be found first
-    h = kernel_oracle(FgAbelianGroup.cyclic(3), [[1], [2]])
-    assert [str(g) for g in schreier_generators(h, word_bound=0, gen_bound=2)] == ["x1.x0"]
-
-
-def test_transversal_walk_oracle_calls_quadratic_in_index():
-    # F_2 -> Z/8 + Z/8 onto: index 64, 64 * (2 - 1) + 1 = 65 generators, and
-    # each of the 2 * r * index candidates is tested against at most index
-    # representatives
-    kernel = kernel_oracle(FgAbelianGroup.from_invariant_factors([8, 8]), [[1, 0], [0, 1]])
-    calls = []
-
-    def member(word):
-        calls.append(word)
-        return kernel.membership(word)
-
-    gens = schreier_generators(SubgroupOracle(member, 2), word_bound=8, gen_bound=2)
-    assert len(gens) == 65
-    assert len(calls) <= 2 * 2 * 64 ** 2
-
-
 @st.composite
 def kernel_cases(draw):
     """Kernels of F_r -> Z^g / <rows>: rows need not be diagonal, and fewer
@@ -249,31 +203,53 @@ def kernel_cases(draw):
     return kernel_oracle(FgAbelianGroup.from_relation_rows(g, rows), images), draw(st.integers(0, 3)), r
 
 
-@settings(max_examples=80, deadline=None)
-@given(kernel_cases())
-def test_keyed_walk_matches_the_scan(case):
-    # the same membership without a key takes the scan over the transversal
+@settings(max_examples=160, deadline=None)
+@given(st.one_of(subgroup_cases(), kernel_cases()))
+def test_transversal_walk_matches_per_word_reference(case):
     h, word_bound, gen_bound = case
-    scan = SubgroupOracle(h.membership, h.ambient_rank)
-    assert schreier_generators(h, word_bound, gen_bound) == schreier_generators(scan, word_bound, gen_bound)
+    assert schreier_generators(h, word_bound, gen_bound)[0] == per_word_schreier_generators(
+        h, word_bound, gen_bound
+    )
 
 
-def test_keyed_walk_calls_the_oracle_once_per_generator():
-    # F_2 -> Z/8 + Z/8 onto, as above: the scan made up to 2 * 2 * 64^2 calls;
-    # the key finds each coset, and only the emitted generators are checked
+def test_transversal_walk_records_inverse_representatives_at_the_bound():
+    # x0^-1 is the representative of x1's coset (both map to 2 in Z/3); it is
+    # one letter long, past word bound 0, and must still be found first
+    h = kernel_oracle(FgAbelianGroup.cyclic(3), [[1], [2]])
+    assert [str(g) for g in schreier_generators(h, word_bound=0, gen_bound=2)[0]] == ["x1.x0"]
+
+
+def test_keyed_walk_calls_the_oracle_once_per_generator(monkeypatch):
+    # F_2 -> Z/8 + Z/8 onto: index 64, 64 * (2 - 1) + 1 = 65 generators; the
+    # key finds each coset, and only the emitted generators are tested
     kernel = kernel_oracle(FgAbelianGroup.from_invariant_factors([8, 8]), [[1, 0], [0, 1]])
     calls = []
-
-    def member(word):
-        calls.append(word)
-        return kernel.membership(word)
-
-    gens = schreier_generators(SubgroupOracle(member, 2, kernel.key), word_bound=8, gen_bound=2)
+    contains = SubgroupOracle.__contains__
+    monkeypatch.setattr(SubgroupOracle, "__contains__", lambda h, w: calls.append(w) or contains(h, w))
+    gens, _ = schreier_generators(kernel, word_bound=8, gen_bound=2)
     assert len(gens) == 65
-    assert len(calls) <= len(gens)
+    assert sorted(calls, key=FreeWord.shortlex_key) == gens
 
 
 def test_keyed_walk_reaches_index_ten_thousand():
     # F_2 -> Z/100 + Z/100 onto: index 10^4, 10^4 * (2 - 1) + 1 generators
     kernel = kernel_oracle(FgAbelianGroup.from_invariant_factors([100, 100]), [[1, 0], [0, 1]])
-    assert len(schreier_generators(kernel, word_bound=100, gen_bound=2)) == 10001
+    gens, bound_reached = schreier_generators(kernel, word_bound=100, gen_bound=2)
+    assert len(gens) == 10001
+    assert bound_reached is False
+
+
+def test_bound_reached_says_when_the_list_is_cut():
+    # F_2 -> Z has infinite index: every level finds new cosets, and the
+    # generator list stops at the bound
+    to_z = kernel_oracle(FgAbelianGroup.free(1), [[1], [0]])
+    gens, bound_reached = schreier_generators(to_z, word_bound=3, gen_bound=2)
+    assert len(gens) == 7
+    assert bound_reached is True
+    # F_2 -> Z/6, x0 -> 1, x1 -> 2: every coset is within 3 letters, so a
+    # bound of 4 finds all 6 * (2 - 1) + 1 generators and says so
+    to_z6 = kernel_oracle(FgAbelianGroup.cyclic(6), [[1], [2]])
+    gens, bound_reached = schreier_generators(to_z6, word_bound=4, gen_bound=2)
+    assert len(gens) == 7
+    assert bound_reached is False
+    assert schreier_generators(to_z6, word_bound=1, gen_bound=2)[1] is True

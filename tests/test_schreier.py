@@ -212,6 +212,40 @@ def test_transversal_walk_matches_per_word_reference(case):
     )
 
 
+def scan_schreier_generators(h, word_bound, gen_bound):
+    """Reference: the same breadth-first transversal walk, finding a coset by
+    testing w b^-1 for membership against every representative b so far
+    instead of by key lookup."""
+    alphabet = [(n, s) for n in range(gen_bound) for s in (0, 1)]
+    inverses = [FreeWord()]  # b^-1 for each representative b so far
+    out = []
+    level = [FreeWord()]
+    for _ in range(max(word_bound, 0) + 1):
+        longer = []
+        for r in level:
+            for n, sign in alphabet:
+                if r.letters[-1:] == ((n, 1 - sign),):
+                    continue
+                w = FreeWord(r.letters + ((n, sign),))
+                g = next((g for g in (w * b_inv for b_inv in inverses) if g in h), None)
+                if g is None:
+                    inverses.append(w.inverse())
+                    longer.append(w)
+                elif sign == 0:
+                    out.append(g)
+        level = longer
+    out.sort(key=FreeWord.shortlex_key)
+    return out, bool(level)
+
+
+@settings(max_examples=80, deadline=None)
+@given(kernel_cases())
+def test_keyed_walk_matches_the_scan(case):
+    # the same walk, with cosets found by membership tests alone
+    h, word_bound, gen_bound = case
+    assert schreier_generators(h, word_bound, gen_bound) == scan_schreier_generators(h, word_bound, gen_bound)
+
+
 def test_transversal_walk_records_inverse_representatives_at_the_bound():
     # x0^-1 is the representative of x1's coset (both map to 2 in Z/3); it is
     # one letter long, past word bound 0, and must still be found first

@@ -3,7 +3,9 @@
 Exit codes: 0 all checks passed, 1 a verification failed, 2 malformed
 input, 3 a bounded search was exceeded or the limit is proved not finitely
 generated.  Output is deterministic: JSON with sorted keys, DOT
-stable-sorted by level and vertex index.
+stable-sorted by level and vertex index.  Each command imports the library
+modules it uses when it runs, so a call loads only those: every process is
+one call, and loading all of them takes longer than most calls.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import argparse
 import functools
 import json
 import sys
-from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from .abelian import (
     FgAbelianGroup,
@@ -22,51 +24,12 @@ from .abelian import (
     is_prime,
     require_ints,
 )
-from .dimension import (
-    EndomorphismNotPositive,
-    OrderedStagedSystem,
-    RealizationError,
-    ShenDepthExceeded,
-    basis_atom_enumerator,
-    diagram_from_json_dict,
-    diagram_to_dot,
-    diagram_to_json_dict,
-    diagram_to_system,
-    ehs_realize,
-    ehs_realize_with_endo,
-    telescope,
-    unit_atom_enumerator,
-    validate_diagram,
-)
-from .eplag import (
-    FINGERPRINT_EXP_BOUND,
-    FINGERPRINT_PRIME_BOUND,
-    EplagGroup,
-    PrimeLabeledGraph,
-    divisibility_fingerprint,
-    is_P_divisible_sample,
-    membership,
-    tree_to_eplag,
-)
-from .invariants import (
-    KirchbergInvariant,
-    absorption_equivalences,
-    crossed_product_invariant,
-    d_p_absorbing,
-    group_to_invariant,
-    kp_isomorphic,
-    o_infty_st_absorbing,
-    pipeline,
-)
-from .limits import (
-    LimitElement,
-    LimitEndomorphism,
-    NotFinitelyGeneratedError,
-    StagedSystem,
-    build_limit_group,
-)
-from .rordam import WidthError, rordam_pair, rordam_verify
-from .schreier import kernel_oracle, schreier_generators
+
+if TYPE_CHECKING:
+    from .dimension import OrderedStagedSystem
+    from .eplag import EplagGroup
+    from .invariants import KirchbergInvariant
+    from .limits import StagedSystem
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -78,13 +41,14 @@ class InputError(ValueError):
     """Malformed input file or flag; maps to exit code 2."""
 
 
-# library errors reported as {"error": ...} on stdout, with their exit codes
-REPORTED_ERRORS = {
-    ShenDepthExceeded: EXIT_DEPTH,
-    NotFinitelyGeneratedError: EXIT_DEPTH,
-    RealizationError: EXIT_VERIFY_FAIL,
-    EndomorphismNotPositive: EXIT_VERIFY_FAIL,
-}
+# Library errors reported as {"error": ...} on stdout, with their exit codes;
+# looked up by (module, class name) when an error arrives, not loaded up front.
+REPORTED_ERRORS = (
+    ("dimension", "ShenDepthExceeded", EXIT_DEPTH),
+    ("limits", "NotFinitelyGeneratedError", EXIT_DEPTH),
+    ("dimension", "RealizationError", EXIT_VERIFY_FAIL),
+    ("dimension", "EndomorphismNotPositive", EXIT_VERIFY_FAIL),
+)
 
 
 # ---------------------------------------------------------------------------
@@ -152,6 +116,8 @@ def group_to_json(g: FgAbelianGroup) -> dict:
 
 
 def system_from_json(data: dict, where: str = "system") -> StagedSystem:
+    from .limits import StagedSystem
+
     kind = _require(data, "kind", where)
     matrices = _require(data, "matrices", where)
     try:
@@ -171,6 +137,9 @@ def system_from_json(data: dict, where: str = "system") -> StagedSystem:
 
 
 def ordered_system_from_json(data: dict, where: str = "system") -> OrderedStagedSystem:
+    from .dimension import OrderedStagedSystem
+    from .limits import LimitElement
+
     sys_ = system_from_json(data, where)
     cone = data.get("cone", "simplicial")
     unit = data.get("unit")
@@ -183,6 +152,8 @@ def ordered_system_from_json(data: dict, where: str = "system") -> OrderedStaged
 
 
 def eplag_from_json(data: dict, where: str = "graph") -> EplagGroup:
+    from .eplag import EplagGroup, PrimeLabeledGraph
+
     vertices = _object(_require(data, "vertices", where), f"{where}.vertices")
     names = sorted(vertices)
     labels = {name: vertices[name] for name in names}
@@ -225,6 +196,8 @@ def eplag_to_json(group: EplagGroup) -> dict:
 
 
 def qvector_from_json(data: dict, where: str = "target") -> dict:
+    from fractions import Fraction
+
     _object(data, where)
     out = {}
     try:
@@ -311,6 +284,8 @@ def cmd_group(args) -> int:
 
 
 def cmd_limits(args) -> int:
+    from .limits import build_limit_group
+
     sys_ = system_from_json(_load_json(args.system), args.system)
     g = build_limit_group(sys_)
     _emit({"limit_invariant_factors": list(g.invariant_factors), "description": g.describe()},
@@ -319,6 +294,8 @@ def cmd_limits(args) -> int:
 
 
 def cmd_schreier(args) -> int:
+    from .schreier import kernel_oracle, schreier_generators
+
     target = group_from_json(_load_json(args.target), args.target)
     try:
         images = json.loads(args.images)
@@ -338,8 +315,17 @@ def cmd_schreier(args) -> int:
     return EXIT_OK
 
 
+def _check_width(width: int) -> None:
+    # rordam_pair's WidthError message, as an error that main maps without knowing rordam's classes
+    if width < 2:
+        raise InputError(f"width {width} too small to express the kernel generators (need >= 2)")
+
+
 def cmd_rordam(args) -> int:
+    from .rordam import rordam_pair, rordam_verify
+
     g = group_from_json(_load_json(args.group), args.group)
+    _check_width(args.width)
     pair = rordam_pair(g, args.width)
     report = rordam_verify(pair, g)
     _emit(
@@ -354,6 +340,15 @@ def cmd_rordam(args) -> int:
 
 
 def cmd_diagram(args) -> int:
+    from .dimension import (
+        diagram_from_json_dict,
+        diagram_to_dot,
+        diagram_to_json_dict,
+        diagram_to_system,
+        telescope,
+        validate_diagram,
+    )
+
     data = _load_json(args.diagram)
     try:
         d = diagram_from_json_dict(data)
@@ -367,7 +362,7 @@ def cmd_diagram(args) -> int:
         _emit({"valid": not violations, "violations": violations}, args.format)
         return EXIT_OK if not violations else EXIT_VERIFY_FAIL
     if args.action == "k0":
-        D = diagram_to_system(d)
+        D = diagram_to_system(d, violations)
         report = {
             "levels": [
                 {"rank": d.level_size(n), "multimatrix_dims": list(d.weights(n))}
@@ -395,6 +390,8 @@ def cmd_diagram(args) -> int:
 
 
 def _realization_report(result) -> dict:
+    from .dimension import diagram_to_json_dict
+
     report = {
         "diagram": diagram_to_json_dict(result.diagram),
         "thetas": [
@@ -419,6 +416,9 @@ def _realization_report(result) -> dict:
 
 
 def cmd_ehs(args) -> int:
+    from .dimension import basis_atom_enumerator, ehs_realize, ehs_realize_with_endo, unit_atom_enumerator
+    from .limits import LimitEndomorphism
+
     for flag, value in (("--depth", args.depth), ("--bound", args.bound)):
         if value < 0:
             raise InputError(f"{flag}: must be at least 0")
@@ -449,6 +449,15 @@ def cmd_ehs(args) -> int:
 
 
 def cmd_eplag(args) -> int:
+    from .eplag import (
+        FINGERPRINT_EXP_BOUND,
+        FINGERPRINT_PRIME_BOUND,
+        divisibility_fingerprint,
+        is_P_divisible_sample,
+        membership,
+        tree_to_eplag,
+    )
+
     if args.action == "tree":
         if not args.tree:
             raise InputError("eplag tree: --tree is required")
@@ -478,10 +487,11 @@ def cmd_eplag(args) -> int:
     K = FINGERPRINT_EXP_BOUND if args.bound is None else args.bound  # fingerprint
     if K < 1:
         raise InputError("--bound: must be at least 1")
-    if args.prime_bound < 2:
+    prime_bound = FINGERPRINT_PRIME_BOUND if args.prime_bound is None else args.prime_bound
+    if prime_bound < 2:
         raise InputError("--prime-bound: must be at least 2")
     report = {
-        "fingerprint": [list(s) for s in divisibility_fingerprint(group, K, args.prime_bound)],
+        "fingerprint": [list(s) for s in divisibility_fingerprint(group, K, prime_bound)],
         "p_divisible_sample": is_P_divisible_sample(group, K),
     }
     _emit(report, args.format)
@@ -489,11 +499,15 @@ def cmd_eplag(args) -> int:
 
 
 def cmd_pipeline(args) -> int:
+    from .dimension import diagram_to_dot, diagram_to_json_dict
+    from .invariants import crossed_product_invariant, d_p_absorbing, o_infty_st_absorbing, pipeline
+
     if args.depth < 2:
         raise InputError("--depth: must be at least 2")
     if not is_prime(args.prime):
         raise InputError(f"--prime: {args.prime} is not prime")
     g = group_from_json(_load_json(args.group), args.group)
+    _check_width(args.width)
     report = pipeline(g, args.depth, width=args.width)
     inv = report.pv.invariant  # every invariant value below is read from the PV stage
     out = {
@@ -536,6 +550,15 @@ def cmd_pipeline(args) -> int:
 
 
 def cmd_invariant(args) -> int:
+    from .invariants import (
+        absorption_equivalences,
+        crossed_product_invariant,
+        d_p_absorbing,
+        group_to_invariant,
+        kp_isomorphic,
+        o_infty_st_absorbing,
+    )
+
     if args.prime is not None and not is_prime(args.prime):
         raise InputError(f"--prime: {args.prime} is not prime")
     g = group_from_json(_load_json(args.group), args.group)
@@ -618,8 +641,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", default="", help="comma-separated divisibility primes")
     p.add_argument("--graph")
     p.add_argument("--target")
-    p.add_argument("--bound", type=int, help=f"fingerprint: query exponent K (default {FINGERPRINT_EXP_BOUND})")
-    p.add_argument("--prime-bound", type=int, default=FINGERPRINT_PRIME_BOUND)
+    p.add_argument("--bound", type=int, help="fingerprint: query exponent K (default 3)")
+    p.add_argument("--prime-bound", type=int)  # default FINGERPRINT_PRIME_BOUND
     p.set_defaults(func=cmd_eplag)
 
     p = sub.add_parser("pipeline", help="full invariant pipeline for a presented group")
@@ -647,12 +670,16 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except (InputError, WidthError) as e:
+    except InputError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_PARSE
-    except tuple(REPORTED_ERRORS) as e:
-        _emit({"error": str(e)}, args.format)
-        return next(code for cls, code in REPORTED_ERRORS.items() if isinstance(e, cls))
+    except (RuntimeError, ValueError) as e:  # the reported errors' bases
+        for module, name, code in REPORTED_ERRORS:
+            loaded = sys.modules.get(f"{__package__}.{module}")  # not loaded: e is none of its classes
+            if loaded is not None and isinstance(e, getattr(loaded, name)):
+                _emit({"error": str(e)}, args.format)
+                return code
+        raise
 
 
 if __name__ == "__main__":

@@ -25,10 +25,16 @@ With the wrap, im(delta) = N holds at every stage, so the cokernel of
 on the wrap makes beta injective whenever the relation block allows it.
 
 Since im(delta) = N at every width w >= 2, the width sets only the rank
-g * w of the pair, not the cokernel.  That the PV kernel does not depend on
-w either is not proved here; ``test_pipeline_answers_do_not_depend_on_the_width``
-is its check: on torsion presentations the pipeline passes at widths 2 to
-8 with identical Rordam factors and invariant.
+g * w of the pair, not the cokernel.  Nor does it set the PV kernel.  delta
+is block-diagonal: on the m = 0 coordinates it is the transposed Hermite
+basis of the relation lattice, of rank r; on x(n, 1), ..., x(n, w-1) it is
+a cyclic shift with one sign, invertible.  So rank delta = g(w-1) + r.  The
+pipeline's PV map is m = diag(1, beta delta): the connecting map diag(2,
+beta) less the endomorphism diag(1, beta^2), as beta - beta^2 = beta delta.
+The pipeline reaches its PV stage only with beta injective, which keeps
+ranks, so ker m has rank (1 + g w) - (1 + g(w-1) + r) = g - r, the free
+rank of G, at every w >= 2.  ``test_pipeline_answers_do_not_depend_on_the_width``
+checks both at widths 2 to 8.
 """
 
 from __future__ import annotations

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from afkit import invariants
+from afkit import dimension, invariants
 from afkit.abelian import FgAbelianGroup
 from afkit.cli import main
 from afkit.invariants import KirchbergInvariant
@@ -138,6 +138,14 @@ def test_rordam_pass_and_fail(tmp_path, capsys):
     assert json.loads(out)["pass"] is True
 
 
+@pytest.mark.parametrize("command", [["rordam"], ["pipeline", "--prime", "3"]])
+def test_width_below_two_exits_2(tmp_path, capsys, command):
+    g = write(tmp_path, "g.json", Z2)
+    code, out, err = run(capsys, [*command, "--group", g, "--width", "1"])
+    assert (code, out) == (2, "")
+    assert err == "error: width 1 too small to express the kernel generators (need >= 2)\n"
+
+
 def test_diagram_validate_good(tmp_path, capsys):
     path = write(tmp_path, "d.json", UHF2)
     code, out, _ = run(capsys, ["--format", "json", "diagram", "validate", path])
@@ -165,6 +173,17 @@ def test_diagram_k0(tmp_path, capsys):
     assert code == 0
     report = json.loads(out)
     assert report["levels"][2]["multimatrix_dims"] == [4]
+
+
+def test_diagram_k0_validates_once(tmp_path, capsys, monkeypatch):
+    calls = []
+    real = dimension.validate_diagram
+    for module in [m for name, m in sys.modules.items() if name.startswith("afkit.")]:
+        if getattr(module, "validate_diagram", None) is real:  # every name bound to it, the CLI's too
+            monkeypatch.setattr(module, "validate_diagram", lambda d: calls.append(d) or real(d))
+    code, _, _ = run(capsys, ["--format", "json", "diagram", "k0", write(tmp_path, "d.json", UHF2)])
+    assert code == 0
+    assert len(calls) == 1
 
 
 def test_diagram_k0_one_level(tmp_path, capsys):
@@ -399,6 +418,14 @@ def test_ehs_endomorphism_leaving_the_cone_exits_1(tmp_path, capsys):
     code, out, _ = run(capsys, ["--format", "json", "ehs", "--system", s, "--endo", e])
     assert code == 1
     assert "endomorphism-not-positive" in json.loads(out)["error"]
+
+
+def test_ehs_positivity_undecided_within_the_bound_exits_3(tmp_path, capsys):
+    system = {"kind": "stationary", "matrices": [[[2, -1], [-1, 2]]], "cone": "simplicial", "unit": [1, -1]}
+    path = write(tmp_path, "s.json", system)
+    code, out, _ = run(capsys, ["--format", "json", "ehs", "--system", path, "--bound", "2"])
+    assert code == 3
+    assert json.loads(out) == {"error": "shen-depth-exceeded: positivity undecided within bound"}
 
 
 def test_ehs_unit_outside_the_cone_exits_2(tmp_path, capsys):

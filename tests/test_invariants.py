@@ -362,7 +362,8 @@ def test_pipeline_invariant_is_the_group_on_torsion_presentations(case):
 @settings(max_examples=40, deadline=None)
 @given(finite_presentations())
 def test_pipeline_answers_do_not_depend_on_the_width(case):
-    # im(delta) = N at every width >= 2, so the width sets only the rank g * width
+    # afkit.rordam's docstring proves both: the cokernel is G and the PV kernel
+    # has rank g - rank(relations) at every width >= 2
     rows, _ = case
     group = FgAbelianGroup.from_relation_rows(len(rows), rows)
     reports = [pipeline(group, 3, width) for width in range(2, 9)]

@@ -3,7 +3,6 @@ module's private name, or defines a private helper that nothing in it refers to;
 and every public function, class and method has a caller in the package, a
 verifier's job, or a place on the short ``KEPT`` list.
 
-``__init__.py`` re-exports the public names, so it is the one exception;
 ``from __future__`` imports are compiler directives, not names.
 """
 
@@ -14,7 +13,7 @@ from pathlib import Path
 import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "afkit"
-MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+MODULES = sorted(PACKAGE.glob("*.py"))
 
 
 def unused_imports(source: str) -> list:
@@ -79,7 +78,7 @@ def test_checker_sees_a_private_import():
     assert private_imports("from __future__ import annotations\n") == []
 
 
-@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_private_imports_across_modules(path):
     assert private_imports(path.read_text()) == []
 

@@ -315,18 +315,14 @@ def cmd_schreier(args) -> int:
     return EXIT_OK
 
 
-def _check_width(width: int) -> None:
-    # rordam_pair's WidthError message, as an error that main maps without knowing rordam's classes
-    if width < 2:
-        raise InputError(f"width {width} too small to express the kernel generators (need >= 2)")
-
-
 def cmd_rordam(args) -> int:
-    from .rordam import rordam_pair, rordam_verify
+    from .rordam import WidthError, rordam_pair, rordam_verify
 
     g = group_from_json(_load_json(args.group), args.group)
-    _check_width(args.width)
-    pair = rordam_pair(g, args.width)
+    try:
+        pair = rordam_pair(g, args.width)
+    except WidthError as e:
+        raise InputError(str(e))
     report = rordam_verify(pair, g)
     _emit(
         {
@@ -362,7 +358,7 @@ def cmd_diagram(args) -> int:
         _emit({"valid": not violations, "violations": violations}, args.format)
         return EXIT_OK if not violations else EXIT_VERIFY_FAIL
     if args.action == "k0":
-        D = diagram_to_system(d, violations)
+        D = diagram_to_system(d)
         report = {
             "levels": [
                 {"rank": d.level_size(n), "multimatrix_dims": list(d.weights(n))}
@@ -501,14 +497,17 @@ def cmd_eplag(args) -> int:
 def cmd_pipeline(args) -> int:
     from .dimension import diagram_to_dot, diagram_to_json_dict
     from .invariants import crossed_product_invariant, d_p_absorbing, o_infty_st_absorbing, pipeline
+    from .rordam import WidthError
 
     if args.depth < 2:
         raise InputError("--depth: must be at least 2")
     if not is_prime(args.prime):
         raise InputError(f"--prime: {args.prime} is not prime")
     g = group_from_json(_load_json(args.group), args.group)
-    _check_width(args.width)
-    report = pipeline(g, args.depth, width=args.width)
+    try:
+        report = pipeline(g, args.depth, width=args.width)
+    except WidthError as e:
+        raise InputError(str(e))
     inv = report.pv.invariant  # every invariant value below is read from the PV stage
     out = {
         "group": group_to_json(g),
@@ -641,7 +640,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", default="", help="comma-separated divisibility primes")
     p.add_argument("--graph")
     p.add_argument("--target")
-    p.add_argument("--bound", type=int, help="fingerprint: query exponent K (default 3)")
+    p.add_argument("--bound", type=int, help="fingerprint: query exponent K (default: eplag's FINGERPRINT_EXP_BOUND)")
     p.add_argument("--prime-bound", type=int)  # default FINGERPRINT_PRIME_BOUND
     p.set_defaults(func=cmd_eplag)
 

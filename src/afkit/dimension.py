@@ -221,17 +221,14 @@ def validate_diagram(d: BratteliDiagram) -> list:
     return violations
 
 
-def diagram_to_system(d: BratteliDiagram, violations: Optional[list] = None) -> OrderedStagedSystem:
+def diagram_to_system(d: BratteliDiagram) -> OrderedStagedSystem:
     """Staged ordered system of a valid diagram.
 
     Connecting maps are the transposed incidences (so they act on column
     vectors); stage units are the weight vectors.  A diagram without a tail
-    ends in the identity on its last level.  ``violations`` is
-    :func:`validate_diagram`'s list for ``d`` when the caller already has
-    it; any violation raises ValueError.
+    ends in the identity on its last level.
     """
-    if violations is None:
-        violations = validate_diagram(d)
+    violations = validate_diagram(d)
     if violations:
         raise ValueError("invalid diagram: " + "; ".join(violations))
     prefix = [d.incidence(n).transpose() for n in range(d.num_levels - 1)]

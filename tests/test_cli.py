@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from afkit import dimension, invariants
+from afkit import invariants
 from afkit.abelian import FgAbelianGroup
 from afkit.cli import main
 from afkit.invariants import KirchbergInvariant
@@ -173,17 +173,6 @@ def test_diagram_k0(tmp_path, capsys):
     assert code == 0
     report = json.loads(out)
     assert report["levels"][2]["multimatrix_dims"] == [4]
-
-
-def test_diagram_k0_validates_once(tmp_path, capsys, monkeypatch):
-    calls = []
-    real = dimension.validate_diagram
-    for module in [m for name, m in sys.modules.items() if name.startswith("afkit.")]:
-        if getattr(module, "validate_diagram", None) is real:  # every name bound to it, the CLI's too
-            monkeypatch.setattr(module, "validate_diagram", lambda d: calls.append(d) or real(d))
-    code, _, _ = run(capsys, ["--format", "json", "diagram", "k0", write(tmp_path, "d.json", UHF2)])
-    assert code == 0
-    assert len(calls) == 1
 
 
 def test_diagram_k0_one_level(tmp_path, capsys):

@@ -146,11 +146,9 @@ def test_diagram_to_system_uhf():
 
 def test_diagram_to_system_refuses_an_invalid_diagram():
     bad = BratteliDiagram((DiagramLevel(1, (1,), IntMatrix.from_rows([[2]])), DiagramLevel(1, (5,), None)))
-    violations = validate_diagram(bad)
-    assert violations
-    for given in (None, violations):  # computed here, or handed over by a caller that validated
-        with pytest.raises(ValueError, match="invalid diagram: condition"):
-            diagram_to_system(bad, given)
+    assert validate_diagram(bad)
+    with pytest.raises(ValueError, match="invalid diagram: condition"):
+        diagram_to_system(bad)
 
 
 def test_diagram_to_system_trivial():

@@ -12,9 +12,6 @@ from pathlib import Path
 
 import pytest
 
-from afkit.cli import main
-from afkit.eplag import FINGERPRINT_EXP_BOUND
-
 SRC = Path(__file__).resolve().parents[1] / "src"
 BASE = {"afkit", "afkit.cli", "afkit.abelian"}
 
@@ -69,9 +66,3 @@ def loaded(tmp_path, argv) -> tuple:
 def test_command_loads_only_its_modules(tmp_path, argv, code, extra):
     assert loaded(tmp_path, argv) == (code, BASE | extra)
 
-
-def test_fingerprint_help_names_the_default_exponent(capsys):
-    # the parser states the default without loading eplag
-    with pytest.raises(SystemExit):
-        main(["eplag", "--help"])
-    assert f"(default {FINGERPRINT_EXP_BOUND})" in capsys.readouterr().out

@@ -497,23 +497,18 @@ def cmd_eplag(args) -> int:
 def cmd_pipeline(args) -> int:
     from .dimension import diagram_to_dot, diagram_to_json_dict
     from .invariants import crossed_product_invariant, d_p_absorbing, o_infty_st_absorbing, pipeline
-    from .rordam import WidthError
 
     if args.depth < 2:
         raise InputError("--depth: must be at least 2")
     if not is_prime(args.prime):
         raise InputError(f"--prime: {args.prime} is not prime")
     g = group_from_json(_load_json(args.group), args.group)
-    try:
-        report = pipeline(g, args.depth, width=args.width)
-    except WidthError as e:
-        raise InputError(str(e))
+    report = pipeline(g, args.depth)
     inv = report.pv.invariant  # every invariant value below is read from the PV stage
     out = {
         "group": group_to_json(g),
         "prime": args.prime,
         "depth": args.depth,
-        "width": args.width,
         "stages": {
             "rordam": {
                 "pass": report.rordam.passed,
@@ -648,7 +643,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--group", required=True)
     p.add_argument("--prime", type=int, required=True)
     p.add_argument("--depth", type=int, default=3)
-    p.add_argument("--width", type=int, default=6)
+    # unused: bench/workloads.py still passes it, until ROADMAP item 9's benchmark batch drops it
+    p.add_argument("--width", help=argparse.SUPPRESS)
     p.add_argument("--emit-diagram")
     p.add_argument("--dot")
     p.set_defaults(func=cmd_pipeline)

@@ -13,7 +13,7 @@ computation: K0 = coker(id - beta), [1] the class of D's unit there and K1
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import TYPE_CHECKING, Optional, Union
 
 from .abelian import (
     FgAbelianGroup,
@@ -32,11 +32,18 @@ from .dimension import (
     unit_atom_enumerator,
     validate_diagram,
 )
-from .eplag import FINGERPRINT_EXP_BOUND, FINGERPRINT_PRIME_BOUND, EplagGroup, divisibility_fingerprint
 from .limits import LimitElement, LimitEndomorphism, StagedSystem
-from .rordam import RordamPair, VerifyReport, rordam_pair, rordam_verify
+from .rordam import MIN_WIDTH, RordamPair, VerifyReport, rordam_pair, rordam_verify
 
-K0Descriptor = Union[FgAbelianGroup, LocalizedGroupDescriptor, EplagGroup]
+if TYPE_CHECKING:
+    from .eplag import EplagGroup
+
+    K0Descriptor = Union[FgAbelianGroup, LocalizedGroupDescriptor, EplagGroup]
+
+
+def _is_graph_group(k0: K0Descriptor) -> bool:
+    """A labeled-graph K0: every other descriptor is finitely generated or localized."""
+    return not isinstance(k0, (FgAbelianGroup, LocalizedGroupDescriptor))
 
 
 @dataclass(frozen=True)
@@ -65,7 +72,7 @@ class KirchbergInvariant:
         return "0" if self.unit_is_zero() else list(self.unit_class)
 
     def describe(self) -> str:
-        if isinstance(self.k0, EplagGroup):
+        if _is_graph_group(self.k0):
             k0_text = f"eplag({len(self.k0.graph.vertices)} vertices)"
         else:
             k0_text = self.k0.describe()
@@ -116,29 +123,46 @@ def kp_isomorphic(a: KirchbergInvariant, b: KirchbergInvariant) -> Optional[bool
     Finitely generated / localized K0 descriptors are compared exactly.
     Isomorphic ones give True when both unit classes are zero and False
     when one is zero and the other is exactly nonzero, since every
-    automorphism fixes 0; two nonzero classes, or a class whose zero test
-    is unknown, give None (unknown).  Graph groups are compared by
-    divisibility fingerprints: distinct fingerprints refute isomorphism,
-    equal ones stay unknown.
+    automorphism fixes 0.  Two nonzero classes x, y give False when
+    K0/<x> and K0/<y> differ (an automorphism sending x to y maps one onto
+    the other), and True when they agree and K0 is cyclic, where x and y are
+    then unit multiples of each other; otherwise, or when a zero test is
+    unknown, None (unknown).  Graph groups are compared by divisibility
+    fingerprints: distinct fingerprints refute isomorphism, equal ones stay
+    unknown.
     """
     if a.k1.invariant_factors != b.k1.invariant_factors:
         return False
     ka, kb = a.k0, b.k0
-    if isinstance(ka, EplagGroup) or isinstance(kb, EplagGroup):
-        if isinstance(ka, EplagGroup) and isinstance(kb, EplagGroup):
-            fa = divisibility_fingerprint(ka, FINGERPRINT_EXP_BOUND, FINGERPRINT_PRIME_BOUND)
-            fb = divisibility_fingerprint(kb, FINGERPRINT_EXP_BOUND, FINGERPRINT_PRIME_BOUND)
-            if fa != fb:
-                return False
+    if _is_graph_group(ka) or _is_graph_group(kb):
+        if not (_is_graph_group(ka) and _is_graph_group(kb)):
             return None
-        return None
+        from .eplag import FINGERPRINT_EXP_BOUND, FINGERPRINT_PRIME_BOUND, divisibility_fingerprint
+
+        fa = divisibility_fingerprint(ka, FINGERPRINT_EXP_BOUND, FINGERPRINT_PRIME_BOUND)
+        fb = divisibility_fingerprint(kb, FINGERPRINT_EXP_BOUND, FINGERPRINT_PRIME_BOUND)
+        return False if fa != fb else None
     # a localized descriptor compares with both kinds, a finitely generated one only with its own
     if not (kb.is_isomorphic_to(ka) if isinstance(kb, LocalizedGroupDescriptor) else ka.is_isomorphic_to(kb)):
         return False
     zero = {a.unit_is_zero(), b.unit_is_zero()}
     if zero == {True}:
         return True
-    return False if zero == {True, False} else None
+    if zero == {True, False}:
+        return False
+    if zero != {False}:  # a zero test is unknown
+        return None
+    # two nonzero classes, so both K0 are finitely generated: no other descriptor has one
+    if _quotient_factors(a) != _quotient_factors(b):
+        return False
+    return True if len(ka.invariant_factors) <= 1 else None
+
+
+def _quotient_factors(inv: KirchbergInvariant) -> tuple:
+    """Invariant factors of K0 / <unit class> on a finitely generated K0."""
+    k0 = inv.k0
+    return FgAbelianGroup.from_relation_rows(
+        k0.num_generators, k0.relations.to_rows() + [list(inv.unit_class)]).invariant_factors
 
 
 def absorption_equivalences(a: KirchbergInvariant, b: KirchbergInvariant, p: int) -> dict:
@@ -246,10 +270,11 @@ class PipelineReport:
         return bool(self.rordam) and self.realization_valid and bool(self.pv)
 
 
-def pipeline(group: FgAbelianGroup, depth: int, width: int = 6) -> PipelineReport:
+def pipeline(group: FgAbelianGroup, depth: int) -> PipelineReport:
     """Full chain from a group presentation to its verified invariant.
 
-    Builds the staged pair for G, assembles D = Z[1/2] (+) H with the
+    Builds the staged pair for G at ``MIN_WIDTH`` (no answer depends on the
+    width, see :mod:`afkit.rordam`), assembles D = Z[1/2] (+) H with the
     strict cone and unit (1, 0), realizes (D, beta) as a diagram with
     multiplicities, and runs the truncated cokernel and kernel computation
     against (G, 0); the final invariant is the one that computation reads
@@ -258,7 +283,7 @@ def pipeline(group: FgAbelianGroup, depth: int, width: int = 6) -> PipelineRepor
     """
     if depth < 2:
         raise ValueError("depth must be at least 2")
-    pair = rordam_pair(group, width)
+    pair = rordam_pair(group, MIN_WIDTH)
     rordam_report = rordam_verify(pair, group)
     ordered, endo = assemble_pipeline_system(pair)
     realization = ehs_realize_with_endo(ordered, endo, unit_atom_enumerator(ordered), depth)

@@ -34,7 +34,8 @@ beta) less the endomorphism diag(1, beta^2), as beta - beta^2 = beta delta.
 The pipeline reaches its PV stage only with beta injective, which keeps
 ranks, so ker m has rank (1 + g w) - (1 + g(w-1) + r) = g - r, the free
 rank of G, at every w >= 2.  ``test_pipeline_answers_do_not_depend_on_the_width``
-checks both at widths 2 to 8.
+checks both at widths 2 to 8.  The pipeline builds its pair at MIN_WIDTH, of
+rank 2g; only ``afkit rordam --width`` shows the pair at other widths.
 """
 
 from __future__ import annotations
@@ -42,6 +43,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .abelian import FgAbelianGroup, IntMatrix, saturated_cokernel
+
+
+MIN_WIDTH = 2  # the kernel column and the wrap column of each generator
 
 
 class WidthError(ValueError):
@@ -58,8 +62,8 @@ class RordamPair:
 
 def rordam_pair(group: FgAbelianGroup, width: int) -> RordamPair:
     """Build the truncated staged pair for ``group``."""
-    if width < 2:
-        raise WidthError(f"width {width} too small to express the kernel generators (need >= 2)")
+    if width < MIN_WIDTH:
+        raise WidthError(f"width {width} too small to express the kernel generators (need >= {MIN_WIDTH})")
     g = group.num_generators
     rank = g * width
     kernel_data = group.relation_lattice.transpose().sparse  # [n]: the nonzeros (k, x) of the Hermite basis's column n

@@ -138,10 +138,9 @@ def test_rordam_pass_and_fail(tmp_path, capsys):
     assert json.loads(out)["pass"] is True
 
 
-@pytest.mark.parametrize("command", [["rordam"], ["pipeline", "--prime", "3"]])
-def test_width_below_two_exits_2(tmp_path, capsys, command):
+def test_width_below_two_exits_2(tmp_path, capsys):
     g = write(tmp_path, "g.json", Z2)
-    code, out, err = run(capsys, [*command, "--group", g, "--width", "1"])
+    code, out, err = run(capsys, ["rordam", "--group", g, "--width", "1"])
     assert (code, out) == (2, "")
     assert err == "error: width 1 too small to express the kernel generators (need >= 2)\n"
 
@@ -479,6 +478,18 @@ def test_pipeline_cli(tmp_path, capsys):
     emitted = json.loads(open(diagram_out).read())
     assert emitted["levels"]
     assert open(dot_out).read().startswith("digraph")
+
+
+def test_pipeline_width_is_hidden_and_unused(tmp_path, capsys):
+    # the pipeline builds its pair at the least width; --width only still parses
+    g = write(tmp_path, "z3.json", Z3)
+    argv = ["--format", "json", "pipeline", "--group", g, "--prime", "2", "--depth", "3"]
+    code, out, _ = run(capsys, argv)
+    assert code == 0 and "width" not in json.loads(out)
+    assert run(capsys, [*argv, "--width", "1"]) == (code, out, "")
+    with pytest.raises(SystemExit):
+        main(["pipeline", "--help"])
+    assert "--width" not in capsys.readouterr().out
 
 
 def test_pipeline_deterministic(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Tests for invariant bookkeeping, the truncated six-term check, and the pipeline."""
 
+import math
 from collections import Counter
 
 import pytest
@@ -125,6 +126,37 @@ def test_kp_zero_and_nonzero_unit_classes_differ():
     assert kp_isomorphic(KirchbergInvariant(Z3, (0,)), KirchbergInvariant(Z3, (3,))) is True
 
 
+def test_kp_nonzero_unit_classes():
+    # K0/<x> and K0/<y> differ: no automorphism sends x to y; on a cyclic K0
+    # equal quotients make x and y unit multiples of each other
+    def kp(k0, x, k0b, y):
+        return kp_isomorphic(KirchbergInvariant(k0, x), KirchbergInvariant(k0b, y))
+
+    assert kp(Z3, (1,), Z3, (2,)) is True
+    assert kp(FgAbelianGroup.cyclic(4), (1,), FgAbelianGroup.cyclic(4), (2,)) is False
+    assert kp(Z, (2,), Z, (-2,)) is True
+    assert kp(Z, (2,), Z, (3,)) is False
+    z6 = FgAbelianGroup.from_relation_rows(2, [[2, 1], [0, 3]])  # e1 generates, e2 = -2 e1
+    assert kp(z6, (1, 0), Z6, (1,)) is True
+    assert kp(z6, (0, 1), Z6, (2,)) is True
+    assert kp(z6, (0, 1), Z6, (1,)) is False
+    assert kp(z6, (0, 1), Z6, (3,)) is False
+    # not cyclic: (a, b) -> (a, a + b) sends one to the other, but equal quotients stay unknown
+    z_z2 = FgAbelianGroup.from_invariant_factors((2, 0))
+    assert kp(z_z2, (0, 1), z_z2, (1, 1)) is None
+    assert kp(z_z2, (1, 0), z_z2, (2, 0)) is False
+
+
+def test_kp_nonzero_unit_classes_on_cyclic_groups_are_unit_multiples():
+    for n in range(2, 25):
+        units = [u for u in range(1, n) if math.gcd(u, n) == 1]
+        zn = FgAbelianGroup.cyclic(n)
+        for x in range(1, n):
+            for y in range(1, n):
+                want = any(u * x % n == y for u in units)
+                assert kp_isomorphic(KirchbergInvariant(zn, (x,)), KirchbergInvariant(zn, (y,))) is want, (n, x, y)
+
+
 def test_unknown_unit_class_gives_unknown_answers():
     # a nonzero unit class survives into a localized K0, which has no zero test
     x = crossed_product_invariant(KirchbergInvariant(Z3, (1,)), 2)
@@ -185,18 +217,22 @@ def finite_presentations(draw):
     return rows, draw(st.integers(4, 8))
 
 
+def truncated_checks(group, width) -> tuple:
+    """The pipeline's two truncated checks, rordam_verify and pv_check, on the pair at ``width``."""
+    pair = rordam_pair(group, width)
+    D, endo = assemble_pipeline_system(pair)
+    return rordam_verify(pair, group), pv_check(D, endo, group)
+
+
 @settings(max_examples=60, deadline=None)
 @given(finite_presentations())
 def test_truncated_checks_match_sympy(case):
     rows, width = case
     want = tuple(int(x) for x in invariant_factors(sympy.Matrix(rows)) if x != 1)
-    group = FgAbelianGroup.from_relation_rows(len(rows), rows)
-    pair = rordam_pair(group, width)
-    assert rordam_verify(pair, group).found == want
-    D, endo = assemble_pipeline_system(pair)
-    report = pv_check(D, endo, group)
-    assert report.invariant.k0.invariant_factors == want
-    assert report.invariant.k1.free_rank == 0
+    verified, pv = truncated_checks(FgAbelianGroup.from_relation_rows(len(rows), rows), width)
+    assert verified.found == want
+    assert pv.invariant.k0.invariant_factors == want
+    assert pv.invariant.k1.free_rank == 0
 
 
 @pytest.mark.parametrize("group,prime", [(TRIVIAL, 3), (Z2, 3), (Z3, 2)])
@@ -214,7 +250,7 @@ def test_pipeline_end_to_end(group, prime):
 def test_pipeline_smith_inputs_stay_g_wide(monkeypatch, g, twisted):
     # the staged pairs have rank g * width; the Smith form must see only what
     # the unit pivots of the saturated lattices leave, at most one column per
-    # generator
+    # generator, also on a width-16 pair
     shapes = []
     snf = abelian.smith_normal_form
 
@@ -226,15 +262,16 @@ def test_pipeline_smith_inputs_stay_g_wide(monkeypatch, g, twisted):
     d = [2, 3, 4, 5][:g]
     # U @ diag(d) with U upper bidiagonal, +-1 above the diagonal
     rows = [[d[j] * (j == i or twisted * (j == i + 1) * (-1) ** i) for j in range(g)] for i in range(g)]
-    report = pipeline(FgAbelianGroup.from_relation_rows(g, rows), depth=3, width=16)
-    assert report.all_passed
+    verified, pv = truncated_checks(FgAbelianGroup.from_relation_rows(g, rows), 16)
+    assert verified.passed and pv.passed
     assert shapes and max(c for _, c in shapes) <= g
 
 
 @pytest.mark.parametrize("twisted", [False, True])
 def test_pipeline_saturates_in_the_quotient(monkeypatch, twisted):
     # rordam_verify and pv_check saturate in Z^n / im m, on the columns the
-    # image's unit pivots leave, not on all g * width = 128 (129) columns
+    # image's unit pivots leave, not on all g * width = 128 (129) columns of
+    # a width-16 pair
     g = 8
     widths = []
     saturate = abelian.saturate_preimages
@@ -246,8 +283,8 @@ def test_pipeline_saturates_in_the_quotient(monkeypatch, twisted):
     monkeypatch.setattr(abelian, "saturate_preimages", recording)
     d = [2, 3, 4, 5, 6, 7, 9, 12]
     rows = [[d[j] * (j == i or twisted * (j == i + 1) * (-1) ** i) for j in range(g)] for i in range(g)]
-    report = pipeline(FgAbelianGroup.from_relation_rows(g, rows), depth=3, width=16)
-    assert report.all_passed
+    verified, pv = truncated_checks(FgAbelianGroup.from_relation_rows(g, rows), 16)
+    assert verified.passed and pv.passed
     assert len(widths) == 2 and max(widths) <= 2 * g
 
 
@@ -263,7 +300,7 @@ def test_pipeline_eliminates_each_lattice_once(monkeypatch):
         return eliminate(rows, ncols)
 
     monkeypatch.setattr(abelian, "_eliminate", counting)
-    report = pipeline(FgAbelianGroup.from_relation_rows(1, [[6]]), depth=3, width=16)
+    report = pipeline(FgAbelianGroup.from_relation_rows(1, [[6]]), depth=3)
     assert report.all_passed
     assert len(calls) <= 23
 
@@ -279,7 +316,7 @@ def test_pipeline_checks_each_element_positive_once(monkeypatch):
         return original(self, e, bound)
 
     monkeypatch.setattr(OrderedStagedSystem, "is_positive", counting)
-    report = pipeline(FgAbelianGroup.from_invariant_factors([2, 3]), depth=3, width=8)
+    report = pipeline(FgAbelianGroup.from_invariant_factors([2, 3]), depth=3)
     assert report.all_passed
     assert calls and max(calls.values()) == 1
 
@@ -351,9 +388,9 @@ def test_pipeline_reports_the_pv_kernel_as_k1(rows, k0):
 @settings(max_examples=30, deadline=None)
 @given(finite_presentations())
 def test_pipeline_invariant_is_the_group_on_torsion_presentations(case):
-    rows, width = case
+    rows, _ = case
     group = FgAbelianGroup.from_relation_rows(len(rows), rows)
-    report = pipeline(group, depth=3, width=width)
+    report = pipeline(group, depth=3)
     assert report.all_passed
     assert kp_isomorphic(report.pv.invariant, group_to_invariant(group)) is True
     assert report.pv.invariant.unit_is_zero()
@@ -363,13 +400,17 @@ def test_pipeline_invariant_is_the_group_on_torsion_presentations(case):
 @given(finite_presentations())
 def test_pipeline_answers_do_not_depend_on_the_width(case):
     # afkit.rordam's docstring proves both: the cokernel is G and the PV kernel
-    # has rank g - rank(relations) at every width >= 2
+    # has rank g - rank(relations) at every width >= 2, so the pipeline's
+    # answers, read at the least width, are those of every wider pair
     rows, _ = case
     group = FgAbelianGroup.from_relation_rows(len(rows), rows)
-    reports = [pipeline(group, 3, width) for width in range(2, 9)]
-    assert all(report.all_passed for report in reports)
-    answers = [(report.rordam.found, invariant_to_json(report.pv.invariant)) for report in reports]
-    assert answers == answers[:1] * len(answers)
+    report = pipeline(group, 3)
+    assert report.all_passed
+    want = (report.rordam.found, invariant_to_json(report.pv.invariant))
+    for width in range(2, 9):
+        verified, pv = truncated_checks(group, width)
+        assert verified.passed and pv.passed
+        assert (verified.found, invariant_to_json(pv.invariant)) == want
 
 
 def test_pv_unit_class_is_read_in_the_cokernel():

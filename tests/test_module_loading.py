@@ -14,6 +14,7 @@ import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 BASE = {"afkit", "afkit.cli", "afkit.abelian"}
+INVARIANTS = {"afkit.invariants", "afkit.rordam", "afkit.limits", "afkit.dimension"}
 
 # imports the CLI and, given arguments, runs main on them with its output
 # discarded; prints [exit code, loaded afkit modules]
@@ -62,6 +63,10 @@ def loaded(tmp_path, argv) -> tuple:
     pytest.param(["diagram", "k0", "{dir}/diagram.json"], 0, {"afkit.limits", "afkit.dimension"}, id="diagram"),
     pytest.param(["ehs", "--system", "{dir}/system.json", "--depth", "2"], 0, {"afkit.limits", "afkit.dimension"},
                  id="ehs"),
+    # eplag (and fractions) only for a labeled-graph K0, which neither command builds
+    pytest.param(["pipeline", "--group", "{dir}/z2.json", "--prime", "3"], 0, INVARIANTS, id="pipeline"),
+    pytest.param(["invariant", "{dir}/z2.json", "--prime", "3", "--compare", "{dir}/z2.json"], 0, INVARIANTS,
+                 id="invariant"),
 ])
 def test_command_loads_only_its_modules(tmp_path, argv, code, extra):
     assert loaded(tmp_path, argv) == (code, BASE | extra)

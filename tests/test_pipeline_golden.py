@@ -1,7 +1,7 @@
 """Pinned `afkit --format json pipeline` output and `--emit-diagram` files.
 
 Each case is a presentation of a finite group, diagonal or upper-bidiagonal
-(U @ diag(d) with U unimodular), at width 8.  The expected stdout and diagram
+(U @ diag(d) with U unimodular).  The expected stdout and diagram
 file live byte for byte under tests/golden/pipeline/, so a change that means
 to leave the pipeline's answers alone shows here if it does not.
 
@@ -29,7 +29,6 @@ CASES = {
     "g4-diag": ([[2, 0, 0, 0], [0, 9, 0, 0], [0, 0, 7, 0], [0, 0, 0, 12]], 5),
     "g4-bidiag": ([[5, -3, 0, 0], [0, 3, 14, 0], [0, 0, 7, -4], [0, 0, 0, 4]], 2),  # U @ diag(5, 3, 7, 4)
 }
-WIDTH = 8
 
 
 def run_case(name, workdir: Path):
@@ -38,7 +37,7 @@ def run_case(name, workdir: Path):
     group.write_text(json.dumps({"generators": len(rows), "relations": rows}))
     diagram = workdir / f"{name}.diagram.json"
     argv = ["--format", "json", "pipeline", "--group", str(group), "--prime", str(p),
-            "--width", str(WIDTH), "--emit-diagram", str(diagram)]
+            "--emit-diagram", str(diagram)]
     return main(argv), diagram.read_text()
 
 

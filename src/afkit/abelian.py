@@ -474,7 +474,7 @@ def saturated_cokernel(step: IntMatrix, m: IntMatrix) -> tuple:
     other columns maps Z^n onto Z^kept with the unit rows as kernel and L
     onto R, so Z^kept/R is Z^n/L.  That reduction gives the coordinates, and
     on ``step``'s kept columns the induced map; K is presented on the kept
-    columns.  A Rordam pair keeps at most 2g of its g * width columns.
+    columns.
     """
     n = step.cols
     if not (step.rows == n == m.rows == m.cols and step @ m == m @ step):

@@ -316,14 +316,10 @@ def cmd_schreier(args) -> int:
 
 
 def cmd_rordam(args) -> int:
-    from .rordam import WidthError, rordam_pair, rordam_verify
+    from .rordam import rordam_pair, rordam_verify
 
     g = group_from_json(_load_json(args.group), args.group)
-    try:
-        pair = rordam_pair(g, args.width)
-    except WidthError as e:
-        raise InputError(str(e))
-    report = rordam_verify(pair, g)
+    report = rordam_verify(rordam_pair(g), g)
     _emit(
         {
             "pass": report.passed,
@@ -612,7 +608,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("rordam", help="build and verify the staged pair for a group")
     p.add_argument("--group", required=True)
-    p.add_argument("--width", type=int, default=6)
     p.set_defaults(func=cmd_rordam)
 
     p = sub.add_parser("diagram", help="validate, summarize, render, or telescope a diagram")
@@ -643,7 +638,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--group", required=True)
     p.add_argument("--prime", type=int, required=True)
     p.add_argument("--depth", type=int, default=3)
-    # unused: bench/workloads.py still passes it, until ROADMAP item 9's benchmark batch drops it
+    # unused: bench/workloads.py still passes it, until ROADMAP item 11's benchmark batch drops it
     p.add_argument("--width", help=argparse.SUPPRESS)
     p.add_argument("--emit-diagram")
     p.add_argument("--dot")

@@ -140,18 +140,6 @@ class BratteliDiagram:
     levels: tuple
     tail: tuple = ()
 
-    @classmethod
-    def single_vertex(cls, multiplicity: int, stored_levels: int = 2) -> "BratteliDiagram":
-        """Stationary one-vertex diagram with the given arrow multiplicity."""
-        m = IntMatrix.from_rows([[multiplicity]])
-        levels = []
-        w = 1
-        for n in range(stored_levels):
-            inc = m if n < stored_levels - 1 else None
-            levels.append(DiagramLevel(1, (w,), inc))
-            w *= multiplicity
-        return cls(tuple(levels), (m,))
-
     @property
     def num_levels(self) -> int:
         return len(self.levels)
@@ -346,12 +334,11 @@ class ShenCertificate:
     g; both conditions are re-checkable by :func:`verify_shen_certificate`.
     """
 
-    size: int
     phi: tuple
     g: IntMatrix
 
     def __post_init__(self):
-        if self.g.cols != self.size or len(self.phi) != self.size:
+        if self.g.cols != len(self.phi):
             raise ValueError("certificate shape mismatch")
 
 
@@ -399,7 +386,7 @@ def _shen_solve(D, theta, search_bound, is_positive) -> ShenCertificate:
 
 def _shen_simplicial(D, theta, search_bound) -> ShenCertificate:
     if not theta:
-        return ShenCertificate(0, (), IntMatrix.zeros(0, 0))
+        return ShenCertificate((), IntMatrix.zeros(0, 0))
     s = max(t.stage for t in theta)
     for attempt in range(search_bound + 1):
         stage = s + attempt
@@ -413,7 +400,7 @@ def _shen_simplicial(D, theta, search_bound) -> ShenCertificate:
                 LimitElement(stage, tuple(1 if k == t else 0 for k in range(n))) for t in used
             )
             g = IntMatrix.from_rows([[v[t] for t in used] for v in vecs], cols=len(used))
-            return ShenCertificate(len(used), phi, g)
+            return ShenCertificate(phi, g)
     raise ShenDepthExceeded(
         f"shen-depth-exceeded: no nonnegative common stage within {search_bound} pushes"
     )
@@ -432,7 +419,7 @@ def _shen_strict_first(D, theta, search_bound) -> ShenCertificate:
     if not nz:
         n = D.stage_rank(s)
         phi = (LimitElement(s, tuple(1 if k == 0 else 0 for k in range(n))),)
-        return ShenCertificate(1, phi, IntMatrix.zeros(len(theta), 1))
+        return ShenCertificate(phi, IntMatrix.zeros(len(theta), 1))
     # echelon: only basis[0] can have a nonzero first coordinate, so it alone
     # carries the first-coordinate functional and the rest lie in {t = 0}
     basis = hermite_row_basis(nz)
@@ -496,7 +483,7 @@ def _shen_strict_first(D, theta, search_bound) -> ShenCertificate:
     g = IntMatrix.from_rows([merged[atom] for atom in order]).transpose()
     if any(x < 0 for x in g.entries):
         raise ShenDepthExceeded("shen-depth-exceeded: internal coefficient went negative")
-    return ShenCertificate(len(order), phi, g)
+    return ShenCertificate(phi, g)
 
 
 CERTIFICATE_CHECK_DEPTH = 6  # stages pushed to decide simplicial positivity
@@ -555,11 +542,6 @@ def unit_atom_enumerator(D: OrderedStagedSystem) -> Iterator[LimitElement]:
         n = D.stage_rank(s)
         yield LimitElement(s, tuple(1 if k == 0 else 0 for k in range(n)))
         s += 1
-
-
-def constant_unit_enumerator(D: OrderedStagedSystem) -> Iterator[LimitElement]:
-    while True:
-        yield D.unit
 
 
 # ---------------------------------------------------------------------------
@@ -652,8 +634,7 @@ def _realize(D, phi, positive_enumerator, depth, search_bound) -> RealizationRes
         if key not in certificates:
             certificates[key] = base, _shen_solve(D, theta, search_bound, is_positive)
         stored, cert = certificates[key]
-        return ShenCertificate(cert.size, tuple(LimitElement(p.stage + base - stored, p.vector)
-                                                for p in cert.phi), cert.g)
+        return ShenCertificate(tuple(LimitElement(p.stage + base - stored, p.vector) for p in cert.phi), cert.g)
 
     unit = D.unit
     thetas = [(unit,)]
@@ -683,7 +664,7 @@ def _realize(D, phi, positive_enumerator, depth, search_bound) -> RealizationRes
             cert = solve(list(cert.phi))
             combined = combined @ cert.g
         columns = combined.transpose().sparse  # (row, entry) pairs, rows in order
-        keep = [j for j, col in enumerate(columns) if col] or list(range(cert.size))
+        keep = [j for j, col in enumerate(columns) if col] or list(range(len(cert.phi)))
         if any(not columns[j] or columns[j][0][0] >= l_n for j in keep):
             raise RealizationError(
                 f"level {n}: a produced vertex is unreachable from the current elements; "

@@ -24,19 +24,12 @@ from .abelian import (
     localize,
     saturated_cokernel,
 )
-from .dimension import (
-    STRICT_FIRST,
-    OrderedStagedSystem,
-    RealizationResult,
-    ehs_realize_with_endo,
-    unit_atom_enumerator,
-    validate_diagram,
-)
-from .limits import LimitElement, LimitEndomorphism, StagedSystem
-from .rordam import MIN_WIDTH, RordamPair, VerifyReport, rordam_pair, rordam_verify
 
 if TYPE_CHECKING:
+    from .dimension import OrderedStagedSystem, RealizationResult
     from .eplag import EplagGroup
+    from .limits import LimitEndomorphism
+    from .rordam import RordamPair, VerifyReport
 
     K0Descriptor = Union[FgAbelianGroup, LocalizedGroupDescriptor, EplagGroup]
 
@@ -201,6 +194,9 @@ def assemble_pipeline_system(pair: RordamPair) -> tuple:
     automorphism on the H block, which on representatives is beta applied
     twice with a stage bump.  Both are exact staged data.
     """
+    from .dimension import STRICT_FIRST, OrderedStagedSystem
+    from .limits import LimitElement, LimitEndomorphism, StagedSystem
+
     beta = pair.beta_matrix
     connect = _block_diag(2, beta)
     system = StagedSystem.stationary(connect)
@@ -273,17 +269,20 @@ class PipelineReport:
 def pipeline(group: FgAbelianGroup, depth: int) -> PipelineReport:
     """Full chain from a group presentation to its verified invariant.
 
-    Builds the staged pair for G at ``MIN_WIDTH`` (no answer depends on the
-    width, see :mod:`afkit.rordam`), assembles D = Z[1/2] (+) H with the
-    strict cone and unit (1, 0), realizes (D, beta) as a diagram with
-    multiplicities, and runs the truncated cokernel and kernel computation
-    against (G, 0); the final invariant is the one that computation reads
-    off, ``pv.invariant``.  Verification failures are reported, not raised;
+    Builds the staged pair for G on G's own g generators (see
+    :mod:`afkit.rordam`), assembles D = Z[1/2] (+) H with the strict cone
+    and unit (1, 0), realizes (D, beta) as a diagram with multiplicities,
+    and runs the truncated cokernel and kernel computation against (G, 0);
+    the final invariant is the one that computation reads off,
+    ``pv.invariant``.  Verification failures are reported, not raised;
     certificate-search exhaustion propagates.
     """
+    from .dimension import ehs_realize_with_endo, unit_atom_enumerator, validate_diagram
+    from .rordam import rordam_pair, rordam_verify
+
     if depth < 2:
         raise ValueError("depth must be at least 2")
-    pair = rordam_pair(group, MIN_WIDTH)
+    pair = rordam_pair(group)
     rordam_report = rordam_verify(pair, group)
     ordered, endo = assemble_pipeline_system(pair)
     realization = ehs_realize_with_endo(ordered, endo, unit_atom_enumerator(ordered), depth)

@@ -23,7 +23,6 @@ from afkit.dimension import (
     DiagramLevel,
     OrderedStagedSystem,
     basis_atom_enumerator,
-    constant_unit_enumerator,
     diagram_to_system,
     ehs_realize,
     ehs_realize_with_endo,
@@ -44,6 +43,8 @@ from afkit.invariants import (
 from afkit.limits import LimitElement, LimitEndomorphism, StagedSystem, limit_equal, push
 from afkit.rordam import rordam_pair, rordam_verify
 from afkit.schreier import kernel_oracle, schreier_generators
+
+from helpers import constant_unit_enumerator, single_vertex_diagram
 
 
 @contextmanager
@@ -119,7 +120,7 @@ def test_criterion_2_rordam():
     ]
     with criterion(2, "staged pair verifies H/(id-alpha)H = G", seconds=10.0):
         for g in groups:
-            pair = rordam_pair(g, width=6)
+            pair = rordam_pair(g)
             report = rordam_verify(pair, g)
             assert report.passed, (g.describe(), report)
 
@@ -150,7 +151,7 @@ def test_criterion_3_shen_certificates():
             cert = shen_solve(D, theta, 16)
             assert verify_shen_certificate(D, theta, cert)
         # the pipeline's ordered system for Z2
-        pair = rordam_pair(FgAbelianGroup.cyclic(2), width=6)
+        pair = rordam_pair(FgAbelianGroup.cyclic(2))
         D, endo = assemble_pipeline_system(pair)
         unit = D.unit
         theta = [unit, endo.apply(unit), LimitElement(1, push(D.system, D.unit, 1).vector)]
@@ -162,7 +163,7 @@ def test_criterion_3_shen_certificates():
 
 
 def uhf2_diagram(levels=8):
-    return BratteliDiagram.single_vertex(2, stored_levels=levels)
+    return single_vertex_diagram(2, stored_levels=levels)
 
 
 def fibonacci_diagram():
@@ -230,7 +231,7 @@ def test_criterion_5_endomorphism_realization():
         )
         tripler = LimitEndomorphism(IntMatrix.from_rows([[3]]))
         ident = LimitEndomorphism(IntMatrix.identity(1))
-        pair = rordam_pair(FgAbelianGroup.cyclic(2), width=6)
+        pair = rordam_pair(FgAbelianGroup.cyclic(2))
         pipe_D, pipe_endo = assemble_pipeline_system(pair)
         from afkit.dimension import unit_atom_enumerator
 

@@ -133,16 +133,9 @@ def test_schreier(tmp_path, capsys):
 
 def test_rordam_pass_and_fail(tmp_path, capsys):
     g = write(tmp_path, "g.json", Z2)
-    code, out, _ = run(capsys, ["--format", "json", "rordam", "--group", g, "--width", "6"])
+    code, out, _ = run(capsys, ["--format", "json", "rordam", "--group", g])
     assert code == 0
     assert json.loads(out)["pass"] is True
-
-
-def test_width_below_two_exits_2(tmp_path, capsys):
-    g = write(tmp_path, "g.json", Z2)
-    code, out, err = run(capsys, ["rordam", "--group", g, "--width", "1"])
-    assert (code, out) == (2, "")
-    assert err == "error: width 1 too small to express the kernel generators (need >= 2)\n"
 
 
 def test_diagram_validate_good(tmp_path, capsys):
@@ -481,7 +474,7 @@ def test_pipeline_cli(tmp_path, capsys):
 
 
 def test_pipeline_width_is_hidden_and_unused(tmp_path, capsys):
-    # the pipeline builds its pair at the least width; --width only still parses
+    # the staged pair has no width; --width only still parses
     g = write(tmp_path, "z3.json", Z3)
     argv = ["--format", "json", "pipeline", "--group", g, "--prime", "2", "--depth", "3"]
     code, out, _ = run(capsys, argv)

@@ -187,7 +187,7 @@ def test_pv_check_halving_on_dyadics():
 
 
 def test_pv_check_pipeline_system_z2():
-    pair = rordam_pair(Z2, width=6)
+    pair = rordam_pair(Z2)
     D, endo = assemble_pipeline_system(pair)
     report = pv_check(D, endo, Z2)
     assert report.passed
@@ -195,7 +195,7 @@ def test_pv_check_pipeline_system_z2():
 
 
 def test_pv_check_perturbed_fails():
-    pair = rordam_pair(Z2, width=4)
+    pair = rordam_pair(Z2)
     D, endo = assemble_pipeline_system(pair)
     base = endo.matrix.to_rows()
     base[1][1] += 1
@@ -206,7 +206,7 @@ def test_pv_check_perturbed_fails():
 
 @st.composite
 def finite_presentations(draw):
-    """U @ diag(d) with U upper bidiagonal and unimodular, and a width."""
+    """U @ diag(d) with U upper bidiagonal and unimodular."""
     g = draw(st.integers(1, 3))
     d = draw(st.lists(st.integers(2, 15), min_size=g, max_size=g))
     rows = [[0] * g for _ in range(g)]
@@ -214,25 +214,26 @@ def finite_presentations(draw):
         rows[i][i] = draw(st.sampled_from((1, -1))) * d[i]
         if i + 1 < g:
             rows[i][i + 1] = draw(st.integers(-3, 3)) * d[i + 1]
-    return rows, draw(st.integers(4, 8))
+    return rows
 
 
-def truncated_checks(group, width) -> tuple:
-    """The pipeline's two truncated checks, rordam_verify and pv_check, on the pair at ``width``."""
-    pair = rordam_pair(group, width)
+def truncated_checks(group) -> tuple:
+    """The pipeline's two truncated checks, rordam_verify and pv_check, on its staged pair."""
+    pair = rordam_pair(group)
     D, endo = assemble_pipeline_system(pair)
     return rordam_verify(pair, group), pv_check(D, endo, group)
 
 
 @settings(max_examples=60, deadline=None)
 @given(finite_presentations())
-def test_truncated_checks_match_sympy(case):
-    rows, width = case
+def test_truncated_checks_match_sympy(rows):
     want = tuple(int(x) for x in invariant_factors(sympy.Matrix(rows)) if x != 1)
-    verified, pv = truncated_checks(FgAbelianGroup.from_relation_rows(len(rows), rows), width)
+    group = FgAbelianGroup.from_relation_rows(len(rows), rows)
+    verified, pv = truncated_checks(group)
     assert verified.found == want
     assert pv.invariant.k0.invariant_factors == want
     assert pv.invariant.k1.free_rank == 0
+    assert pipeline(group, 3).all_passed
 
 
 @pytest.mark.parametrize("group,prime", [(TRIVIAL, 3), (Z2, 3), (Z3, 2)])
@@ -248,9 +249,8 @@ def test_pipeline_end_to_end(group, prime):
 @pytest.mark.parametrize("twisted", [False, True])
 @pytest.mark.parametrize("g", [1, 2, 4])
 def test_pipeline_smith_inputs_stay_g_wide(monkeypatch, g, twisted):
-    # the staged pairs have rank g * width; the Smith form must see only what
-    # the unit pivots of the saturated lattices leave, at most one column per
-    # generator, also on a width-16 pair
+    # the Smith form sees only what the unit pivots of the saturated lattices
+    # leave, at most one column per generator
     shapes = []
     snf = abelian.smith_normal_form
 
@@ -262,7 +262,7 @@ def test_pipeline_smith_inputs_stay_g_wide(monkeypatch, g, twisted):
     d = [2, 3, 4, 5][:g]
     # U @ diag(d) with U upper bidiagonal, +-1 above the diagonal
     rows = [[d[j] * (j == i or twisted * (j == i + 1) * (-1) ** i) for j in range(g)] for i in range(g)]
-    verified, pv = truncated_checks(FgAbelianGroup.from_relation_rows(g, rows), 16)
+    verified, pv = truncated_checks(FgAbelianGroup.from_relation_rows(g, rows))
     assert verified.passed and pv.passed
     assert shapes and max(c for _, c in shapes) <= g
 
@@ -270,8 +270,8 @@ def test_pipeline_smith_inputs_stay_g_wide(monkeypatch, g, twisted):
 @pytest.mark.parametrize("twisted", [False, True])
 def test_pipeline_saturates_in_the_quotient(monkeypatch, twisted):
     # rordam_verify and pv_check saturate in Z^n / im m, on the columns the
-    # image's unit pivots leave, not on all g * width = 128 (129) columns of
-    # a width-16 pair
+    # image's unit pivots leave, at most g of the pair's g (and the check's
+    # 1 + g) columns
     g = 8
     widths = []
     saturate = abelian.saturate_preimages
@@ -283,9 +283,9 @@ def test_pipeline_saturates_in_the_quotient(monkeypatch, twisted):
     monkeypatch.setattr(abelian, "saturate_preimages", recording)
     d = [2, 3, 4, 5, 6, 7, 9, 12]
     rows = [[d[j] * (j == i or twisted * (j == i + 1) * (-1) ** i) for j in range(g)] for i in range(g)]
-    verified, pv = truncated_checks(FgAbelianGroup.from_relation_rows(g, rows), 16)
+    verified, pv = truncated_checks(FgAbelianGroup.from_relation_rows(g, rows))
     assert verified.passed and pv.passed
-    assert len(widths) == 2 and max(widths) <= 2 * g
+    assert len(widths) == 2 and max(widths) <= g
 
 
 def test_pipeline_eliminates_each_lattice_once(monkeypatch):
@@ -387,30 +387,12 @@ def test_pipeline_reports_the_pv_kernel_as_k1(rows, k0):
 
 @settings(max_examples=30, deadline=None)
 @given(finite_presentations())
-def test_pipeline_invariant_is_the_group_on_torsion_presentations(case):
-    rows, _ = case
+def test_pipeline_invariant_is_the_group_on_torsion_presentations(rows):
     group = FgAbelianGroup.from_relation_rows(len(rows), rows)
     report = pipeline(group, depth=3)
     assert report.all_passed
     assert kp_isomorphic(report.pv.invariant, group_to_invariant(group)) is True
     assert report.pv.invariant.unit_is_zero()
-
-
-@settings(max_examples=40, deadline=None)
-@given(finite_presentations())
-def test_pipeline_answers_do_not_depend_on_the_width(case):
-    # afkit.rordam's docstring proves both: the cokernel is G and the PV kernel
-    # has rank g - rank(relations) at every width >= 2, so the pipeline's
-    # answers, read at the least width, are those of every wider pair
-    rows, _ = case
-    group = FgAbelianGroup.from_relation_rows(len(rows), rows)
-    report = pipeline(group, 3)
-    assert report.all_passed
-    want = (report.rordam.found, invariant_to_json(report.pv.invariant))
-    for width in range(2, 9):
-        verified, pv = truncated_checks(group, width)
-        assert verified.passed and pv.passed
-        assert (verified.found, invariant_to_json(pv.invariant)) == want
 
 
 def test_pv_unit_class_is_read_in_the_cokernel():

@@ -91,8 +91,6 @@ KEPT = (
     ("verify_certificate", "verifier: re-adds a membership certificate's generators"),
     ("verify_shen_certificate", "verifier: re-checks a Shen certificate against its system"),
     ("LimitEndomorphism.check_commuting", "verifier: the intertwining squares at every stage"),
-    ("constant_unit_enumerator", "acceptance helper: the acceptance tests realize with it"),
-    ("BratteliDiagram.single_vertex", "acceptance helper: the one-vertex diagrams of the acceptance tests"),
     ("FgAbelianGroup.cyclic", "input builder for Z/n, used throughout the tests"),
     ("FreeWord.parse", "input builder for words, used throughout the tests"),
     ("chain_tree", "input builder for path trees, used throughout the tests"),

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from heapq import heapify, heappop, heappush
 from itertools import chain
-from math import gcd, isqrt
+from math import gcd
 from operator import itemgetter
 from typing import Iterable, Sequence
 
@@ -152,7 +152,7 @@ def determinant(m: IntMatrix) -> int:
 # ---------------------------------------------------------------------------
 
 
-def smith_normal_form(m: IntMatrix) -> tuple:
+def smith_normal_form(m: IntMatrix, *, transforms: bool = True) -> tuple:
     """Diagonalize ``m`` as U @ m @ V = S.
 
     U and V are unimodular; the diagonal of S is nonnegative and each entry
@@ -163,43 +163,60 @@ def smith_normal_form(m: IntMatrix) -> tuple:
     turns (a, b) into (gcd, lcm).  Every block stays in sparse rows, with U
     and V^T carried from column ``k = r + c`` on.
 
-    Returns (S, U, V).
+    Returns (S, U, V), or (S,) when ``transforms`` is false.  Then nothing
+    is carried: the passes run on the head alone, a row whose head reduces
+    to zero is empty and dropped, and the 2x2 step updates the diagonal
+    only.  S is the same either way.  `_eliminate` takes every merge and
+    reduction decision from head entries, the columns below k, and a
+    carried entry never enters a head entry, so each pass turns the same
+    head into the same head with or without carried columns.  A dropped
+    row has a zero head and comes after every pivot row, so it adds nothing
+    to the head that the next pass transposes and moves no pivot row's
+    index: that pass starts from the same head too.
     """
     r, c, k = m.rows, m.cols, m.rows + m.cols
 
-    def flip(src: list, dst: list) -> list:  # dst's carried rows under src's transposed head, reduced
-        out = [{j: x for j, x in row.items() if j >= k} for row in dst]
+    def reduced(out: list) -> list:
+        basis, zero_head = _eliminate(out, k)
+        return basis + zero_head
+
+    def flip(src: list, dst: list, width: int) -> list:
+        # src's transposed head over dst's carried rows, or over width empty rows, reduced
+        out = ([{j: x for j, x in row.items() if j >= k} for row in dst] if transforms
+               else [{} for _ in range(width)])
         for i, row in enumerate(src):
             for j, x in row.items():
                 if j < k:
                     out[j][i] = x
-        basis, zero_head = _eliminate(out, k)
-        return basis + zero_head
+        return reduced(out)
 
     def carried(rows: list, width: int) -> IntMatrix:
         return IntMatrix.from_sparse([{j - k: x for j, x in row.items() if j >= k} for row in rows], width)
 
-    # [A | I]: the transpose of A's columns, carrying the identity
-    rows = flip(list(map(dict, m.transpose().sparse)), [{k + i: 1} for i in range(r)])
-    cols = [{k + j: 1} for j in range(c)]
+    if transforms:  # [A | I], and the identity V^T that the first column pass fills in
+        rows, cols = [dict(row) | {k + i: 1} for i, row in enumerate(m.sparse)], [{k + j: 1} for j in range(c)]
+    else:
+        rows, cols = list(map(dict, m.sparse)), []
+    rows = reduced(rows)
     # the gcd merge keeps a pivot row whose pivot divides the column, so each
     # column pass and row pass either shrinks the top-left pivot or leaves its
     # row and column clear for good; by induction on the size the loop ends
     while any(j != i for i, row in enumerate(rows) for j in row if j < k):
-        cols = flip(rows, cols)
-        rows = flip(cols, rows)
-    diag = [rows[i][i] for i in range(min(r, c)) if i in rows[i]]
+        cols = flip(rows, cols, c)
+        rows = flip(cols, rows, r)
+    diag = [row[i] for i, row in enumerate(rows) if i in row]  # a zero-head row holds no column below k
     for i in range(len(diag)):
         for j in range(i + 1, len(diag)):
             da, db = diag[i], diag[j]
             if db % da:
                 g = gcd(da, db)
-                x, y = _bezout(da, db)
-                rows[i], rows[j] = _combine(rows[i], rows[j], x, y, -db // g, da // g)
-                cols[i], cols[j] = _combine(cols[i], cols[j], 1, 1, -y * db // g, x * da // g)
+                if transforms:
+                    x, y = _bezout(da, db)
+                    rows[i], rows[j] = _combine(rows[i], rows[j], x, y, -db // g, da // g)
+                    cols[i], cols[j] = _combine(cols[i], cols[j], 1, 1, -y * db // g, x * da // g)
                 diag[i], diag[j] = g, da // g * db
     s = IntMatrix.from_sparse([{i: d} for i, d in enumerate(diag)] + [{}] * (r - len(diag)), c)
-    return s, carried(rows, r), carried(cols, c).transpose()
+    return (s, carried(rows, r), carried(cols, c).transpose()) if transforms else (s,)
 
 
 # ---------------------------------------------------------------------------
@@ -566,9 +583,10 @@ class FgAbelianGroup:
         lattice leave: the entries above a pivot lie in [0, pivot) and those
         below are 0, so a pivot 1 is alone in its column, its row writes that
         generator in the later ones, and dropping the row with its column
-        presents the same group."""
+        presents the same group.  Only S is read, so the Smith form carries
+        no transforms."""
         _, keep, rest = _split_unit_pivots(self.relation_lattice)
-        s, _, _ = smith_normal_form(IntMatrix.from_sparse(rest, len(keep)))
+        (s,) = smith_normal_form(IntMatrix.from_sparse(rest, len(keep)), transforms=False)
         diag = [d for d in s.diagonal() if d != 0]
         return tuple(d for d in diag if d > 1) + (0,) * (len(keep) - len(diag))
 
@@ -660,5 +678,46 @@ def localize(group: FgAbelianGroup, p: int) -> LocalizedGroupDescriptor:
     return LocalizedGroupDescriptor(p, group.free_rank, tuple(torsion))
 
 
+# Miller-Rabin on the first 13 primes as bases is exact below psi_13, the
+# least composite that passes all 13 (Sorenson and Webster, Math. Comp. 86,
+# 2017); from there on these bases are not proved exact.
+PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIMALITY_BOUND = 3_317_044_064_679_887_385_961_981
+
+
+class PrimalityBoundExceeded(ValueError):
+    """Raised by :func:`is_prime` for a number at or past ``PRIMALITY_BOUND``."""
+
+
 def is_prime(n: int) -> bool:
-    return n > 1 and all(n % d for d in range(2, isqrt(n) + 1))
+    """Exact primality by deterministic Miller-Rabin on ``PRIME_BASES``.
+
+    A prime p with p - 1 = d 2^s makes every base a < p a strong probable
+    prime: a^d = 1 or a^(d 2^i) = -1 mod p for some i < s, since x^2 = 1 has
+    only the roots 1 and -1 mod p.  The least odd composite that every base
+    up to 41 passes is psi_13, so below it the test is exact.  A number with
+    a factor among the bases is prime only if it is that base, and one
+    below 43^2 without such a factor is prime.
+    """
+    if n >= PRIMALITY_BOUND:
+        raise PrimalityBoundExceeded(f"primality is decided exactly only below {PRIMALITY_BOUND}")
+    if n < 2:
+        return False
+    for p in PRIME_BASES:
+        if n % p == 0:
+            return n == p
+    if n < 43 * 43:  # a composite this small has a prime factor below 43
+        return True
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # the power of 2 in n - 1
+    d = (n - 1) >> s
+    for a in PRIME_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True

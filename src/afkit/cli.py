@@ -20,6 +20,7 @@ from .abelian import (
     FgAbelianGroup,
     IntMatrix,
     LocalizedGroupDescriptor,
+    PrimalityBoundExceeded,
     is_n_divisible,
     is_prime,
     require_ints,
@@ -82,11 +83,19 @@ def _int_list(flag: str, text: str, what: str = "integers", ok=lambda n: True) -
     """Comma-separated integers, each passing ``ok``; InputError otherwise."""
     try:
         values = [int(x) for x in text.split(",") if x]
-        if all(ok(v) for v in values):
-            return values
     except ValueError:
-        pass
-    raise InputError(f"{flag}: expected comma-separated {what}")
+        values = None
+    if values is None or not all(ok(v) for v in values):
+        raise InputError(f"{flag}: expected comma-separated {what}")
+    return values
+
+
+def _is_prime(flag: str, n: int) -> bool:
+    """:func:`is_prime`, a number too large to decide being an InputError on ``flag``."""
+    try:
+        return is_prime(n)
+    except PrimalityBoundExceeded as e:
+        raise InputError(f"{flag}: {e}")
 
 
 def _object(data, where: str) -> dict:
@@ -454,7 +463,7 @@ def cmd_eplag(args) -> int:
         if not args.tree:
             raise InputError("eplag tree: --tree is required")
         tree = tree_from_json(_load_json(args.tree), args.tree)
-        P = _int_list("--p", args.p, "primes", is_prime)
+        P = _int_list("--p", args.p, "primes", functools.partial(_is_prime, "--p"))
         group = tree_to_eplag(tree, P)
         print(json.dumps(eplag_to_json(group), sort_keys=True, indent=2))
         return EXIT_OK
@@ -496,7 +505,7 @@ def cmd_pipeline(args) -> int:
 
     if args.depth < 2:
         raise InputError("--depth: must be at least 2")
-    if not is_prime(args.prime):
+    if not _is_prime("--prime", args.prime):
         raise InputError(f"--prime: {args.prime} is not prime")
     g = group_from_json(_load_json(args.group), args.group)
     report = pipeline(g, args.depth)
@@ -549,7 +558,7 @@ def cmd_invariant(args) -> int:
         o_infty_st_absorbing,
     )
 
-    if args.prime is not None and not is_prime(args.prime):
+    if args.prime is not None and not _is_prime("--prime", args.prime):
         raise InputError(f"--prime: {args.prime} is not prime")
     g = group_from_json(_load_json(args.group), args.group)
     inv = group_to_invariant(g)

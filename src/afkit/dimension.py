@@ -195,9 +195,12 @@ def validate_diagram(d: BratteliDiagram) -> list:
                 violations.append(f"condition 5 at level {n + 1}: weight of vertex {j} is "
                                   f"{w}, path count gives {s}")
                 break
-    for t in d.tail:
+    for i, t in enumerate(d.tail):
         if any(x < 0 for x in t.entries):
             violations.append("condition 4 in tail: negative multiplicity")
+        # a vertex with no edge in gets path count 0, a weight condition 3 forbids
+        if zero := [j for j, col in enumerate(t.transpose().sparse) if not col]:
+            violations.append(f"condition 3 in tail: incidence {i} has no edge into vertex {zero[0]}")
     if d.tail:
         last = d.levels[-1].size
         if d.tail[0].rows != last:

@@ -8,7 +8,7 @@ finite groups.
 
 import random
 from itertools import combinations, product
-from math import gcd, prod
+from math import gcd, isqrt, prod
 
 import pytest
 import sympy
@@ -18,16 +18,19 @@ from sympy.matrices.normalforms import hermite_normal_form, invariant_factors
 
 from afkit import abelian
 from afkit.abelian import (
+    PRIMALITY_BOUND,
     DimensionMismatch,
     FgAbelianGroup,
     IntMatrix,
     LocalizedGroupDescriptor,
+    PrimalityBoundExceeded,
     cokernel_invariants,
     determinant,
     hermite_row_basis,
     hermite_row_basis_augmented,
     image_lattice_rows,
     is_n_divisible,
+    is_prime,
     kernel_basis,
     localize,
     preimage_lattice_rows,
@@ -260,6 +263,66 @@ def test_snf_dense_25x25():
     rng = random.Random(25)
     rows = [[rng.randint(-9, 9) for _ in range(25)] for _ in range(25)]
     check_snf_certificate(IntMatrix.from_rows(rows))
+
+
+@st.composite
+def smith_inputs(draw):
+    """(rows, cols) up to 10x10, empty shapes included: dense entries, sparse
+    ones (zero rows and columns), products through a narrower inner
+    dimension (rank deficient), or U diag(d) V with some d = 0."""
+    def grid(entry, rows: int, cols: int) -> list:
+        return draw(st.lists(st.lists(entry, min_size=cols, max_size=cols), min_size=rows, max_size=rows))
+
+    r, c = draw(st.integers(0, 10)), draw(st.integers(0, 10))
+    kind = draw(st.sampled_from(("dense", "sparse", "low rank", "presented")))
+    if kind == "presented" and r and c:
+        diag = draw(st.lists(st.sampled_from((0, 0, 1, 2, 3, 6, 12)), min_size=min(r, c), max_size=min(r, c)))
+        return presentation(draw(st.randoms(use_true_random=False)), r, c, diag), c
+    if kind == "low rank" and r and c:
+        k, entry = draw(st.integers(0, min(r, c) - 1)), st.integers(-4, 4)
+        a, b = IntMatrix.from_rows(grid(entry, r, k), cols=k), IntMatrix.from_rows(grid(entry, k, c), cols=c)
+        return (a @ b).to_rows(), c
+    return grid(st.integers(-9, 9) if kind == "dense" else st.sampled_from((0,) * 6 + (1, -1, 2, 5)), r, c), c
+
+
+@settings(max_examples=300, deadline=None)
+@given(smith_inputs())
+def test_snf_without_transforms_is_the_same_s(rows_and_cols):
+    rows, c = rows_and_cols
+    m = IntMatrix.from_rows(rows, cols=c)
+    s = smith_normal_form(m)[0]
+    assert smith_normal_form(m, transforms=False) == (s,)
+    if rows and c and len(rows) * c <= 36:  # sympy, on the smaller ones
+        want = [int(d) for d in invariant_factors(sympy.Matrix(rows)) if d != 0]
+        assert [d for d in s.diagonal() if d] == want
+
+
+def test_snf_without_transforms_carries_and_combines_nothing(monkeypatch):
+    # diag(2, 3, 5) needs the gcd/lcm step and no Hermite merge: with the
+    # transforms that step combines rows of U and of V, without them it
+    # rewrites the diagonal alone, and no row handed to the eliminator has a
+    # column past the head
+    combined, carried = [], []
+    combine, eliminate = abelian._combine, abelian._eliminate
+
+    def counting(*args):
+        combined.append(args)
+        return combine(*args)
+
+    def recording(rows, ncols):
+        rows = list(rows)
+        carried.extend(j for row in rows for j in row if j >= ncols)
+        return eliminate(rows, ncols)
+
+    monkeypatch.setattr(abelian, "_combine", counting)
+    monkeypatch.setattr(abelian, "_eliminate", recording)
+    group = FgAbelianGroup.from_relation_rows(3, [[2, 0, 0], [0, 3, 0], [0, 0, 5]])
+    assert group.invariant_factors == (30,)
+    assert combined == [] and carried == []
+    assert smith_normal_form(group.relations, transforms=False)[0].diagonal() == [1, 1, 30]
+    assert combined == [] and carried == []
+    smith_normal_form(group.relations)
+    assert combined and carried
 
 
 def test_dense_presentation_of_z663():
@@ -901,6 +964,53 @@ def test_divisibility_matches_brute_force(factors):
         surj, inj = brute_force_divisible(factors, n)
         assert is_n_divisible(g, n) == surj
         assert is_n_divisible(g, n) == (surj and inj)
+
+
+def trial_division(n: int) -> bool:
+    return n > 1 and all(n % d for d in range(2, isqrt(n) + 1))
+
+
+def is_strong_probable_prime(n: int, a: int) -> bool:
+    """a^d = 1 or a^(d 2^i) = -1 mod n for some i < s, where n - 1 = d 2^s."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    return pow(a, d, n) == 1 or any(pow(a, d << i, n) == n - 1 for i in range(s))
+
+
+def test_is_prime_agrees_with_trial_division_below_ten_to_the_five():
+    assert [n for n in range(10**5) if is_prime(n)] == [n for n in range(10**5) if trial_division(n)]
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(
+    st.integers(0, PRIMALITY_BOUND - 1),
+    st.integers(2, 2**40).map(sympy.nextprime),  # a prime
+    st.tuples(st.integers(2, 2**40), st.integers(2, 2**40)).map(  # a product of two primes
+        lambda ab: sympy.nextprime(ab[0]) * sympy.nextprime(ab[1])),
+))
+def test_is_prime_agrees_with_sympy(n):
+    assert is_prime(n) == sympy.isprime(n)
+
+
+# strong pseudoprimes to the bases 2, 3, 5, ... up to the last one each passes
+@pytest.mark.parametrize("n, last_base", [
+    (2047, 2), (1373653, 3), (25326001, 5), (3215031751, 7), (2152302898747, 11),
+    (3474749660383, 13), (341550071728321, 17), (3825123056546413051, 23),
+    (318665857834031151167461, 37),  # psi_12: only the base 41 shows it composite
+])
+def test_is_prime_sees_through_strong_pseudoprimes(n, last_base):
+    assert all(is_strong_probable_prime(n, a) for a in sympy.primerange(2, last_base + 1))
+    assert not sympy.isprime(n) and not is_prime(n)
+
+
+def test_is_prime_refuses_past_its_exact_range():
+    assert is_prime(PRIMALITY_BOUND - 2) == sympy.isprime(PRIMALITY_BOUND - 2)
+    for n in (PRIMALITY_BOUND, PRIMALITY_BOUND + 2, 10**30):
+        with pytest.raises(PrimalityBoundExceeded, match=str(PRIMALITY_BOUND)):
+            is_prime(n)
+    with pytest.raises(PrimalityBoundExceeded):
+        localize(FgAbelianGroup.cyclic(2), 10**30)
 
 
 def test_localize_examples():

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -214,6 +215,18 @@ def test_diagram_actions_report_an_invalid_diagram(tmp_path, capsys, action):
     assert code == 1
     assert json.loads(out) == {"valid": False, "violations": INVALID_DIAGRAM_VIOLATIONS}
     assert not dot.exists()
+
+
+@pytest.mark.parametrize("action", ["validate", "k0", "dot", "telescope"])
+def test_diagram_actions_refuse_a_tail_vertex_of_weight_zero(tmp_path, capsys, action):
+    # the tail's zero column gives its vertex the path count 0
+    path = write(tmp_path, "d.json", {"levels": [{"l": 1, "w": [1], "m": [[2]]}, {"l": 1, "w": [2]}],
+                                      "tail": [[[0]]]})
+    code, out, _ = run(capsys, ["--format", "json", "diagram", action, path, "--cuts", "0,1",
+                                "--out", str(tmp_path / "d.dot")])
+    assert code == 1
+    assert json.loads(out) == {"valid": False,
+                               "violations": ["condition 3 in tail: incidence 0 has no edge into vertex 0"]}
 
 
 RAGGED_SYSTEM = {"kind": "stationary", "matrices": [[[1, 0], [0]]], "cone": "simplicial", "unit": [1, 1]}
@@ -550,6 +563,10 @@ def readme_graph(tmp_path, capsys):
         (["pipeline", "--group", "{z2}", "--prime", "3", "--depth", "1"], "--depth"),
         (["pipeline", "--group", "{z2}", "--prime", "4"], "--prime"),
         (["invariant", "{z2}", "--prime", "4"], "--prime"),
+        # past the range where primality is decided exactly
+        (["pipeline", "--group", "{z2}", "--prime", "3317044064679887385961981"], "--prime"),
+        (["invariant", "{z2}", "--prime", "3317044064679887385961981"], "--prime"),
+        (["eplag", "tree", "--tree", "{tree}", "--p", "5,3317044064679887385961981"], "--p"),
         (["group", "{z2}", "--divisors", "1"], "--divisors"),
         (["group", "{z2}", "--divisors", "x"], "--divisors"),
         (["schreier", "--target", "{z2}", "--images", "[[1,2]]"], "--images"),
@@ -576,6 +593,16 @@ def test_bad_flag_value_exits_2(tmp_path, capsys, argv, flag):
     code, _, err = run(capsys, [a.format(**paths) for a in argv])
     assert code == 2
     assert err.startswith(f"error: {flag}:")
+
+
+def test_pipeline_decides_a_large_prime_at_once(tmp_path, capsys):
+    # 10^18 + 3 is prime; trial division up to its square root would take minutes
+    path = write(tmp_path, "z6.json", Z6)
+    start = time.perf_counter()
+    code, out, _ = run(capsys, ["--format", "json", "pipeline", "--group", path, "--prime", "1000000000000000003"])
+    assert time.perf_counter() - start < 1.0
+    assert code == 0
+    assert json.loads(out)["absorption"] == {"d_1000000000000000003": True, "o_infty_standard": True}
 
 
 def test_eplag_fingerprint_past_the_digit_limit_answers(tmp_path, capsys):

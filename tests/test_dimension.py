@@ -121,6 +121,11 @@ ROOT = {"l": 1, "w": [1]}
                  "tail incidence does not attach to the last stored level", id="tail-attach"),
     pytest.param({"levels": [ROOT], "tail": [[[1, 1]], [[1]]]}, "tail incidences do not chain",
                  id="tail-chain"),
+    # the tail vertex's path count would be 0, a weight condition 3 forbids
+    pytest.param({"levels": [dict(ROOT, m=[[2]]), {"l": 1, "w": [2]}], "tail": [[[0]]]},
+                 "condition 3 in tail: incidence 0 has no edge into vertex 0", id="tail-zero-column"),
+    pytest.param({"levels": [ROOT], "tail": [[[1, 0]], [[1], [0]]]},
+                 "condition 3 in tail: incidence 0 has no edge into vertex 1", id="tail-second-zero-column"),
 ])
 def test_validate_reports_each_violation(data, message):
     assert validate_diagram(diagram_from_json_dict(data)) == [message]

@@ -254,9 +254,9 @@ def test_pipeline_smith_inputs_stay_g_wide(monkeypatch, g, twisted):
     shapes = []
     snf = abelian.smith_normal_form
 
-    def recording(m):
+    def recording(m, **kwargs):
         shapes.append((m.rows, m.cols))
-        return snf(m)
+        return snf(m, **kwargs)
 
     monkeypatch.setattr(abelian, "smith_normal_form", recording)
     d = [2, 3, 4, 5][:g]

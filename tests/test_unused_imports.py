@@ -109,26 +109,53 @@ def public_definitions(tree: ast.Module):
                     yield f"{node.name}.{item.name}", item
 
 
+def annotated_class(ann):
+    """The class name an annotation spells: C, "C", Optional[C], C | None or "C | None"."""
+    if isinstance(ann, ast.Constant) and isinstance(ann.value, str):
+        return annotated_class(ast.parse(ann.value, mode="eval").body)
+    if isinstance(ann, ast.Subscript) and getattr(ann.value, "id", None) == "Optional":
+        return annotated_class(ann.slice)
+    if isinstance(ann, ast.BinOp) and isinstance(ann.op, ast.BitOr):
+        sides = [side for side in (ann.left, ann.right)
+                 if not (isinstance(side, ast.Constant) and side.value is None)]
+        return annotated_class(sides[0]) if len(sides) == 1 else None
+    return ann.id if isinstance(ann, ast.Name) else None
+
+
+def built_class(value):
+    """C for a value ``C(...)`` or ``C.method(...)``, else None."""
+    func = value.func if isinstance(value, ast.Call) else None
+    func = func.value if isinstance(func, ast.Attribute) else func
+    return func.id if isinstance(func, ast.Name) else None
+
+
 def receiver_classes(tree: ast.Module, classes: set) -> dict:
     """id of each attribute read ``r.name`` -> the class ``r`` is known to be:
-    C where ``r`` is a ``self`` parameter inside C's body or a parameter
-    annotated C, for C one of ``classes``."""
+    C where ``r`` is a ``self`` parameter inside C's body, a parameter
+    annotated C, "C", Optional[C], C | None or "C | None", or a name last
+    bound by ``r = C(...)`` or ``r = C.method(...)``, for C one of
+    ``classes``.  Any other binding of ``r`` makes it of no known class."""
     known = {}
 
     def visit(node, env: dict, owner):
         if isinstance(node, ast.ClassDef):
-            owner = node.name
+            env, owner = dict(env), node.name
         elif isinstance(node, (ast.FunctionDef, ast.Lambda)):
             env = dict(env)
             for arg in node.args.posonlyargs + node.args.args + node.args.kwonlyargs:
-                ann = arg.annotation  # C or "C"
-                cls = ann.id if isinstance(ann, ast.Name) else getattr(ann, "value", None)
-                cls = owner if arg.arg == "self" else cls
+                cls = owner if arg.arg == "self" else annotated_class(arg.annotation)
                 env[arg.arg] = cls if cls in classes else None
         elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and env.get(node.value.id):
             known[id(node)] = env[node.value.id]
-        for child in ast.iter_child_nodes(node):
+        # the value is read before the names are bound
+        for child in [node.value, *node.targets] if isinstance(node, ast.Assign) else ast.iter_child_nodes(node):
             visit(child, env, owner)
+        # any binding but r = C(...) or r = C.method(...) leaves r of no known class
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            env[node.id] = None
+        elif isinstance(node, ast.Assign) and len(node.targets) == 1 and isinstance(node.targets[0], ast.Name):
+            cls = built_class(node.value)
+            env[node.targets[0].id] = cls if cls in classes else None
 
     visit(tree, {}, None)
     return known
@@ -182,6 +209,25 @@ def test_checker_sees_an_uncalled_public_name():
               "def use(b: B, c: 'B'):\n    return b.matrix, c.matrix\n\nuse(B(), B()), A()\n")
     assert uncalled_public_names([source]) == ["A.matrix"]
     assert uncalled_public_names([source + "\ndef f(c):\n    return c.matrix\n\nf(1)\n"]) == []
+    # a receiver bound by C(...) or C.method(...), or annotated as an optional C, is a C
+    for use in ("def f():\n    b = B()\n    return b.matrix\n",
+                "def f():\n    b = B.make()\n    return b.matrix\n",
+                "def f(b: Optional[B]):\n    return b.matrix\n",
+                "def f(b: B | None):\n    return b.matrix\n",
+                "def f(b: 'B | None'):\n    return b.matrix\n"):
+        source = ("class A:\n    def matrix(self):\n        pass\n\n"
+                  "class B:\n    matrix: int\n\n    @classmethod\n    def make(cls):\n        return cls()\n\n"
+                  f"{use}\nf(), A(), B.make()\n")
+        assert uncalled_public_names([source]) == ["A.matrix"], use
+    # a name bound to anything else, or rebound, is of no known class
+    for use in ("def f(x):\n    b = x\n    return b.matrix\n",
+                "def f(x):\n    b = B()\n    b = x\n    return b.matrix\n",
+                "def f(x):\n    b, c = B(), x\n    return b.matrix\n",
+                "def f(xs):\n    b = B()\n    for b in xs:\n        return b.matrix\n",
+                "def f(x):\n    b = x\n    b = b.make()\n    return b.matrix\n"):
+        source = ("class A:\n    def matrix(self):\n        pass\n\nclass B:\n    matrix: int\n\n"
+                  f"{use}\nf(1), A(), B()\n")
+        assert uncalled_public_names([source]) == [], use
     assert uncalled_public_names(["def f():\n    pass\n", "from m import f\nf()\n"]) == []
 
 

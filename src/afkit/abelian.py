@@ -335,53 +335,50 @@ def hermite_row_basis(rows: Iterable[Sequence[int]]) -> list:
 
 
 def row_lattice_contains(lattice: IntMatrix, vec: Sequence[int]) -> bool:
-    return row_lattice_coefficients(lattice, vec) is not None
+    return not _floor_walk(lattice, vec)[1]
 
 
 def row_lattice_coefficients(lattice: IntMatrix, vec: Sequence[int]):
     """Coefficients expressing ``vec`` over the rows of ``lattice``, or None.
 
     The rows must be a reduced Hermite basis, as every lattice function
-    returns; the walk reads each row's pivot, its first pair.
+    returns; see :func:`row_lattice_remainder` for why its walk finds them.
     """
-    if len(vec) != lattice.cols:
-        raise DimensionMismatch(f"vector length {len(vec)} != {lattice.cols} columns")
-    rest = _sparse(vec)
-    coeffs = []
-    for row in lattice.sparse:
-        q, r = divmod(rest.get(row[0][0], 0), row[0][1])
-        if r:
-            return None
-        coeffs.append(q)
-        if q:
-            _add_multiple(rest, row, -q)
-    return None if rest else coeffs
+    quotients, rest = _floor_walk(lattice, vec)
+    return None if rest else quotients
 
 
 def row_lattice_remainder(lattice: IntMatrix, vec: Sequence[int]) -> tuple:
     """The canonical representative of ``vec`` modulo the row lattice, as
     sorted (column, nonzero entry) pairs; () exactly for the lattice's members.
 
-    The walk of :func:`row_lattice_coefficients` over the reduced Hermite
-    rows b_1, ..., b_k, with pivots at columns p_1 < ... < p_k and entries
-    d_i > 0 there, but taking the floor quotient at each pivot: the
-    remainder rho(v) = v - sum q_i b_i lies in v + L and has its entry at
-    each p_i in [0, d_i), since b_i vanishes before p_i and the later rows
-    vanish at p_i.  It is unique per coset.  If v - v' lies in L, so does
-    rho(v) - rho(v') = sum c_i b_i; were some c_i nonzero, the first one
-    would make the difference at p_i equal to c_i d_i (the earlier rows
+    The walk over the reduced Hermite rows b_1, ..., b_k, with pivots at
+    columns p_1 < ... < p_k and entries d_i > 0 there, takes the floor quotient
+    q_i at each pivot: the remainder rho(v) = v - sum q_i b_i lies in v + L and
+    has its entry at each p_i in [0, d_i), since b_i vanishes before p_i and
+    the later rows vanish at p_i.  It is unique per coset.  If v - v' lies in
+    L, so does rho(v) - rho(v') = sum c_i b_i; were some c_i nonzero, the first
+    one would make the difference at p_i equal to c_i d_i (the earlier rows
     have c = 0, the later ones vanish there), but two entries in [0, d_i)
     differ by less than d_i.  So rho(v) = rho(v'), and conversely equal
-    remainders put v and v' in one coset.
+    remainders put v and v' in one coset.  A member's remainder is 0, so its
+    q_i are its coefficients, the only ones as the rows are independent.
     """
+    return tuple(sorted(_floor_walk(lattice, vec)[1].items()))
+
+
+def _floor_walk(lattice: IntMatrix, vec: Sequence[int]) -> tuple:
+    """Floor quotients of ``vec`` over a reduced Hermite basis, and the remainder as a dict."""
     if len(vec) != lattice.cols:
         raise DimensionMismatch(f"vector length {len(vec)} != {lattice.cols} columns")
     rest = _sparse(vec)
+    quotients = []
     for row in lattice.sparse:
         q = rest.get(row[0][0], 0) // row[0][1]
+        quotients.append(q)
         if q:
             _add_multiple(rest, row, -q)
-    return tuple(sorted(rest.items()))
+    return quotients, rest
 
 
 def solve_row_combination(gens: Sequence[Sequence[int]], target: Sequence[int]):

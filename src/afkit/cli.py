@@ -98,6 +98,18 @@ def _is_prime(flag: str, n: int) -> bool:
         raise InputError(f"{flag}: {e}")
 
 
+def _require_prime(flag: str, n: int) -> None:
+    if not _is_prime(flag, n):
+        raise InputError(f"{flag}: {n} is not prime")
+
+
+def _require_at_least(low: int, *flags: tuple) -> None:
+    """InputError on the first (flag, value) pair whose value is below ``low``."""
+    for flag, value in flags:
+        if value < low:
+            raise InputError(f"{flag}: must be at least {low}")
+
+
 def _object(data, where: str) -> dict:
     if not isinstance(data, dict):
         raise InputError(f"{where}: expected a JSON object")
@@ -215,7 +227,9 @@ def qvector_from_json(data: dict, where: str = "target") -> dict:
                 raise ValueError(f"{v}: expected a number or a fraction string, got {val}")
             # str(0.2) is "0.2": the decimal the JSON spells, not the nearest binary float
             out[v] = Fraction(str(val))
-    except (ValueError, ZeroDivisionError) as e:
+    except ZeroDivisionError:
+        raise InputError(f"{where}: {v}: zero denominator")
+    except ValueError as e:
         raise InputError(f"{where}: {e}")
     return out
 
@@ -310,13 +324,13 @@ def cmd_schreier(args) -> int:
         images = json.loads(args.images)
     except json.JSONDecodeError as e:
         raise InputError(f"--images: {e.msg}")
+    if not (isinstance(images, list) and all(isinstance(v, list) for v in images)):
+        raise InputError("--images: expected a JSON list of image vectors")
     try:
         oracle = kernel_oracle(target, images)
     except (TypeError, ValueError) as e:
         raise InputError(f"--images: {e}")
-    for flag, bound in (("--word-bound", args.word_bound), ("--gen-bound", args.gen_bound)):
-        if bound < 0:
-            raise InputError(f"{flag}: must be at least 0")
+    _require_at_least(0, ("--word-bound", args.word_bound), ("--gen-bound", args.gen_bound))
     if args.gen_bound > oracle.ambient_rank:
         raise InputError(f"--gen-bound: at most the number of images ({oracle.ambient_rank})")
     gens, bound_reached = schreier_generators(oracle, args.word_bound, args.gen_bound)
@@ -420,9 +434,7 @@ def cmd_ehs(args) -> int:
     from .dimension import basis_atom_enumerator, ehs_realize, ehs_realize_with_endo, unit_atom_enumerator
     from .limits import LimitEndomorphism
 
-    for flag, value in (("--depth", args.depth), ("--bound", args.bound)):
-        if value < 0:
-            raise InputError(f"{flag}: must be at least 0")
+    _require_at_least(0, ("--depth", args.depth), ("--bound", args.bound))
     D = ordered_system_from_json(_load_json(args.system), args.system)
     if D.is_positive(D.unit, args.bound) is False:
         raise InputError(f"{args.system}: unit: not in the positive cone")
@@ -486,11 +498,9 @@ def cmd_eplag(args) -> int:
         _emit(report, args.format)
         return EXIT_OK
     K = FINGERPRINT_EXP_BOUND if args.bound is None else args.bound  # fingerprint
-    if K < 1:
-        raise InputError("--bound: must be at least 1")
     prime_bound = FINGERPRINT_PRIME_BOUND if args.prime_bound is None else args.prime_bound
-    if prime_bound < 2:
-        raise InputError("--prime-bound: must be at least 2")
+    _require_at_least(1, ("--bound", K))
+    _require_at_least(2, ("--prime-bound", prime_bound))
     report = {
         "fingerprint": [list(s) for s in divisibility_fingerprint(group, K, prime_bound)],
         "p_divisible_sample": is_P_divisible_sample(group, K),
@@ -503,10 +513,8 @@ def cmd_pipeline(args) -> int:
     from .dimension import diagram_to_dot, diagram_to_json_dict
     from .invariants import crossed_product_invariant, d_p_absorbing, o_infty_st_absorbing, pipeline
 
-    if args.depth < 2:
-        raise InputError("--depth: must be at least 2")
-    if not _is_prime("--prime", args.prime):
-        raise InputError(f"--prime: {args.prime} is not prime")
+    _require_at_least(2, ("--depth", args.depth))
+    _require_prime("--prime", args.prime)
     g = group_from_json(_load_json(args.group), args.group)
     report = pipeline(g, args.depth)
     inv = report.pv.invariant  # every invariant value below is read from the PV stage
@@ -558,8 +566,8 @@ def cmd_invariant(args) -> int:
         o_infty_st_absorbing,
     )
 
-    if args.prime is not None and not _is_prime("--prime", args.prime):
-        raise InputError(f"--prime: {args.prime} is not prime")
+    if args.prime is not None:
+        _require_prime("--prime", args.prime)
     g = group_from_json(_load_json(args.group), args.group)
     inv = group_to_invariant(g)
     report = {

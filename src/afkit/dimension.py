@@ -508,15 +508,16 @@ def verify_shen_certificate(
     for p in cert.phi:
         if D.is_positive(p, CERTIFICATE_CHECK_DEPTH) is not True:
             return False
-    stage = max([p.stage for p in cert.phi] + [t.stage for t in theta], default=0)
-    phi_mat = IntMatrix.from_rows(
-        [push(D.system, p, stage).vector for p in cert.phi], cols=D.stage_rank(stage)
-    )
-    combos = cert.g @ phi_mat
-    for i, t in enumerate(theta):
-        if not limit_equal(D.system, LimitElement(stage, combos.row(i)), push(D.system, t, stage)):
-            return False
-    return not any((relation_lattice_rows(D, theta) @ cert.g).sparse)
+    return _factors_through(D, theta, cert.g, cert.phi) and not any((relation_lattice_rows(D, theta) @ cert.g).sparse)
+
+
+def _factors_through(D, theta, g, phi) -> bool:
+    """Whether every theta(i) equals sum_j g(i, j) phi(j) in the limit: the phi
+    are pushed once to the common stage, each row of g times them compared."""
+    stage = max([p.stage for p in phi] + [t.stage for t in theta], default=0)
+    phi_mat = IntMatrix.from_rows([push(D.system, p, stage).vector for p in phi], cols=D.stage_rank(stage))
+    combos = g @ phi_mat
+    return all(limit_equal(D.system, LimitElement(stage, combos.row(i)), t) for i, t in enumerate(theta))
 
 
 # ---------------------------------------------------------------------------
@@ -581,7 +582,8 @@ def ehs_realize(
     positive element (the unit once the enumerator is exhausted), factors
     through a Shen certificate, and uses the certificate's coefficients as
     the next incidence matrix.  The produced theta maps satisfy
-    theta_n(i) = sum_j m_n(i, j) theta_{n+1}(j) exactly at every level.
+    theta_n(i) = sum_j m_n(i, j) theta_{n+1}(j) exactly at every level, and
+    each level, the coverage expression too, is re-checked in the limit.
     """
     return _realize(D, None, positive_enumerator, depth, search_bound)
 
@@ -622,8 +624,9 @@ def _realize(D, phi, positive_enumerator, depth, search_bound) -> RealizationRes
     only on the stage's phase too.  So for both cones the shifted inputs get
     the same g and phi shifted by d, which is how a stored certificate is
     reused; a stationary system has one phase, so every shift reuses.
-    Every check after a solve (the images' positivity, the level and
-    intertwining identities) still runs per level.
+    Every check after a solve (the images' positivity, every row's
+    factorization by :func:`_factors_through` as :func:`verify_shen_certificate`
+    checks it, and the intertwining identity) still runs per level.
     """
     enum = iter(positive_enumerator)
     is_positive = cache(lambda e: D.is_positive(e, search_bound))  # one verdict per element
@@ -676,14 +679,14 @@ def _realize(D, phi, positive_enumerator, depth, search_bound) -> RealizationRes
         picked = IntMatrix(len(keep), combined.rows, tuple(columns[j] for j in keep)).transpose()
         m_n = IntMatrix(l_n, len(keep), picked.sparse[:l_n])
         new_thetas = tuple(cert.phi[j] for j in keep)
+        if not _factors_through(D, theta_prime, picked, new_thetas):
+            raise RealizationError("level identity failed exact verification")
         w_next = m_n.transpose().apply(levels[n].weights)
         levels[n] = DiagramLevel(levels[n].size, levels[n].weights, m_n)
         levels.append(DiagramLevel(len(keep), w_next, None))
         thetas.append(new_thetas)
         if phi is not None:
-            q_n = IntMatrix(l_n, len(keep), picked.sparse[l_n : 2 * l_n])
-            q_list.append(q_n)
-            _check_level_identities(D, cur, images, new_thetas, m_n, q_n)
+            q_list.append(IntMatrix(l_n, len(keep), picked.sparse[l_n : 2 * l_n]))
         literal = any(limit_equal(D.system, x, t) for t in new_thetas)
         coverage.append(
             CoverageRecord(
@@ -702,12 +705,3 @@ def _realize(D, phi, positive_enumerator, depth, search_bound) -> RealizationRes
         raise RealizationError("produced multiplicities fail the intertwining identity")
     return RealizationResult(diagram, tuple(thetas), tuple(coverage), endomorphism=endo)
 
-
-def _check_level_identities(D, cur, images, new_thetas, m_n, q_n):
-    """Exact postconditions: theta and phi(theta) both factor as claimed."""
-    stage = max((t.stage for t in new_thetas), default=0)
-    vecs = IntMatrix.from_rows([push(D.system, t, stage).vector for t in new_thetas])
-    for mat, sources in ((m_n, cur), (q_n, images)):
-        for combo, source in zip((mat @ vecs).to_rows(), sources):
-            if not limit_equal(D.system, LimitElement(stage, combo), source):
-                raise RealizationError("level identity failed exact verification")

@@ -1,5 +1,6 @@
 """CLI tests: exit codes, JSON round trips, deterministic output."""
 
+import importlib
 import json
 import os
 import subprocess
@@ -10,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from afkit import invariants
+from afkit import cli, invariants
 from afkit.abelian import FgAbelianGroup
 from afkit.cli import main
 from afkit.invariants import KirchbergInvariant
@@ -632,6 +633,29 @@ def test_eplag_member_rejects_boolean_target(tmp_path, capsys):
     code, _, err = run(capsys, ["eplag", "member", "--graph", graph, "--target", target])
     assert code == 2
     assert err.startswith(f"error: {target}:")
+
+
+def test_eplag_member_names_the_vertex_of_a_zero_denominator(tmp_path, capsys):
+    graph = readme_graph(tmp_path, capsys)
+    target = write(tmp_path, "x.json", {"r": "1/0"})
+    code, out, err = run(capsys, ["eplag", "member", "--graph", graph, "--target", target])
+    assert (code, out, err) == (2, "", f"error: {target}: r: zero denominator\n")
+
+
+@pytest.mark.parametrize("images", ["[1,2]", '{"a": 1}', "5", "[[1],2]"])
+def test_schreier_images_must_be_a_list_of_lists(tmp_path, capsys, images):
+    target = write(tmp_path, "z2.json", Z2)
+    code, out, err = run(capsys, ["schreier", "--target", target, "--images", images])
+    assert (code, out, err) == (2, "", "error: --images: expected a JSON list of image vectors\n")
+
+
+@pytest.mark.parametrize("module, name, code", cli.REPORTED_ERRORS)
+def test_reported_errors_resolve_to_caught_classes(module, name, code):
+    # main looks each class up only once an error arrives, so a stale row
+    # would otherwise surface as an AttributeError inside its handler
+    cls = getattr(importlib.import_module(f"afkit.{module}"), name)
+    assert issubclass(cls, (RuntimeError, ValueError))  # the bases main catches
+    assert code in (cli.EXIT_VERIFY_FAIL, cli.EXIT_DEPTH)
 
 
 SIMPLICIAL_ONE = {"kind": "stationary", "matrices": [[[1]]], "unit": [1]}

@@ -11,6 +11,8 @@ from afkit.dimension import (
     DiagramEndomorphism,
     DiagramLevel,
     OrderedStagedSystem,
+    RealizationError,
+    ShenCertificate,
     ShenDepthExceeded,
     basis_atom_enumerator,
     diagram_from_json_dict,
@@ -424,6 +426,67 @@ def test_shen_certificate_columns_kill_relations():
         assert cert.g.entry(0, j) + cert.g.entry(1, j) - cert.g.entry(2, j) == 0
 
 
+def dyadic_strict_system():
+    sys = StagedSystem.stationary(IntMatrix.from_rows([[2]]))
+    return OrderedStagedSystem(system=sys, cone="strict_first", unit=LimitElement(0, (1,)))
+
+
+RELATED = [LimitElement(0, (2,)), LimitElement(0, (3,)), LimitElement(0, (5,))]  # 2 + 3 - 5 = 0
+
+
+def bump_g(delta):
+    def change(phi, g):
+        g[0][0] += delta
+        return phi, g
+    return change
+
+
+def bump_phi(delta):
+    def change(phi, g):
+        p = phi[0]
+        return (LimitElement(p.stage, (p.vector[0] + delta,) + p.vector[1:]),) + phi[1:], g
+    return change
+
+
+def negative_entry(phi, g):
+    # theta(0) and theta(2) each move one phi(0) into a -1 column on a copy of
+    # phi(0): the identity and the relation (1, 1, -1) still hold, the sign does not
+    g = [row + [0] for row in g]
+    for i in (0, 2):
+        g[i][0] += 1
+        g[i][-1] -= 1
+    return phi + phi[:1], g
+
+
+def split_last_row(phi, g):
+    # theta(2) moves to a copy of phi: the identity holds, but the columns
+    # no longer satisfy the relation (1, 1, -1)
+    k = len(phi)
+    return phi + phi, [row + [0] * k for row in g[:-1]] + [[0] * k + g[-1]]
+
+
+BREAKS = {
+    "g+1": bump_g(1),
+    "g-1": bump_g(-1),
+    "phi+1": bump_phi(1),
+    "phi-1": bump_phi(-1),
+    "negative-g": negative_entry,
+    "short-g": lambda phi, g: (phi, g[:-1]),
+    "long-g": lambda phi, g: (phi, g + [g[0]]),
+    "relation": split_last_row,
+}
+
+
+@pytest.mark.parametrize("change", sorted(BREAKS))
+@pytest.mark.parametrize("system", [integers_system, dyadic_strict_system], ids=["integers", "strict"])
+def test_verifier_rejects_a_broken_certificate(system, change):
+    D = system()
+    cert = shen_solve(D, RELATED, 16)
+    assert verify_shen_certificate(D, RELATED, cert)
+    phi, g = BREAKS[change](cert.phi, cert.g.to_rows())
+    assert not verify_shen_certificate(D, RELATED, ShenCertificate(phi, IntMatrix.from_rows(g, cols=len(phi))))
+
+
 # --- EHS realization ----------------------------------------------------------
 
 
@@ -622,3 +685,31 @@ def test_pipeline_realization_solves_one_level(depth, shen_calls):
     prefix = as_prefix_form(D, depth)
     ehs_realize_with_endo(prefix, endo, enumerator(prefix), depth)
     assert len(shen_calls) == 2 * depth
+
+
+def bumped_x_row(cert):
+    """``cert`` with one more phi(j) on the last input, j a column the first input uses."""
+    g = cert.g.to_rows()
+    g[-1][next(j for j, c in enumerate(g[0]) if c)] += 1
+    return ShenCertificate(cert.phi, IntMatrix.from_rows(g, cols=len(cert.phi)))
+
+
+@pytest.mark.parametrize("with_endo", [False, True], ids=["plain", "endo"])
+@pytest.mark.parametrize("name", ["readme-ehs", "strict-2x2", "pipeline-g2-w8"])
+def test_realization_checks_the_appended_element(name, with_endo, monkeypatch):
+    # only the first solve is bumped: on the endo path the second one factors
+    # the first one's phi, so only x's row of the level's coefficients changes
+    D, endo, enumerator = REUSE_CASES[name][0]()
+    solve, calls = dimension._shen_solve, []
+
+    def bumped(*args):
+        calls.append(args)
+        cert = solve(*args)
+        return bumped_x_row(cert) if len(calls) == 1 else cert
+
+    monkeypatch.setattr(dimension, "_shen_solve", bumped)
+    with pytest.raises(RealizationError, match="level identity"):
+        if with_endo:
+            ehs_realize_with_endo(D, endo, enumerator(D), 1)
+        else:
+            ehs_realize(D, enumerator(D), 1)

@@ -11,6 +11,7 @@ one call, and loading all of them takes longer than most calls.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import sys
@@ -110,6 +111,15 @@ def _require_at_least(low: int, *flags: tuple) -> None:
             raise InputError(f"{flag}: must be at least {low}")
 
 
+@contextlib.contextmanager
+def _input(where: str):
+    """A TypeError or ValueError raised inside becomes InputError("<where>: <message>")."""
+    try:
+        yield
+    except (TypeError, ValueError) as e:
+        raise InputError(f"{where}: {e}")
+
+
 def _object(data, where: str) -> dict:
     if not isinstance(data, dict):
         raise InputError(f"{where}: expected a JSON object")
@@ -122,26 +132,24 @@ def _require(data: dict, key: str, where: str):
     return data[key]
 
 
-def group_from_json(data: dict, where: str = "group") -> FgAbelianGroup:
+def group_from_json(data: dict, where: str) -> FgAbelianGroup:
     gens = _require(data, "generators", where)
     rels = data.get("relations", [])
-    try:
+    with _input(where):
         (n,) = require_ints([gens], "generators")
         return FgAbelianGroup.from_relation_rows(n, rels)
-    except (TypeError, ValueError) as e:
-        raise InputError(f"{where}: {e}")
 
 
 def group_to_json(g: FgAbelianGroup) -> dict:
     return {"generators": g.num_generators, "relations": g.relations.to_rows()}
 
 
-def system_from_json(data: dict, where: str = "system") -> StagedSystem:
+def system_from_json(data: dict, where: str) -> StagedSystem:
     from .limits import StagedSystem
 
     kind = _require(data, "kind", where)
     matrices = _require(data, "matrices", where)
-    try:
+    with _input(where):
         mats = [IntMatrix.from_rows(m) for m in matrices]
         if kind == "stationary":
             if len(mats) != 1:
@@ -153,11 +161,9 @@ def system_from_json(data: dict, where: str = "system") -> StagedSystem:
                 raise InputError("period must be between 1 and the matrix count")
             return StagedSystem(tuple(mats[:-period]), tuple(mats[-period:]))
         raise InputError(f"unknown kind {kind!r}")
-    except (TypeError, ValueError) as e:
-        raise InputError(f"{where}: {e}")
 
 
-def ordered_system_from_json(data: dict, where: str = "system") -> OrderedStagedSystem:
+def ordered_system_from_json(data: dict, where: str) -> OrderedStagedSystem:
     from .dimension import OrderedStagedSystem
     from .limits import LimitElement
 
@@ -166,13 +172,11 @@ def ordered_system_from_json(data: dict, where: str = "system") -> OrderedStaged
     unit = data.get("unit")
     if unit is None:
         raise InputError(f"{where}: ordered systems need a stage-0 'unit' vector")
-    try:
+    with _input(where):
         return OrderedStagedSystem(system=sys_, cone=cone, unit=LimitElement(0, unit))
-    except (TypeError, ValueError) as e:
-        raise InputError(f"{where}: {e}")
 
 
-def eplag_from_json(data: dict, where: str = "graph") -> EplagGroup:
+def eplag_from_json(data: dict, where: str) -> EplagGroup:
     from .eplag import EplagGroup, PrimeLabeledGraph
 
     vertices = _object(_require(data, "vertices", where), f"{where}.vertices")
@@ -188,15 +192,13 @@ def eplag_from_json(data: dict, where: str = "graph") -> EplagGroup:
         key = frozenset(ends)
         edges.append(key)
         labels[key] = _require(e, "label", f"{where}.edges")
-    try:
+    with _input(where):
         require_ints(labels.values(), "labels")
         P = require_ints(data.get("P", []), "P")
         return EplagGroup(PrimeLabeledGraph(tuple(names), tuple(edges), labels, P))
-    except (TypeError, ValueError) as e:
-        raise InputError(f"{where}: {e}")
 
 
-def tree_from_json(data, where: str = "tree") -> dict:
+def tree_from_json(data, where: str) -> dict:
     children = _object(data, where).get("children", [])
     if not isinstance(children, list):
         raise InputError(f"{where}.children: expected a list")
@@ -216,21 +218,19 @@ def eplag_to_json(group: EplagGroup) -> dict:
     }
 
 
-def qvector_from_json(data: dict, where: str = "target") -> dict:
+def qvector_from_json(data: dict, where: str) -> dict:
     from fractions import Fraction
 
-    _object(data, where)
     out = {}
-    try:
-        for v, val in data.items():
+    for v, val in _object(data, where).items():
+        with _input(f"{where}: {v}"):
             if isinstance(val, bool):
-                raise ValueError(f"{v}: expected a number or a fraction string, got {val}")
-            # str(0.2) is "0.2": the decimal the JSON spells, not the nearest binary float
-            out[v] = Fraction(str(val))
-    except ZeroDivisionError:
-        raise InputError(f"{where}: {v}: zero denominator")
-    except ValueError as e:
-        raise InputError(f"{where}: {e}")
+                raise ValueError(f"expected a number or a fraction string, got {val}")
+            try:
+                # str(0.2) is "0.2": the decimal the JSON spells, not the nearest binary float
+                out[v] = Fraction(str(val))
+            except ZeroDivisionError:
+                raise ValueError("zero denominator")
     return out
 
 
@@ -326,10 +326,8 @@ def cmd_schreier(args) -> int:
         raise InputError(f"--images: {e.msg}")
     if not (isinstance(images, list) and all(isinstance(v, list) for v in images)):
         raise InputError("--images: expected a JSON list of image vectors")
-    try:
+    with _input("--images"):
         oracle = kernel_oracle(target, images)
-    except (TypeError, ValueError) as e:
-        raise InputError(f"--images: {e}")
     _require_at_least(0, ("--word-bound", args.word_bound), ("--gen-bound", args.gen_bound))
     if args.gen_bound > oracle.ambient_rank:
         raise InputError(f"--gen-bound: at most the number of images ({oracle.ambient_rank})")
@@ -448,11 +446,13 @@ def cmd_ehs(args) -> int:
         if kind not in ("same_stage", "cross_stage"):
             raise InputError(f"{args.endo}: kind must be same_stage or cross_stage")
         rows = _require(data, "matrix", args.endo)
-        try:
-            matrix = IntMatrix.from_rows(rows)
-        except (TypeError, ValueError) as e:
-            raise InputError(f"{args.endo}: {e}")
-        endo = LimitEndomorphism(matrix, cross_stage=(kind == "cross_stage"))
+        with _input(args.endo):
+            endo = LimitEndomorphism(IntMatrix.from_rows(rows), cross_stage=(kind == "cross_stage"))
+            n = D.system.stage_rank(0)
+            if (endo.matrix.rows, endo.matrix.cols) != (n, n):
+                raise ValueError(f"matrix is {endo.matrix.rows}x{endo.matrix.cols}, stage 0 has rank {n}")
+            if not endo.check_commuting(D.system):
+                raise ValueError("matrix does not commute with the connecting maps")
     if endo is None:
         result = ehs_realize(D, enumerator, args.depth, search_bound=args.bound)
     else:
@@ -488,10 +488,8 @@ def cmd_eplag(args) -> int:
         if not args.target:
             raise InputError("eplag member: --target is required")
         target = qvector_from_json(_load_json(args.target), args.target)
-        try:
+        with _input(args.target):
             result = membership(group, target)
-        except ValueError as e:
-            raise InputError(f"{args.target}: {e}")
         report = {"status": result.status}
         if result.is_member:
             report |= {"bound": result.bound, "certificate": dict(sorted(result.certificate.items()))}
@@ -523,17 +521,13 @@ def cmd_pipeline(args) -> int:
         "prime": args.prime,
         "depth": args.depth,
         "stages": {
-            "rordam": {
-                "pass": report.rordam.passed,
-                "expected": list(g.invariant_factors),
-                "found": list(report.rordam.found),
-            },
             "realization": {
                 "pass": report.realization_valid,
                 "levels": report.realization.diagram.num_levels,
             },
             "pv": {
                 "pass": report.pv.passed,
+                "expected": list(g.invariant_factors),
                 "cokernel_invariant_factors": list(inv.k0.invariant_factors),
                 "kernel_rank": inv.k1.free_rank,
             },

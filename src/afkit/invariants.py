@@ -29,7 +29,7 @@ if TYPE_CHECKING:
     from .dimension import OrderedStagedSystem, RealizationResult
     from .eplag import EplagGroup
     from .limits import LimitEndomorphism
-    from .rordam import RordamPair, VerifyReport
+    from .rordam import RordamPair
 
     K0Descriptor = Union[FgAbelianGroup, LocalizedGroupDescriptor, EplagGroup]
 
@@ -229,14 +229,20 @@ def pv_check(D: OrderedStagedSystem, beta: LimitEndomorphism, group: FgAbelianGr
     the endomorphism is).  The image is closed under later-stage
     identification (preimage saturation along the connecting matrix, which
     runs to a fixpoint), so the answers are the same at every stage.  The
-    cokernel is computed here, not copied from :func:`rordam_verify`'s
-    equal one, so the report checks it independently.  The report's
-    invariant is read from them: K0 the cokernel, [1] the class of D's unit
-    in it, K1 free of the kernel's rank.  In an injective system nothing
-    dies, so the kernel is ker m itself, and by rank-nullity its rank is
-    m.cols - rank(im m), with rank(im m) read off the image lattice the
-    cokernel already eliminated.  The pipeline's realization has already
-    refused a system that is not injective.
+    report's invariant is read from them: K0 the cokernel, [1] the class of
+    D's unit in it, K1 free of the kernel's rank.  In an injective system
+    nothing dies, so the kernel is ker m itself, and by rank-nullity its
+    rank is m.cols - rank(im m), with rank(im m) read off the image lattice
+    the cokernel already eliminated.  The pipeline's realization has
+    already refused a system that is not injective.
+
+    On the pipeline's pair this is the only cokernel needed: phi =
+    diag(2, beta) and m = diag(1, beta delta), so im m = Z e0 (+) beta N for
+    G's relation lattice N = im delta.  Every v in N has beta v in beta N;
+    conversely, with beta injective, beta^k v in beta N gives beta^(k-1) v
+    in N and so v in N, as beta is the identity modulo N (see
+    :mod:`afkit.rordam`).  So the saturated lattice is Z e0 (+) N, with the
+    N that :func:`rordam_verify` saturates im delta to, and K0 is G.
     """
     sys = D.system
     if not (sys.is_stationary and sys.injective):
@@ -256,14 +262,13 @@ def pv_check(D: OrderedStagedSystem, beta: LimitEndomorphism, group: FgAbelianGr
 
 @dataclass(frozen=True)
 class PipelineReport:
-    rordam: VerifyReport
     realization: RealizationResult
     realization_valid: bool
     pv: PvReport
 
     @property
     def all_passed(self) -> bool:
-        return bool(self.rordam) and self.realization_valid and bool(self.pv)
+        return self.realization_valid and self.pv.passed
 
 
 def pipeline(group: FgAbelianGroup, depth: int) -> PipelineReport:
@@ -278,19 +283,13 @@ def pipeline(group: FgAbelianGroup, depth: int) -> PipelineReport:
     certificate-search exhaustion propagates.
     """
     from .dimension import ehs_realize_with_endo, unit_atom_enumerator, validate_diagram
-    from .rordam import rordam_pair, rordam_verify
+    from .rordam import rordam_pair
 
     if depth < 2:
         raise ValueError("depth must be at least 2")
-    pair = rordam_pair(group)
-    rordam_report = rordam_verify(pair, group)
-    ordered, endo = assemble_pipeline_system(pair)
+    ordered, endo = assemble_pipeline_system(rordam_pair(group))
     realization = ehs_realize_with_endo(ordered, endo, unit_atom_enumerator(ordered), depth)
     # ehs_realize_with_endo raises when the intertwining identity fails
     realization_valid = validate_diagram(realization.diagram) == []
-    return PipelineReport(
-        rordam=rordam_report,
-        realization=realization,
-        realization_valid=realization_valid,
-        pv=pv_check(ordered, endo, group),
-    )
+    return PipelineReport(realization=realization, realization_valid=realization_valid,
+                          pv=pv_check(ordered, endo, group))

@@ -272,7 +272,6 @@ def test_criterion_6_pipeline():
     for g, p in cases:
         with criterion(6, f"pipeline({g.describe()}, p={p}): pv + absorption", seconds=60.0):
             report = pipeline(g, depth=3)
-            assert report.rordam.passed
             assert report.realization_valid
             assert report.pv.passed
             assert report.pv.invariant.k0.invariant_factors == g.invariant_factors

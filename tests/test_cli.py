@@ -299,6 +299,19 @@ def test_ehs_ragged_endo_exits_2(tmp_path, capsys):
     assert err.startswith("error: ") and "ragged" in err
 
 
+@pytest.mark.parametrize("system, matrix, message", [
+    pytest.param({"kind": "stationary", "matrices": [[[1]]], "unit": [1]}, [[3, 0], [0, 3]],
+                 "matrix is 2x2, stage 0 has rank 1", id="shape"),
+    pytest.param({"kind": "stationary", "matrices": [[[2, 1], [1, 1]]], "unit": [1, 1]}, [[1, 1], [0, 1]],
+                 "matrix does not commute with the connecting maps", id="not-commuting"),
+])
+def test_ehs_endo_is_checked_before_the_realization(tmp_path, capsys, system, matrix, message):
+    # both are input errors on the --endo file, found before any level is realized
+    s = write(tmp_path, "s.json", system)
+    e = write(tmp_path, "e.json", {"kind": "same_stage", "matrix": matrix})
+    assert run(capsys, ["ehs", "--system", s, "--endo", e]) == (2, "", f"error: {e}: {message}\n")
+
+
 def test_system_error_names_the_file_once(tmp_path, capsys):
     path = write(tmp_path, "s.json", {"kind": "stationary", "matrices": [[[1]], [[2]]]})
     code, _, err = run(capsys, ["limits", path])
@@ -640,6 +653,15 @@ def test_eplag_member_names_the_vertex_of_a_zero_denominator(tmp_path, capsys):
     target = write(tmp_path, "x.json", {"r": "1/0"})
     code, out, err = run(capsys, ["eplag", "member", "--graph", graph, "--target", target])
     assert (code, out, err) == (2, "", f"error: {target}: r: zero denominator\n")
+
+
+@pytest.mark.parametrize("value", ["x", None, [1]])
+def test_eplag_member_names_the_vertex_of_a_non_number(tmp_path, capsys, value):
+    graph = readme_graph(tmp_path, capsys)
+    target = write(tmp_path, "x.json", {"r": value})
+    code, out, err = run(capsys, ["eplag", "member", "--graph", graph, "--target", target])
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {target}: r: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("images", ["[1,2]", '{"a": 1}', "5", "[[1],2]"])

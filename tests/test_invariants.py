@@ -5,11 +5,11 @@ from collections import Counter
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from sympy.matrices.normalforms import invariant_factors
 
-from afkit import abelian
+from afkit import abelian, invariants, rordam
 from afkit.abelian import FgAbelianGroup, IntMatrix, LocalizedGroupDescriptor
 from afkit.cli import invariant_to_json
 from afkit.dimension import OrderedStagedSystem
@@ -239,7 +239,6 @@ def test_truncated_checks_match_sympy(rows):
 @pytest.mark.parametrize("group,prime", [(TRIVIAL, 3), (Z2, 3), (Z3, 2)])
 def test_pipeline_end_to_end(group, prime):
     report = pipeline(group, depth=3)
-    assert report.rordam.passed
     assert report.realization_valid
     assert report.pv.passed
     assert o_infty_st_absorbing(report.pv.invariant)
@@ -329,11 +328,35 @@ def test_pipeline_invariant_content():
     assert (cp.k0.free_rank, cp.k0.torsion) == (0, (3,))
 
 
-def test_pipeline_pv_implies_rordam():
-    for g in (TRIVIAL, Z2, Z3):
-        report = pipeline(g, depth=3)
-        if report.pv.passed:
-            assert report.rordam.passed
+@settings(max_examples=60, deadline=None)
+@given(finite_presentations())
+def test_pv_saturates_to_the_relation_lattice(rows):
+    # pv_check's docstring: with beta injective, PV's map m = diag(1, beta
+    # delta) saturates along diag(2, beta) to Z e0 (+) N, N G's relation
+    # lattice, so its cokernel is the one rordam_verify would compute again
+    group = FgAbelianGroup.from_relation_rows(len(rows), rows)
+    D, endo = assemble_pipeline_system(rordam_pair(group))
+    assume(D.system.injective)
+    phi = D.system.connect(0)
+    saturated = abelian.saturate_preimages(phi, abelian.image_lattice_rows(phi - endo.matrix))
+    g = group.num_generators
+    want = [[1] + [0] * g] + [[0, *n] for n in group.relation_lattice.to_rows()]
+    assert saturated == abelian.row_lattice(IntMatrix.from_rows(want))
+
+
+def test_pipeline_saturates_once(monkeypatch):
+    # the PV stage's cokernel is G's (see above), so a job computes it once
+    calls = []
+    original = abelian.saturated_cokernel
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    for module in (invariants, rordam):
+        monkeypatch.setattr(module, "saturated_cokernel", counting)
+    assert pipeline(FgAbelianGroup.from_invariant_factors([2, 3]), depth=3).all_passed
+    assert len(calls) == 1
 
 
 def test_pipeline_depth_validation():

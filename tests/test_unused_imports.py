@@ -90,7 +90,6 @@ KEPT = (
     ("determinant", "verifier: the tests check that normal-form transforms are unimodular"),
     ("verify_certificate", "verifier: re-adds a membership certificate's generators"),
     ("verify_shen_certificate", "verifier: re-checks a Shen certificate against its system"),
-    ("LimitEndomorphism.check_commuting", "verifier: the intertwining squares at every stage"),
     ("FgAbelianGroup.cyclic", "input builder for Z/n, used throughout the tests"),
     ("FreeWord.parse", "input builder for words, used throughout the tests"),
     ("chain_tree", "input builder for path trees, used throughout the tests"),
@@ -133,8 +132,9 @@ def receiver_classes(tree: ast.Module, classes: set) -> dict:
     """id of each attribute read ``r.name`` -> the class ``r`` is known to be:
     C where ``r`` is a ``self`` parameter inside C's body, a parameter
     annotated C, "C", Optional[C], C | None or "C | None", or a name last
-    bound by ``r = C(...)`` or ``r = C.method(...)``, for C one of
-    ``classes``.  Any other binding of ``r`` makes it of no known class."""
+    bound by ``r = C(...)``, ``r = C.method(...)`` or ``r: A = ...`` with A
+    one of those annotations, for C one of ``classes``.  Any other binding
+    of ``r`` makes it of no known class."""
     known = {}
 
     def visit(node, env: dict, owner):
@@ -148,14 +148,20 @@ def receiver_classes(tree: ast.Module, classes: set) -> dict:
         elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and env.get(node.value.id):
             known[id(node)] = env[node.value.id]
         # the value is read before the names are bound
-        for child in [node.value, *node.targets] if isinstance(node, ast.Assign) else ast.iter_child_nodes(node):
+        annotated = isinstance(node, ast.AnnAssign) and node.value is not None
+        children = ([node.value, *node.targets] if isinstance(node, ast.Assign)
+                    else [node.value, node.target] if annotated else ast.iter_child_nodes(node))
+        for child in children:
             visit(child, env, owner)
-        # any binding but r = C(...) or r = C.method(...) leaves r of no known class
+        # any binding but r = C(...), r = C.method(...) or r: C = ... leaves r of no known class
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
             env[node.id] = None
         elif isinstance(node, ast.Assign) and len(node.targets) == 1 and isinstance(node.targets[0], ast.Name):
             cls = built_class(node.value)
             env[node.targets[0].id] = cls if cls in classes else None
+        elif annotated and isinstance(node.target, ast.Name):
+            cls = annotated_class(node.annotation)
+            env[node.target.id] = cls if cls in classes else None
 
     visit(tree, {}, None)
     return known
@@ -209,9 +215,10 @@ def test_checker_sees_an_uncalled_public_name():
               "def use(b: B, c: 'B'):\n    return b.matrix, c.matrix\n\nuse(B(), B()), A()\n")
     assert uncalled_public_names([source]) == ["A.matrix"]
     assert uncalled_public_names([source + "\ndef f(c):\n    return c.matrix\n\nf(1)\n"]) == []
-    # a receiver bound by C(...) or C.method(...), or annotated as an optional C, is a C
+    # a receiver bound by C(...), C.method(...) or r: C = ..., or annotated as an optional C, is a C
     for use in ("def f():\n    b = B()\n    return b.matrix\n",
                 "def f():\n    b = B.make()\n    return b.matrix\n",
+                "def f(x):\n    b: B = x\n    return b.matrix\n",
                 "def f(b: Optional[B]):\n    return b.matrix\n",
                 "def f(b: B | None):\n    return b.matrix\n",
                 "def f(b: 'B | None'):\n    return b.matrix\n"):
@@ -219,8 +226,9 @@ def test_checker_sees_an_uncalled_public_name():
                   "class B:\n    matrix: int\n\n    @classmethod\n    def make(cls):\n        return cls()\n\n"
                   f"{use}\nf(), A(), B.make()\n")
         assert uncalled_public_names([source]) == ["A.matrix"], use
-    # a name bound to anything else, or rebound, is of no known class
+    # a name bound to anything else, annotated with a class not the package's, or rebound, is of no known class
     for use in ("def f(x):\n    b = x\n    return b.matrix\n",
+                "def f(x):\n    b: int = x\n    return b.matrix\n",
                 "def f(x):\n    b = B()\n    b = x\n    return b.matrix\n",
                 "def f(x):\n    b, c = B(), x\n    return b.matrix\n",
                 "def f(xs):\n    b = B()\n    for b in xs:\n        return b.matrix\n",

@@ -17,7 +17,6 @@ variant factors twice per level so that the produced multiplicity pair
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
 from operator import itemgetter
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -104,21 +103,33 @@ class OrderedStagedSystem:
                 return False
             return is_zero_class(self.system, e)
         # simplicial: nonnegative now or after finitely many pushes
-        if self._pushes_nonnegative(e, bound):
+        if _nonnegative_stage(self, [e], bound):
             return True
         # -e eventually nonnegative: e is in the cone only as the zero class
-        if not self._pushes_nonnegative(LimitElement(e.stage, tuple(-x for x in e.vector)), bound):
+        if not _nonnegative_stage(self, [LimitElement(e.stage, tuple(-x for x in e.vector))], bound):
             return None
         return is_zero_class(self.system, e)
 
-    def _pushes_nonnegative(self, e: LimitElement, bound: int) -> bool:
-        """Whether e is coordinatewise nonnegative now or within ``bound`` pushes."""
-        cur = e
-        for _ in range(bound + 1):
-            if all(x >= 0 for x in cur.vector):
-                return True
-            cur = push(self.system, cur, cur.stage + 1)
-        return False
+
+def _nonnegative_stage(D: OrderedStagedSystem, elems: Sequence[LimitElement], bound: int):
+    """(stage, vectors) at the first stage, at most ``bound`` pushes past the
+    latest of ``elems``, where all of them are coordinatewise nonnegative;
+    None if there is no such stage.  All are pushed together, one stage at a time."""
+    stage = max(e.stage for e in elems)
+    last = stage + bound
+    vecs = [push(D.system, e, stage).vector for e in elems]
+    while any(x < 0 for v in vecs for x in v):
+        if stage >= last:
+            return None
+        step = D.system.connect(stage)
+        vecs = [step.apply(v) for v in vecs]
+        stage += 1
+    return stage, vecs
+
+
+def _basis_element(stage: int, n: int, k: int) -> LimitElement:
+    """The k-th basis vector of the rank-n lattice at ``stage``."""
+    return LimitElement(stage, tuple(int(i == k) for i in range(n)))
 
 
 # ---------------------------------------------------------------------------
@@ -358,22 +369,18 @@ def relation_lattice_rows(D: OrderedStagedSystem, theta: Sequence[LimitElement])
 
 
 def shen_solve(D: OrderedStagedSystem, theta: Sequence[LimitElement], search_bound: int) -> ShenCertificate:
-    """Produce a Shen certificate for positive elements of the system.
+    """Produce a Shen certificate for positive elements of an injective system.
 
-    Simplicial cones with injective connecting maps use the fast path: push
-    everything to a stage where all coordinates are nonnegative and read
-    the coordinates off against the basis classes.  Strict-first-coordinate
-    cones use a closed-form certificate built from a basis of the span
-    adapted to the first-coordinate functional.  Raises
-    :class:`ShenDepthExceeded` when no certificate is found in bounds.
+    Simplicial cones: push everything to a stage where all coordinates are
+    nonnegative and read the coordinates off against the basis classes.
+    Strict-first-coordinate cones use a closed-form certificate built from a
+    basis of the span adapted to the first-coordinate functional.  Raises
+    :class:`ShenDepthExceeded` when no certificate is found in bounds, a
+    non-injective system included.
     """
-    return _shen_solve(D, list(theta), search_bound, lambda t: D.is_positive(t, search_bound))
-
-
-def _shen_solve(D, theta, search_bound, is_positive) -> ShenCertificate:
-    """:func:`shen_solve` with the positivity verdicts of ``is_positive``."""
+    theta = list(theta)
     for t in theta:
-        pos = is_positive(t)
+        pos = D.is_positive(t, search_bound)
         if pos is False:
             raise ValueError(f"input element at stage {t.stage} is not in the positive cone")
         if pos is None:
@@ -390,28 +397,19 @@ def _shen_solve(D, theta, search_bound, is_positive) -> ShenCertificate:
 def _shen_simplicial(D, theta, search_bound) -> ShenCertificate:
     if not theta:
         return ShenCertificate((), IntMatrix.zeros(0, 0))
-    s = max(t.stage for t in theta)
-    for attempt in range(search_bound + 1):
-        stage = s + attempt
-        vecs = [push(D.system, t, stage).vector for t in theta]
-        if all(x >= 0 for v in vecs for x in v):
-            n = D.stage_rank(stage)
-            used = [t for t in range(n) if any(v[t] for v in vecs)]
-            if not used:
-                used = [0] if n else []
-            phi = tuple(
-                LimitElement(stage, tuple(1 if k == t else 0 for k in range(n))) for t in used
-            )
-            g = IntMatrix.from_rows([[v[t] for t in used] for v in vecs], cols=len(used))
-            return ShenCertificate(phi, g)
-    raise ShenDepthExceeded(
-        f"shen-depth-exceeded: no nonnegative common stage within {search_bound} pushes"
-    )
-
-
-def _strict_scale(D: OrderedStagedSystem, stage: int) -> int:
-    """Scaling factor of the distinguished first coordinate at ``stage``."""
-    return D.system.connect(stage).entry(0, 0)
+    found = _nonnegative_stage(D, theta, search_bound)
+    if found is None:
+        raise ShenDepthExceeded(
+            f"shen-depth-exceeded: no nonnegative common stage within {search_bound} pushes"
+        )
+    stage, vecs = found
+    n = D.stage_rank(stage)
+    used = [t for t in range(n) if any(v[t] for v in vecs)]
+    if not used:
+        used = [0] if n else []
+    phi = tuple(_basis_element(stage, n, t) for t in used)
+    g = IntMatrix.from_rows([[v[t] for t in used] for v in vecs], cols=len(used))
+    return ShenCertificate(phi, g)
 
 
 def _shen_strict_first(D, theta, search_bound) -> ShenCertificate:
@@ -420,9 +418,7 @@ def _shen_strict_first(D, theta, search_bound) -> ShenCertificate:
     vecs = [push(sys, t, s).vector for t in theta]
     nz = [v for v in vecs if any(v)]
     if not nz:
-        n = D.stage_rank(s)
-        phi = (LimitElement(s, tuple(1 if k == 0 else 0 for k in range(n))),)
-        return ShenCertificate(phi, IntMatrix.zeros(len(theta), 1))
+        return ShenCertificate((_basis_element(s, D.stage_rank(s), 0),), IntMatrix.zeros(len(theta), 1))
     # echelon: only basis[0] can have a nonzero first coordinate, so it alone
     # carries the first-coordinate functional and the rest lie in {t = 0}
     basis = hermite_row_basis(nz)
@@ -442,11 +438,10 @@ def _shen_strict_first(D, theta, search_bound) -> ShenCertificate:
     for _ in range(search_bound + 1):
         if tau_k >= needed:
             break
-        scale = _strict_scale(D, stage)
         step = sys.connect(stage)
         pushed = [step.apply(b) for b in pushed]
         stage += 1
-        tau_k *= scale
+        tau_k *= step.entry(0, 0)  # the first coordinate's scale
     if tau_k < needed:
         raise ShenDepthExceeded(
             f"shen-depth-exceeded: unit chunk never covered {needed} atoms within bound"
@@ -461,29 +456,22 @@ def _shen_strict_first(D, theta, search_bound) -> ShenCertificate:
     atoms = []
     columns = []
     for j in range(1, rho):
-        atoms.append((1,) + y[j])
+        atoms.append(LimitElement(stage, (1,) + y[j]))
         columns.append([m_coef * a[0] + a[j] for a in abar])
-    atoms.append((1, *w_tail))
+    atoms.append(LimitElement(stage, (1, *w_tail)))
     columns.append([a[0] for a in abar])
     u_col = [
         sum(m_coef * a[0] - a[j] for j in range(1, rho)) + (f_count - 1) * a[0] for a in abar
     ]
-    atoms.append((1,) + (0,) * (rank - 1))
+    atoms.append(_basis_element(stage, rank, 0))
     columns.append(u_col)
-    # merge duplicate atoms, drop unused ones
+    # merge duplicate atoms in first-seen order, drop unused ones
     merged: dict = {}
-    order = []
     for atom, col in zip(atoms, columns):
-        if atom in merged:
-            merged[atom] = [x + yv for x, yv in zip(merged[atom], col)]
-        else:
-            merged[atom] = list(col)
-            order.append(atom)
-    order = [atom for atom in order if any(merged[atom])]
-    if not order:
-        order = [atoms[-1]]
-    phi = tuple(LimitElement(stage, atom) for atom in order)
-    g = IntMatrix.from_rows([merged[atom] for atom in order]).transpose()
+        merged[atom] = [x + yv for x, yv in zip(merged[atom], col)] if atom in merged else col
+    merged = {atom: col for atom, col in merged.items() if any(col)} or {atoms[-1]: merged[atoms[-1]]}
+    phi = tuple(merged)
+    g = IntMatrix.from_rows(list(merged.values())).transpose()
     if any(x < 0 for x in g.entries):
         raise ShenDepthExceeded("shen-depth-exceeded: internal coefficient went negative")
     return ShenCertificate(phi, g)
@@ -535,7 +523,7 @@ def basis_atom_enumerator(D: OrderedStagedSystem) -> Iterator[LimitElement]:
     while True:
         n = D.stage_rank(s)
         for t in range(n):
-            yield LimitElement(s, tuple(1 if k == t else 0 for k in range(n)))
+            yield _basis_element(s, n, t)
         s += 1
 
 
@@ -543,8 +531,7 @@ def unit_atom_enumerator(D: OrderedStagedSystem) -> Iterator[LimitElement]:
     """Small positive chunks (1, 0, ...) at successive stages from stage 1 on (strict cones)."""
     s = 1
     while True:
-        n = D.stage_rank(s)
-        yield LimitElement(s, tuple(1 if k == 0 else 0 for k in range(n)))
+        yield _basis_element(s, D.stage_rank(s), 0)
         s += 1
 
 
@@ -617,8 +604,8 @@ def _realize(D, phi, positive_enumerator, depth, search_bound) -> RealizationRes
     Each Shen certificate is solved once per input list up to a stage shift
     d past the prefix by a multiple of the period.  Nothing the solver reads
     changes under such a shift: ``connect(n)`` past the prefix depends only
-    on n modulo the period, so ``push`` by k stages, ``stage_rank``,
-    ``_strict_scale`` and injectivity are the same, the simplicial
+    on n modulo the period, so ``push`` by k stages, ``stage_rank``, the
+    first coordinate's scale and injectivity are the same, the simplicial
     positivity verdict pushes the same vectors, and the strict one reads the
     first coordinate and the death lattice, which past the prefix depends
     only on the stage's phase too.  So for both cones the shifted inputs get
@@ -629,7 +616,6 @@ def _realize(D, phi, positive_enumerator, depth, search_bound) -> RealizationRes
     checks it, and the intertwining identity) still runs per level.
     """
     enum = iter(positive_enumerator)
-    is_positive = cache(lambda e: D.is_positive(e, search_bound))  # one verdict per element
     certificates = {}  # (phase of the smallest stage, inputs staged from it) -> (that stage, certificate)
     P, T = len(D.system.prefix), len(D.system.tail)
 
@@ -638,7 +624,7 @@ def _realize(D, phi, positive_enumerator, depth, search_bound) -> RealizationRes
         phase = base if base < P else P + (base - P) % T
         key = phase, tuple((t.stage - base, t.vector) for t in theta)
         if key not in certificates:
-            certificates[key] = base, _shen_solve(D, theta, search_bound, is_positive)
+            certificates[key] = base, shen_solve(D, theta, search_bound)
         stored, cert = certificates[key]
         return ShenCertificate(tuple(LimitElement(p.stage + base - stored, p.vector) for p in cert.phi), cert.g)
 
@@ -654,7 +640,7 @@ def _realize(D, phi, positive_enumerator, depth, search_bound) -> RealizationRes
         if phi is not None:
             for t in cur:
                 ft = phi.apply(t)
-                if is_positive(ft) is False:
+                if D.is_positive(ft, search_bound) is False:
                     raise EndomorphismNotPositive(
                         f"endomorphism-not-positive: image of a level-{n} element left the cone"
                     )

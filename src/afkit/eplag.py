@@ -62,10 +62,13 @@ class PrimeLabeledGraph:
     divisibility_set: tuple  # the primes P
 
     def __post_init__(self):
-        vs = set(self.vertices)
+        vs, seen = set(self.vertices), set()
         for e in self.edges:
             if len(e) != 2 or not e <= vs:
                 raise ValueError(f"edge {set(e)} is not a pair of known vertices")
+            if e in seen:  # the labels dict holds one label per edge, so a copy would lose one
+                raise ValueError(f"edge {sorted(map(str, e))} is listed twice")
+            seen.add(e)
         for key in list(self.vertices) + list(self.edges):
             if key not in self.labels:
                 raise ValueError(f"missing label for {key}")
@@ -337,40 +340,30 @@ def verify_certificate(group: EplagGroup, x: Dict, result: MembershipResult) -> 
 def tree_to_eplag(tree: dict, divisibility_set: Sequence[int]) -> EplagGroup:
     """Labeled-graph group of a finite rooted tree.
 
-    The graph is the tree itself.  Level-n vertices get the n-th prime of
-    one stream, edges from level n to n+1 the n-th prime of a second
-    stream; the streams are disjoint, injective, and avoid the
-    divisibility set (even positions of the avoiding enumeration feed the
-    edge stream, odd positions the vertex stream).
+    The graph is the tree itself.  Each level n takes the next two primes
+    of one stream avoiding the divisibility set as its pair (edge prime,
+    vertex prime): level-n vertices get the vertex prime, edges from level
+    n to n+1 the edge prime, so no two levels or kinds share a label.
     """
     P = tuple(divisibility_set)
     stream = primes_avoiding(P)
-    edge_stream = []
-    vertex_stream = []
-    # interleave: even -> edges, odd -> vertices
-    names = []
-    edges = []
-    levels = {}
+    pairs = []  # (edge prime, vertex prime) per level, drawn when the walk first reaches it
+    names, edges, labels = [], [], {}
 
     def walk(node, name, level):
+        if level == len(pairs):
+            pairs.append((next(stream), next(stream)))
+        edge_prime, vertex_prime = pairs[level]
+        labels[name] = vertex_prime
         names.append(name)
-        levels[name] = level
         for i, child in enumerate(node.get("children", [])):
             child_name = f"{name}.{i}"
-            edges.append((frozenset({name, child_name}), level))
+            edges.append(frozenset({name, child_name}))
+            labels[edges[-1]] = edge_prime
             walk(child, child_name, level + 1)
 
     walk(tree, "r", 0)
-    max_level = max(levels.values())
-    needed = max_level + 1
-    for idx in range(2 * needed):
-        p = next(stream)
-        (edge_stream if idx % 2 == 0 else vertex_stream).append(p)
-    labels = {name: vertex_stream[levels[name]] for name in names}
-    for e, lvl in edges:
-        labels[e] = edge_stream[lvl]
-    graph = PrimeLabeledGraph(tuple(names), tuple(e for e, _ in edges), labels, P)
-    return EplagGroup(graph)
+    return EplagGroup(PrimeLabeledGraph(tuple(names), tuple(edges), labels, P))
 
 
 def chain_tree(depth: int) -> dict:

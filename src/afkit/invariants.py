@@ -216,9 +216,6 @@ class PvReport:
     passed: bool
     invariant: KirchbergInvariant
 
-    def __bool__(self) -> bool:
-        return self.passed
-
 
 def pv_check(D: OrderedStagedSystem, beta: LimitEndomorphism, group: FgAbelianGroup) -> PvReport:
     """Cokernel and kernel of (id - beta) on the staged group, vs (G, 0).

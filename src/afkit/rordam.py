@@ -53,9 +53,6 @@ class VerifyReport:
     passed: bool
     found: tuple
 
-    def __bool__(self) -> bool:
-        return self.passed
-
 
 def rordam_verify(pair: RordamPair, group: FgAbelianGroup) -> VerifyReport:
     """Check H/(id - alpha)[H] against ``group`` at truncation.

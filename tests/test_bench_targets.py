@@ -51,6 +51,7 @@ def test_traced_pipeline_job_runs(tmp_path, capsys):
     values = tracing.per_layer_metrics(rec, overhead=0.0)
     assert values["abelian.hermite_row_basis.calls"] > 0
     assert values["abelian.hermite_row_basis.out_bits_max"] > 0
+    assert values["dimension.shen_solve.calls"] > 0  # the realization solves through the traced name
 
 
 def load_bench_run():

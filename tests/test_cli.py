@@ -648,6 +648,14 @@ def test_eplag_member_rejects_boolean_target(tmp_path, capsys):
     assert err.startswith(f"error: {target}:")
 
 
+def test_eplag_member_refuses_a_repeated_edge(tmp_path, capsys):
+    edge = {"ends": ["u", "v"], "label": 7}
+    graph = write(tmp_path, "g.json", {"vertices": {"u": 3, "v": 5}, "edges": [edge, edge], "P": []})
+    target = write(tmp_path, "x.json", {"u": "1/7", "v": "1/7"})
+    code, out, err = run(capsys, ["eplag", "member", "--graph", graph, "--target", target])
+    assert (code, out, err) == (2, "", f"error: {graph}: edge ['u', 'v'] is listed twice\n")
+
+
 def test_eplag_member_names_the_vertex_of_a_zero_denominator(tmp_path, capsys):
     graph = readme_graph(tmp_path, capsys)
     target = write(tmp_path, "x.json", {"r": "1/0"})

@@ -35,6 +35,7 @@ from afkit.limits import (
     NotFinitelyGeneratedError,
     StagedSystem,
     build_limit_group,
+    is_zero_class,
     limit_equal,
     push,
 )
@@ -417,6 +418,73 @@ def test_shen_strict_cone_property(case, bound):
     assert verify_shen_certificate(D, theta, cert)
 
 
+@st.composite
+def simplicial_case(draw):
+    """Simplicial-cone system of ranks 1-3, a prefix of 0-2 maps and a tail of
+    1-2, entries -1..3 so that pushes can clear negative coordinates, and 1-4
+    elements at stages 0-3 with entries -3..3."""
+    P, T = draw(st.integers(0, 2)), draw(st.integers(1, 2))
+    ranks = draw(st.lists(st.integers(1, 3), min_size=P + T, max_size=P + T))
+    ranks.append(ranks[P])  # the tail's last map lands on its first stage
+    mats = [IntMatrix.from_rows([[draw(st.integers(-1, 3)) for _ in range(ranks[k])] for _ in range(ranks[k + 1])])
+            for k in range(P + T)]
+    sys = StagedSystem(tuple(mats[:P]), tuple(mats[P:]))
+    D = OrderedStagedSystem(system=sys, cone="simplicial", unit=LimitElement(0, (1,) * ranks[0]))
+
+    def element(stage):
+        return st.builds(LimitElement, st.just(stage), st.tuples(*[st.integers(-3, 3)] * sys.stage_rank(stage)))
+
+    return D, draw(st.lists(st.integers(0, 3).flatmap(element), min_size=1, max_size=4))
+
+
+def repush_nonnegative(D, theta, bound):
+    """Reference: (stage, vectors) at the first stage, at most ``bound`` pushes
+    past the latest input, where every input is nonnegative, each attempt
+    pushing every input again from its own stage; None if there is none."""
+    s = max(t.stage for t in theta)
+    for attempt in range(bound + 1):
+        vecs = [push(D.system, t, s + attempt).vector for t in theta]
+        if all(x >= 0 for v in vecs for x in v):
+            return s + attempt, vecs
+    return None
+
+
+def repush_is_positive(D, e, bound):
+    """Reference: the simplicial cone's verdict from :func:`repush_nonnegative`."""
+    if repush_nonnegative(D, [e], bound):
+        return True
+    if not repush_nonnegative(D, [LimitElement(e.stage, tuple(-x for x in e.vector))], bound):
+        return None
+    return is_zero_class(D.system, e)
+
+
+def repush_simplicial(D, theta, bound):
+    """Reference: the simplicial certificate read off at :func:`repush_nonnegative`'s stage."""
+    found = repush_nonnegative(D, theta, bound)
+    if found is None:
+        return None
+    stage, vecs = found
+    n = D.stage_rank(stage)
+    used = [t for t in range(n) if any(v[t] for v in vecs)] or [0]
+    phi = tuple(LimitElement(stage, tuple(int(k == t) for k in range(n))) for t in used)
+    return ShenCertificate(phi, IntMatrix.from_rows([[v[t] for t in used] for v in vecs], cols=len(used)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(simplicial_case(), st.integers(0, 5))
+def test_pushing_together_matches_the_per_attempt_repush(case, bound):
+    # one push per stage for all inputs gives the verdicts and certificates
+    # that re-pushing every input from its own stage on each attempt gives
+    D, theta = case
+    assert [D.is_positive(e, bound) for e in theta] == [repush_is_positive(D, e, bound) for e in theta]
+    want = repush_simplicial(D, theta, bound)
+    if want is None:
+        with pytest.raises(ShenDepthExceeded):
+            dimension._shen_simplicial(D, theta, bound)
+    else:
+        assert dimension._shen_simplicial(D, theta, bound) == want
+
+
 def test_shen_certificate_columns_kill_relations():
     D = integers_system()
     theta = [LimitElement(0, (2,)), LimitElement(0, (3,)), LimitElement(0, (5,))]
@@ -642,13 +710,13 @@ def as_prefix_form(D, depth):
 @pytest.fixture
 def shen_calls(monkeypatch):
     calls = []
-    solve = dimension._shen_solve
+    solve = dimension.shen_solve
 
     def counted(*args):
         calls.append(args)
         return solve(*args)
 
-    monkeypatch.setattr(dimension, "_shen_solve", counted)
+    monkeypatch.setattr(dimension, "shen_solve", counted)
     return calls
 
 
@@ -700,14 +768,14 @@ def test_realization_checks_the_appended_element(name, with_endo, monkeypatch):
     # only the first solve is bumped: on the endo path the second one factors
     # the first one's phi, so only x's row of the level's coefficients changes
     D, endo, enumerator = REUSE_CASES[name][0]()
-    solve, calls = dimension._shen_solve, []
+    solve, calls = dimension.shen_solve, []
 
     def bumped(*args):
         calls.append(args)
         cert = solve(*args)
         return bumped_x_row(cert) if len(calls) == 1 else cert
 
-    monkeypatch.setattr(dimension, "_shen_solve", bumped)
+    monkeypatch.setattr(dimension, "shen_solve", bumped)
     with pytest.raises(RealizationError, match="level identity"):
         if with_endo:
             ehs_realize_with_endo(D, endo, enumerator(D), 1)

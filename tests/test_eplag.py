@@ -77,6 +77,15 @@ def test_label_disjointness_enforced():
         PrimeLabeledGraph(("v",), (), {"v": 4}, ())
 
 
+@pytest.mark.parametrize("second", [7, 13], ids=["same-label", "other-label"])
+def test_repeated_edge_is_refused(second):
+    # the labels dict has one entry per edge, so a second copy would drop a
+    # generator from membership, or overwrite the first copy's label
+    e, f = frozenset({"u", "v"}), frozenset({"v", "u"})
+    with pytest.raises(ValueError, match=r"edge \['u', 'v'\] is listed twice"):
+        PrimeLabeledGraph(("u", "v"), (e, f), {"u": 3, "v": 5, e: 7, f: second}, ())
+
+
 def test_membership_literal_generator():
     G = single_vertex_group()
     res = membership(G, {"v": Fraction(1, 15)})

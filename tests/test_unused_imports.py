@@ -40,16 +40,24 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 
 
-def unused_private_definitions(source: str) -> list:
-    """Module-level ``_name`` functions and classes that nothing outside their own body refers to."""
+def unused_private_definitions(source: str, others=()) -> list:
+    """Module-level ``_name`` functions and classes that nothing outside their
+    own body refers to, and ``_name`` methods (not dunders) of module-level
+    classes that nothing outside their own body refers to either: a name or
+    attribute in this module, or an attribute in ``others`` (the package's
+    other modules)."""
     tree = ast.parse(source)
+    elsewhere = {n.attr for other in others for n in ast.walk(ast.parse(other)) if isinstance(n, ast.Attribute)}
+    definitions = [(node, set()) for node in tree.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+    definitions += [(item, elsewhere) for node in tree.body if isinstance(node, ast.ClassDef)
+                    for item in node.body if isinstance(item, ast.FunctionDef)]
     unused = []
-    for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name.startswith("_"):
+    for node, read_elsewhere in sorted(definitions, key=lambda d: d[0].lineno):
+        if node.name.startswith("_") and not node.name.endswith("__"):
             inside = {id(n) for n in ast.walk(node)}
             names = {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(tree)
                      if isinstance(n, (ast.Name, ast.Attribute)) and id(n) not in inside}
-            if node.name not in names:
+            if node.name not in names | read_elsewhere:
                 unused.append(f"line {node.lineno}: {node.name}")
     return unused
 
@@ -57,11 +65,21 @@ def unused_private_definitions(source: str) -> list:
 def test_checker_sees_an_unused_private_helper():
     source = "def _dead(n):\n    return _dead(n - 1)\n\ndef _live():\n    pass\n\nclass _Box:\n    pass\n\nx = _live()\n"
     assert unused_private_definitions(source) == ["line 1: _dead", "line 7: _Box"]
+    # a private method counts as read where an attribute spells it, in its module or another one
+    source = ("class Box:\n    def _dead(self):\n        return self._dead()\n\n"
+              "    def _live(self):\n        pass\n\n    def _remote(self):\n        pass\n\n"
+              "    def __len__(self):\n        return 0\n\n    def use(self):\n        return self._live()\n")
+    assert unused_private_definitions(source) == ["line 2: _dead", "line 8: _remote"]
+    assert unused_private_definitions(source, ["def f(box):\n    return box._remote()\n"]) == ["line 2: _dead"]
+    # a bare name elsewhere is another module's own definition, not a read of the method
+    assert unused_private_definitions(source, ["def _remote():\n    pass\n\n_remote()\n"]) == [
+        "line 2: _dead", "line 8: _remote"]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_private_helpers(path):
-    assert unused_private_definitions(path.read_text()) == []
+    others = [other.read_text() for other in MODULES if other != path]
+    assert unused_private_definitions(path.read_text(), others) == []
 
 
 def private_imports(source: str) -> list:

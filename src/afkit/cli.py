@@ -1,11 +1,13 @@
 """Command-line front end: JSON in, reports and DOT out.
 
-Exit codes: 0 all checks passed, 1 a verification failed, 2 malformed
-input, 3 a bounded search was exceeded or the limit is proved not finitely
-generated.  Output is deterministic: JSON with sorted keys, DOT
-stable-sorted by level and vertex index.  Each command imports the library
-modules it uses when it runs, so a call loads only those: every process is
-one call, and loading all of them takes longer than most calls.
+The CLI owns every file format: each JSON reader and writer is here, and
+a malformed file's error names the field.  Exit codes: 0 all checks
+passed, 1 a verification failed, 2 malformed input, 3 a bounded search was
+exceeded or the limit is proved not finitely generated.  Output is
+deterministic: JSON with sorted keys, DOT stable-sorted by level and vertex
+index.  Each command imports the library modules it uses when it runs, so
+a call loads only those: every process is one call, and loading all of
+them takes longer than most calls.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from .abelian import (
 )
 
 if TYPE_CHECKING:
-    from .dimension import OrderedStagedSystem
+    from .dimension import BratteliDiagram, OrderedStagedSystem
     from .eplag import EplagGroup
     from .invariants import KirchbergInvariant
     from .limits import StagedSystem
@@ -58,18 +60,24 @@ REPORTED_ERRORS = (
 # ---------------------------------------------------------------------------
 
 
+def _parse(text: str, where: str):
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as e:
+        raise InputError(f"{where}: line {e.lineno} column {e.colno}: {e.msg}")
+
+
 def _load_json(path: str):
     try:
         with open(path, encoding="utf-8") as f:
-            return json.load(f)
+            text = f.read()
     except FileNotFoundError:
         raise InputError(f"{path}: file not found")
     except OSError as e:
         raise InputError(f"{path}: {e.strerror}")
     except UnicodeDecodeError:
         raise InputError(f"{path}: not UTF-8 text")
-    except json.JSONDecodeError as e:
-        raise InputError(f"{path}: line {e.lineno} column {e.colno}: {e.msg}")
+    return _parse(text, path)
 
 
 def _write(flag: str, path: str, text: str) -> None:
@@ -132,9 +140,22 @@ def _require(data: dict, key: str, where: str):
     return data[key]
 
 
+def _list(value, where: str, each=None) -> list:
+    """``value``, which must be a list; ``each(item, "<where>[i]")`` checks each item."""
+    if not isinstance(value, list):
+        raise InputError(f"{where}: expected a list")
+    if each:
+        for i, item in enumerate(value):
+            each(item, f"{where}[{i}]")
+    return value
+
+
+_rows = functools.partial(_list, each=_list)  # a matrix's rows; the matrix checks their entries
+
+
 def group_from_json(data: dict, where: str) -> FgAbelianGroup:
     gens = _require(data, "generators", where)
-    rels = data.get("relations", [])
+    rels = _rows(data.get("relations", []), f"{where}.relations")
     with _input(where):
         (n,) = require_ints([gens], "generators")
         return FgAbelianGroup.from_relation_rows(n, rels)
@@ -148,9 +169,10 @@ def system_from_json(data: dict, where: str) -> StagedSystem:
     from .limits import StagedSystem
 
     kind = _require(data, "kind", where)
-    matrices = _require(data, "matrices", where)
-    with _input(where):
+    matrices = _list(_require(data, "matrices", where), f"{where}.matrices", _rows)
+    with _input(f"{where}.matrices"):
         mats = [IntMatrix.from_rows(m) for m in matrices]
+    with _input(where):
         if kind == "stationary":
             if len(mats) != 1:
                 raise InputError("stationary systems take exactly one matrix")
@@ -169,9 +191,7 @@ def ordered_system_from_json(data: dict, where: str) -> OrderedStagedSystem:
 
     sys_ = system_from_json(data, where)
     cone = data.get("cone", "simplicial")
-    unit = data.get("unit")
-    if unit is None:
-        raise InputError(f"{where}: ordered systems need a stage-0 'unit' vector")
+    unit = _list(_require(data, "unit", where), f"{where}.unit")  # a stage-0 vector in the cone
     with _input(where):
         return OrderedStagedSystem(system=sys_, cone=cone, unit=LimitElement(0, unit))
 
@@ -182,28 +202,23 @@ def eplag_from_json(data: dict, where: str) -> EplagGroup:
     vertices = _object(_require(data, "vertices", where), f"{where}.vertices")
     names = sorted(vertices)
     labels = {name: vertices[name] for name in names}
-    if not isinstance(data.get("edges", []), list):
-        raise InputError(f"{where}.edges: expected a list")
     edges = []
-    for e in data.get("edges", []):
+    for e in _list(data.get("edges", []), f"{where}.edges"):
         ends = _require(e, "ends", f"{where}.edges")
         if not (isinstance(ends, list) and all(isinstance(v, str) for v in ends)):
             raise InputError(f"{where}.edges: ends must be a list of vertex names")
         key = frozenset(ends)
         edges.append(key)
         labels[key] = _require(e, "label", f"{where}.edges")
+    P = _list(data.get("P", []), f"{where}.P")
     with _input(where):
         require_ints(labels.values(), "labels")
-        P = require_ints(data.get("P", []), "P")
+        P = require_ints(P, "P")
         return EplagGroup(PrimeLabeledGraph(tuple(names), tuple(edges), labels, P))
 
 
 def tree_from_json(data, where: str) -> dict:
-    children = _object(data, where).get("children", [])
-    if not isinstance(children, list):
-        raise InputError(f"{where}.children: expected a list")
-    for i, child in enumerate(children):
-        tree_from_json(child, f"{where}.children[{i}]")
+    _list(_object(data, where).get("children", []), f"{where}.children", tree_from_json)
     return data
 
 
@@ -216,6 +231,35 @@ def eplag_to_json(group: EplagGroup) -> dict:
         ],
         "P": list(g.divisibility_set),
     }
+
+
+def diagram_from_json(data, where: str) -> BratteliDiagram:
+    from .dimension import BratteliDiagram, DiagramLevel
+
+    levels = []
+    for i, entry in enumerate(_list(_require(data, "levels", where), f"{where}.levels")):
+        at = f"{where}.levels[{i}]"
+        size, weights = _require(entry, "l", at), _list(_require(entry, "w", at), f"{at}.w")
+        rows = None if entry.get("m") is None else _rows(entry["m"], f"{at}.m")
+        with _input(at):
+            (size,), weights = require_ints([size], "level size"), require_ints(weights, "weights")
+        with _input(f"{at}.m"):
+            levels.append(DiagramLevel(size, weights, None if rows is None else IntMatrix.from_rows(rows)))
+    tail = _list(data.get("tail", []), f"{where}.tail", _rows)
+    with _input(f"{where}.tail"):
+        return BratteliDiagram(tuple(levels), tuple(map(IntMatrix.from_rows, tail)))
+
+
+def diagram_to_json(d: BratteliDiagram) -> dict:
+    out = {"levels": []}
+    for lev in d.levels:
+        entry = {"l": lev.size, "w": list(lev.weights)}
+        if lev.incidence is not None:
+            entry["m"] = lev.incidence.to_rows()
+        out["levels"].append(entry)
+    if d.tail:
+        out["tail"] = [t.to_rows() for t in d.tail]
+    return out
 
 
 def qvector_from_json(data: dict, where: str) -> dict:
@@ -260,9 +304,11 @@ def invariant_to_json(inv: KirchbergInvariant) -> dict:
 # ---------------------------------------------------------------------------
 
 
+_dump = functools.partial(json.dumps, sort_keys=True, indent=2)  # every JSON afkit writes
+
 def _emit(report: dict, fmt: str):
     if fmt == "json":
-        print(json.dumps(report, sort_keys=True, indent=2))
+        print(_dump(report))
     else:
         for line in _default_lines(report):
             print(line)
@@ -320,10 +366,7 @@ def cmd_schreier(args) -> int:
     from .schreier import kernel_oracle, schreier_generators
 
     target = group_from_json(_load_json(args.target), args.target)
-    try:
-        images = json.loads(args.images)
-    except json.JSONDecodeError as e:
-        raise InputError(f"--images: {e.msg}")
+    images = _parse(args.images, "--images")
     if not (isinstance(images, list) and all(isinstance(v, list) for v in images)):
         raise InputError("--images: expected a JSON list of image vectors")
     with _input("--images"):
@@ -353,22 +396,9 @@ def cmd_rordam(args) -> int:
 
 
 def cmd_diagram(args) -> int:
-    from .dimension import (
-        diagram_from_json_dict,
-        diagram_to_dot,
-        diagram_to_json_dict,
-        diagram_to_system,
-        telescope,
-        validate_diagram,
-    )
+    from .dimension import diagram_to_dot, diagram_to_system, telescope, validate_diagram
 
-    data = _load_json(args.diagram)
-    try:
-        d = diagram_from_json_dict(data)
-    except KeyError as e:
-        raise InputError(f"{args.diagram}: missing field {e}")
-    except (TypeError, ValueError) as e:
-        raise InputError(f"{args.diagram}: {e}")
+    d = diagram_from_json(_load_json(args.diagram), args.diagram)
     violations = validate_diagram(d)
     # every action but validate works on valid diagrams only
     if args.action == "validate" or violations:
@@ -394,19 +424,15 @@ def cmd_diagram(args) -> int:
             sys.stdout.write(text)
         return EXIT_OK
     cuts = _int_list("--cuts", args.cuts)  # telescope
-    try:
+    with _input("--cuts"):
         out = telescope(d, cuts)
-    except ValueError as e:
-        raise InputError(str(e))
-    print(json.dumps(diagram_to_json_dict(out), sort_keys=True, indent=2))
+    print(_dump(diagram_to_json(out)))
     return EXIT_OK
 
 
 def _realization_report(result) -> dict:
-    from .dimension import diagram_to_json_dict
-
     report = {
-        "diagram": diagram_to_json_dict(result.diagram),
+        "diagram": diagram_to_json(result.diagram),
         "thetas": [
             [{"stage": t.stage, "vector": list(t.vector)} for t in level]
             for level in result.thetas
@@ -445,7 +471,7 @@ def cmd_ehs(args) -> int:
         kind = _require(data, "kind", args.endo)
         if kind not in ("same_stage", "cross_stage"):
             raise InputError(f"{args.endo}: kind must be same_stage or cross_stage")
-        rows = _require(data, "matrix", args.endo)
+        rows = _rows(_require(data, "matrix", args.endo), f"{args.endo}.matrix")
         with _input(args.endo):
             endo = LimitEndomorphism(IntMatrix.from_rows(rows), cross_stage=(kind == "cross_stage"))
             n = D.system.stage_rank(0)
@@ -477,7 +503,7 @@ def cmd_eplag(args) -> int:
         tree = tree_from_json(_load_json(args.tree), args.tree)
         P = _int_list("--p", args.p, "primes", functools.partial(_is_prime, "--p"))
         group = tree_to_eplag(tree, P)
-        print(json.dumps(eplag_to_json(group), sort_keys=True, indent=2))
+        print(_dump(eplag_to_json(group)))
         return EXIT_OK
     if not args.graph:
         raise InputError(f"eplag {args.action}: --graph is required")
@@ -508,7 +534,7 @@ def cmd_eplag(args) -> int:
 
 
 def cmd_pipeline(args) -> int:
-    from .dimension import diagram_to_dot, diagram_to_json_dict
+    from .dimension import diagram_to_dot
     from .invariants import crossed_product_invariant, d_p_absorbing, o_infty_st_absorbing, pipeline
 
     _require_at_least(2, ("--depth", args.depth))
@@ -542,8 +568,7 @@ def cmd_pipeline(args) -> int:
         "all_passed": report.all_passed,
     }
     if args.emit_diagram:
-        _write("--emit-diagram", args.emit_diagram,
-               json.dumps(diagram_to_json_dict(report.realization.diagram), sort_keys=True, indent=2))
+        _write("--emit-diagram", args.emit_diagram, _dump(diagram_to_json(report.realization.diagram)))
     if args.dot:
         _write("--dot", args.dot, diagram_to_dot(report.realization.diagram))
     _emit(out, args.format)

@@ -24,7 +24,6 @@ from .abelian import (
     IntMatrix,
     hermite_row_basis,
     preimage_lattice_rows,
-    require_ints,
     row_lattice_coefficients,
 )
 from .limits import (
@@ -284,32 +283,6 @@ def diagram_to_dot(d: BratteliDiagram) -> str:
                     lines.append(f'  "L{n}_{i}" -> "L{n + 1}_{j}" [label="{mult}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
-
-
-def diagram_to_json_dict(d: BratteliDiagram) -> dict:
-    out = {"levels": []}
-    for lev in d.levels:
-        entry = {"l": lev.size, "w": list(lev.weights)}
-        if lev.incidence is not None:
-            entry["m"] = lev.incidence.to_rows()
-        out["levels"].append(entry)
-    if d.tail:
-        out["tail"] = [t.to_rows() for t in d.tail]
-    return out
-
-
-def diagram_from_json_dict(data: dict) -> BratteliDiagram:
-    levels = []
-    raw = data["levels"]
-    for idx, entry in enumerate(raw):
-        (size,) = require_ints([entry["l"]], "level size")
-        weights = require_ints(entry["w"], "weights")
-        inc = None
-        if "m" in entry and entry["m"] is not None:
-            inc = IntMatrix.from_rows(entry["m"])
-        levels.append(DiagramLevel(size, weights, inc))
-    tail = tuple(IntMatrix.from_rows(m) for m in data.get("tail", []))
-    return BratteliDiagram(tuple(levels), tail)
 
 
 # ---------------------------------------------------------------------------

@@ -64,14 +64,14 @@ class PrimeLabeledGraph:
     def __post_init__(self):
         vs, seen = set(self.vertices), set()
         for e in self.edges:
-            if len(e) != 2 or not e <= vs:
-                raise ValueError(f"edge {set(e)} is not a pair of known vertices")
+            if len(e) != 2 or not e <= vs:  # sorted ends: a set's order depends on the hash seed
+                raise ValueError(f"edge {sorted(map(str, e))} is not a pair of known vertices")
             if e in seen:  # the labels dict holds one label per edge, so a copy would lose one
                 raise ValueError(f"edge {sorted(map(str, e))} is listed twice")
             seen.add(e)
         for key in list(self.vertices) + list(self.edges):
             if key not in self.labels:
-                raise ValueError(f"missing label for {key}")
+                raise ValueError(f"missing label for {sorted(map(str, key)) if isinstance(key, frozenset) else key}")
             if not is_prime(self.labels[key]):
                 raise ValueError(f"label {self.labels[key]} is not prime")
         for p in self.divisibility_set:

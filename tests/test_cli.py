@@ -233,8 +233,13 @@ def test_diagram_actions_refuse_a_tail_vertex_of_weight_zero(tmp_path, capsys, a
 RAGGED_SYSTEM = {"kind": "stationary", "matrices": [[[1, 0], [0]]], "cone": "simplicial", "unit": [1, 1]}
 MALFORMED_DIAGRAMS = {
     "no-levels": ({"tail": []}, "levels"),
-    "no-size": ({"levels": [{"w": [1]}]}, "'l'"),
-    "ragged": ({"levels": [{"l": 1, "w": [1], "m": [[1, 1], [1]]}, {"l": 2, "w": [1, 1]}]}, "ragged"),
+    "no-size": ({"levels": [{"w": [1]}]}, "levels[0]: missing field 'l'"),
+    "ragged": ({"levels": [{"l": 1, "w": [1], "m": [[1, 1], [1]]}, {"l": 2, "w": [1, 1]}]}, "levels[0].m: ragged"),
+    "top-level-list": ([], "in.json: expected a JSON object"),
+    "levels-string": ({"levels": "x"}, "levels: expected a list"),
+    "level-number": ({"levels": [1]}, "levels[0]: expected a JSON object"),
+    "incidence-number": ({"levels": [{"l": 1, "w": [1], "m": 5}]}, "levels[0].m: expected a list"),
+    "tail-number": ({"levels": [{"l": 1, "w": [1]}], "tail": 3}, "tail: expected a list"),
 }
 
 
@@ -247,10 +252,18 @@ MALFORMED_DIAGRAMS = {
     ]
     + [
         pytest.param(["limits"], RAGGED_SYSTEM, "ragged", id="limits-ragged"),
+        pytest.param(["limits"], {"kind": "stationary", "matrices": 5}, "matrices: expected a list",
+                     id="limits-matrices-number"),
+        pytest.param(["group"], {"generators": 2, "relations": 5}, "relations: expected a list",
+                     id="group-relations-number"),
+        pytest.param(["eplag", "fingerprint", "--graph"], {"vertices": {"a": 3}, "P": 5}, "P: expected a list",
+                     id="eplag-P-number"),
         pytest.param(["ehs", "--system"], RAGGED_SYSTEM, "ragged", id="ehs-ragged"),
         pytest.param(["ehs", "--system"],
                      {"kind": "stationary", "matrices": [[[1, 0], [0, 1]]], "unit": [1]},
                      "order unit needs 2 entries", id="ehs-unit-length"),
+        pytest.param(["ehs", "--system"], {"kind": "stationary", "matrices": [[[1]]], "unit": 5},
+                     "unit: expected a list", id="ehs-unit-number"),
         pytest.param(["ehs", "--system"],
                      {"kind": "stationary", "matrices": [[[1, 1], [1, 2]]], "cone": "strict_first",
                       "unit": [1, 0]},
@@ -593,6 +606,7 @@ def readme_graph(tmp_path, capsys):
         (["eplag", "fingerprint", "--graph", "{graph}", "--bound", "0"], "--bound"),
         (["eplag", "fingerprint", "--graph", "{graph}", "--prime-bound", "1"], "--prime-bound"),
         (["eplag", "member", "--graph", "{graph}", "--target", "{target}", "--bound", "0"], "--bound"),
+        (["diagram", "telescope", "{uhf}", "--cuts", "0,5"], "--cuts"),
     ],
     ids=lambda v: " ".join(v) if isinstance(v, list) else None,
 )
@@ -603,6 +617,7 @@ def test_bad_flag_value_exits_2(tmp_path, capsys, argv, flag):
         "tree": str(tmp_path / "t.json"),
         "target": write(tmp_path, "x.json", {"r": "1/5"}),
         "sys": write(tmp_path, "s.json", STRICT_DOUBLING),
+        "uhf": write(tmp_path, "uhf.json", UHF2),
     }
     code, _, err = run(capsys, [a.format(**paths) for a in argv])
     assert code == 2
@@ -742,3 +757,17 @@ def test_python_dash_m_runs_the_cli(tmp_path, capsys):
     done = subprocess.run([sys.executable, "-m", "afkit", "--format", "json", "group", g], capture_output=True,
                           text=True, env=os.environ | {"PYTHONPATH": str(src)}, timeout=60)
     assert (done.returncode, done.stdout) == (code, out)
+
+
+def test_unknown_edge_end_error_does_not_depend_on_the_hash_seed(tmp_path):
+    # a set's iteration order follows the string hash seed; the error sorts the ends
+    graph = write(tmp_path, "g.json", {"vertices": {"u": 3}, "edges": [{"ends": ["u", "w"], "label": 7}]})
+    target = write(tmp_path, "x.json", {"u": "1/3"})
+    src = Path(__file__).resolve().parents[1] / "src"
+    errs = {
+        subprocess.run([sys.executable, "-m", "afkit", "eplag", "member", "--graph", graph, "--target", target],
+                       capture_output=True, text=True, timeout=60,
+                       env=os.environ | {"PYTHONPATH": str(src), "PYTHONHASHSEED": seed}).stderr
+        for seed in ("1", "5")
+    }
+    assert errs == {f"error: {graph}: edge ['u', 'w'] is not a pair of known vertices\n"}

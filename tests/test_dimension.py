@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from afkit import dimension
 from afkit.abelian import FgAbelianGroup, IntMatrix, determinant
+from afkit.cli import diagram_from_json, diagram_to_json
 from afkit.dimension import (
     BratteliDiagram,
     DiagramEndomorphism,
@@ -15,9 +16,7 @@ from afkit.dimension import (
     ShenCertificate,
     ShenDepthExceeded,
     basis_atom_enumerator,
-    diagram_from_json_dict,
     diagram_to_dot,
-    diagram_to_json_dict,
     diagram_to_system,
     ehs_realize,
     ehs_realize_with_endo,
@@ -95,11 +94,11 @@ def test_validate_fibonacci():
 
 def test_validate_short_weights_before_an_incidence():
     # level 1 lists one weight for two vertices and has an incidence out of it
-    d = diagram_from_json_dict({"levels": [
+    d = diagram_from_json({"levels": [
         {"l": 1, "w": [1], "m": [[1, 1]]},
         {"l": 2, "w": [1], "m": [[1], [1]]},
         {"l": 1, "w": [2]},
-    ]})
+    ]}, "d.json")
     assert validate_diagram(d) == ["condition 3 at level 1: weight list length != vertex count"]
 
 
@@ -131,7 +130,7 @@ ROOT = {"l": 1, "w": [1]}
                  "condition 3 in tail: incidence 0 has no edge into vertex 1", id="tail-second-zero-column"),
 ])
 def test_validate_reports_each_violation(data, message):
-    assert validate_diagram(diagram_from_json_dict(data)) == [message]
+    assert validate_diagram(diagram_from_json(data, "d.json")) == [message]
 
 
 def test_multimatrix_dims():
@@ -259,9 +258,9 @@ def test_telescope_preserves_limit_classes():
 
 def test_diagram_json_roundtrip():
     for d in (uhf2_diagram(), fibonacci_diagram()):
-        data = diagram_to_json_dict(d)
-        back = diagram_from_json_dict(data)
-        assert diagram_to_json_dict(back) == data
+        data = diagram_to_json(d)
+        back = diagram_from_json(data, "d.json")
+        assert diagram_to_json(back) == data
 
 
 def test_diagram_dot_stable():

@@ -77,6 +77,12 @@ def test_label_disjointness_enforced():
         PrimeLabeledGraph(("v",), (), {"v": 4}, ())
 
 
+def test_missing_edge_label_names_the_sorted_ends():
+    e = frozenset({"w", "u"})
+    with pytest.raises(ValueError, match=r"missing label for \['u', 'w'\]"):
+        PrimeLabeledGraph(("u", "w"), (e,), {"u": 3, "w": 5}, ())
+
+
 @pytest.mark.parametrize("second", [7, 13], ids=["same-label", "other-label"])
 def test_repeated_edge_is_refused(second):
     # the labels dict has one entry per edge, so a second copy would drop a

@@ -4,10 +4,10 @@ The CLI owns every file format: each JSON reader and writer is here, and
 a malformed file's error names the field.  Exit codes: 0 all checks
 passed, 1 a verification failed, 2 malformed input, 3 a bounded search was
 exceeded or the limit is proved not finitely generated.  Output is
-deterministic: JSON with sorted keys, DOT stable-sorted by level and vertex
-index.  Each command imports the library modules it uses when it runs, so
-a call loads only those: every process is one call, and loading all of
-them takes longer than most calls.
+deterministic: JSON one line per document with sorted keys, DOT
+stable-sorted by level and vertex index.  Each command imports the library
+modules it uses when it runs, so a call loads only those: every process is
+one call, and loading all of them takes longer than most calls.
 """
 
 from __future__ import annotations
@@ -156,8 +156,10 @@ _rows = functools.partial(_list, each=_list)  # a matrix's rows; the matrix chec
 def group_from_json(data: dict, where: str) -> FgAbelianGroup:
     gens = _require(data, "generators", where)
     rels = _rows(data.get("relations", []), f"{where}.relations")
-    with _input(where):
+    with _input(f"{where}.generators"):
         (n,) = require_ints([gens], "generators")
+    _require_at_least(0, (f"{where}.generators", n))  # before the rows are measured against n
+    with _input(f"{where}.relations"):
         return FgAbelianGroup.from_relation_rows(n, rels)
 
 
@@ -192,8 +194,10 @@ def ordered_system_from_json(data: dict, where: str) -> OrderedStagedSystem:
     sys_ = system_from_json(data, where)
     cone = data.get("cone", "simplicial")
     unit = _list(_require(data, "unit", where), f"{where}.unit")  # a stage-0 vector in the cone
+    with _input(f"{where}.unit"):
+        unit = LimitElement(0, unit)
     with _input(where):
-        return OrderedStagedSystem(system=sys_, cone=cone, unit=LimitElement(0, unit))
+        return OrderedStagedSystem(system=sys_, cone=cone, unit=unit)
 
 
 def eplag_from_json(data: dict, where: str) -> EplagGroup:
@@ -201,18 +205,22 @@ def eplag_from_json(data: dict, where: str) -> EplagGroup:
 
     vertices = _object(_require(data, "vertices", where), f"{where}.vertices")
     names = sorted(vertices)
-    labels = {name: vertices[name] for name in names}
+    with _input(f"{where}.vertices"):
+        labels = dict(zip(names, require_ints([vertices[name] for name in names], "labels")))
     edges = []
-    for e in _list(data.get("edges", []), f"{where}.edges"):
-        ends = _require(e, "ends", f"{where}.edges")
+    for i, e in enumerate(_list(data.get("edges", []), f"{where}.edges")):
+        at = f"{where}.edges[{i}]"
+        ends, label = _require(e, "ends", at), _require(e, "label", at)
         if not (isinstance(ends, list) and all(isinstance(v, str) for v in ends)):
-            raise InputError(f"{where}.edges: ends must be a list of vertex names")
+            raise InputError(f"{at}: ends must be a list of vertex names")
         key = frozenset(ends)
+        try:  # _input's with-block, once per edge, made this reader a third slower
+            (labels[key],) = require_ints([label], "labels")
+        except ValueError as err:
+            raise InputError(f"{at}: {err}")
         edges.append(key)
-        labels[key] = _require(e, "label", f"{where}.edges")
     P = _list(data.get("P", []), f"{where}.P")
     with _input(where):
-        require_ints(labels.values(), "labels")
         P = require_ints(P, "P")
         return EplagGroup(PrimeLabeledGraph(tuple(names), tuple(edges), labels, P))
 
@@ -304,7 +312,7 @@ def invariant_to_json(inv: KirchbergInvariant) -> dict:
 # ---------------------------------------------------------------------------
 
 
-_dump = functools.partial(json.dumps, sort_keys=True, indent=2)  # every JSON afkit writes
+_dump = functools.partial(json.dumps, sort_keys=True)  # every JSON afkit writes; no indent, so the C encoder runs
 
 def _emit(report: dict, fmt: str):
     if fmt == "json":
@@ -472,8 +480,10 @@ def cmd_ehs(args) -> int:
         if kind not in ("same_stage", "cross_stage"):
             raise InputError(f"{args.endo}: kind must be same_stage or cross_stage")
         rows = _rows(_require(data, "matrix", args.endo), f"{args.endo}.matrix")
+        with _input(f"{args.endo}.matrix"):
+            matrix = IntMatrix.from_rows(rows)
         with _input(args.endo):
-            endo = LimitEndomorphism(IntMatrix.from_rows(rows), cross_stage=(kind == "cross_stage"))
+            endo = LimitEndomorphism(matrix, cross_stage=(kind == "cross_stage"))
             n = D.system.stage_rank(0)
             if (endo.matrix.rows, endo.matrix.cols) != (n, n):
                 raise ValueError(f"matrix is {endo.matrix.rows}x{endo.matrix.cols}, stage 0 has rank {n}")

@@ -19,13 +19,13 @@ So on W, x_r needs r-valuation >= -1 and r x_r must be an integer
 combination of those edge sums and the r e_w (a lattice containing r Z^W,
 so integer and r-local combinations agree).
 
-:func:`membership` and :meth:`EplagGroup.contains` share one front end:
-the partial fractions and the valuation test, against a per-prime record
-of the r-divisible vertices, the edges labeled r and W, which the group
-builds on first use and keeps.  ``membership`` then writes a certificate
-with one small solve per prime; ``contains``, which the fingerprint and
-the P-divisibility sample ask, only tests r x_r against the record's
-Hermite basis of that lattice on W, also built once.
+:func:`membership` and :meth:`EplagGroup.contains` share one front end.
+Once per graph it builds the vertex set and the primes; once per prime, on
+first use, a record of the r-divisible vertices, the edges labeled r, W and
+the Hermite basis of that lattice on W; per query, only the partial
+fractions and the valuation test.  ``membership`` then writes a certificate
+with one small solve per prime; ``contains``, which the fingerprint and the
+P-divisibility sample ask, only tests r x_r against the record's basis.
 """
 
 from __future__ import annotations
@@ -62,9 +62,9 @@ class PrimeLabeledGraph:
     divisibility_set: tuple  # the primes P
 
     def __post_init__(self):
-        vs, seen = set(self.vertices), set()
+        seen = set()
         for e in self.edges:
-            if len(e) != 2 or not e <= vs:  # sorted ends: a set's order depends on the hash seed
+            if len(e) != 2 or not e <= self.vertex_set:  # sorted ends: a set's order depends on the hash seed
                 raise ValueError(f"edge {sorted(map(str, e))} is not a pair of known vertices")
             if e in seen:  # the labels dict holds one label per edge, so a copy would lose one
                 raise ValueError(f"edge {sorted(map(str, e))} is listed twice")
@@ -80,6 +80,10 @@ class PrimeLabeledGraph:
         used = {self.labels[k] for k in list(self.vertices) + list(self.edges)}
         if used & set(self.divisibility_set):
             raise ValueError("label range must be disjoint from the divisibility set")
+
+    @cached_property
+    def vertex_set(self) -> frozenset:
+        return frozenset(self.vertices)
 
     @cached_property
     def primes(self) -> tuple:
@@ -138,9 +142,12 @@ class EplagGroup:
         the same question.
         """
         _, parts = _local_parts(self, x)
-        return parts is not None and all(
-            not t or row_lattice_contains(local.lattice, [t.get(w, 0) for w in local.columns])
-            for _, _, local, t in parts.values())
+        if parts is None:
+            return False
+        for _, _, local, t in parts.values():
+            if t and not row_lattice_contains(local.lattice, [t.get(w, 0) for w in local.columns]):
+                return False
+        return True
 
     @cached_property
     def _local(self) -> Callable[[int], "_Local"]:
@@ -189,21 +196,23 @@ class MembershipResult:
 def _local_parts(group: EplagGroup, x: Dict) -> tuple:
     """(x normalized, its r-parts), the front end of every membership test.
 
-    The r-parts map each prime r of the denominators to (k, part, local, t):
-    x's r-part at v is part[v] / r^k with 0 < part[v] < r^k, ``local`` is
-    the group's record at r, and t is r times the r-part on W, which needs
-    r-valuation >= -1 there.  They are None for a nonmember found here: a
-    denominator with a prime outside the labels and P, or a lower valuation.
-    An entry a / (r^j c) with c prime to r has r-part (a c^-1 mod r^j) / r^j,
-    so each prime's work is on its own power and cofactor of each
-    denominator, never on the lcm of all of them.
+    The r-parts map each prime r of the denominators to (k, digits, local, t):
+    x's r-part at v is n / r^j for (j, n) = digits[v], 0 < n < r^j, k is the
+    largest j, ``local`` is the group's record at r, and t is r times the
+    r-part on W, which needs r-valuation >= -1 there.  They are None for a
+    nonmember found here: a denominator with a prime outside the labels and
+    P, or a lower valuation.  An entry a / (r^j c) with c prime to r has
+    r-part (a c^-1 mod r^j) / r^j, so each prime's work is on its own power
+    and cofactor of each denominator, never on their lcm.  The vertex set and
+    the primes are the graph's, the records the group's: a query only checks
+    x's keys (zero entries too) and reads its digits in one pass, which
+    returns at the first valuation below -1 on W.
     """
     graph = group.graph
+    if not graph.vertex_set.issuperset(x):
+        raise ValueError(f"target touches unknown vertex {next(v for v in x if v not in graph.vertex_set)!r}")
     x = q_vector(x)
-    for v in x:
-        if v not in graph.vertices:
-            raise ValueError(f"target touches unknown vertex {v!r}")
-    digits: dict = {}  # r -> {v: (j, a c^-1 mod r^j)}
+    parts: dict = {}
     for v, f in x.items():
         d = f.denominator
         for r in graph.primes:
@@ -212,16 +221,16 @@ def _local_parts(group: EplagGroup, x: Dict) -> tuple:
             if d % r == 0:
                 d, j = _strip(d, r)
                 q = r**j
-                digits.setdefault(r, {})[v] = j, f.numerator * pow(f.denominator // q, -1, q) % q
+                n = f.numerator * pow(f.denominator // q, -1, q) % q
+                k, digits, local, t = parts.get(r) or (1, {}, group._local(r), {})
+                digits[v] = j, n
+                if v in local.columns:
+                    if j > 1:  # valuation below -1 on W
+                        return x, None
+                    t[v] = n
+                parts[r] = max(k, j), digits, local, t
         if d != 1:
             return x, None
-    parts: dict = {}
-    for r in sorted(digits):
-        local, k = group._local(r), max(j for j, _ in digits[r].values())
-        if any(j > 1 for v, (j, _) in digits[r].items() if v in local.columns):  # valuation below -1 on W
-            return x, None
-        parts[r] = (k, {v: n * r ** (k - j) for v, (j, n) in digits[r].items()}, local,
-                    {w: n for w, (_, n) in digits[r].items() if w in local.columns})
     return x, parts
 
 
@@ -238,6 +247,8 @@ def membership(group: EplagGroup, x: Dict) -> MembershipResult:
     x, parts = _local_parts(group, x)
     if parts is None:
         return MembershipResult("nonmember")
+    parts = {r: (k, {v: n * r ** (k - j) for v, (j, n) in digits.items()}, local, t)  # numerators over r^k
+             for r, (k, digits, local, t) in parts.items()}
     terms: Counter = Counter()  # generator name -> coefficient
     for r, (k, part, local, t) in parts.items():
         edges = local.edges if t else ()
@@ -399,9 +410,9 @@ def divisibility_fingerprint(group: EplagGroup, exp_bound: int, prime_bound: int
     fingerprint identically.
     """
     contains = contains or group.contains
-    primes = [r for r in group.graph.primes if r <= prime_bound]
+    probes = [(r, Fraction(1, r**exp_bound)) for r in group.graph.primes if r <= prime_bound]
     return tuple(sorted(
-        tuple(r for r in primes if contains({v: Fraction(1, r**exp_bound)}))
+        tuple(r for r, f in probes if contains({v: f}))
         for v in group.graph.vertices
     ))
 
@@ -422,7 +433,7 @@ def is_P_divisible_sample(group: EplagGroup, exp_bound: int,
     targets = [{v: Fraction(1)} for v in graph.vertices]
     targets += [{v: Fraction(1, graph.labels[e]) for v in e} for e in graph.edges]
     return all(
-        contains({v: f / p**exp_bound for v, f in t.items()})
+        contains({v: f / q for v, f in t.items()})
+        for q in (p**exp_bound for p in graph.divisibility_set)  # one power per p
         for t in targets
-        for p in graph.divisibility_set
     )

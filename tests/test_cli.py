@@ -40,6 +40,7 @@ UHF2 = {
     ],
     "tail": [[[2]]],
 }
+SIMPLICIAL_ONE = {"kind": "stationary", "matrices": [[[1]]], "unit": [1]}
 
 
 def test_group_reports_factors(tmp_path, capsys):
@@ -277,6 +278,8 @@ MALFORMED_DIAGRAMS = {
                      id="eplag-target-list"),
         pytest.param(["eplag", "member", "--graph", "{graph}", "--target"], {"zz": "1/3"},
                      "unknown vertex 'zz'", id="eplag-target-unknown-vertex"),
+        pytest.param(["eplag", "member", "--graph", "{graph}", "--target"], {"zz": 0},
+                     "unknown vertex 'zz'", id="eplag-target-zero-on-unknown-vertex"),
         pytest.param(["eplag", "fingerprint", "--graph"],
                      {"vertices": {"a": 3, "b": 5}, "edges": [{"ends": 5, "label": 7}]},
                      "ends must be a list of vertex names", id="eplag-ends-number"),
@@ -304,12 +307,45 @@ def test_malformed_input_exits_2(tmp_path, capsys, argv, data, field):
     assert err.startswith("error: ") and field in err
 
 
+@pytest.mark.parametrize(
+    "argv, files, message",
+    [
+        pytest.param(["group", "{a}"], {"a": {"generators": 2, "relations": [[1, 2.5]]}},
+                     "{a}.relations: matrix entries must be integers, got 2.5", id="group-float-entry"),
+        pytest.param(["group", "{a}"], {"a": {"generators": 2, "relations": [[1]]}},
+                     "{a}.relations: rows must have 2 entries", id="group-short-row"),
+        pytest.param(["group", "{a}"], {"a": {"generators": 1.5}},
+                     "{a}.generators: generators must be integers, got 1.5", id="group-float-generators"),
+        pytest.param(["group", "{a}"], {"a": {"generators": -1, "relations": [[1]]}},
+                     "{a}.generators: must be at least 0", id="group-negative-generators-with-rows"),
+        pytest.param(["eplag", "fingerprint", "--graph", "{a}"], {"a": {"vertices": {"a": 3.5}}},
+                     "{a}.vertices: labels must be integers, got 3.5", id="eplag-float-vertex-label"),
+        pytest.param(["eplag", "fingerprint", "--graph", "{a}"],
+                     {"a": {"vertices": {"a": 3, "b": 5},
+                            "edges": [{"ends": ["a", "b"], "label": 7}, {"ends": 5, "label": 7}]}},
+                     "{a}.edges[1]: ends must be a list of vertex names", id="eplag-ends"),
+        pytest.param(["eplag", "fingerprint", "--graph", "{a}"],
+                     {"a": {"vertices": {"a": 3, "b": 5}, "edges": [{"ends": ["a", "b"], "label": 7.5}]}},
+                     "{a}.edges[0]: labels must be integers, got 7.5", id="eplag-float-edge-label"),
+        pytest.param(["eplag", "fingerprint", "--graph", "{a}"],
+                     {"a": {"vertices": {"a": 3, "b": 5}, "edges": [{"ends": ["a", "b"]}]}},
+                     "{a}.edges[0]: missing field 'label'", id="eplag-no-edge-label"),
+        pytest.param(["eplag", "fingerprint", "--graph", "{a}"],
+                     {"a": {"vertices": {"a": 3, "b": 5}, "edges": [{"label": 7}]}},
+                     "{a}.edges[0]: missing field 'ends'", id="eplag-no-ends"),
+        pytest.param(["ehs", "--system", "{a}"], {"a": dict(SIMPLICIAL_ONE, unit=[1.5])},
+                     "{a}.unit: limit vector entries must be integers, got 1.5", id="ehs-float-unit"),
+    ],
+)
+def test_value_error_names_the_field(tmp_path, capsys, argv, files, message):
+    paths = {name: write(tmp_path, f"{name}.json", data) for name, data in files.items()}
+    assert run(capsys, [a.format(**paths) for a in argv]) == (2, "", f"error: {message.format(**paths)}\n")
+
+
 def test_ehs_ragged_endo_exits_2(tmp_path, capsys):
     system = write(tmp_path, "s.json", {"kind": "stationary", "matrices": [[[1]]], "unit": [1]})
     endo = write(tmp_path, "e.json", {"kind": "same_stage", "matrix": [[1, 0], [0]]})
-    code, _, err = run(capsys, ["ehs", "--system", system, "--endo", endo])
-    assert code == 2
-    assert err.startswith("error: ") and "ragged" in err
+    assert run(capsys, ["ehs", "--system", system, "--endo", endo]) == (2, "", f"error: {endo}.matrix: ragged rows\n")
 
 
 @pytest.mark.parametrize("system, matrix, message", [
@@ -701,9 +737,6 @@ def test_reported_errors_resolve_to_caught_classes(module, name, code):
     cls = getattr(importlib.import_module(f"afkit.{module}"), name)
     assert issubclass(cls, (RuntimeError, ValueError))  # the bases main catches
     assert code in (cli.EXIT_VERIFY_FAIL, cli.EXIT_DEPTH)
-
-
-SIMPLICIAL_ONE = {"kind": "stationary", "matrices": [[[1]]], "unit": [1]}
 
 
 @pytest.mark.parametrize(

@@ -456,6 +456,33 @@ def test_yes_no_queries_write_no_certificate_and_build_each_lattice_once(monkeyp
     assert built == []  # every lattice the comparison needs was built above
 
 
+@settings(max_examples=100, deadline=None)
+@given(graphs_with_targets())
+def test_fingerprint_and_sample_match_the_certificate_oracle(case):
+    # the invariants' default oracle (contains) against membership's answers
+    # on the queries they ask, every member's certificate re-added
+    G, _ = case
+
+    def certified(x):
+        res = membership(G, x)
+        assert not res.is_member or verify_certificate(G, x, res), x
+        return res.is_member
+
+    for K in (1, 2, 3):
+        assert divisibility_fingerprint(G, K, 20) == divisibility_fingerprint(G, K, 20, certified)
+        assert is_P_divisible_sample(G, K) is is_P_divisible_sample(G, K, certified)
+
+
+def test_zero_entry_on_an_unknown_vertex_is_refused():
+    # the vertex check reads the target's keys before its zero entries are dropped
+    G = single_vertex_group()
+    for x in ({"zz": 0}, {"zz": Fraction(0)}, {"v": Fraction(1, 3), "zz": 0}):
+        for ask in (lambda x: membership(G, x), G.contains):
+            with pytest.raises(ValueError, match="unknown vertex 'zz'"):
+                ask(x)
+    assert membership(G, {"v": 0}) == MembershipResult("member", 1, {}) and G.contains({"v": 0})
+
+
 def test_membership_does_not_grow_with_P():
     # the P-primes leave a target without them untouched: one local step
     e = frozenset({"a", "b"})

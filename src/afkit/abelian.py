@@ -52,12 +52,18 @@ class IntMatrix:
         width = len(data[0]) if cols is None and data else cols or 0
         if any(len(row) != width for row in data):
             raise DimensionMismatch("ragged rows" if cols is None else f"rows must have {cols} entries")
-        return cls(len(data), width, tuple(tuple(filter(itemgetter(1), enumerate(row))) for row in data))
+        return cls.from_dense(data, width)
+
+    @classmethod
+    def from_dense(cls, data: Sequence[Sequence[int]], cols: int) -> "IntMatrix":
+        """From rows of ``cols`` ints each (not checked), such as afkit's own results."""
+        return cls(len(data), cols, tuple(tuple(filter(itemgetter(1), enumerate(row))) for row in data))
 
     @classmethod
     def from_sparse(cls, data: Sequence[dict], cols: int) -> "IntMatrix":
         """From {column: entry} rows that hold no zero entry (not checked)."""
-        return cls(len(data), cols, tuple(tuple(sorted(row.items())) for row in data))
+        return cls(len(data), cols, tuple(tuple(sorted(row.items())) if len(row) > 1 else tuple(row.items())
+                                          for row in data))
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
@@ -81,13 +87,12 @@ class IntMatrix:
         return [list(self.row(i)) for i in range(self.rows)]
 
     def transpose(self) -> "IntMatrix":
-        out = [[] for _ in range(self.cols)]
-        for i, row in enumerate(self.sparse):
-            for j, x in row:
-                out[j].append((i, x))
-        result = IntMatrix(self.cols, self.rows, tuple(map(tuple, out)))
+        result = IntMatrix(self.cols, self.rows, self._columns)
         object.__setattr__(result, "_columns", self.sparse)  # the transpose's columns are these rows
         return result
+
+    def is_nonnegative(self) -> bool:
+        return all(x >= 0 for row in self.sparse for _, x in row)
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         """Row i of the product sums c * (row k of other) over the nonzeros c = self[i, k]."""
@@ -107,8 +112,13 @@ class IntMatrix:
 
     @cached_property
     def _columns(self) -> tuple:
-        """The transpose's ``sparse``: column j's (row, entry) pairs, built on the first apply."""
-        return self.transpose().sparse
+        """The transpose's ``sparse``: column j's (row, entry) pairs, built on the
+        first apply or transpose and shared by both."""
+        out = [[] for _ in range(self.cols)]
+        for i, row in enumerate(self.sparse):
+            for j, x in row:
+                out[j].append((i, x))
+        return tuple(map(tuple, out))
 
     def apply(self, vec: Sequence[int]) -> tuple:
         """Matrix times column vector, summed over the vector's nonzeros only."""

@@ -32,8 +32,8 @@ from .limits import (
     StagedSystem,
     death_lattice_rows,
     is_zero_class,
-    limit_equal,
     push,
+    stage_equality,
 )
 
 SIMPLICIAL = "simplicial"
@@ -194,7 +194,7 @@ def validate_diagram(d: BratteliDiagram) -> list:
                 f"expected {cur.size}x{nxt.size}"
             )
             continue
-        if any(x < 0 for x in inc.entries):
+        if not inc.is_nonnegative():
             violations.append(f"condition 4 at level {n}: negative multiplicity")
         # a weight list that failed condition 3 has no path count to compare
         if len(cur.weights) != cur.size or len(nxt.weights) != nxt.size:
@@ -206,7 +206,7 @@ def validate_diagram(d: BratteliDiagram) -> list:
                                   f"{w}, path count gives {s}")
                 break
     for i, t in enumerate(d.tail):
-        if any(x < 0 for x in t.entries):
+        if not t.is_nonnegative():
             violations.append("condition 4 in tail: negative multiplicity")
         # a vertex with no edge in gets path count 0, a weight condition 3 forbids
         if zero := [j for j, col in enumerate(t.transpose().sparse) if not col]:
@@ -381,7 +381,7 @@ def _shen_simplicial(D, theta, search_bound) -> ShenCertificate:
     if not used:
         used = [0] if n else []
     phi = tuple(_basis_element(stage, n, t) for t in used)
-    g = IntMatrix.from_rows([[v[t] for t in used] for v in vecs], cols=len(used))
+    g = IntMatrix.from_dense([[v[t] for t in used] for v in vecs], len(used))
     return ShenCertificate(phi, g)
 
 
@@ -399,7 +399,7 @@ def _shen_strict_first(D, theta, search_bound) -> ShenCertificate:
     tau = basis[0][0]
     if tau == 0:
         raise ValueError("all first coordinates vanish")
-    lattice = IntMatrix.from_rows(basis)
+    lattice = IntMatrix.from_dense(basis, len(basis[0]))  # checked by hermite_row_basis
     abar = [row_lattice_coefficients(lattice, v) for v in vecs]
     margin = max((abs(a[j]) for a in abar for j in range(1, rho)), default=0)
     m_coef = margin + 1
@@ -444,8 +444,8 @@ def _shen_strict_first(D, theta, search_bound) -> ShenCertificate:
         merged[atom] = [x + yv for x, yv in zip(merged[atom], col)] if atom in merged else col
     merged = {atom: col for atom, col in merged.items() if any(col)} or {atoms[-1]: merged[atoms[-1]]}
     phi = tuple(merged)
-    g = IntMatrix.from_rows(list(merged.values())).transpose()
-    if any(x < 0 for x in g.entries):
+    g = IntMatrix.from_dense(list(merged.values()), len(theta)).transpose()
+    if not g.is_nonnegative():
         raise ShenDepthExceeded("shen-depth-exceeded: internal coefficient went negative")
     return ShenCertificate(phi, g)
 
@@ -464,7 +464,7 @@ def verify_shen_certificate(
     (2) every integer relation among the theta is inherited by g's columns.
     Exact; does not reuse any state from the solver.
     """
-    if cert.g.rows != len(theta) or any(x < 0 for x in cert.g.entries):
+    if cert.g.rows != len(theta) or not cert.g.is_nonnegative():
         return False
     for p in cert.phi:
         if D.is_positive(p, CERTIFICATE_CHECK_DEPTH) is not True:
@@ -473,12 +473,18 @@ def verify_shen_certificate(
 
 
 def _factors_through(D, theta, g, phi) -> bool:
-    """Whether every theta(i) equals sum_j g(i, j) phi(j) in the limit: the phi
-    are pushed once to the common stage, each row of g times them compared."""
+    """Whether every theta(i) equals sum_j g(i, j) phi(j) in the limit.
+
+    The phi and the theta are each pushed once to the common stage, and each
+    row of g times the phi is compared there with its theta by one
+    :func:`stage_equality` test: equal vectors agree, and the death lattice
+    is used only for unequal vectors of a non-injective system."""
+    sys = D.system
     stage = max([p.stage for p in phi] + [t.stage for t in theta], default=0)
-    phi_mat = IntMatrix.from_rows([push(D.system, p, stage).vector for p in phi], cols=D.stage_rank(stage))
+    phi_mat = IntMatrix.from_rows([push(sys, p, stage).vector for p in phi], cols=D.stage_rank(stage))
     combos = g @ phi_mat
-    return all(limit_equal(D.system, LimitElement(stage, combos.row(i)), t) for i, t in enumerate(theta))
+    equal = stage_equality(sys, stage)
+    return all(equal(combos.row(i), push(sys, t, stage).vector) for i, t in enumerate(theta))
 
 
 # ---------------------------------------------------------------------------
@@ -568,6 +574,25 @@ def ehs_realize_with_endo(
     return _realize(D, phi, positive_enumerator, depth, search_bound)
 
 
+def _level_shape(n: int, l_n: int, combined: IntMatrix, width: int, images: bool) -> tuple:
+    """(keep, picked, m_n, q_n) of a level from its combined coefficients over
+    ``width`` certificate positives: the columns that are used (all of them
+    if none is), the rows restricted to them, and the blocks of the current
+    elements and, when the rows include ``images``, of their images (q_n is
+    None otherwise)."""
+    columns = combined.transpose().sparse  # (row, entry) pairs, rows in order
+    keep = [j for j, col in enumerate(columns) if col] or list(range(width))
+    if any(not columns[j] or columns[j][0][0] >= l_n for j in keep):
+        raise RealizationError(
+            f"level {n}: a produced vertex is unreachable from the current elements; "
+            "choose a finer enumerator or raise depth"
+        )
+    picked = IntMatrix(len(keep), combined.rows, tuple(columns[j] for j in keep)).transpose()
+    m_n = IntMatrix(l_n, len(keep), picked.sparse[:l_n])
+    q_n = IntMatrix(l_n, len(keep), picked.sparse[l_n : 2 * l_n]) if images else None
+    return keep, picked, m_n, q_n
+
+
 def _realize(D, phi, positive_enumerator, depth, search_bound) -> RealizationResult:
     """The EHS recursion; with ``phi`` None no images or q_n are produced.
 
@@ -583,23 +608,31 @@ def _realize(D, phi, positive_enumerator, depth, search_bound) -> RealizationRes
     first coordinate and the death lattice, which past the prefix depends
     only on the stage's phase too.  So for both cones the shifted inputs get
     the same g and phi shifted by d, which is how a stored certificate is
-    reused; a stationary system has one phase, so every shift reuses.
-    Every check after a solve (the images' positivity, every row's
-    factorization by :func:`_factors_through` as :func:`verify_shen_certificate`
-    checks it, and the intertwining identity) still runs per level.
+    reused; a stationary system has one phase, so every shift reuses, and
+    a shift of 0 returns the stored certificate itself.  What a level reads
+    off its certificates' coefficients alone (:func:`_level_shape`) is
+    built once per pair of certificate keys.  Every check after a solve
+    (the images' positivity, every row's factorization by
+    :func:`_factors_through` as :func:`verify_shen_certificate` checks it,
+    and the intertwining identity) still runs per level.
     """
     enum = iter(positive_enumerator)
     certificates = {}  # (phase of the smallest stage, inputs staged from it) -> (that stage, certificate)
+    shapes = {}  # the level's certificate keys -> _level_shape of their coefficients
     P, T = len(D.system.prefix), len(D.system.tail)
 
-    def solve(theta: list) -> ShenCertificate:
+    def solve(theta: list) -> tuple:
+        """The key of ``theta``'s stored certificate, and that certificate
+        shifted to ``theta``'s stages (itself when the shift is 0)."""
         base = min((t.stage for t in theta), default=0)
         phase = base if base < P else P + (base - P) % T
         key = phase, tuple((t.stage - base, t.vector) for t in theta)
         if key not in certificates:
             certificates[key] = base, shen_solve(D, theta, search_bound)
         stored, cert = certificates[key]
-        return ShenCertificate(tuple(LimitElement(p.stage + base - stored, p.vector) for p in cert.phi), cert.g)
+        if stored != base:
+            cert = ShenCertificate(tuple(LimitElement(p.stage + base - stored, p.vector) for p in cert.phi), cert.g)
+        return key, cert
 
     unit = D.unit
     thetas = [(unit,)]
@@ -623,20 +656,14 @@ def _realize(D, phi, positive_enumerator, depth, search_bound) -> RealizationRes
         if x is None:
             x = unit
         theta_prime = list(cur) + images + [x]
-        cert = solve(theta_prime)
-        combined = cert.g
+        key, cert = solve(theta_prime)
+        pair, combined = (key,), cert.g
         if phi is not None:
-            cert = solve(list(cert.phi))
-            combined = combined @ cert.g
-        columns = combined.transpose().sparse  # (row, entry) pairs, rows in order
-        keep = [j for j, col in enumerate(columns) if col] or list(range(len(cert.phi)))
-        if any(not columns[j] or columns[j][0][0] >= l_n for j in keep):
-            raise RealizationError(
-                f"level {n}: a produced vertex is unreachable from the current elements; "
-                "choose a finer enumerator or raise depth"
-            )
-        picked = IntMatrix(len(keep), combined.rows, tuple(columns[j] for j in keep)).transpose()
-        m_n = IntMatrix(l_n, len(keep), picked.sparse[:l_n])
+            key, cert = solve(list(cert.phi))
+            pair, combined = (*pair, key), combined @ cert.g
+        if pair not in shapes:
+            shapes[pair] = _level_shape(n, l_n, combined, len(cert.phi), phi is not None)
+        keep, picked, m_n, q_n = shapes[pair]
         new_thetas = tuple(cert.phi[j] for j in keep)
         if not _factors_through(D, theta_prime, picked, new_thetas):
             raise RealizationError("level identity failed exact verification")
@@ -645,8 +672,10 @@ def _realize(D, phi, positive_enumerator, depth, search_bound) -> RealizationRes
         levels.append(DiagramLevel(len(keep), w_next, None))
         thetas.append(new_thetas)
         if phi is not None:
-            q_list.append(IntMatrix(l_n, len(keep), picked.sparse[l_n : 2 * l_n]))
-        literal = any(limit_equal(D.system, x, t) for t in new_thetas)
+            q_list.append(q_n)
+        stage = max(t.stage for t in (x, *new_thetas))
+        equal, x_vec = stage_equality(D.system, stage), push(D.system, x, stage).vector
+        literal = any(equal(x_vec, push(D.system, t, stage).vector) for t in new_thetas)
         coverage.append(
             CoverageRecord(
                 level=n,

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Sequence
 
 from .abelian import (
     DimensionMismatch,
@@ -99,7 +100,9 @@ class LimitElement:
     vector: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "vector", require_ints(self.vector, "limit vector entries"))
+        vector = require_ints(self.vector, "limit vector entries")
+        if vector is not self.vector:  # a tuple comes back as itself
+            object.__setattr__(self, "vector", vector)
 
 
 @dataclass(frozen=True)
@@ -125,30 +128,51 @@ class LimitEndomorphism:
 
 
 def push(sys: StagedSystem, e: LimitElement, to_stage: int) -> LimitElement:
-    """Push a representative forward through the connecting maps."""
+    """Push a representative forward through the connecting maps; ``e``
+    itself when it is already at ``to_stage``.
+
+    Two representatives are compared by pushing both once to their common
+    stage and comparing the vectors there; the death lattice is used only
+    for unequal vectors of a non-injective system (:func:`stage_equality`)."""
     if to_stage < e.stage:
         raise ValueError(f"cannot push backwards from stage {e.stage} to {to_stage}")
-    vec = list(e.vector)
+    if to_stage == e.stage:
+        return e
+    vec = e.vector
     for n in range(e.stage, to_stage):
-        vec = list(sys.connect(n).apply(vec))
-    return LimitElement(to_stage, tuple(vec))
+        vec = sys.connect(n).apply(vec)
+    return LimitElement(to_stage, vec)
+
+
+def stage_equality(sys: StagedSystem, stage: int):
+    """The test whether two stage-``stage`` vectors give the same limit class.
+
+    Equal vectors do.  Unequal ones do exactly when their difference dies,
+    that is, lies in the death lattice at ``stage``, which is consulted only
+    in a non-injective system.  The test raises :class:`DimensionMismatch`
+    unless both vectors have the stage's rank.
+    """
+    rank = sys.stage_rank(stage)
+
+    def equal(a: Sequence[int], b: Sequence[int]) -> bool:
+        if not len(a) == len(b) == rank:
+            raise DimensionMismatch(f"stage {stage} vectors have {rank} entries")
+        if a == b or sys.injective:
+            return a == b
+        return row_lattice_contains(death_lattice_rows(sys, stage), [x - y for x, y in zip(a, b)])
+
+    return equal
 
 
 def limit_equal(sys: StagedSystem, e1: LimitElement, e2: LimitElement) -> bool:
     """Whether two representatives give the same limit class.
 
-    Both are pushed to their common stage s.  They agree in the limit
-    exactly when their difference dies, that is, lies in the death lattice
-    at stage s; in an injective system only equal vectors agree.
+    Both are pushed to their common stage s and their vectors compared
+    there by :func:`stage_equality`: equal vectors agree, and unequal ones
+    are tested against the death lattice at s only in a non-injective system.
     """
     s = max(e1.stage, e2.stage)
-    a = push(sys, e1, s).vector
-    b = push(sys, e2, s).vector
-    if not len(a) == len(b) == sys.stage_rank(s):
-        raise DimensionMismatch(f"stage {s} vectors have {sys.stage_rank(s)} entries")
-    if a == b or sys.injective:
-        return a == b
-    return row_lattice_contains(death_lattice_rows(sys, s), [x - y for x, y in zip(a, b)])
+    return stage_equality(sys, s)(push(sys, e1, s).vector, push(sys, e2, s).vector)
 
 
 def is_zero_class(sys: StagedSystem, e: LimitElement) -> bool:

@@ -570,6 +570,32 @@ def test_pipeline_deterministic(tmp_path, capsys):
     assert out1 == out2
 
 
+def test_pipeline_pushes_and_builds_limit_elements_within_bounds(tmp_path, capsys, monkeypatch):
+    # a count guard, not a timer: one g = 2, depth-3 job made 26 connect
+    # calls and built 57 limit elements when each push and comparison went
+    # through a fresh element; comparing at one stage takes 20 and 19
+    from afkit.limits import LimitElement, StagedSystem
+
+    counts = {"connect": 0, "elements": 0}
+    connect, post_init = StagedSystem.connect, LimitElement.__post_init__
+
+    def counted_connect(self, n):
+        counts["connect"] += 1
+        return connect(self, n)
+
+    def counted_post_init(self):
+        counts["elements"] += 1
+        post_init(self)
+
+    monkeypatch.setattr(StagedSystem, "connect", counted_connect)
+    monkeypatch.setattr(LimitElement, "__post_init__", counted_post_init)
+    g = write(tmp_path, "g.json", {"generators": 2, "relations": [[4, 1], [0, 6]]})
+    code, out, _ = run(capsys, ["--format", "json", "pipeline", "--group", g, "--prime", "3", "--depth", "3"])
+    assert code == 0 and json.loads(out)["all_passed"] is True
+    assert 0 < counts["connect"] <= 20
+    assert 0 < counts["elements"] <= 19
+
+
 @pytest.mark.parametrize("rows,description", [([[0]], "(Z, 0, Z)"), ([[6, 0], [0, 0]], "(Z/6 + Z, 0, Z)")])
 def test_pipeline_with_a_free_part_reports_its_kernel(tmp_path, capsys, rows, description):
     g = write(tmp_path, "g.json", {"generators": len(rows), "relations": rows})

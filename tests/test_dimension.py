@@ -5,7 +5,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from afkit import dimension
-from afkit.abelian import FgAbelianGroup, IntMatrix, determinant
+from afkit.abelian import DimensionMismatch, FgAbelianGroup, IntMatrix, determinant
 from afkit.cli import diagram_from_json, diagram_to_json
 from afkit.dimension import (
     BratteliDiagram,
@@ -34,6 +34,7 @@ from afkit.limits import (
     NotFinitelyGeneratedError,
     StagedSystem,
     build_limit_group,
+    death_lattice_rows,
     is_zero_class,
     limit_equal,
     push,
@@ -552,6 +553,107 @@ def test_verifier_rejects_a_broken_certificate(system, change):
     assert verify_shen_certificate(D, RELATED, cert)
     phi, g = BREAKS[change](cert.phi, cert.g.to_rows())
     assert not verify_shen_certificate(D, RELATED, ShenCertificate(phi, IntMatrix.from_rows(g, cols=len(phi))))
+
+
+# --- comparing at one stage ---------------------------------------------------
+
+
+def push_by_hand(sys, vec, start, stop):
+    """``vec`` at stage ``start`` pushed to ``stop``, one stage and one entry at a time."""
+    for n in range(start, stop):
+        vec = tuple(sum(a * x for a, x in zip(row, vec)) for row in sys.connect(n).to_rows())
+    return vec
+
+
+def equal_element_by_element(sys, e1, e2):
+    """Reference for limit_equal: equal vectors at some stage up to a bound
+    past which nothing more dies (see ``equal_by_pushing`` in test_limits)."""
+    s = max(e1.stage, e2.stage)
+    a, b = push_by_hand(sys, e1.vector, e1.stage, s), push_by_hand(sys, e2.vector, e2.stage, s)
+    for n in range(s, s + len(sys.prefix) + (sys.tail[0].cols + 1) * len(sys.tail)):
+        if a == b:
+            return True
+        a, b = push_by_hand(sys, a, n, n + 1), push_by_hand(sys, b, n, n + 1)
+    return a == b
+
+
+def factors_element_by_element(sys, theta, g, phi):
+    """Reference for _factors_through: for each theta(i), every phi(j) is
+    pushed on its own to the stage where it meets theta(i), scaled by
+    g(i, j) and summed, and the sum compared with theta(i) by pushing."""
+    for t, row in zip(theta, g.to_rows()):
+        s = max(p.stage for p in (t, *phi))
+        combo = [0] * len(t.vector)
+        for c, p in zip(row, phi):
+            combo = [x + c * y for x, y in zip(combo, push_by_hand(sys, p.vector, p.stage, s))]
+        if not equal_element_by_element(sys, LimitElement(s, tuple(combo)), t):
+            return False
+    return True
+
+
+@st.composite
+def factorization_cases(draw):
+    """A prefix + tail system on Z^n, positives phi, coefficients g and
+    elements theta: the combinations themselves, pushed on and offset by a
+    vector that may die, or drawn freely.  With ``drop`` one map kills the
+    first coordinate, so the system is not injective and vectors die."""
+    n = draw(st.integers(1, 3))
+    entries = st.sampled_from([-1, 0, 0, 1, 2])
+    mats = [draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n))
+            for _ in range(draw(st.integers(1, 4)))]
+    drop = draw(st.booleans())
+    if drop:
+        k = draw(st.integers(0, len(mats) - 1))
+        mats[k] = [[0, *row[1:]] for row in mats[k]]
+    mats = [IntMatrix.from_rows(m) for m in mats]
+    period = draw(st.integers(1, min(2, len(mats))))
+    sys = StagedSystem(tuple(mats[:-period]), tuple(mats[-period:]))
+    assert not (drop and sys.injective)
+    vector = st.lists(st.integers(-3, 3), min_size=n, max_size=n).map(tuple)
+    phi = [LimitElement(draw(st.integers(0, 3)), draw(vector)) for _ in range(draw(st.integers(1, 3)))]
+    g = IntMatrix.from_rows(draw(st.lists(st.lists(st.integers(-2, 2), min_size=len(phi), max_size=len(phi)),
+                                          min_size=1, max_size=3)))
+    top = max(p.stage for p in phi)
+    theta = []
+    for row in g.to_rows():
+        if draw(st.booleans()):
+            theta.append(LimitElement(draw(st.integers(0, 5)), draw(vector)))
+            continue
+        s = top + draw(st.integers(0, 2))
+        combo = [0] * n
+        for c, p in zip(row, phi):
+            combo = [x + c * y for x, y in zip(combo, push_by_hand(sys, p.vector, p.stage, s))]
+        offset = draw(st.sampled_from([(0,) * n, (1,) + (0,) * (n - 1)]))
+        theta.append(LimitElement(s, tuple(x + y for x, y in zip(combo, offset))))
+    D = OrderedStagedSystem(system=sys, cone="simplicial", unit=LimitElement(0, (1,) * n))
+    return D, theta, g, phi
+
+
+@settings(max_examples=300, deadline=None)
+@given(factorization_cases())
+def test_one_stage_comparisons_match_pushing_element_by_element(case):
+    D, theta, g, phi = case
+    sys = D.system
+    assert dimension._factors_through(D, theta, g, phi) is factors_element_by_element(sys, theta, g, phi)
+    for a in theta:
+        for b in (*theta, *phi):
+            assert limit_equal(sys, a, b) is equal_element_by_element(sys, a, b)
+    # a theta one entry short or long is refused, pushed or at the common stage
+    for vector in (theta[0].vector[:-1], theta[0].vector + (0,)):
+        with pytest.raises(DimensionMismatch):
+            dimension._factors_through(D, [LimitElement(theta[0].stage, vector), *theta[1:]], g, phi)
+
+
+def test_one_stage_comparison_reads_the_death_lattice():
+    # (x, y) -> (x + y, 0): (1, 0) and (0, 1) differ at every stage but are
+    # one class, since (1, -1) dies; (1, 1) is not theirs
+    sys = StagedSystem.stationary(IntMatrix.from_rows([[1, 1], [0, 0]]))
+    D = OrderedStagedSystem(system=sys, cone="simplicial", unit=LimitElement(0, (1, 0)))
+    assert death_lattice_rows(sys, 0).to_rows() == [[1, -1]]
+    one = IntMatrix.from_rows([[1]])
+    assert dimension._factors_through(D, [LimitElement(0, (1, 0))], one, (LimitElement(0, (0, 1)),))
+    assert not dimension._factors_through(D, [LimitElement(0, (1, 1))], one, (LimitElement(0, (0, 1)),))
+    assert limit_equal(sys, LimitElement(0, (1, 0)), LimitElement(0, (0, 1)))
 
 
 # --- EHS realization ----------------------------------------------------------

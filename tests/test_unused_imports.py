@@ -112,6 +112,7 @@ KEPT = (
     ("FreeWord.parse", "input builder for words, used throughout the tests"),
     ("chain_tree", "input builder for path trees, used throughout the tests"),
     ("PrimeLabeledGraph.relabel_vertices", "input builder for isomorphic copies of a graph"),
+    ("IntMatrix.entries", "dense view: the benchmark tracer's bit-size hook and the tests read it"),
 )
 
 

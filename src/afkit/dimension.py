@@ -611,7 +611,9 @@ def _realize(D, phi, positive_enumerator, depth, search_bound) -> RealizationRes
     reused; a stationary system has one phase, so every shift reuses, and
     a shift of 0 returns the stored certificate itself.  What a level reads
     off its certificates' coefficients alone (:func:`_level_shape`) is
-    built once per pair of certificate keys.  Every check after a solve
+    built once per pair of certificate keys; on the first round of
+    ``pipeline_ladder`` seeds 0-2 (312 jobs, 936 levels at depth 3) that is
+    312 builds, so 2 levels in 3 reuse one.  Every check after a solve
     (the images' positivity, every row's factorization by
     :func:`_factors_through` as :func:`verify_shen_certificate` checks it,
     and the intertwining identity) still runs per level.

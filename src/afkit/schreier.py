@@ -31,9 +31,16 @@ class FreeWord:
     letters: tuple = ()
 
     def __post_init__(self):
-        if any(gen < 0 or sign not in (0, 1) for gen, sign in self.letters):
-            raise ValueError("a letter needs a generator index >= 0 and a sign 0 or 1")
-        if any(a == (g, 1 - s) for a, (g, s) in zip(self.letters, self.letters[1:])):
+        # one pass; a bad letter anywhere wins over a cancelling pair
+        reduced, prev = True, None
+        for letter in self.letters:
+            gen, sign = letter
+            if gen < 0 or sign not in (0, 1):
+                raise ValueError("a letter needs a generator index >= 0 and a sign 0 or 1")
+            if prev == (gen, 1 - sign):
+                reduced = False
+            prev = letter
+        if not reduced:
             raise ValueError("letter next to its inverse; word not reduced")
 
     @classmethod
@@ -59,15 +66,6 @@ class FreeWord:
 
     def shortlex_key(self):
         return (len(self.letters), self.letters)
-
-    def exponent_vector(self, rank: int) -> tuple:
-        """Image under abelianization onto Z^rank."""
-        out = [0] * rank
-        for g, s in self.letters:
-            if g >= rank:
-                raise ValueError(f"generator x{g} outside ambient rank {rank}")
-            out[g] += 1 - 2 * s
-        return tuple(out)
 
     def __str__(self) -> str:
         if not self.letters:
@@ -118,19 +116,27 @@ def kernel_oracle(target: FgAbelianGroup, images: Sequence[Sequence[int]]) -> Su
     is its image reduced modulo the target's relation lattice, which is
     unique per element of the target (:func:`row_lattice_remainder`), so
     two words share a coset of the kernel exactly when their keys agree.
+    The image is summed in one pass over the word's letters, each adding its
+    signed image's nonzero (column, entry) pairs, built once here; a letter
+    whose generator is past the images raises ValueError.
     """
     images = [require_ints(v, "image entries") for v in images]
     for v in images:
         if len(v) != target.num_generators:
             raise ValueError("image vector length mismatch")
-    rank, lattice = len(images), target.relation_lattice
+    rank, width, lattice = len(images), target.num_generators, target.relation_lattice
+    signed = []  # signed[g][s]: the image of x_g (s = 0) or x_g^-1 (s = 1) as nonzero pairs
+    for v in images:
+        pairs = tuple((k, e) for k, e in enumerate(v) if e)
+        signed.append((pairs, tuple((k, -e) for k, e in pairs)))
 
     def key(word: FreeWord) -> tuple:
-        total = [0] * target.num_generators
-        for e, img in zip(word.exponent_vector(rank), images):
-            if e:
-                for k in range(target.num_generators):
-                    total[k] += e * img[k]
+        total = [0] * width
+        for g, s in word.letters:
+            if g >= rank:
+                raise ValueError(f"generator x{g} outside ambient rank {rank}")
+            for k, e in signed[g][s]:
+                total[k] += e
         return row_lattice_remainder(lattice, total)
 
     return SubgroupOracle(key, rank)
@@ -186,21 +192,24 @@ def schreier_generators(h: SubgroupOracle, word_bound: int, gen_bound: int) -> t
     alphabet = [(n, s) for n in range(gen_bound) for s in (0, 1)]
     identity = FreeWord()
     by_key = {h.identity_key: identity}  # coset key -> b^-1 for its representative b
+    key = h.key
 
     out = []
     level = [identity]
     for _ in range(max(word_bound, 0) + 1):
         longer = []
         for r in level:
-            for n, sign in alphabet:
-                if r.letters[-1:] == ((n, 1 - sign),):
+            letters = r.letters
+            cancel = (letters[-1][0], 1 - letters[-1][1]) if letters else None
+            for letter in alphabet:
+                if letter == cancel:
                     continue  # cancels to a prefix of r, a representative
-                w = FreeWord(r.letters + ((n, sign),))
-                k = h.key(w)
+                w = FreeWord(letters + (letter,))
+                k = key(w)
                 if k not in by_key:
                     by_key[k] = w.inverse()
                     longer.append(w)
-                elif sign == 0:
+                elif letter[1] == 0:
                     g = w * by_key[k]
                     if g not in h:
                         raise AssertionError(f"emitted generator {g} failed the membership oracle")

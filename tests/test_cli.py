@@ -134,6 +134,31 @@ def test_schreier(tmp_path, capsys):
     assert report["bound_reached"] is False
 
 
+def test_schreier_keys_each_candidate_once_and_checks_each_generator(tmp_path, capsys, monkeypatch):
+    # a count guard, not a timer: F_2 -> Z/5 has 5 cosets, all within the
+    # bound, so the walk tries 2r = 4 letters on e and 2r - 1 = 3 on each of
+    # the 4 other representatives, and emits 5 * (2 - 1) + 1 = 6 generators
+    from afkit import schreier
+
+    keys, tested = [], []
+    kernel_oracle, contains = schreier.kernel_oracle, schreier.SubgroupOracle.__contains__
+
+    def counted_kernel_oracle(target, images):
+        h = kernel_oracle(target, images)
+        return schreier.SubgroupOracle(lambda w: keys.append(w) or h.key(w), h.ambient_rank)
+
+    monkeypatch.setattr(schreier, "kernel_oracle", counted_kernel_oracle)
+    monkeypatch.setattr(schreier.SubgroupOracle, "__contains__", lambda h, w: tested.append(w) or contains(h, w))
+    path = write(tmp_path, "t.json", {"generators": 1, "relations": [[5]]})
+    code, out, _ = run(capsys, ["--format", "json", "schreier", "--target", path, "--images", "[[1],[2]]",
+                                "--word-bound", "4", "--gen-bound", "2"])
+    report = json.loads(out)
+    assert code == 0 and report["count"] == 6 and report["bound_reached"] is False
+    candidates = 4 + 4 * 3
+    assert len(keys) == 1 + candidates + 6  # 1: the identity's key, computed once
+    assert len(tested) == 6
+
+
 def test_rordam_pass_and_fail(tmp_path, capsys):
     g = write(tmp_path, "g.json", Z2)
     code, out, _ = run(capsys, ["--format", "json", "rordam", "--group", g])

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from afkit.abelian import FgAbelianGroup
+from afkit.abelian import FgAbelianGroup, row_lattice_remainder
 from afkit.schreier import (
     FreeWord,
     SubgroupOracle,
@@ -50,6 +50,25 @@ def test_word_parse_roundtrip():
 def test_word_rejects_bad_letters(letters):
     with pytest.raises(ValueError):
         FreeWord(letters)
+
+
+BAD_LETTER = "a letter needs a generator index >= 0 and a sign 0 or 1"
+NOT_REDUCED = "letter next to its inverse; word not reduced"
+
+
+@pytest.mark.parametrize("letters,message", [
+    (((-1, 0),), BAD_LETTER),
+    (((0, 0), (0, 2)), BAD_LETTER),
+    (((1, 0), (1, 1)), NOT_REDUCED),
+    (((0, 0), (1, 1), (1, 0)), NOT_REDUCED),
+    # both faults: the bad letter wins, after the cancelling pair or before it
+    (((0, 0), (0, 1), (-1, 0)), BAD_LETTER),
+    (((0, 2), (1, 0), (1, 1)), BAD_LETTER),
+])
+def test_word_check_messages(letters, message):
+    with pytest.raises(ValueError) as err:
+        FreeWord(letters)
+    assert str(err.value) == message
 
 
 def test_word_stores_unit_letters_in_shortlex_order():
@@ -192,15 +211,22 @@ def subgroup_cases(draw):
 
 
 @st.composite
-def kernel_cases(draw):
-    """Kernels of F_r -> Z^g / <rows>: rows need not be diagonal, and fewer
-    rows than generators leave a free part."""
+def kernel_maps(draw):
+    """(target, images) for maps F_r -> Z^g / <rows>: rows need not be
+    diagonal, and fewer rows than generators leave a free part."""
     g = draw(st.integers(1, 3))
     entry = st.integers(-4, 4)
     rows = draw(st.lists(st.lists(entry, min_size=g, max_size=g), max_size=g))
     r = draw(st.integers(1, 2))
     images = draw(st.lists(st.lists(entry, min_size=g, max_size=g), min_size=r, max_size=r))
-    return kernel_oracle(FgAbelianGroup.from_relation_rows(g, rows), images), draw(st.integers(0, 3)), r
+    return FgAbelianGroup.from_relation_rows(g, rows), images
+
+
+@st.composite
+def kernel_cases(draw):
+    """Kernels of the maps :func:`kernel_maps` draws, with a word bound."""
+    target, images = draw(kernel_maps())
+    return kernel_oracle(target, images), draw(st.integers(0, 3)), len(images)
 
 
 @settings(max_examples=160, deadline=None)
@@ -210,6 +236,32 @@ def test_transversal_walk_matches_per_word_reference(case):
     assert schreier_generators(h, word_bound, gen_bound)[0] == per_word_schreier_generators(
         h, word_bound, gen_bound
     )
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_one_pass_key_matches_exponent_sums_times_images(data):
+    target, images = data.draw(kernel_maps())
+    r = len(images)
+    word = FreeWord.from_syllables(data.draw(st.lists(
+        st.tuples(st.integers(0, r - 1), st.integers(-3, 3).filter(bool)), max_size=6)))
+    # reference: the exponent sum of each generator times its image, then the remainder
+    sums = [0] * r
+    for gen, sign in word.letters:
+        sums[gen] += 1 - 2 * sign
+    total = [sum(e * v[k] for e, v in zip(sums, images)) for k in range(target.num_generators)]
+    assert kernel_oracle(target, images).key(word) == row_lattice_remainder(target.relation_lattice, total)
+
+
+def test_key_refuses_a_generator_past_the_images():
+    h = kernel_oracle(FgAbelianGroup.cyclic(5), [[1], [2]])
+    for text, message in [("x0.x2.x1", "generator x2 outside ambient rank 2"),
+                          ("x1.x3.x2^-1", "generator x3 outside ambient rank 2")]:  # the first such letter
+        word = FreeWord.parse(text)
+        for ask in (h.key, lambda w: w in h):
+            with pytest.raises(ValueError) as err:
+                ask(word)
+            assert str(err.value) == message
 
 
 def scan_schreier_generators(h, word_bound, gen_bound):

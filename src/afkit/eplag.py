@@ -74,9 +74,11 @@ class PrimeLabeledGraph:
                 raise ValueError(f"missing label for {sorted(map(str, key)) if isinstance(key, frozenset) else key}")
             if not is_prime(self.labels[key]):
                 raise ValueError(f"label {self.labels[key]} is not prime")
-        for p in self.divisibility_set:
+        for i, p in enumerate(self.divisibility_set):
             if not is_prime(p):
                 raise ValueError(f"divisibility set entry {p} is not prime")
+            if p in self.divisibility_set[:i]:
+                raise ValueError(f"divisibility set entry {p} is listed twice")
         used = {self.labels[k] for k in list(self.vertices) + list(self.edges)}
         if used & set(self.divisibility_set):
             raise ValueError("label range must be disjoint from the divisibility set")

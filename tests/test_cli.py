@@ -1,6 +1,9 @@
 """CLI tests: exit codes, JSON round trips, deterministic output."""
 
+import argparse
+import contextlib
 import importlib
+import io
 import json
 import os
 import subprocess
@@ -10,6 +13,8 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from afkit import cli, invariants
 from afkit.abelian import FgAbelianGroup
@@ -758,6 +763,31 @@ def test_eplag_member_refuses_a_repeated_edge(tmp_path, capsys):
     assert (code, out, err) == (2, "", f"error: {graph}: edge ['u', 'v'] is listed twice\n")
 
 
+def test_eplag_graph_refuses_a_repeated_divisibility_prime(tmp_path, capsys):
+    graph = write(tmp_path, "g.json", {"vertices": {"v": 3}, "P": [5, 5]})
+    code, out, err = run(capsys, ["eplag", "fingerprint", "--graph", graph])
+    assert (code, out, err) == (2, "", f"error: {graph}: divisibility set entry 5 is listed twice\n")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["tree", "--tree", "{tree}", "--p", "5,3,5"], "--p: divisibility set entry 5 is listed twice"),
+        # only fingerprint reads --bound and --prime-bound
+        (["tree", "--tree", "{tree}", "--bound", "3"], "--bound: only fingerprint takes a query exponent"),
+        (["tree", "--tree", "{tree}", "--prime-bound", "20"], "--prime-bound: only fingerprint takes a prime bound"),
+        (["member", "--graph", "{graph}", "--target", "{target}", "--prime-bound", "5"],
+         "--prime-bound: only fingerprint takes a prime bound"),
+    ],
+    ids=lambda v: " ".join(v) if isinstance(v, list) else None,
+)
+def test_eplag_refuses_what_it_would_ignore(tmp_path, capsys, argv, message):
+    paths = {"graph": readme_graph(tmp_path, capsys), "tree": str(tmp_path / "t.json"),
+             "target": write(tmp_path, "x.json", {"r": "1/5"})}
+    code, out, err = run(capsys, ["eplag", *[a.format(**paths) for a in argv]])
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_eplag_member_names_the_vertex_of_a_zero_denominator(tmp_path, capsys):
     graph = readme_graph(tmp_path, capsys)
     target = write(tmp_path, "x.json", {"r": "1/0"})
@@ -855,3 +885,131 @@ def test_unknown_edge_end_error_does_not_depend_on_the_hash_seed(tmp_path):
         for seed in ("1", "5")
     }
     assert errs == {f"error: {graph}: edge ['u', 'w'] is not a pair of known vertices\n"}
+
+
+# ---------------------------------------------------------------------------
+# argument reading: main's lean reader, and the argparse paths it leaves alone
+# ---------------------------------------------------------------------------
+
+
+def test_benchmark_argv_shapes_never_reach_argparse(tmp_path, capsys, monkeypatch):
+    # a count guard, not a timer: argparse's generic matching cost more than a
+    # small schreier job's work, so the three argv shapes bench/workloads.py
+    # sends main are read without it
+    z5 = write(tmp_path, "z5.json", {"generators": 1, "relations": [[5]]})
+    graph = readme_graph(tmp_path, capsys)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("argparse read a plain argv")
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", refuse)
+    for argv in (
+        ["--format", "json", "schreier", "--target", z5, "--images", "[[1],[2]]", "--word-bound", "4",
+         "--gen-bound", "2"],
+        ["--format", "json", "eplag", "fingerprint", "--graph", graph, "--bound", "2"],
+        ["--format", "json", "pipeline", "--group", z5, "--prime", "3", "--width", "8"],
+    ):
+        code, out, err = run(capsys, argv)
+        assert (code, err) == (0, "") and json.loads(out)
+
+
+def test_equals_form_and_abbreviation_read_as_the_full_flag(tmp_path, capsys):
+    z2 = write(tmp_path, "z2.json", Z2)
+    argv = ["--format", "json", "schreier", "--target", z2, "--images", "[[1],[1]]"]
+    full = run(capsys, [*argv, "--word-bound", "5"])
+    assert full[0] == 0 and json.loads(full[1])["count"] == 3
+    for rest in (["--word-bound=5"], ["--word", "5"]):  # argparse's, not the reader's
+        assert cli._read_args([*argv, *rest]) is None
+        assert run(capsys, [*argv, *rest]) == full
+
+
+def test_subcommand_help_exits_0_with_its_usage(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage lines to the terminal width
+    with pytest.raises(SystemExit) as exit_:
+        main(["schreier", "-h"])
+    assert exit_.value.code == 0
+    assert capsys.readouterr().out.startswith(
+        "usage: afkit schreier [-h] --target TARGET --images IMAGES\n"
+        "                      [--word-bound WORD_BOUND] [--gen-bound GEN_BOUND]\n\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "argv, usage, message",
+    [
+        (["schreier", "--target", "z2.json", "--images", "[[1],[1]]", "--nope", "1"],
+         "usage: afkit [-h] [--format {json,text}]\n", "afkit: error: unrecognized arguments: --nope 1\n"),
+        (["pipeline", "--group", "z2.json", "--prime", "3", "--depth", "x"],
+         "usage: afkit pipeline [-h] --group GROUP --prime PRIME [--depth DEPTH]\n",
+         "afkit pipeline: error: argument --depth: invalid int value: 'x'\n"),
+    ],
+    ids=["unknown-flag", "bad-int"],
+)
+def test_usage_errors_exit_2_with_argparse_usage(capsys, monkeypatch, argv, usage, message):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exit_:
+        main(argv)
+    err = capsys.readouterr().err
+    assert exit_.value.code == 2
+    assert err.startswith(usage) and err.endswith(message)
+
+
+def declared() -> tuple:
+    """Every option string, subcommand name and choice the parser declares,
+    and the (name, parser) of each subcommand."""
+    tokens, subcommands, parsers = set(), [], [cli._parser()]
+    while parsers:
+        for action in parsers.pop()._actions:
+            tokens.update(action.option_strings, action.choices or ())
+            if isinstance(action, argparse._SubParsersAction):
+                subcommands += sorted(action.choices.items())
+                parsers += action.choices.values()
+    return tokens, subcommands
+
+
+DECLARED, SUBCOMMANDS = declared()
+LONG = [f for f in DECLARED if f.startswith("--")]
+VALUES = sorted({"0", "3", "12", "", "x", "g.json", "[[1],[1]]"} | {t for t in DECLARED if t[:1] != "-"})
+# the declared tokens; values, negative ones included; and the pieces argparse
+# alone reads: "-", "--", "-h", =-forms and abbreviations
+TOKENS = sorted(DECLARED | set(VALUES) | {"-1", "-7", "-", "--", "-h"}
+                | {f"{f}={v}" for f in LONG for v in ("3", "x")} | {f[:-2] for f in LONG if len(f) > 5})
+
+
+@st.composite
+def argvs(draw):
+    """Any TOKENS; or a subcommand with a value for each positional, each
+    required flag and some other flags, in any order, a few TOKENS put in."""
+    tokens = st.sampled_from(TOKENS)
+    if draw(st.booleans()):
+        return draw(st.lists(tokens, max_size=10))
+    name, parser = draw(st.sampled_from(SUBCOMMANDS))
+    value = st.one_of(*[st.sampled_from(VALUES)] * 4, tokens)
+    number = st.sampled_from(["0", "3", "12", "x", "-1"])
+    parts = []
+    for a in parser._actions:
+        if not a.option_strings:
+            parts.append([draw(st.sampled_from(sorted(a.choices)) if a.choices else value)])
+        elif a.nargs != 0 and (a.required or draw(st.booleans())):  # not -h, which TOKENS has
+            parts.append([draw(st.sampled_from(a.option_strings)), draw(number if a.type else value)])
+    argv = [*draw(st.sampled_from([[], ["--format", "json"], ["--format", "text"], ["--format", "xml"]])), name]
+    argv += [t for part in draw(st.permutations(parts)) for t in part]
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2]))):
+        argv.insert(draw(st.integers(0, len(argv))), draw(tokens))
+    return argv
+
+
+def parsed(argv):
+    """``parse_args(argv)``, or None where it prints help or a usage error and exits."""
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            return cli._parser().parse_args(argv)
+    except SystemExit:
+        return None
+
+
+@settings(max_examples=1500, deadline=None)
+@given(argvs())
+def test_reader_gives_argparse_namespace_or_defers(argv):
+    read = cli._read_args(argv)
+    assert read is None or read == parsed(argv)

@@ -92,6 +92,12 @@ def test_repeated_edge_is_refused(second):
         PrimeLabeledGraph(("u", "v"), (e, f), {"u": 3, "v": 5, e: 7, f: second}, ())
 
 
+def test_repeated_divisibility_prime_is_refused():
+    # P is a set of primes; a copy would be written back out as given
+    with pytest.raises(ValueError, match="divisibility set entry 5 is listed twice"):
+        PrimeLabeledGraph(("v",), (), {"v": 3}, (5, 2, 5))
+
+
 def test_membership_literal_generator():
     G = single_vertex_group()
     res = membership(G, {"v": Fraction(1, 15)})

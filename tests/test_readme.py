@@ -1,10 +1,12 @@
-"""Every ``afkit`` command in README's shell examples parses with the CLI's parser."""
+"""Every ``afkit`` command in README's shell examples parses with the CLI's
+parser, and ``main``'s lean reader reads each to the same namespace."""
 
+import argparse
 import re
 import shlex
 from pathlib import Path
 
-from afkit.cli import build_parser
+from afkit.cli import _read_args, build_parser
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -25,8 +27,13 @@ def test_readme_commands_parse():
     commands = readme_commands()
     assert commands
     parser = build_parser()
+    names = set()
     for argv in commands:
         try:
-            parser.parse_args(argv)
+            args = parser.parse_args(argv)
         except SystemExit:
             raise AssertionError(f"README command does not parse: afkit {' '.join(argv)}")
+        assert _read_args(argv) == args, f"the reader does not take: afkit {' '.join(argv)}"
+        names.add(args.command)
+    (subcommands,) = [a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert names == set(subcommands)  # the examples show every subcommand

@@ -9,12 +9,13 @@ stable-sorted by level and vertex index.  Each command imports the library
 modules it uses when it runs, so a call loads only those: every process is
 one call, and loading all of them takes longer than most calls.
 
-Flags are declared once, in :func:`build_parser`.  ``main`` reads a plain
-argv (leading ``--format``, the subcommand, exact ``--flag value`` pairs and
-positionals, no value starting with "-") with a lean reader over that
-parser's declarations, which costs a tenth of argparse's generic matching.
-Help, ``--flag=value``, abbreviations, "--" and every usage error go
-through argparse unchanged.
+Flags are declared once, in :func:`build_parser`, each ``diagram`` and
+``eplag`` action declaring only those it reads.  ``main`` reads a plain argv
+(leading ``--format``, the subcommand and, for ``diagram`` and ``eplag``,
+its action, exact ``--flag value`` pairs and positionals, no value starting
+with "-") with a lean reader over those declarations, at a tenth of the
+cost of argparse's generic matching.  Help, ``--flag=value``,
+abbreviations, "--" and every usage error go through argparse unchanged.
 """
 
 from __future__ import annotations
@@ -411,7 +412,7 @@ def cmd_rordam(args) -> int:
 
 
 def cmd_diagram(args) -> int:
-    from .dimension import diagram_to_dot, diagram_to_system, telescope, validate_diagram
+    from .dimension import SIMPLICIAL, diagram_to_dot, telescope, validate_diagram
 
     d = diagram_from_json(_load_json(args.diagram), args.diagram)
     violations = validate_diagram(d)
@@ -419,15 +420,14 @@ def cmd_diagram(args) -> int:
     if args.action == "validate" or violations:
         _emit({"valid": not violations, "violations": violations}, args.format)
         return EXIT_OK if not violations else EXIT_VERIFY_FAIL
-    if args.action == "k0":
-        D = diagram_to_system(d)
+    if args.action == "k0":  # diagram_to_system's cone and unit, without validating again
         report = {
             "levels": [
                 {"rank": d.level_size(n), "multimatrix_dims": list(d.weights(n))}
                 for n in range(d.num_levels)
             ],
-            "cone": D.cone,
-            "unit": list(D.unit.vector),
+            "cone": SIMPLICIAL,
+            "unit": list(d.weights(0)),
         }
         _emit(report, args.format)
         return EXIT_OK
@@ -514,26 +514,15 @@ def cmd_eplag(args) -> int:
         tree_to_eplag,
     )
 
-    if args.action != "fingerprint":
-        if args.bound is not None:
-            raise InputError("--bound: only fingerprint takes a query exponent")
-        if args.prime_bound is not None:
-            raise InputError("--prime-bound: only fingerprint takes a prime bound")
     if args.action == "tree":
-        if not args.tree:
-            raise InputError("eplag tree: --tree is required")
         tree = tree_from_json(_load_json(args.tree), args.tree)
         P = _int_list("--p", args.p, "primes", functools.partial(_is_prime, "--p"))
         with _input("--p"):  # the graph refuses a prime listed twice
             group = tree_to_eplag(tree, P)
         print(_dump(eplag_to_json(group)))
         return EXIT_OK
-    if not args.graph:
-        raise InputError(f"eplag {args.action}: --graph is required")
     group = eplag_from_json(_load_json(args.graph), args.graph)
     if args.action == "member":
-        if not args.target:
-            raise InputError("eplag member: --target is required")
         target = qvector_from_json(_load_json(args.target), args.target)
         with _input(args.target):
             result = membership(group, target)
@@ -668,11 +657,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_rordam)
 
     p = sub.add_parser("diagram", help="validate, summarize, render, or telescope a diagram")
-    p.add_argument("action", choices=["validate", "k0", "dot", "telescope"])
-    p.add_argument("diagram")
-    p.add_argument("--cuts", default="0")
-    p.add_argument("--out")
     p.set_defaults(func=cmd_diagram)
+    actions = p.add_subparsers(dest="action", required=True)
+    for name in ("validate", "k0", "dot", "telescope"):
+        actions.add_parser(name).add_argument("diagram")
+    actions.choices["dot"].add_argument("--out")
+    actions.choices["telescope"].add_argument("--cuts", default="0")
 
     p = sub.add_parser("ehs", help="realize an ordered system as a diagram")
     p.add_argument("--system", required=True)
@@ -682,14 +672,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_ehs)
 
     p = sub.add_parser("eplag", help="labeled-graph groups: build, test membership, fingerprint")
-    p.add_argument("action", choices=["tree", "member", "fingerprint"])
-    p.add_argument("--tree")
-    p.add_argument("--p", default="", help="comma-separated divisibility primes")
-    p.add_argument("--graph")
-    p.add_argument("--target")
-    p.add_argument("--bound", type=int, help="fingerprint: query exponent K (default: eplag's FINGERPRINT_EXP_BOUND)")
-    p.add_argument("--prime-bound", type=int)  # default FINGERPRINT_PRIME_BOUND
     p.set_defaults(func=cmd_eplag)
+    actions = p.add_subparsers(dest="action", required=True)
+    a = actions.add_parser("tree")
+    a.add_argument("--tree", required=True)
+    a.add_argument("--p", default="", help="comma-separated divisibility primes")
+    a = actions.add_parser("member")
+    a.add_argument("--graph", required=True)
+    a.add_argument("--target", required=True)
+    a = actions.add_parser("fingerprint", allow_abbrev=False)  # or tree's --p reads as --prime-bound
+    a.add_argument("--graph", required=True)
+    a.add_argument("--bound", type=int, help="query exponent K (default: eplag's FINGERPRINT_EXP_BOUND)")
+    a.add_argument("--prime-bound", type=int)  # default FINGERPRINT_PRIME_BOUND
 
     p = sub.add_parser("pipeline", help="full invariant pipeline for a presented group")
     p.add_argument("--group", required=True)
@@ -721,6 +715,10 @@ def _grammar(parser: argparse.ArgumentParser) -> tuple:
     one that takes other than one value; the values a fresh namespace
     starts with, string defaults passed through ``type`` as ``parse_args``
     passes them; and its required actions.
+
+    Each argparse internal read here and in :func:`_read_args` is pinned by a
+    test: ``ArgumentParser._actions`` and ``._defaults``, ``argparse._StoreAction``,
+    ``.PARSER`` and ``.SUPPRESS``, and a ``_SubParsersAction``'s ``choices``, name -> parser.
     """
     options, positionals, defaults = {}, [], {}
     for a in parser._actions:

@@ -1,4 +1,6 @@
-"""Inputs that several test modules realize or telescope."""
+"""Inputs that several test modules realize or telescope, and a walk of the CLI's parser."""
+
+import argparse
 
 from afkit.abelian import IntMatrix
 from afkit.dimension import BratteliDiagram, DiagramLevel
@@ -20,3 +22,9 @@ def single_vertex_diagram(multiplicity: int, stored_levels: int = 2) -> Bratteli
         levels.append(DiagramLevel(1, (w,), inc))
         w *= multiplicity
     return BratteliDiagram(tuple(levels), (m,))
+
+
+def subparsers(parser: argparse.ArgumentParser) -> dict:
+    """Name -> parser of each subcommand, or action, that ``parser`` declares."""
+    return {name: p for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+            for name, p in a.choices.items()}

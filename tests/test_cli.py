@@ -20,6 +20,7 @@ from afkit import cli, invariants
 from afkit.abelian import FgAbelianGroup
 from afkit.cli import main
 from afkit.invariants import KirchbergInvariant
+from helpers import subparsers
 
 
 def write(tmp_path, name, data):
@@ -208,6 +209,19 @@ def test_diagram_k0_one_level(tmp_path, capsys):
     assert json.loads(out) == {"levels": [{"rank": 1, "multimatrix_dims": [1]}], "cone": "simplicial", "unit": [1]}
 
 
+def test_diagram_k0_validates_once(tmp_path, capsys, monkeypatch):
+    from afkit import dimension
+
+    calls, validate = [], dimension.validate_diagram
+    monkeypatch.setattr(dimension, "validate_diagram", lambda d: calls.append(d) or validate(d))
+    code, out, _ = run(capsys, ["--format", "json", "diagram", "k0", write(tmp_path, "d.json", UHF2)])
+    assert (code, len(calls)) == (0, 1)
+    # the cone and unit of the ordered system diagram_to_system builds, which validates again
+    D = dimension.diagram_to_system(cli.diagram_from_json(UHF2, "d.json"))
+    report = json.loads(out)
+    assert (report["cone"], report["unit"]) == (D.cone, list(D.unit.vector))
+
+
 def test_diagram_dot_deterministic(tmp_path, capsys):
     path = write(tmp_path, "d.json", UHF2)
     code1, out1, _ = run(capsys, ["diagram", "dot", path])
@@ -238,12 +252,17 @@ INVALID_DIAGRAM_VIOLATIONS = [
 ]
 
 
+def own_flags(action, cuts, dot):
+    """The flags a diagram action reads: --out for dot, --cuts for telescope."""
+    return {"dot": ["--out", str(dot)], "telescope": ["--cuts", cuts]}.get(action, [])
+
+
 @pytest.mark.parametrize("action", ["validate", "k0", "dot", "telescope"])
 def test_diagram_actions_report_an_invalid_diagram(tmp_path, capsys, action):
     # only validate exists to describe an invalid diagram; the rest refuse it with the same report
     path = write(tmp_path, "d.json", INVALID_DIAGRAM)
     dot = tmp_path / "d.dot"
-    code, out, _ = run(capsys, ["--format", "json", "diagram", action, path, "--cuts", "0,2", "--out", str(dot)])
+    code, out, _ = run(capsys, ["--format", "json", "diagram", action, path, *own_flags(action, "0,2", dot)])
     assert code == 1
     assert json.loads(out) == {"valid": False, "violations": INVALID_DIAGRAM_VIOLATIONS}
     assert not dot.exists()
@@ -254,8 +273,8 @@ def test_diagram_actions_refuse_a_tail_vertex_of_weight_zero(tmp_path, capsys, a
     # the tail's zero column gives its vertex the path count 0
     path = write(tmp_path, "d.json", {"levels": [{"l": 1, "w": [1], "m": [[2]]}, {"l": 1, "w": [2]}],
                                       "tail": [[[0]]]})
-    code, out, _ = run(capsys, ["--format", "json", "diagram", action, path, "--cuts", "0,1",
-                                "--out", str(tmp_path / "d.dot")])
+    code, out, _ = run(capsys, ["--format", "json", "diagram", action, path,
+                                *own_flags(action, "0,1", tmp_path / "d.dot")])
     assert code == 1
     assert json.loads(out) == {"valid": False,
                                "violations": ["condition 3 in tail: incidence 0 has no edge into vertex 0"]}
@@ -697,7 +716,6 @@ def readme_graph(tmp_path, capsys):
         (["eplag", "tree", "--tree", "{tree}", "--p", "4"], "--p"),
         (["eplag", "fingerprint", "--graph", "{graph}", "--bound", "0"], "--bound"),
         (["eplag", "fingerprint", "--graph", "{graph}", "--prime-bound", "1"], "--prime-bound"),
-        (["eplag", "member", "--graph", "{graph}", "--target", "{target}", "--bound", "0"], "--bound"),
         (["diagram", "telescope", "{uhf}", "--cuts", "0,5"], "--cuts"),
     ],
     ids=lambda v: " ".join(v) if isinstance(v, list) else None,
@@ -773,19 +791,28 @@ def test_eplag_graph_refuses_a_repeated_divisibility_prime(tmp_path, capsys):
     "argv, message",
     [
         (["tree", "--tree", "{tree}", "--p", "5,3,5"], "--p: divisibility set entry 5 is listed twice"),
-        # only fingerprint reads --bound and --prime-bound
-        (["tree", "--tree", "{tree}", "--bound", "3"], "--bound: only fingerprint takes a query exponent"),
-        (["tree", "--tree", "{tree}", "--prime-bound", "20"], "--prime-bound: only fingerprint takes a prime bound"),
+        # only fingerprint declares --bound and --prime-bound, so argparse refuses them elsewhere
+        (["tree", "--tree", "{tree}", "--bound", "3"], "unrecognized arguments: --bound 3"),
+        (["tree", "--tree", "{tree}", "--prime-bound", "20"], "unrecognized arguments: --prime-bound 20"),
         (["member", "--graph", "{graph}", "--target", "{target}", "--prime-bound", "5"],
-         "--prime-bound: only fingerprint takes a prime bound"),
+         "unrecognized arguments: --prime-bound 5"),
+        (["member", "--graph", "{graph}", "--target", "{target}", "--bound", "0"],
+         "unrecognized arguments: --bound 0"),
     ],
     ids=lambda v: " ".join(v) if isinstance(v, list) else None,
 )
 def test_eplag_refuses_what_it_would_ignore(tmp_path, capsys, argv, message):
     paths = {"graph": readme_graph(tmp_path, capsys), "tree": str(tmp_path / "t.json"),
              "target": write(tmp_path, "x.json", {"r": "1/5"})}
-    code, out, err = run(capsys, ["eplag", *[a.format(**paths) for a in argv]])
-    assert (code, out, err) == (2, "", f"error: {message}\n")
+    argv = ["eplag", *[a.format(**paths) for a in argv]]
+    if not message.startswith("unrecognized"):
+        assert run(capsys, argv) == (2, "", f"error: {message}\n")
+        return
+    with pytest.raises(SystemExit) as exit_:  # argparse's usage error, under the top parser's usage
+        main(argv)
+    out, err = capsys.readouterr()
+    assert (exit_.value.code, out) == (2, "")
+    assert err.startswith("usage: afkit [-h] [--format {json,text}]") and err.endswith(f"afkit: error: {message}\n")
 
 
 def test_eplag_member_names_the_vertex_of_a_zero_denominator(tmp_path, capsys):
@@ -913,6 +940,48 @@ def test_benchmark_argv_shapes_never_reach_argparse(tmp_path, capsys, monkeypatc
         assert (code, err) == (0, "") and json.loads(out)
 
 
+def test_reader_internals_hold_on_this_python():
+    # the argparse internals _grammar's docstring names, as _grammar and _read_args read them
+    parser = argparse.ArgumentParser()
+    option = parser.add_argument("--x")
+    parser.set_defaults(func=len)
+    actions = parser.add_subparsers(dest="command", required=True)
+    child = actions.add_parser("c")
+    help_ = parser._actions[0]
+    assert parser._actions == [help_, option, actions] and parser._defaults == {"func": len}
+    assert type(option) is argparse._StoreAction and option.nargs is None
+    assert help_.default == argparse.SUPPRESS == argparse.ArgumentParser().add_subparsers().dest
+    assert isinstance(actions, argparse._SubParsersAction) and actions.nargs == argparse.PARSER
+    assert actions.choices == {"c": child} and actions.required
+
+
+def test_each_action_refuses_the_flags_only_its_siblings_declare(tmp_path, capsys, monkeypatch):
+    # argparse refuses the flag before the command runs, so an output flag writes nothing
+    monkeypatch.chdir(tmp_path)
+    files = {"graph": readme_graph(tmp_path, capsys), "tree": str(tmp_path / "t.json"),
+             "target": write(tmp_path, "x.json", {"r": "1/5"}), "diagram": write(tmp_path, "d.json", UHF2)}
+    walked = set()
+    for command, parser in subparsers(cli.build_parser()).items():
+        actions = subparsers(parser)
+        flags = {name: {f for a in p._actions for f in a.option_strings} for name, p in actions.items()}
+        for action, p in actions.items():
+            argv = [command, action]
+            for a in p._actions:
+                if a.required:  # a positional or a required flag
+                    argv += [*a.option_strings[:1], files[a.dest]]
+            assert run(capsys, argv)[0] == 0
+            for flag in sorted(set().union(*flags.values()) - flags[action]):
+                with pytest.raises(SystemExit) as exit_:
+                    main([*argv, flag, "nothere.json"])
+                out, err = capsys.readouterr()
+                assert (exit_.value.code, out) == (2, "")
+                assert err.endswith(f"afkit: error: unrecognized arguments: {flag} nothere.json\n")
+                assert not (tmp_path / "nothere.json").exists()
+                walked.add((command, action, flag))
+    # among them the two found by hand, which exited 0 while one parser held every action's flags
+    assert {("eplag", "member", "--tree"), ("diagram", "validate", "--out")} <= walked
+
+
 def test_equals_form_and_abbreviation_read_as_the_full_flag(tmp_path, capsys):
     z2 = write(tmp_path, "z2.json", Z2)
     argv = ["--format", "json", "schreier", "--target", z2, "--images", "[[1],[1]]"]
@@ -956,18 +1025,21 @@ def test_usage_errors_exit_2_with_argparse_usage(capsys, monkeypatch, argv, usag
 
 def declared() -> tuple:
     """Every option string, subcommand name and choice the parser declares,
-    and the (name, parser) of each subcommand."""
-    tokens, subcommands, parsers = set(), [], [cli._parser()]
+    and the (command path, parser) of each subcommand or action that has no
+    actions of its own, such as (("eplag", "fingerprint"), <its parser>)."""
+    tokens, commands, parsers = set(), [], [((), cli._parser())]
     while parsers:
-        for action in parsers.pop()._actions:
+        path, parser = parsers.pop()
+        for action in parser._actions:
             tokens.update(action.option_strings, action.choices or ())
-            if isinstance(action, argparse._SubParsersAction):
-                subcommands += sorted(action.choices.items())
-                parsers += action.choices.values()
-    return tokens, subcommands
+        nested = [((*path, name), p) for name, p in subparsers(parser).items()]
+        parsers += nested
+        if not nested:
+            commands.append((path, parser))
+    return tokens, sorted(commands, key=lambda command: command[0])
 
 
-DECLARED, SUBCOMMANDS = declared()
+DECLARED, COMMANDS = declared()
 LONG = [f for f in DECLARED if f.startswith("--")]
 VALUES = sorted({"0", "3", "12", "", "x", "g.json", "[[1],[1]]"} | {t for t in DECLARED if t[:1] != "-"})
 # the declared tokens; values, negative ones included; and the pieces argparse
@@ -978,21 +1050,25 @@ TOKENS = sorted(DECLARED | set(VALUES) | {"-1", "-7", "-", "--", "-h"}
 
 @st.composite
 def argvs(draw):
-    """Any TOKENS; or a subcommand with a value for each positional, each
-    required flag and some other flags, in any order, a few TOKENS put in."""
+    """Any TOKENS; or a full command path, such as ``eplag fingerprint``,
+    with a value for most positionals and required flags and some other
+    flags of its parser, in any order, a few TOKENS put in."""
     tokens = st.sampled_from(TOKENS)
     if draw(st.booleans()):
         return draw(st.lists(tokens, max_size=10))
-    name, parser = draw(st.sampled_from(SUBCOMMANDS))
+    path, parser = draw(st.sampled_from(COMMANDS))
     value = st.one_of(*[st.sampled_from(VALUES)] * 4, tokens)
     number = st.sampled_from(["0", "3", "12", "x", "-1"])
+    required = st.sampled_from([True, True, True, False])  # now and then left out
     parts = []
     for a in parser._actions:
+        if a.nargs == 0 or not draw(required if a.required else st.booleans()):  # -h: TOKENS has it
+            continue
         if not a.option_strings:
-            parts.append([draw(st.sampled_from(sorted(a.choices)) if a.choices else value)])
-        elif a.nargs != 0 and (a.required or draw(st.booleans())):  # not -h, which TOKENS has
+            parts.append([draw(value)])
+        else:
             parts.append([draw(st.sampled_from(a.option_strings)), draw(number if a.type else value)])
-    argv = [*draw(st.sampled_from([[], ["--format", "json"], ["--format", "text"], ["--format", "xml"]])), name]
+    argv = [*draw(st.sampled_from([[], ["--format", "json"], ["--format", "text"], ["--format", "xml"]])), *path]
     argv += [t for part in draw(st.permutations(parts)) for t in part]
     for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2]))):
         argv.insert(draw(st.integers(0, len(argv))), draw(tokens))

@@ -1,12 +1,13 @@
 """Every ``afkit`` command in README's shell examples parses with the CLI's
-parser, and ``main``'s lean reader reads each to the same namespace."""
+parser, and ``main``'s lean reader reads each to the same namespace; the
+examples show every subcommand and every action."""
 
-import argparse
 import re
 import shlex
 from pathlib import Path
 
 from afkit.cli import _read_args, build_parser
+from helpers import subparsers
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -34,6 +35,7 @@ def test_readme_commands_parse():
         except SystemExit:
             raise AssertionError(f"README command does not parse: afkit {' '.join(argv)}")
         assert _read_args(argv) == args, f"the reader does not take: afkit {' '.join(argv)}"
-        names.add(args.command)
-    (subcommands,) = [a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-    assert names == set(subcommands)  # the examples show every subcommand
+        names.add((args.command, getattr(args, "action", None)))
+    # the examples show every subcommand, and every action of one that has actions
+    assert names == {(name, action) for name, p in subparsers(parser).items() for action in subparsers(p) or [None]}
+

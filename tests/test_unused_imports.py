@@ -113,6 +113,7 @@ KEPT = (
     ("chain_tree", "input builder for path trees, used throughout the tests"),
     ("PrimeLabeledGraph.relabel_vertices", "input builder for isomorphic copies of a graph"),
     ("IntMatrix.entries", "dense view: the benchmark tracer's bit-size hook and the tests read it"),
+    ("diagram_to_system", "library entry: a valid diagram's ordered system, which the tests realize"),
 )
 
 

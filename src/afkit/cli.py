@@ -196,11 +196,11 @@ def system_from_json(data: dict, where: str) -> StagedSystem:
 
 
 def ordered_system_from_json(data: dict, where: str) -> OrderedStagedSystem:
-    from .dimension import OrderedStagedSystem
+    from .dimension import SIMPLICIAL, OrderedStagedSystem
     from .limits import LimitElement
 
     sys_ = system_from_json(data, where)
-    cone = data.get("cone", "simplicial")
+    cone = data.get("cone", SIMPLICIAL)
     unit = _list(_require(data, "unit", where), f"{where}.unit")  # a stage-0 vector in the cone
     with _input(f"{where}.unit"):
         unit = LimitElement(0, unit)
@@ -470,16 +470,14 @@ def _realization_report(result) -> dict:
 
 
 def cmd_ehs(args) -> int:
-    from .dimension import basis_atom_enumerator, ehs_realize, ehs_realize_with_endo, unit_atom_enumerator
+    from .dimension import SIMPLICIAL, basis_atom_enumerator, ehs_realize, ehs_realize_with_endo, unit_atom_enumerator
     from .limits import LimitEndomorphism
 
     _require_at_least(0, ("--depth", args.depth), ("--bound", args.bound))
     D = ordered_system_from_json(_load_json(args.system), args.system)
     if D.is_positive(D.unit, args.bound) is False:
         raise InputError(f"{args.system}: unit: not in the positive cone")
-    enumerator = (
-        basis_atom_enumerator(D) if D.cone == "simplicial" else unit_atom_enumerator(D)
-    )
+    enumerator = basis_atom_enumerator(D) if D.cone == SIMPLICIAL else unit_atom_enumerator(D)
     endo = None
     if args.endo:
         data = _load_json(args.endo)

@@ -574,68 +574,37 @@ def ehs_realize_with_endo(
     return _realize(D, phi, positive_enumerator, depth, search_bound)
 
 
-def _level_shape(n: int, l_n: int, combined: IntMatrix, width: int, images: bool) -> tuple:
-    """(keep, picked, m_n, q_n) of a level from its combined coefficients over
-    ``width`` certificate positives: the columns that are used (all of them
-    if none is), the rows restricted to them, and the blocks of the current
-    elements and, when the rows include ``images``, of their images (q_n is
-    None otherwise)."""
-    columns = combined.transpose().sparse  # (row, entry) pairs, rows in order
-    keep = [j for j, col in enumerate(columns) if col] or list(range(width))
-    if any(not columns[j] or columns[j][0][0] >= l_n for j in keep):
-        raise RealizationError(
-            f"level {n}: a produced vertex is unreachable from the current elements; "
-            "choose a finer enumerator or raise depth"
-        )
-    picked = IntMatrix(len(keep), combined.rows, tuple(columns[j] for j in keep)).transpose()
-    m_n = IntMatrix(l_n, len(keep), picked.sparse[:l_n])
-    q_n = IntMatrix(l_n, len(keep), picked.sparse[l_n : 2 * l_n]) if images else None
-    return keep, picked, m_n, q_n
-
-
 def _realize(D, phi, positive_enumerator, depth, search_bound) -> RealizationResult:
     """The EHS recursion; with ``phi`` None no images or q_n are produced.
 
     Rows of the level's coefficient matrix follow (theta; phi(theta); x),
     so the appended element x is always the last row.
 
-    Each Shen certificate is solved once per input list up to a stage shift
-    d past the prefix by a multiple of the period.  Nothing the solver reads
-    changes under such a shift: ``connect(n)`` past the prefix depends only
-    on n modulo the period, so ``push`` by k stages, ``stage_rank``, the
+    Each level is built once per input list up to a stage shift d.  Its key
+    is the phase (:meth:`StagedSystem.phase`) of the list's smallest stage
+    together with the inputs staged from that stage, so equal keys mean d = 0
+    inside the prefix and d a multiple of the period past it.  Nothing the
+    solver reads changes under such a shift: ``connect(n)`` past the prefix
+    depends only on n's phase, so ``push`` by k stages, ``stage_rank``, the
     first coordinate's scale and injectivity are the same, the simplicial
     positivity verdict pushes the same vectors, and the strict one reads the
     first coordinate and the death lattice, which past the prefix depends
     only on the stage's phase too.  So for both cones the shifted inputs get
-    the same g and phi shifted by d, which is how a stored certificate is
-    reused; a stationary system has one phase, so every shift reuses, and
-    a shift of 0 returns the stored certificate itself.  What a level reads
-    off its certificates' coefficients alone (:func:`_level_shape`) is
-    built once per pair of certificate keys; on the first round of
-    ``pipeline_ladder`` seeds 0-2 (312 jobs, 936 levels at depth 3) that is
-    312 builds, so 2 levels in 3 reuse one.  Every check after a solve
-    (the images' positivity, every row's factorization by
+    the same g and phi shifted by d.  The second solve factors the first
+    certificate's phi, which lie no earlier than the smallest input stage,
+    so its inputs shift by the same d and get the same g too: the level's
+    coefficients, and so the kept columns, ``picked``, m_n and q_n, are the
+    same, and a repeated level only shifts its kept thetas by d.  A
+    stationary system has one phase, so every shift reuses; on the first
+    round of ``pipeline_ladder`` seeds 0-2 (312 jobs at depth 3) that is 312
+    levels built out of 936 realized.  Every check still runs per level:
+    the images' positivity, every row's factorization by
     :func:`_factors_through` as :func:`verify_shen_certificate` checks it,
-    and the intertwining identity) still runs per level.
+    the coverage literal test, and the intertwining identity at the end.
     """
     enum = iter(positive_enumerator)
-    certificates = {}  # (phase of the smallest stage, inputs staged from it) -> (that stage, certificate)
-    shapes = {}  # the level's certificate keys -> _level_shape of their coefficients
-    P, T = len(D.system.prefix), len(D.system.tail)
-
-    def solve(theta: list) -> tuple:
-        """The key of ``theta``'s stored certificate, and that certificate
-        shifted to ``theta``'s stages (itself when the shift is 0)."""
-        base = min((t.stage for t in theta), default=0)
-        phase = base if base < P else P + (base - P) % T
-        key = phase, tuple((t.stage - base, t.vector) for t in theta)
-        if key not in certificates:
-            certificates[key] = base, shen_solve(D, theta, search_bound)
-        stored, cert = certificates[key]
-        if stored != base:
-            cert = ShenCertificate(tuple(LimitElement(p.stage + base - stored, p.vector) for p in cert.phi), cert.g)
-        return key, cert
-
+    # (phase of the smallest stage, inputs staged from it) -> (that stage, kept thetas, picked, m_n, q_n)
+    built = {}
     unit = D.unit
     thetas = [(unit,)]
     levels = [DiagramLevel(1, (1,), None)]
@@ -658,20 +627,33 @@ def _realize(D, phi, positive_enumerator, depth, search_bound) -> RealizationRes
         if x is None:
             x = unit
         theta_prime = list(cur) + images + [x]
-        key, cert = solve(theta_prime)
-        pair, combined = (key,), cert.g
-        if phi is not None:
-            key, cert = solve(list(cert.phi))
-            pair, combined = (*pair, key), combined @ cert.g
-        if pair not in shapes:
-            shapes[pair] = _level_shape(n, l_n, combined, len(cert.phi), phi is not None)
-        keep, picked, m_n, q_n = shapes[pair]
-        new_thetas = tuple(cert.phi[j] for j in keep)
+        base = min(t.stage for t in theta_prime)
+        key = D.system.phase(base), tuple((t.stage - base, t.vector) for t in theta_prime)
+        if key not in built:
+            cert = shen_solve(D, theta_prime, search_bound)
+            combined = cert.g
+            if phi is not None:
+                cert = shen_solve(D, list(cert.phi), search_bound)
+                combined = combined @ cert.g
+            columns = combined.transpose().sparse  # (row, entry) pairs, rows in order
+            keep = [j for j, col in enumerate(columns) if col] or list(range(len(cert.phi)))
+            if any(not columns[j] or columns[j][0][0] >= l_n for j in keep):
+                raise RealizationError(
+                    f"level {n}: a produced vertex is unreachable from the current elements; "
+                    "choose a finer enumerator or raise depth"
+                )
+            picked = IntMatrix(len(keep), combined.rows, tuple(columns[j] for j in keep)).transpose()
+            m_n = IntMatrix(l_n, len(keep), picked.sparse[:l_n])
+            q_n = IntMatrix(l_n, len(keep), picked.sparse[l_n : 2 * l_n]) if phi is not None else None
+            built[key] = base, tuple(cert.phi[j] for j in keep), picked, m_n, q_n
+        stored, new_thetas, picked, m_n, q_n = built[key]
+        if stored != base:
+            new_thetas = tuple(LimitElement(t.stage + base - stored, t.vector) for t in new_thetas)
         if not _factors_through(D, theta_prime, picked, new_thetas):
             raise RealizationError("level identity failed exact verification")
         w_next = m_n.transpose().apply(levels[n].weights)
         levels[n] = DiagramLevel(levels[n].size, levels[n].weights, m_n)
-        levels.append(DiagramLevel(len(keep), w_next, None))
+        levels.append(DiagramLevel(len(new_thetas), w_next, None))
         thetas.append(new_thetas)
         if phi is not None:
             q_list.append(q_n)

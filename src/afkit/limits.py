@@ -72,12 +72,18 @@ class StagedSystem:
     def is_stationary(self) -> bool:
         return not self.prefix and len(self.tail) == 1
 
-    def connect(self, n: int) -> IntMatrix:
+    def phase(self, n: int) -> int:
+        """Index of ``connect(n)`` in prefix + tail: n itself on the prefix,
+        and past it the prefix length plus n's offset modulo the period.
+        Stages of equal phase see the same connecting maps from there on."""
         if n < 0:
             raise ValueError("negative stage")
-        if n < len(self.prefix):
-            return self.prefix[n]
-        return self.tail[(n - len(self.prefix)) % len(self.tail)]
+        P = len(self.prefix)
+        return n if n < P else P + (n - P) % len(self.tail)
+
+    def connect(self, n: int) -> IntMatrix:
+        k = self.phase(n)
+        return self.prefix[k] if k < len(self.prefix) else self.tail[k - len(self.prefix)]
 
     def stage_rank(self, n: int) -> int:
         return self.connect(n).cols

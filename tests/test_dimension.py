@@ -856,6 +856,32 @@ def test_pipeline_realization_solves_one_level(depth, shen_calls):
     assert len(shen_calls) == 2 * depth
 
 
+def test_reused_levels_are_still_checked(shen_calls, monkeypatch):
+    # depth 3 builds one level and reuses it twice, yet every level's
+    # factorization is checked, so a check that fails only on the third level
+    # still stops the realization
+    D, endo, enumerator = pipeline_case([[3, 0], [0, 4]])
+    check, checks = dimension._factors_through, []
+
+    def counted(*args):
+        checks.append(args)
+        return check(*args)
+
+    monkeypatch.setattr(dimension, "_factors_through", counted)
+    ehs_realize_with_endo(D, endo, enumerator(D), 3)
+    assert (len(shen_calls), len(checks)) == (2, 3)
+
+    checks.clear()
+
+    def fails_on_the_third(*args):
+        checks.append(args)
+        return len(checks) != 3 and check(*args)
+
+    monkeypatch.setattr(dimension, "_factors_through", fails_on_the_third)
+    with pytest.raises(RealizationError, match="level identity"):
+        ehs_realize_with_endo(D, endo, enumerator(D), 3)
+
+
 def bumped_x_row(cert):
     """``cert`` with one more phi(j) on the last input, j a column the first input uses."""
     g = cert.g.to_rows()

@@ -124,6 +124,19 @@ def test_stage_shapes_chain_checked():
         StagedSystem((IntMatrix.from_rows([[1, 1]]), IntMatrix.from_rows([[1, 1]])), (IntMatrix.identity(1),))
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 3), st.integers(1, 3), st.integers(0, 30))
+def test_phase_indexes_the_prefix_then_cycles_the_tail(P, T, n):
+    # distinct 1x1 maps, so each connect(n) names its index in prefix + tail
+    maps = tuple(IntMatrix.from_rows([[k + 2]]) for k in range(P + T))
+    sys = StagedSystem(maps[:P], maps[P:])
+    assert sys.connect(n) is maps[sys.phase(n)] is (maps + maps[P:] * n)[n]
+    if n < P:
+        assert sys.phase(n) == n
+    else:
+        assert sys.phase(n + T) == sys.phase(n)
+
+
 def test_every_system_has_a_period():
     with pytest.raises(ValueError, match="identity"):
         StagedSystem((IntMatrix.from_rows([[2]]),), ())

@@ -24,8 +24,9 @@ Once per graph it builds the vertex set and the primes; once per prime, on
 first use, a record of the r-divisible vertices, the edges labeled r, W and
 the Hermite basis of that lattice on W; per query, only the partial
 fractions and the valuation test.  ``membership`` then writes a certificate
-with one small solve per prime; ``contains``, which the fingerprint and the
-P-divisibility sample ask, only tests r x_r against the record's basis.
+with one small solve per prime; ``contains``, which the P-divisibility
+sample asks, only tests r x_r against the record's basis.  By default the
+divisibility fingerprint asks no query: it reads the records themselves.
 """
 
 from __future__ import annotations
@@ -174,6 +175,12 @@ class _Local:
         rows = [{self.columns[w]: 1 for w in e if w in self.columns} for e in self.edges]
         return row_lattice(IntMatrix.from_sparse(rows + [{i: self.r} for i in self.columns.values()],
                                                  len(self.columns)))
+
+    def divided(self, K: int) -> set:
+        """The vertices v with v/r^K in A, as :func:`divisibility_fingerprint` proves."""
+        units = (w for w, i in self.columns.items()  # e_w in L_r
+                 if row_lattice_contains(self.lattice, [int(i == j) for j in range(len(self.columns))]))
+        return {*self.divisible, *(units if K == 1 else ())}
 
 
 def _vertex_name(v, d: int, label: int, m: int) -> str:
@@ -406,17 +413,22 @@ def divisibility_fingerprint(group: EplagGroup, exp_bound: int, prime_bound: int
     to the query exponent K = ``exp_bound``.  Since v/r^k = r^(K-k) * v/r^K,
     the one query at k = K decides.  Only the labels and P, up to
     ``prime_bound``, are queried: no other prime divides a denominator of
-    the group.  ``contains`` answers membership, by default exactly and
-    without certificates (:meth:`EplagGroup.contains`), so any K >= 1 answers.
-    Vertex names are forgotten in the result, so isomorphic graphs
-    fingerprint identically.
+    the group.  Vertex names are forgotten in the result, so isomorphic
+    graphs fingerprint identically.  A given ``contains`` answers each
+    query; by default each prime's record answers them all, exactly, with
+    no r^K built, so the cost does not grow with K.  For v/r^K has r as its
+    only denominator prime, so it is its own r-part, which the front end of
+    :meth:`EplagGroup.contains` takes when v is r-divisible, refuses on W at
+    K >= 2 (valuation -K < -1), and at K = 1 takes exactly when r times it,
+    e_w, lies in L_r.
     """
-    contains = contains or group.contains
-    probes = [(r, Fraction(1, r**exp_bound)) for r in group.graph.primes if r <= prime_bound]
-    return tuple(sorted(
-        tuple(r for r, f in probes if contains({v: f}))
-        for v in group.graph.vertices
-    ))
+    if exp_bound < 1:
+        raise ValueError("exp_bound must be at least 1")
+    vertices = group.graph.vertices
+    primes = [r for r in group.graph.primes if r <= prime_bound]
+    members = [{v for v in vertices if contains({v: Fraction(1, r**exp_bound)})} if contains
+               else group._local(r).divided(exp_bound) for r in primes]
+    return tuple(sorted(tuple(r for r, m in zip(primes, members) if v in m) for v in vertices))
 
 
 def is_P_divisible_sample(group: EplagGroup, exp_bound: int,
@@ -430,12 +442,13 @@ def is_P_divisible_sample(group: EplagGroup, exp_bound: int,
     (:meth:`EplagGroup.contains`); an oracle for other generators can
     deliberately break the scheme.
     """
+    if exp_bound < 1:
+        raise ValueError("exp_bound must be at least 1")
     contains = contains or group.contains
     graph = group.graph
-    targets = [{v: Fraction(1)} for v in graph.vertices]
-    targets += [{v: Fraction(1, graph.labels[e]) for v in e} for e in graph.edges]
+    targets = [((v,), 1) for v in graph.vertices] + [(e, graph.labels[e]) for e in graph.edges]  # (ends, d)
     return all(
-        contains({v: f / q for v, f in t.items()})
+        contains(dict.fromkeys(ends, Fraction(1, d * q)))
         for q in (p**exp_bound for p in graph.divisibility_set)  # one power per p
-        for t in targets
+        for ends, d in targets
     )

@@ -231,6 +231,27 @@ def test_fingerprint_needs_every_exponent_up_to_the_bound():
     assert divisibility_fingerprint(G, 2, 20, contains) == ((),)
 
 
+@pytest.mark.parametrize("K", [0, -1])
+def test_fingerprint_and_sample_refuse_an_exponent_below_one(K):
+    G = tree_to_eplag(chain_tree(2), [3])
+    with pytest.raises(ValueError, match="exp_bound must be at least 1"):
+        divisibility_fingerprint(G, K, 20)
+    with pytest.raises(ValueError, match="exp_bound must be at least 1"):
+        is_P_divisible_sample(G, K)
+
+
+def test_fingerprint_at_exponent_one_reads_the_edge_lattice():
+    # a, b, c labelled 5 on a triangle of 3-edges, u (3) joined to w (7) by a
+    # 3-edge: at K = 1, e_w and each e_a (= (ab + ca - bc)/2 mod 3) lie in L_3
+    triangle = [frozenset(p) for p in (("a", "b"), ("b", "c"), ("c", "a"))]
+    uw = frozenset({"u", "w"})
+    labels = {"a": 5, "b": 5, "c": 5, "u": 3, "w": 7} | dict.fromkeys(triangle + [uw], 3)
+    G = EplagGroup(PrimeLabeledGraph(("a", "b", "c", "u", "w"), (*triangle, uw), labels, ()))
+    certified = lambda x: membership(G, x).is_member
+    for K, expected in ((1, ((3,), (3, 5), (3, 5), (3, 5), (3, 7))), (2, ((3,), (5,), (5,), (5,), (7,)))):
+        assert divisibility_fingerprint(G, K, 20) == expected == divisibility_fingerprint(G, K, 20, certified)
+
+
 def test_certificates_reverify():
     G = tree_to_eplag(chain_tree(2), [2])
     graph = G.graph

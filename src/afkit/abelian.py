@@ -432,6 +432,36 @@ def row_lattice(m: IntMatrix) -> IntMatrix:
     return IntMatrix.from_sparse(_eliminate(map(dict, m.sparse), m.cols)[0], m.cols)
 
 
+def row_lattice_mod_prime(m: IntMatrix, r: int) -> IntMatrix:
+    """Reduced Hermite basis of L = <rows of ``m``> + r Z^n for a prime r,
+    :func:`row_lattice` of ``m`` with the rows r e_j appended, from one
+    reduced row echelon pass mod r.  L holds r Z^n, so L / r Z^n is the
+    rows' span S over F_r.  S's reduced echelon rows b_i, entries in [0, r),
+    1 at their pivot p_i and 0 at the other pivots, and r e_j at each column
+    j with no pivot lie in L and span it: v in L is sum c_i b_i mod r, and
+    r e_(p_i) = r b_i - sum_j b_i[j] r e_j.  Sorted by pivot they are
+    triangular with positive diagonal, so a basis, and reduced: every other
+    row is 0 at p_i and in [0, r) at j.  A lattice has one reduced Hermite
+    basis (see :func:`row_lattice_remainder`), so this is its output.
+    """
+    by_pivot: dict = {}
+
+    def cleared(vec: dict, q: int) -> dict:  # vec - vec[q] * (the row at q), mod r
+        return {k: y for k, x in _add_multiple(vec, by_pivot[q].items(), -vec[q]).items() if (y := x % r)}
+
+    for row in m.sparse:
+        vec = {k: y for k, x in row if (y := x % r)}
+        while vec and (lead := min(vec)) in by_pivot:
+            vec = cleared(vec, lead)
+        if vec:
+            inverse = pow(vec[lead], -1, r)
+            by_pivot[lead] = {k: x * inverse % r for k, x in vec.items()}
+    for p in sorted(by_pivot, reverse=True):  # each row against the later ones, already reduced
+        for q in [k for k in by_pivot[p] if k > p and k in by_pivot]:
+            by_pivot[p] = cleared(by_pivot[p], q)
+    return IntMatrix.from_sparse([by_pivot.get(j) or {j: r} for j in range(m.cols)], m.cols)
+
+
 def image_lattice_rows(m: IntMatrix) -> IntMatrix:
     """Reduced Hermite basis of the lattice spanned by the columns of ``m``."""
     return row_lattice(m.transpose())

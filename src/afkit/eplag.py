@@ -20,13 +20,14 @@ combination of those edge sums and the r e_w (a lattice containing r Z^W,
 so integer and r-local combinations agree).
 
 :func:`membership` and :meth:`EplagGroup.contains` share one front end.
-Once per graph it builds the vertex set and the primes; once per prime, on
-first use, a record of the r-divisible vertices, the edges labeled r, W and
-the Hermite basis of that lattice on W; per query, only the partial
+Once per graph it builds the vertex set, the primes and an index of what
+each label labels; once per prime, a record of the r-divisible vertices
+and, as far as it is read, W, the edges labeled r and the Hermite basis of
+that lattice on W, from one echelon pass mod r; per query, only the partial
 fractions and the valuation test.  ``membership`` then writes a certificate
-with one small solve per prime; ``contains``, which the P-divisibility
-sample asks, only tests r x_r against the record's basis.  By default the
-divisibility fingerprint asks no query: it reads the records themselves.
+with one small solve per prime; ``contains`` only tests r x_r against the
+record's basis.  By default the divisibility fingerprint and the
+P-divisibility sample ask no query: they read the records, building no r^K.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from itertools import combinations_with_replacement
 from math import prod
 from typing import Callable, Dict, Optional, Sequence
 
-from .abelian import IntMatrix, is_prime, row_lattice, row_lattice_contains, solve_row_combination
+from .abelian import IntMatrix, is_prime, row_lattice_contains, row_lattice_mod_prime, solve_row_combination
 
 
 def primes_avoiding(excluded: Sequence[int]):
@@ -87,6 +88,15 @@ class PrimeLabeledGraph:
     @cached_property
     def vertex_set(self) -> frozenset:
         return frozenset(self.vertices)
+
+    @cached_property
+    def by_label(self) -> dict:
+        """Prime -> (the vertices, the edges) it labels, each in graph order."""
+        index: dict = {}
+        for i, keys in enumerate((self.vertices, self.edges)):
+            for k in keys:
+                index.setdefault(self.labels[k], ([], []))[i].append(k)
+        return index
 
     @cached_property
     def primes(self) -> tuple:
@@ -161,26 +171,35 @@ class EplagGroup:
 class _Local:
     """A_(r) at one prime r: Q on the r-divisible vertices, Z_(r) on the
     others, W (the columns), plus the sums (e_u + e_v)/r of the edges
-    labeled r with an end in W; all three in graph order."""
+    labeled r with an end in W, in graph order; W and those edges on first read."""
 
     def __init__(self, graph: PrimeLabeledGraph, r: int):
-        self.r = r
-        self.divisible = tuple(v for v in graph.vertices if r in graph.divisibility_set or graph.labels[v] == r)
-        self.columns = {w: i for i, w in enumerate(v for v in graph.vertices if v not in self.divisible)}
-        self.edges = tuple(e for e in graph.edges if graph.labels[e] == r and any(w in self.columns for w in e))
+        self.graph, self.r = graph, r
+        labeled, self._labeled_edges = graph.by_label.get(r, ((), ()))
+        self.divisible = graph.vertices if r in graph.divisibility_set else tuple(labeled)
+
+    @cached_property
+    def columns(self) -> dict:
+        divisible = set(self.divisible)
+        return {w: i for i, w in enumerate(v for v in self.graph.vertices if v not in divisible)}
+
+    @cached_property
+    def edges(self) -> tuple:
+        return tuple(e for e in self._labeled_edges if any(w in self.columns for w in e))
 
     @cached_property
     def lattice(self) -> IntMatrix:
         """Reduced Hermite basis of L_r = <edge sums on W> + r Z^W."""
         rows = [{self.columns[w]: 1 for w in e if w in self.columns} for e in self.edges]
-        return row_lattice(IntMatrix.from_sparse(rows + [{i: self.r} for i in self.columns.values()],
-                                                 len(self.columns)))
+        return row_lattice_mod_prime(IntMatrix.from_sparse(rows, len(self.columns)), self.r)
 
     def divided(self, K: int) -> set:
         """The vertices v with v/r^K in A, as :func:`divisibility_fingerprint` proves."""
-        units = (w for w, i in self.columns.items()  # e_w in L_r
-                 if row_lattice_contains(self.lattice, [int(i == j) for j in range(len(self.columns))]))
-        return {*self.divisible, *(units if K == 1 else ())}
+        if K > 1:  # W is not read
+            return set(self.divisible)
+        n = len(self.columns)
+        return {*self.divisible, *(w for w, i in self.columns.items()  # e_w in L_r
+                                   if row_lattice_contains(self.lattice, [int(i == j) for j in range(n)]))}
 
 
 def _vertex_name(v, d: int, label: int, m: int) -> str:
@@ -438,17 +457,28 @@ def is_P_divisible_sample(group: EplagGroup, exp_bound: int,
     Divides every vertex generator and every edge-sum generator by each
     p^k with p in P and k up to the query exponent K = ``exp_bound``, and
     requires membership of the result; as in the fingerprint, k = K
-    decides.  True by construction for the exact oracle, the default
-    (:meth:`EplagGroup.contains`); an oracle for other generators can
-    deliberately break the scheme.
+    decides.  True by construction for the exact oracle; an oracle for
+    other generators can deliberately break the scheme.  A given
+    ``contains`` answers each query; by default the records do, with no p^K
+    built.  Every vertex is p-divisible, so each vertex query v/p^K is a
+    member, and so is the p-part of an edge query (e_u + e_v)/(l p^K).  Its
+    l-part (l is not in P) is c (e_u + e_v)/l with c = p^-K mod l, a member
+    exactly when c (e_u + e_v) on W_l lies in L_l, the test of ``contains``.
     """
     if exp_bound < 1:
         raise ValueError("exp_bound must be at least 1")
-    contains = contains or group.contains
     graph = group.graph
-    targets = [((v,), 1) for v in graph.vertices] + [(e, graph.labels[e]) for e in graph.edges]  # (ends, d)
-    return all(
-        contains(dict.fromkeys(ends, Fraction(1, d * q)))
-        for q in (p**exp_bound for p in graph.divisibility_set)  # one power per p
-        for ends, d in targets
-    )
+    if contains:
+        targets = [((v,), 1) for v in graph.vertices] + [(e, graph.labels[e]) for e in graph.edges]  # (ends, d)
+        return all(
+            contains(dict.fromkeys(ends, Fraction(1, d * q)))
+            for q in (p**exp_bound for p in graph.divisibility_set)  # one power per p
+            for ends, d in targets
+        )
+    for p in graph.divisibility_set:
+        for e in graph.edges:
+            local = group._local(graph.labels[e])
+            t = [pow(p, -exp_bound, local.r) if w in e else 0 for w in local.columns]
+            if any(t) and not row_lattice_contains(local.lattice, t):
+                return False
+    return True

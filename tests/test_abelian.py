@@ -37,6 +37,7 @@ from afkit.abelian import (
     row_lattice,
     row_lattice_coefficients,
     row_lattice_contains,
+    row_lattice_mod_prime,
     row_lattice_remainder,
     saturate_preimages,
     saturated_cokernel,
@@ -664,6 +665,27 @@ def test_lattice_remainder_is_unique_per_coset(case, data):
     shift = data.draw(st.sampled_from([0, 1]))
     other = [x + sum(k * g[j] for k, g in zip(coeffs, gens)) + shift * (j == 0) for j, x in enumerate(vec)]
     assert (row_lattice_remainder(lattice, other) == rest) == row_lattice_contains(lattice, [shift] + [0] * (n - 1))
+
+
+@st.composite
+def rows_and_prime(draw):
+    """Integer rows of width 0-6 (negative, dense, zero and repeated ones
+    among them) and a small prime r."""
+    n = draw(st.integers(0, 6))
+    row = st.lists(st.integers(-40, 40), min_size=n, max_size=n)
+    rows = draw(st.lists(st.one_of(row, st.just([0] * n)), max_size=7))
+    if rows and draw(st.booleans()):
+        rows += draw(st.lists(st.sampled_from(rows), min_size=1, max_size=3))
+    return rows, n, draw(st.sampled_from([2, 3, 5, 7, 11, 13]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows_and_prime())
+def test_mod_prime_lattice_matches_the_integer_eliminator(case):
+    # the echelon pass mod r against row_lattice with the rows r e_j appended
+    rows, n, r = case
+    got = row_lattice_mod_prime(IntMatrix.from_rows(rows, cols=n), r)
+    assert got == row_lattice(IntMatrix.from_rows(rows + [[r * (i == j) for j in range(n)] for i in range(n)], cols=n))
 
 
 def sympy_quotient(rows: list, n: int) -> tuple:

@@ -755,27 +755,28 @@ def test_eplag_fingerprint_past_the_digit_limit_answers(tmp_path, capsys):
     assert run(capsys, argv + ["10000"]) == small
 
 
-def test_eplag_fingerprint_job_asks_only_the_sample(tmp_path, capsys, monkeypatch):
-    # the fingerprint reads each prime's record; only the P-divisibility
-    # sample sends queries through the front end: one per vertex and edge
+def test_eplag_fingerprint_job_sends_no_query_at_any_bound(tmp_path, capsys, monkeypatch):
+    # the fingerprint and the P-divisibility sample both read each prime's
+    # record, so no query goes through the front end and nothing builds r^K
+    # or p^K: at K = 10^6 the job prints what it prints at K = 2, and fast
+    # (a p^K and a Fraction per sample query take about 138 s there)
     from afkit import eplag
     tree = write(tmp_path, "t.json", eplag.chain_tree(8))
     code, out, _ = run(capsys, ["eplag", "tree", "--tree", tree, "--p", "3"])
     assert code == 0
     graph = write(tmp_path, "graph.json", json.loads(out))
-    calls = []
-    monkeypatch.setattr(eplag, "_local_parts", lambda *a, f=eplag._local_parts: calls.append(a) or f(*a))
-    code, out, _ = run(capsys, ["--format", "json", "eplag", "fingerprint", "--graph", graph, "--bound", "2"])
-    assert code == 0 and len(calls) == 9 + 8
-    fingerprint = [tuple(s) for s in json.loads(out)["fingerprint"]]
 
     def refuse(*args):
-        raise AssertionError("the fingerprint sent a query through the front end")
+        raise AssertionError("the fingerprint job sent a query through the front end")
 
-    # so its cost does not grow with K: K = 10^6 reads the same records as K = 2
     monkeypatch.setattr(eplag, "_local_parts", refuse)
-    G = eplag.tree_to_eplag(eplag.chain_tree(8), [3])
-    assert list(eplag.divisibility_fingerprint(G, 10**6, 20)) == fingerprint
+    argv = ["--format", "json", "eplag", "fingerprint", "--graph", graph, "--bound"]
+    small = run(capsys, argv + ["2"])
+    assert small[0] == 0 and json.loads(small[1]) == {
+        "fingerprint": [[3]] * 6 + [[3, 5], [3, 11], [3, 17]], "p_divisible_sample": True}
+    start = time.perf_counter()
+    assert run(capsys, argv + ["1000000"]) == small
+    assert time.perf_counter() - start < 5.0
 
 
 @pytest.mark.parametrize("value", ["1/5", 0.2])

@@ -7,7 +7,7 @@ from fractions import Fraction
 from math import lcm
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from afkit import abelian, eplag
@@ -472,7 +472,8 @@ def test_yes_no_queries_write_no_certificate_and_build_each_lattice_once(monkeyp
     for module, name in ((eplag, "membership"), (eplag, "solve_row_combination"), (abelian, "solve_row_combination")):
         monkeypatch.setattr(module, name, refuse)
     built = []
-    monkeypatch.setattr(eplag, "row_lattice", lambda m, original=eplag.row_lattice: built.append(m) or original(m))
+    monkeypatch.setattr(eplag, "row_lattice_mod_prime",
+                        lambda m, r, original=eplag.row_lattice_mod_prime: built.append(m) or original(m, r))
     for G, want in zip(groups, expected):
         assert answers(G) == want == answers(G)
         assert 0 < len(built) <= len(G.graph.primes)  # at most one lattice per prime of this group
@@ -498,6 +499,40 @@ def test_fingerprint_and_sample_match_the_certificate_oracle(case):
     for K in (1, 2, 3):
         assert divisibility_fingerprint(G, K, 20) == divisibility_fingerprint(G, K, 20, certified)
         assert is_P_divisible_sample(G, K) is is_P_divisible_sample(G, K, certified)
+
+
+@settings(max_examples=100, deadline=None)
+@given(graphs_with_targets().filter(lambda case: case[0].graph.divisibility_set))
+def test_sample_records_match_contains_and_the_certificate_oracle(case):
+    # the sample's default path reads the records; G.contains and the
+    # certificate-checked membership answer its queries one by one
+    G, _ = case
+
+    def certified(x):
+        res = membership(G, x)
+        assert not res.is_member or verify_certificate(G, x, res), x
+        return res.is_member
+
+    for K in (1, 2, 3, 50):
+        assert is_P_divisible_sample(G, K) is is_P_divisible_sample(G, K, G.contains) is \
+            is_P_divisible_sample(G, K, certified), K
+
+
+def test_fingerprint_past_exponent_one_reads_no_columns(monkeypatch):
+    # at K >= 2 the fingerprint reads only the r-divisible vertices, so no
+    # record builds W (a generator over W's items was once evaluated eagerly)
+    triangle = [frozenset(p) for p in (("a", "b"), ("b", "c"), ("c", "a"))]
+    labels = {"a": 5, "b": 5, "c": 3} | dict.fromkeys(triangle, 5)
+    graphs = [tree_to_eplag(chain_tree(8), P).graph for P in ((3,), ())]
+    graphs.append(PrimeLabeledGraph(("a", "b", "c"), tuple(triangle), labels, (2,)))
+    expected = [divisibility_fingerprint(EplagGroup(g), 2, 60, lambda x, g=g: membership(EplagGroup(g), x).is_member)
+                for g in graphs]
+
+    def refuse(self):
+        raise AssertionError("the fingerprint read _Local.columns")
+
+    monkeypatch.setattr(eplag._Local, "columns", property(refuse))
+    assert [divisibility_fingerprint(EplagGroup(g), 2, 60) for g in graphs] == expected
 
 
 def test_zero_entry_on_an_unknown_vertex_is_refused():
@@ -607,3 +642,24 @@ def test_verify_certificate_accepts_exactly_the_names_of_generators():
     for name in sorted(candidates):
         accepted = verify_certificate(G, x, MembershipResult("member", bound, {name: 0, **res.certificate}))
         assert accepted is (name in names), name
+
+
+CYCLE = [frozenset(p) for p in (("a", "b"), ("b", "c"), ("c", "a"), ("c", "d"))]
+
+
+@settings(max_examples=300, deadline=None)
+@example((EplagGroup(PrimeLabeledGraph(("a", "b", "c", "d"), tuple(CYCLE),
+                                       {"a": 3, "b": 3, "c": 5, "d": 3} | dict.fromkeys(CYCLE, 3), ())), []))
+@given(graphs_with_targets())
+def test_record_lattice_matches_the_integer_eliminator(case):
+    # each record's L_r, from the echelon pass mod r, against row_lattice of
+    # every edge labeled r restricted to W (zero when both ends are
+    # r-divisible) and the rows r e_w; the example has a cycle, edges that
+    # share their label with vertices, and an edge a-b between two of them
+    G, _ = case
+    graph = G.graph
+    for r in graph.primes:
+        W = [v for v in graph.vertices if r not in graph.divisibility_set and graph.labels[v] != r]
+        rows = [[int(w in e) for w in W] for e in graph.edges if graph.labels[e] == r]
+        rows += [[r * (v == w) for w in W] for v in W]
+        assert G._local(r).lattice == row_lattice(IntMatrix.from_rows(rows, cols=len(W))), r

@@ -114,6 +114,7 @@ KEPT = (
     ("PrimeLabeledGraph.relabel_vertices", "input builder for isomorphic copies of a graph"),
     ("IntMatrix.entries", "dense view: the benchmark tracer's bit-size hook and the tests read it"),
     ("diagram_to_system", "library entry: a valid diagram's ordered system, which the tests realize"),
+    ("EplagGroup.contains", "library entry: yes/no membership, the reference oracle for the record paths"),
 )
 
 

@@ -19,14 +19,14 @@ So on W, x_r needs r-valuation >= -1 and r x_r must be an integer
 combination of those edge sums and the r e_w (a lattice containing r Z^W,
 so integer and r-local combinations agree).
 
-:func:`membership` and :meth:`EplagGroup.contains` share one front end.
-Once per graph it builds the vertex set, the primes and an index of what
-each label labels; once per prime, a record of the r-divisible vertices
-and, as far as it is read, W, the edges labeled r and the Hermite basis of
-that lattice on W, from one echelon pass mod r; per query, only the partial
-fractions and the valuation test.  ``membership`` then writes a certificate
-with one small solve per prime; ``contains`` only tests r x_r against the
-record's basis.  By default the divisibility fingerprint and the
+:func:`membership` and :meth:`EplagGroup.contains` share one front end.  It
+reads the vertex set, the primes and the label index that the graph's one
+validation pass builds, and once per prime builds a record: the r-divisible
+vertices and, as far as it is read, W, the edges labeled r and the Hermite
+basis of that lattice on W, from one echelon pass mod r.  Per query it makes
+only the partial fractions and the valuation test.  ``membership`` then
+writes a certificate with one small solve per prime; ``contains`` only tests
+r x_r against the record's basis.  By default the fingerprint and the
 P-divisibility sample ask no query: they read the records, building no r^K.
 """
 
@@ -34,9 +34,9 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache, cached_property, partial
+from functools import cached_property
 from itertools import combinations_with_replacement
 from math import prod
 from typing import Callable, Dict, Optional, Sequence
@@ -63,45 +63,41 @@ class PrimeLabeledGraph:
     labels: dict  # vertex name or edge frozenset -> prime
     divisibility_set: tuple  # the primes P
 
+    vertex_set: frozenset = field(init=False, repr=False, compare=False)  # these three: set by the validation pass
+    by_label: dict = field(init=False, repr=False, compare=False)  # prime -> (vertices, edges) it labels, in order
+    primes: tuple = field(init=False, repr=False, compare=False)  # the labels and P, ascending
+
     def __post_init__(self):
+        if len(vertex_set := frozenset(self.vertices)) < len(self.vertices):  # records key by vertex name
+            v = next(v for i, v in enumerate(self.vertices) if v in self.vertices[:i])
+            raise ValueError(f"vertex {v} is listed twice")
         seen = set()
         for e in self.edges:
-            if len(e) != 2 or not e <= self.vertex_set:  # sorted ends: a set's order depends on the hash seed
+            if len(e) != 2 or not e <= vertex_set:  # sorted ends: a set's order depends on the hash seed
                 raise ValueError(f"edge {sorted(map(str, e))} is not a pair of known vertices")
             if e in seen:  # the labels dict holds one label per edge, so a copy would lose one
                 raise ValueError(f"edge {sorted(map(str, e))} is listed twice")
             seen.add(e)
-        for key in list(self.vertices) + list(self.edges):
-            if key not in self.labels:
-                raise ValueError(f"missing label for {sorted(map(str, key)) if isinstance(key, frozenset) else key}")
-            if not is_prime(self.labels[key]):
-                raise ValueError(f"label {self.labels[key]} is not prime")
-        for i, p in enumerate(self.divisibility_set):
-            if not is_prime(p):
-                raise ValueError(f"divisibility set entry {p} is not prime")
-            if p in self.divisibility_set[:i]:
-                raise ValueError(f"divisibility set entry {p} is listed twice")
-        used = {self.labels[k] for k in list(self.vertices) + list(self.edges)}
-        if used & set(self.divisibility_set):
-            raise ValueError("label range must be disjoint from the divisibility set")
-
-    @cached_property
-    def vertex_set(self) -> frozenset:
-        return frozenset(self.vertices)
-
-    @cached_property
-    def by_label(self) -> dict:
-        """Prime -> (the vertices, the edges) it labels, each in graph order."""
-        index: dict = {}
+        labels, index = self.labels, {}  # a label enters the index once it is found prime
         for i, keys in enumerate((self.vertices, self.edges)):
             for k in keys:
-                index.setdefault(self.labels[k], ([], []))[i].append(k)
-        return index
-
-    @cached_property
-    def primes(self) -> tuple:
-        """The labels and P, ascending: every prime a generator's denominator can have."""
-        return tuple(sorted({self.labels[k] for k in (*self.vertices, *self.edges)} | set(self.divisibility_set)))
+                if k not in labels:
+                    raise ValueError(f"missing label for {sorted(map(str, k)) if isinstance(k, frozenset) else k}")
+                if (label := labels[k]) not in index:
+                    if not is_prime(label):
+                        raise ValueError(f"label {label} is not prime")
+                    index[label] = ([], [])
+                index[label][i].append(k)
+        P = set()
+        for p in self.divisibility_set:
+            if not is_prime(p):
+                raise ValueError(f"divisibility set entry {p} is not prime")
+            if p in P:
+                raise ValueError(f"divisibility set entry {p} is listed twice")
+            P.add(p)
+        if P & index.keys():
+            raise ValueError("label range must be disjoint from the divisibility set")
+        self.__dict__.update(vertex_set=vertex_set, by_label=index, primes=tuple(sorted(P | index.keys())))
 
     def relabel_vertices(self, mapping: dict) -> "PrimeLabeledGraph":
         verts = tuple(mapping[v] for v in self.vertices)
@@ -124,6 +120,7 @@ class EplagGroup:
     """The subgroup of Q^(V) generated by the labeled-graph scheme."""
 
     graph: PrimeLabeledGraph
+    _records: dict = field(default_factory=dict, init=False, repr=False, compare=False)  # prime -> _Local
 
     def generators(self, exp_bound: int) -> list:
         """Instantiated generators with total exponents at most the bound.
@@ -162,10 +159,12 @@ class EplagGroup:
                 return False
         return True
 
-    @cached_property
-    def _local(self) -> Callable[[int], "_Local"]:
-        """Prime r -> the _Local at r, built the first time a query reaches r and kept."""
-        return cache(partial(_Local, self.graph))
+    def _local(self, r: int) -> "_Local":
+        """The record at prime r, built the first time a query reaches r and kept; it reads
+        the label index that the graph's validation pass built, and walks the graph only for W."""
+        if (local := self._records.get(r)) is None:
+            local = self._records[r] = _Local(self.graph, r)
+        return local
 
 
 class _Local:
@@ -443,11 +442,12 @@ def divisibility_fingerprint(group: EplagGroup, exp_bound: int, prime_bound: int
     """
     if exp_bound < 1:
         raise ValueError("exp_bound must be at least 1")
-    vertices = group.graph.vertices
-    primes = [r for r in group.graph.primes if r <= prime_bound]
-    members = [{v for v in vertices if contains({v: Fraction(1, r**exp_bound)})} if contains
-               else group._local(r).divided(exp_bound) for r in primes]
-    return tuple(sorted(tuple(r for r, m in zip(primes, members) if v in m) for v in vertices))
+    found: dict = {v: [] for v in group.graph.vertices}  # vertex -> its primes, ascending
+    for r in (r for r in group.graph.primes if r <= prime_bound):
+        for v in ([v for v in found if contains({v: Fraction(1, r**exp_bound)})] if contains
+                  else group._local(r).divided(exp_bound)):
+            found[v].append(r)
+    return tuple(sorted(map(tuple, found.values())))
 
 
 def is_P_divisible_sample(group: EplagGroup, exp_bound: int,

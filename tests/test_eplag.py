@@ -1,6 +1,8 @@
 """Tests for prime-labeled-graph groups and exact membership."""
 
+import functools
 import itertools
+import json
 import time
 import random
 from fractions import Fraction
@@ -10,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from afkit import abelian, eplag
+from afkit import abelian, cli, eplag
 from afkit.abelian import IntMatrix, row_lattice, row_lattice_contains
 from afkit.eplag import (
     EplagGroup,
@@ -663,3 +665,182 @@ def test_record_lattice_matches_the_integer_eliminator(case):
         rows = [[int(w in e) for w in W] for e in graph.edges if graph.labels[e] == r]
         rows += [[r * (v == w) for w in W] for v in W]
         assert G._local(r).lattice == row_lattice(IntMatrix.from_rows(rows, cols=len(W))), r
+
+
+# ---------------------------------------------------------------------------
+# The constructor's one validation pass
+# ---------------------------------------------------------------------------
+
+
+def test_repeated_vertex_is_refused():
+    # a copy of "a" once passed, and then membership found {a: 1/7, b: 1/7}
+    # a member while contains did not, and the fingerprint listed "a" twice
+    e = frozenset({"a", "b"})
+    with pytest.raises(ValueError, match="^vertex a is listed twice$"):
+        PrimeLabeledGraph(("a", "a", "b"), (e,), {"a": 3, "b": 5, e: 7}, ())
+
+
+def test_relabeling_that_merges_vertices_is_refused():
+    graph = PrimeLabeledGraph(("a", "b", "c"), (), {"a": 3, "b": 5, "c": 3}, (2,))
+    assert graph.relabel_vertices({"a": "x", "b": "y", "c": "z"}).vertices == ("x", "y", "z")
+    with pytest.raises(ValueError, match="^vertex x is listed twice$"):
+        graph.relabel_vertices({"a": "x", "b": "y", "c": "x"})
+
+
+def reference_checks(vertices, edges, labels, P):
+    """The constructor's checks as a walk per check, the repeated-vertex check first."""
+    for i, v in enumerate(vertices):
+        if v in vertices[:i]:
+            raise ValueError(f"vertex {v} is listed twice")
+    seen = set()
+    for e in edges:
+        if len(e) != 2 or not e <= frozenset(vertices):
+            raise ValueError(f"edge {sorted(map(str, e))} is not a pair of known vertices")
+        if e in seen:
+            raise ValueError(f"edge {sorted(map(str, e))} is listed twice")
+        seen.add(e)
+    for key in list(vertices) + list(edges):
+        if key not in labels:
+            raise ValueError(f"missing label for {sorted(map(str, key)) if isinstance(key, frozenset) else key}")
+        if not abelian.is_prime(labels[key]):
+            raise ValueError(f"label {labels[key]} is not prime")
+    for i, p in enumerate(P):
+        if not abelian.is_prime(p):
+            raise ValueError(f"divisibility set entry {p} is not prime")
+        if p in P[:i]:
+            raise ValueError(f"divisibility set entry {p} is listed twice")
+    if {labels[k] for k in list(vertices) + list(edges)} & set(P):
+        raise ValueError("label range must be disjoint from the divisibility set")
+
+
+FAULTS = ["bad edge", "repeated edge", "missing label", "composite label",
+          "composite P", "repeated P", "P meets labels", "repeated vertex"]
+
+
+@st.composite
+def graph_fields(draw):
+    """(vertices, edges, labels, P, faults): a random labeled graph with any
+    subset of FAULTS put in at random places, each fault drawn on what the
+    earlier ones left."""
+    names = [f"v{i}" for i in range(draw(st.integers(1, 5)))]
+    pairs = [frozenset(p) for p in itertools.combinations(names, 2)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=5)) if pairs else []
+    P = draw(st.lists(st.sampled_from([2, 3, 5]), unique=True, max_size=2))
+    labels = {k: draw(st.sampled_from([p for p in (2, 3, 5, 7, 11) if p not in P])) for k in names + edges}
+    vertices = list(names)
+    faults = draw(st.lists(st.sampled_from(FAULTS), unique=True))
+
+    def insert(seq, item, after=0):
+        seq.insert(draw(st.integers(after, len(seq))), item)
+
+    for fault in faults:
+        if fault == "bad edge":
+            bad = draw(st.sampled_from([frozenset(names[:1]), frozenset({names[0], "ghost"}), frozenset(names[:3])]))
+            insert(edges, bad)
+            if draw(st.booleans()):
+                labels[bad] = 13
+        elif fault == "repeated edge" and edges:
+            i = draw(st.integers(0, len(edges) - 1))
+            insert(edges, edges[i], i + 1)
+        elif fault == "missing label":
+            del labels[draw(st.sampled_from(sorted(labels, key=str)))]
+        elif fault == "composite label" and labels:
+            labels[draw(st.sampled_from(sorted(labels, key=str)))] = draw(st.sampled_from([-3, 0, 1, 4, 9, 15]))
+        elif fault == "composite P":
+            insert(P, draw(st.sampled_from([1, 4, 6, 9])))
+        elif fault == "repeated P" and P:
+            i = draw(st.integers(0, len(P) - 1))
+            insert(P, P[i], i + 1)
+        elif fault == "P meets labels" and labels:
+            insert(P, draw(st.sampled_from(sorted(set(labels.values())))))
+        elif fault == "repeated vertex":
+            i = draw(st.integers(0, len(vertices) - 1))
+            insert(vertices, vertices[i], i + 1)
+    return tuple(vertices), tuple(edges), labels, tuple(P), faults
+
+
+@settings(max_examples=400, deadline=None)
+@example((("a", "a", "b"), (frozenset("ab"),), {"a": 3, "b": 5, frozenset("ab"): 7}, (), ["repeated vertex"]))
+@example((("a", "b"), (frozenset("ab"), frozenset("a")), {"a": 4, frozenset("ab"): 7}, (7, 7, 6),
+          ["bad edge", "missing label", "composite label", "repeated P", "composite P", "P meets labels"]))
+@given(graph_fields())
+def test_one_pass_constructor_matches_the_walk_per_check(case):
+    # every fault alone and several at once raise what a walk per check
+    # raises first; a valid graph's index is what those walks would build
+    vertices, edges, labels, P, _ = case
+    try:
+        reference_checks(vertices, edges, labels, P)
+    except ValueError as err:
+        with pytest.raises(ValueError) as raised:
+            PrimeLabeledGraph(vertices, edges, labels, P)
+        assert str(raised.value) == str(err)
+        return
+    graph = PrimeLabeledGraph(vertices, edges, labels, P)
+    index: dict = {}
+    for i, keys in enumerate((vertices, edges)):
+        for k in keys:
+            index.setdefault(labels[k], ([], []))[i].append(k)
+    assert graph.vertex_set == frozenset(vertices)
+    assert graph.by_label == index
+    assert graph.primes == tuple(sorted({labels[k] for k in (*vertices, *edges)} | set(P)))
+
+
+@st.composite
+def trees_sharing_labels(draw):
+    """tree_to_eplag of a random tree, where every vertex of a level shares
+    its label, and sometimes each level's edges take that level's vertex
+    label too."""
+    def tree(depth):
+        return {"children": [tree(depth - 1) for _ in range(draw(st.integers(0, 3 if depth else 0)))]}
+
+    G = tree_to_eplag(tree(draw(st.integers(0, 3))), draw(st.sampled_from([(), (3,), (2, 5)])))
+    graph = G.graph
+    if draw(st.booleans()):
+        labels = dict(graph.labels)
+        for e in graph.edges:
+            upper = min(e, key=len)  # the end nearer the root has the shorter name
+            labels[e] = graph.labels[upper]
+        G = EplagGroup(PrimeLabeledGraph(graph.vertices, graph.edges, labels, graph.divisibility_set))
+    return G
+
+
+@settings(max_examples=150, deadline=None)
+@given(trees_sharing_labels())
+def test_fingerprint_assembly_matches_its_oracle_path(G):
+    # the records' answer, the oracle path's, and each vertex's primes
+    # gathered one membership test at a time
+    graph = G.graph
+    for K in (1, 2, 3):
+        by_vertex = sorted(tuple(r for r in graph.primes if G.contains({v: Fraction(1, r**K)}))
+                           for v in graph.vertices)
+        assert divisibility_fingerprint(G, K, 100) == divisibility_fingerprint(G, K, 100, G.contains) == \
+            tuple(by_vertex)
+
+
+def complete_binary_tree(depth):
+    return {"children": [complete_binary_tree(depth - 1) for _ in range(2)] if depth else []}
+
+
+def test_one_pass_and_one_record_per_prime(monkeypatch, tmp_path, capsys):
+    # 15 vertices, 14 edges, 7 distinct labels and P = (3,): one primality
+    # test per distinct label and P entry (a test per key made 30); one CLI
+    # fingerprint job builds each prime's record at most once and no cache wrapper
+    graph = tree_to_eplag(complete_binary_tree(3), (3,)).graph
+    assert (len(graph.vertices), len(graph.edges), len(set(graph.labels.values()))) == (15, 14, 7)
+    tested = []
+    monkeypatch.setattr(eplag, "is_prime", lambda n, original=eplag.is_prime: tested.append(n) or original(n))
+    PrimeLabeledGraph(graph.vertices, graph.edges, graph.labels, graph.divisibility_set)
+    assert len(tested) == 8
+    monkeypatch.undo()
+
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps(cli.eplag_to_json(EplagGroup(graph))))
+    argv = ["--format", "json", "eplag", "fingerprint", "--graph", str(path)]
+    assert cli.main(argv) == 0
+    expected = capsys.readouterr().out
+    built, wrapped = [], []
+    monkeypatch.setattr(eplag, "_Local", lambda g, r, original=eplag._Local: built.append(r) or original(g, r))
+    monkeypatch.setattr(functools, "lru_cache", lambda *a, **k: wrapped.append(a) or pytest.fail("cache wrapper"))
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == expected
+    assert built and len(built) == len(set(built)) and wrapped == []

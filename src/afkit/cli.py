@@ -585,7 +585,7 @@ def cmd_pipeline(args) -> int:
 
 def cmd_invariant(args) -> int:
     from .invariants import (
-        absorption_equivalences,
+        KP_EQUIVALENCES,
         crossed_product_invariant,
         d_p_absorbing,
         group_to_invariant,
@@ -609,14 +609,10 @@ def cmd_invariant(args) -> int:
     if args.compare:
         other = group_to_invariant(group_from_json(_load_json(args.compare), args.compare))
         iso = kp_isomorphic(inv, other)
-        report["comparison"] = {
-            "kp_isomorphic": iso if iso is not None else "unknown",
-        }
-        if args.prime:
-            eqs = absorption_equivalences(inv, other, args.prime)
-            report["comparison"]["equivalences"] = {
-                k: (v if v is not None else "unknown") for k, v in eqs.items()
-            }
+        shown = iso if iso is not None else "unknown"
+        report["comparison"] = {"kp_isomorphic": shown}
+        if args.prime:  # the four notions coincide (see kp_isomorphic)
+            report["comparison"]["equivalences"] = dict.fromkeys(KP_EQUIVALENCES, shown)
     _emit(report, args.format)
     return EXIT_OK
 

@@ -33,6 +33,7 @@ from .limits import (
     death_lattice_rows,
     is_zero_class,
     push,
+    push_until,
     stage_equality,
 )
 
@@ -78,10 +79,13 @@ class OrderedStagedSystem:
         rank = self.system.stage_rank(0)
         if len(self.unit.vector) != rank:
             raise ValueError(f"order unit needs {rank} entries, one per stage-0 coordinate")
+        maps = self.system.prefix + self.system.tail
+        if self.cone == SIMPLICIAL and not all(m.is_nonnegative() for m in maps):
+            raise ValueError("simplicial cone needs every connecting map to be nonnegative")
         if self.cone == STRICT_FIRST:
             # the cone is {t > 0} plus zero, so each map must scale t alone and
             # positively; column 0 may still feed the other coordinates
-            for m in self.system.prefix + self.system.tail:
+            for m in maps:
                 if not (m.rows and m.cols):
                     raise ValueError("strict_first cone needs every stage rank to be at least 1")
                 row0 = m.row(0)
@@ -93,7 +97,16 @@ class OrderedStagedSystem:
         return self.system.stage_rank(n)
 
     def is_positive(self, e: LimitElement, bound: int):
-        """Cone membership: exact for the strict cone, None if ``bound`` simplicial pushes do not decide."""
+        """Cone membership: exact on the strict cone.  On the simplicial cone,
+        one walk (:func:`push_until`) of at most ``bound`` pushes stops at the
+        first stage where e is nonnegative (True) or nonpositive (then e is
+        positive exactly when it is the zero class); None if it stops nowhere.
+
+        The maps are nonnegative, so signs persist under pushes: e is
+        nonnegative within the bound exactly when the walk stops at a
+        nonnegative vector or at a nonpositive one that is 0 later, so that e
+        dies.  That is the verdict of walking e and then -e, in never more
+        pushes and in half as many on an undecided element."""
         if self.cone == STRICT_FIRST:
             t = e.vector[0] if e.vector else 0
             if t > 0:
@@ -101,29 +114,13 @@ class OrderedStagedSystem:
             if t < 0:
                 return False
             return is_zero_class(self.system, e)
-        # simplicial: nonnegative now or after finitely many pushes
-        if _nonnegative_stage(self, [e], bound):
-            return True
-        # -e eventually nonnegative: e is in the cone only as the zero class
-        if not _nonnegative_stage(self, [LimitElement(e.stage, tuple(-x for x in e.vector))], bound):
-            return None
-        return is_zero_class(self.system, e)
+        found = push_until(self.system, e.stage, [e.vector], lambda vs: _nonnegative(vs) or max(vs[0]) <= 0, bound)
+        return None if found is None else _nonnegative(found[1]) or is_zero_class(self.system, e)
 
 
-def _nonnegative_stage(D: OrderedStagedSystem, elems: Sequence[LimitElement], bound: int):
-    """(stage, vectors) at the first stage, at most ``bound`` pushes past the
-    latest of ``elems``, where all of them are coordinatewise nonnegative;
-    None if there is no such stage.  All are pushed together, one stage at a time."""
-    stage = max(e.stage for e in elems)
-    last = stage + bound
-    vecs = [push(D.system, e, stage).vector for e in elems]
-    while any(x < 0 for v in vecs for x in v):
-        if stage >= last:
-            return None
-        step = D.system.connect(stage)
-        vecs = [step.apply(v) for v in vecs]
-        stage += 1
-    return stage, vecs
+def _nonnegative(vectors) -> bool:
+    """Whether every entry of every vector is at least 0."""
+    return all(x >= 0 for v in vectors for x in v)
 
 
 def _basis_element(stage: int, n: int, k: int) -> LimitElement:
@@ -344,12 +341,14 @@ def relation_lattice_rows(D: OrderedStagedSystem, theta: Sequence[LimitElement])
 def shen_solve(D: OrderedStagedSystem, theta: Sequence[LimitElement], search_bound: int) -> ShenCertificate:
     """Produce a Shen certificate for positive elements of an injective system.
 
-    Simplicial cones: push everything to a stage where all coordinates are
-    nonnegative and read the coordinates off against the basis classes.
-    Strict-first-coordinate cones use a closed-form certificate built from a
-    basis of the span adapted to the first-coordinate functional.  Raises
-    :class:`ShenDepthExceeded` when no certificate is found in bounds, a
-    non-injective system included.
+    Simplicial cones: push everything to the first stage where all
+    coordinates are nonnegative and read them off against the basis
+    classes.  Strict-first-coordinate cones: a closed-form certificate from
+    a basis of the span adapted to the first-coordinate functional, pushed
+    until its unit chunk covers the atoms it needs.  ``search_bound``
+    counts pushes on both cones, of each input's positivity walk and of the
+    :func:`push_until` search.  Raises :class:`ShenDepthExceeded` when no
+    certificate is found in bounds, a non-injective system included.
     """
     theta = list(theta)
     for t in theta:
@@ -370,7 +369,8 @@ def shen_solve(D: OrderedStagedSystem, theta: Sequence[LimitElement], search_bou
 def _shen_simplicial(D, theta, search_bound) -> ShenCertificate:
     if not theta:
         return ShenCertificate((), IntMatrix.zeros(0, 0))
-    found = _nonnegative_stage(D, theta, search_bound)
+    s = max(t.stage for t in theta)
+    found = push_until(D.system, s, [push(D.system, t, s).vector for t in theta], _nonnegative, search_bound)
     if found is None:
         raise ShenDepthExceeded(
             f"shen-depth-exceeded: no nonnegative common stage within {search_bound} pushes"
@@ -403,25 +403,18 @@ def _shen_strict_first(D, theta, search_bound) -> ShenCertificate:
     abar = [row_lattice_coefficients(lattice, v) for v in vecs]
     margin = max((abs(a[j]) for a in abar for j in range(1, rho)), default=0)
     m_coef = margin + 1
-    # push until the unit chunk count covers 2 * m * (rho - 1) + 1 atoms
+    # push until the unit chunk count, the head row's first entry (row 0 of
+    # every map is (s, 0, ..., 0)), covers 2 * m * (rho - 1) + 1 atoms
     needed = 2 * m_coef * (rho - 1) + 1
-    stage = s
-    tau_k = tau
-    pushed = basis
-    for _ in range(search_bound + 1):
-        if tau_k >= needed:
-            break
-        step = sys.connect(stage)
-        pushed = [step.apply(b) for b in pushed]
-        stage += 1
-        tau_k *= step.entry(0, 0)  # the first coordinate's scale
-    if tau_k < needed:
+    found = push_until(sys, s, basis, lambda rows: rows[0][0] >= needed, search_bound)
+    if found is None:
         raise ShenDepthExceeded(
             f"shen-depth-exceeded: unit chunk never covered {needed} atoms within bound"
         )
+    stage, pushed = found
     rank = D.stage_rank(stage)
     y = [b[1:] for b in pushed]  # h-parts; y[0] belongs to the head
-    f_count = tau_k - 2 * m_coef * (rho - 1)
+    f_count = pushed[0][0] - 2 * m_coef * (rho - 1)
     w_tail = list(y[0])
     for j in range(1, rho):
         for k, v in filter(itemgetter(1), enumerate(y[j])):
@@ -469,19 +462,19 @@ def verify_shen_certificate(
     for p in cert.phi:
         if D.is_positive(p, CERTIFICATE_CHECK_DEPTH) is not True:
             return False
-    return _factors_through(D, theta, cert.g, cert.phi) and not any((relation_lattice_rows(D, theta) @ cert.g).sparse)
+    return _factors_through(D.system, theta, cert.g, cert.phi) and not any(
+        (relation_lattice_rows(D, theta) @ cert.g).sparse)
 
 
-def _factors_through(D, theta, g, phi) -> bool:
+def _factors_through(sys: StagedSystem, theta, g, phi) -> bool:
     """Whether every theta(i) equals sum_j g(i, j) phi(j) in the limit.
 
     The phi and the theta are each pushed once to the common stage, and each
     row of g times the phi is compared there with its theta by one
     :func:`stage_equality` test: equal vectors agree, and the death lattice
     is used only for unequal vectors of a non-injective system."""
-    sys = D.system
     stage = max([p.stage for p in phi] + [t.stage for t in theta], default=0)
-    phi_mat = IntMatrix.from_rows([push(sys, p, stage).vector for p in phi], cols=D.stage_rank(stage))
+    phi_mat = IntMatrix.from_rows([push(sys, p, stage).vector for p in phi], cols=sys.stage_rank(stage))
     combos = g @ phi_mat
     equal = stage_equality(sys, stage)
     return all(equal(combos.row(i), push(sys, t, stage).vector) for i, t in enumerate(theta))
@@ -649,7 +642,7 @@ def _realize(D, phi, positive_enumerator, depth, search_bound) -> RealizationRes
         stored, new_thetas, picked, m_n, q_n = built[key]
         if stored != base:
             new_thetas = tuple(LimitElement(t.stage + base - stored, t.vector) for t in new_thetas)
-        if not _factors_through(D, theta_prime, picked, new_thetas):
+        if not _factors_through(D.system, theta_prime, picked, new_thetas):
             raise RealizationError("level identity failed exact verification")
         w_next = m_n.transpose().apply(levels[n].weights)
         levels[n] = DiagramLevel(levels[n].size, levels[n].weights, m_n)

@@ -110,8 +110,20 @@ def crossed_product_invariant(inv: KirchbergInvariant, p: int) -> KirchbergInvar
     return KirchbergInvariant(k0=localize(inv.k0, p), unit_class=() if inv.unit_is_zero() else inv.unit_class)
 
 
+# the four comparisons that coincide for p-typed-absorbing algebras (see kp_isomorphic)
+KP_EQUIVALENCES = ("isomorphic", "automorphisms_conjugate",
+                   "automorphisms_cocycle_conjugate", "crossed_products_isomorphic")
+
+
 def kp_isomorphic(a: KirchbergInvariant, b: KirchbergInvariant) -> Optional[bool]:
     """Three-valued comparison of invariants.
+
+    It answers each of :data:`KP_EQUIVALENCES` at once: for p-typed-absorbing
+    Kirchberg algebras, isomorphism, conjugacy and cocycle conjugacy of the
+    attached period-p automorphisms of O2, and isomorphism of the crossed
+    products coincide (Gardella and Lupini, "Conjugacy and cocycle conjugacy
+    of automorphisms of O2 are not Borel", arXiv:1404.3617), and by
+    Kirchberg-Phillips isomorphism is read off the invariant.
 
     Finitely generated / localized K0 descriptors are compared exactly.
     Isomorphic ones give True when both unit classes are zero and False
@@ -156,22 +168,6 @@ def _quotient_factors(inv: KirchbergInvariant) -> tuple:
     k0 = inv.k0
     return FgAbelianGroup.from_relation_rows(
         k0.num_generators, k0.relations.to_rows() + [list(inv.unit_class)]).invariant_factors
-
-
-def absorption_equivalences(a: KirchbergInvariant, b: KirchbergInvariant, p: int) -> dict:
-    """Equivalent formulations for p-typed-absorbing algebras.
-
-    For these algebras isomorphism, conjugacy and cocycle conjugacy of the
-    induced period-p symmetries, and isomorphism of the associated crossed
-    products all coincide; each entry mirrors the one decided comparison.
-    """
-    iso = kp_isomorphic(a, b)
-    return {
-        "isomorphic": iso,
-        "automorphisms_conjugate": iso,
-        "automorphisms_cocycle_conjugate": iso,
-        "crossed_products_isomorphic": iso,
-    }
 
 
 # ---------------------------------------------------------------------------

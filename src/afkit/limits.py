@@ -150,6 +150,19 @@ def push(sys: StagedSystem, e: LimitElement, to_stage: int) -> LimitElement:
     return LimitElement(to_stage, vec)
 
 
+def push_until(sys: StagedSystem, stage: int, vectors: list, done, bound: int):
+    """Push the stage-``stage`` vectors together, one stage at a time, to the
+    first stage where ``done(vectors)`` holds, at most ``bound`` pushes on:
+    ``(stage, vectors)`` there, or None if there is no such stage."""
+    for _ in range(bound):
+        if done(vectors):
+            return stage, vectors
+        step = sys.connect(stage)
+        vectors = [step.apply(v) for v in vectors]
+        stage += 1
+    return (stage, vectors) if done(vectors) else None
+
+
 def stage_equality(sys: StagedSystem, stage: int):
     """The test whether two stage-``stage`` vectors give the same limit class.
 

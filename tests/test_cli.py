@@ -507,6 +507,17 @@ def test_ehs_rank_zero_strict_first_exits_2(tmp_path, capsys):
     assert err == f"error: {path}: strict_first cone needs every stage rank to be at least 1\n"
 
 
+@pytest.mark.parametrize("matrix, unit", [([[-1]], [1]), ([[1, -1], [0, 2]], [1, 0])], ids=["minus-one", "triangular"])
+def test_ehs_simplicial_negative_map_exits_2(tmp_path, capsys, matrix, unit):
+    # a negative map does not keep the coordinatewise cone: refused as input,
+    # not searched (exit 3) or realized into an unreachable vertex (exit 1)
+    system = {"kind": "stationary", "matrices": [matrix], "cone": "simplicial", "unit": unit}
+    path = write(tmp_path, "s.json", system)
+    code, out, err = run(capsys, ["--format", "json", "ehs", "--system", path])
+    assert code == 2 and out == ""
+    assert err == f"error: {path}: simplicial cone needs every connecting map to be nonnegative\n"
+
+
 STRICT_DOUBLING = {"kind": "stationary", "matrices": [[[2]]], "cone": "strict_first", "unit": [1]}
 
 
@@ -527,7 +538,8 @@ def test_ehs_endomorphism_leaving_the_cone_exits_1(tmp_path, capsys):
 
 
 def test_ehs_positivity_undecided_within_the_bound_exits_3(tmp_path, capsys):
-    system = {"kind": "stationary", "matrices": [[[2, -1], [-1, 2]]], "cone": "simplicial", "unit": [1, -1]}
+    # the Fibonacci system: (-233, 378) changes sign on every push until stage 8
+    system = {"kind": "stationary", "matrices": [[[1, 1], [1, 0]]], "cone": "simplicial", "unit": [-233, 378]}
     path = write(tmp_path, "s.json", system)
     code, out, _ = run(capsys, ["--format", "json", "ehs", "--system", path, "--bound", "2"])
     assert code == 3

@@ -377,6 +377,63 @@ def test_shen_strict_cone_with_relations():
     assert verify_shen_certificate(D, theta, cert)
 
 
+def test_strict_search_bound_counts_pushes():
+    # theta = (1, 0), (1, 1) span Z^2 with margin 1, so the unit chunk 2^k must
+    # cover 2 * 2 * 1 + 1 = 5 atoms: three pushes, which bound 3 allows and 2 does not
+    sys = StagedSystem.stationary(IntMatrix.from_rows([[2, 0], [0, 1]]))
+    D = OrderedStagedSystem(system=sys, cone="strict_first", unit=LimitElement(0, (1, 0)))
+    theta = [LimitElement(0, (1, 0)), LimitElement(0, (1, 1))]
+    with pytest.raises(ShenDepthExceeded, match="never covered 5 atoms"):
+        shen_solve(D, theta, 2)
+    cert = shen_solve(D, theta, 3)
+    assert {p.stage for p in cert.phi} == {3}
+    assert verify_shen_certificate(D, theta, cert)
+
+
+@pytest.mark.parametrize("prefix, tail", [
+    ([], [[[-1]]]),
+    ([], [[[1, -1], [0, 2]]]),
+    ([[[1, 0], [0, -1]]], [[[1, 1], [1, 0]]]),
+], ids=["stationary-minus-one", "upper-triangular", "negative-prefix"])
+def test_simplicial_cone_rejects_a_negative_map(prefix, tail):
+    # on [[-1]], (1) and (-1) alternate signs, and both read as positive
+    # when each is pushed on its own until it is nonnegative
+    sys = StagedSystem(tuple(map(IntMatrix.from_rows, prefix)), tuple(map(IntMatrix.from_rows, tail)))
+    unit = LimitElement(0, (1,) + (0,) * (sys.stage_rank(0) - 1))
+    with pytest.raises(ValueError, match="simplicial cone needs every connecting map to be nonnegative"):
+        OrderedStagedSystem(system=sys, cone="simplicial", unit=unit)
+
+
+def test_simplicial_positivity_is_one_walk(monkeypatch):
+    # ROADMAP item 14's example: (-233, 378) changes sign on every push until
+    # it is (16, 21) at stage 8, so six pushes leave it undecided, one apply per push
+    fib = StagedSystem.stationary(IntMatrix.from_rows([[1, 1], [1, 0]]))
+    D = OrderedStagedSystem(system=fib, cone="simplicial", unit=LimitElement(0, (1, 1)))
+    e = LimitElement(0, (-233, 378))
+    apply, applied = IntMatrix.apply, []
+
+    def counted(self, vec):
+        applied.append(vec)
+        return apply(self, vec)
+
+    monkeypatch.setattr(IntMatrix, "apply", counted)
+    assert D.is_positive(e, 6) is None
+    assert len(applied) == 6
+    applied.clear()
+    assert D.is_positive(e, 48) is True
+    assert len(applied) == 8
+
+
+def test_simplicial_positivity_of_a_nonpositive_vector_is_the_zero_class_test():
+    # (0, -1) is nonpositive at once; it is positive only because it dies
+    sys = StagedSystem.stationary(IntMatrix.from_rows([[1, 0], [0, 0]]))
+    D = OrderedStagedSystem(system=sys, cone="simplicial", unit=LimitElement(0, (1, 0)))
+    assert D.is_positive(LimitElement(0, (0, -1)), 0) is True
+    assert D.is_positive(LimitElement(0, (-1, -1)), 0) is False
+    assert D.is_positive(LimitElement(0, (-1, 1)), 0) is None
+    assert D.is_positive(LimitElement(0, (-1, 1)), 1) is False
+
+
 @pytest.mark.parametrize("prefix, tail", [
     ([[[2, 0], [0, 1]]], [[[2, 1], [0, 1]]]),
     ([[[0, 0], [1, 1]]], [[[2, 0], [0, 1]]]),
@@ -421,12 +478,12 @@ def test_shen_strict_cone_property(case, bound):
 @st.composite
 def simplicial_case(draw):
     """Simplicial-cone system of ranks 1-3, a prefix of 0-2 maps and a tail of
-    1-2, entries -1..3 so that pushes can clear negative coordinates, and 1-4
-    elements at stages 0-3 with entries -3..3."""
+    1-2, entries 0..3 as the cone needs, and 1-4 elements at stages 0-3 with
+    entries -3..3, whose negative coordinates pushes can clear."""
     P, T = draw(st.integers(0, 2)), draw(st.integers(1, 2))
     ranks = draw(st.lists(st.integers(1, 3), min_size=P + T, max_size=P + T))
     ranks.append(ranks[P])  # the tail's last map lands on its first stage
-    mats = [IntMatrix.from_rows([[draw(st.integers(-1, 3)) for _ in range(ranks[k])] for _ in range(ranks[k + 1])])
+    mats = [IntMatrix.from_rows([[draw(st.integers(0, 3)) for _ in range(ranks[k])] for _ in range(ranks[k + 1])])
             for k in range(P + T)]
     sys = StagedSystem(tuple(mats[:P]), tuple(mats[P:]))
     D = OrderedStagedSystem(system=sys, cone="simplicial", unit=LimitElement(0, (1,) * ranks[0]))
@@ -593,10 +650,12 @@ def factors_element_by_element(sys, theta, g, phi):
 
 @st.composite
 def factorization_cases(draw):
-    """A prefix + tail system on Z^n, positives phi, coefficients g and
+    """A prefix + tail system on Z^n, elements phi, coefficients g and
     elements theta: the combinations themselves, pushed on and offset by a
     vector that may die, or drawn freely.  With ``drop`` one map kills the
-    first coordinate, so the system is not injective and vectors die."""
+    first coordinate, so the system is not injective and vectors die.  The
+    factorization reads no order, so the maps may be negative and there is
+    no cone."""
     n = draw(st.integers(1, 3))
     entries = st.sampled_from([-1, 0, 0, 1, 2])
     mats = [draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n))
@@ -625,34 +684,31 @@ def factorization_cases(draw):
             combo = [x + c * y for x, y in zip(combo, push_by_hand(sys, p.vector, p.stage, s))]
         offset = draw(st.sampled_from([(0,) * n, (1,) + (0,) * (n - 1)]))
         theta.append(LimitElement(s, tuple(x + y for x, y in zip(combo, offset))))
-    D = OrderedStagedSystem(system=sys, cone="simplicial", unit=LimitElement(0, (1,) * n))
-    return D, theta, g, phi
+    return sys, theta, g, phi
 
 
 @settings(max_examples=300, deadline=None)
 @given(factorization_cases())
 def test_one_stage_comparisons_match_pushing_element_by_element(case):
-    D, theta, g, phi = case
-    sys = D.system
-    assert dimension._factors_through(D, theta, g, phi) is factors_element_by_element(sys, theta, g, phi)
+    sys, theta, g, phi = case
+    assert dimension._factors_through(sys, theta, g, phi) is factors_element_by_element(sys, theta, g, phi)
     for a in theta:
         for b in (*theta, *phi):
             assert limit_equal(sys, a, b) is equal_element_by_element(sys, a, b)
     # a theta one entry short or long is refused, pushed or at the common stage
     for vector in (theta[0].vector[:-1], theta[0].vector + (0,)):
         with pytest.raises(DimensionMismatch):
-            dimension._factors_through(D, [LimitElement(theta[0].stage, vector), *theta[1:]], g, phi)
+            dimension._factors_through(sys, [LimitElement(theta[0].stage, vector), *theta[1:]], g, phi)
 
 
 def test_one_stage_comparison_reads_the_death_lattice():
     # (x, y) -> (x + y, 0): (1, 0) and (0, 1) differ at every stage but are
     # one class, since (1, -1) dies; (1, 1) is not theirs
     sys = StagedSystem.stationary(IntMatrix.from_rows([[1, 1], [0, 0]]))
-    D = OrderedStagedSystem(system=sys, cone="simplicial", unit=LimitElement(0, (1, 0)))
     assert death_lattice_rows(sys, 0).to_rows() == [[1, -1]]
     one = IntMatrix.from_rows([[1]])
-    assert dimension._factors_through(D, [LimitElement(0, (1, 0))], one, (LimitElement(0, (0, 1)),))
-    assert not dimension._factors_through(D, [LimitElement(0, (1, 1))], one, (LimitElement(0, (0, 1)),))
+    assert dimension._factors_through(sys, [LimitElement(0, (1, 0))], one, (LimitElement(0, (0, 1)),))
+    assert not dimension._factors_through(sys, [LimitElement(0, (1, 1))], one, (LimitElement(0, (0, 1)),))
     assert limit_equal(sys, LimitElement(0, (1, 0)), LimitElement(0, (0, 1)))
 
 

@@ -1,5 +1,6 @@
 """Tests for invariant bookkeeping, the truncated six-term check, and the pipeline."""
 
+import json
 import math
 
 import pytest
@@ -10,12 +11,11 @@ from sympy.matrices.normalforms import invariant_factors
 
 from afkit import abelian, invariants, rordam
 from afkit.abelian import FgAbelianGroup, IntMatrix, LocalizedGroupDescriptor
-from afkit.cli import invariant_to_json
+from afkit.cli import invariant_to_json, main
 from afkit.dimension import OrderedStagedSystem
 from afkit.eplag import chain_tree, tree_to_eplag
 from afkit.invariants import (
     KirchbergInvariant,
-    absorption_equivalences,
     assemble_pipeline_system,
     crossed_product_invariant,
     d_p_absorbing,
@@ -170,8 +170,24 @@ def test_absorption_equivalence_consistency():
         inv = group_to_invariant(g)
         fixed = kp_isomorphic(crossed_product_invariant(inv, 2), inv)
         assert d_p_absorbing(g, 2) == (fixed is True)
-    eqs = absorption_equivalences(group_to_invariant(Z3), group_to_invariant(Z3), 2)
-    assert set(eqs.values()) == {True}
+
+
+@pytest.mark.parametrize("other, iso", [
+    ({"generators": 2, "relations": [[3, 0], [0, 1]]}, True),
+    ({"generators": 1, "relations": [[5]]}, False),
+], ids=["z3-presented-again", "z5"])
+def test_invariant_compare_gives_the_one_answer_under_each_equivalence(tmp_path, capsys, other, iso):
+    # isomorphism, conjugacy and cocycle conjugacy of the automorphisms, and
+    # isomorphism of the crossed products coincide: each shows kp_isomorphic's answer
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    a.write_text(json.dumps({"generators": 1, "relations": [[3]]}))
+    b.write_text(json.dumps(other))
+    assert main(["--format", "json", "invariant", str(a), "--prime", "2", "--compare", str(b)]) == 0
+    assert json.loads(capsys.readouterr().out)["comparison"] == {
+        "kp_isomorphic": iso,
+        "equivalences": {"isomorphic": iso, "automorphisms_conjugate": iso,
+                         "automorphisms_cocycle_conjugate": iso, "crossed_products_isomorphic": iso},
+    }
 
 
 def test_pv_check_halving_on_dyadics():
@@ -419,13 +435,14 @@ def test_pv_kernel_rank_by_rank_nullity_matches_the_preimage_path(data):
     # injective stationary systems: no vector dies, so the kernel rank is
     # m.cols - rank(im m), the rank of the preimage of 0; m = A B has rank
     # at most the inner size k, so kernels of every rank come up, and
-    # phi = a + b m + c m^2 commutes with m
+    # phi = a + b m + c m^2 commutes with m; A, B >= 0, a >= 1 and b, c >= 0
+    # make phi nonnegative, as the simplicial cone needs
     n = data.draw(st.integers(1, 4))
     k = data.draw(st.integers(0, n))
-    rows = lambda r, c: st.lists(st.lists(st.integers(-3, 3), min_size=c, max_size=c), min_size=r, max_size=r)
+    rows = lambda r, c: st.lists(st.lists(st.integers(0, 3), min_size=c, max_size=c), min_size=r, max_size=r)
     a, b = data.draw(rows(n, k)), data.draw(rows(k, n))
     product = sympy.Matrix(n, k, sum(a, [])) * sympy.Matrix(k, n, sum(b, []))
-    coeffs = st.tuples(*[st.integers(-3, 3)] * 3)
+    coeffs = st.tuples(st.integers(1, 3), st.integers(0, 3), st.integers(0, 3))
     poly = data.draw(coeffs.map(lambda c: c[0] * sympy.eye(n) + c[1] * product + c[2] * product**2)
                      .filter(lambda p: p.det() != 0))
     as_ints = lambda x: IntMatrix.from_rows([[int(e) for e in row] for row in x.tolist()], cols=n)

@@ -15,6 +15,7 @@ from afkit.limits import (
     is_zero_class,
     limit_equal,
     push,
+    push_until,
     saturate_preimages,
 )
 
@@ -34,6 +35,16 @@ def zero_map():
 def test_push_doubling():
     e = push(doubling(), LimitElement(0, (1,)), 2)
     assert e == LimitElement(2, (4,))
+
+
+def test_push_until_stops_at_the_first_stage_that_is_done():
+    # the Fibonacci map pushes (1, 0) to (1, 1), (2, 1), (3, 2), (5, 3): all
+    # pushed together, one stage at a time, from stage 2
+    vectors = [(1, 0), (0, 1)]
+    assert push_until(fibonacci(), 2, vectors, lambda vs: True, 0) == (2, vectors)
+    assert push_until(fibonacci(), 2, vectors, lambda vs: vs[0][0] >= 5, 4) == (6, [(5, 3), (3, 2)])
+    assert push_until(fibonacci(), 2, vectors, lambda vs: vs[0][0] >= 5, 3) is None
+    assert push_until(zero_map(), 0, [(7,)], lambda vs: vs == [(0,)], 1) == (1, [(0,)])
 
 
 def test_push_identity_stage():

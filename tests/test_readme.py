@@ -1,9 +1,13 @@
 """Every ``afkit`` command in README's shell examples parses with the CLI's
 parser, and ``main``'s lean reader reads each to the same namespace; the
-examples show every subcommand and every action."""
+examples show every subcommand and every action, and the CLI section's
+example block runs as written."""
 
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 from afkit.cli import _read_args, build_parser
@@ -39,3 +43,13 @@ def test_readme_commands_parse():
     # the examples show every subcommand, and every action of one that has actions
     assert names == {(name, action) for name, p in subparsers(parser).items() for action in subparsers(p) or [None]}
 
+
+def test_readme_cli_block_runs_as_written(tmp_path):
+    # the first sh block under "## CLI", run by bash -e in an empty directory,
+    # with afkit standing for python -m afkit on the source tree
+    cli_section = README.read_text().split("\n## CLI\n", 1)[1]
+    block = re.search(r"```sh\n(.*?)```", cli_section, re.S).group(1)
+    script = f'afkit() {{ "{sys.executable}" -m afkit "$@"; }}\n{block}'
+    env = dict(os.environ, PYTHONPATH=str(README.parent / "src"))
+    done = subprocess.run(["bash", "-e", "-c", script], cwd=tmp_path, env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr

@@ -30,7 +30,6 @@ from typing import TYPE_CHECKING
 from .abelian import (
     FgAbelianGroup,
     IntMatrix,
-    LocalizedGroupDescriptor,
     PrimalityBoundExceeded,
     is_n_divisible,
     is_prime,
@@ -39,7 +38,7 @@ from .abelian import (
 
 if TYPE_CHECKING:
     from .dimension import BratteliDiagram, OrderedStagedSystem
-    from .eplag import EplagGroup
+    from .eplag import EplagGroup, PrimeLabeledGraph
     from .invariants import KirchbergInvariant
     from .limits import StagedSystem
 
@@ -294,19 +293,25 @@ def qvector_from_json(data: dict, where: str) -> dict:
     return out
 
 
+def generator_name(graph: PrimeLabeledGraph, key: tuple) -> str:
+    """A certificate key (t, d, m) spelled: v/(d*label^m) for a vertex v, (u+w)/(d*label) for an edge, ends sorted."""
+    t, d, m = key
+    if isinstance(t, frozenset):
+        return "({}+{})/({}*{})".format(*sorted(t), d, graph.labels[t])
+    return f"{t}/({d}*{graph.labels[t]}^{m})"
+
+
 def invariant_to_json(inv: KirchbergInvariant) -> dict:
     k0 = inv.k0
     if isinstance(k0, FgAbelianGroup):
         k0_data = {"type": "fg", "invariant_factors": list(k0.invariant_factors)}
-    elif isinstance(k0, LocalizedGroupDescriptor):
+    else:  # crossed_product_invariant's; no command builds a labeled-graph K0
         k0_data = {
             "type": "localized",
             "prime": k0.prime,
             "free_rank": k0.free_rank,
             "torsion": list(k0.torsion),
         }
-    else:
-        k0_data = {"type": "eplag", "vertices": len(k0.graph.vertices)}
     return {
         "k0": k0_data,
         "unit": inv.shown_unit(),
@@ -521,12 +526,20 @@ def cmd_eplag(args) -> int:
         return EXIT_OK
     group = eplag_from_json(_load_json(args.graph), args.graph)
     if args.action == "member":
+        # the last "/(" splits a name, and only a vertex name ends in "^m)": two names
+        # collide only where two edges with one label spell their ends alike
+        spelled = {}
+        for e in group.graph.edges:
+            name = generator_name(group.graph, (e, "d", 1))
+            if (other := spelled.setdefault(name, e)) != e:
+                raise InputError(f"{args.graph}: edges {sorted(other)} and {sorted(e)} both spell {name}")
         target = qvector_from_json(_load_json(args.target), args.target)
         with _input(args.target):
             result = membership(group, target)
         report = {"status": result.status}
-        if result.is_member:
-            report |= {"bound": result.bound, "certificate": dict(sorted(result.certificate.items()))}
+        if result.is_member:  # both emitters sort the names
+            report |= {"bound": result.bound,
+                       "certificate": {generator_name(group.graph, k): c for k, c in result.certificate.items()}}
         _emit(report, args.format)
         return EXIT_OK
     K = FINGERPRINT_EXP_BOUND if args.bound is None else args.bound  # fingerprint

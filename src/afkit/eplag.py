@@ -32,7 +32,6 @@ P-divisibility sample ask no query: they read the records, building no r^K.
 
 from __future__ import annotations
 
-import re
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -125,7 +124,10 @@ class EplagGroup:
     def generators(self, exp_bound: int) -> list:
         """Instantiated generators with total exponents at most the bound.
 
-        Denominator factors from P are products of P-primes with exponent
+        Each is a (key, vector) pair.  A key (t, d, m) is a vertex or an edge
+        t (the graph's own keys into ``labels``), and its generator is
+        1/(d label(t)^m) on each end of t, a vertex being its own end; an
+        edge has m = 1.  The d are the products of P-primes with exponent
         sum <= exp_bound (including the empty product), so the bounded
         family is monotone in the bound and covers the P = empty case.
         """
@@ -134,9 +136,9 @@ class EplagGroup:
         g = self.graph
         smooth = sorted({prod(c) for k in range(exp_bound + 1)
                          for c in combinations_with_replacement(g.divisibility_set, k)})
-        vertex_gens = [(_vertex_name(v, d, g.labels[v], m), {v: Fraction(1, d * g.labels[v] ** m)})
+        vertex_gens = [((v, d, m), {v: Fraction(1, d * g.labels[v] ** m)})
                        for v in g.vertices for m in range(exp_bound + 1) for d in smooth]
-        return vertex_gens + [(_edge_name(e, d, g.labels[e]), {v: Fraction(1, d * g.labels[e]) for v in e})
+        return vertex_gens + [((e, d, 1), {v: Fraction(1, d * g.labels[e]) for v in e})
                               for e in g.edges for d in smooth]
 
     def contains(self, x: Dict) -> bool:
@@ -201,19 +203,11 @@ class _Local:
                                    if row_lattice_contains(self.lattice, [int(i == j) for j in range(n)]))}
 
 
-def _vertex_name(v, d: int, label: int, m: int) -> str:
-    return f"{v}/({d}*{label}^{m})"
-
-
-def _edge_name(e: frozenset, d: int, label: int) -> str:
-    return "({}+{})/({}*{})".format(*sorted(e), d, label)
-
-
 @dataclass(frozen=True)
 class MembershipResult:
     status: str  # "member" or "nonmember"
-    bound: int = 0  # a member's certificate names generators of group.generators(bound)
-    certificate: Optional[dict] = None  # generator name -> integer coefficient
+    bound: int = 0  # a member's certificate keys generators of group.generators(bound)
+    certificate: Optional[dict] = None  # generator key (t, d, m) -> integer coefficient
 
     @property
     def is_member(self) -> bool:
@@ -264,19 +258,19 @@ def _local_parts(group: EplagGroup, x: Dict) -> tuple:
 def membership(group: EplagGroup, x: Dict) -> MembershipResult:
     """Exact membership with an integer certificate, one local solve per prime.
 
-    The certificate maps generator names to coefficients: the partial-fraction
+    The certificate maps generator keys to coefficients: the partial-fraction
     numerators, the edge coefficients of each local solve and the integer
     remainder.  ``bound`` is the largest exponent it uses (at least 1), so
-    every name is one of ``group.generators(bound)``.  A yes/no question
+    every key is one of ``group.generators(bound)``.  A yes/no question
     needs only :meth:`EplagGroup.contains`.
     """
-    labels, P = group.graph.labels, group.graph.divisibility_set
+    P = group.graph.divisibility_set
     x, parts = _local_parts(group, x)
     if parts is None:
         return MembershipResult("nonmember")
     parts = {r: (k, {v: n * r ** (k - j) for v, (j, n) in digits.items()}, local, t)  # numerators over r^k
              for r, (k, digits, local, t) in parts.items()}
-    terms: Counter = Counter()  # generator name -> coefficient
+    terms: Counter = Counter()  # generator key -> coefficient
     for r, (k, part, local, t) in parts.items():
         edges = local.edges if t else ()
         cols = [w for w in local.columns if w in t or any(w in e for e in edges)]
@@ -285,17 +279,16 @@ def membership(group: EplagGroup, x: Dict) -> MembershipResult:
             [t.get(w, 0) for w in cols]) if t else []
         if combo is None:
             return MembershipResult("nonmember")
-        names = [_edge_name(e, 1, r) for e in edges] + [_vertex_name(w, 1, labels[w], 0) for w in cols]
-        terms.update(dict(zip(names, combo)))  # Counter.update adds
+        keys = [(e, 1, 1) for e in edges] + [(w, 1, 0) for w in cols]
+        terms.update(dict(zip(keys, combo)))  # Counter.update adds
         scale = r ** (k - 1)
         for v in local.divisible:  # the r-divisible vertices take the rest, over r^k
             if z := part.get(v, 0) - scale * sum(c for e, c in zip(edges, combo) if v in e):
-                terms[_vertex_name(v, r**k, labels[v], 0) if r in P else _vertex_name(v, 1, r, k)] += z
+                terms[(v, r**k, 0) if r in P else (v, 1, k)] += z
     for v, f in x.items():  # the integer remainder
-        terms[_vertex_name(v, 1, labels[v], 0)] += int(f - sum(Fraction(part.get(v, 0), r**k)
-                                                               for r, (k, part, _, _) in parts.items()))
+        terms[(v, 1, 0)] += int(f - sum(Fraction(part.get(v, 0), r**k) for r, (k, part, _, _) in parts.items()))
     bound = max([1] + [k for k, *_ in parts.values()])
-    return MembershipResult("member", bound, {name: c for name, c in terms.items() if c})
+    return MembershipResult("member", bound, {key: c for key, c in terms.items() if c})
 
 
 def _strip(n: int, r: int) -> tuple:
@@ -313,26 +306,20 @@ def _strip(n: int, r: int) -> tuple:
     return n, k
 
 
-_VERTEX_NAME = re.compile(r"(.*)/\((\d+)\*\d+\^(\d+)\)", re.S)  # head, d, m of _vertex_name
-_EDGE_NAME = re.compile(r"(.*)/\((\d+)\*\d+\)", re.S)  # head, d of _edge_name
-
-
 def verify_certificate(group: EplagGroup, x: Dict, result: MembershipResult) -> bool:
     """Re-add the certificate's generators and compare with the target.
 
-    Every name must be one of ``group.generators(result.bound)``, but only
-    the named generators are built.  A name's vertex or edge, d and m are
-    read back from its text and the name is rebuilt from them; it counts
-    when the rebuilt name is the same string, d is a product of P-primes
-    with exponent sum at most the bound and m is at most the bound.
+    Every key must be one of ``group.generators(result.bound)``, but only
+    the keyed generators are built.  A key (t, d, m) counts when t is a
+    vertex with 0 <= m <= bound or an edge with m = 1, and d is an int >= 1
+    that is a product of P-primes with exponent sum at most the bound.
     """
     if not result.is_member:
         return False
     if result.bound < 1:
         raise ValueError("exp_bound must be at least 1")
     g = group.graph
-    vertices = {f"{v}": v for v in g.vertices}
-    edges = {"({}+{})".format(*sorted(e)): e for e in g.edges}
+    edges = frozenset(g.edges)
 
     def smooth(d: int) -> bool:
         exponents = 0
@@ -341,29 +328,21 @@ def verify_certificate(group: EplagGroup, x: Dict, result: MembershipResult) -> 
             exponents += k
         return d == 1 and exponents <= result.bound
 
-    def generator(name: str) -> Optional[dict]:
-        vertex, edge = _VERTEX_NAME.fullmatch(name), _EDGE_NAME.fullmatch(name)
-        if not (found := vertex or edge):
+    def generator(key) -> Optional[dict]:
+        if not (isinstance(key, tuple) and len(key) == 3):
             return None
-        try:
-            numbers = [int(t) for t in found.groups()[1:]]  # d, then a vertex's m
-        except ValueError:  # past Python's int-string digit limit, which generators() cannot write either
+        t, d, m = key
+        if not (type(d) is int and type(m) is int and d >= 1 and smooth(d)):  # bool is an int subclass
             return None
-        if not ((d := numbers[0]) and smooth(d)):
-            return None
-        if vertex and found[1] in vertices:
-            v, m = vertices[found[1]], numbers[1]
-            if _vertex_name(v, d, g.labels[v], m) == name and m <= result.bound:
-                return {v: Fraction(1, d * g.labels[v] ** m)}
-        elif edge and found[1] in edges:
-            e = edges[found[1]]
-            if _edge_name(e, d, g.labels[e]) == name:
-                return {v: Fraction(1, d * g.labels[e]) for v in e}
+        if t in g.vertex_set and 0 <= m <= result.bound:
+            return {t: Fraction(1, d * g.labels[t] ** m)}
+        if t in edges and m == 1:
+            return {v: Fraction(1, d * g.labels[t]) for v in t}
         return None
 
     total: dict = {}
-    for name, coeff in result.certificate.items():
-        if (vec := generator(name)) is None:
+    for key, coeff in result.certificate.items():
+        if (vec := generator(key)) is None:
             return False
         for v, f in vec.items():
             total[v] = total.get(v, 0) + coeff * f

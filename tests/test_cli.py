@@ -817,6 +817,23 @@ def test_eplag_member_refuses_a_repeated_edge(tmp_path, capsys):
     assert (code, out, err) == (2, "", f"error: {graph}: edge ['u', 'v'] is listed twice\n")
 
 
+def test_eplag_member_refuses_edges_that_spell_alike(tmp_path, capsys):
+    # "(x+y+z)/(1*7)" would name two generators; it once printed an empty
+    # certificate for (e_x+y + e_z)/7 with exit 0
+    vertices = dict.fromkeys(("x+y", "z", "x", "y+z"), 3)
+    edges = [{"ends": ["z", "x+y"], "label": 7}, {"ends": ["x", "y+z"], "label": 7}]
+    graph = write(tmp_path, "g.json", {"vertices": vertices, "edges": edges})
+    target = write(tmp_path, "x.json", {"x+y": "1/7", "z": "1/7"})
+    code, out, err = run(capsys, ["eplag", "member", "--graph", graph, "--target", target])
+    assert (code, out) == (2, "")
+    assert err == f"error: {graph}: edges ['x+y', 'z'] and ['x', 'y+z'] both spell (x+y+z)/(d*7)\n"
+    # with another label on one edge no two names collide
+    edges[1]["label"] = 11
+    graph = write(tmp_path, "g.json", {"vertices": vertices, "edges": edges})
+    code, out, _ = run(capsys, ["--format", "json", "eplag", "member", "--graph", graph, "--target", target])
+    assert code == 0 and json.loads(out) == {"bound": 1, "certificate": {"(x+y+z)/(1*7)": 1}, "status": "member"}
+
+
 def test_eplag_graph_refuses_a_repeated_divisibility_prime(tmp_path, capsys):
     graph = write(tmp_path, "g.json", {"vertices": {"v": 3}, "P": [5, 5]})
     code, out, err = run(capsys, ["eplag", "fingerprint", "--graph", graph])
@@ -948,6 +965,20 @@ def test_unknown_edge_end_error_does_not_depend_on_the_hash_seed(tmp_path):
         for seed in ("1", "5")
     }
     assert errs == {f"error: {graph}: edge ['u', 'w'] is not a pair of known vertices\n"}
+
+
+def test_member_certificate_names_do_not_depend_on_the_hash_seed(tmp_path):
+    # the CLI spells an edge's name from its frozenset, sorting the ends
+    graph = write(tmp_path, "g.json", {"vertices": {"u": 3, "w": 5}, "edges": [{"ends": ["w", "u"], "label": 7}]})
+    target = write(tmp_path, "x.json", {"u": "1/7", "w": "8/7"})
+    src = Path(__file__).resolve().parents[1] / "src"
+    outs = {
+        subprocess.run([sys.executable, "-m", "afkit", "--format", "json", "eplag", "member", "--graph", graph,
+                        "--target", target], capture_output=True, text=True, timeout=60,
+                       env=os.environ | {"PYTHONPATH": str(src), "PYTHONHASHSEED": seed}).stdout
+        for seed in ("1", "5")
+    }
+    assert outs == {'{"bound": 1, "certificate": {"(u+w)/(1*7)": 1, "w/(1*5^0)": 1}, "status": "member"}\n'}
 
 
 # ---------------------------------------------------------------------------

@@ -117,9 +117,23 @@ def test_membership_edge_sum():
     G = edge_group()
     res = membership(G, {"v": Fraction(1, 7), "w": Fraction(1, 7)})
     assert res.is_member
-    assert res.certificate == {"(v+w)/(1*7)": 1}
+    assert res.certificate == {(frozenset({"v", "w"}), 1, 1): 1}
     res2 = membership(G, {"v": Fraction(1, 7)})
     assert res2.status == "nonmember"
+
+
+def test_edges_whose_ends_spell_alike_keep_their_own_coefficients():
+    # both edges once spelled "(x+y+z)/(1*7)": membership merged or dropped
+    # their coefficients, and verify_certificate refused what it wrote
+    xy_z, x_yz = frozenset({"x+y", "z"}), frozenset({"x", "y+z"})
+    labels = dict.fromkeys(("x+y", "z", "x", "y+z"), 3) | {xy_z: 7, x_yz: 7}
+    G = EplagGroup(PrimeLabeledGraph(("x+y", "z", "x", "y+z"), (xy_z, x_yz), labels, ()))
+    seventh = Fraction(1, 7)
+    for x, certificate in [({"x+y": seventh, "z": seventh}, {(xy_z, 1, 1): 1}),
+                           (dict.fromkeys(("x+y", "z", "x", "y+z"), seventh), {(xy_z, 1, 1): 1, (x_yz, 1, 1): 1})]:
+        res = membership(G, x)
+        assert res == MembershipResult("member", 1, certificate) and G.contains(x)
+        assert verify_certificate(G, x, res)
 
 
 def test_membership_monotone_in_bound():
@@ -144,10 +158,10 @@ def test_membership_mixed_denominator():
 
 def test_generators_pass_their_own_membership():
     G = edge_group()
-    for name, vec in G.generators(2):
+    for key, vec in G.generators(2):
         res = membership(G, vec)
-        assert res.is_member and res.bound <= 2, name
-        assert verify_certificate(G, vec, res), name
+        assert res.is_member and res.bound <= 2, key
+        assert verify_certificate(G, vec, res), key
 
 
 def test_tree_single_root():
@@ -553,7 +567,7 @@ def test_membership_does_not_grow_with_P():
     G = EplagGroup(PrimeLabeledGraph(("a", "b"), (e,), {"a": 3, "b": 11, e: 13}, (2, 5, 7)))
     x = {"a": Fraction(1, 3)}
     res = membership(G, x)
-    assert res == MembershipResult("member", 1, {"a/(1*3^1)": 1})
+    assert res == MembershipResult("member", 1, {("a", 1, 1): 1})
     assert verify_certificate(G, x, res)
 
 
@@ -571,7 +585,7 @@ README_TARGETS = [  # one large exponent each: the partial-fraction inverse is a
 def test_membership_at_a_large_exponent_matches_a_verified_small_one():
     # the r-valuation strips r^(2^j) largest first, so k = 100000 costs a few
     # dozen big divisions, not one per power; each answer matches the k = 3
-    # one, which verify_certificate re-adds, with the exponent renamed
+    # one, which verify_certificate re-adds, with the exponent 3 raised
     G, targets = README_GRAPH, README_TARGETS[:5]
     big = 100000
     elapsed = 0.0
@@ -584,7 +598,7 @@ def test_membership_at_a_large_exponent_matches_a_verified_small_one():
         assert found.status == small.status
         if small.is_member:
             assert found.bound == big and small.bound == 3
-            assert found.certificate == {name.replace("^3)", f"^{big})"): c for name, c in small.certificate.items()}
+            assert found.certificate == {(t, d, big if m == 3 else m): c for (t, d, m), c in small.certificate.items()}
     assert [membership(G, t(3)).status for t in targets] == ["member", "nonmember", "member", "member", "nonmember"]
     assert elapsed < 5.0  # one division per power took over 4 s per target
 
@@ -602,13 +616,14 @@ def test_certificates_reverify_at_large_bounds():
             if res.is_member:
                 assert res.bound == k
     assert time.perf_counter() - start < 10.0
-    # at bound 1000, the names one step past it are not generators(1000)
+    # at bound 1000, the keys one step past it are not generators(1000)
     x = README_TARGETS[0](1000)
     res = membership(G, x)
-    for name, ok in [("r/(1*3^1000)", True), ("r/(1*3^1001)", False),
-                     (f"r/({5**1000}*3^0)", True), (f"r/({5**1001}*3^0)", False),
-                     (f"(r+r.0)/({5**1000}*2)", True), (f"(r+r.0)/({5**1001}*2)", False)]:
-        assert verify_certificate(G, x, MembershipResult("member", 1000, {name: 0, **res.certificate})) is ok, name
+    edge = frozenset({"r", "r.0"})
+    for key, ok in [(("r", 1, 1000), True), (("r", 1, 1001), False),
+                    (("r", 5**1000, 0), True), (("r", 5**1001, 0), False),
+                    ((edge, 5**1000, 1), True), ((edge, 5**1001, 1), False)]:
+        assert verify_certificate(G, x, MembershipResult("member", 1000, {key: 0, **res.certificate})) is ok, key
 
 
 def test_mixed_large_denominators_are_split_prime_by_prime():
@@ -625,25 +640,31 @@ def test_mixed_large_denominators_are_split_prime_by_prime():
 
 
 def test_verify_certificate_accepts_exactly_the_names_of_generators():
-    # a name with coefficient 0 leaves the sum alone, so the certificate
-    # verifies exactly when every name is one of generators(bound)
+    # a key with coefficient 0 leaves the sum alone, so the certificate
+    # verifies exactly when every key is one of generators(bound), its
+    # numbers ints as generators() writes them (True == 1 and 1.0 == 1 as keys)
     e = frozenset({"v", "w"})
     G = EplagGroup(PrimeLabeledGraph(("v", "w", "u"), (e,), {"v": 3, "w": 11, "u": 13, e: 7}, (2, 5)))
     bound = 2
-    names = set(dict(G.generators(bound)))
+
+    def typed(key):
+        return tuple((type(f), f) for f in key) if isinstance(key, tuple) else None
+
+    keys = {typed(k) for k, _ in G.generators(bound)}
     x = {"v": Fraction(1, 3)}
     res = membership(G, x)
-    candidates = set(dict(G.generators(bound + 1)))
-    for name in names:  # near misses of every real name
-        candidates |= {name.replace("(", "(0", 1), name.replace("/(", "/(0"), name.replace("^", "^0"),
-                       name.replace("*", "*1"), name.replace("v", "u"), name.replace("3^", "13^"),
-                       name + " ", " " + name, name.replace("1*", "3*"), name.replace("1*", "0*")}
-    candidates |= {"(w+v)/(1*7)", "(v+u)/(1*7)", "z/(1*3^0)", "v/(20*3^0)", "v/(1*3^-1)", "v", "",
-                   "(v+w)/(1*7^1)", "v/(1*3)", "v/(1*3^0)\n", "v/(1*3^" + "0" * 5000 + ")"}
-    assert names < candidates
-    for name in sorted(candidates):
-        accepted = verify_certificate(G, x, MembershipResult("member", bound, {name: 0, **res.certificate}))
-        assert accepted is (name in names), name
+    candidates = set(dict(G.generators(bound + 1)))  # d or m one step past the bound
+    for t, d, m in dict(G.generators(bound)):  # near misses in every field of every real key
+        candidates |= {(t, 0, m), (t, -d, m), (t, 3 * d, m), (t, 7 * d, m), (t, d, -1), (t, d, 1 - m),
+                       (t, True, m), (t, d, bool(m)), (t, float(d), m), (t, d, float(m)), (t, Fraction(d), m),
+                       (d, t, m), (m, d, t), (t, d), (t, d, m, 0), (t,), t}
+    candidates |= {("z", 1, 0), (frozenset({"v", "u"}), 1, 1), (frozenset({"v"}), 1, 1),
+                   (frozenset({"v", "w", "u"}), 1, 1), (e, 1, 0), (e, 1, 2), (e, 2, 2), ("v", 1, 1, 1), (),
+                   "v/(1*3^0)", "(v+w)/(1*7)", "v", ""}
+    assert keys < {typed(k) for k in candidates}
+    for key in sorted(candidates, key=repr):
+        accepted = verify_certificate(G, x, MembershipResult("member", bound, {key: 0, **res.certificate}))
+        assert accepted is (typed(key) in keys), key
 
 
 CYCLE = [frozenset(p) for p in (("a", "b"), ("b", "c"), ("c", "a"), ("c", "d"))]

@@ -142,20 +142,37 @@ def annotated_class(ann):
     return ann.id if isinstance(ann, ast.Name) else None
 
 
-def built_class(value):
-    """C for a value ``C(...)`` or ``C.method(...)``, else None."""
+def return_classes(trees, classes: set) -> dict:
+    """Function or method name -> C, where every definition of that name in
+    ``trees`` is annotated to return C (as :func:`annotated_class` reads it),
+    for C one of ``classes``."""
+    found: dict = {}
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef):
+                found.setdefault(node.name, set()).add(annotated_class(node.returns))
+    return {name: cls for name, (cls, *others) in found.items() if not others and cls in classes}
+
+
+def built_class(value, classes: set, returns: dict):
+    """C for a value ``C(...)`` or ``C.method(...)``, or for ``f(...)`` or
+    ``x.f(...)`` with ``returns[f]`` = C, else None."""
     func = value.func if isinstance(value, ast.Call) else None
-    func = func.value if isinstance(func, ast.Attribute) else func
-    return func.id if isinstance(func, ast.Name) else None
+    if isinstance(func, ast.Attribute):
+        return func.value.id if getattr(func.value, "id", None) in classes else returns.get(func.attr)
+    if isinstance(func, ast.Name):
+        return func.id if func.id in classes else returns.get(func.id)
+    return None
 
 
-def receiver_classes(tree: ast.Module, classes: set) -> dict:
+def receiver_classes(tree: ast.Module, classes: set, returns: dict) -> dict:
     """id of each attribute read ``r.name`` -> the class ``r`` is known to be:
     C where ``r`` is a ``self`` parameter inside C's body, a parameter
     annotated C, "C", Optional[C], C | None or "C | None", or a name last
-    bound by ``r = C(...)``, ``r = C.method(...)`` or ``r: A = ...`` with A
-    one of those annotations, for C one of ``classes``.  Any other binding
-    of ``r`` makes it of no known class."""
+    bound by ``r = C(...)``, ``r = C.method(...)``, ``r = f(...)`` or
+    ``r = x.f(...)`` with ``returns[f]`` = C, or ``r: A = ...`` with A one of
+    those annotations, for C one of ``classes``.  Any other binding of ``r``
+    makes it of no known class."""
     known = {}
 
     def visit(node, env: dict, owner):
@@ -174,12 +191,12 @@ def receiver_classes(tree: ast.Module, classes: set) -> dict:
                     else [node.value, node.target] if annotated else ast.iter_child_nodes(node))
         for child in children:
             visit(child, env, owner)
-        # any binding but r = C(...), r = C.method(...) or r: C = ... leaves r of no known class
+        # any binding but r = C(...), r = C.method(...), r = f(...), r = x.f(...) or r: C = ...
+        # leaves r of no known class
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
             env[node.id] = None
         elif isinstance(node, ast.Assign) and len(node.targets) == 1 and isinstance(node.targets[0], ast.Name):
-            cls = built_class(node.value)
-            env[node.targets[0].id] = cls if cls in classes else None
+            env[node.targets[0].id] = built_class(node.value, classes, returns)
         elif annotated and isinstance(node.target, ast.Name):
             cls = annotated_class(node.annotation)
             env[node.target.id] = cls if cls in classes else None
@@ -200,10 +217,11 @@ def uncalled_public_names(sources) -> list:
     classes = {n.name: n for tree in trees for n in tree.body if isinstance(n, ast.ClassDef)}
     subclasses = [c.name for c in classes.values() for base in c.bases if getattr(base, "id", None) in classes]
     assert not subclasses, f"{subclasses}: a read on the base can reach a subclass's methods"
+    returns = return_classes(trees, set(classes))
     names: dict = {}
     attributes: dict = {}  # attribute name -> {id(node): receiver class or None}
     for tree in trees:
-        typed = receiver_classes(tree, set(classes))
+        typed = receiver_classes(tree, set(classes), returns)
         for n in ast.walk(tree):
             if isinstance(n, ast.Name):
                 names.setdefault(n.id, set()).add(id(n))
@@ -257,6 +275,18 @@ def test_checker_sees_an_uncalled_public_name():
         source = ("class A:\n    def matrix(self):\n        pass\n\nclass B:\n    matrix: int\n\n"
                   f"{use}\nf(1), A(), B()\n")
         assert uncalled_public_names([source]) == [], use
+    # r = f(...) and r = x.f(...) make r a B where every f of the package is annotated -> B
+    head = ("class A:\n    def matrix(self):\n        pass\n\n"
+            "class B:\n    matrix: int\n\n    def copy(self) -> 'B':\n        return self\n\n"
+            "def build() -> Optional[B]:\n    return B()\n\n")
+    for f, use in (("build", "def f(x):\n    b = build()\n    return b.matrix\n"),
+                   ("copy", "def f(x):\n    b = x.copy()\n    return b.matrix\n"),
+                   ("copy", "def f(x):\n    b = x.y.copy()\n    return b.matrix\n")):
+        source = f"{head}{use}\nf(1), A(), build().copy()\n"
+        assert uncalled_public_names([source]) == ["A.matrix"], use
+        # a same-named function annotated otherwise, or not at all, leaves b of no known class
+        for other in (f"def {f}() -> A:\n    pass\n\n{f}()\n", f"def {f}():\n    pass\n\n{f}()\n"):
+            assert uncalled_public_names([source, other]) == [], (use, other)
     assert uncalled_public_names(["def f():\n    pass\n", "from m import f\nf()\n"]) == []
 
 

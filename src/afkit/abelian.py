@@ -694,7 +694,7 @@ class LocalizedGroupDescriptor:
         if isinstance(other, FgAbelianGroup):
             # Z[1/p] is not finitely generated, so a free part rules this out
             return self.free_rank == 0 and other.free_rank == 0 and self.torsion == other.torsion_factors
-        return NotImplemented
+        raise TypeError(f"cannot compare a localized group with {type(other).__name__}")
 
     def describe(self) -> str:
         parts = [f"Z[1/{self.prime}]"] * self.free_rank

@@ -341,41 +341,44 @@ def relation_lattice_rows(D: OrderedStagedSystem, theta: Sequence[LimitElement])
 def shen_solve(D: OrderedStagedSystem, theta: Sequence[LimitElement], search_bound: int) -> ShenCertificate:
     """Produce a Shen certificate for positive elements of an injective system.
 
-    Simplicial cones: push everything to the first stage where all
-    coordinates are nonnegative and read them off against the basis
-    classes.  Strict-first-coordinate cones: a closed-form certificate from
-    a basis of the span adapted to the first-coordinate functional, pushed
-    until its unit chunk covers the atoms it needs.  ``search_bound``
-    counts pushes on both cones, of each input's positivity walk and of the
-    :func:`push_until` search.  Raises :class:`ShenDepthExceeded` when no
-    certificate is found in bounds, a non-injective system included.
+    A non-injective system is refused first.  Then every input is pushed
+    once to the latest input stage s, where its positivity is decided: at s
+    on strict-first cones, and on simplicial cones by one walk from s to the
+    first stage where all coordinates are nonnegative, where the certificate
+    is read off against the basis classes.  Strict-first cones get a
+    closed-form certificate from a basis of the span adapted to the
+    first-coordinate functional, pushed until its unit chunk covers the
+    atoms it needs.  ``search_bound`` counts pushes past s on both cones.
+    Raises :class:`ShenDepthExceeded` when no certificate is found in
+    bounds, and ValueError for an input outside the cone.
     """
-    theta = list(theta)
-    for t in theta:
-        pos = D.is_positive(t, search_bound)
-        if pos is False:
-            raise ValueError(f"input element at stage {t.stage} is not in the positive cone")
-        if pos is None:
-            raise ShenDepthExceeded("shen-depth-exceeded: positivity undecided within bound")
     if not D.system.injective:
         raise ShenDepthExceeded(
             "shen-depth-exceeded: certificate search requires an injective system"
         )
+    theta = list(theta)
+    stage = max((t.stage for t in theta), default=0)
+    vecs = [push(D.system, t, stage).vector for t in theta]
+    # a nonzero vector with head(v) <= 0 stays so under pushes: injectivity
+    # keeps it nonzero, and pushes keep the head's sign, that of every
+    # coordinate under the simplicial cone's nonnegative maps and that of the
+    # first under the strict ones, whose row 0 is (s, 0, ..., 0) with s > 0
+    head = max if D.cone == SIMPLICIAL else itemgetter(0)
     if D.cone == SIMPLICIAL:
-        return _shen_simplicial(D, theta, search_bound)
-    return _shen_strict_first(D, theta, search_bound)
-
-
-def _shen_simplicial(D, theta, search_bound) -> ShenCertificate:
-    if not theta:
+        # nonnegativity persists too, so the walk stops at the latest of the
+        # inputs' own first nonnegative stages, with the same vectors there
+        found = push_until(D.system, stage, vecs,
+                           lambda vs: _nonnegative(vs) or any(any(v) and max(v) <= 0 for v in vs), search_bound)
+        if found is None:
+            raise ShenDepthExceeded("shen-depth-exceeded: positivity undecided within bound")
+        stage, vecs = found
+    for t, v in zip(theta, vecs):
+        if any(v) and head(v) <= 0:
+            raise ValueError(f"input element at stage {t.stage} is not in the positive cone")
+    if D.cone == STRICT_FIRST:
+        return _shen_strict_first(D, stage, vecs, search_bound)
+    if not vecs:
         return ShenCertificate((), IntMatrix.zeros(0, 0))
-    s = max(t.stage for t in theta)
-    found = push_until(D.system, s, [push(D.system, t, s).vector for t in theta], _nonnegative, search_bound)
-    if found is None:
-        raise ShenDepthExceeded(
-            f"shen-depth-exceeded: no nonnegative common stage within {search_bound} pushes"
-        )
-    stage, vecs = found
     n = D.stage_rank(stage)
     used = [t for t in range(n) if any(v[t] for v in vecs)]
     if not used:
@@ -385,20 +388,15 @@ def _shen_simplicial(D, theta, search_bound) -> ShenCertificate:
     return ShenCertificate(phi, g)
 
 
-def _shen_strict_first(D, theta, search_bound) -> ShenCertificate:
-    sys = D.system
-    s = max((t.stage for t in theta), default=0)
-    vecs = [push(sys, t, s).vector for t in theta]
+def _shen_strict_first(D, s, vecs, search_bound) -> ShenCertificate:
     nz = [v for v in vecs if any(v)]
     if not nz:
-        return ShenCertificate((_basis_element(s, D.stage_rank(s), 0),), IntMatrix.zeros(len(theta), 1))
+        return ShenCertificate((_basis_element(s, D.stage_rank(s), 0),), IntMatrix.zeros(len(vecs), 1))
     # echelon: only basis[0] can have a nonzero first coordinate, so it alone
-    # carries the first-coordinate functional and the rest lie in {t = 0}
+    # carries the first-coordinate functional and the rest lie in {t = 0};
+    # every nonzero input has a positive first coordinate, so basis[0] has too
     basis = hermite_row_basis(nz)
     rho = len(basis)
-    tau = basis[0][0]
-    if tau == 0:
-        raise ValueError("all first coordinates vanish")
     lattice = IntMatrix.from_dense(basis, len(basis[0]))  # checked by hermite_row_basis
     abar = [row_lattice_coefficients(lattice, v) for v in vecs]
     margin = max((abs(a[j]) for a in abar for j in range(1, rho)), default=0)
@@ -406,7 +404,7 @@ def _shen_strict_first(D, theta, search_bound) -> ShenCertificate:
     # push until the unit chunk count, the head row's first entry (row 0 of
     # every map is (s, 0, ..., 0)), covers 2 * m * (rho - 1) + 1 atoms
     needed = 2 * m_coef * (rho - 1) + 1
-    found = push_until(sys, s, basis, lambda rows: rows[0][0] >= needed, search_bound)
+    found = push_until(D.system, s, basis, lambda rows: rows[0][0] >= needed, search_bound)
     if found is None:
         raise ShenDepthExceeded(
             f"shen-depth-exceeded: unit chunk never covered {needed} atoms within bound"
@@ -437,7 +435,7 @@ def _shen_strict_first(D, theta, search_bound) -> ShenCertificate:
         merged[atom] = [x + yv for x, yv in zip(merged[atom], col)] if atom in merged else col
     merged = {atom: col for atom, col in merged.items() if any(col)} or {atoms[-1]: merged[atoms[-1]]}
     phi = tuple(merged)
-    g = IntMatrix.from_dense(list(merged.values()), len(theta)).transpose()
+    g = IntMatrix.from_dense(list(merged.values()), len(vecs)).transpose()
     if not g.is_nonnegative():
         raise ShenDepthExceeded("shen-depth-exceeded: internal coefficient went negative")
     return ShenCertificate(phi, g)

@@ -169,7 +169,7 @@ def stage_equality(sys: StagedSystem, stage: int):
     Equal vectors do.  Unequal ones do exactly when their difference dies,
     that is, lies in the death lattice at ``stage``, which is consulted only
     in a non-injective system.  The test raises :class:`DimensionMismatch`
-    unless both vectors have the stage's rank.
+    unless both vectors have the stage's rank, looked up once for them all.
     """
     rank = sys.stage_rank(stage)
 

@@ -1061,6 +1061,15 @@ def test_localized_comparison():
     assert b.is_isomorphic_to(FgAbelianGroup.cyclic(3))
 
 
+def test_localized_comparison_refuses_a_graph_group():
+    # a one-vertex graph labeled 3 is Z[1/3], so neither True nor False is the answer
+    from afkit.eplag import EplagGroup, PrimeLabeledGraph
+
+    graph_group = EplagGroup(PrimeLabeledGraph(("v",), (), {"v": 3}, ()))
+    with pytest.raises(TypeError, match="cannot compare a localized group with EplagGroup"):
+        LocalizedGroupDescriptor(3, 1, ()).is_isomorphic_to(graph_group)
+
+
 def test_element_is_zero():
     g = FgAbelianGroup.cyclic(4)
     assert g.element_is_zero([4])

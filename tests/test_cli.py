@@ -384,6 +384,9 @@ def test_malformed_input_exits_2(tmp_path, capsys, argv, data, field):
                      "{a}.edges[0]: missing field 'ends'", id="eplag-no-ends"),
         pytest.param(["ehs", "--system", "{a}"], {"a": dict(SIMPLICIAL_ONE, unit=[1.5])},
                      "{a}.unit: limit vector entries must be integers, got 1.5", id="ehs-float-unit"),
+        pytest.param(["ehs", "--system", "{a}", "--endo", "{b}"],
+                     {"a": SIMPLICIAL_ONE, "b": {"kind": "sideways", "matrix": [[1]]}},
+                     "{b}: kind must be same_stage or cross_stage", id="ehs-endo-unknown-kind"),
     ],
 )
 def test_value_error_names_the_field(tmp_path, capsys, argv, files, message):

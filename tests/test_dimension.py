@@ -527,6 +527,14 @@ def repush_simplicial(D, theta, bound):
     return ShenCertificate(phi, IntMatrix.from_rows([[v[t] for t in used] for v in vecs], cols=len(used)))
 
 
+def repush_turns_nonpositive(D, theta, bound):
+    """Reference: whether some input is nonzero and nonpositive at a stage at
+    most ``bound`` pushes past the latest input, each pushed from its own stage."""
+    s = max(t.stage for t in theta)
+    return any(any(v) and max(v) <= 0
+               for attempt in range(bound + 1) for t in theta for v in [push(D.system, t, s + attempt).vector])
+
+
 @settings(max_examples=200, deadline=None)
 @given(simplicial_case(), st.integers(0, 5))
 def test_pushing_together_matches_the_per_attempt_repush(case, bound):
@@ -535,11 +543,69 @@ def test_pushing_together_matches_the_per_attempt_repush(case, bound):
     D, theta = case
     assert [D.is_positive(e, bound) for e in theta] == [repush_is_positive(D, e, bound) for e in theta]
     want = repush_simplicial(D, theta, bound)
-    if want is None:
-        with pytest.raises(ShenDepthExceeded):
-            dimension._shen_simplicial(D, theta, bound)
+    if not D.system.injective:
+        with pytest.raises(ShenDepthExceeded, match="injective"):
+            shen_solve(D, theta, bound)
+    elif want is not None:
+        assert shen_solve(D, theta, bound) == want
+    elif repush_turns_nonpositive(D, theta, bound):
+        with pytest.raises(ValueError, match="not in the positive cone"):
+            shen_solve(D, theta, bound)
     else:
-        assert dimension._shen_simplicial(D, theta, bound) == want
+        with pytest.raises(ShenDepthExceeded, match="undecided"):
+            shen_solve(D, theta, bound)
+
+
+def fibonacci_system():
+    fib = StagedSystem.stationary(IntMatrix.from_rows([[1, 1], [1, 0]]))
+    return OrderedStagedSystem(system=fib, cone="simplicial", unit=LimitElement(0, (1, 1)))
+
+
+def test_simplicial_solve_decides_positivity_in_its_one_walk(monkeypatch):
+    # (-233, 378) and (1, 0) are both nonnegative first at stage 8: eight
+    # pushes of two vectors, with no walk of each input on its own before
+    D = fibonacci_system()
+    theta = [LimitElement(0, (-233, 378)), LimitElement(0, (1, 0))]
+    apply, applied = IntMatrix.apply, []
+
+    def counted(self, vec):
+        applied.append(vec)
+        return apply(self, vec)
+
+    monkeypatch.setattr(IntMatrix, "apply", counted)
+    cert = shen_solve(D, theta, 48)
+    assert len(applied) == 16
+    assert {p.stage for p in cert.phi} == {8}
+    assert cert.g.to_rows() == [[16, 21], [34, 21]]
+
+
+def test_simplicial_solve_bounds_pushes_past_the_latest_input():
+    # (-233, 378) needs eight pushes from stage 0 but only two from stage 6
+    D = fibonacci_system()
+    theta = [LimitElement(0, (-233, 378)), LimitElement(6, (1, 0))]
+    cert = shen_solve(D, theta, 2)
+    assert verify_shen_certificate(D, theta, cert)
+
+
+@pytest.mark.parametrize("vector, inside", [
+    ((-1, 0), False), ((0, 1), False), ((0, 0), True), ((1, -5), True),
+])
+def test_strict_solve_decides_positivity_at_the_latest_stage(vector, inside):
+    sys = StagedSystem.stationary(IntMatrix.from_rows([[2, 0], [1, 3]]))
+    D = OrderedStagedSystem(system=sys, cone="strict_first", unit=LimitElement(0, (1, 0)))
+    theta = [LimitElement(0, (1, 0)), LimitElement(1, vector)]
+    if inside:
+        assert verify_shen_certificate(D, theta, shen_solve(D, theta, 8))
+    else:
+        with pytest.raises(ValueError, match="input element at stage 1 is not in the positive cone"):
+            shen_solve(D, theta, 8)
+
+
+def test_solve_refuses_a_non_injective_system_before_positivity():
+    sys = StagedSystem.stationary(IntMatrix.from_rows([[1, 0], [0, 0]]))
+    D = OrderedStagedSystem(system=sys, cone="simplicial", unit=LimitElement(0, (1, 0)))
+    with pytest.raises(ShenDepthExceeded, match="injective"):
+        shen_solve(D, [LimitElement(0, (-1, -1))], 8)
 
 
 def test_shen_certificate_columns_kill_relations():
